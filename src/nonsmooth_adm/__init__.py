@@ -45,7 +45,6 @@ from .admittance import (
     sliding_variable,
 )
 from .plant import (
-    DisturbanceModel,
     EnvironmentModel,
     LinearMotorParams,
     ManipulatorModel,

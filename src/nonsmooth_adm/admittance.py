@@ -15,7 +15,6 @@ baseline; it integrates the same proxy but feeds nothing back into it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Union
 
@@ -25,6 +24,7 @@ from .msta import (
     MstaGains,
     MstaState,
     SolverDiagnostics,
+    _u_from_selection,
     msta_explicit_step,
     msta_implicit_decoupled_step,
     solve_shat_vector,
@@ -311,19 +311,17 @@ def _robust_term(s: np.ndarray, Mk: np.ndarray, Ck: np.ndarray, state: Admittanc
     k1m = _k1_matrix(g, Mk, Ck)
     Ak = Mk + h * Ck + h * k1m
     diag = solve_shat_vector(s, Ak, Mk, ms, h)
-    gam = ms.k2 * math.sqrt(float(np.linalg.norm(diag.shat))) + h * ms.k3
-    v_next = state.msta_state.v + h * ms.k3 * diag.m2
-    u_s = gam * diag.m2 + v_next
-    return u_s, MstaState(v_next), diag
+    u_s, m_next = _u_from_selection(diag, state.msta_state, ms, h)
+    return u_s, m_next, diag
 
 
-def _corner_probes(n: int) -> list[np.ndarray]:
-    if n > 8:
-        return [np.zeros(n)]
-    probes = [np.zeros(n)]
-    for bits in range(2 ** n):
-        probes.append(np.array([1.0 if bits >> i & 1 else -1.0 for i in range(n)]))
-    return probes
+def _worst_probe(y_star: np.ndarray, y_proj: np.ndarray) -> list[np.ndarray]:
+    """The corner p = sign(y_star - y_proj) of the unit box.
+
+    The certificate d.(p - F^{-1} y_proj) is linear in p, so this single probe
+    attains its maximum over the whole box.
+    """
+    return [np.sign(y_star - y_proj)]
 
 
 def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstimate,
@@ -350,7 +348,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     qxd = (qx - state.qx_prev) / h
 
     saturated = np.abs(tau_star) > g.box.limits
-    vi_residual = variational_residual(tau_star, tau, g.box, _corner_probes(g.dof))
+    vi_residual = variational_residual(tau_star, tau, g.box, _worst_probe(tau_star, tau))
 
     next_state = AdmittanceState(qx, qxd, ux_star, meas.q.copy(), qe, msta_next)
     diag = StepDiagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated,
@@ -374,7 +372,7 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     tau_raw = ng.kp * qe + ng.kd * qed + model.gravity_fn(meas.q)
     tau = project_box(tau_raw, ng.box)
     saturated = np.abs(tau_raw) > ng.box.limits
-    vi_residual = variational_residual(tau_raw, tau, ng.box, _corner_probes(ng.box.dim))
+    vi_residual = variational_residual(tau_raw, tau, ng.box, _worst_probe(tau_raw, tau))
     zero = np.zeros_like(qe)
     next_state = AdmittanceState(qx, ux, ux, meas.q.copy(), qe, state.msta_state)
     diag = StepDiagnostics(tau_raw, tau, qx, meas.q.copy(), zero, qe, zero, saturated,

@@ -23,7 +23,7 @@ __all__ = [
     "LinearMotorParams",
     "EnvironmentModel",
     "PlantState",
-    "DisturbanceModel",
+    "Disturbance",
     "SimulationBlowUp",
     "one_dof_model",
     "two_link_model",
@@ -37,31 +37,68 @@ __all__ = [
 ]
 
 
+# unmeasured bounded generalized force fe(t, q, qd) on a one-joint plant, floats
+Disturbance = Callable[[float, float, float], float]
+
+# offsets of the Coriolis, gravity, end-effector pose and Jacobian entries in
+# the kernel tuple, by dof (the mass entries come first)
+_LAYOUT = {1: (1, 2, 3, 5), 2: (3, 7, 9, 11)}
+
+
 @dataclass(frozen=True)
 class ManipulatorModel:
-    """Plant interface: rigid-body terms, end-effector kinematics, torque box.
+    """Plant interface: one float dynamics kernel plus the torque box.
 
-    ``jacobian_fn`` maps joint rates to the planar end-effector velocity
-    (2 x dof).  ``input_gain`` scales the commanded torque before it enters the
-    dynamics (drive gain; 1 for the arms).
+    ``terms`` is the only place a plant's dynamics live.  For one joint it
+    maps floats (q, qd) to (m, c, g, ee_x, ee_y, jac_x, jac_y); for two joints
+    it maps (q1, q2, qd1, qd2) to (m11, m12, m22, c11, c12, c21, c22, g1, g2,
+    ee_x, ee_y, j11, j12, j21, j22).  The substep integrator runs on the
+    floats directly; the ``*_fn`` methods are array views of the same tuple.
+    The Jacobian maps joint rates to the planar end-effector velocity
+    (2 x dof).  ``input_gain`` scales the commanded torque before it enters
+    the dynamics (drive gain; 1 for the arms).
     """
 
     dof: int
-    mass_fn: Callable[[np.ndarray], np.ndarray]
-    coriolis_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gravity_fn: Callable[[np.ndarray], np.ndarray]
-    ee_pose_fn: Callable[[np.ndarray], tuple[float, float]]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray]
+    terms: Callable[..., tuple]
     torque_limits: BoxConstraint
     input_gain: float = 1.0
     name: str = "plant"
-    # single-joint plants may provide float-valued terms
-    # (m, c, g, ee_x, ee_y, jac_x, jac_y) so the substep loop avoids arrays;
-    # must agree with the array callables (covered by a consistency test)
-    scalar_terms: Callable[[float, float], tuple] | None = None
-    # planar two-joint analogue: (m11, m12, m22, c11, c12, c21, c22, g1, g2,
-    # ee_x, ee_y, j11, j12, j21, j22)
-    planar2_terms: Callable[[float, float, float, float], tuple] | None = None
+
+    def __post_init__(self) -> None:
+        if self.dof not in _LAYOUT:
+            raise ValueError(f"dof must be 1 or 2, got {self.dof}")
+        if self.torque_limits.dim != self.dof:
+            raise ValueError(f"{self.torque_limits.dim} torque limits for {self.dof} joints")
+
+    def _at(self, q: np.ndarray, qd: np.ndarray = (0.0, 0.0)) -> tuple:
+        if self.dof == 1:
+            return self.terms(float(q[0]), float(qd[0]))
+        return self.terms(float(q[0]), float(q[1]), float(qd[0]), float(qd[1]))
+
+    def mass_fn(self, q: np.ndarray) -> np.ndarray:
+        t = self._at(q)
+        if self.dof == 1:
+            return np.array([[t[0]]])
+        return np.array([[t[0], t[1]], [t[1], t[2]]])
+
+    def coriolis_fn(self, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
+        n = self.dof
+        c = _LAYOUT[n][0]
+        return np.array(self._at(q, qd)[c:c + n * n]).reshape(n, n)
+
+    def gravity_fn(self, q: np.ndarray) -> np.ndarray:
+        g = _LAYOUT[self.dof][1]
+        return np.array(self._at(q)[g:g + self.dof])
+
+    def ee_pose_fn(self, q: np.ndarray) -> tuple[float, float]:
+        e = _LAYOUT[self.dof][2]
+        t = self._at(q)
+        return t[e], t[e + 1]
+
+    def jacobian_fn(self, q: np.ndarray) -> np.ndarray:
+        j = _LAYOUT[self.dof][3]
+        return np.array(self._at(q)[j:]).reshape(2, self.dof)
 
 
 @dataclass(frozen=True)
@@ -126,6 +163,9 @@ class EnvironmentModel:
     mu_fric: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("k_s", "y_s", "mu_fric"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"environment {name} must be finite, got {getattr(self, name)}")
         if self.k_s < 0.0 or self.mu_fric < 0.0:
             raise ValueError("stiffness and friction coefficient must be nonnegative")
 
@@ -138,18 +178,6 @@ class PlantState:
     def __post_init__(self) -> None:
         self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
         self.qd = np.atleast_1d(np.asarray(self.qd, dtype=float))
-
-
-@dataclass(frozen=True)
-class DisturbanceModel:
-    """Unmeasured generalized force fe(t, q, qd); must stay bounded.
-
-    ``fe_scalar``, when provided for single-joint plants, is the same force as
-    a float function of (t, q, qd) floats.
-    """
-
-    fe_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    fe_scalar: Callable[[float, float, float], float] | None = None
 
 
 class SimulationBlowUp(RuntimeError):
@@ -166,24 +194,6 @@ def one_dof_model(params: OneDofParams = OneDofParams(), torque_limit: float = 3
     lc = p.com
     js = p.m1 * p.l1 * p.l1 / 3.0
 
-    def mass(q: np.ndarray) -> np.ndarray:
-        m = js + p.m1 * lc * lc + p.mass_ripple * math.sin(q[0])
-        if m <= 0.0:
-            raise ValueError(f"inertia lost positivity at q = {q[0]:.4f}")
-        return np.array([[m]])
-
-    def coriolis(q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        return np.array([[p.damping * math.cos(q[0])]])
-
-    def gravity(q: np.ndarray) -> np.ndarray:
-        return np.array([p.m1 * p.g * lc * math.cos(q[0])])
-
-    def ee(q: np.ndarray) -> tuple[float, float]:
-        return p.l1 * math.cos(q[0]), p.l1 * math.sin(q[0])
-
-    def jac(q: np.ndarray) -> np.ndarray:
-        return np.array([[-p.l1 * math.sin(q[0])], [p.l1 * math.cos(q[0])]])
-
     def terms(q: float, qd: float) -> tuple:
         s, c = math.sin(q), math.cos(q)
         m = js + p.m1 * lc * lc + p.mass_ripple * s
@@ -192,9 +202,7 @@ def one_dof_model(params: OneDofParams = OneDofParams(), torque_limit: float = 3
         return (m, p.damping * c, p.m1 * p.g * lc * c,
                 p.l1 * c, p.l1 * s, -p.l1 * s, p.l1 * c)
 
-    return ManipulatorModel(1, mass, coriolis, gravity, ee, jac,
-                            BoxConstraint([torque_limit]), name="one_dof",
-                            scalar_terms=terms)
+    return ManipulatorModel(1, terms, BoxConstraint([torque_limit]), name="one_dof")
 
 
 def two_link_model(params: TwoLinkParams = TwoLinkParams(),
@@ -204,35 +212,6 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams(),
     ic1 = p.J1 - p.m1 * lc1 * lc1      # inertia about the link's own COM
     ic2 = p.J2 - p.m2 * lc2 * lc2
 
-    def mass(q: np.ndarray) -> np.ndarray:
-        c2 = math.cos(q[1])
-        m11 = p.m1 * lc1 * lc1 + ic1 + ic2 + p.m2 * (p.l1 * p.l1 + lc2 * lc2 + 2.0 * p.l1 * lc2 * c2)
-        m12 = p.m2 * (lc2 * lc2 + p.l1 * lc2 * c2) + ic2
-        m22 = p.m2 * lc2 * lc2 + ic2
-        return np.array([[m11, m12], [m12, m22]])
-
-    def coriolis(q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        # Christoffel form, so dM/dt - 2C stays skew-symmetric
-        hh = -p.m2 * p.l1 * lc2 * math.sin(q[1])
-        return np.array([[hh * qd[1], hh * (qd[0] + qd[1])], [-hh * qd[0], 0.0]])
-
-    def gravity(q: np.ndarray) -> np.ndarray:
-        # horizontal-plane arm: gravity acts along the joint axes
-        return np.zeros(2)
-
-    def ee(q: np.ndarray) -> tuple[float, float]:
-        q12 = q[0] + q[1]
-        return (p.l1 * math.cos(q[0]) + p.l2 * math.cos(q12),
-                p.l1 * math.sin(q[0]) + p.l2 * math.sin(q12))
-
-    def jac(q: np.ndarray) -> np.ndarray:
-        s1, c1 = math.sin(q[0]), math.cos(q[0])
-        s12, c12 = math.sin(q[0] + q[1]), math.cos(q[0] + q[1])
-        return np.array([
-            [-p.l1 * s1 - p.l2 * s12, -p.l2 * s12],
-            [p.l1 * c1 + p.l2 * c12, p.l2 * c12],
-        ])
-
     def terms(q1: float, q2: float, qd1: float, qd2: float) -> tuple:
         s1, c1 = math.sin(q1), math.cos(q1)
         s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
@@ -240,83 +219,46 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams(),
         m11 = p.m1 * lc1 * lc1 + ic1 + ic2 + p.m2 * (p.l1 * p.l1 + lc2 * lc2 + 2.0 * p.l1 * lc2 * c2)
         m12 = p.m2 * (lc2 * lc2 + p.l1 * lc2 * c2) + ic2
         m22 = p.m2 * lc2 * lc2 + ic2
+        # Christoffel form, so dM/dt - 2C stays skew-symmetric; horizontal-plane
+        # arm, so gravity acts along the joint axes and drops out
         hh = -p.m2 * p.l1 * lc2 * s2
         return (m11, m12, m22, hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
                 p.l1 * c1 + p.l2 * c12, p.l1 * s1 + p.l2 * s12,
                 -p.l1 * s1 - p.l2 * s12, -p.l2 * s12,
                 p.l1 * c1 + p.l2 * c12, p.l2 * c12)
 
-    return ManipulatorModel(2, mass, coriolis, gravity, ee, jac,
-                            BoxConstraint(list(torque_limits)), name="two_link",
-                            planar2_terms=terms)
+    return ManipulatorModel(2, terms, BoxConstraint(list(torque_limits)), name="two_link")
 
 
 def linear_motor_model(params: LinearMotorParams = LinearMotorParams(),
                        force_limit: float = 12.5) -> ManipulatorModel:
     p = params
-
-    def mass(q: np.ndarray) -> np.ndarray:
-        return np.array([[p.mass]])
-
-    def coriolis(q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        return np.array([[p.viscous]])
-
-    def gravity(q: np.ndarray) -> np.ndarray:
-        return np.array([p.mass * p.g])
-
-    def ee(q: np.ndarray) -> tuple[float, float]:
-        return 0.0, q[0]
-
-    def jac(q: np.ndarray) -> np.ndarray:
-        return np.array([[0.0], [1.0]])
-
     weight = p.mass * p.g
 
     def terms(q: float, qd: float) -> tuple:
         return p.mass, p.viscous, weight, 0.0, q, 0.0, 1.0
 
-    return ManipulatorModel(1, mass, coriolis, gravity, ee, jac,
-                            BoxConstraint([force_limit]), input_gain=p.kappa,
-                            name="linear_motor", scalar_terms=terms)
+    return ManipulatorModel(1, terms, BoxConstraint([force_limit]), input_gain=p.kappa,
+                            name="linear_motor")
 
 
-def linear_motor_friction(params: LinearMotorParams) -> DisturbanceModel:
+def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
     """Rail friction and cogging stand-in: Coulomb level plus viscous term."""
     p = params
 
-    def fe_scalar(t: float, q: float, qd: float) -> float:
+    def fe(t: float, q: float, qd: float) -> float:
         return -(p.friction_coulomb * sign0(qd) + p.friction_viscous * qd)
 
-    def fe(t: float, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        return np.array([fe_scalar(t, q[0], qd[0])])
-
-    return DisturbanceModel(fe, fe_scalar=fe_scalar)
+    return fe
 
 
 def double_integrator_model(mass: float = 1.0, force_limit: float = 50.0) -> ManipulatorModel:
     """Frictionless unit stage used by the inner-loop benchmarks."""
 
-    def mass_fn(q: np.ndarray) -> np.ndarray:
-        return np.array([[mass]])
-
-    def zero_mat(q: np.ndarray, qd: np.ndarray = None) -> np.ndarray:
-        return np.array([[0.0]])
-
-    def zero_vec(q: np.ndarray) -> np.ndarray:
-        return np.zeros(1)
-
-    def ee(q: np.ndarray) -> tuple[float, float]:
-        return 0.0, q[0]
-
-    def jac(q: np.ndarray) -> np.ndarray:
-        return np.array([[0.0], [1.0]])
-
     def terms(q: float, qd: float) -> tuple:
         return mass, 0.0, 0.0, 0.0, q, 0.0, 1.0
 
-    return ManipulatorModel(1, mass_fn, zero_mat, zero_vec, ee, jac,
-                            BoxConstraint([force_limit]), name="double_integrator",
-                            scalar_terms=terms)
+    return ManipulatorModel(1, terms, BoxConstraint([force_limit]), name="double_integrator")
 
 
 def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],
@@ -343,36 +285,19 @@ def joint_contact_torque(model: ManipulatorModel, q: np.ndarray,
     return jac.T @ w
 
 
-def _solve_mass(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = rhs.shape[0]
-    if n == 1:
-        return rhs / M[0, 0]
-    if n == 2:
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if det == 0.0:
-            raise np.linalg.LinAlgError("singular mass matrix")
-        return np.array([
-            (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det,
-            (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det,
-        ])
-    return np.linalg.solve(M, rhs)
-
-
 def forward_dynamics(model: ManipulatorModel, state: PlantState, tau: np.ndarray,
                      fc: np.ndarray, fe: np.ndarray) -> np.ndarray:
     """Joint accelerations: M^{-1} (gain*tau + fc + fe - C qd - G)."""
     M = model.mass_fn(state.q)
     C = model.coriolis_fn(state.q, state.qd)
     G = model.gravity_fn(state.q)
-    rhs = model.input_gain * tau + fc + fe - C @ state.qd - G
-    return _solve_mass(M, rhs)
+    return np.linalg.solve(M, model.input_gain * tau + fc + fe - C @ state.qd - G)
 
 
 def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float,
-                      env: EnvironmentModel, disturbance: DisturbanceModel | None,
+                      env: EnvironmentModel, disturbance: Disturbance | None,
                       t: float, dt: float, n_sub: int) -> tuple[float, float]:
-    terms = model.scalar_terms
-    fe_fn = disturbance.fe_scalar if disturbance is not None else None
+    terms = model.terms
     ks, ys, mu = env.k_s, env.y_s, env.mu_fric
     gain = model.input_gain
     q, qd = q0, qd0
@@ -383,7 +308,7 @@ def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float
         if fy > 0.0:
             fx = -mu * fy * sign0(jx * qd)
             fc = jx * fx + jy * fy
-        fe = fe_fn(t, q, qd) if fe_fn is not None else 0.0
+        fe = disturbance(t, q, qd) if disturbance is not None else 0.0
         qd += dt * (gain * tau + fc + fe - c * qd - g) / m
         q += dt * qd
         t += dt
@@ -392,7 +317,7 @@ def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float
 
 def _integrate_planar2(model: ManipulatorModel, state: PlantState, tau: tuple,
                        env: EnvironmentModel, dt: float, n_sub: int) -> tuple:
-    terms = model.planar2_terms
+    terms = model.terms
     ks, ys, mu = env.k_s, env.y_s, env.mu_fric
     g1t, g2t = model.input_gain * tau[0], model.input_gain * tau[1]
     q1, q2 = float(state.q[0]), float(state.q[1])
@@ -417,45 +342,25 @@ def _integrate_planar2(model: ManipulatorModel, state: PlantState, tau: tuple,
 
 
 def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.ndarray,
-                      env: EnvironmentModel, disturbance: DisturbanceModel | None,
+                      env: EnvironmentModel, disturbance: Disturbance | None,
                       t: float, dt_sub: float, n_sub: int) -> PlantState:
     """Advance the plant by n_sub semi-implicit Euler substeps under held torque.
 
     The contact wrench is re-evaluated every substep; the commanded torque is a
-    zero-order hold over the whole controller period.
+    zero-order hold over the whole controller period.  A ``disturbance`` acts
+    on one-joint plants only.
     """
-    if model.scalar_terms is not None and model.dof == 1 and (
-            disturbance is None or disturbance.fe_scalar is not None):
+    if model.dof == 1:
         q1, qd1 = _integrate_scalar(model, float(state.q[0]), float(state.qd[0]),
                                     float(tau_held[0]), env, disturbance, t, dt_sub, n_sub)
         if not (math.isfinite(q1) and math.isfinite(qd1)):
             raise SimulationBlowUp(step=-1, t=t)
         return PlantState(np.array([q1]), np.array([qd1]))
 
-    if model.planar2_terms is not None and model.dof == 2 and disturbance is None:
-        out = _integrate_planar2(model, state, (float(tau_held[0]), float(tau_held[1])),
-                                 env, dt_sub, n_sub)
-        if not all(math.isfinite(v) for v in out):
-            raise SimulationBlowUp(step=-1, t=t)
-        return PlantState(np.array(out[:2]), np.array(out[2:]))
-
-    q = state.q.copy()
-    qd = state.qd.copy()
-    zero = np.zeros(model.dof)
-    for _ in range(n_sub):
-        ee = model.ee_pose_fn(q)
-        jac = model.jacobian_fn(q)
-        ee_vel = jac @ qd
-        fx, fy = contact_wrench(ee, (ee_vel[0], ee_vel[1]), env)
-        fc = jac.T @ np.array([fx, fy]) if fy != 0.0 else zero
-        fe = disturbance.fe_fn(t, q, qd) if disturbance is not None else zero
-        M = model.mass_fn(q)
-        C = model.coriolis_fn(q, qd)
-        G = model.gravity_fn(q)
-        qdd = _solve_mass(M, model.input_gain * tau_held + fc + fe - C @ qd - G)
-        qd = qd + dt_sub * qdd
-        q = q + dt_sub * qd
-        t += dt_sub
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
+    if disturbance is not None:
+        raise ValueError("disturbance forces act on one-joint plants only")
+    out = _integrate_planar2(model, state, (float(tau_held[0]), float(tau_held[1])),
+                             env, dt_sub, n_sub)
+    if not all(math.isfinite(v) for v in out):
         raise SimulationBlowUp(step=-1, t=t)
-    return PlantState(q, qd)
+    return PlantState(np.array(out[:2]), np.array(out[2:]))

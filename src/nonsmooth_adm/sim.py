@@ -16,9 +16,8 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .admittance import (
 )
 from .msta import MstaGains, MstaState, msta_explicit_step, sta_scalar_implicit_step
 from .plant import (
-    DisturbanceModel,
+    Disturbance,
     EnvironmentModel,
     LinearMotorParams,
     ManipulatorModel,
@@ -162,22 +161,28 @@ class Scenario:
             raise ValueError("h must be an integer multiple of dt_sub")
 
 
+_PLANT_DOF = {"one_dof": 1, "two_link": 2, "linear_motor": 1, "double_integrator": 1}
+
+
 def build_model(sc: Scenario) -> ManipulatorModel:
+    if sc.plant not in _PLANT_DOF:
+        raise ValueError(f"unknown plant kind: {sc.plant!r}")
     lim = tuple(sc.controller.torque_limits)
+    if len(lim) != _PLANT_DOF[sc.plant]:
+        raise ValueError(f"controller.torque_limits_Nm has {len(lim)} entries; plant "
+                         f"{sc.plant!r} has {_PLANT_DOF[sc.plant]} joint(s)")
     if sc.plant == "one_dof":
         return one_dof_model(sc.plant_params or OneDofParams(), torque_limit=lim[0])
     if sc.plant == "two_link":
         return two_link_model(sc.plant_params or TwoLinkParams(), torque_limits=lim)
     if sc.plant == "linear_motor":
         return linear_motor_model(sc.plant_params or LinearMotorParams(), force_limit=lim[0])
-    if sc.plant == "double_integrator":
-        return double_integrator_model(force_limit=lim[0])
-    raise ValueError(f"unknown plant kind: {sc.plant!r}")
+    return double_integrator_model(force_limit=lim[0])
 
 
-def _build_disturbance(sc: Scenario) -> DisturbanceModel | None:
+def _build_disturbance(sc: Scenario, model: ManipulatorModel) -> Disturbance | None:
     spec = sc.disturbance
-    base: Callable[[float, float, float], float] | None = None
+    base: Disturbance | None = None
     if spec.kind == "sine":
         amp, om, t0 = spec.amplitude, 2.0 * math.pi * spec.freq_hz, spec.t_start
 
@@ -194,21 +199,17 @@ def _build_disturbance(sc: Scenario) -> DisturbanceModel | None:
 
     elif spec.kind != "none":
         raise ValueError(f"unknown disturbance kind: {spec.kind!r}")
+    if base is not None and model.dof != 1:
+        raise ValueError(f"disturbance.kind {spec.kind!r} acts on one-joint plants only; "
+                         f"plant {sc.plant!r} has {model.dof} joints")
 
     friction = None
     if sc.plant == "linear_motor":
-        friction = linear_motor_friction(sc.plant_params or LinearMotorParams()).fe_scalar
+        friction = linear_motor_friction(sc.plant_params or LinearMotorParams())
 
-    if base is None and friction is None:
-        return None
-    if base is None:
-        scalar = friction
-    elif friction is None:
-        scalar = base
-    else:
-        scalar = lambda t, q, qd: base(t, q, qd) + friction(t, q, qd)
-    return DisturbanceModel(lambda t, q, qd: np.array([scalar(t, float(q[0]), float(qd[0]))]),
-                            fe_scalar=scalar)
+    if base is None or friction is None:
+        return base or friction
+    return lambda t, q, qd: base(t, q, qd) + friction(t, q, qd)
 
 
 def _build_estimate(sc: Scenario, model: ManipulatorModel) -> ModelEstimate:
@@ -346,7 +347,7 @@ def run_scenario(sc: Scenario) -> Trace:
     model = build_model(sc)
     n = model.dof
     env = sc.env
-    disturbance = _build_disturbance(sc)
+    disturbance = _build_disturbance(sc, model)
     estimate = _build_estimate(sc, model)
 
     q0 = np.asarray(sc.q0, dtype=float)
@@ -568,23 +569,9 @@ def _with_override(sc: Scenario, key: str, value) -> Scenario:
 
 
 def sweep(sc_template: Scenario, param_path: str, values: Sequence) -> list[tuple[object, Metrics]]:
-    """Run the template once per value of the addressed parameter.
-
-    Scenarios share nothing, so they may run concurrently; the thread count is
-    capped by the NONSMOOTH_ADM_THREADS environment variable.
-    """
+    """Run the template once per value of the addressed parameter, in order."""
     scenarios = [_with_override(sc_template, param_path, v) for v in values]
-    max_workers = max(1, int(os.environ.get("NONSMOOTH_ADM_THREADS", "4")))
-
-    def job(s: Scenario) -> Metrics:
-        return compute_metrics(run_scenario(s), s)
-
-    if max_workers == 1 or len(scenarios) == 1:
-        results = [job(s) for s in scenarios]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(job, scenarios))
-    return list(zip(values, results))
+    return [(v, compute_metrics(run_scenario(s), s)) for v, s in zip(values, scenarios)]
 
 
 # --------------------------------------------------------------------------- presets

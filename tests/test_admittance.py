@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -255,3 +257,32 @@ def test_naive_baseline_step():
                           np.array([0.5]), MstaState.zero(1))
     tau, _, diag = baseline_naive_step(st4, Measurement([0.0], [0.0], [0.0]), est, ng)
     assert tau[0] == 3.0 and diag.saturated.all()
+
+
+def test_certificate_equals_corner_enumeration(rng):
+    """The single sign(d) probe gives the maximum over every corner of the box."""
+    two_dof = AdmittanceGains(mx=np.diag([0.5, 0.5]), bx=np.diag([1.0, 1.0]), lam=10.0, k1=30.0,
+                              msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
+                              h=1e-3, us_mode="explicit")
+    naive = NaiveGains(mx=np.diag([0.5, 0.5]), bx=np.diag([1.0, 1.0]), kp=300.0, kd=31.0,
+                       box=BoxConstraint([3.0, 4.0]), h=1e-3)
+    cases = [(1, admittance_step, fig3_gains()), (2, admittance_step, two_dof),
+             (2, baseline_naive_step, naive)]
+    for n, step, g in cases:
+        est = ModelEstimate.constant((0.2,) * n, (20.0,) * n)
+        corners = [np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n)]
+        saturated = 0
+        for _ in range(200):
+            st = AdmittanceState(rng.normal(size=n) * 0.3, rng.normal(size=n) * 2,
+                                 rng.normal(size=n), rng.normal(size=n) * 0.3,
+                                 rng.normal(size=n) * 0.02, MstaState(rng.normal(size=n) * 3))
+            meas = Measurement(rng.normal(size=n) * 0.3, rng.normal(size=n) * 8,
+                               rng.normal(size=n) * 3)
+            tau, _, diag = step(st, meas, est, g)
+            if not diag.saturated.any():
+                continue
+            saturated += 1
+            d = diag.tau_star - tau
+            best = max(float(d @ (p - tau / g.box.limits)) for p in corners)
+            assert abs(diag.lambda_vi_residual - best) <= 1e-12 * (1.0 + np.abs(d).sum())
+        assert saturated >= 20

@@ -1,12 +1,13 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from nonsmooth_adm.setvalued import BoxConstraint
 from nonsmooth_adm.plant import (
     EnvironmentModel,
     LinearMotorParams,
+    ManipulatorModel,
     OneDofParams,
     PlantState,
     contact_wrench,
@@ -118,8 +119,8 @@ def test_linear_motor_dynamics():
     qdd = forward_dynamics(model, st, np.array([p.mass * p.g]), np.zeros(1), np.zeros(1))
     assert abs(qdd[0]) < 1e-12
     fric = linear_motor_friction(p)
-    assert fric.fe_fn(0.0, np.zeros(1), np.array([0.1]))[0] == pytest.approx(-(1.0 + 0.5))
-    assert fric.fe_fn(0.0, np.zeros(1), np.zeros(1))[0] == 0.0
+    assert fric(0.0, 0.0, 0.1) == pytest.approx(-(1.0 + 0.5))
+    assert fric(0.0, 0.0, 0.0) == 0.0
 
 
 def test_free_fall_substep_value():
@@ -140,18 +141,50 @@ def test_zero_dynamics_state_unchanged():
     assert np.allclose(st.qd, 0.0)
 
 
-def test_fast_paths_match_generic(rng):
+def reference_substeps(model, st, tau, env, dt, n_sub):
+    """Semi-implicit Euler written from the array views of the kernel."""
+    q, qd = st.q.copy(), st.qd.copy()
+    for _ in range(n_sub):
+        ee_vel = model.jacobian_fn(q) @ qd
+        wrench = contact_wrench(model.ee_pose_fn(q), (ee_vel[0], ee_vel[1]), env)
+        fc = joint_contact_torque(model, q, wrench)
+        qd = qd + dt * forward_dynamics(model, PlantState(q, qd), tau, fc, np.zeros(model.dof))
+        q = q + dt * qd
+    return q, qd
+
+
+def test_substep_matches_reference_loop(rng):
     env = EnvironmentModel(k_s=2e3, y_s=0.0, mu_fric=0.1)
     for model in (one_dof_model(), linear_motor_model(), two_link_model()):
-        generic = dataclasses.replace(model, scalar_terms=None, planar2_terms=None)
         for _ in range(40):
             n = model.dof
             st = PlantState(rng.normal(scale=0.4, size=n), rng.normal(size=n))
             tau = rng.normal(size=n)
             a = integrate_substep(model, st, tau, env, None, 0.0, 1e-5, 25)
-            b = integrate_substep(generic, st, tau, env, None, 0.0, 1e-5, 25)
-            assert np.allclose(a.q, b.q, atol=1e-13)
-            assert np.allclose(a.qd, b.qd, atol=1e-12)
+            q, qd = reference_substeps(model, st, tau, env, 1e-5, 25)
+            assert np.allclose(a.q, q, atol=1e-13)
+            assert np.allclose(a.qd, qd, atol=1e-12)
+
+
+def test_model_rejects_unsupported_shapes():
+    terms = one_dof_model().terms
+    with pytest.raises(ValueError, match="dof"):
+        ManipulatorModel(3, terms, BoxConstraint([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="torque limits"):
+        ManipulatorModel(1, terms, BoxConstraint([1.0, 1.0]))
+
+
+def test_two_link_rejects_disturbance():
+    with pytest.raises(ValueError, match="one-joint"):
+        integrate_substep(two_link_model(), PlantState(np.zeros(2), np.zeros(2)), np.zeros(2),
+                          EnvironmentModel(), lambda t, q, qd: 1.0, 0.0, 1e-5, 1)
+
+
+@pytest.mark.parametrize("field", ["k_s", "y_s", "mu_fric"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_environment_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        EnvironmentModel(**{field: bad})
 
 
 def test_pendulum_energy_drift():

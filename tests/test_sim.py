@@ -9,7 +9,9 @@ import pytest
 from nonsmooth_adm.plant import EnvironmentModel, SimulationBlowUp, two_link_model
 from nonsmooth_adm.sim import (
     LINMOTOR_STIFFNESS_LEVELS,
+    DisturbanceSpec,
     Metrics,
+    build_model,
     apply_override,
     compute_metrics,
     load_scenario,
@@ -162,13 +164,6 @@ def test_sweep_rows_and_reproducibility():
     assert [metrics_to_dict(m) for _, m in rows] == [metrics_to_dict(m) for _, m in again]
 
 
-def test_sweep_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("NONSMOOTH_ADM_THREADS", "1")
-    sc = short(presets()["msta_bench"], 0.5)
-    rows = sweep(sc, "controller.k2", [10.0, 12.0])
-    assert len(rows) == 2
-
-
 def test_naive_variant_switches_controller():
     sc = presets()["fig3_one_dof"]
     nv = naive_variant(sc)
@@ -232,3 +227,32 @@ def test_approach_phase_switches_on_contact():
     # velocity servo tracks the commanded approach speed before contact
     mid = slice(k_contact // 2, k_contact)
     assert np.allclose(tr.qd[mid, 0], sc.approach.v_ref, atol=0.02)
+
+
+def test_two_link_disturbance_rejected():
+    sc = short(presets()["fig5_two_dof"])
+    sc.disturbance = DisturbanceSpec(kind="sine", amplitude=1.0, freq_hz=5.0)
+    with pytest.raises(ValueError, match=r"disturbance\.kind"):
+        run_scenario(sc)
+
+
+@pytest.mark.parametrize("name,limits", [("fig3_one_dof", (3.0, 4.0)),
+                                         ("fig5_two_dof", (3.0,)),
+                                         ("linmotor_steps", (12.5, 12.5))])
+def test_torque_limit_count_must_match_plant(name, limits):
+    sc = copy.deepcopy(presets()[name])
+    sc.controller.torque_limits = limits
+    with pytest.raises(ValueError, match=r"controller\.torque_limits_Nm"):
+        build_model(sc)
+
+
+@pytest.mark.parametrize("us_mode", ["implicit-vector", "implicit-decoupled"])
+def test_two_dof_implicit_inner_loops_closed_loop(us_mode):
+    sc = short(presets()["fig5_two_dof"], 1.0)
+    sc.controller.us_mode = us_mode
+    tr = run_scenario(sc)
+    m = compute_metrics(tr, sc)
+    assert m.torque_violations == 0
+    assert np.all(np.abs(tr.tau) <= np.asarray(sc.controller.torque_limits))
+    assert np.all(np.isfinite(tr.q)) and np.all(np.isfinite(tr.u_s))
+    assert tr.contact.any()
