@@ -16,7 +16,7 @@ baseline; it integrates the same proxy but feeds nothing back into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Union
+from typing import Callable, Literal, NamedTuple, Union
 
 import numpy as np
 
@@ -30,7 +30,14 @@ from .msta import (
     solve_shat_vector,
     sta_scalar_implicit_step,
 )
-from .setvalued import BoxConstraint, project_box, variational_residual
+from .setvalued import (
+    BoxConstraint,
+    _all_finite,
+    _read_only,
+    _vector,
+    project_box,
+    variational_residual,
+)
 
 __all__ = [
     "AdmittanceGains",
@@ -84,6 +91,11 @@ class AdmittanceGains:
     for -C + gamma1*M, box the torque limits, h the controller period, and
     us_mode selects the inner-loop discretization ("auto" picks the scalar
     implicit form for one joint and the explicit form otherwise).
+
+    mx and bx are kept as read-only copies.  The constants that depend on the
+    gains alone are derived once, in ``__post_init__``, as private attributes
+    (not fields, so ``dataclasses.replace`` derives them afresh): the resolved
+    inner-loop mode, ``mx + bx*h``, and for a scalar k1 the matrix ``k1*I``.
     """
 
     mx: np.ndarray
@@ -98,8 +110,8 @@ class AdmittanceGains:
 
     def __post_init__(self) -> None:
         n = self.box.dim
-        mx = np.atleast_2d(np.asarray(self.mx, dtype=float))
-        bx = np.atleast_2d(np.asarray(self.bx, dtype=float))
+        mx = np.atleast_2d(np.array(self.mx, dtype=float))
+        bx = np.atleast_2d(np.array(self.bx, dtype=float))
         if mx.shape != (n, n) or bx.shape != (n, n):
             raise ValueError("mx and bx must be n x n with n matching the torque box")
         if float(np.linalg.eigvalsh(0.5 * (mx + mx.T)).min()) <= 0.0:
@@ -114,26 +126,35 @@ class AdmittanceGains:
             raise ValueError(f"us_mode must be one of {US_MODES}")
         if self.us_coupling not in ("direct", "inertia-scaled"):
             raise ValueError('us_coupling must be "direct" or "inertia-scaled"')
+        k1m = None
         if not isinstance(self.k1, str):
             object.__setattr__(self, "k1", float(self.k1))
+            k1m = _read_only(self.k1 * np.eye(n))
         elif self.k1 != "structured":
             raise ValueError('k1 must be a scalar or "structured"')
-        object.__setattr__(self, "mx", mx)
-        object.__setattr__(self, "bx", bx)
+        mode = self.us_mode
+        if mode == "auto":
+            mode = "scalar-implicit" if n == 1 else "explicit"
+        object.__setattr__(self, "mx", _read_only(mx))
+        object.__setattr__(self, "bx", _read_only(bx))
+        object.__setattr__(self, "_us_mode", mode)
+        object.__setattr__(self, "_proxy_matrix", _read_only(mx + bx * self.h))
+        object.__setattr__(self, "_k1m", k1m)
 
     @property
     def dof(self) -> int:
         return self.box.dim
 
     def resolved_us_mode(self) -> str:
-        if self.us_mode != "auto":
-            return self.us_mode
-        return "scalar-implicit" if self.dof == 1 else "explicit"
+        return self._us_mode
 
 
 @dataclass(frozen=True)
 class NaiveGains:
-    """Clamped proxy-PD baseline: same proxy, high-gain PD, hard clamp."""
+    """Clamped proxy-PD baseline: same proxy, high-gain PD, hard clamp.
+
+    mx and bx are kept as read-only copies; ``mx + bx*h`` is derived once.
+    """
 
     mx: np.ndarray
     bx: np.ndarray
@@ -144,12 +165,15 @@ class NaiveGains:
 
     def __post_init__(self) -> None:
         n = self.box.dim
-        object.__setattr__(self, "mx", np.atleast_2d(np.asarray(self.mx, dtype=float)))
-        object.__setattr__(self, "bx", np.atleast_2d(np.asarray(self.bx, dtype=float)))
-        if self.mx.shape != (n, n) or self.bx.shape != (n, n):
+        mx = _read_only(np.atleast_2d(np.array(self.mx, dtype=float)))
+        bx = _read_only(np.atleast_2d(np.array(self.bx, dtype=float)))
+        object.__setattr__(self, "mx", mx)
+        object.__setattr__(self, "bx", bx)
+        if mx.shape != (n, n) or bx.shape != (n, n):
             raise ValueError("mx and bx must be n x n")
         if self.h <= 0.0:
             raise ValueError("h must be positive")
+        object.__setattr__(self, "_proxy_matrix", _read_only(mx + bx * self.h))
 
 
 @dataclass(frozen=True)
@@ -165,8 +189,8 @@ class AdmittanceState:
 
     def __post_init__(self) -> None:
         for name in ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev"):
-            vec = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(vec)):
+            vec = _vector(getattr(self, name))
+            if not _all_finite(vec):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, vec)
 
@@ -181,8 +205,8 @@ class Measurement:
 
     def __post_init__(self) -> None:
         for name in ("q", "fc", "fd"):
-            vec = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(vec)):
+            vec = _vector(getattr(self, name))
+            if not _all_finite(vec):
                 raise ValueError(f"measurement {name} must be finite")
             object.__setattr__(self, name, vec)
 
@@ -219,9 +243,9 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
     ux_star = (mx + bx*h)^{-1} (mx*qxd_prev + h*(fc + fd)),
     qx_star = qx_prev + h*ux_star.
     """
-    fc = np.atleast_1d(np.asarray(fc, dtype=float))
-    fd = np.atleast_1d(np.asarray(fd, dtype=float))
-    ux_star = np.linalg.solve(g.mx + g.bx * g.h, g.mx @ state.qxd_prev + g.h * (fc + fd))
+    fc = _vector(fc)
+    fd = _vector(fd)
+    ux_star = np.linalg.solve(g._proxy_matrix, g.mx @ state.qxd_prev + g.h * (fc + fd))
     qx_star = state.qx_prev + g.h * ux_star
     return ux_star, qx_star
 
@@ -239,26 +263,38 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
     return qe, qed, s
 
 
-def _k1_matrix(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> np.ndarray:
-    if g.k1 == "structured":
-        return -Ck + g.msta.gamma1 * Mk
-    return float(g.k1) * np.eye(g.dof)
+class _Loop(NamedTuple):
+    """The estimate at the measured position and the inner-loop matrices
+    built from it; evaluated once per controller period."""
+
+    Mk: np.ndarray
+    Ck: np.ndarray
+    Gk: np.ndarray
+    k1m: np.ndarray
+    B: np.ndarray
+    Bhat: np.ndarray
+    W: np.ndarray
 
 
-def _loop_matrices(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray):
+def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
+                   g: AdmittanceGains) -> _Loop:
     h = g.h
-    k1m = _k1_matrix(g, Mk, Ck)
+    Mk = model.mass_fn(q)
+    Ck = model.coriolis_fn(q, (q - state.q_prev) / h)
+    Gk = model.gravity_fn(q)
+    k1m = g._k1m if g._k1m is not None else -Ck + g.msta.gamma1 * Mk
     B = Mk * g.lam + k1m
     K = (Ck + k1m) * g.lam
     Bhat = B + Ck
     Khat = Bhat / h + K
     W = Mk / (h * h) + Khat
-    return B, Bhat, W
+    return _Loop(Mk, Ck, Gk, k1m, B, Bhat, W)
 
 
 def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
                          u_s: np.ndarray, state: AdmittanceState, model: ModelEstimate,
-                         g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
+                         g: AdmittanceGains, *, loop: _Loop | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Unconstrained torque candidate of the implicit inner loop.
 
     The sliding variable enters through the gain matrices; u_s is the robust
@@ -266,13 +302,13 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
     as a generalized force; "inertia-scaled" premultiplies it by the inertia
     estimate, which starves the twisting gains of authority whenever the
     estimate is much lighter than the true inertia.  Returns
-    (q1_star, tau_star) with tau_star = W (qx_star - q1_star).
+    (q1_star, tau_star) with tau_star = W (qx_star - q1_star).  ``loop`` is the
+    period's evaluated estimate and matrices; it is built here when omitted.
     """
     h = g.h
-    Mk = model.mass_fn(q)
-    Ck = model.coriolis_fn(q, (q - state.q_prev) / h)
-    Gk = model.gravity_fn(q)
-    B, Bhat, W = _loop_matrices(g, Mk, Ck)
+    if loop is None:
+        loop = _evaluate_loop(model, q, state, g)
+    Mk, Ck, Gk, _, B, Bhat, W = loop
     tau_us = u_s if g.us_coupling == "direct" else Mk @ u_s
     phi_a = ((Mk + Ck * h) @ q + h * (B @ state.q_prev)) / (h * h) + Gk + tau_us
     phi_b = (Mk @ (state.qx_prev + h * state.ux_prev)) / (h * h) + (Bhat @ state.qx_prev) / h
@@ -289,10 +325,9 @@ def _scalar_beta(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> float:
     return max(1.0, 1.0 + g.h * gamma1)
 
 
-def _robust_term(s: np.ndarray, Mk: np.ndarray, Ck: np.ndarray, state: AdmittanceState,
-                 g: AdmittanceGains):
+def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: AdmittanceGains):
     """Dispatch u_s through the configured discretization."""
-    mode = g.resolved_us_mode()
+    mode = g._us_mode
     h = g.h
     ms = g.msta
     if mode == "explicit":
@@ -301,16 +336,15 @@ def _robust_term(s: np.ndarray, Mk: np.ndarray, Ck: np.ndarray, state: Admittanc
     if mode == "scalar-implicit":
         if g.dof != 1:
             raise ValueError("scalar-implicit inner loop requires one degree of freedom")
-        beta = _scalar_beta(g, Mk, Ck)
+        beta = _scalar_beta(g, loop.Mk, loop.Ck)
         u, v_next, _, _ = sta_scalar_implicit_step(float(s[0]), ms, beta, h,
                                                    float(state.msta_state.v[0]))
         return np.array([u]), MstaState(np.array([v_next])), None
     if mode == "implicit-decoupled":
         return msta_implicit_decoupled_step(s, ms, h, state.msta_state)
     # implicit-vector
-    k1m = _k1_matrix(g, Mk, Ck)
-    Ak = Mk + h * Ck + h * k1m
-    diag = solve_shat_vector(s, Ak, Mk, ms, h)
+    Ak = loop.Mk + h * loop.Ck + h * loop.k1m
+    diag = solve_shat_vector(s, Ak, loop.Mk, ms, h)
     u_s, m_next = _u_from_selection(diag, state.msta_state, ms, h)
     return u_s, m_next, diag
 
@@ -334,17 +368,16 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     implies qx == qx_star.
     """
     h = g.h
-    Mk = model.mass_fn(meas.q)
-    Ck = model.coriolis_fn(meas.q, (meas.q - state.q_prev) / h)
+    loop = _evaluate_loop(model, meas.q, state, g)
 
     ux_star, qx_star = proxy_predict(state, meas.fc, meas.fd, g)
     qe, _, s = sliding_variable(qx_star, meas.q, state, g)
-    u_s, msta_next, solver_diag = _robust_term(s, Mk, Ck, state, g)
-    q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, s, u_s, state, model, g)
+    u_s, msta_next, solver_diag = _robust_term(s, loop, state, g)
+    q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, s, u_s, state, model, g,
+                                             loop=loop)
 
     tau = project_box(tau_star, g.box)
-    _, _, W = _loop_matrices(g, Mk, Ck)
-    qx = np.linalg.solve(W, tau) + q1_star
+    qx = np.linalg.solve(loop.W, tau) + q1_star
     qxd = (qx - state.qx_prev) / h
 
     saturated = np.abs(tau_star) > g.box.limits
@@ -365,7 +398,7 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     output is hard-clamped to the torque box.
     """
     h = ng.h
-    ux = np.linalg.solve(ng.mx + ng.bx * h, ng.mx @ state.qxd_prev + h * (meas.fc + meas.fd))
+    ux = np.linalg.solve(ng._proxy_matrix, ng.mx @ state.qxd_prev + h * (meas.fc + meas.fd))
     qx = state.qx_prev + h * ux
     qe = qx - meas.q
     qed = (qe - state.qe_prev) / h

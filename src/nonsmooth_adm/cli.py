@@ -24,6 +24,7 @@ from .plant import SimulationBlowUp
 from .plotting import compare_panels, trace_panels
 from .sim import (
     Scenario,
+    ScenarioError,
     apply_override,
     compute_metrics,
     load_scenario,
@@ -205,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationBlowUp as exc:

@@ -24,10 +24,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .setvalued import NormQuadWeights, prox_norm_quad, sat, sign0
+from .setvalued import (
+    NormQuadWeights,
+    _all_finite,
+    _matrix,
+    _norm,
+    _read_only,
+    _vector,
+    prox_norm_quad,
+    sat,
+    sign0,
+)
 
 __all__ = [
     "MstaGains",
@@ -86,8 +97,8 @@ class MstaState:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if not np.all(np.isfinite(v)):
+        v = _vector(self.v)
+        if not _all_finite(v):
             raise ValueError("integrator state must be finite")
         object.__setattr__(self, "v", v)
 
@@ -121,8 +132,8 @@ def msta_explicit_step(
     """Forward-Euler step of the twisting law; normalized terms vanish at s = 0."""
     if h <= 0.0:
         raise ValueError("h must be positive")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    ns = float(np.linalg.norm(s))
+    s = _vector(s)
+    ns = _norm(s)
     if ns > 0.0:
         u_s = state.v + g.k2 * s / math.sqrt(ns)
         v_next = state.v + h * g.k3 * s / ns + g.k4 * s
@@ -172,24 +183,46 @@ def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
     return w
 
 
-def _choose_mu(G: np.ndarray, mu0: float) -> float:
-    """Largest mu <= mu0 (by halving) with G + G^T - mu*G^T G positive definite."""
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    return _read_only(np.eye(n))
+
+
+def _choose_mu(G: np.ndarray | float, mu0: float) -> float:
+    """Largest mu <= mu0 (by halving) with G + G^T - mu*G^T G positive definite.
+
+    A float G stands for a 1 x 1 matrix, whose only eigenvalue is the matrix
+    entry 2G - mu*G^2 itself.
+    """
+    if not isinstance(G, float) and G.shape == (1, 1):
+        G = float(G[0, 0])
+    scalar = isinstance(G, float)
     mu = mu0
     for _ in range(80):
-        m = G + G.T - mu * (G.T @ G)
-        if float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) > 0.0:
+        if scalar:
+            positive = (G + G) - mu * (G * G) > 0.0
+        else:
+            m = G + G.T - mu * (G.T @ G)
+            positive = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) > 0.0
+        if positive:
             return mu
         mu *= 0.5
     raise SolverConvergenceError("no relaxation parameter satisfies the positivity condition")
 
 
+def _gamma(x: np.ndarray, g: MstaGains, h: float) -> float:
+    """gamma(x) = k2*||x||^{1/2} + h*k3."""
+    return g.k2 * math.sqrt(_norm(x)) + h * g.k3
+
+
 def _fixed_point_residual(
-    x: np.ndarray, s: np.ndarray, G: np.ndarray, g: MstaGains, h: float, mu: float
+    x: np.ndarray, s: np.ndarray, G: np.ndarray, g: MstaGains, h: float, mu: float,
+    gam: float,
 ) -> float:
-    gam = g.k2 * math.sqrt(float(np.linalg.norm(x))) + h * g.k3
+    """||x - prox(x - mu*G x + mu*s)|| with the prox weights of gam = gamma(x)."""
     w = NormQuadWeights(h * gam, h * gam * g.alpha2)
     t = prox_norm_quad(x - mu * (G @ x) + mu * s, mu, w)
-    return float(np.linalg.norm(x - t))
+    return _norm(x - t)
 
 
 def _solve_inclusion(s: np.ndarray, G: np.ndarray, g: MstaGains, h: float) -> SolverDiagnostics:
@@ -201,7 +234,7 @@ def _solve_inclusion(s: np.ndarray, G: np.ndarray, g: MstaGains, h: float) -> So
     Equivalent fixed point: shat = prox_{mu*h*gamma*Psi2}((I - mu*G) shat + mu*s).
     """
     n = s.size
-    ns = float(np.linalg.norm(s))
+    ns = _norm(s)
     tol = g.fp_tol * (1.0 + ns)
     dead_band = h * h * g.k3
 
@@ -210,40 +243,40 @@ def _solve_inclusion(s: np.ndarray, G: np.ndarray, g: MstaGains, h: float) -> So
         return SolverDiagnostics(1, 0.0, True, np.zeros(n), s / dead_band)
 
     tr = float(np.trace(G)) / n
-    off = G - tr * np.eye(n)
+    off = G - tr * _eye(n)
     if float(np.abs(off).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0:
         # scalar iteration matrix: the inclusion is radial and solved exactly
         w = _radial_magnitude(ns, tr, g, h)
         shat = (w * w / ns) * s
         gam = g.k2 * w + h * g.k3
         m2 = (s - tr * shat) / (h * gam)
-        mu = _choose_mu(np.array([[tr]]), g.mu)
-        res = _fixed_point_residual(shat, s, G, g, h, mu)
+        mu = _choose_mu(tr, g.mu)
+        res = _fixed_point_residual(shat, s, G, g, h, mu, _gamma(shat, g, h))
         return SolverDiagnostics(1, res, res <= tol, shat, m2)
 
     mu = _choose_mu(G, g.mu)
-    eye_minus = np.eye(n) - mu * G
+    eye_minus = _eye(n) - mu * G
     x = np.zeros(n)
     omega = 1.0
     best = math.inf
     res = math.inf
     for it in range(1, g.fp_max_iter + 1):
-        gam = g.k2 * math.sqrt(float(np.linalg.norm(x))) + h * g.k3
+        gam = _gamma(x, g, h)
         weights = NormQuadWeights(h * gam, h * gam * g.alpha2)
         t = prox_norm_quad(eye_minus @ x + mu * s, mu, weights)
-        res = float(np.linalg.norm(t - x))
+        res = _norm(t - x)
         if res <= tol:
             x = t
-            gam = g.k2 * math.sqrt(float(np.linalg.norm(x))) + h * g.k3
+            gam = _gamma(x, g, h)
             m2 = (s - G @ x) / (h * gam)
-            final = _fixed_point_residual(x, s, G, g, h, mu)
+            final = _fixed_point_residual(x, s, G, g, h, mu, gam)
             return SolverDiagnostics(it, final, True, x, m2)
         if res >= best:
             omega = max(0.125, 0.5 * omega)  # damp oscillating iterates
         best = min(best, res)
         x = (1.0 - omega) * x + omega * t
 
-    gam = g.k2 * math.sqrt(float(np.linalg.norm(x))) + h * g.k3
+    gam = _gamma(x, g, h)
     diag = SolverDiagnostics(g.fp_max_iter, res, False, x, (s - G @ x) / (h * gam))
     raise SolverConvergenceError(
         f"implicit solve did not reach tol={tol:.3e} in {g.fp_max_iter} iterations "
@@ -262,15 +295,15 @@ def solve_shat_vector(
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    Ak = np.atleast_2d(np.asarray(Ak, dtype=float))
-    Mk = np.atleast_2d(np.asarray(Mk, dtype=float))
+    s = _vector(s)
+    Ak = _matrix(Ak)
+    Mk = _matrix(Mk)
     G = np.linalg.solve(Mk, Ak)
     return _solve_inclusion(s, G, g, h)
 
 
 def _u_from_selection(diag: SolverDiagnostics, state: MstaState, g: MstaGains, h: float):
-    gam = g.k2 * math.sqrt(float(np.linalg.norm(diag.shat))) + h * g.k3
+    gam = _gamma(diag.shat, g, h)
     v_next = state.v + h * g.k3 * diag.m2
     u_s = gam * diag.m2 + v_next
     return u_s, MstaState(v_next)
@@ -310,9 +343,9 @@ def msta_implicit_decoupled_step(
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    s = _vector(s)
     beta = 1.0 + h * g.gamma1
-    diag = _solve_inclusion(s, beta * np.eye(s.size), g, h)
+    diag = _solve_inclusion(s, beta * _eye(s.size), g, h)
     u_s, state_next = _u_from_selection(diag, state, g, h)
     return u_s, state_next, diag
 

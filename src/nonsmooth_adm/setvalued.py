@@ -8,6 +8,7 @@ computed through these maps rather than by evaluating a multivalued sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,6 +23,40 @@ __all__ = [
     "prox_norm_quad",
     "variational_residual",
 ]
+
+
+_FLOAT = np.dtype(float)
+
+
+def _vector(x) -> np.ndarray:
+    """``np.atleast_1d(np.asarray(x, dtype=float))`` that returns a float
+    vector as it is, skipping the conversion calls."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim:
+        return x
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _matrix(x) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(x, dtype=float))``, same shortcut as ``_vector``."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim >= 2:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """``np.isfinite(v).all()`` for a float array, without the ufunc overhead."""
+    return all(map(math.isfinite, v.ravel().tolist()))
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a contiguous float vector, bitwise equal to
+    ``np.linalg.norm`` (which also takes the square root of ``x.dot(x)``)."""
+    return math.sqrt(x.dot(x))
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def sat(z: float) -> float:
@@ -44,17 +79,21 @@ def sign0(z: float) -> float:
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """Per-joint symmetric actuation bound: admissible set is [-limits_i, +limits_i]."""
+    """Per-joint symmetric actuation bound: admissible set is [-limits_i, +limits_i].
+
+    ``limits`` is kept as a read-only copy, next to its negation ``_lower``.
+    """
 
     limits: np.ndarray
 
     def __post_init__(self) -> None:
-        lim = np.atleast_1d(np.asarray(self.limits, dtype=float))
+        lim = np.atleast_1d(np.array(self.limits, dtype=float))
         if lim.ndim != 1 or lim.size == 0:
             raise ValueError("limits must be a non-empty 1-D vector")
         if not np.all(lim > 0.0):
             raise ValueError("all box limits must be strictly positive")
-        object.__setattr__(self, "limits", lim)
+        object.__setattr__(self, "limits", _read_only(lim))
+        object.__setattr__(self, "_lower", _read_only(-lim))
 
     @property
     def dim(self) -> int:
@@ -75,10 +114,10 @@ class NormQuadWeights:
 
 def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
     """Euclidean projection of y onto the box [-F, +F], entrywise clamp."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _vector(y)
     if y.shape != box.limits.shape:
         raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
-    return np.clip(y, -box.limits, box.limits)
+    return np.minimum(np.maximum(y, box._lower), box.limits)
 
 
 def prox_norm_quad(z: np.ndarray, index: float, w: NormQuadWeights) -> np.ndarray:
@@ -90,8 +129,8 @@ def prox_norm_quad(z: np.ndarray, index: float, w: NormQuadWeights) -> np.ndarra
     """
     if index <= 0.0:
         raise ValueError("prox index must be positive")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    nz = float(np.linalg.norm(z))
+    z = _vector(z)
+    nz = _norm(z)
     if nz <= index * w.a:
         return np.zeros_like(z)
     scale = (nz - index * w.a) / ((1.0 + index * w.b) * nz)
@@ -113,16 +152,16 @@ def variational_residual(
     If y_proj really is the box projection of y_star, every term is <= 0 up to
     roundoff; a positive value witnesses a violated variational inequality.
     """
-    y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
-    y_proj = np.atleast_1d(np.asarray(y_proj, dtype=float))
+    y_star = _vector(y_star)
+    y_proj = _vector(y_proj)
     d = y_star - y_proj
     scaled = y_proj / box.limits
     worst = -np.inf
     for p in probes:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
+        p = _vector(p)
         if p.shape != scaled.shape:
             raise ValueError("probe dimension mismatch")
-        if np.any(np.abs(p) > 1.0 + 1e-12):
+        if (np.abs(p) > 1.0 + 1e-12).any():
             raise ValueError("probe lies outside the unit box")
         worst = max(worst, float(d @ (p - scaled)))
     if worst == -np.inf:

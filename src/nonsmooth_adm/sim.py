@@ -16,7 +16,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ from .plant import (
 from .setvalued import BoxConstraint
 
 __all__ = [
+    "ScenarioError",
     "DisturbanceSpec",
     "ControllerSpec",
     "EstimateSpec",
@@ -78,6 +79,11 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- scenarios
+
+class ScenarioError(ValueError):
+    """A scenario whose model, disturbance, estimate or gains cannot be built;
+    the message names the offending field."""
+
 
 @dataclass
 class DisturbanceSpec:
@@ -154,11 +160,24 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Check the timing and the force schedule; ``run_scenario`` repeats
+        this because overrides change fields after construction."""
         if self.duration <= 0.0 or self.h <= 0.0 or self.dt_sub <= 0.0:
             raise ValueError("duration, h and dt_sub must be positive")
         ratio = self.h / self.dt_sub
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("h must be an integer multiple of dt_sub")
+        t_prev = -math.inf
+        for i, entry in enumerate(self.fd_schedule):
+            if len(entry) != 3:
+                raise ValueError(f"fd_schedule_N entry {i} must be [t_s, fx_N, fy_N], got {entry!r}")
+            if entry[0] < t_prev:
+                raise ValueError(f"fd_schedule_N must be sorted by time: entry {i} at "
+                                 f"t = {entry[0]} s follows t = {t_prev} s")
+            t_prev = entry[0]
 
 
 _PLANT_DOF = {"one_dof": 1, "two_link": 2, "linear_motor": 1, "double_integrator": 1}
@@ -217,18 +236,26 @@ def _build_estimate(sc: Scenario, model: ManipulatorModel) -> ModelEstimate:
     if est.kind == "exact":
         return ModelEstimate(model.mass_fn, model.coriolis_fn, model.gravity_fn)
     if est.kind == "diag":
+        for key, values in (("mass_diag_kgm2", est.mass_diag),
+                            ("coriolis_diag_Nms", est.coriolis_diag)):
+            if len(values) not in (1, model.dof):
+                raise ValueError(f"estimate.{key} has {len(values)} entries; plant "
+                                 f"{sc.plant!r} has {model.dof} joint(s)")
         return ModelEstimate.constant(est.mass_diag, est.coriolis_diag, dof=model.dof)
-    raise ValueError(f"unknown estimate kind: {est.kind!r}")
+    raise ValueError(f"unknown estimate.kind: {est.kind!r}")
 
 
 def _build_gains(sc: Scenario) -> AdmittanceGains:
     c = sc.controller
-    box = BoxConstraint(list(c.torque_limits))
-    msta = MstaGains(k2=c.k2, k3=c.k3, k4=c.k4, gamma1=c.gamma1, mu=c.mu,
-                     fp_tol=c.fp_tol, fp_max_iter=c.fp_max_iter)
-    return AdmittanceGains(mx=np.diag(c.mx), bx=np.diag(c.bx), lam=c.lam, k1=c.k1,
-                           msta=msta, box=box, h=sc.h, us_mode=c.us_mode,
-                           us_coupling=c.us_coupling)
+    try:
+        box = BoxConstraint(list(c.torque_limits))
+        msta = MstaGains(k2=c.k2, k3=c.k3, k4=c.k4, gamma1=c.gamma1, mu=c.mu,
+                         fp_tol=c.fp_tol, fp_max_iter=c.fp_max_iter)
+        return AdmittanceGains(mx=np.diag(c.mx), bx=np.diag(c.bx), lam=c.lam, k1=c.k1,
+                               msta=msta, box=box, h=sc.h, us_mode=c.us_mode,
+                               us_coupling=c.us_coupling)
+    except ValueError as exc:
+        raise ValueError(f"controller: {exc}") from exc
 
 
 def _build_naive_gains(sc: Scenario) -> NaiveGains:
@@ -238,8 +265,11 @@ def _build_naive_gains(sc: Scenario) -> NaiveGains:
     k1 = float(c.k1) if not isinstance(c.k1, str) else c.gamma1 * mbar - cbar
     kp = c.kp if c.kp is not None else (k1 + cbar) * c.lam
     kd = c.kd if c.kd is not None else k1 + mbar * c.lam
-    return NaiveGains(mx=np.diag(c.mx), bx=np.diag(c.bx), kp=kp, kd=kd,
-                      box=BoxConstraint(list(c.torque_limits)), h=sc.h)
+    try:
+        return NaiveGains(mx=np.diag(c.mx), bx=np.diag(c.bx), kp=kp, kd=kd,
+                          box=BoxConstraint(list(c.torque_limits)), h=sc.h)
+    except ValueError as exc:
+        raise ValueError(f"controller: {exc}") from exc
 
 
 def _fd_lookup(schedule, t: float) -> tuple[float, float]:
@@ -343,25 +373,31 @@ def trace_from_csv(source: str) -> Trace:
 
 def run_scenario(sc: Scenario) -> Trace:
     """Execute a scenario; deterministic, raises SimulationBlowUp (with the
-    failing step index) if the plant state leaves the finite range."""
-    model = build_model(sc)
-    n = model.dof
+    failing step index) if the plant state leaves the finite range.
+
+    Everything the run needs is built before the first step; a scenario that
+    cannot be built raises ScenarioError, naming the field.
+    """
+    try:
+        sc.validate()
+        model = build_model(sc)
+        n = model.dof
+        disturbance = _build_disturbance(sc, model)
+        estimate = _build_estimate(sc, model)
+        q0 = np.asarray(sc.q0, dtype=float)
+        qd0 = np.zeros(n) if sc.qd0 is None else np.asarray(sc.qd0, dtype=float)
+        if q0.size != n or qd0.size != n:
+            raise ValueError(f"q0_rad and qd0_rad_per_s need {n} entries for plant {sc.plant!r}")
+        state = PlantState(q0.copy(), qd0.copy())
+        proposed = sc.controller.kind == "proposed"
+        if sc.controller.kind not in ("proposed", "naive"):
+            raise ValueError(f"unknown controller.kind: {sc.controller.kind!r}")
+        gains = _build_gains(sc) if proposed else None
+        naive_gains = None if proposed else _build_naive_gains(sc)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     env = sc.env
-    disturbance = _build_disturbance(sc, model)
-    estimate = _build_estimate(sc, model)
-
-    q0 = np.asarray(sc.q0, dtype=float)
-    qd0 = np.zeros(n) if sc.qd0 is None else np.asarray(sc.qd0, dtype=float)
-    if q0.size != n:
-        raise ValueError("q0 dimension does not match the plant")
-    state = PlantState(q0.copy(), qd0.copy())
-
-    proposed = sc.controller.kind == "proposed"
-    if sc.controller.kind not in ("proposed", "naive"):
-        raise ValueError(f"unknown controller kind: {sc.controller.kind!r}")
-    gains = _build_gains(sc) if proposed else None
-    naive_gains = None if proposed else _build_naive_gains(sc)
-    box = BoxConstraint(list(sc.controller.torque_limits))
+    box = gains.box if proposed else naive_gains.box
 
     steps = int(round(sc.duration / sc.h))
     n_sub = int(round(sc.h / sc.dt_sub))
@@ -466,7 +502,7 @@ def compute_metrics(trace: Trace, sc: Scenario) -> Metrics:
         for k in range(start, trace.t.size):
             run = run + 1 if ok[k] else 0
             if run >= need:
-                settle = trace.t[k - need + 1] - trace.t[start]
+                settle = float(trace.t[k - need + 1] - trace.t[start])
                 break
 
     rebounds = 0
@@ -698,118 +734,95 @@ def double_integrator_bench(us_mode: str, g: MstaGains, h: float, duration: floa
 
 # --------------------------------------------------------------------------- JSON io
 
-def _env_to_dict(env: EnvironmentModel) -> dict:
-    return {"ks_N_per_m": env.k_s, "ys_m": env.y_s, "mu_fric": env.mu_fric}
-
-
-def _plant_params_to_dict(sc: Scenario) -> dict | None:
-    p = sc.plant_params
-    if p is None:
-        return None
-    return asdict(p)
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    c = sc.controller
-    return {
-        "name": sc.name,
-        "plant": sc.plant,
-        "plant_params": _plant_params_to_dict(sc),
-        "env": _env_to_dict(sc.env),
-        "disturbance": asdict(sc.disturbance),
-        "controller": {
-            "kind": c.kind,
-            "mx_diag": list(c.mx),
-            "bx_diag": list(c.bx),
-            "lambda_per_s": c.lam,
-            "k1": c.k1,
-            "k2": c.k2,
-            "k3": c.k3,
-            "k4": c.k4,
-            "gamma1_per_s": c.gamma1,
-            "mu": c.mu,
-            "fp_tol": c.fp_tol,
-            "fp_max_iter": c.fp_max_iter,
-            "torque_limits_Nm": list(c.torque_limits),
-            "us_mode": c.us_mode,
-            "us_coupling": c.us_coupling,
-            "kp": c.kp,
-            "kd": c.kd,
-        },
-        "estimate": {
-            "kind": sc.estimate.kind,
-            "mass_diag_kgm2": list(sc.estimate.mass_diag),
-            "coriolis_diag_Nms": list(sc.estimate.coriolis_diag),
-        },
-        "fd_schedule_N": [list(e) for e in sc.fd_schedule],
-        "approach": {
-            "mode": sc.approach.mode,
-            "v_ref_m_per_s": sc.approach.v_ref,
-            "kv_N_s_per_m": sc.approach.kv,
-            "hold_force_N": sc.approach.hold_force,
-        },
-        "q0_rad": list(sc.q0),
-        "qd0_rad_per_s": None if sc.qd0 is None else list(sc.qd0),
-        "duration_s": sc.duration,
-        "h_s": sc.h,
-        "dt_sub_s": sc.dt_sub,
-        "seed": sc.seed,
-    }
-
+# (JSON key, attribute) of each scenario section: scenario_to_dict writes
+# exactly these keys and scenario_from_dict accepts no others
+_ENV_KEYS = (("ks_N_per_m", "k_s"), ("ys_m", "y_s"), ("mu_fric", "mu_fric"))
+_CONTROLLER_KEYS = (
+    ("kind", "kind"), ("mx_diag", "mx"), ("bx_diag", "bx"), ("lambda_per_s", "lam"),
+    ("k1", "k1"), ("k2", "k2"), ("k3", "k3"), ("k4", "k4"), ("gamma1_per_s", "gamma1"),
+    ("mu", "mu"), ("fp_tol", "fp_tol"), ("fp_max_iter", "fp_max_iter"),
+    ("torque_limits_Nm", "torque_limits"), ("us_mode", "us_mode"),
+    ("us_coupling", "us_coupling"), ("kp", "kp"), ("kd", "kd"),
+)
+_ESTIMATE_KEYS = (("kind", "kind"), ("mass_diag_kgm2", "mass_diag"),
+                  ("coriolis_diag_Nms", "coriolis_diag"))
+_APPROACH_KEYS = (("mode", "mode"), ("v_ref_m_per_s", "v_ref"), ("kv_N_s_per_m", "kv"),
+                  ("hold_force_N", "hold_force"))
+_DISTURBANCE_KEYS = tuple((f.name, f.name) for f in fields(DisturbanceSpec))
+_HEAD_KEYS = (("name", "name"), ("plant", "plant"))
+_TAIL_KEYS = (("q0_rad", "q0"), ("qd0_rad_per_s", "qd0"), ("duration_s", "duration"),
+              ("h_s", "h"), ("dt_sub_s", "dt_sub"), ("seed", "seed"))
+_TOP_KEYS = _HEAD_KEYS + _TAIL_KEYS
+_SECTIONS = ("plant_params", "env", "disturbance", "controller", "estimate",
+             "fd_schedule_N", "approach")
 
 _PLANT_PARAM_TYPES = {"one_dof": OneDofParams, "two_link": TwoLinkParams,
                       "linear_motor": LinearMotorParams}
 
 
+def _section_to_dict(obj, keys) -> dict:
+    out = {}
+    for key, attr in keys:
+        value = getattr(obj, attr)
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _section_from_dict(d, keys, where: str) -> dict:
+    """Attribute keyword arguments of one section; lists become tuples."""
+    if not isinstance(d, dict):
+        raise ValueError(f"scenario key {where!r} must be an object")
+    attrs = dict(keys)
+    for key in d:
+        if key not in attrs:
+            raise ValueError(f"unknown scenario key {where + '.' + key!r}")
+    return {attrs[k]: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+
+
+def scenario_to_dict(sc: Scenario) -> dict:
+    return {
+        **_section_to_dict(sc, _HEAD_KEYS),
+        "plant_params": None if sc.plant_params is None else asdict(sc.plant_params),
+        "env": _section_to_dict(sc.env, _ENV_KEYS),
+        "disturbance": _section_to_dict(sc.disturbance, _DISTURBANCE_KEYS),
+        "controller": _section_to_dict(sc.controller, _CONTROLLER_KEYS),
+        "estimate": _section_to_dict(sc.estimate, _ESTIMATE_KEYS),
+        "fd_schedule_N": [list(e) for e in sc.fd_schedule],
+        "approach": _section_to_dict(sc.approach, _APPROACH_KEYS),
+        **_section_to_dict(sc, _TAIL_KEYS),
+    }
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    env = d.get("env", {})
-    c = d.get("controller", {})
-    est = d.get("estimate", {})
-    ap = d.get("approach", {})
-    params = None
+    """Inverse of ``scenario_to_dict``; absent keys take their defaults, and an
+    unknown key at any level is rejected with its dotted name."""
+    if not isinstance(d, dict):
+        raise ValueError("a scenario must be a JSON object")
+    known = {key for key, _ in _TOP_KEYS} | set(_SECTIONS)
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown scenario key {key!r}")
+    if "plant" not in d:
+        raise ValueError("scenario key 'plant' is required")
+    kwargs = _section_from_dict({k: v for k, v in d.items() if k not in _SECTIONS},
+                                _TOP_KEYS, "")
+    kwargs.setdefault("name", "scenario")
     if d.get("plant_params") is not None:
         cls = _PLANT_PARAM_TYPES.get(d["plant"])
-        if cls is not None:
-            params = cls(**d["plant_params"])
-    return Scenario(
-        name=d.get("name", "scenario"),
-        plant=d["plant"],
-        plant_params=params,
-        env=EnvironmentModel(k_s=env.get("ks_N_per_m", 0.0), y_s=env.get("ys_m", 0.0),
-                             mu_fric=env.get("mu_fric", 0.0)),
-        disturbance=DisturbanceSpec(**d.get("disturbance", {})),
-        controller=ControllerSpec(
-            kind=c.get("kind", "proposed"),
-            mx=tuple(c.get("mx_diag", (0.3,))),
-            bx=tuple(c.get("bx_diag", (2.0,))),
-            lam=c.get("lambda_per_s", 10.0),
-            k1=c.get("k1", 30.0),
-            k2=c.get("k2", 11.6),
-            k3=c.get("k3", 66.0),
-            k4=c.get("k4", 0.0),
-            gamma1=c.get("gamma1_per_s", 0.0),
-            mu=c.get("mu", 0.5),
-            fp_tol=c.get("fp_tol", 1e-12),
-            fp_max_iter=c.get("fp_max_iter", 100),
-            torque_limits=tuple(c.get("torque_limits_Nm", (3.0,))),
-            us_mode=c.get("us_mode", "auto"),
-            us_coupling=c.get("us_coupling", "direct"),
-            kp=c.get("kp"),
-            kd=c.get("kd"),
-        ),
-        estimate=EstimateSpec(kind=est.get("kind", "diag"),
-                              mass_diag=tuple(est.get("mass_diag_kgm2", (0.1,))),
-                              coriolis_diag=tuple(est.get("coriolis_diag_Nms", (0.0,)))),
-        fd_schedule=tuple(tuple(e) for e in d.get("fd_schedule_N", [(0.0, 0.0, 0.0)])),
-        approach=ApproachSpec(mode=ap.get("mode", "none"), v_ref=ap.get("v_ref_m_per_s", 0.0),
-                              kv=ap.get("kv_N_s_per_m", 0.0), hold_force=ap.get("hold_force_N", 0.0)),
-        q0=tuple(d.get("q0_rad", (0.0,))),
-        qd0=None if d.get("qd0_rad_per_s") is None else tuple(d["qd0_rad_per_s"]),
-        duration=d.get("duration_s", 5.0),
-        h=d.get("h_s", 1e-3),
-        dt_sub=d.get("dt_sub_s", 1e-5),
-        seed=d.get("seed", 0),
-    )
+        if cls is None:
+            raise ValueError(f"plant_params: plant {d['plant']!r} takes no parameters")
+        keys = tuple((f.name, f.name) for f in fields(cls))
+        kwargs["plant_params"] = cls(**_section_from_dict(d["plant_params"], keys,
+                                                          "plant_params"))
+    for key, cls, keys in (("env", EnvironmentModel, _ENV_KEYS),
+                           ("disturbance", DisturbanceSpec, _DISTURBANCE_KEYS),
+                           ("controller", ControllerSpec, _CONTROLLER_KEYS),
+                           ("estimate", EstimateSpec, _ESTIMATE_KEYS),
+                           ("approach", ApproachSpec, _APPROACH_KEYS)):
+        kwargs[key] = cls(**_section_from_dict(d.get(key, {}), keys, key))
+    if "fd_schedule_N" in d:
+        kwargs["fd_schedule"] = tuple(tuple(e) for e in d["fd_schedule_N"])
+    return Scenario(**kwargs)
 
 
 def save_scenario(sc: Scenario, path: str) -> None:

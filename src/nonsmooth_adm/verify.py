@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .admittance import (
     AdmittanceGains,
@@ -61,6 +60,8 @@ def prox_reference(z: np.ndarray, index: float, a: float, b: float) -> np.ndarra
     Candidates are the kink at the origin and stationary points of the smooth
     branch found by a root solve of the gradient; the best objective wins.
     """
+    import scipy.optimize  # imported here so that importing the package skips scipy
+
     z = np.atleast_1d(np.asarray(z, dtype=float))
     best = np.zeros_like(z)
     best_f = prox_objective(best, z, index, a, b)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from nonsmooth_adm.admittance import (
     sliding_variable,
 )
 from nonsmooth_adm.msta import MstaGains, MstaState
-from nonsmooth_adm.setvalued import BoxConstraint
+from nonsmooth_adm.setvalued import BoxConstraint, project_box
 from nonsmooth_adm.verify import admittance_reference
 
 
@@ -174,6 +175,27 @@ def test_step_hard_bound_and_vi(rng):
         assert np.array_equal(diag.saturated, np.abs(diag.tau_star) > g.box.limits)
 
 
+def _random_state(gen, n):
+    return AdmittanceState(gen.normal(size=n) * 0.3, gen.normal(size=n), gen.normal(size=n),
+                           gen.normal(size=n) * 0.3, gen.normal(size=n) * 0.01,
+                           MstaState(gen.normal(size=n)))
+
+
+def _reference_error(g, est, mhat, chat, st, meas, us_mode):
+    """Largest scaled deviation of one admittance_step from admittance_reference."""
+    tau, st2, diag = admittance_step(st, meas, est, g)
+    ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev,
+                               st.qe_prev, st.msta_state.v, meas.q, meas.fc, meas.fd,
+                               g.mx, g.bx, g.lam, g.k1, mhat, chat, np.zeros(len(meas.q)),
+                               g.box.limits, g.h, us_mode, g.msta.k2, g.msta.k3,
+                               gamma1=g.msta.gamma1, us_coupling=g.us_coupling)
+    scale = 1.0 + float(np.abs(ref["tau_star"]).max())
+    return max(float(np.abs(tau - ref["tau"]).max()) / scale,
+               float(np.abs(diag.tau_star - ref["tau_star"]).max()) / scale,
+               float(np.abs(st2.qx_prev - ref["qx"]).max()),
+               float(np.abs(diag.u_s - ref["u_s"]).max()) / (1 + float(np.abs(ref["u_s"]).max())))
+
+
 def test_step_matches_straight_line_reference(rng):
     worst = 0.0
     for _ in range(100):
@@ -193,18 +215,28 @@ def test_step_matches_straight_line_reference(rng):
                              MstaState(rng.normal(size=1)))
         meas = Measurement(rng.normal(size=1) * 0.3, rng.normal(size=1) * 4,
                            rng.normal(size=1) * 2)
-        tau, st2, diag = admittance_step(st, meas, est, g)
-        ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev,
-                                   st.qe_prev, st.msta_state.v, meas.q, meas.fc, meas.fd,
-                                   g.mx, g.bx, g.lam, g.k1, mhat, chat, np.zeros(1),
-                                   g.box.limits, h, "scalar-implicit",
-                                   g.msta.k2, g.msta.k3)
-        scale = 1.0 + float(np.abs(ref["tau_star"]).max())
-        worst = max(worst,
-                    float(np.abs(tau - ref["tau"]).max()) / scale,
-                    float(np.abs(diag.tau_star - ref["tau_star"]).max()) / scale,
-                    float(np.abs(st2.qx_prev - ref["qx"]).max()),
-                    float(np.abs(diag.u_s - ref["u_s"]).max()) / (1 + float(np.abs(ref["u_s"]).max())))
+        worst = max(worst, _reference_error(g, est, mhat, chat, st, meas, "scalar-implicit"))
+    # the structured gain -C + gamma1*M and the inertia-scaled coupling, drawn
+    # from their own stream so the shared rng sequence is unchanged
+    gen = np.random.default_rng(11)
+    for k1, coupling in (("structured", "direct"), (30.0, "inertia-scaled"),
+                         ("structured", "inertia-scaled")):
+        for _ in range(50):
+            mhat = np.array([[gen.uniform(0.05, 0.5)]])
+            chat = np.array([[gen.uniform(0.0, 2.0)]])
+            g = AdmittanceGains(mx=np.array([[gen.uniform(0.1, 1.0)]]),
+                                bx=np.array([[gen.uniform(0.5, 5.0)]]),
+                                lam=gen.uniform(1.0, 50.0), k1=k1,
+                                msta=MstaGains(k2=gen.uniform(2, 20), k3=gen.uniform(10, 200),
+                                               gamma1=gen.uniform(0.0, 100.0)),
+                                box=BoxConstraint([gen.uniform(1.0, 6.0)]), h=1e-3,
+                                us_mode="scalar-implicit", us_coupling=coupling)
+            est = ModelEstimate(lambda q, M=mhat: M, lambda q, qd, C=chat: C,
+                                lambda q: np.zeros(1))
+            meas = Measurement(gen.normal(size=1) * 0.3, gen.normal(size=1) * 4,
+                               gen.normal(size=1) * 2)
+            worst = max(worst, _reference_error(g, est, mhat, chat, _random_state(gen, 1),
+                                                meas, "scalar-implicit"))
     assert worst <= 1e-12
 
 
@@ -227,6 +259,56 @@ def test_step_explicit_mode_two_dof(rng):
                                    1e-3, "explicit", 11.6, 66.0)
         assert np.abs(tau - ref["tau"]).max() <= 1e-12 * (1 + np.abs(ref["tau"]).max())
         assert np.all(np.abs(tau) <= g.box.limits)
+    # a constant, non-diagonal SPD inertia estimate (with a full Coriolis
+    # matrix), for the scalar and the structured gain, on its own stream
+    gen = np.random.default_rng(12)
+    worst = 0.0
+    for k1 in (30.0, "structured"):
+        for _ in range(50):
+            a = gen.normal(size=(2, 2))
+            mhat = a @ a.T + 0.1 * np.eye(2)
+            chat = gen.normal(size=(2, 2)) * 5.0
+            g = AdmittanceGains(mx=np.diag([0.5, 0.5]), bx=np.diag([1.0, 1.0]), lam=10.0,
+                                k1=k1, msta=MstaGains(k2=11.6, k3=66.0, gamma1=40.0),
+                                box=BoxConstraint([3.0, 4.0]), h=1e-3, us_mode="explicit")
+            est = ModelEstimate(lambda q, M=mhat: M, lambda q, qd, C=chat: C,
+                                lambda q: np.zeros(2))
+            meas = Measurement(gen.normal(size=2) * 0.2, gen.normal(size=2) * 5,
+                               gen.normal(size=2) * 2)
+            worst = max(worst, _reference_error(g, est, mhat, chat, _random_state(gen, 2),
+                                                meas, "explicit"))
+    assert worst <= 1e-12
+
+
+def test_gains_constants_are_private_read_only_copies():
+    mx, bx, lim = np.diag([0.5, 0.4]), np.diag([1.0, 2.0]), np.array([3.0, 4.0])
+    g = AdmittanceGains(mx=mx, bx=bx, lam=10.0, k1=30.0, msta=MstaGains(k2=11.6, k3=66.0),
+                        box=BoxConstraint(lim), h=1e-3)
+    ng = NaiveGains(mx=mx, bx=bx, kp=300.0, kd=31.0, box=BoxConstraint(lim), h=1e-3)
+    # the caller's arrays stay writable, and writing them does not reach the gains
+    mx[0, 0] = 9.0
+    lim[0] = 9.0
+    assert g.mx[0, 0] == 0.5 and ng.mx[0, 0] == 0.5 and g.box.limits[0] == 3.0
+    for arr in (g.mx, g.bx, ng.mx, ng.bx, g.box.limits, ng.box.limits):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # derived constants follow dataclasses.replace
+    st = AdmittanceState(np.zeros(2), np.array([0.3, -0.2]), np.zeros(2), np.zeros(2),
+                         np.zeros(2), MstaState.zero(2))
+    fc, fd = np.array([1.0, -2.0]), np.array([0.5, 0.5])
+    for h in (2e-3, 5e-4):
+        g2 = dataclasses.replace(g, h=h)
+        ux, _ = proxy_predict(st, fc, fd, g2)
+        expected = np.linalg.solve(g.mx + g.bx * h, g.mx @ st.qxd_prev + h * (fc + fd))
+        assert np.array_equal(ux, expected)
+        ng2 = dataclasses.replace(ng, h=h)
+        assert np.array_equal(ng2._proxy_matrix, ng.mx + ng.bx * h)
+    assert g.resolved_us_mode() == "explicit"
+    assert dataclasses.replace(g, us_mode="implicit-vector").resolved_us_mode() == "implicit-vector"
+    assert np.array_equal(dataclasses.replace(g, k1=50.0)._k1m, 50.0 * np.eye(2))
+    assert dataclasses.replace(g, k1="structured")._k1m is None
+    box2 = dataclasses.replace(g.box, limits=[1.0, 2.0])
+    assert np.array_equal(project_box(np.array([-5.0, 5.0]), box2), [-1.0, 2.0])
 
 
 def test_scalar_mode_requires_one_joint():

@@ -1,8 +1,10 @@
 import json
 import os
 
+import pytest
+
 from nonsmooth_adm.cli import main
-from nonsmooth_adm.sim import presets, save_scenario, trace_from_csv
+from nonsmooth_adm.sim import presets, save_scenario, scenario_to_dict, trace_from_csv
 
 
 def test_run_preset_writes_outputs(tmp_path, capsys):
@@ -60,6 +62,28 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
                  "--set", "controller.torque_limits=[1e300,1e300]"])
     assert code == 3
     assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,field", [
+    ("disturbance.kind=sine", "disturbance.kind"),
+    ("controller.torque_limits=[3.0]", "controller.torque_limits_Nm"),
+])
+def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field):
+    code = main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
+                 "--set", "duration_s=0.1", "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_scenario_file_with_unknown_key_is_config_error(tmp_path, capsys):
+    doc = scenario_to_dict(presets()["fig3_one_dof"])
+    doc["controller"]["torque_limit_Nm"] = doc["controller"].pop("torque_limits_Nm")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "controller.torque_limit_Nm" in capsys.readouterr().err
 
 
 def test_compare_outputs(tmp_path, capsys):

@@ -7,6 +7,7 @@ from nonsmooth_adm.msta import (
     MstaGains,
     MstaState,
     SolverConvergenceError,
+    _choose_mu,
     msta_error_recursion_step,
     msta_explicit_step,
     msta_implicit_decoupled_step,
@@ -251,3 +252,26 @@ def test_error_recursion_consistency():
     s1n, s2n, shat, m1, m2 = msta_error_recursion_step(s1, s2, g, h)
     assert np.allclose(shat, s1 - h * g.k2 * m1 - h * h * g.k3 * m2, atol=1e-14)
     assert np.allclose(s1n, shat + h * s2n, atol=1e-14)
+
+
+def test_choose_mu_scalar_matches_eigenvalue_route():
+    """The closed-form 1 x 1 case picks the same mu as the eigenvalue test."""
+    def by_eigenvalues(G, mu):
+        for _ in range(80):
+            m = G + G.T - mu * (G.T @ G)
+            if float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) > 0.0:
+                return mu
+            mu *= 0.5
+        return None
+
+    gen = np.random.default_rng(9)
+    values = list(gen.uniform(-2.0, 2.0, 100)) + list(gen.uniform(0.0, 1e4, 100)) + [0.0, 4.0]
+    for gval in values:
+        for mu0 in (0.5, 0.99):
+            expected = by_eigenvalues(np.array([[gval]]), mu0)
+            if expected is None:
+                with pytest.raises(SolverConvergenceError):
+                    _choose_mu(float(gval), mu0)
+            else:
+                assert _choose_mu(float(gval), mu0) == expected
+                assert _choose_mu(np.array([[gval]]), mu0) == expected

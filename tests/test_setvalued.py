@@ -3,6 +3,8 @@ import pytest
 
 from nonsmooth_adm.setvalued import (
     BoxConstraint,
+    _all_finite,
+    _norm,
     NormQuadWeights,
     project_box,
     prox_norm_quad,
@@ -140,3 +142,17 @@ def test_variational_residual_rejects_bad_probe():
     box = BoxConstraint([2.0])
     with pytest.raises(ValueError):
         variational_residual(np.array([1.0]), np.array([1.0]), box, [np.array([1.5])])
+
+
+def test_fast_primitives_match_numpy_bitwise():
+    gen = np.random.default_rng(5)
+    box = BoxConstraint([1.5, 0.5, 2.0])
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+        for _ in range(50):
+            y = gen.normal(size=3) * scale
+            assert _norm(y) == float(np.linalg.norm(y))
+            assert np.array_equal(project_box(y, box), np.clip(y, -box.limits, box.limits))
+    for v in ([1.0, 2.0], [np.nan, 0.0], [0.0, np.inf], [-np.inf], [[1.0, np.nan]]):
+        v = np.array(v)
+        assert _all_finite(v) == bool(np.isfinite(v).all())
+    assert np.isnan(project_box(np.array([np.nan, 0.0, 9.0]), box)[0])
