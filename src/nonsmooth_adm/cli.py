@@ -153,7 +153,10 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     if not os.path.exists(args.scenario):
         raise ConfigError(f"trace file {args.scenario!r} not found")
-    trace = trace_from_csv(args.scenario)
+    try:
+        trace = trace_from_csv(args.scenario)
+    except ValueError as exc:
+        raise ConfigError(f"could not parse trace file {args.scenario!r}: {exc}") from exc
     limits = [float(x) for x in args.limits.split(",")] if args.limits else \
         [float(abs(trace.tau).max() or 1.0)] * trace.dof
     written = trace_panels(trace, limits, args.out)

@@ -11,12 +11,12 @@ substeps under zero-order-hold torque.
 from __future__ import annotations
 
 import copy
-import csv
-import io
+import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+import re
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -255,7 +255,13 @@ def _build_gains(sc: Scenario) -> AdmittanceGains:
                                msta=msta, box=box, h=sc.h, us_mode=c.us_mode,
                                us_coupling=c.us_coupling)
     except ValueError as exc:
-        raise ValueError(f"controller: {exc}") from exc
+        raise _controller_error(exc) from exc
+
+
+def _controller_error(exc: ValueError) -> ValueError:
+    """A gains error restated with the scenario file's names of the fields."""
+    names = {attr: f"controller.{key}" for key, attr in _CONTROLLER_KEYS}
+    return ValueError(re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc)))
 
 
 def _build_naive_gains(sc: Scenario) -> NaiveGains:
@@ -269,7 +275,7 @@ def _build_naive_gains(sc: Scenario) -> NaiveGains:
         return NaiveGains(mx=np.diag(c.mx), bx=np.diag(c.bx), kp=kp, kd=kd,
                           box=BoxConstraint(list(c.torque_limits)), h=sc.h)
     except ValueError as exc:
-        raise ValueError(f"controller: {exc}") from exc
+        raise _controller_error(exc) from exc
 
 
 def _fd_lookup(schedule, t: float) -> tuple[float, float]:
@@ -282,9 +288,6 @@ def _fd_lookup(schedule, t: float) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------- trace
-
-TRACE_VECTOR_FIELDS = ("q", "qd", "qx", "qxd", "tau", "tau_star", "fc_joint", "s", "v", "u_s")
-
 
 @dataclass
 class Trace:
@@ -313,34 +316,52 @@ class Trace:
         return self.t >= self.t[-1] - seconds + 1e-12
 
     def column_names(self) -> list[str]:
-        n = self.dof
-        cols = ["t_s"]
-        units = {"q": "rad", "qd": "rad_per_s", "qx": "rad", "qxd": "rad_per_s",
-                 "tau": "Nm", "tau_star": "Nm", "fc_joint": "Nm", "s": "", "v": "", "u_s": ""}
-        for name in TRACE_VECTOR_FIELDS:
-            suffix = f"_{units[name]}" if units[name] else ""
-            cols += [f"{name}{i}{suffix}" for i in range(n)]
-        cols += ["fcx_N", "fcy_N"]
-        cols += [f"saturated{i}" for i in range(n)]
-        cols.append("contact")
-        return cols
+        return _trace_columns(self.dof)
+
+
+# The trace layout, in CSV column order: (Trace attribute, column names, bool
+# channel).  A name with {} gives one column per joint, a tuple gives fixed
+# columns, and a plain name is a per-step channel of shape (steps,).
+_TRACE_CHANNELS = (
+    ("t", "t_s", False),
+    ("q", "q{}_rad", False),
+    ("qd", "qd{}_rad_per_s", False),
+    ("qx", "qx{}_rad", False),
+    ("qxd", "qxd{}_rad_per_s", False),
+    ("tau", "tau{}_Nm", False),
+    ("tau_star", "tau_star{}_Nm", False),
+    ("fc_joint", "fc_joint{}_Nm", False),
+    ("s", "s{}", False),
+    ("v", "v{}", False),
+    ("u_s", "u_s{}", False),
+    ("fc_cart", ("fcx_N", "fcy_N"), False),
+    ("saturated", "saturated{}", True),
+    ("contact", "contact", True),
+)
+
+
+def _trace_layout(n: int):
+    """Each channel for n joints: (attribute, column names, bool, per-step)."""
+    for attr, names, is_bool in _TRACE_CHANNELS:
+        if isinstance(names, tuple):
+            yield attr, list(names), is_bool, False
+        elif "{}" in names:
+            yield attr, [names.format(i) for i in range(n)], is_bool, False
+        else:
+            yield attr, [names], is_bool, True
+
+
+def _trace_columns(n: int) -> list[str]:
+    return [c for _, cols, _, _ in _trace_layout(n) for c in cols]
 
 
 def trace_to_csv(trace: Trace, path: str | None = None) -> str:
     """Serialize a trace; floats keep full precision so the round trip is exact."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(trace.column_names())
-    n = trace.dof
-    for k in range(trace.t.size):
-        row = [f"{trace.t[k]:.17g}"]
-        for name in TRACE_VECTOR_FIELDS:
-            row += [f"{getattr(trace, name)[k, i]:.17g}" for i in range(n)]
-        row += [f"{trace.fc_cart[k, 0]:.17g}", f"{trace.fc_cart[k, 1]:.17g}"]
-        row += [str(int(trace.saturated[k, i])) for i in range(n)]
-        row.append(str(int(trace.contact[k])))
-        writer.writerow(row)
-    text = buf.getvalue()
+    layout = list(_trace_layout(trace.dof))
+    table = np.column_stack([getattr(trace, attr) for attr, *_ in layout]).tolist()
+    row = ",".join("%d" if is_bool else "%.17g" for _, cols, is_bool, _ in layout for _ in cols)
+    lines = [",".join(trace.column_names())] + [row % tuple(r) for r in table]
+    text = "".join(line + "\r\n" for line in lines)
     if path is not None:
         with open(path, "w") as f:
             f.write(text)
@@ -348,24 +369,26 @@ def trace_to_csv(trace: Trace, path: str | None = None) -> str:
 
 
 def trace_from_csv(source: str) -> Trace:
-    """Parse a trace written by ``trace_to_csv`` (path or CSV text)."""
+    """Parse a trace written by ``trace_to_csv`` (path or CSV text).
+
+    The header must be the channel table's columns for one or two joints;
+    otherwise ValueError names the first column that differs.
+    """
     if "\n" not in source and os.path.exists(source):
         with open(source) as f:
             source = f.read()
-    rows = list(csv.reader(io.StringIO(source)))
-    header, data = rows[0], rows[1:]
-    n = sum(1 for c in header if c.startswith("q") and not c.startswith(("qd", "qx")))
-    arr = np.array([[float(x) for x in row] for row in data])
-    idx = 1
-    fields = {"t": arr[:, 0]}
-    for name in TRACE_VECTOR_FIELDS:
-        fields[name] = arr[:, idx:idx + n]
-        idx += n
-    fields["fc_cart"] = arr[:, idx:idx + 2]
-    idx += 2
-    fields["saturated"] = arr[:, idx:idx + n].astype(bool)
-    idx += n
-    fields["contact"] = arr[:, idx].astype(bool)
+    lines = source.splitlines()
+    header = lines[0].split(",") if lines else []
+    n = 2 if header[2:3] == _trace_columns(2)[2:3] else 1   # the layouts part at column 3
+    for i, (got, want) in enumerate(itertools.zip_longest(header, _trace_columns(n))):
+        if got != want:
+            raise ValueError(f"not a trace header: column {i + 1} is {got!r}, expected {want!r}")
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2).reshape(-1, len(header))
+    fields, col = {}, 0
+    for attr, cols, is_bool, per_step in _trace_layout(n):
+        block = table[:, col] if per_step else table[:, col:col + len(cols)]
+        fields[attr] = block.astype(bool) if is_bool else block
+        col += len(cols)
     return Trace(**fields)
 
 
@@ -386,34 +409,30 @@ def run_scenario(sc: Scenario) -> Trace:
         estimate = _build_estimate(sc, model)
         q0 = np.asarray(sc.q0, dtype=float)
         qd0 = np.zeros(n) if sc.qd0 is None else np.asarray(sc.qd0, dtype=float)
-        if q0.size != n or qd0.size != n:
-            raise ValueError(f"q0_rad and qd0_rad_per_s need {n} entries for plant {sc.plant!r}")
+        for key, x in (("q0_rad", q0), ("qd0_rad_per_s", qd0)):
+            if x.size != n or not np.all(np.isfinite(x)):
+                raise ValueError(f"{key} needs {n} finite entries for plant {sc.plant!r}, "
+                                 f"got {x.tolist()}")
         state = PlantState(q0.copy(), qd0.copy())
         proposed = sc.controller.kind == "proposed"
         if sc.controller.kind not in ("proposed", "naive"):
             raise ValueError(f"unknown controller.kind: {sc.controller.kind!r}")
-        gains = _build_gains(sc) if proposed else None
-        naive_gains = None if proposed else _build_naive_gains(sc)
+        gains = _build_gains(sc) if proposed else _build_naive_gains(sc)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     env = sc.env
-    box = gains.box if proposed else naive_gains.box
+    controller_step = admittance_step if proposed else baseline_naive_step
 
     steps = int(round(sc.duration / sc.h))
     n_sub = int(round(sc.h / sc.dt_sub))
     in_force_phase = sc.approach.mode == "none"
     ctrl_state: AdmittanceState | None = initial_state(q0) if in_force_phase else None
-
-    cols = {name: np.zeros((steps, n)) for name in TRACE_VECTOR_FIELDS}
-    t_col = np.zeros(steps)
-    fc_cart = np.zeros((steps, 2))
-    sat = np.zeros((steps, n), dtype=bool)
-    contact = np.zeros(steps, dtype=bool)
+    tr = Trace(**{attr: np.zeros(steps if per_step else (steps, len(cols)),
+                                 dtype=bool if is_bool else float)
+                  for attr, cols, is_bool, per_step in _trace_layout(n)})
 
     for k in range(steps):
         t = k * sc.h
-        if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.qd))):
-            raise SimulationBlowUp(step=k, t=t)
         jac = model.jacobian_fn(state.q)
         ee = model.ee_pose_fn(state.q)
         ee_vel = jac @ state.qd
@@ -428,39 +447,36 @@ def run_scenario(sc: Scenario) -> Trace:
 
         if in_force_phase:
             meas = Measurement(state.q.copy(), fc_joint, fd_joint)
-            if proposed:
-                tau, ctrl_state, diag = admittance_step(ctrl_state, meas, estimate, gains)
-            else:
-                tau, ctrl_state, diag = baseline_naive_step(ctrl_state, meas, estimate, naive_gains)
-            cols["qx"][k] = ctrl_state.qx_prev
-            cols["qxd"][k] = ctrl_state.qxd_prev
-            cols["tau_star"][k] = diag.tau_star
-            cols["s"][k] = diag.s
-            cols["v"][k] = ctrl_state.msta_state.v
-            cols["u_s"][k] = diag.u_s
-            sat[k] = diag.saturated
+            tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
+            tr.qx[k] = ctrl_state.qx_prev
+            tr.qxd[k] = ctrl_state.qxd_prev
+            tr.tau_star[k] = diag.tau_star
+            tr.s[k] = diag.s
+            tr.v[k] = ctrl_state.msta_state.v
+            tr.u_s[k] = diag.u_s
+            tr.saturated[k] = diag.saturated
         else:
             ap = sc.approach
             cmd = ap.kv * (ap.v_ref - state.qd[-1]) + ap.hold_force
             tau = np.zeros(n)
-            tau[-1] = max(-box.limits[-1], min(box.limits[-1], cmd))
-            cols["qx"][k] = state.q
-            cols["tau_star"][k] = tau
+            tau[-1] = max(-gains.box.limits[-1], min(gains.box.limits[-1], cmd))
+            tr.qx[k] = state.q
+            tr.tau_star[k] = tau
 
-        t_col[k] = t
-        cols["q"][k] = state.q
-        cols["qd"][k] = state.qd
-        cols["tau"][k] = tau
-        cols["fc_joint"][k] = fc_joint
-        fc_cart[k] = (fx, fy)
-        contact[k] = fy > 0.0
+        tr.t[k] = t
+        tr.q[k] = state.q
+        tr.qd[k] = state.qd
+        tr.tau[k] = tau
+        tr.fc_joint[k] = fc_joint
+        tr.fc_cart[k] = (fx, fy)
+        tr.contact[k] = fy > 0.0
 
         try:
             state = integrate_substep(model, state, tau, env, disturbance, t, sc.dt_sub, n_sub)
         except SimulationBlowUp:
             raise SimulationBlowUp(step=k, t=t) from None
 
-    return Trace(t=t_col, fc_cart=fc_cart, saturated=sat, contact=contact, **cols)
+    return tr
 
 
 # --------------------------------------------------------------------------- metrics
@@ -520,10 +536,8 @@ def compute_metrics(trace: Trace, sc: Scenario) -> Metrics:
     chatter = float(np.max(np.std(trace.u_s[window], axis=0))) if np.any(window) else math.nan
 
     model = build_model(sc)
-    pen = 0.0
-    for k in range(trace.t.size):
-        pen = max(pen, sc.env.y_s - model.ee_pose_fn(trace.q[k])[1])
-    return Metrics(steady_err, steady_mean, settle, rebounds, violations, chatter, max(0.0, pen))
+    pen = max([0.0, *(sc.env.y_s - model.ee_pose_fn(q)[1] for q in trace.q)])
+    return Metrics(steady_err, steady_mean, settle, rebounds, violations, chatter, pen)
 
 
 def metrics_to_dict(m: Metrics) -> dict:
@@ -537,16 +551,6 @@ def metrics_to_dict(m: Metrics) -> dict:
 
 
 # --------------------------------------------------------------------------- sweeps
-
-_OVERRIDE_ALIASES = {
-    "h_s": "h",
-    "duration_s": "duration",
-    "dt_sub_s": "dt_sub",
-    "env.ks_N_per_m": "env.k_s",
-    "env.ys_m": "env.y_s",
-    "approach.v_ref_m_per_s": "approach.v_ref",
-}
-
 
 def _coerce_like(current, value):
     if isinstance(value, str):
@@ -571,42 +575,33 @@ def _coerce_like(current, value):
 def apply_override(sc: Scenario, key: str, value) -> None:
     """Set a scenario field addressed by a dotted path, in place.
 
-    Accepts both attribute paths (``env.k_s``) and the unit-suffixed schema
-    names (``env.ks_N_per_m``); the special key ``fd_y`` replaces the desired
+    Accepts both attribute paths (``env.k_s``) and the scenario file's names
+    (``env.ks_N_per_m``); the special key ``fd_y`` replaces the desired
     force schedule with a constant level.  Values may arrive as strings (CLI).
     """
-    import dataclasses
-
     if key == "fd_y":
         sc.fd_schedule = ((0.0, 0.0, float(value)),)
         return
-    path = _OVERRIDE_ALIASES.get(key, key)
+    path = _JSON_PATHS.get(key, key)
     parts = path.split(".")
     chain = [sc]
-    for part in parts[:-1]:
+    for part in parts:
         if not hasattr(chain[-1], part):
             raise KeyError(f"override path {key!r} does not resolve")
         chain.append(getattr(chain[-1], part))
-    holder = chain[-1]
-    leaf = parts[-1]
-    if not hasattr(holder, leaf):
-        raise KeyError(f"override path {key!r} does not resolve")
-    value = _coerce_like(getattr(holder, leaf), value)
-    if dataclasses.is_dataclass(holder) and holder.__dataclass_params__.frozen:
-        setattr(chain[-2], parts[-2], replace(holder, **{leaf: value}))
+    holder, leaf = chain[-2], parts[-1]
+    value = _coerce_like(chain[-1], value)
+    if is_dataclass(holder) and holder.__dataclass_params__.frozen:
+        setattr(chain[-3], parts[-2], replace(holder, **{leaf: value}))
     else:
         setattr(holder, leaf, value)
 
 
-def _with_override(sc: Scenario, key: str, value) -> Scenario:
-    out = copy.deepcopy(sc)
-    apply_override(out, key, value)
-    return out
-
-
 def sweep(sc_template: Scenario, param_path: str, values: Sequence) -> list[tuple[object, Metrics]]:
     """Run the template once per value of the addressed parameter, in order."""
-    scenarios = [_with_override(sc_template, param_path, v) for v in values]
+    scenarios = [copy.deepcopy(sc_template) for _ in values]
+    for s, v in zip(scenarios, values):
+        apply_override(s, param_path, v)
     return [(v, compute_metrics(run_scenario(s), s)) for v, s in zip(values, scenarios)]
 
 
@@ -753,8 +748,16 @@ _HEAD_KEYS = (("name", "name"), ("plant", "plant"))
 _TAIL_KEYS = (("q0_rad", "q0"), ("qd0_rad_per_s", "qd0"), ("duration_s", "duration"),
               ("h_s", "h"), ("dt_sub_s", "dt_sub"), ("seed", "seed"))
 _TOP_KEYS = _HEAD_KEYS + _TAIL_KEYS
-_SECTIONS = ("plant_params", "env", "disturbance", "controller", "estimate",
-             "fd_schedule_N", "approach")
+_SECTION_KEYS = {"env": (EnvironmentModel, _ENV_KEYS),
+                 "disturbance": (DisturbanceSpec, _DISTURBANCE_KEYS),
+                 "controller": (ControllerSpec, _CONTROLLER_KEYS),
+                 "estimate": (EstimateSpec, _ESTIMATE_KEYS),
+                 "approach": (ApproachSpec, _APPROACH_KEYS)}
+_SECTIONS = ("plant_params", "fd_schedule_N", *_SECTION_KEYS)
+# dotted JSON name -> attribute path, for apply_override
+_JSON_PATHS = {"fd_schedule_N": "fd_schedule", **dict(_TOP_KEYS),
+               **{f"{section}.{key}": f"{section}.{attr}"
+                  for section, (_, keys) in _SECTION_KEYS.items() for key, attr in keys}}
 
 _PLANT_PARAM_TYPES = {"one_dof": OneDofParams, "two_link": TwoLinkParams,
                       "linear_motor": LinearMotorParams}
@@ -814,11 +817,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         keys = tuple((f.name, f.name) for f in fields(cls))
         kwargs["plant_params"] = cls(**_section_from_dict(d["plant_params"], keys,
                                                           "plant_params"))
-    for key, cls, keys in (("env", EnvironmentModel, _ENV_KEYS),
-                           ("disturbance", DisturbanceSpec, _DISTURBANCE_KEYS),
-                           ("controller", ControllerSpec, _CONTROLLER_KEYS),
-                           ("estimate", EstimateSpec, _ESTIMATE_KEYS),
-                           ("approach", ApproachSpec, _APPROACH_KEYS)):
+    for key, (cls, keys) in _SECTION_KEYS.items():
         kwargs[key] = cls(**_section_from_dict(d.get(key, {}), keys, key))
     if "fd_schedule_N" in d:
         kwargs["fd_schedule"] = tuple(tuple(e) for e in d["fd_schedule_N"])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -148,6 +149,34 @@ def test_plot_from_trace(tmp_path):
                  "--out", out2, "--limits", "50"])
     assert code == 0
     assert os.path.exists(os.path.join(out2, "position.svg"))
+
+
+@pytest.mark.parametrize("content", ["a,b\n1,2\n", "{}"])
+def test_plot_malformed_trace_is_config_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    assert main(["plot", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "column 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override,field", [("q0=[NaN]", "q0_rad"),
+                                            ("qd0=[Infinity]", "qd0_rad_per_s")])
+def test_non_finite_initial_state_is_config_error(tmp_path, capsys, override, field):
+    code = main(["run", "--scenario", "fig3_one_dof", "--out", str(tmp_path / "x"),
+                 "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_gains_error_names_json_key(tmp_path, capsys):
+    code = main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
+                 "--set", "controller.lam=5000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "controller.lambda_per_s" in err and not re.search(r"\blam\b", err)
 
 
 def test_plot_missing_file(tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nonsmooth_adm.sim import (
     DisturbanceSpec,
     Metrics,
     ScenarioError,
+    Trace,
     build_model,
     apply_override,
     compute_metrics,
@@ -117,16 +119,67 @@ def test_metrics_undefined_without_command():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    sc = short(presets()["fig5_two_dof"], 0.2)
-    tr = run_scenario(sc)
-    path = os.path.join(tmp_path, "trace.csv")
-    trace_to_csv(tr, path)
-    back = trace_from_csv(path)
-    for field in ("t", "q", "qd", "qx", "qxd", "tau", "tau_star", "fc_joint",
-                  "fc_cart", "s", "v", "u_s"):
-        assert np.array_equal(getattr(tr, field), getattr(back, field)), field
-    assert np.array_equal(tr.saturated, back.saturated)
-    assert np.array_equal(tr.contact, back.contact)
+    for name in ("fig3_one_dof", "fig5_two_dof"):
+        tr = run_scenario(short(presets()[name], 0.5))
+        # impact and saturation happen inside the window, so both values of
+        # each bool channel go through the file
+        assert tr.contact.any() and not tr.contact.all(), name
+        assert tr.saturated.any() and not tr.saturated.all(), name
+        path = os.path.join(tmp_path, f"{name}.csv")
+        text = trace_to_csv(tr, path)
+        back = trace_from_csv(path)
+        for f in fields(Trace):
+            a, b = getattr(tr, f.name), getattr(back, f.name)
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, f.name)
+            assert np.array_equal(a, b), (name, f.name)
+        with open(path, newline="") as fh:
+            assert fh.read() == text, name
+        assert trace_to_csv(back) == text, name        # write -> read -> write
+
+
+def test_trace_csv_text_layout():
+    row = np.array([[0.1]])
+    tr = Trace(t=np.array([0.001]), q=row, qd=-row, qx=row * 3, qxd=np.array([[-0.0]]),
+               tau=np.array([[1e-300]]), tau_star=np.array([[2.5]]), fc_joint=np.array([[7.0]]),
+               fc_cart=np.array([[1.5, -2.0]]), s=np.array([[np.inf]]), v=np.array([[0.0]]),
+               u_s=np.array([[-1e17]]), saturated=np.array([[True]]), contact=np.array([False]))
+    assert trace_to_csv(tr) == (
+        "t_s,q0_rad,qd0_rad_per_s,qx0_rad,qxd0_rad_per_s,tau0_Nm,tau_star0_Nm,fc_joint0_Nm,"
+        "s0,v0,u_s0,fcx_N,fcy_N,saturated0,contact\r\n"
+        "0.001,0.10000000000000001,-0.10000000000000001,0.30000000000000004,-0,1e-300,2.5,7,"
+        "inf,0,-1e+17,1.5,-2,1,0\r\n")
+    two = run_scenario(short(presets()["fig5_two_dof"], 0.01))
+    assert two.column_names()[:3] == ["t_s", "q0_rad", "q1_rad"]
+    assert two.column_names()[-4:] == ["fcy_N", "saturated0", "saturated1", "contact"]
+    assert len(two.column_names()) == 26
+
+
+def _header(dof, edit):
+    cols = run_scenario(short(presets()["fig5_two_dof" if dof == 2 else "fig3_one_dof"],
+                              0.01)).column_names()
+    return ",".join(edit(cols)) + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a,b\n1,2\n", "column 1 is 'a', expected 't_s'"),
+    ("{}", "column 1 is '{}', expected 't_s'"),
+    (lambda: _header(1, lambda c: ["q0" if x == "q0_rad" else x for x in c]),
+     "column 2 is 'q0', expected 'q0_rad'"),
+    (lambda: _header(1, lambda c: c + ["extra"]), "column 16 is 'extra', expected None"),
+    (lambda: _header(2, lambda c: c[:-1]), "column 26 is None, expected 'contact'"),
+    (lambda: _header(2, lambda c: c[:5] + ["tau1_Nm"] + c[6:]),
+     "column 6 is 'tau1_Nm', expected 'qx0_rad'"),
+], ids=["other_csv", "json", "renamed", "extra", "missing", "swapped"])
+def test_trace_from_csv_rejects_foreign_header(text, message):
+    text = text() if callable(text) else text
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trace_from_csv(text)
+
+
+def test_trace_from_csv_rejects_short_rows():
+    text = trace_to_csv(run_scenario(short(presets()["fig3_one_dof"], 0.01)))
+    with pytest.raises(ValueError):
+        trace_from_csv(text + "1,2\r\n")
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -179,6 +232,35 @@ def test_settle_time_is_python_float(fig3_run):
     assert type(fig3_run[2].settle_time) is float
 
 
+def _json_leaves(doc, prefix=""):
+    """(dotted JSON key, value) of every field a scenario dict holds."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _json_leaves(value, f"{prefix}{key}.")
+        elif not (key == "plant_params" and value is None):
+            yield prefix + key, value
+
+
+def _bumped(value):
+    if isinstance(value, list):
+        return [_bumped(v) for v in value]
+    if isinstance(value, str):
+        return value + "_x"
+    return 1.0 if value is None else value + 1
+
+
+@pytest.mark.parametrize("name", sorted(presets()))
+def test_every_json_key_resolves_through_apply_override(name):
+    for sc in (presets()[name], naive_variant(presets()[name])):
+        doc = dict(_json_leaves(scenario_to_dict(sc)))
+        for key, value in doc.items():
+            assert not isinstance(value, bool), key
+            changed = copy.deepcopy(sc)
+            apply_override(changed, key, _bumped(value))
+            # the override lands on exactly the field the file writes under key
+            assert dict(_json_leaves(scenario_to_dict(changed))) == {**doc, key: _bumped(value)}, key
+
+
 def test_apply_override_paths():
     sc = presets()["fig3_one_dof"]
     apply_override(sc, "h_s", "0.0005")
@@ -189,6 +271,12 @@ def test_apply_override_paths():
     assert sc.controller.k2 == 20.0
     apply_override(sc, "fd_y", -1.5)
     assert sc.fd_schedule == ((0.0, 0.0, -1.5),)
+    apply_override(sc, "q0_rad", "[0.01]")
+    assert sc.q0 == (0.01,)
+    apply_override(sc, "controller.lambda_per_s", "12")
+    assert sc.controller.lam == 12.0
+    apply_override(sc, "controller.mx_diag", "[0.4]")
+    assert sc.controller.mx == (0.4,)
     with pytest.raises(KeyError):
         apply_override(sc, "no.such.path", 1.0)
 
@@ -266,6 +354,16 @@ def test_approach_phase_switches_on_contact():
     # velocity servo tracks the commanded approach speed before contact
     mid = slice(k_contact // 2, k_contact)
     assert np.allclose(tr.qd[mid, 0], sc.approach.v_ref, atol=0.02)
+
+
+@pytest.mark.parametrize("attr,value,key", [("q0", (math.nan,), "q0_rad"),
+                                            ("qd0", (math.inf,), "qd0_rad_per_s"),
+                                            ("q0", (0.0, 0.0), "q0_rad")])
+def test_initial_state_checked_before_the_run(attr, value, key):
+    sc = short(presets()["fig3_one_dof"])
+    setattr(sc, attr, value)
+    with pytest.raises(ScenarioError, match=key):
+        run_scenario(sc)
 
 
 def test_two_link_disturbance_rejected():
