@@ -24,6 +24,9 @@ from .msta import (
     MstaGains,
     MstaState,
     SolverDiagnostics,
+    _Iteration,
+    _iteration,
+    _solve_inclusion,
     _u_from_selection,
     msta_explicit_step,
     msta_implicit_decoupled_step,
@@ -68,18 +71,55 @@ class ModelEstimate:
 
     @staticmethod
     def constant(mass_diag, coriolis_diag=None, dof: int | None = None) -> "ModelEstimate":
-        """Constant diagonal estimate, e.g. a single rough inertia value."""
+        """Constant diagonal estimate, e.g. a single rough inertia value.
+
+        ``mass_diag`` and ``coriolis_diag`` each have one entry, shared by
+        every joint, or ``dof`` entries (``dof`` defaults to the length of
+        ``mass_diag``).  The returned M, C and gravity arrays are read-only,
+        so ``admittance_step`` builds the loop of a constant estimate once and
+        reuses it while the same estimate object comes back.
+        """
         m = np.atleast_1d(np.asarray(mass_diag, dtype=float))
+        c = np.zeros(1) if coriolis_diag is None else np.atleast_1d(
+            np.asarray(coriolis_diag, dtype=float))
         n = m.size if dof is None else dof
-        if m.size == 1 and n > 1:
-            m = np.full(n, m[0])
-        c = np.zeros(n) if coriolis_diag is None else np.atleast_1d(np.asarray(coriolis_diag, dtype=float))
-        if c.size == 1 and n > 1:
-            c = np.full(n, c[0])
-        M = np.diag(m)
-        C = np.diag(c)
-        zero = np.zeros(n)
-        return ModelEstimate(lambda q: M, lambda q, qd: C, lambda q: zero)
+        for name, x in (("mass_diag", m), ("coriolis_diag", c)):
+            if n < 1 or x.ndim != 1 or x.size not in (1, n):
+                raise ValueError(f"{name} has {x.size} entries; it needs 1 or dof = {n}")
+        M = _read_only(np.diag(np.broadcast_to(m, n)))
+        C = _read_only(np.diag(np.broadcast_to(c, n)))
+        zero = _read_only(np.zeros(n))
+        est = ModelEstimate(lambda q: M, lambda q, qd: C, lambda q: zero)
+        object.__setattr__(est, "_constant", True)
+        return est
+
+
+def _diagonal(A: np.ndarray) -> np.ndarray | None:
+    """The diagonal of A when A is 1 x 1 or 2 x 2, diagonal, with nonzero
+    diagonal entries: then ``_solve`` divides by it.  None otherwise."""
+    if A.shape == (1, 1) or (A.shape == (2, 2) and A[0, 1] == 0.0 and A[1, 0] == 0.0):
+        d = A.diagonal()
+        if 0.0 not in d.tolist():
+            return _read_only(d.copy())
+    return None
+
+
+def _solve(A: np.ndarray, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(A, b)``, bitwise, where ``d = _diagonal(A)``.
+
+    Against such a diagonal matrix LAPACK returns ``b / d`` bit for bit for
+    finite b, except that for 2 x 2 it may flip the sign of an exact zero
+    entry of b (it subtracts zero products); those b keep the solve.  The
+    reciprocal ``b * (1/d)`` is not bitwise equal.
+    """
+    if d is not None and (d.size == 1 or 0.0 not in b.tolist()):
+        return b / d
+    return np.linalg.solve(A, b)
+
+
+def _set_proxy_matrix(gains, P: np.ndarray) -> None:
+    object.__setattr__(gains, "_proxy_matrix", _read_only(P))
+    object.__setattr__(gains, "_proxy_diag", _diagonal(P))
 
 
 @dataclass(frozen=True)
@@ -95,7 +135,10 @@ class AdmittanceGains:
     mx and bx are kept as read-only copies.  The constants that depend on the
     gains alone are derived once, in ``__post_init__``, as private attributes
     (not fields, so ``dataclasses.replace`` derives them afresh): the resolved
-    inner-loop mode, ``mx + bx*h``, and for a scalar k1 the matrix ``k1*I``.
+    inner-loop mode, ``mx + bx*h`` and its diagonal, and for a scalar k1 the
+    matrix ``k1*I``.  The gains also keep the loop of the last constant
+    estimate they stepped with, as one ``(estimate, loop)`` pair that a new
+    estimate replaces whole; it starts empty and is not pickled.
     """
 
     mx: np.ndarray
@@ -138,8 +181,12 @@ class AdmittanceGains:
         object.__setattr__(self, "mx", _read_only(mx))
         object.__setattr__(self, "bx", _read_only(bx))
         object.__setattr__(self, "_us_mode", mode)
-        object.__setattr__(self, "_proxy_matrix", _read_only(mx + bx * self.h))
+        _set_proxy_matrix(self, mx + bx * self.h)
         object.__setattr__(self, "_k1m", k1m)
+        object.__setattr__(self, "_cached_loop", (None, None))
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_cached_loop": (None, None)}
 
     @property
     def dof(self) -> int:
@@ -153,7 +200,8 @@ class AdmittanceGains:
 class NaiveGains:
     """Clamped proxy-PD baseline: same proxy, high-gain PD, hard clamp.
 
-    mx and bx are kept as read-only copies; ``mx + bx*h`` is derived once.
+    mx and bx are kept as read-only copies; ``mx + bx*h`` and its diagonal
+    are derived once.
     """
 
     mx: np.ndarray
@@ -173,7 +221,7 @@ class NaiveGains:
             raise ValueError("mx and bx must be n x n")
         if self.h <= 0.0:
             raise ValueError("h must be positive")
-        object.__setattr__(self, "_proxy_matrix", _read_only(mx + bx * self.h))
+        _set_proxy_matrix(self, mx + bx * self.h)
 
 
 @dataclass(frozen=True)
@@ -245,7 +293,7 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
     """
     fc = _vector(fc)
     fd = _vector(fd)
-    ux_star = np.linalg.solve(g._proxy_matrix, g.mx @ state.qxd_prev + g.h * (fc + fd))
+    ux_star = _solve(g._proxy_matrix, g._proxy_diag, g.mx @ state.qxd_prev + g.h * (fc + fd))
     qx_star = state.qx_prev + g.h * ux_star
     return ux_star, qx_star
 
@@ -265,7 +313,14 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
 
 class _Loop(NamedTuple):
     """The estimate at the measured position and the inner-loop matrices
-    built from it; evaluated once per controller period."""
+    built from it: evaluated once per controller period, or once per run for
+    a constant estimate (``_loop_for``).
+
+    ``MhC`` is ``Mk + h*Ck``, ``Wd`` the diagonal of W when solves against W
+    are divisions, ``beta`` the scalar-implicit iteration factor, and
+    ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A`` with its
+    classification and relaxation (folded in for a constant estimate only).
+    """
 
     Mk: np.ndarray
     Ck: np.ndarray
@@ -274,10 +329,14 @@ class _Loop(NamedTuple):
     B: np.ndarray
     Bhat: np.ndarray
     W: np.ndarray
+    MhC: np.ndarray
+    Wd: np.ndarray | None
+    beta: float | None
+    iteration: _Iteration | None
 
 
 def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
-                   g: AdmittanceGains) -> _Loop:
+                   g: AdmittanceGains, fold: bool = False) -> _Loop:
     h = g.h
     Mk = model.mass_fn(q)
     Ck = model.coriolis_fn(q, (q - state.q_prev) / h)
@@ -288,7 +347,26 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     Bhat = B + Ck
     Khat = Bhat / h + K
     W = Mk / (h * h) + Khat
-    return _Loop(Mk, Ck, Gk, k1m, B, Bhat, W)
+    MhC = Mk + Ck * h
+    beta = _scalar_beta(g, Mk, Ck) if g._us_mode == "scalar-implicit" else None
+    iteration = None
+    if fold and g._us_mode == "implicit-vector":
+        iteration = _iteration(np.linalg.solve(Mk, MhC + h * k1m), g.msta.mu)
+    return _Loop(Mk, Ck, Gk, k1m, B, Bhat, W, MhC, _diagonal(W), beta, iteration)
+
+
+def _loop_for(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
+              g: AdmittanceGains) -> _Loop:
+    """The period's loop.  A constant estimate's loop is built once and kept
+    on the gains while the same estimate object comes back; any other
+    estimate is evaluated every period."""
+    if not getattr(model, "_constant", False):
+        return _evaluate_loop(model, q, state, g)
+    cached, loop = g._cached_loop
+    if cached is not model:
+        loop = _evaluate_loop(model, q, state, g, fold=True)
+        object.__setattr__(g, "_cached_loop", (model, loop))
+    return loop
 
 
 def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
@@ -308,11 +386,11 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
     h = g.h
     if loop is None:
         loop = _evaluate_loop(model, q, state, g)
-    Mk, Ck, Gk, _, B, Bhat, W = loop
+    Mk, W = loop.Mk, loop.W
     tau_us = u_s if g.us_coupling == "direct" else Mk @ u_s
-    phi_a = ((Mk + Ck * h) @ q + h * (B @ state.q_prev)) / (h * h) + Gk + tau_us
-    phi_b = (Mk @ (state.qx_prev + h * state.ux_prev)) / (h * h) + (Bhat @ state.qx_prev) / h
-    q1_star = q + np.linalg.solve(W, phi_b - phi_a)
+    phi_a = (loop.MhC @ q + h * (loop.B @ state.q_prev)) / (h * h) + loop.Gk + tau_us
+    phi_b = (Mk @ (state.qx_prev + h * state.ux_prev)) / (h * h) + (loop.Bhat @ state.qx_prev) / h
+    q1_star = q + _solve(W, loop.Wd, phi_b - phi_a)
     tau_star = W @ (qx_star - q1_star)
     return q1_star, tau_star
 
@@ -336,15 +414,16 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
     if mode == "scalar-implicit":
         if g.dof != 1:
             raise ValueError("scalar-implicit inner loop requires one degree of freedom")
-        beta = _scalar_beta(g, loop.Mk, loop.Ck)
-        u, v_next, _, _ = sta_scalar_implicit_step(float(s[0]), ms, beta, h,
+        u, v_next, _, _ = sta_scalar_implicit_step(float(s[0]), ms, loop.beta, h,
                                                    float(state.msta_state.v[0]))
         return np.array([u]), MstaState(np.array([v_next])), None
     if mode == "implicit-decoupled":
         return msta_implicit_decoupled_step(s, ms, h, state.msta_state)
     # implicit-vector
-    Ak = loop.Mk + h * loop.Ck + h * loop.k1m
-    diag = solve_shat_vector(s, Ak, loop.Mk, ms, h)
+    if loop.iteration is not None:
+        diag = _solve_inclusion(s, loop.iteration, ms, h)
+    else:
+        diag = solve_shat_vector(s, loop.MhC + h * loop.k1m, loop.Mk, ms, h)
     u_s, m_next = _u_from_selection(diag, state.msta_state, ms, h)
     return u_s, m_next, diag
 
@@ -368,7 +447,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     implies qx == qx_star.
     """
     h = g.h
-    loop = _evaluate_loop(model, meas.q, state, g)
+    loop = _loop_for(model, meas.q, state, g)
 
     ux_star, qx_star = proxy_predict(state, meas.fc, meas.fd, g)
     qe, _, s = sliding_variable(qx_star, meas.q, state, g)
@@ -377,7 +456,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
                                              loop=loop)
 
     tau = project_box(tau_star, g.box)
-    qx = np.linalg.solve(loop.W, tau) + q1_star
+    qx = _solve(loop.W, loop.Wd, tau) + q1_star
     qxd = (qx - state.qx_prev) / h
 
     saturated = np.abs(tau_star) > g.box.limits
@@ -398,7 +477,7 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     output is hard-clamped to the torque box.
     """
     h = ng.h
-    ux = np.linalg.solve(ng._proxy_matrix, ng.mx @ state.qxd_prev + h * (meas.fc + meas.fd))
+    ux = _solve(ng._proxy_matrix, ng._proxy_diag, ng.mx @ state.qxd_prev + h * (meas.fc + meas.fd))
     qx = state.qx_prev + h * ux
     qe = qx - meas.q
     qed = (qe - state.qe_prev) / h

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,7 +208,7 @@ def _choose_mu(G: np.ndarray | float, mu0: float) -> float:
         if positive:
             return mu
         mu *= 0.5
-    raise SolverConvergenceError("no relaxation parameter satisfies the positivity condition")
+    raise SolverConvergenceError(_NO_MU)
 
 
 def _gamma(x: np.ndarray, g: MstaGains, h: float) -> float:
@@ -225,13 +226,54 @@ def _fixed_point_residual(
     return _norm(x - t)
 
 
-def _solve_inclusion(s: np.ndarray, G: np.ndarray, g: MstaGains, h: float) -> SolverDiagnostics:
+_NO_MU = "no relaxation parameter satisfies the positivity condition"
+
+
+class _Iteration(NamedTuple):
+    """The iteration matrix G of the inclusion and what depends on G alone.
+
+    ``scale`` is tr(G)/n when G is a positive multiple of I (the inclusion is
+    then radial and solved in closed form), else None.  ``mu`` is the
+    relaxation parameter of the fixed point, or None when none satisfies the
+    positivity condition (the error is raised only by a solve that needs mu),
+    and ``eye_minus`` is I - mu*G for the fixed point iteration.
+    """
+
+    G: np.ndarray
+    scale: float | None
+    mu: float | None
+    eye_minus: np.ndarray | None
+
+
+def _iteration(G: np.ndarray, mu0: float) -> _Iteration:
+    """Classify G and choose its relaxation parameter, once per matrix."""
+    n = G.shape[0]
+    tr = float(np.trace(G)) / n
+    off = G - tr * _eye(n)
+    scalar = float(np.abs(off).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0
+    try:
+        mu = _choose_mu(tr if scalar else G, mu0)
+    except SolverConvergenceError:
+        return _Iteration(G, tr if scalar else None, None, None)
+    if scalar:
+        return _Iteration(G, tr, mu, None)
+    return _Iteration(G, None, mu, _eye(n) - mu * G)
+
+
+@lru_cache(maxsize=64)
+def _scaled_identity_iteration(n: int, beta: float, mu0: float) -> _Iteration:
+    return _iteration(_read_only(beta * np.eye(n)), mu0)
+
+
+def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: float
+                     ) -> SolverDiagnostics:
     """Nominal-state solve: find shat with
 
         G @ shat + h * gamma(shat) * m2 = s,   m2 in subdiff Psi2(shat),
 
-    where gamma(x) = k2*||x||^{1/2} + h*k3 and Psi2 = ||.|| + (alpha2/2)||.||^2.
-    Equivalent fixed point: shat = prox_{mu*h*gamma*Psi2}((I - mu*G) shat + mu*s).
+    where G = iteration.G, gamma(x) = k2*||x||^{1/2} + h*k3 and
+    Psi2 = ||.|| + (alpha2/2)||.||^2.  Equivalent fixed point:
+    shat = prox_{mu*h*gamma*Psi2}((I - mu*G) shat + mu*s).
     """
     n = s.size
     ns = _norm(s)
@@ -242,20 +284,19 @@ def _solve_inclusion(s: np.ndarray, G: np.ndarray, g: MstaGains, h: float) -> So
         # discrete sliding: shat = 0 exactly, selection taken inside the unit ball
         return SolverDiagnostics(1, 0.0, True, np.zeros(n), s / dead_band)
 
-    tr = float(np.trace(G)) / n
-    off = G - tr * _eye(n)
-    if float(np.abs(off).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0:
+    G, tr, mu = iteration.G, iteration.scale, iteration.mu
+    if mu is None:
+        raise SolverConvergenceError(_NO_MU)
+    if tr is not None:
         # scalar iteration matrix: the inclusion is radial and solved exactly
         w = _radial_magnitude(ns, tr, g, h)
         shat = (w * w / ns) * s
         gam = g.k2 * w + h * g.k3
         m2 = (s - tr * shat) / (h * gam)
-        mu = _choose_mu(tr, g.mu)
         res = _fixed_point_residual(shat, s, G, g, h, mu, _gamma(shat, g, h))
         return SolverDiagnostics(1, res, res <= tol, shat, m2)
 
-    mu = _choose_mu(G, g.mu)
-    eye_minus = _eye(n) - mu * G
+    eye_minus = iteration.eye_minus
     x = np.zeros(n)
     omega = 1.0
     best = math.inf
@@ -298,8 +339,7 @@ def solve_shat_vector(
     s = _vector(s)
     Ak = _matrix(Ak)
     Mk = _matrix(Mk)
-    G = np.linalg.solve(Mk, Ak)
-    return _solve_inclusion(s, G, g, h)
+    return _solve_inclusion(s, _iteration(np.linalg.solve(Mk, Ak), g.mu), g, h)
 
 
 def _u_from_selection(diag: SolverDiagnostics, state: MstaState, g: MstaGains, h: float):
@@ -349,8 +389,8 @@ def msta_implicit_decoupled_step(
     if h <= 0.0:
         raise ValueError("h must be positive")
     s = _vector(s)
-    beta = 1.0 + h * g.gamma1
-    diag = _solve_inclusion(s, beta * _eye(s.size), g, h)
+    it = _scaled_identity_iteration(s.size, 1.0 + h * g.gamma1, g.mu)
+    diag = _solve_inclusion(s, it, g, h)
     u_s, state_next = _u_from_selection(diag, state, g, h)
     return u_s, state_next, diag
 

@@ -165,11 +165,15 @@ class Scenario:
     def validate(self) -> None:
         """Check the timing and the force schedule; ``run_scenario`` repeats
         this because overrides change fields after construction."""
-        if self.duration <= 0.0 or self.h <= 0.0 or self.dt_sub <= 0.0:
-            raise ValueError("duration, h and dt_sub must be positive")
+        if not all(0.0 < x < math.inf for x in (self.duration, self.h, self.dt_sub)):
+            raise ValueError("duration_s, h_s and dt_sub_s must be positive and finite")
         ratio = self.h / self.dt_sub
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("h must be an integer multiple of dt_sub")
+        if self.duration / self.h <= 0.5:
+            # run_scenario makes round(duration / h) steps
+            raise ValueError(f"duration_s = {self.duration} s rounds to 0 controller steps "
+                             f"of h_s = {self.h} s")
         t_prev = -math.inf
         for i, entry in enumerate(self.fd_schedule):
             if len(entry) != 3:

@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from nonsmooth_adm.admittance import (
     Measurement,
     ModelEstimate,
     NaiveGains,
+    _diagonal,
+    _solve,
     admittance_step,
     baseline_naive_step,
     initial_state,
@@ -18,6 +23,7 @@ from nonsmooth_adm.admittance import (
     sliding_variable,
 )
 from nonsmooth_adm.msta import MstaGains, MstaState
+from nonsmooth_adm.plant import two_link_model
 from nonsmooth_adm.setvalued import BoxConstraint, project_box
 from nonsmooth_adm.verify import admittance_reference
 
@@ -30,6 +36,18 @@ def fig3_gains(h=1e-3, limit=3.0, us_mode="scalar-implicit"):
 
 def estimate_1dof(m=0.1, c=0.0):
     return ModelEstimate.constant((m,), (c,))
+
+
+def _step_bits(out) -> bytes:
+    """Every number one step returns, as bytes, for a bitwise comparison."""
+    tau, st, d = out
+    arrays = [tau, st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev, st.msta_state.v,
+              d.tau_star, d.tau, d.qx_star, d.q1_star, d.s, d.qe, d.u_s, d.saturated,
+              d.lambda_vi_residual]
+    if d.solver is not None:
+        arrays += [d.solver.shat, d.solver.m2, d.solver.residual, d.solver.iterations]
+    return b"".join(np.asarray(a).tobytes() for a in arrays)
+
 
 
 def test_gains_validation():
@@ -289,7 +307,8 @@ def test_gains_constants_are_private_read_only_copies():
     mx[0, 0] = 9.0
     lim[0] = 9.0
     assert g.mx[0, 0] == 0.5 and ng.mx[0, 0] == 0.5 and g.box.limits[0] == 3.0
-    for arr in (g.mx, g.bx, ng.mx, ng.bx, g.box.limits, ng.box.limits):
+    for arr in (g.mx, g.bx, ng.mx, ng.bx, g.box.limits, ng.box.limits, g._proxy_diag,
+                ng._proxy_diag):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     # derived constants follow dataclasses.replace
@@ -303,6 +322,19 @@ def test_gains_constants_are_private_read_only_copies():
         assert np.array_equal(ux, expected)
         ng2 = dataclasses.replace(ng, h=h)
         assert np.array_equal(ng2._proxy_matrix, ng.mx + ng.bx * h)
+        assert np.array_equal(ng2._proxy_diag, np.diagonal(ng.mx + ng.bx * h))
+    # the loop kept for a constant estimate: set by a step, not carried over
+    # by dataclasses.replace, not pickled
+    est = ModelEstimate.constant((0.2, 0.3), (20.0, 5.0))
+    meas = Measurement(np.array([0.01, -0.02]), fc, fd)
+    admittance_step(st, meas, est, g)
+    assert g._cached_loop[0] is est
+    assert pickle.loads(pickle.dumps(g))._cached_loop == (None, None)
+    g3 = dataclasses.replace(g, lam=20.0)
+    assert g3._cached_loop == (None, None)
+    evaluated = ModelEstimate(est.mass_fn, est.coriolis_fn, est.gravity_fn)
+    assert _step_bits(admittance_step(st, meas, est, g3)) == \
+        _step_bits(admittance_step(st, meas, evaluated, g3))
     assert g.resolved_us_mode() == "explicit"
     assert dataclasses.replace(g, us_mode="implicit-vector").resolved_us_mode() == "implicit-vector"
     assert np.array_equal(dataclasses.replace(g, k1=50.0)._k1m, 50.0 * np.eye(2))
@@ -368,3 +400,172 @@ def test_certificate_equals_corner_enumeration(rng):
             best = max(float(d @ (p - tau / g.box.limits)) for p in corners)
             assert abs(diag.lambda_vi_residual - best) <= 1e-12 * (1.0 + np.abs(d).sum())
         assert saturated >= 20
+
+
+def test_diagonal_solve_is_division_bitwise():
+    """Against a diagonal 1 x 1 or 2 x 2 matrix, np.linalg.solve returns b / d
+    bit for bit; the cached controller loop divides on this property."""
+    gen = np.random.default_rng(14)
+    for i in range(4000):
+        n = 1 + i % 2
+        d = gen.lognormal(0.0, 3.0, n) * gen.choice([-1.0, 1.0], n)
+        b = gen.normal(size=n) * 10.0 ** gen.integers(-6, 6, n)
+        A = np.diag(d)
+        x = np.linalg.solve(A, b)
+        assert (b / d).tobytes() == x.tobytes()
+        assert _solve(A, _diagonal(A), b).tobytes() == x.tobytes()
+        # an exact zero in b, of either sign, also gets the solve's bits
+        b[i % n] = (0.0, -0.0)[(i // 2) % 2]
+        assert _solve(A, _diagonal(A), b).tobytes() == np.linalg.solve(A, b).tobytes()
+
+
+def test_non_diagonal_matrices_keep_the_solve(monkeypatch):
+    assert np.array_equal(_diagonal(np.diag([2.0, -3.0])), [2.0, -3.0])
+    assert _diagonal(np.array([[1.0, 1e-300], [0.0, 2.0]])) is None
+    assert _diagonal(np.array([[1.0, 0.0], [-1e-300, 2.0]])) is None
+    assert _diagonal(np.diag([1.0, 0.0])) is None      # singular: the solve raises
+    assert _diagonal(np.eye(3)) is None                # division checked for n <= 2 only
+    solved = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solved.append(np.array(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    g = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
+                        msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
+                        h=1e-3, us_mode="explicit")
+    ng = NaiveGains(mx=np.array([[0.5, 0.1], [0.1, 0.4]]), bx=np.diag([1.0, 2.0]), kp=300.0,
+                    kd=31.0, box=BoxConstraint([3.0, 4.0]), h=1e-3)
+    mhat = np.array([[0.2, 0.05], [0.05, 0.3]])
+    full = ModelEstimate(lambda q: mhat, lambda q, qd: np.zeros((2, 2)), lambda q: np.zeros(2))
+    diagonal = ModelEstimate.constant((0.2, 0.3), (20.0, 5.0))
+    st = initial_state(np.zeros(2))
+    meas = Measurement(np.array([0.01, -0.02]), np.array([1.0, -2.0]), np.array([0.5, 0.5]))
+    admittance_step(st, meas, diagonal, g)
+    assert solved == []
+    admittance_step(st, meas, full, g)    # the inner-loop solve and the correction, against W
+    assert len(solved) == 2 and all(a[0, 1] != 0.0 for a in solved)
+    solved.clear()
+    baseline_naive_step(st, meas, diagonal, ng)    # the proxy solve, against mx + bx*h
+    assert len(solved) == 1 and np.array_equal(solved[0], ng._proxy_matrix)
+
+
+@pytest.mark.parametrize("n,us_mode,k1", [(1, "scalar-implicit", 30.0),
+                                          (2, "explicit", 30.0),
+                                          (2, "implicit-vector", 30.0),
+                                          (2, "implicit-vector", "structured"),
+                                          (2, "implicit-decoupled", "structured")])
+def test_cached_loop_matches_a_fresh_gains_object_bitwise(n, us_mode, k1):
+    """One gains object alternating between two constant estimates gives, at
+    every step, the bits of a fresh gains object and of the same matrices
+    evaluated every period."""
+    g = AdmittanceGains(mx=np.diag([0.5, 0.4][:n]), bx=np.diag([1.0, 2.0][:n]), lam=10.0, k1=k1,
+                        msta=MstaGains(k2=11.6, k3=66.0, gamma1=40.0),
+                        box=BoxConstraint([3.0, 4.0][:n]), h=1e-3, us_mode=us_mode)
+    estimates = (ModelEstimate.constant((0.2, 0.3)[:n], (20.0, 5.0)[:n]),
+                 ModelEstimate.constant((0.05,), (1.0,), dof=n))
+    gen = np.random.default_rng(15)
+    st = initial_state(np.zeros(n))
+    for k in range(60):
+        est = estimates[(k // 4) % 2]
+        meas = Measurement(gen.normal(size=n) * 0.02, gen.normal(size=n) * 5,
+                           gen.normal(size=n) * 2)
+        fresh = _step_bits(admittance_step(st, meas, est, dataclasses.replace(g)))
+        evaluated = ModelEstimate(est.mass_fn, est.coriolis_fn, est.gravity_fn)
+        assert _step_bits(admittance_step(st, meas, evaluated, g)) == fresh
+        out = admittance_step(st, meas, est, g)
+        assert _step_bits(out) == fresh
+        assert g._cached_loop[0] is est
+        st = out[1]
+
+
+def test_cached_loop_shared_between_threads():
+    """Threads stepping one gains object with different constant estimates
+    each get the bits of a fresh gains object: the cached pair is replaced
+    whole and checked by estimate identity, so a lost update only costs a
+    rebuild."""
+    g = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
+                        msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
+                        h=1e-3, us_mode="implicit-vector")
+    st = initial_state(np.zeros(2))
+    meas = Measurement(np.array([0.01, -0.02]), np.array([1.0, -2.0]), np.array([0.5, 0.5]))
+    estimates = [ModelEstimate.constant((m, 0.3), (20.0, 5.0)) for m in (0.05, 0.1, 0.2, 0.4)]
+    expected = [_step_bits(admittance_step(st, meas, est, dataclasses.replace(g)))
+                for est in estimates]
+    wrong = []
+
+    def work(k):
+        for _ in range(300):
+            if _step_bits(admittance_step(st, meas, estimates[k], g)) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(estimates))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_other_estimates_are_evaluated_every_period():
+    st = initial_state(np.zeros(1))
+    meas = Measurement([0.01], [-2.0], [1.0])
+    g = fig3_gains()
+
+    def step_with_mass(m):
+        return _step_bits(admittance_step(st, meas, estimate_1dof(m), fig3_gains()))
+
+    # callables that return the same array, changed in place, or a new array
+    M = np.array([[0.1]])
+    in_place = ModelEstimate(lambda q: M, lambda q, qd: np.zeros((1, 1)), lambda q: np.zeros(1))
+    cell = [0.1]
+    new_array = ModelEstimate(lambda q: np.array([[cell[0]]]), lambda q, qd: np.zeros((1, 1)),
+                              lambda q: np.zeros(1))
+    for est in (in_place, new_array):
+        M[0, 0] = cell[0] = 0.1
+        assert _step_bits(admittance_step(st, meas, est, g)) == step_with_mass(0.1)
+        M[0, 0] = cell[0] = 0.3
+        assert _step_bits(admittance_step(st, meas, est, g)) == step_with_mass(0.3)
+        assert step_with_mass(0.3) != step_with_mass(0.1)
+    # the exact two-link estimate follows the measured position
+    model = two_link_model()
+    exact = ModelEstimate(model.mass_fn, model.coriolis_fn, model.gravity_fn)
+    g2 = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
+                         msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
+                         h=1e-3, us_mode="implicit-vector")
+    st2 = initial_state(np.array([0.3, 0.9]))
+    q_a, q_b = np.array([0.3, 0.9]), np.array([0.35, 1.4])
+    fc, fd = np.array([1.0, -2.0]), np.array([0.5, 0.5])
+    admittance_step(st2, Measurement(q_a, fc, fd), exact, g2)
+    meas_b = Measurement(q_b, fc, fd)
+    at_b = _step_bits(admittance_step(st2, meas_b, exact, g2))
+    assert at_b == _step_bits(admittance_step(st2, meas_b, exact, dataclasses.replace(g2)))
+    stale = ModelEstimate(lambda q: model.mass_fn(q_a), model.coriolis_fn, model.gravity_fn)
+    assert at_b != _step_bits(admittance_step(st2, meas_b, stale, g2))
+
+
+def test_constant_estimate_is_read_only_and_checks_entry_counts():
+    est = ModelEstimate.constant((0.2,), (20.0,), dof=2)
+    q = np.zeros(2)
+    M, C, G = est.mass_fn(q), est.coriolis_fn(q, q), est.gravity_fn(q)
+    assert np.array_equal(M, np.diag([0.2, 0.2])) and np.array_equal(C, np.diag([20.0, 20.0]))
+    assert np.array_equal(G, np.zeros(2))
+    for arr in (M, C, G):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    assert np.array_equal(ModelEstimate.constant((0.2, 0.3)).coriolis_fn(q, q), np.zeros((2, 2)))
+    for args, kwargs, name in ((((0.1, 0.2, 0.3), (1.0,)), {"dof": 2}, "mass_diag"),
+                               (((0.1, 0.2), (1.0, 2.0, 3.0)), {}, "coriolis_diag"),
+                               (((0.1,), (1.0, 2.0)), {}, "coriolis_diag"),
+                               (((),), {}, "mass_diag"),
+                               (([[0.1, 0.2]],), {}, "mass_diag")):
+        with pytest.raises(ValueError, match=name):
+            ModelEstimate.constant(*args, **kwargs)

@@ -68,6 +68,7 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("override,field", [
     ("disturbance.kind=sine", "disturbance.kind"),
     ("controller.torque_limits=[3.0]", "controller.torque_limits_Nm"),
+    ("duration_s=0.0004", "duration_s"),
 ])
 def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field):
     code = main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
@@ -76,6 +77,14 @@ def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+def test_compare_too_short_duration_is_config_error(tmp_path, capsys):
+    code = main(["compare", "--scenario", "fig3_one_dof", "--out", str(tmp_path / "x"),
+                 "--set", "duration_s=0.0004"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duration_s" in err
 
 
 def test_scenario_file_with_unknown_key_is_config_error(tmp_path, capsys):

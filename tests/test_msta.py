@@ -203,6 +203,13 @@ def test_solver_reports_nonconvergence():
     A = np.array([[1.0, 0.9], [-0.9, 1.0]])
     with pytest.raises(SolverConvergenceError):
         solve_shat_vector(np.array([5.0, -3.0]), A, np.eye(2), g, h)
+    # an indefinite iteration matrix admits no relaxation parameter; only a
+    # solve outside the sliding band needs one
+    indefinite = np.diag([-1.0, 1.0])
+    inside = solve_shat_vector(np.array([1e-5, 0.0]), indefinite, np.eye(2), g, h)
+    assert inside.converged and np.array_equal(inside.shat, np.zeros(2))
+    with pytest.raises(SolverConvergenceError, match="relaxation"):
+        solve_shat_vector(np.array([5.0, -3.0]), indefinite, np.eye(2), g, h)
 
 
 def test_implicit_step_preserves_state_at_zero():

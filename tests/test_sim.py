@@ -228,6 +228,21 @@ def test_unsorted_fd_schedule_rejected():
     assert scenario_from_dict(d).fd_schedule == ((0.0, 0.0, -2.0), (1.0, 0.0, -3.0))
 
 
+@pytest.mark.parametrize("duration", [0.0004, 0.0005, 0.0, math.nan, math.inf])
+def test_duration_must_give_a_controller_step(duration):
+    d = scenario_to_dict(presets()["fig3_one_dof"])
+    d["duration_s"] = duration
+    with pytest.raises(ValueError, match="duration_s"):
+        scenario_from_dict(d)
+    # an override bypasses construction; the run checks again before stepping
+    sc = short(presets()["fig3_one_dof"])
+    sc.duration = duration
+    with pytest.raises(ScenarioError, match="duration_s"):
+        run_scenario(sc)
+    sc.duration = 0.0006
+    assert run_scenario(sc).t.size == 1
+
+
 def test_settle_time_is_python_float(fig3_run):
     assert type(fig3_run[2].settle_time) is float
 
