@@ -25,12 +25,11 @@ from .msta import (
     MstaState,
     SolverDiagnostics,
     _Iteration,
-    _iteration,
     _solve_inclusion,
     _u_from_selection,
     msta_explicit_step,
     msta_implicit_decoupled_step,
-    solve_shat_vector,
+    solve_shat_vector,  # noqa: F401  (perfbench traces it under this name)
     sta_scalar_implicit_step,
 )
 from .setvalued import (
@@ -105,12 +104,13 @@ def _diagonal(A: np.ndarray) -> np.ndarray | None:
 
 
 def _solve(A: np.ndarray, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(A, b)``, bitwise, where ``d = _diagonal(A)``.
+    """``np.linalg.solve(A, b)`` where ``d = _diagonal(A)``: ``b / d`` when d
+    is given, except for a 2 x 2 b holding an exact zero, which keeps the solve.
 
-    Against such a diagonal matrix LAPACK returns ``b / d`` bit for bit for
-    finite b, except that for 2 x 2 it may flip the sign of an exact zero
-    entry of b (it subtracts zero products); those b keep the solve.  The
-    reciprocal ``b * (1/d)`` is not bitwise equal.
+    Division agrees with the solve to roundoff.  With numpy 2.4 on OpenBLAS
+    (x86-64) it was measured equal bit for bit on random 1 x 1 and 2 x 2
+    systems, except that the 2 x 2 solve may flip the sign of a zero entry
+    of b; the reciprocal ``b * (1/d)`` differed in about a third of them.
     """
     if d is not None and (d.size == 1 or 0.0 not in b.tolist()):
         return b / d
@@ -318,8 +318,8 @@ class _Loop(NamedTuple):
 
     ``MhC`` is ``Mk + h*Ck``, ``Wd`` the diagonal of W when solves against W
     are divisions, ``beta`` the scalar-implicit iteration factor, and
-    ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A`` with its
-    classification and relaxation (folded in for a constant estimate only).
+    ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A``, which
+    keeps its relaxation parameter once a solve has chosen it.
     """
 
     Mk: np.ndarray
@@ -336,7 +336,7 @@ class _Loop(NamedTuple):
 
 
 def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
-                   g: AdmittanceGains, fold: bool = False) -> _Loop:
+                   g: AdmittanceGains) -> _Loop:
     h = g.h
     Mk = model.mass_fn(q)
     Ck = model.coriolis_fn(q, (q - state.q_prev) / h)
@@ -350,8 +350,8 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     MhC = Mk + Ck * h
     beta = _scalar_beta(g, Mk, Ck) if g._us_mode == "scalar-implicit" else None
     iteration = None
-    if fold and g._us_mode == "implicit-vector":
-        iteration = _iteration(np.linalg.solve(Mk, MhC + h * k1m), g.msta.mu)
+    if g._us_mode == "implicit-vector":
+        iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m), g.msta.mu)
     return _Loop(Mk, Ck, Gk, k1m, B, Bhat, W, MhC, _diagonal(W), beta, iteration)
 
 
@@ -364,7 +364,7 @@ def _loop_for(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
         return _evaluate_loop(model, q, state, g)
     cached, loop = g._cached_loop
     if cached is not model:
-        loop = _evaluate_loop(model, q, state, g, fold=True)
+        loop = _evaluate_loop(model, q, state, g)
         object.__setattr__(g, "_cached_loop", (model, loop))
     return loop
 
@@ -420,10 +420,7 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
     if mode == "implicit-decoupled":
         return msta_implicit_decoupled_step(s, ms, h, state.msta_state)
     # implicit-vector
-    if loop.iteration is not None:
-        diag = _solve_inclusion(s, loop.iteration, ms, h)
-    else:
-        diag = solve_shat_vector(s, loop.MhC + h * loop.k1m, loop.Mk, ms, h)
+    diag = _solve_inclusion(s, loop.iteration, ms, h)
     u_s, m_next = _u_from_selection(diag, state.msta_state, ms, h)
     return u_s, m_next, diag
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -208,7 +207,7 @@ def _choose_mu(G: np.ndarray | float, mu0: float) -> float:
         if positive:
             return mu
         mu *= 0.5
-    raise SolverConvergenceError(_NO_MU)
+    raise SolverConvergenceError("no relaxation parameter satisfies the positivity condition")
 
 
 def _gamma(x: np.ndarray, g: MstaGains, h: float) -> float:
@@ -226,43 +225,31 @@ def _fixed_point_residual(
     return _norm(x - t)
 
 
-_NO_MU = "no relaxation parameter satisfies the positivity condition"
+class _Iteration:
+    """The iteration matrix G of the inclusion, with what depends on G alone.
 
-
-class _Iteration(NamedTuple):
-    """The iteration matrix G of the inclusion and what depends on G alone.
-
-    ``scale`` is tr(G)/n when G is a positive multiple of I (the inclusion is
-    then radial and solved in closed form), else None.  ``mu`` is the
-    relaxation parameter of the fixed point, or None when none satisfies the
-    positivity condition (the error is raised only by a solve that needs mu),
-    and ``eye_minus`` is I - mu*G for the fixed point iteration.
+    ``prepared`` classifies G and chooses its relaxation parameter from mu0;
+    only a solve outside the sliding band needs it, and it is worked out
+    once per object.  It is ``(scale, mu, eye_minus)``: ``scale`` is
+    tr(G)/n when G is a positive multiple of I (the inclusion is then radial
+    and solved in closed form) and None otherwise, and ``eye_minus`` is
+    I - mu*G for the fixed point iteration (None in the radial case).
     """
 
-    G: np.ndarray
-    scale: float | None
-    mu: float | None
-    eye_minus: np.ndarray | None
+    def __init__(self, G: np.ndarray, mu0: float):
+        self.G = G
+        self.mu0 = mu0
 
-
-def _iteration(G: np.ndarray, mu0: float) -> _Iteration:
-    """Classify G and choose its relaxation parameter, once per matrix."""
-    n = G.shape[0]
-    tr = float(np.trace(G)) / n
-    off = G - tr * _eye(n)
-    scalar = float(np.abs(off).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0
-    try:
-        mu = _choose_mu(tr if scalar else G, mu0)
-    except SolverConvergenceError:
-        return _Iteration(G, tr if scalar else None, None, None)
-    if scalar:
-        return _Iteration(G, tr, mu, None)
-    return _Iteration(G, None, mu, _eye(n) - mu * G)
-
-
-@lru_cache(maxsize=64)
-def _scaled_identity_iteration(n: int, beta: float, mu0: float) -> _Iteration:
-    return _iteration(_read_only(beta * np.eye(n)), mu0)
+    @cached_property
+    def prepared(self) -> tuple[float | None, float, np.ndarray | None]:
+        G = self.G
+        n = G.shape[0]
+        tr = float(np.trace(G)) / n
+        off = G - tr * _eye(n)
+        if float(np.abs(off).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0:
+            return tr, _choose_mu(tr, self.mu0), None
+        mu = _choose_mu(G, self.mu0)
+        return None, mu, _eye(n) - mu * G
 
 
 def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: float
@@ -284,9 +271,8 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: floa
         # discrete sliding: shat = 0 exactly, selection taken inside the unit ball
         return SolverDiagnostics(1, 0.0, True, np.zeros(n), s / dead_band)
 
-    G, tr, mu = iteration.G, iteration.scale, iteration.mu
-    if mu is None:
-        raise SolverConvergenceError(_NO_MU)
+    G = iteration.G
+    tr, mu, eye_minus = iteration.prepared
     if tr is not None:
         # scalar iteration matrix: the inclusion is radial and solved exactly
         w = _radial_magnitude(ns, tr, g, h)
@@ -296,7 +282,6 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: floa
         res = _fixed_point_residual(shat, s, G, g, h, mu, _gamma(shat, g, h))
         return SolverDiagnostics(1, res, res <= tol, shat, m2)
 
-    eye_minus = iteration.eye_minus
     x = np.zeros(n)
     omega = 1.0
     best = math.inf
@@ -339,7 +324,7 @@ def solve_shat_vector(
     s = _vector(s)
     Ak = _matrix(Ak)
     Mk = _matrix(Mk)
-    return _solve_inclusion(s, _iteration(np.linalg.solve(Mk, Ak), g.mu), g, h)
+    return _solve_inclusion(s, _Iteration(np.linalg.solve(Mk, Ak), g.mu), g, h)
 
 
 def _u_from_selection(diag: SolverDiagnostics, state: MstaState, g: MstaGains, h: float):
@@ -389,8 +374,8 @@ def msta_implicit_decoupled_step(
     if h <= 0.0:
         raise ValueError("h must be positive")
     s = _vector(s)
-    it = _scaled_identity_iteration(s.size, 1.0 + h * g.gamma1, g.mu)
-    diag = _solve_inclusion(s, it, g, h)
+    beta = 1.0 + h * g.gamma1
+    diag = _solve_inclusion(s, _Iteration(beta * _eye(s.size), g.mu), g, h)
     u_s, state_next = _u_from_selection(diag, state, g, h)
     return u_s, state_next, diag
 

@@ -402,21 +402,29 @@ def test_certificate_equals_corner_enumeration(rng):
         assert saturated >= 20
 
 
-def test_diagonal_solve_is_division_bitwise():
-    """Against a diagonal 1 x 1 or 2 x 2 matrix, np.linalg.solve returns b / d
-    bit for bit; the cached controller loop divides on this property."""
+def test_diagonal_solve_is_division_bitwise(monkeypatch):
+    """Against a diagonal 1 x 1 or 2 x 2 matrix ``_solve`` is ``b / d`` bit for
+    bit and agrees with np.linalg.solve to roundoff; a 2 x 2 right-hand side
+    holding an exact zero goes to np.linalg.solve."""
     gen = np.random.default_rng(14)
     for i in range(4000):
         n = 1 + i % 2
         d = gen.lognormal(0.0, 3.0, n) * gen.choice([-1.0, 1.0], n)
         b = gen.normal(size=n) * 10.0 ** gen.integers(-6, 6, n)
         A = np.diag(d)
-        x = np.linalg.solve(A, b)
-        assert (b / d).tobytes() == x.tobytes()
-        assert _solve(A, _diagonal(A), b).tobytes() == x.tobytes()
-        # an exact zero in b, of either sign, also gets the solve's bits
-        b[i % n] = (0.0, -0.0)[(i // 2) % 2]
-        assert _solve(A, _diagonal(A), b).tobytes() == np.linalg.solve(A, b).tobytes()
+        x = _solve(A, _diagonal(A), b)
+        assert x.tobytes() == (b / d).tobytes()
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-15, atol=0.0)
+    solved = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(b) or real_solve(a, b))
+    for zero in (0.0, -0.0):
+        one = _solve(np.array([[4.0]]), np.array([4.0]), np.array([zero]))
+        assert one.tobytes() == np.array([zero / 4.0]).tobytes() and solved == []
+        A = np.diag([2.0, 4.0])
+        for b in (np.array([zero, 1.0]), np.array([3.0, zero])):
+            assert _solve(A, _diagonal(A), b).tobytes() == real_solve(A, b).tobytes()
+            assert solved.pop() is b
 
 
 def test_non_diagonal_matrices_keep_the_solve(monkeypatch):
@@ -550,6 +558,37 @@ def test_other_estimates_are_evaluated_every_period():
     assert at_b == _step_bits(admittance_step(st2, meas_b, exact, dataclasses.replace(g2)))
     stale = ModelEstimate(lambda q: model.mass_fn(q_a), model.coriolis_fn, model.gravity_fn)
     assert at_b != _step_bits(admittance_step(st2, meas_b, stale, g2))
+
+
+def test_constant_loop_chooses_its_relaxation_parameter_once(monkeypatch):
+    """The implicit-vector loop of a constant estimate chooses the relaxation
+    parameter on its first solve outside the sliding band and keeps it; an
+    estimate evaluated every period chooses it on every such period, and a
+    solve inside the band never does."""
+    g = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
+                        msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
+                        h=1e-3, us_mode="implicit-vector")
+    est = ModelEstimate.constant((0.2, 0.3), (20.0, 5.0))
+    evaluated = ModelEstimate(est.mass_fn, est.coriolis_fn, est.gravity_fn)
+    st = initial_state(np.zeros(2))
+    at_rest = Measurement(np.zeros(2), np.zeros(2), np.zeros(2))
+    moved = Measurement(np.array([0.01, -0.02]), np.array([1.0, -2.0]), np.array([0.5, 0.5]))
+    eigvals = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvals.append(1) or real_eigvalsh(a))
+    for model in (est, evaluated):
+        _, _, diag = admittance_step(st, at_rest, model, g)
+        assert np.array_equal(diag.solver.shat, np.zeros(2))
+    assert eigvals == []
+    admittance_step(st, moved, est, g)
+    once = len(eigvals)
+    assert once > 0
+    for _ in range(3):
+        admittance_step(st, moved, est, g)
+    assert len(eigvals) == once
+    admittance_step(st, moved, evaluated, g)
+    admittance_step(st, moved, evaluated, g)
+    assert len(eigvals) == 3 * once
 
 
 def test_constant_estimate_is_read_only_and_checks_entry_counts():

@@ -212,6 +212,25 @@ def test_solver_reports_nonconvergence():
         solve_shat_vector(np.array([5.0, -3.0]), indefinite, np.eye(2), g, h)
 
 
+def test_relaxation_parameter_is_chosen_only_outside_the_sliding_band(monkeypatch):
+    """A solve with ||s|| <= h^2*k3 returns shat = 0 before the iteration
+    matrix is classified or its relaxation parameter chosen."""
+    g = MstaGains(k2=5.0, k3=60.0)
+    h = 1e-3
+    A = np.array([[1.0, 0.2], [0.1, 1.5]])
+    M = np.array([[1.0, 0.1], [0.1, 2.0]])
+    inside = np.array([3e-5, -4e-5])    # norm 5e-5 <= h^2*k3 = 6e-5
+    eigvals = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvals.append(1) or real_eigvalsh(a))
+    assert np.array_equal(solve_shat_vector(inside, A, M, g, h).shat, np.zeros(2))
+    _, _, diag = msta_implicit_step(inside, M, np.diag([2.0, 3.0]), g, h, MstaState.zero(2))
+    assert np.array_equal(diag.shat, np.zeros(2))
+    assert eigvals == []
+    solve_shat_vector(np.array([5.0, -3.0]), A, M, g, h)
+    assert len(eigvals) > 0
+
+
 def test_implicit_step_preserves_state_at_zero():
     g = MstaGains(k2=2.0, k3=10.0, gamma1=3.0)
     v = np.array([0.3, -0.2])
