@@ -15,6 +15,7 @@ baseline; it integrates the same proxy but feeds nothing back into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Union
 
@@ -36,6 +37,7 @@ from .setvalued import (
     BoxConstraint,
     _all_finite,
     _read_only,
+    _require_finite,
     _vector,
     project_box,
     variational_residual,
@@ -85,6 +87,8 @@ class ModelEstimate:
         for name, x in (("mass_diag", m), ("coriolis_diag", c)):
             if n < 1 or x.ndim != 1 or x.size not in (1, n):
                 raise ValueError(f"{name} has {x.size} entries; it needs 1 or dof = {n}")
+            if not _all_finite(x):
+                raise ValueError(f"{name} must be finite, got {x.tolist()}")
         M = _read_only(np.diag(np.broadcast_to(m, n)))
         C = _read_only(np.diag(np.broadcast_to(c, n)))
         zero = _read_only(np.zeros(n))
@@ -117,7 +121,25 @@ def _solve(A: np.ndarray, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _set_proxy_matrix(gains, P: np.ndarray) -> None:
+def _set_proxy(gains) -> None:
+    """Check mx, bx and h of ``gains``, keep mx and bx as read-only copies,
+    and derive ``mx + bx*h`` and its diagonal for ``proxy_predict``."""
+    n = gains.box.dim
+    mx = np.atleast_2d(np.array(gains.mx, dtype=float))
+    bx = np.atleast_2d(np.array(gains.bx, dtype=float))
+    if mx.shape != (n, n) or bx.shape != (n, n):
+        raise ValueError("mx and bx must be n x n with n matching the torque box")
+    if not (_all_finite(mx) and _all_finite(bx)):
+        raise ValueError("mx and bx must be finite")
+    if float(np.linalg.eigvalsh(0.5 * (mx + mx.T)).min()) <= 0.0:
+        raise ValueError("proxy inertia mx must be symmetric positive definite")
+    if np.any(np.real(np.linalg.eigvals(bx @ np.linalg.inv(mx))) <= 0.0):
+        raise ValueError("proxy damping must stabilize the proxy (bx mx^-1 eigenvalues in the right half plane)")
+    if not 0.0 < gains.h < math.inf:
+        raise ValueError("h must be positive and finite")
+    P = mx + bx * gains.h
+    object.__setattr__(gains, "mx", _read_only(mx))
+    object.__setattr__(gains, "bx", _read_only(bx))
     object.__setattr__(gains, "_proxy_matrix", _read_only(P))
     object.__setattr__(gains, "_proxy_diag", _diagonal(P))
 
@@ -136,9 +158,10 @@ class AdmittanceGains:
     gains alone are derived once, in ``__post_init__``, as private attributes
     (not fields, so ``dataclasses.replace`` derives them afresh): the resolved
     inner-loop mode, ``mx + bx*h`` and its diagonal, and for a scalar k1 the
-    matrix ``k1*I``.  The gains also keep the loop of the last constant
-    estimate they stepped with, as one ``(estimate, loop)`` pair that a new
-    estimate replaces whole; it starts empty and is not pickled.
+    matrix ``k1*I``.  The "scalar-implicit" mode needs one joint.  The gains
+    also keep the loop of the last constant estimate they stepped with, as one
+    ``(estimate, loop)`` pair that a new estimate replaces whole; it starts
+    empty and is not pickled.
     """
 
     mx: np.ndarray
@@ -153,16 +176,7 @@ class AdmittanceGains:
 
     def __post_init__(self) -> None:
         n = self.box.dim
-        mx = np.atleast_2d(np.array(self.mx, dtype=float))
-        bx = np.atleast_2d(np.array(self.bx, dtype=float))
-        if mx.shape != (n, n) or bx.shape != (n, n):
-            raise ValueError("mx and bx must be n x n with n matching the torque box")
-        if float(np.linalg.eigvalsh(0.5 * (mx + mx.T)).min()) <= 0.0:
-            raise ValueError("proxy inertia mx must be symmetric positive definite")
-        if np.any(np.real(np.linalg.eigvals(bx @ np.linalg.inv(mx))) <= 0.0):
-            raise ValueError("proxy damping must stabilize the proxy (bx mx^-1 eigenvalues in the right half plane)")
-        if self.h <= 0.0:
-            raise ValueError("h must be positive")
+        _set_proxy(self)
         if not self.lam > 0.0 or self.lam >= 1.0 / self.h:
             raise ValueError("lam must satisfy 0 < lam < 1/h")
         if self.us_mode not in US_MODES:
@@ -172,25 +186,21 @@ class AdmittanceGains:
         k1m = None
         if not isinstance(self.k1, str):
             object.__setattr__(self, "k1", float(self.k1))
+            _require_finite(self, "k1")
             k1m = _read_only(self.k1 * np.eye(n))
         elif self.k1 != "structured":
             raise ValueError('k1 must be a scalar or "structured"')
         mode = self.us_mode
         if mode == "auto":
             mode = "scalar-implicit" if n == 1 else "explicit"
-        object.__setattr__(self, "mx", _read_only(mx))
-        object.__setattr__(self, "bx", _read_only(bx))
+        if mode == "scalar-implicit" and n != 1:
+            raise ValueError(f"us_mode 'scalar-implicit' needs one joint; the torque box has {n}")
         object.__setattr__(self, "_us_mode", mode)
-        _set_proxy_matrix(self, mx + bx * self.h)
         object.__setattr__(self, "_k1m", k1m)
         object.__setattr__(self, "_cached_loop", (None, None))
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_cached_loop": (None, None)}
-
-    @property
-    def dof(self) -> int:
-        return self.box.dim
 
     def resolved_us_mode(self) -> str:
         return self._us_mode
@@ -200,8 +210,8 @@ class AdmittanceGains:
 class NaiveGains:
     """Clamped proxy-PD baseline: same proxy, high-gain PD, hard clamp.
 
-    mx and bx are kept as read-only copies; ``mx + bx*h`` and its diagonal
-    are derived once.
+    mx, bx and h are checked as for ``AdmittanceGains`` and kept the same
+    way, with ``mx + bx*h`` and its diagonal derived once.
     """
 
     mx: np.ndarray
@@ -212,16 +222,8 @@ class NaiveGains:
     h: float
 
     def __post_init__(self) -> None:
-        n = self.box.dim
-        mx = _read_only(np.atleast_2d(np.array(self.mx, dtype=float)))
-        bx = _read_only(np.atleast_2d(np.array(self.bx, dtype=float)))
-        object.__setattr__(self, "mx", mx)
-        object.__setattr__(self, "bx", bx)
-        if mx.shape != (n, n) or bx.shape != (n, n):
-            raise ValueError("mx and bx must be n x n")
-        if self.h <= 0.0:
-            raise ValueError("h must be positive")
-        _set_proxy_matrix(self, mx + bx * self.h)
+        _set_proxy(self)
+        _require_finite(self, "kp", "kd")
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
     """Implicit proxy update ignoring the torque constraint.
 
     ux_star = (mx + bx*h)^{-1} (mx*qxd_prev + h*(fc + fd)),
-    qx_star = qx_prev + h*ux_star.
+    qx_star = qx_prev + h*ux_star.  ``g`` may also be ``NaiveGains``.
     """
     fc = _vector(fc)
     fd = _vector(fd)
@@ -412,8 +414,6 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
         u_s, m_next = msta_explicit_step(s, state.msta_state, ms, h)
         return u_s, m_next, None
     if mode == "scalar-implicit":
-        if g.dof != 1:
-            raise ValueError("scalar-implicit inner loop requires one degree of freedom")
         u, v_next, _, _ = sta_scalar_implicit_step(float(s[0]), ms, loop.beta, h,
                                                    float(state.msta_state.v[0]))
         return np.array([u]), MstaState(np.array([v_next])), None
@@ -474,8 +474,7 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     output is hard-clamped to the torque box.
     """
     h = ng.h
-    ux = _solve(ng._proxy_matrix, ng._proxy_diag, ng.mx @ state.qxd_prev + h * (meas.fc + meas.fd))
-    qx = state.qx_prev + h * ux
+    ux, qx = proxy_predict(state, meas.fc, meas.fd, ng)
     qe = qx - meas.q
     qed = (qe - state.qe_prev) / h
     tau_raw = ng.kp * qe + ng.kd * qed + model.gravity_fn(meas.q)

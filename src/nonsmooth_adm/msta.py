@@ -34,6 +34,7 @@ from .setvalued import (
     _matrix,
     _norm,
     _read_only,
+    _require_finite,
     _vector,
     prox_norm_quad,
     sat,
@@ -74,6 +75,7 @@ class MstaGains:
     fp_max_iter: int = 100
 
     def __post_init__(self) -> None:
+        _require_finite(self, "k2", "k3", "k4", "gamma1", "mu", "fp_tol")
         if self.k2 <= 0.0 or self.k3 <= 0.0:
             raise ValueError("k2 and k3 must be positive")
         if self.k4 < 0.0:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .setvalued import BoxConstraint, sign0
+from .setvalued import _require_finite, sign0
 
 __all__ = [
     "ManipulatorModel",
@@ -47,7 +47,7 @@ _LAYOUT = {1: (1, 2, 3, 5), 2: (3, 7, 9, 11)}
 
 @dataclass(frozen=True)
 class ManipulatorModel:
-    """Plant interface: one float dynamics kernel plus the torque box.
+    """Plant interface: one float dynamics kernel.
 
     ``terms`` is the only place a plant's dynamics live.  For one joint it
     maps floats (q, qd) to (m, c, g, ee_x, ee_y, jac_x, jac_y); for two joints
@@ -56,20 +56,17 @@ class ManipulatorModel:
     floats directly; the ``*_fn`` methods are array views of the same tuple.
     The Jacobian maps joint rates to the planar end-effector velocity
     (2 x dof).  ``input_gain`` scales the commanded torque before it enters
-    the dynamics (drive gain; 1 for the arms).
+    the dynamics (drive gain; 1 for the arms).  The plant integrates whatever
+    torque it is given: the torque box belongs to the controller.
     """
 
     dof: int
     terms: Callable[..., tuple]
-    torque_limits: BoxConstraint
     input_gain: float = 1.0
-    name: str = "plant"
 
     def __post_init__(self) -> None:
         if self.dof not in _LAYOUT:
             raise ValueError(f"dof must be 1 or 2, got {self.dof}")
-        if self.torque_limits.dim != self.dof:
-            raise ValueError(f"{self.torque_limits.dim} torque limits for {self.dof} joints")
 
     def _at(self, q: np.ndarray, qd: np.ndarray = (0.0, 0.0)) -> tuple:
         if self.dof == 1:
@@ -163,9 +160,7 @@ class EnvironmentModel:
     mu_fric: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("k_s", "y_s", "mu_fric"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"environment {name} must be finite, got {getattr(self, name)}")
+        _require_finite(self, "k_s", "y_s", "mu_fric")
         if self.k_s < 0.0 or self.mu_fric < 0.0:
             raise ValueError("stiffness and friction coefficient must be nonnegative")
 
@@ -189,7 +184,7 @@ class SimulationBlowUp(RuntimeError):
         self.t = t
 
 
-def one_dof_model(params: OneDofParams = OneDofParams(), torque_limit: float = 3.0) -> ManipulatorModel:
+def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
     p = params
     lc = p.com
     js = p.m1 * p.l1 * p.l1 / 3.0
@@ -202,11 +197,10 @@ def one_dof_model(params: OneDofParams = OneDofParams(), torque_limit: float = 3
         return (m, p.damping * c, p.m1 * p.g * lc * c,
                 p.l1 * c, p.l1 * s, -p.l1 * s, p.l1 * c)
 
-    return ManipulatorModel(1, terms, BoxConstraint([torque_limit]), name="one_dof")
+    return ManipulatorModel(1, terms)
 
 
-def two_link_model(params: TwoLinkParams = TwoLinkParams(),
-                   torque_limits: tuple[float, float] = (3.0, 4.0)) -> ManipulatorModel:
+def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
     p = params
     lc1, lc2 = p.l1 / 2.0, p.l2 / 2.0
     ic1 = p.J1 - p.m1 * lc1 * lc1      # inertia about the link's own COM
@@ -227,19 +221,17 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams(),
                 -p.l1 * s1 - p.l2 * s12, -p.l2 * s12,
                 p.l1 * c1 + p.l2 * c12, p.l2 * c12)
 
-    return ManipulatorModel(2, terms, BoxConstraint(list(torque_limits)), name="two_link")
+    return ManipulatorModel(2, terms)
 
 
-def linear_motor_model(params: LinearMotorParams = LinearMotorParams(),
-                       force_limit: float = 12.5) -> ManipulatorModel:
+def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> ManipulatorModel:
     p = params
     weight = p.mass * p.g
 
     def terms(q: float, qd: float) -> tuple:
         return p.mass, p.viscous, weight, 0.0, q, 0.0, 1.0
 
-    return ManipulatorModel(1, terms, BoxConstraint([force_limit]), input_gain=p.kappa,
-                            name="linear_motor")
+    return ManipulatorModel(1, terms, input_gain=p.kappa)
 
 
 def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
@@ -252,13 +244,13 @@ def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
     return fe
 
 
-def double_integrator_model(mass: float = 1.0, force_limit: float = 50.0) -> ManipulatorModel:
+def double_integrator_model(mass: float = 1.0) -> ManipulatorModel:
     """Frictionless unit stage used by the inner-loop benchmarks."""
 
     def terms(q: float, qd: float) -> tuple:
         return mass, 0.0, 0.0, 0.0, q, 0.0, 1.0
 
-    return ManipulatorModel(1, terms, BoxConstraint([force_limit]), name="double_integrator")
+    return ManipulatorModel(1, terms)
 
 
 def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],

@@ -48,6 +48,13 @@ def _all_finite(v: np.ndarray) -> bool:
     return all(map(math.isfinite, v.ravel().tolist()))
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of the attributes that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a contiguous float vector, bitwise equal to
     ``np.linalg.norm`` (which also takes the square root of ``x.dot(x)``)."""

@@ -157,13 +157,12 @@ class Scenario:
     duration: float = 5.0
     h: float = 1e-3
     dt_sub: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        """Check the timing and the force schedule; ``run_scenario`` repeats
+        """Check timing, force schedule and approach; ``run_scenario`` repeats
         this because overrides change fields after construction."""
         if not all(0.0 < x < math.inf for x in (self.duration, self.h, self.dt_sub)):
             raise ValueError("duration_s, h_s and dt_sub_s must be positive and finite")
@@ -176,31 +175,36 @@ class Scenario:
                              f"of h_s = {self.h} s")
         t_prev = -math.inf
         for i, entry in enumerate(self.fd_schedule):
-            if len(entry) != 3:
-                raise ValueError(f"fd_schedule_N entry {i} must be [t_s, fx_N, fy_N], got {entry!r}")
+            if len(entry) != 3 or not all(map(math.isfinite, entry)):
+                raise ValueError(f"fd_schedule_N entry {i} must be finite [t_s, fx_N, fy_N], "
+                                 f"got {entry!r}")
             if entry[0] < t_prev:
                 raise ValueError(f"fd_schedule_N must be sorted by time: entry {i} at "
                                  f"t = {entry[0]} s follows t = {t_prev} s")
             t_prev = entry[0]
+        if self.approach.mode not in ("none", "velocity"):
+            raise ValueError(f"approach.mode must be 'none' or 'velocity', got {self.approach.mode!r}")
+        for key, attr in _APPROACH_KEYS:
+            if attr != "mode" and not math.isfinite(getattr(self.approach, attr)):
+                raise ValueError(f"approach.{key} must be finite, got {getattr(self.approach, attr)}")
 
 
-_PLANT_DOF = {"one_dof": 1, "two_link": 2, "linear_motor": 1, "double_integrator": 1}
+# plant kind -> (model constructor, its parameter type or None)
+_PLANTS = {"one_dof": (one_dof_model, OneDofParams), "two_link": (two_link_model, TwoLinkParams),
+           "linear_motor": (linear_motor_model, LinearMotorParams),
+           "double_integrator": (double_integrator_model, None)}
 
 
 def build_model(sc: Scenario) -> ManipulatorModel:
-    if sc.plant not in _PLANT_DOF:
+    if sc.plant not in _PLANTS:
         raise ValueError(f"unknown plant kind: {sc.plant!r}")
-    lim = tuple(sc.controller.torque_limits)
-    if len(lim) != _PLANT_DOF[sc.plant]:
-        raise ValueError(f"controller.torque_limits_Nm has {len(lim)} entries; plant "
-                         f"{sc.plant!r} has {_PLANT_DOF[sc.plant]} joint(s)")
-    if sc.plant == "one_dof":
-        return one_dof_model(sc.plant_params or OneDofParams(), torque_limit=lim[0])
-    if sc.plant == "two_link":
-        return two_link_model(sc.plant_params or TwoLinkParams(), torque_limits=lim)
-    if sc.plant == "linear_motor":
-        return linear_motor_model(sc.plant_params or LinearMotorParams(), force_limit=lim[0])
-    return double_integrator_model(force_limit=lim[0])
+    make, params = _PLANTS[sc.plant]
+    model = make() if params is None or sc.plant_params is None else make(sc.plant_params)
+    n = len(sc.controller.torque_limits)
+    if n != model.dof:
+        raise ValueError(f"controller.torque_limits_Nm has {n} entries; plant "
+                         f"{sc.plant!r} has {model.dof} joint(s)")
+    return model
 
 
 def _build_disturbance(sc: Scenario, model: ManipulatorModel) -> Disturbance | None:
@@ -240,31 +244,26 @@ def _build_estimate(sc: Scenario, model: ManipulatorModel) -> ModelEstimate:
     if est.kind == "exact":
         return ModelEstimate(model.mass_fn, model.coriolis_fn, model.gravity_fn)
     if est.kind == "diag":
-        for key, values in (("mass_diag_kgm2", est.mass_diag),
-                            ("coriolis_diag_Nms", est.coriolis_diag)):
-            if len(values) not in (1, model.dof):
-                raise ValueError(f"estimate.{key} has {len(values)} entries; plant "
-                                 f"{sc.plant!r} has {model.dof} joint(s)")
-        return ModelEstimate.constant(est.mass_diag, est.coriolis_diag, dof=model.dof)
+        try:
+            return ModelEstimate.constant(est.mass_diag, est.coriolis_diag, dof=model.dof)
+        except ValueError as exc:
+            raise _section_error("estimate", exc) from exc
     raise ValueError(f"unknown estimate.kind: {est.kind!r}")
 
 
 def _build_gains(sc: Scenario) -> AdmittanceGains:
     c = sc.controller
-    try:
-        box = BoxConstraint(list(c.torque_limits))
-        msta = MstaGains(k2=c.k2, k3=c.k3, k4=c.k4, gamma1=c.gamma1, mu=c.mu,
-                         fp_tol=c.fp_tol, fp_max_iter=c.fp_max_iter)
-        return AdmittanceGains(mx=np.diag(c.mx), bx=np.diag(c.bx), lam=c.lam, k1=c.k1,
-                               msta=msta, box=box, h=sc.h, us_mode=c.us_mode,
-                               us_coupling=c.us_coupling)
-    except ValueError as exc:
-        raise _controller_error(exc) from exc
+    msta = MstaGains(k2=c.k2, k3=c.k3, k4=c.k4, gamma1=c.gamma1, mu=c.mu,
+                     fp_tol=c.fp_tol, fp_max_iter=c.fp_max_iter)
+    return AdmittanceGains(mx=np.diag(c.mx), bx=np.diag(c.bx), lam=c.lam, k1=c.k1, msta=msta,
+                           box=BoxConstraint(list(c.torque_limits)), h=sc.h,
+                           us_mode=c.us_mode, us_coupling=c.us_coupling)
 
 
-def _controller_error(exc: ValueError) -> ValueError:
-    """A gains error restated with the scenario file's names of the fields."""
-    names = {attr: f"controller.{key}" for key, attr in _CONTROLLER_KEYS}
+def _section_error(section: str, exc: ValueError) -> ValueError:
+    """An error from building one scenario section, restated with the
+    scenario file's dotted names of that section's fields."""
+    names = {attr: f"{section}.{key}" for key, attr in _SECTION_KEYS[section][1]}
     return ValueError(re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc)))
 
 
@@ -275,11 +274,8 @@ def _build_naive_gains(sc: Scenario) -> NaiveGains:
     k1 = float(c.k1) if not isinstance(c.k1, str) else c.gamma1 * mbar - cbar
     kp = c.kp if c.kp is not None else (k1 + cbar) * c.lam
     kd = c.kd if c.kd is not None else k1 + mbar * c.lam
-    try:
-        return NaiveGains(mx=np.diag(c.mx), bx=np.diag(c.bx), kp=kp, kd=kd,
-                          box=BoxConstraint(list(c.torque_limits)), h=sc.h)
-    except ValueError as exc:
-        raise _controller_error(exc) from exc
+    return NaiveGains(mx=np.diag(c.mx), bx=np.diag(c.bx), kp=kp, kd=kd,
+                      box=BoxConstraint(list(c.torque_limits)), h=sc.h)
 
 
 def _fd_lookup(schedule, t: float) -> tuple[float, float]:
@@ -421,7 +417,10 @@ def run_scenario(sc: Scenario) -> Trace:
         proposed = sc.controller.kind == "proposed"
         if sc.controller.kind not in ("proposed", "naive"):
             raise ValueError(f"unknown controller.kind: {sc.controller.kind!r}")
-        gains = _build_gains(sc) if proposed else _build_naive_gains(sc)
+        try:
+            gains = _build_gains(sc) if proposed else _build_naive_gains(sc)
+        except ValueError as exc:
+            raise _section_error("controller", exc) from exc
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     env = sc.env
@@ -750,7 +749,7 @@ _APPROACH_KEYS = (("mode", "mode"), ("v_ref_m_per_s", "v_ref"), ("kv_N_s_per_m",
 _DISTURBANCE_KEYS = tuple((f.name, f.name) for f in fields(DisturbanceSpec))
 _HEAD_KEYS = (("name", "name"), ("plant", "plant"))
 _TAIL_KEYS = (("q0_rad", "q0"), ("qd0_rad_per_s", "qd0"), ("duration_s", "duration"),
-              ("h_s", "h"), ("dt_sub_s", "dt_sub"), ("seed", "seed"))
+              ("h_s", "h"), ("dt_sub_s", "dt_sub"))
 _TOP_KEYS = _HEAD_KEYS + _TAIL_KEYS
 _SECTION_KEYS = {"env": (EnvironmentModel, _ENV_KEYS),
                  "disturbance": (DisturbanceSpec, _DISTURBANCE_KEYS),
@@ -762,9 +761,6 @@ _SECTIONS = ("plant_params", "fd_schedule_N", *_SECTION_KEYS)
 _JSON_PATHS = {"fd_schedule_N": "fd_schedule", **dict(_TOP_KEYS),
                **{f"{section}.{key}": f"{section}.{attr}"
                   for section, (_, keys) in _SECTION_KEYS.items() for key, attr in keys}}
-
-_PLANT_PARAM_TYPES = {"one_dof": OneDofParams, "two_link": TwoLinkParams,
-                      "linear_motor": LinearMotorParams}
 
 
 def _section_to_dict(obj, keys) -> dict:
@@ -782,7 +778,8 @@ def _section_from_dict(d, keys, where: str) -> dict:
     attrs = dict(keys)
     for key in d:
         if key not in attrs:
-            raise ValueError(f"unknown scenario key {where + '.' + key!r}")
+            dotted = f"{where}.{key}" if where else key
+            raise ValueError(f"unknown scenario key {dotted!r}")
     return {attrs[k]: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 
 
@@ -805,24 +802,24 @@ def scenario_from_dict(d: dict) -> Scenario:
     unknown key at any level is rejected with its dotted name."""
     if not isinstance(d, dict):
         raise ValueError("a scenario must be a JSON object")
-    known = {key for key, _ in _TOP_KEYS} | set(_SECTIONS)
-    for key in d:
-        if key not in known:
-            raise ValueError(f"unknown scenario key {key!r}")
-    if "plant" not in d:
-        raise ValueError("scenario key 'plant' is required")
     kwargs = _section_from_dict({k: v for k, v in d.items() if k not in _SECTIONS},
                                 _TOP_KEYS, "")
+    if "plant" not in d:
+        raise ValueError("scenario key 'plant' is required")
     kwargs.setdefault("name", "scenario")
     if d.get("plant_params") is not None:
-        cls = _PLANT_PARAM_TYPES.get(d["plant"])
+        cls = _PLANTS.get(d["plant"], (None, None))[1]
         if cls is None:
             raise ValueError(f"plant_params: plant {d['plant']!r} takes no parameters")
         keys = tuple((f.name, f.name) for f in fields(cls))
         kwargs["plant_params"] = cls(**_section_from_dict(d["plant_params"], keys,
                                                           "plant_params"))
     for key, (cls, keys) in _SECTION_KEYS.items():
-        kwargs[key] = cls(**_section_from_dict(d.get(key, {}), keys, key))
+        attrs = _section_from_dict(d.get(key, {}), keys, key)
+        try:
+            kwargs[key] = cls(**attrs)
+        except ValueError as exc:
+            raise _section_error(key, exc) from exc
     if "fd_schedule_N" in d:
         kwargs["fd_schedule"] = tuple(tuple(e) for e in d["fd_schedule_N"])
     return Scenario(**kwargs)

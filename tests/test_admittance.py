@@ -344,13 +344,10 @@ def test_gains_constants_are_private_read_only_copies():
 
 
 def test_scalar_mode_requires_one_joint():
-    g = AdmittanceGains(mx=np.diag([0.5, 0.5]), bx=np.diag([1.0, 1.0]), lam=10.0, k1=30.0,
+    with pytest.raises(ValueError, match="us_mode"):
+        AdmittanceGains(mx=np.diag([0.5, 0.5]), bx=np.diag([1.0, 1.0]), lam=10.0, k1=30.0,
                         msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
                         h=1e-3, us_mode="scalar-implicit")
-    st = initial_state(np.zeros(2))
-    with pytest.raises(ValueError):
-        admittance_step(st, Measurement(np.zeros(2), np.zeros(2), np.zeros(2)),
-                        ModelEstimate.constant((0.2, 0.2)), g)
 
 
 def test_naive_baseline_step():

@@ -69,10 +69,23 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("disturbance.kind=sine", "disturbance.kind"),
     ("controller.torque_limits=[3.0]", "controller.torque_limits_Nm"),
     ("duration_s=0.0004", "duration_s"),
+    ("controller.us_mode=scalar-implicit", "controller.us_mode"),
+    ("estimate.mass_diag_kgm2=[0.2,0.2,0.2]", "estimate.mass_diag_kgm2"),
+    ("estimate.mass_diag_kgm2=[NaN]", "estimate.mass_diag_kgm2"),
+    ("controller.k2=NaN", "controller.k2"),
+    ("controller.k1=NaN", "controller.k1"),
+    ("controller.kind=naive controller.kp=NaN", "controller.kp"),
+    ("controller.kind=naive controller.mx_diag=[-0.5,0.5]", "controller.mx_diag"),
+    ("controller.kind=naive controller.bx_diag=[-1.0,1.0]", "controller.bx_diag"),
+    ("approach.mode=bogus", "approach.mode"),
+    ("approach.v_ref_m_per_s=NaN", "approach.v_ref_m_per_s"),
+    ("fd_schedule_N=[[0.0,0.0,NaN]]", "fd_schedule_N"),
 ])
 def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field):
+    """``override`` holds one or more space-separated ``--set`` values."""
+    sets = [arg for value in override.split() for arg in ("--set", value)]
     code = main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
-                 "--set", "duration_s=0.1", "--set", override])
+                 "--set", "duration_s=0.1", *sets])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from nonsmooth_adm.setvalued import BoxConstraint
 from nonsmooth_adm.plant import (
     EnvironmentModel,
     LinearMotorParams,
@@ -169,9 +168,7 @@ def test_substep_matches_reference_loop(rng):
 def test_model_rejects_unsupported_shapes():
     terms = one_dof_model().terms
     with pytest.raises(ValueError, match="dof"):
-        ManipulatorModel(3, terms, BoxConstraint([1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match="torque limits"):
-        ManipulatorModel(1, terms, BoxConstraint([1.0, 1.0]))
+        ManipulatorModel(3, terms)
 
 
 def test_two_link_rejects_disturbance():

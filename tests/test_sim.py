@@ -2,7 +2,9 @@ import copy
 import json
 import math
 import os
+import random
 import re
+import string
 from dataclasses import fields
 
 import numpy as np
@@ -201,7 +203,55 @@ def test_scenario_round_trip_every_preset():
         assert back == sc, sc.name
 
 
-@pytest.mark.parametrize("section,key", [(None, "bogus"), ("env", "ks"),
+def _random_scenario_dict(rng: random.Random, sc) -> dict:
+    """``scenario_to_dict(sc)`` with a random value under every key but
+    ``plant``, inside what ``Scenario`` validates: positive floats (also for
+    an optional number that is None), ints, lists of the same length, fresh
+    strings; timing, force schedule and approach mode drawn valid."""
+    def value(v):
+        if isinstance(v, dict):
+            return {k: value(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [value(x) for x in v]
+        if isinstance(v, str):
+            return "".join(rng.choice(string.ascii_lowercase + "_-")
+                           for _ in range(rng.randint(1, 12)))
+        if isinstance(v, int):
+            return rng.randint(1, 10**6)
+        return math.ldexp(rng.random(), rng.randint(-20, 20))
+
+    d = scenario_to_dict(sc)
+    out = {key: x if key == "plant" or x is None else value(x) for key, x in d.items()}
+    out["qd0_rad_per_s"] = value(d["q0_rad"])
+    out["dt_sub_s"] = 10 ** rng.uniform(-6, -4)
+    out["h_s"] = out["dt_sub_s"] * rng.randint(1, 400)
+    out["duration_s"] = out["h_s"] * rng.uniform(1.0, 1e4)
+    out["fd_schedule_N"] = sorted(value([0.0] * 3) for _ in range(rng.randint(1, 4)))
+    out["approach"]["mode"] = rng.choice(("none", "velocity"))
+    if rng.random() < 0.5:
+        out["controller"]["k1"] = "structured"
+    return out
+
+
+def test_scenario_round_trip_randomized():
+    rng = random.Random(20240817)
+    scenarios = list(presets().values()) + [naive_variant(s) for s in presets().values()]
+    for _ in range(20):
+        for sc in scenarios:
+            d = _random_scenario_dict(rng, sc)
+            back = scenario_from_dict(json.loads(json.dumps(d)))
+            assert scenario_to_dict(back) == d, sc.name
+            assert scenario_from_dict(scenario_to_dict(back)) == back, sc.name
+
+
+def test_scenario_from_dict_names_the_json_key_of_a_bad_value():
+    d = scenario_to_dict(presets()["fig3_one_dof"])
+    d["env"]["ks_N_per_m"] = math.nan
+    with pytest.raises(ValueError, match=r"env\.ks_N_per_m must be finite"):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("section,key", [(None, "bogus"), (None, "seed"), ("env", "ks"),
                                          ("disturbance", "amp"),
                                          ("controller", "torque_limit_Nm"),
                                          ("estimate", "mass_diag"), ("approach", "vref"),

@@ -1,0 +1,69 @@
+"""Fingerprint the ten standard closed-loop runs, for bitwise comparison.
+
+    python3 tools/trace_digest.py > digest.json
+
+Runs the four presets with the proposed controller and with the naive
+baseline, plus fig5 with the ``implicit-vector`` and ``implicit-decoupled``
+inner loops, and prints sorted JSON: per run, one SHA-256 per ``Trace``
+channel (dtype, shape and bytes), one of the written CSV, and the ``repr`` of
+every ``Metrics`` field.  The package is imported from the ``src`` directory
+next to this script, so two checkouts compare with ``cmp`` of their outputs.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nonsmooth_adm.sim import (  # noqa: E402
+    compute_metrics,
+    naive_variant,
+    presets,
+    run_scenario,
+    trace_to_csv,
+)
+
+
+def standard_runs() -> dict:
+    runs = {}
+    for sc in presets().values():
+        runs[sc.name] = sc
+        runs[sc.name + "_naive"] = naive_variant(sc)
+    for mode in ("implicit-vector", "implicit-decoupled"):
+        sc = copy.deepcopy(presets()["fig5_two_dof"])
+        sc.controller.us_mode = mode
+        runs[f"fig5_two_dof:{mode}"] = sc
+    return runs
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(sc) -> dict:
+    trace = run_scenario(sc)
+    channels = {}
+    for f in dataclasses.fields(trace):
+        a = getattr(trace, f.name)
+        channels[f.name] = _sha(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    metrics = compute_metrics(trace, sc)
+    return {
+        "channels": channels,
+        "csv": _sha(trace_to_csv(trace).encode()),
+        "metrics": {f.name: repr(getattr(metrics, f.name)) for f in dataclasses.fields(metrics)},
+    }
+
+
+def main() -> None:
+    out = {name: digest(sc) for name, sc in standard_runs().items()}
+    print(json.dumps(out, sort_keys=True, indent=1))
+
+
+if __name__ == "__main__":
+    main()
