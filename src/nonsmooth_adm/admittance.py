@@ -38,6 +38,7 @@ from .setvalued import (
     _all_finite,
     _read_only,
     _require_finite,
+    _unchecked,
     _vector,
     project_box,
     variational_residual,
@@ -416,7 +417,7 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
     if mode == "scalar-implicit":
         u, v_next, _, _ = sta_scalar_implicit_step(float(s[0]), ms, loop.beta, h,
                                                    float(state.msta_state.v[0]))
-        return np.array([u]), MstaState(np.array([v_next])), None
+        return np.array([u]), _unchecked(MstaState, v=np.array([v_next])), None
     if mode == "implicit-decoupled":
         return msta_implicit_decoupled_step(s, ms, h, state.msta_state)
     # implicit-vector
@@ -459,7 +460,8 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     saturated = np.abs(tau_star) > g.box.limits
     vi_residual = variational_residual(tau_star, tau, g.box, _worst_probe(tau_star, tau))
 
-    next_state = AdmittanceState(qx, qxd, ux_star, meas.q.copy(), qe, msta_next)
+    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
+                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
     diag = StepDiagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated,
                            vi_residual, solver_diag)
     return tau, next_state, diag
@@ -482,7 +484,8 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     saturated = np.abs(tau_raw) > ng.box.limits
     vi_residual = variational_residual(tau_raw, tau, ng.box, _worst_probe(tau_raw, tau))
     zero = np.zeros_like(qe)
-    next_state = AdmittanceState(qx, ux, ux, meas.q.copy(), qe, state.msta_state)
+    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,
+                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=state.msta_state)
     diag = StepDiagnostics(tau_raw, tau, qx, meas.q.copy(), zero, qe, zero, saturated,
                            vi_residual, None)
     return tau, next_state, diag

@@ -35,6 +35,7 @@ from .setvalued import (
     _norm,
     _read_only,
     _require_finite,
+    _unchecked,
     _vector,
     prox_norm_quad,
     sat,
@@ -101,7 +102,7 @@ class MstaState:
     def __post_init__(self) -> None:
         v = _vector(self.v)
         if not _all_finite(v):
-            raise ValueError("integrator state must be finite")
+            raise ValueError("integrator state v must be finite")
         object.__setattr__(self, "v", v)
 
     @staticmethod
@@ -142,7 +143,7 @@ def msta_explicit_step(
     else:
         u_s = state.v.copy()
         v_next = state.v.copy()
-    return u_s, MstaState(v_next)
+    return u_s, _unchecked(MstaState, v=v_next)
 
 
 def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
@@ -333,7 +334,7 @@ def _u_from_selection(diag: SolverDiagnostics, state: MstaState, g: MstaGains, h
     gam = _gamma(diag.shat, g, h)
     v_next = state.v + h * g.k3 * diag.m2
     u_s = gam * diag.m2 + v_next
-    return u_s, MstaState(v_next)
+    return u_s, _unchecked(MstaState, v=v_next)
 
 
 def msta_implicit_step(

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .setvalued import _require_finite, sign0
+from .setvalued import _require_finite, _unchecked, sign0
 
 __all__ = [
     "ManipulatorModel",
@@ -94,8 +94,13 @@ class ManipulatorModel:
         return t[e], t[e + 1]
 
     def jacobian_fn(self, q: np.ndarray) -> np.ndarray:
-        j = _LAYOUT[self.dof][3]
-        return np.array(self._at(q)[j:]).reshape(2, self.dof)
+        return self._pose_jacobian(q)[1]
+
+    def _pose_jacobian(self, q: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
+        """``(ee_pose_fn(q), jacobian_fn(q))`` from one kernel call."""
+        e, j = _LAYOUT[self.dof][2:]
+        t = self._at(q)
+        return (t[e], t[e + 1]), np.array(t[j:]).reshape(2, self.dof)
 
 
 @dataclass(frozen=True)
@@ -188,14 +193,18 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
     p = params
     lc = p.com
     js = p.m1 * p.l1 * p.l1 / 3.0
+    # the parameter-only parts of each entry, folded in their evaluation order
+    # so that every entry keeps its bits
+    sin, cos = math.sin, math.cos
+    m0, ripple, damping = js + p.m1 * lc * lc, p.mass_ripple, p.damping
+    mgl, l1, nl1 = p.m1 * p.g * lc, p.l1, -p.l1
 
     def terms(q: float, qd: float) -> tuple:
-        s, c = math.sin(q), math.cos(q)
-        m = js + p.m1 * lc * lc + p.mass_ripple * s
+        s, c = sin(q), cos(q)
+        m = m0 + ripple * s
         if m <= 0.0:
             raise ValueError(f"inertia lost positivity at q = {q:.4f}")
-        return (m, p.damping * c, p.m1 * p.g * lc * c,
-                p.l1 * c, p.l1 * s, -p.l1 * s, p.l1 * c)
+        return m, damping * c, mgl * c, l1 * c, l1 * s, nl1 * s, l1 * c
 
     return ManipulatorModel(1, terms)
 
@@ -205,41 +214,49 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
     lc1, lc2 = p.l1 / 2.0, p.l2 / 2.0
     ic1 = p.J1 - p.m1 * lc1 * lc1      # inertia about the link's own COM
     ic2 = p.J2 - p.m2 * lc2 * lc2
+    # the parameter-only parts of each entry, folded in their evaluation order
+    # so that every entry keeps its bits:
+    #   m11 = m1 lc1^2 + ic1 + ic2 + m2 (l1^2 + lc2^2 + 2 l1 lc2 cos q2)
+    #   m12 = m2 (lc2^2 + l1 lc2 cos q2) + ic2,   m22 = m2 lc2^2 + ic2
+    sin, cos = math.sin, math.cos
+    m2, l1, l2, nl1, nl2 = p.m2, p.l1, p.l2, -p.l1, -p.l2
+    a11, b11, d11 = p.m1 * lc1 * lc1 + ic1 + ic2, p.l1 * p.l1 + lc2 * lc2, 2.0 * p.l1 * lc2
+    b12, d12 = lc2 * lc2, p.l1 * lc2
+    m22 = p.m2 * lc2 * lc2 + ic2
+    hk = -p.m2 * p.l1 * lc2
 
     def terms(q1: float, q2: float, qd1: float, qd2: float) -> tuple:
-        s1, c1 = math.sin(q1), math.cos(q1)
-        s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
-        c2, s2 = math.cos(q2), math.sin(q2)
-        m11 = p.m1 * lc1 * lc1 + ic1 + ic2 + p.m2 * (p.l1 * p.l1 + lc2 * lc2 + 2.0 * p.l1 * lc2 * c2)
-        m12 = p.m2 * (lc2 * lc2 + p.l1 * lc2 * c2) + ic2
-        m22 = p.m2 * lc2 * lc2 + ic2
+        s1, c1 = sin(q1), cos(q1)
+        s12, c12 = sin(q1 + q2), cos(q1 + q2)
+        c2 = cos(q2)
         # Christoffel form, so dM/dt - 2C stays skew-symmetric; horizontal-plane
         # arm, so gravity acts along the joint axes and drops out
-        hh = -p.m2 * p.l1 * lc2 * s2
-        return (m11, m12, m22, hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
-                p.l1 * c1 + p.l2 * c12, p.l1 * s1 + p.l2 * s12,
-                -p.l1 * s1 - p.l2 * s12, -p.l2 * s12,
-                p.l1 * c1 + p.l2 * c12, p.l2 * c12)
+        hh = hk * sin(q2)
+        ex = l1 * c1 + l2 * c12
+        return (a11 + m2 * (b11 + d11 * c2), m2 * (b12 + d12 * c2) + ic2, m22,
+                hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
+                ex, l1 * s1 + l2 * s12, nl1 * s1 - l2 * s12, nl2 * s12, ex, l2 * c12)
 
     return ManipulatorModel(2, terms)
 
 
 def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> ManipulatorModel:
     p = params
-    weight = p.mass * p.g
+    mass, viscous, weight = p.mass, p.viscous, p.mass * p.g
 
     def terms(q: float, qd: float) -> tuple:
-        return p.mass, p.viscous, weight, 0.0, q, 0.0, 1.0
+        return mass, viscous, weight, 0.0, q, 0.0, 1.0
 
     return ManipulatorModel(1, terms, input_gain=p.kappa)
 
 
 def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
     """Rail friction and cogging stand-in: Coulomb level plus viscous term."""
-    p = params
+    coulomb, viscous = params.friction_coulomb, params.friction_viscous
 
     def fe(t: float, q: float, qd: float) -> float:
-        return -(p.friction_coulomb * sign0(qd) + p.friction_viscous * qd)
+        # sign0(qd) inline: this runs every substep
+        return -(coulomb * (1.0 if qd > 0.0 else -1.0 if qd < 0.0 else 0.0) + viscous * qd)
 
     return fe
 
@@ -290,37 +307,38 @@ def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float
                       env: EnvironmentModel, disturbance: Disturbance | None,
                       t: float, dt: float, n_sub: int) -> tuple[float, float]:
     terms = model.terms
-    ks, ys, mu = env.k_s, env.y_s, env.mu_fric
-    gain = model.input_gain
+    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
+    gt = model.input_gain * tau
     q, qd = q0, qd0
     for _ in range(n_sub):
         m, c, g, _, ey, jx, jy = terms(q, qd)
         fc = 0.0
         fy = ks * (ys - ey)
         if fy > 0.0:
-            fx = -mu * fy * sign0(jx * qd)
+            v = jx * qd   # Coulomb friction: -mu * fy * sign0(v)
+            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
             fc = jx * fx + jy * fy
         fe = disturbance(t, q, qd) if disturbance is not None else 0.0
-        qd += dt * (gain * tau + fc + fe - c * qd - g) / m
+        qd += dt * (gt + fc + fe - c * qd - g) / m
         q += dt * qd
         t += dt
     return q, qd
 
 
-def _integrate_planar2(model: ManipulatorModel, state: PlantState, tau: tuple,
-                       env: EnvironmentModel, dt: float, n_sub: int) -> tuple:
+def _integrate_planar2(model: ManipulatorModel, q1: float, q2: float, qd1: float, qd2: float,
+                       tau1: float, tau2: float, env: EnvironmentModel, dt: float,
+                       n_sub: int) -> tuple:
     terms = model.terms
-    ks, ys, mu = env.k_s, env.y_s, env.mu_fric
-    g1t, g2t = model.input_gain * tau[0], model.input_gain * tau[1]
-    q1, q2 = float(state.q[0]), float(state.q[1])
-    qd1, qd2 = float(state.qd[0]), float(state.qd[1])
+    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
+    g1t, g2t = model.input_gain * tau1, model.input_gain * tau2
     for _ in range(n_sub):
         (m11, m12, m22, c11, c12, c21, c22, g1, g2,
          ex, ey, j11, j12, j21, j22) = terms(q1, q2, qd1, qd2)
         fc1 = fc2 = 0.0
         fy = ks * (ys - ey)
         if fy > 0.0:
-            fx = -mu * fy * sign0(j11 * qd1 + j12 * qd2)
+            v = j11 * qd1 + j12 * qd2   # Coulomb friction: -mu * fy * sign0(v)
+            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
             fc1 = j11 * fx + j21 * fy
             fc2 = j12 * fx + j22 * fy
         r1 = g1t + fc1 - c11 * qd1 - c12 * qd2 - g1
@@ -347,12 +365,14 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
                                     float(tau_held[0]), env, disturbance, t, dt_sub, n_sub)
         if not (math.isfinite(q1) and math.isfinite(qd1)):
             raise SimulationBlowUp(step=-1, t=t)
-        return PlantState(np.array([q1]), np.array([qd1]))
+        return _unchecked(PlantState, q=np.array([q1]), qd=np.array([qd1]))
 
     if disturbance is not None:
         raise ValueError("disturbance forces act on one-joint plants only")
-    out = _integrate_planar2(model, state, (float(tau_held[0]), float(tau_held[1])),
-                             env, dt_sub, n_sub)
-    if not all(math.isfinite(v) for v in out):
+    q1, q2, qd1, qd2 = _integrate_planar2(
+        model, float(state.q[0]), float(state.q[1]), float(state.qd[0]), float(state.qd[1]),
+        float(tau_held[0]), float(tau_held[1]), env, dt_sub, n_sub)
+    if not (math.isfinite(q1) and math.isfinite(q2) and math.isfinite(qd1)
+            and math.isfinite(qd2)):
         raise SimulationBlowUp(step=-1, t=t)
-    return PlantState(np.array(out[:2]), np.array(out[2:]))
+    return _unchecked(PlantState, q=np.array([q1, q2]), qd=np.array([qd1, qd2]))

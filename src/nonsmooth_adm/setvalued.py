@@ -61,6 +61,18 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _unchecked(cls, **values):
+    """``cls(**values)`` for a dataclass, without ``__post_init__``.
+
+    For the states and measurements a step builds from float vectors it has
+    computed from checked inputs: the public constructor would convert and
+    finite-check them again.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.setflags(write=False)
     return x

@@ -49,7 +49,7 @@ from .plant import (
     one_dof_model,
     two_link_model,
 )
-from .setvalued import BoxConstraint
+from .setvalued import BoxConstraint, _require_finite, _unchecked
 
 __all__ = [
     "ScenarioError",
@@ -162,8 +162,9 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        """Check timing, force schedule and approach; ``run_scenario`` repeats
-        this because overrides change fields after construction."""
+        """Check timing, force schedule, approach and disturbance values;
+        ``run_scenario`` repeats this because overrides change fields after
+        construction."""
         if not all(0.0 < x < math.inf for x in (self.duration, self.h, self.dt_sub)):
             raise ValueError("duration_s, h_s and dt_sub_s must be positive and finite")
         ratio = self.h / self.dt_sub
@@ -184,9 +185,11 @@ class Scenario:
             t_prev = entry[0]
         if self.approach.mode not in ("none", "velocity"):
             raise ValueError(f"approach.mode must be 'none' or 'velocity', got {self.approach.mode!r}")
-        for key, attr in _APPROACH_KEYS:
-            if attr != "mode" and not math.isfinite(getattr(self.approach, attr)):
-                raise ValueError(f"approach.{key} must be finite, got {getattr(self.approach, attr)}")
+        for section, keys in (("approach", _APPROACH_KEYS), ("disturbance", _DISTURBANCE_KEYS)):
+            spec = getattr(self, section)
+            for key, attr in keys:
+                if attr not in ("mode", "kind") and not math.isfinite(getattr(spec, attr)):
+                    raise ValueError(f"{section}.{key} must be finite, got {getattr(spec, attr)}")
 
 
 # plant kind -> (model constructor, its parameter type or None)
@@ -271,6 +274,8 @@ def _build_naive_gains(sc: Scenario) -> NaiveGains:
     c = sc.controller
     mbar = float(np.mean(sc.estimate.mass_diag))
     cbar = float(np.mean(sc.estimate.coriolis_diag))
+    # kp and kd derive from k1 (or gamma1), so a bad value is named at its source
+    _require_finite(c, "gamma1" if isinstance(c.k1, str) else "k1")
     k1 = float(c.k1) if not isinstance(c.k1, str) else c.gamma1 * mbar - cbar
     kp = c.kp if c.kp is not None else (k1 + cbar) * c.lam
     kd = c.kd if c.kd is not None else k1 + mbar * c.lam
@@ -436,8 +441,7 @@ def run_scenario(sc: Scenario) -> Trace:
 
     for k in range(steps):
         t = k * sc.h
-        jac = model.jacobian_fn(state.q)
-        ee = model.ee_pose_fn(state.q)
+        ee, jac = model._pose_jacobian(state.q)
         ee_vel = jac @ state.qd
         fx, fy = contact_wrench(ee, (ee_vel[0], ee_vel[1]), env)
         fc_joint = jac.T @ np.array([fx, fy])
@@ -449,7 +453,9 @@ def run_scenario(sc: Scenario) -> Trace:
             ctrl_state = initial_state(state.q)
 
         if in_force_phase:
-            meas = Measurement(state.q.copy(), fc_joint, fd_joint)
+            # float vectors of the plant state, finite-checked every period,
+            # and of the validated force schedule: not checked again
+            meas = _unchecked(Measurement, q=state.q.copy(), fc=fc_joint, fd=fd_joint)
             tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
             tr.qx[k] = ctrl_state.qx_prev
             tr.qxd[k] = ctrl_state.qxd_prev

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import pickle
 import sys
 import threading
@@ -605,3 +606,74 @@ def test_constant_estimate_is_read_only_and_checks_entry_counts():
                                (([[0.1, 0.2]],), {}, "mass_diag")):
         with pytest.raises(ValueError, match=name):
             ModelEstimate.constant(*args, **kwargs)
+
+
+_STATE_VECTORS = ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev")
+
+
+def _is_float_vector(x, n) -> bool:
+    return type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_caller_built_states_are_converted_and_checked(bad):
+    """The public constructors turn lists into float vectors and reject a
+    non-finite entry, naming the field."""
+    meas = Measurement([1], (0.5,), [2.0])
+    assert all(_is_float_vector(getattr(meas, f), 1) for f in ("q", "fc", "fd"))
+    for name in ("q", "fc", "fd"):
+        values = {"q": [0.0], "fc": [0.0], "fd": [0.0], name: [0.0, bad]}
+        with pytest.raises(ValueError, match=f"measurement {name} must be finite"):
+            Measurement(**values)
+    st = AdmittanceState([0], [0.0], (0.0,), [1], [0.0], MstaState([0]))
+    assert all(_is_float_vector(getattr(st, f), 1) for f in _STATE_VECTORS)
+    assert _is_float_vector(st.msta_state.v, 1)
+    for name in _STATE_VECTORS:
+        values = {f: [0.0] for f in _STATE_VECTORS}
+        values[name] = [bad]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AdmittanceState(**values, msta_state=MstaState.zero(1))
+    with pytest.raises(ValueError, match="integrator state v must be finite"):
+        MstaState([0.0, bad])
+
+
+def _rebuilt(st: AdmittanceState) -> AdmittanceState:
+    """The same state through the public constructors, from plain lists."""
+    return AdmittanceState(*(getattr(st, f).tolist() for f in _STATE_VECTORS),
+                           MstaState(st.msta_state.v.tolist()))
+
+
+@pytest.mark.parametrize("n,mode,k1", [(1, "auto", 30.0),
+                                          (1, "scalar-implicit", 30.0),
+                                          (1, "explicit", 30.0),
+                                          (2, "auto", 30.0),
+                                          (2, "explicit", 30.0),
+                                          (2, "implicit-vector", 30.0),
+                                          (2, "implicit-vector", "structured"),
+                                          (2, "implicit-decoupled", "structured"),
+                                          (2, "naive", None)])
+def test_step_states_are_float_vectors_that_feed_back_bitwise(n, mode, k1):
+    """The states a step returns skip the constructors' checks; they have the
+    same types and float vectors, so stepping on from them gives the bits of
+    stepping on from the same state built by the caller."""
+    mx, bx, box = np.diag([0.5, 0.4][:n]), np.diag([1.0, 2.0][:n]), BoxConstraint([3.0, 4.0][:n])
+    if mode == "naive":
+        g = NaiveGains(mx=mx, bx=bx, kp=300.0, kd=31.0, box=box, h=1e-3)
+        step = baseline_naive_step
+    else:
+        g = AdmittanceGains(mx=mx, bx=bx, lam=10.0, k1=k1,
+                            msta=MstaGains(k2=11.6, k3=66.0, gamma1=40.0), box=box, h=1e-3,
+                            us_mode=mode)
+        step = admittance_step
+    est = ModelEstimate.constant((0.2, 0.3)[:n], (20.0, 5.0)[:n])
+    gen = np.random.default_rng(31)
+    st = initial_state(np.zeros(n))
+    for _ in range(40):
+        meas = Measurement(gen.normal(size=n) * 0.02, gen.normal(size=n) * 5,
+                           gen.normal(size=n) * 2)
+        nxt = step(st, meas, est, g)[1]
+        assert type(nxt) is AdmittanceState and type(nxt.msta_state) is MstaState
+        assert all(_is_float_vector(getattr(nxt, f), n) for f in _STATE_VECTORS)
+        assert _is_float_vector(nxt.msta_state.v, n)
+        assert _step_bits(step(st, meas, est, g)) == _step_bits(step(_rebuilt(st), meas, est, g))
+        st = nxt

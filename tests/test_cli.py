@@ -193,6 +193,32 @@ def test_non_finite_initial_state_is_config_error(tmp_path, capsys, override, fi
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("key", ["amplitude", "freq_hz", "rate", "level", "t_start"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_disturbance_is_config_error(tmp_path, capsys, key, bad):
+    code = main(["run", "--scenario", "fig3_one_dof", "--out", str(tmp_path / "x"),
+                 "--set", "duration_s=0.1", "--set", "disturbance.kind=sine",
+                 "--set", f"disturbance.{key}={bad}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: disturbance.{key} must be finite")
+
+
+@pytest.mark.parametrize("override,field", [("controller.k1=NaN", "controller.k1"),
+                                            ("controller.k1=structured "
+                                             "controller.gamma1_per_s=NaN",
+                                             "controller.gamma1_per_s")])
+def test_naive_gain_source_is_named(tmp_path, capsys, override, field):
+    """kp and kd derive from k1 (gamma1 for a structured k1): a non-finite
+    source is reported under its own key, not under the derived kp."""
+    sets = [arg for value in override.split() for arg in ("--set", value)]
+    code = main(["run", "--scenario", "fig3_one_dof", "--out", str(tmp_path / "x"),
+                 "--set", "duration_s=0.1", "--set", "controller.kind=naive", *sets])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be finite" in err and "controller.kp" not in err
+
+
 def test_gains_error_names_json_key(tmp_path, capsys):
     code = main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
                  "--set", "controller.lam=5000"])

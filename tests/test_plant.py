@@ -9,8 +9,10 @@ from nonsmooth_adm.plant import (
     ManipulatorModel,
     OneDofParams,
     PlantState,
+    TwoLinkParams,
     contact_wrench,
     forward_dynamics,
+    double_integrator_model,
     integrate_substep,
     joint_contact_torque,
     linear_motor_friction,
@@ -204,3 +206,79 @@ def test_pendulum_energy_drift():
         st = integrate_substep(model, st, np.zeros(1), env, None, 0.0, 1e-5, 1000)
         worst = max(worst, abs(energy(st) - e0))
     assert worst / scale < 0.005
+
+
+# The kernels written out as the dynamics read, every entry from the
+# parameters with no constant folded; the models' kernels fold the
+# parameter-only parts once and must still give the same bits.
+
+def _one_dof_textbook(p, q, qd):
+    lc = p.com
+    js = p.m1 * p.l1 * p.l1 / 3.0
+    s, c = math.sin(q), math.cos(q)
+    return (js + p.m1 * lc * lc + p.mass_ripple * s, p.damping * c, p.m1 * p.g * lc * c,
+            p.l1 * c, p.l1 * s, -p.l1 * s, p.l1 * c)
+
+
+def _two_link_textbook(p, q1, q2, qd1, qd2):
+    lc1, lc2 = p.l1 / 2.0, p.l2 / 2.0
+    ic1 = p.J1 - p.m1 * lc1 * lc1
+    ic2 = p.J2 - p.m2 * lc2 * lc2
+    s1, c1 = math.sin(q1), math.cos(q1)
+    s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
+    c2, s2 = math.cos(q2), math.sin(q2)
+    m11 = p.m1 * lc1 * lc1 + ic1 + ic2 + p.m2 * (p.l1 * p.l1 + lc2 * lc2 + 2.0 * p.l1 * lc2 * c2)
+    m12 = p.m2 * (lc2 * lc2 + p.l1 * lc2 * c2) + ic2
+    m22 = p.m2 * lc2 * lc2 + ic2
+    hh = -p.m2 * p.l1 * lc2 * s2
+    return (m11, m12, m22, hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
+            p.l1 * c1 + p.l2 * c12, p.l1 * s1 + p.l2 * s12,
+            -p.l1 * s1 - p.l2 * s12, -p.l2 * s12,
+            p.l1 * c1 + p.l2 * c12, p.l2 * c12)
+
+
+def _linear_motor_textbook(p, q, qd):
+    return p.mass, p.viscous, p.mass * p.g, 0.0, q, 0.0, 1.0
+
+
+def _bits(values) -> list[str]:
+    """Each float's exact value and sign, so -0.0 differs from 0.0."""
+    return [float(x).hex() for x in values]
+
+
+def _kernel_cases(rng):
+    """(model, textbook kernel, params, dof) for default and random parameters."""
+    u = rng.uniform
+    for _ in range(4):
+        # m1*l1^2/3 + m1*lc1^2 >= 0.29 keeps the inertia positive for |ripple| <= 0.2
+        for p in (OneDofParams(), OneDofParams(m1=u(2.0, 9.0), l1=u(0.5, 1.5),
+                                               lc1=u(0.25, 0.75), mass_ripple=u(-0.2, 0.2),
+                                               damping=u(0.0, 2.0), g=u(0.0, 9.81))):
+            yield one_dof_model(p), _one_dof_textbook, p, 1
+        p = TwoLinkParams(m1=u(1.0, 9.0), m2=u(1.0, 12.0), l1=u(0.2, 0.8), l2=u(0.2, 0.8),
+                          J1=u(0.5, 2.0), J2=u(1.0, 3.0))
+        for p in (TwoLinkParams(), p):
+            yield two_link_model(p), _two_link_textbook, p, 2
+        for p in (LinearMotorParams(), LinearMotorParams(mass=u(0.05, 2.0), viscous=u(0.0, 3.0),
+                                                         kappa=u(0.5, 2.0), g=u(0.0, 9.81))):
+            yield linear_motor_model(p), _linear_motor_textbook, p, 1
+
+
+def test_kernels_equal_the_textbook_formulas_bitwise(rng):
+    for model, textbook, p, n in _kernel_cases(rng):
+        for _ in range(200 // 24 + 1):
+            x = [*rng.normal(scale=1.5, size=n), *rng.normal(scale=4.0, size=n)]
+            x[0] = float(rng.choice([x[0], 0.0, -0.0, math.pi / 2]))
+            assert _bits(model.terms(*x)) == _bits(textbook(p, *x)), (p, x)
+
+
+def test_pose_jacobian_matches_the_array_views_bitwise(rng):
+    models = [one_dof_model(), two_link_model(), linear_motor_model(), double_integrator_model()]
+    for model in models:
+        for _ in range(50):
+            q = rng.normal(scale=1.5, size=model.dof)
+            ee, jac = model._pose_jacobian(q)
+            assert _bits(ee) == _bits(model.ee_pose_fn(q))
+            ref = model.jacobian_fn(q)
+            assert jac.dtype == ref.dtype and jac.shape == ref.shape == (2, model.dof)
+            assert jac.tobytes() == ref.tobytes()

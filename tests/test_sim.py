@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from nonsmooth_adm import admittance, sim
 from nonsmooth_adm.plant import EnvironmentModel, SimulationBlowUp, two_link_model
 from nonsmooth_adm.sim import (
     LINMOTOR_STIFFNESS_LEVELS,
@@ -458,3 +459,36 @@ def test_two_dof_implicit_inner_loops_closed_loop(us_mode):
     assert np.all(np.abs(tr.tau) <= np.asarray(sc.controller.torque_limits))
     assert np.all(np.isfinite(tr.q)) and np.all(np.isfinite(tr.u_s))
     assert tr.contact.any()
+
+
+# The layer boundaries an outside profiler wraps, as (module, name): each
+# must stay a call through that module's namespace, made once per controller
+# step, or a wrapper placed there silently times nothing.
+_LAYER_BOUNDARIES = (
+    (sim, "integrate_substep"), (sim, "contact_wrench"),
+    (sim, "admittance_step"), (sim, "baseline_naive_step"),
+    (admittance, "proxy_predict"), (admittance, "inner_loop_candidate"),
+    (admittance, "project_box"), (admittance, "variational_residual"),
+)
+
+
+@pytest.mark.parametrize("kind", ["proposed", "naive"])
+def test_layer_boundaries_are_called_once_per_step(monkeypatch, kind):
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in _LAYER_BOUNDARIES:
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    sc = short(presets()["fig3_one_dof"], 0.05)
+    sc.controller.kind = kind
+    steps = run_scenario(sc).t.size
+    assert steps == 50
+    skipped = {"proposed": ("baseline_naive_step",),
+               "naive": ("admittance_step", "inner_loop_candidate")}[kind]
+    assert calls == {name: 0 if name in skipped else steps for _, name in _LAYER_BOUNDARIES}
