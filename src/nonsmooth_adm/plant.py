@@ -9,7 +9,7 @@ spring surface with Coulomb friction along the tangential direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,26 +47,36 @@ _LAYOUT = {1: (1, 2, 3, 5), 2: (3, 7, 9, 11)}
 
 @dataclass(frozen=True)
 class ManipulatorModel:
-    """Plant interface: one float dynamics kernel.
+    """Plant interface: one float dynamics kernel and its period loop.
 
-    ``terms`` is the only place a plant's dynamics live.  For one joint it
-    maps floats (q, qd) to (m, c, g, ee_x, ee_y, jac_x, jac_y); for two joints
-    it maps (q1, q2, qd1, qd2) to (m11, m12, m22, c11, c12, c21, c22, g1, g2,
-    ee_x, ee_y, j11, j12, j21, j22).  The substep integrator runs on the
-    floats directly; the ``*_fn`` methods are array views of the same tuple.
-    The Jacobian maps joint rates to the planar end-effector velocity
-    (2 x dof).  ``input_gain`` scales the commanded torque before it enters
-    the dynamics (drive gain; 1 for the arms).  The plant integrates whatever
-    torque it is given: the torque box belongs to the controller.
+    ``terms`` is the dynamics kernel.  For one joint it maps floats (q, qd)
+    to (m, c, g, ee_x, ee_y, jac_x, jac_y); for two joints it maps
+    (q1, q2, qd1, qd2) to (m11, m12, m22, c11, c12, c21, c22, g1, g2, ee_x,
+    ee_y, j11, j12, j21, j22).  The ``*_fn`` methods are array views of the
+    same tuple.  The Jacobian maps joint rates to the planar end-effector
+    velocity (2 x dof).  ``input_gain`` scales the commanded torque before it
+    enters the dynamics (drive gain; 1 for the arms).  The plant integrates
+    whatever torque it is given: the torque box belongs to the controller.
+
+    ``_advance`` is the plant's controller period: ``n_sub`` semi-implicit
+    Euler substeps on floats, the kernel's entries written out in its own
+    evaluation order so that every float keeps the bits a loop over
+    ``terms`` gives.  For one joint it is called as
+    ``(q, qd, gain * tau, env, disturbance, t, dt, n_sub) -> (q, qd)``; for
+    two as ``(q1, q2, qd1, qd2, gain * tau1, gain * tau2, env, dt, n_sub)
+    -> (q1, q2, qd1, qd2)``.  Each model constructor builds both.
     """
 
     dof: int
     terms: Callable[..., tuple]
     input_gain: float = 1.0
+    _advance: Callable[..., tuple] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.dof not in _LAYOUT:
             raise ValueError(f"dof must be 1 or 2, got {self.dof}")
+        if not callable(self._advance):
+            raise TypeError("a plant model needs its period loop, _advance")
 
     def _at(self, q: np.ndarray, qd: np.ndarray = (0.0, 0.0)) -> tuple:
         if self.dof == 1:
@@ -206,7 +216,27 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
             raise ValueError(f"inertia lost positivity at q = {q:.4f}")
         return m, damping * c, mgl * c, l1 * c, l1 * s, nl1 * s, l1 * c
 
-    return ManipulatorModel(1, terms)
+    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
+        ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
+        for _ in range(n_sub):
+            s, c = sin(q), cos(q)
+            m = m0 + ripple * s
+            if m <= 0.0:
+                raise ValueError(f"inertia lost positivity at q = {q:.4f}")
+            fc = 0.0
+            fy = ks * (ys - l1 * s)
+            if fy > 0.0:
+                jx = nl1 * s
+                v = jx * qd   # Coulomb friction: -mu * fy * sign0(v)
+                fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
+                fc = jx * fx + l1 * c * fy
+            fe = disturbance(t, q, qd) if disturbance is not None else 0.0
+            qd += dt * (gt + fc + fe - damping * c * qd - mgl * c) / m
+            q += dt * qd
+            t += dt
+        return q, qd
+
+    return ManipulatorModel(1, terms, _advance=advance)
 
 
 def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
@@ -237,17 +267,63 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
                 hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
                 ex, l1 * s1 + l2 * s12, nl1 * s1 - l2 * s12, nl2 * s12, ex, l2 * c12)
 
-    return ManipulatorModel(2, terms)
+    def advance(q1, q2, qd1, qd2, g1t, g2t, env, dt, n_sub):
+        ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
+        for _ in range(n_sub):
+            q12 = q1 + q2
+            s1, s12, c2 = sin(q1), sin(q12), cos(q2)
+            hh = hk * sin(q2)
+            fc1 = fc2 = 0.0
+            fy = ks * (ys - (l1 * s1 + l2 * s12))
+            if fy > 0.0:
+                # the Jacobian, needed only in contact
+                c12 = cos(q12)
+                j11, j12, j22 = nl1 * s1 - l2 * s12, nl2 * s12, l2 * c12
+                v = j11 * qd1 + j12 * qd2   # Coulomb friction: -mu * fy * sign0(v)
+                fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
+                fc1 = j11 * fx + (l1 * cos(q1) + l2 * c12) * fy
+                fc2 = j12 * fx + j22 * fy
+            # C qd with C = [[hh qd2, hh (qd1 + qd2)], [-hh qd1, 0]]; G = 0
+            r1 = g1t + fc1 - hh * qd2 * qd1 - hh * (qd1 + qd2) * qd2 - 0.0
+            r2 = g2t + fc2 - -hh * qd1 * qd1 - 0.0 * qd2 - 0.0
+            m11 = a11 + m2 * (b11 + d11 * c2)
+            m12 = m2 * (b12 + d12 * c2) + ic2
+            det = m11 * m22 - m12 * m12
+            qd1 += dt * (m22 * r1 - m12 * r2) / det
+            qd2 += dt * (m11 * r2 - m12 * r1) / det
+            q1 += dt * qd1
+            q2 += dt * qd2
+        return q1, q2, qd1, qd2
+
+    return ManipulatorModel(2, terms, _advance=advance)
 
 
 def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> ManipulatorModel:
+    """Vertical stage; its period loop applies the rail friction of
+    ``linear_motor_friction(params)``, added after any other disturbance."""
     p = params
     mass, viscous, weight = p.mass, p.viscous, p.mass * p.g
+    coulomb, rail_viscous = p.friction_coulomb, p.friction_viscous
 
     def terms(q: float, qd: float) -> tuple:
         return mass, viscous, weight, 0.0, q, 0.0, 1.0
 
-    return ManipulatorModel(1, terms, input_gain=p.kappa)
+    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
+        ks, ys = env.k_s, env.y_s
+        for _ in range(n_sub):
+            # Jacobian (0, 1): the surface's tangential friction acts across
+            # the rail, so the contact force is the normal spring alone
+            fy = ks * (ys - q)
+            fc = fy if fy > 0.0 else 0.0
+            fe = -(coulomb * (1.0 if qd > 0.0 else -1.0 if qd < 0.0 else 0.0) + rail_viscous * qd)
+            if disturbance is not None:
+                fe = disturbance(t, q, qd) + fe
+            qd += dt * (gt + fc + fe - viscous * qd - weight) / mass
+            q += dt * qd
+            t += dt
+        return q, qd
+
+    return ManipulatorModel(1, terms, input_gain=p.kappa, _advance=advance)
 
 
 def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
@@ -267,7 +343,18 @@ def double_integrator_model(mass: float = 1.0) -> ManipulatorModel:
     def terms(q: float, qd: float) -> tuple:
         return mass, 0.0, 0.0, 0.0, q, 0.0, 1.0
 
-    return ManipulatorModel(1, terms)
+    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
+        ks, ys = env.k_s, env.y_s
+        for _ in range(n_sub):
+            fy = ks * (ys - q)   # Jacobian (0, 1), as on the linear stage
+            fc = fy if fy > 0.0 else 0.0
+            fe = disturbance(t, q, qd) if disturbance is not None else 0.0
+            qd += dt * (gt + fc + fe - 0.0 * qd - 0.0) / mass
+            q += dt * qd
+            t += dt
+        return q, qd
+
+    return ManipulatorModel(1, terms, _advance=advance)
 
 
 def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],
@@ -303,54 +390,6 @@ def forward_dynamics(model: ManipulatorModel, state: PlantState, tau: np.ndarray
     return np.linalg.solve(M, model.input_gain * tau + fc + fe - C @ state.qd - G)
 
 
-def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float,
-                      env: EnvironmentModel, disturbance: Disturbance | None,
-                      t: float, dt: float, n_sub: int) -> tuple[float, float]:
-    terms = model.terms
-    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-    gt = model.input_gain * tau
-    q, qd = q0, qd0
-    for _ in range(n_sub):
-        m, c, g, _, ey, jx, jy = terms(q, qd)
-        fc = 0.0
-        fy = ks * (ys - ey)
-        if fy > 0.0:
-            v = jx * qd   # Coulomb friction: -mu * fy * sign0(v)
-            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
-            fc = jx * fx + jy * fy
-        fe = disturbance(t, q, qd) if disturbance is not None else 0.0
-        qd += dt * (gt + fc + fe - c * qd - g) / m
-        q += dt * qd
-        t += dt
-    return q, qd
-
-
-def _integrate_planar2(model: ManipulatorModel, q1: float, q2: float, qd1: float, qd2: float,
-                       tau1: float, tau2: float, env: EnvironmentModel, dt: float,
-                       n_sub: int) -> tuple:
-    terms = model.terms
-    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-    g1t, g2t = model.input_gain * tau1, model.input_gain * tau2
-    for _ in range(n_sub):
-        (m11, m12, m22, c11, c12, c21, c22, g1, g2,
-         ex, ey, j11, j12, j21, j22) = terms(q1, q2, qd1, qd2)
-        fc1 = fc2 = 0.0
-        fy = ks * (ys - ey)
-        if fy > 0.0:
-            v = j11 * qd1 + j12 * qd2   # Coulomb friction: -mu * fy * sign0(v)
-            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
-            fc1 = j11 * fx + j21 * fy
-            fc2 = j12 * fx + j22 * fy
-        r1 = g1t + fc1 - c11 * qd1 - c12 * qd2 - g1
-        r2 = g2t + fc2 - c21 * qd1 - c22 * qd2 - g2
-        det = m11 * m22 - m12 * m12
-        qd1 += dt * (m22 * r1 - m12 * r2) / det
-        qd2 += dt * (m11 * r2 - m12 * r1) / det
-        q1 += dt * qd1
-        q2 += dt * qd2
-    return q1, q2, qd1, qd2
-
-
 def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.ndarray,
                       env: EnvironmentModel, disturbance: Disturbance | None,
                       t: float, dt_sub: float, n_sub: int) -> PlantState:
@@ -358,20 +397,21 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
 
     The contact wrench is re-evaluated every substep; the commanded torque is a
     zero-order hold over the whole controller period.  A ``disturbance`` acts
-    on one-joint plants only.
+    on one-joint plants only.  The substeps are the model's own period loop.
     """
+    gain = model.input_gain
     if model.dof == 1:
-        q1, qd1 = _integrate_scalar(model, float(state.q[0]), float(state.qd[0]),
-                                    float(tau_held[0]), env, disturbance, t, dt_sub, n_sub)
+        q1, qd1 = model._advance(float(state.q[0]), float(state.qd[0]),
+                                 gain * float(tau_held[0]), env, disturbance, t, dt_sub, n_sub)
         if not (math.isfinite(q1) and math.isfinite(qd1)):
             raise SimulationBlowUp(step=-1, t=t)
         return _unchecked(PlantState, q=np.array([q1]), qd=np.array([qd1]))
 
     if disturbance is not None:
         raise ValueError("disturbance forces act on one-joint plants only")
-    q1, q2, qd1, qd2 = _integrate_planar2(
-        model, float(state.q[0]), float(state.q[1]), float(state.qd[0]), float(state.qd[1]),
-        float(tau_held[0]), float(tau_held[1]), env, dt_sub, n_sub)
+    q1, q2, qd1, qd2 = model._advance(
+        float(state.q[0]), float(state.q[1]), float(state.qd[0]), float(state.qd[1]),
+        gain * float(tau_held[0]), gain * float(tau_held[1]), env, dt_sub, n_sub)
     if not (math.isfinite(q1) and math.isfinite(q2) and math.isfinite(qd1)
             and math.isfinite(qd2)):
         raise SimulationBlowUp(step=-1, t=t)

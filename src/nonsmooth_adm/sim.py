@@ -44,7 +44,6 @@ from .plant import (
     contact_wrench,
     double_integrator_model,
     integrate_substep,
-    linear_motor_friction,
     linear_motor_model,
     one_dof_model,
     two_link_model,
@@ -87,8 +86,8 @@ class ScenarioError(ValueError):
 
 @dataclass
 class DisturbanceSpec:
-    """Declarative unmeasured-force profile (rail friction is added separately
-    for the linear motor plant)."""
+    """Declarative unmeasured-force profile (the linear motor plant adds its
+    own rail friction to it)."""
 
     kind: str = "none"          # none | sine | ramp_hold
     amplitude: float = 0.0      # N (sine)
@@ -211,6 +210,8 @@ def build_model(sc: Scenario) -> ManipulatorModel:
 
 
 def _build_disturbance(sc: Scenario, model: ManipulatorModel) -> Disturbance | None:
+    """The declared disturbance; the linear stage applies its rail friction
+    itself."""
     spec = sc.disturbance
     base: Disturbance | None = None
     if spec.kind == "sine":
@@ -232,14 +233,7 @@ def _build_disturbance(sc: Scenario, model: ManipulatorModel) -> Disturbance | N
     if base is not None and model.dof != 1:
         raise ValueError(f"disturbance.kind {spec.kind!r} acts on one-joint plants only; "
                          f"plant {sc.plant!r} has {model.dof} joints")
-
-    friction = None
-    if sc.plant == "linear_motor":
-        friction = linear_motor_friction(sc.plant_params or LinearMotorParams())
-
-    if base is None or friction is None:
-        return base or friction
-    return lambda t, q, qd: base(t, q, qd) + friction(t, q, qd)
+    return base
 
 
 def _build_estimate(sc: Scenario, model: ManipulatorModel) -> ModelEstimate:
@@ -275,6 +269,8 @@ def _build_naive_gains(sc: Scenario) -> NaiveGains:
     mbar = float(np.mean(sc.estimate.mass_diag))
     cbar = float(np.mean(sc.estimate.coriolis_diag))
     # kp and kd derive from k1 (or gamma1), so a bad value is named at its source
+    if isinstance(c.k1, str) and c.k1 != "structured":
+        raise ValueError('k1 must be a scalar or "structured"')
     _require_finite(c, "gamma1" if isinstance(c.k1, str) else "k1")
     k1 = float(c.k1) if not isinstance(c.k1, str) else c.gamma1 * mbar - cbar
     kp = c.kp if c.kp is not None else (k1 + cbar) * c.lam
@@ -561,7 +557,14 @@ def metrics_to_dict(m: Metrics) -> dict:
 
 # --------------------------------------------------------------------------- sweeps
 
-def _coerce_like(current, value):
+def _coerce_like(current, value, key: str, words: bool = False):
+    """``value`` in the type of the field's ``current`` value.
+
+    Strings (from the CLI) are read as JSON; a bare word that is not JSON is
+    kept only for a field declared to take strings (``words``, e.g.
+    ``controller.k1=structured``).  A value that does not convert raises
+    ValueError naming ``key``.
+    """
     if isinstance(value, str):
         text = value.strip()
         if isinstance(current, str):
@@ -569,16 +572,27 @@ def _coerce_like(current, value):
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
-            return text
-    if isinstance(current, bool):
-        return bool(value)
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    if isinstance(current, tuple):
-        return tuple(value) if isinstance(value, (list, tuple)) else (float(value),)
+            if words:
+                return text
+            raise ValueError(f"{key} needs a JSON value, got {text!r}") from None
+    try:
+        if isinstance(current, bool):
+            return bool(value)
+        if isinstance(current, int):
+            return int(value)
+        if isinstance(current, float):
+            return float(value)
+        if isinstance(current, tuple):
+            return tuple(value) if isinstance(value, (list, tuple)) else (float(value),)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} needs a {type(current).__name__}, got {value!r}") from None
     return value
+
+
+def _takes_str(holder, leaf: str) -> bool:
+    """Whether the dataclass field ``leaf`` of ``holder`` is declared with str."""
+    return is_dataclass(holder) and any(
+        f.name == leaf and "str" in str(f.type).split(" | ") for f in fields(holder))
 
 
 def apply_override(sc: Scenario, key: str, value) -> None:
@@ -586,10 +600,11 @@ def apply_override(sc: Scenario, key: str, value) -> None:
 
     Accepts both attribute paths (``env.k_s``) and the scenario file's names
     (``env.ks_N_per_m``); the special key ``fd_y`` replaces the desired
-    force schedule with a constant level.  Values may arrive as strings (CLI).
+    force schedule with a constant level.  Values may arrive as strings (CLI);
+    one that does not convert to the field's type raises ValueError.
     """
     if key == "fd_y":
-        sc.fd_schedule = ((0.0, 0.0, float(value)),)
+        sc.fd_schedule = ((0.0, 0.0, _coerce_like(0.0, value, key)),)
         return
     path = _JSON_PATHS.get(key, key)
     parts = path.split(".")
@@ -599,7 +614,7 @@ def apply_override(sc: Scenario, key: str, value) -> None:
             raise KeyError(f"override path {key!r} does not resolve")
         chain.append(getattr(chain[-1], part))
     holder, leaf = chain[-2], parts[-1]
-    value = _coerce_like(chain[-1], value)
+    value = _coerce_like(chain[-1], value, key, _takes_str(holder, leaf))
     if is_dataclass(holder) and holder.__dataclass_params__.frozen:
         setattr(chain[-3], parts[-2], replace(holder, **{leaf: value}))
     else:

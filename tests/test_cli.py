@@ -77,6 +77,10 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("controller.kind=naive controller.kp=NaN", "controller.kp"),
     ("controller.kind=naive controller.mx_diag=[-0.5,0.5]", "controller.mx_diag"),
     ("controller.kind=naive controller.bx_diag=[-1.0,1.0]", "controller.bx_diag"),
+    ("controller.kind=naive controller.k1=bogus", "controller.k1"),
+    # --set values that do not convert to the field's type
+    ("disturbance.amplitude=null", "disturbance.amplitude"),
+    ("controller.fp_max_iter=abc", "controller.fp_max_iter"),
     ("approach.mode=bogus", "approach.mode"),
     ("approach.v_ref_m_per_s=NaN", "approach.v_ref_m_per_s"),
     ("fd_schedule_N=[[0.0,0.0,NaN]]", "fd_schedule_N"),

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from nonsmooth_adm.plant import (
+    Disturbance,
     EnvironmentModel,
     LinearMotorParams,
     ManipulatorModel,
@@ -142,27 +144,33 @@ def test_zero_dynamics_state_unchanged():
     assert np.allclose(st.qd, 0.0)
 
 
-def reference_substeps(model, st, tau, env, dt, n_sub):
+def reference_substeps(model, st, tau, env, dt, n_sub, disturbance=None):
     """Semi-implicit Euler written from the array views of the kernel."""
     q, qd = st.q.copy(), st.qd.copy()
+    t = 0.0
     for _ in range(n_sub):
         ee_vel = model.jacobian_fn(q) @ qd
         wrench = contact_wrench(model.ee_pose_fn(q), (ee_vel[0], ee_vel[1]), env)
         fc = joint_contact_torque(model, q, wrench)
-        qd = qd + dt * forward_dynamics(model, PlantState(q, qd), tau, fc, np.zeros(model.dof))
+        fe = np.zeros(model.dof) if disturbance is None else np.array([disturbance(t, q[0], qd[0])])
+        qd = qd + dt * forward_dynamics(model, PlantState(q, qd), tau, fc, fe)
         q = q + dt * qd
+        t += dt
     return q, qd
 
 
 def test_substep_matches_reference_loop(rng):
     env = EnvironmentModel(k_s=2e3, y_s=0.0, mu_fric=0.1)
-    for model in (one_dof_model(), linear_motor_model(), two_link_model()):
+    # the linear stage applies its own rail friction
+    for model, fe in ((one_dof_model(), None),
+                      (linear_motor_model(), linear_motor_friction(LinearMotorParams())),
+                      (two_link_model(), None)):
         for _ in range(40):
             n = model.dof
             st = PlantState(rng.normal(scale=0.4, size=n), rng.normal(size=n))
             tau = rng.normal(size=n)
             a = integrate_substep(model, st, tau, env, None, 0.0, 1e-5, 25)
-            q, qd = reference_substeps(model, st, tau, env, 1e-5, 25)
+            q, qd = reference_substeps(model, st, tau, env, 1e-5, 25, fe)
             assert np.allclose(a.q, q, atol=1e-13)
             assert np.allclose(a.qd, qd, atol=1e-12)
 
@@ -171,6 +179,8 @@ def test_model_rejects_unsupported_shapes():
     terms = one_dof_model().terms
     with pytest.raises(ValueError, match="dof"):
         ManipulatorModel(3, terms)
+    with pytest.raises(TypeError, match="_advance"):
+        ManipulatorModel(1, terms)
 
 
 def test_two_link_rejects_disturbance():
@@ -282,3 +292,145 @@ def test_pose_jacobian_matches_the_array_views_bitwise(rng):
             ref = model.jacobian_fn(q)
             assert jac.dtype == ref.dtype and jac.shape == ref.shape == (2, model.dof)
             assert jac.tobytes() == ref.tobytes()
+
+
+# The generic substep loops that ran every plant through its kernel, kept
+# verbatim as the oracle of the models' own period loops: a loop over
+# ``terms`` is what each model's loop must reproduce bit for bit.
+
+def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float,
+                      env: EnvironmentModel, disturbance: Disturbance | None,
+                      t: float, dt: float, n_sub: int) -> tuple[float, float]:
+    terms = model.terms
+    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
+    gt = model.input_gain * tau
+    q, qd = q0, qd0
+    for _ in range(n_sub):
+        m, c, g, _, ey, jx, jy = terms(q, qd)
+        fc = 0.0
+        fy = ks * (ys - ey)
+        if fy > 0.0:
+            v = jx * qd   # Coulomb friction: -mu * fy * sign0(v)
+            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
+            fc = jx * fx + jy * fy
+        fe = disturbance(t, q, qd) if disturbance is not None else 0.0
+        qd += dt * (gt + fc + fe - c * qd - g) / m
+        q += dt * qd
+        t += dt
+    return q, qd
+
+
+def _integrate_planar2(model: ManipulatorModel, q1: float, q2: float, qd1: float, qd2: float,
+                       tau1: float, tau2: float, env: EnvironmentModel, dt: float,
+                       n_sub: int) -> tuple:
+    terms = model.terms
+    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
+    g1t, g2t = model.input_gain * tau1, model.input_gain * tau2
+    for _ in range(n_sub):
+        (m11, m12, m22, c11, c12, c21, c22, g1, g2,
+         ex, ey, j11, j12, j21, j22) = terms(q1, q2, qd1, qd2)
+        fc1 = fc2 = 0.0
+        fy = ks * (ys - ey)
+        if fy > 0.0:
+            v = j11 * qd1 + j12 * qd2   # Coulomb friction: -mu * fy * sign0(v)
+            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
+            fc1 = j11 * fx + j21 * fy
+            fc2 = j12 * fx + j22 * fy
+        r1 = g1t + fc1 - c11 * qd1 - c12 * qd2 - g1
+        r2 = g2t + fc2 - c21 * qd1 - c22 * qd2 - g2
+        det = m11 * m22 - m12 * m12
+        qd1 += dt * (m22 * r1 - m12 * r2) / det
+        qd2 += dt * (m11 * r2 - m12 * r1) / det
+        q1 += dt * qd1
+        q2 += dt * qd2
+    return q1, q2, qd1, qd2
+
+
+def _sine(t, q, qd):
+    return 0.7 * math.sin(2.0 * math.pi * 3.0 * (t - 0.01)) if t >= 0.01 else 0.0
+
+
+def _ramp(t, q, qd):
+    return 0.0 if t <= 0.002 else min(1.5, 400.0 * (t - 0.002))
+
+
+def _plant_cases(rng):
+    """(model, rail friction or None) for default and random parameters of
+    each of the four plants."""
+    u = rng.uniform
+    for _ in range(3):
+        # no gravity (as in fig3) leaves the small terms of the sum unabsorbed
+        g = float(rng.choice([0.0, u(0.0, 9.81)]))
+        for p in (OneDofParams(), OneDofParams(m1=u(2.0, 9.0), l1=u(0.5, 1.5),
+                                               lc1=u(0.25, 0.75), mass_ripple=u(-0.2, 0.2),
+                                               damping=u(0.0, 2.0), g=g)):
+            yield one_dof_model(p), None
+        for p in (TwoLinkParams(), TwoLinkParams(m1=u(1.0, 9.0), m2=u(1.0, 12.0),
+                                                 l1=u(0.2, 0.8), l2=u(0.2, 0.8),
+                                                 J1=u(0.5, 2.0), J2=u(1.0, 3.0))):
+            yield two_link_model(p), None
+        for p in (LinearMotorParams(), LinearMotorParams(
+                mass=u(0.05, 2.0), viscous=u(0.0, 3.0), kappa=u(0.5, 2.0),
+                friction_coulomb=u(0.0, 3.0), friction_viscous=u(0.0, 10.0), g=g)):
+            yield linear_motor_model(p), linear_motor_friction(p)
+        for mass in (1.0, u(0.1, 5.0)):
+            yield double_integrator_model(mass), None
+
+
+def _oracle_disturbance(base, friction):
+    if friction is None:
+        return base
+    if base is None:
+        return friction
+    return lambda t, q, qd: base(t, q, qd) + friction(t, q, qd)
+
+
+def _loop_and_oracle(model, friction, q, qd, tau, env, base, dt, n_sub):
+    """(q, qd) bits after ``n_sub`` substeps of the model's loop and of the
+    generic loop, from t = 0."""
+    st = integrate_substep(model, PlantState(q, qd), tau, env, base, 0.0, dt, n_sub)
+    if model.dof == 1:
+        ref = _integrate_scalar(model, float(q[0]), float(qd[0]), float(tau[0]), env,
+                                _oracle_disturbance(base, friction), 0.0, dt, n_sub)
+        return _bits((st.q[0], st.qd[0])), _bits(ref)
+    ref = _integrate_planar2(model, *map(float, (*q, *qd, *tau)), env, dt, n_sub)
+    return _bits((*st.q, *st.qd)), _bits(ref)
+
+
+def test_period_loops_equal_the_generic_loops_bitwise(rng):
+    seen = set()
+    for model, friction in _plant_cases(rng):
+        n = model.dof
+        bases = (None, _sine, _ramp) if n == 1 else (None,)
+        for _ in range(6):
+            q = rng.normal(scale=1.0, size=n)
+            ey = model.ee_pose_fn(q)[1]
+            for contact, qd in itertools.product(
+                    (True, False),
+                    (np.abs(rng.normal(size=n)), -np.abs(rng.normal(size=n)), np.zeros(n))):
+                # the surface a little above or far below the end-effector
+                env = EnvironmentModel(k_s=float(rng.uniform(1e2, 5e3)),
+                                       y_s=ey + (1e-3 if contact else -1.0),
+                                       mu_fric=float(rng.choice([0.0, 0.1, 0.5])))
+                # a coarse step keeps the rounding of each force term from
+                # being absorbed into the much larger state
+                for tau, (dt, n_sub), base in itertools.product(
+                        (rng.normal(size=n), np.zeros(n)), ((1e-4, 1), (1e-4, 60), (0.5, 2)),
+                        bases):
+                    got, ref = _loop_and_oracle(model, friction, q, qd, tau, env, base, dt, n_sub)
+                    assert got == ref, (model, q, qd, tau, env, base, dt, n_sub)
+                if contact:
+                    v = (model.jacobian_fn(q) @ qd)[0]
+                    seen.add((n, "v>0" if v > 0.0 else "v<0" if v < 0.0 else "v=0"))
+    # the Coulomb branch saw all three signs of the tangential velocity
+    assert seen >= {(n, s) for n in (1, 2) for s in ("v>0", "v<0", "v=0")}
+
+
+def test_inertia_positivity_error_through_integrate_substep():
+    model = one_dof_model(OneDofParams(mass_ripple=5.0))
+    st = PlantState(np.array([-math.pi / 2]), np.zeros(1))
+    with pytest.raises(ValueError, match="inertia lost positivity") as got:
+        integrate_substep(model, st, np.zeros(1), EnvironmentModel(), None, 0.0, 1e-5, 10)
+    with pytest.raises(ValueError) as ref:
+        _integrate_scalar(model, -math.pi / 2, 0.0, 0.0, EnvironmentModel(), None, 0.0, 1e-5, 10)
+    assert str(got.value) == str(ref.value)

@@ -1,10 +1,11 @@
-"""Fingerprint the ten standard closed-loop runs, for bitwise comparison.
+"""Fingerprint the eleven standard closed-loop runs, for bitwise comparison.
 
     python3 tools/trace_digest.py > digest.json
 
 Runs the four presets with the proposed controller and with the naive
-baseline, plus fig5 with the ``implicit-vector`` and ``implicit-decoupled``
-inner loops, and prints sorted JSON: per run, one SHA-256 per ``Trace``
+baseline, fig5 with the ``implicit-vector`` and ``implicit-decoupled``
+inner loops, and ``linmotor_steps`` under a sine disturbance (on top of the
+stage's own rail friction), and prints sorted JSON: per run, one SHA-256 per ``Trace``
 channel (dtype, shape and bytes), one of the written CSV, and the ``repr`` of
 every ``Metrics`` field.  The package is imported from the ``src`` directory
 next to this script, so two checkouts compare with ``cmp`` of their outputs.
@@ -22,6 +23,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nonsmooth_adm.sim import (  # noqa: E402
+    DisturbanceSpec,
     compute_metrics,
     naive_variant,
     presets,
@@ -39,6 +41,9 @@ def standard_runs() -> dict:
         sc = copy.deepcopy(presets()["fig5_two_dof"])
         sc.controller.us_mode = mode
         runs[f"fig5_two_dof:{mode}"] = sc
+    sc = copy.deepcopy(presets()["linmotor_steps"])
+    sc.disturbance = DisturbanceSpec(kind="sine", amplitude=0.5, freq_hz=2.0)
+    runs["linmotor_steps:sine"] = sc
     return runs
 
 
