@@ -34,6 +34,7 @@ from .msta import (
     sta_scalar_implicit_step,
 )
 from .setvalued import (
+    _ONE,
     BoxConstraint,
     _all_finite,
     _read_only,
@@ -124,7 +125,8 @@ def _solve(A: np.ndarray, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
 
 def _set_proxy(gains) -> None:
     """Check mx, bx and h of ``gains``, keep mx and bx as read-only copies,
-    and derive ``mx + bx*h`` and its diagonal for ``proxy_predict``."""
+    and derive ``mx + bx*h`` and its diagonal for ``proxy_predict``; for one
+    joint also ``(mx, mx + bx*h)`` as floats, ``_proxy_one`` (else None)."""
     n = gains.box.dim
     mx = np.atleast_2d(np.array(gains.mx, dtype=float))
     bx = np.atleast_2d(np.array(gains.bx, dtype=float))
@@ -143,6 +145,7 @@ def _set_proxy(gains) -> None:
     object.__setattr__(gains, "bx", _read_only(bx))
     object.__setattr__(gains, "_proxy_matrix", _read_only(P))
     object.__setattr__(gains, "_proxy_diag", _diagonal(P))
+    object.__setattr__(gains, "_proxy_one", (mx.item(), P.item()) if n == 1 else None)
 
 
 @dataclass(frozen=True)
@@ -296,6 +299,19 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
     """
     fc = _vector(fc)
     fd = _vector(fd)
+    one = g._proxy_one
+    if (one is None or fc.shape != _ONE or fd.shape != _ONE
+            or state.qxd_prev.shape != _ONE or state.qx_prev.shape != _ONE):
+        return _proxy_predict_arrays(state, fc, fd, g)
+    mx, P = one
+    h = g.h
+    ux_star = (0.0 + mx * state.qxd_prev.item() + h * (fc.item() + fd.item())) / P
+    return np.array([ux_star]), np.array([state.qx_prev.item() + h * ux_star])
+
+
+def _proxy_predict_arrays(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
+                          g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
+    """``proxy_predict`` on float vectors, for any number of joints."""
     ux_star = _solve(g._proxy_matrix, g._proxy_diag, g.mx @ state.qxd_prev + g.h * (fc + fd))
     qx_star = state.qx_prev + g.h * ux_star
     return ux_star, qx_star
@@ -308,6 +324,17 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
     qe uses the predicted proxy position (the corrected one is not known yet);
     its rate is the backward difference against the stored previous error.
     """
+    if (g._proxy_one is None or qx_star.shape != _ONE or q.shape != _ONE
+            or state.qe_prev.shape != _ONE):
+        return _sliding_variable_arrays(qx_star, q, state, g)
+    qe = qx_star.item() - q.item()
+    qed = (qe - state.qe_prev.item()) / g.h
+    return np.array([qe]), np.array([qed]), np.array([qed + g.lam * qe])
+
+
+def _sliding_variable_arrays(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
+                             g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sliding_variable`` on arrays, for any number of joints."""
     qe = qx_star - q
     qed = (qe - state.qe_prev) / g.h
     s = qed + g.lam * qe
@@ -322,7 +349,9 @@ class _Loop(NamedTuple):
     ``MhC`` is ``Mk + h*Ck``, ``Wd`` the diagonal of W when solves against W
     are divisions, ``beta`` the scalar-implicit iteration factor, and
     ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A``, which
-    keeps its relaxation parameter once a solve has chosen it.
+    keeps its relaxation parameter once a solve has chosen it.  ``one`` holds
+    the one-joint loop as floats (``_OneLoop``) when every matrix is 1 x 1,
+    Gk has one entry and W is nonzero; None otherwise.
     """
 
     Mk: np.ndarray
@@ -336,6 +365,27 @@ class _Loop(NamedTuple):
     Wd: np.ndarray | None
     beta: float | None
     iteration: _Iteration | None
+    one: "_OneLoop | None"
+
+
+class _OneLoop(NamedTuple):
+    """The entries of a one-joint ``_Loop``, as floats."""
+
+    Mk: float
+    Gk: float
+    B: float
+    Bhat: float
+    W: float
+    MhC: float
+
+
+def _one_loop(Mk, Gk, B, Bhat, W, MhC) -> _OneLoop | None:
+    matrices = (Mk, B, Bhat, W, MhC)
+    if (all(type(a) is np.ndarray and a.shape == (1, 1) and a.dtype == float for a in matrices)
+            and type(Gk) is np.ndarray and Gk.shape == _ONE and Gk.dtype == float
+            and W.item() != 0.0):
+        return _OneLoop(Mk.item(), Gk.item(), B.item(), Bhat.item(), W.item(), MhC.item())
+    return None
 
 
 def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
@@ -355,7 +405,8 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     iteration = None
     if g._us_mode == "implicit-vector":
         iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m), g.msta.mu)
-    return _Loop(Mk, Ck, Gk, k1m, B, Bhat, W, MhC, _diagonal(W), beta, iteration)
+    return _Loop(Mk, Ck, Gk, k1m, B, Bhat, W, MhC, _diagonal(W), beta, iteration,
+                 _one_loop(Mk, Gk, B, Bhat, W, MhC))
 
 
 def _loop_for(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
@@ -385,10 +436,35 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
     estimate is much lighter than the true inertia.  Returns
     (q1_star, tau_star) with tau_star = W (qx_star - q1_star).  ``loop`` is the
     period's evaluated estimate and matrices; it is built here when omitted.
+
+    A one-joint loop computes on floats, bitwise equal to
+    ``_inner_loop_candidate_arrays``: a 1 x 1 product ``A @ x`` is ``0.0 + A*x``.
     """
-    h = g.h
     if loop is None:
         loop = _evaluate_loop(model, q, state, g)
+    one = loop.one
+    if (one is None or qx_star.shape != _ONE or q.shape != _ONE or u_s.shape != _ONE
+            or state.qx_prev.shape != _ONE or state.ux_prev.shape != _ONE
+            or state.q_prev.shape != _ONE):
+        return _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
+    h = g.h
+    hh = h * h
+    qv = q.item()
+    qx_prev = state.qx_prev.item()
+    us = u_s.item()
+    tau_us = us if g.us_coupling == "direct" else 0.0 + one.Mk * us
+    phi_a = (0.0 + one.MhC * qv + h * (0.0 + one.B * state.q_prev.item())) / hh + one.Gk + tau_us
+    phi_b = ((0.0 + one.Mk * (qx_prev + h * state.ux_prev.item())) / hh
+             + (0.0 + one.Bhat * qx_prev) / h)
+    q1_star = qv + (phi_b - phi_a) / one.W
+    return np.array([q1_star]), np.array([0.0 + one.W * (qx_star.item() - q1_star)])
+
+
+def _inner_loop_candidate_arrays(qx_star: np.ndarray, q: np.ndarray, u_s: np.ndarray,
+                                 state: AdmittanceState, g: AdmittanceGains, loop: _Loop
+                                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``inner_loop_candidate`` on arrays, for any number of joints."""
+    h = g.h
     Mk, W = loop.Mk, loop.W
     tau_us = u_s if g.us_coupling == "direct" else Mk @ u_s
     phi_a = (loop.MhC @ q + h * (loop.B @ state.q_prev)) / (h * h) + loop.Gk + tau_us
@@ -435,6 +511,15 @@ def _worst_probe(y_star: np.ndarray, y_proj: np.ndarray) -> list[np.ndarray]:
     return [np.sign(y_star - y_proj)]
 
 
+def _sign(x: float) -> float:
+    """``np.sign`` of a float: +0.0 for either zero, NaN for NaN."""
+    if x > 0.0:
+        return 1.0
+    if x < 0.0:
+        return -1.0
+    return 0.0 if x == 0.0 else x
+
+
 def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstimate,
                     g: AdmittanceGains) -> tuple[np.ndarray, AdmittanceState, StepDiagnostics]:
     """One controller period; returns the projected torque, the advanced state,
@@ -442,7 +527,8 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
 
     The applied torque is exactly the box projection of the candidate, and the
     corrected proxy satisfies qx = W^{-1} tau + q1_star, so tau == tau_star
-    implies qx == qx_star.
+    implies qx == qx_star.  For one joint, each stage and the step's own
+    arithmetic compute on floats, bitwise equal to the array code.
     """
     h = g.h
     loop = _loop_for(model, meas.q, state, g)
@@ -454,11 +540,20 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
                                              loop=loop)
 
     tau = project_box(tau_star, g.box)
-    qx = _solve(loop.W, loop.Wd, tau) + q1_star
-    qxd = (qx - state.qx_prev) / h
-
-    saturated = np.abs(tau_star) > g.box.limits
-    vi_residual = variational_residual(tau_star, tau, g.box, _worst_probe(tau_star, tau))
+    one = loop.one
+    if one is not None and q1_star.shape == _ONE and state.qx_prev.shape == _ONE:
+        t, ts = tau.item(), tau_star.item()
+        qx1 = t / one.W + q1_star.item()
+        qx = np.array([qx1])
+        qxd = np.array([(qx1 - state.qx_prev.item()) / h])
+        saturated = np.array([abs(ts) > g.box._limit])
+        probes = [_sign(ts - t)]
+    else:
+        qx = _solve(loop.W, loop.Wd, tau) + q1_star
+        qxd = (qx - state.qx_prev) / h
+        saturated = np.abs(tau_star) > g.box.limits
+        probes = _worst_probe(tau_star, tau)
+    vi_residual = variational_residual(tau_star, tau, g.box, probes)
 
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
                             q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
@@ -473,16 +568,33 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
 
     The proxy integrates the measured and desired forces with no feedback from
     the applied torque, and the position loop is a gravity-compensated PD whose
-    output is hard-clamped to the torque box.
+    output is hard-clamped to the torque box.  For one joint the arithmetic
+    is on floats, bitwise equal to the array code.
     """
     h = ng.h
     ux, qx = proxy_predict(state, meas.fc, meas.fd, ng)
-    qe = qx - meas.q
-    qed = (qe - state.qe_prev) / h
-    tau_raw = ng.kp * qe + ng.kd * qed + model.gravity_fn(meas.q)
-    tau = project_box(tau_raw, ng.box)
-    saturated = np.abs(tau_raw) > ng.box.limits
-    vi_residual = variational_residual(tau_raw, tau, ng.box, _worst_probe(tau_raw, tau))
+    gravity = model.gravity_fn(meas.q)
+    limit = ng.box._limit
+    if (limit is not None and qx.shape == _ONE and meas.q.shape == _ONE
+            and state.qe_prev.shape == _ONE and type(gravity) is np.ndarray
+            and gravity.shape == _ONE and gravity.dtype == float):
+        qe1 = qx.item() - meas.q.item()
+        qed = (qe1 - state.qe_prev.item()) / h
+        raw = ng.kp * qe1 + ng.kd * qed + gravity.item()
+        qe = np.array([qe1])
+        tau_raw = np.array([raw])
+        tau = project_box(tau_raw, ng.box)
+        t = tau.item()
+        saturated = np.array([abs(raw) > limit])
+        probes = [_sign(raw - t)]
+    else:
+        qe = qx - meas.q
+        qed = (qe - state.qe_prev) / h
+        tau_raw = ng.kp * qe + ng.kd * qed + gravity
+        tau = project_box(tau_raw, ng.box)
+        saturated = np.abs(tau_raw) > ng.box.limits
+        probes = _worst_probe(tau_raw, tau)
+    vi_residual = variational_residual(tau_raw, tau, ng.box, probes)
     zero = np.zeros_like(qe)
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,
                             q_prev=meas.q.copy(), qe_prev=qe, msta_state=state.msta_state)

@@ -9,7 +9,7 @@ spring surface with Coulomb friction along the tangential direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -113,6 +113,13 @@ class ManipulatorModel:
         return (t[e], t[e + 1]), np.array(t[j:]).reshape(2, self.dof)
 
 
+def _require_finite_fields(params) -> None:
+    """Raise ValueError naming the first field of ``params`` that is not
+    finite; a field left at None is skipped."""
+    _require_finite(params, *(f.name for f in fields(params)
+                              if getattr(params, f.name) is not None))
+
+
 @dataclass(frozen=True)
 class OneDofParams:
     """Rotary arm: uniform link plus a sinusoidal inertia perturbation."""
@@ -125,6 +132,7 @@ class OneDofParams:
     g: float = 9.81
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.m1 <= 0.0 or self.l1 <= 0.0:
             raise ValueError("mass and length must be positive")
 
@@ -145,6 +153,7 @@ class TwoLinkParams:
     J2: float = 1.08
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         for v in (self.m1, self.m2, self.l1, self.l2, self.J1, self.J2):
             if v <= 0.0:
                 raise ValueError("two-link parameters must be positive")
@@ -162,8 +171,13 @@ class LinearMotorParams:
     g: float = 9.81
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.mass <= 0.0 or self.viscous < 0.0:
             raise ValueError("mass must be positive and viscous nonnegative")
+        if self.kappa <= 0.0:
+            raise ValueError("kappa must be positive")
+        if self.friction_coulomb < 0.0 or self.friction_viscous < 0.0:
+            raise ValueError("friction_coulomb and friction_viscous must be nonnegative")
 
 
 @dataclass(frozen=True)

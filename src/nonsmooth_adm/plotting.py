@@ -86,8 +86,11 @@ def line_chart(series, title: str, xlabel: str, ylabel: str, path: str | None = 
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         keep = np.isfinite(y)
-        pts = " ".join(f"{sx(a):.2f},{sy(min(max(b, y_lo), y_hi)):.2f}"
-                       for a, b in zip(x[keep], y[keep]))
+        # sx and sy of every point at once, in their operation order; the
+        # clamp's +-0 ties (np.maximum vs max) vanish when sy adds _MT
+        px = _ML + (x[keep] - x_lo) / (x_hi - x_lo) * pw
+        py = _MT + (y_hi - np.minimum(np.maximum(y[keep], y_lo), y_hi)) / (y_hi - y_lo) * ph
+        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         dash = ' stroke-dasharray="6 4"' if label in dashed else ""
         color = _COLORS[i % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"{dash}/>')

@@ -26,6 +26,7 @@ __all__ = [
 
 
 _FLOAT = np.dtype(float)
+_ONE = (1,)     # the shape of a one-joint vector: such stages compute on floats
 
 
 def _vector(x) -> np.ndarray:
@@ -100,7 +101,8 @@ def sign0(z: float) -> float:
 class BoxConstraint:
     """Per-joint symmetric actuation bound: admissible set is [-limits_i, +limits_i].
 
-    ``limits`` is kept as a read-only copy, next to its negation ``_lower``.
+    ``limits`` is kept as a read-only copy, next to its negation ``_lower``;
+    a one-joint box also keeps its limit as the float ``_limit`` (else None).
     """
 
     limits: np.ndarray
@@ -113,6 +115,7 @@ class BoxConstraint:
             raise ValueError("all box limits must be strictly positive")
         object.__setattr__(self, "limits", _read_only(lim))
         object.__setattr__(self, "_lower", _read_only(-lim))
+        object.__setattr__(self, "_limit", lim.item() if lim.shape == _ONE else None)
 
     @property
     def dim(self) -> int:
@@ -132,8 +135,21 @@ class NormQuadWeights:
 
 
 def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
-    """Euclidean projection of y onto the box [-F, +F], entrywise clamp."""
+    """Euclidean projection of y onto the box [-F, +F], entrywise clamp.
+
+    One entry is clamped on floats, bitwise equal to ``_project_box_arrays``:
+    a NaN passes through, and as F > 0 no tie between signed zeros arises.
+    """
     y = _vector(y)
+    limit = box._limit
+    if limit is not None and y.shape == _ONE:
+        v = y.item()
+        return np.array([-limit if v < -limit else limit if v > limit else v])
+    return _project_box_arrays(y, box)
+
+
+def _project_box_arrays(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
+    """``project_box`` on a float vector, for any number of entries."""
     if y.shape != box.limits.shape:
         raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
     return np.minimum(np.maximum(y, box._lower), box.limits)
@@ -170,9 +186,37 @@ def variational_residual(
 
     If y_proj really is the box projection of y_star, every term is <= 0 up to
     roundoff; a positive value witnesses a violated variational inequality.
+
+    A one-joint certificate is computed on floats, bitwise equal to
+    ``_variational_residual_arrays``: a 1-entry ``d @ x`` is ``0.0 + d*x``.
     """
     y_star = _vector(y_star)
     y_proj = _vector(y_proj)
+    limit = box._limit
+    if limit is None or y_star.shape != _ONE or y_proj.shape != _ONE:
+        return _variational_residual_arrays(y_star, y_proj, box, probes)
+    ys = y_star.item()
+    yp = y_proj.item()
+    d = ys - yp
+    scaled = yp / limit
+    worst = -math.inf
+    for p in probes:
+        if type(p) is not float:
+            p = _vector(p)
+            if p.shape != _ONE:
+                raise ValueError("probe dimension mismatch")
+            p = p.item()
+        if abs(p) > 1.0 + 1e-12:
+            raise ValueError("probe lies outside the unit box")
+        worst = max(worst, 0.0 + d * (p - scaled))
+    if worst == -math.inf:
+        raise ValueError("at least one probe is required")
+    return worst
+
+
+def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray, box: BoxConstraint,
+                                 probes: Iterable[Sequence[float]]) -> float:
+    """``variational_residual`` on float vectors, for any number of entries."""
     d = y_star - y_proj
     scaled = y_proj / box.limits
     worst = -np.inf

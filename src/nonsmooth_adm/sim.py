@@ -257,10 +257,12 @@ def _build_gains(sc: Scenario) -> AdmittanceGains:
                            us_mode=c.us_mode, us_coupling=c.us_coupling)
 
 
-def _section_error(section: str, exc: ValueError) -> ValueError:
+def _section_error(section: str, exc: ValueError, keys=None) -> ValueError:
     """An error from building one scenario section, restated with the
-    scenario file's dotted names of that section's fields."""
-    names = {attr: f"{section}.{key}" for key, attr in _SECTION_KEYS[section][1]}
+    scenario file's dotted names of that section's fields (``keys``, the
+    section's ``(key, attribute)`` pairs, default from ``_SECTION_KEYS``)."""
+    keys = _SECTION_KEYS[section][1] if keys is None else keys
+    names = {attr: f"{section}.{key}" for key, attr in keys}
     return ValueError(re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc)))
 
 
@@ -557,24 +559,30 @@ def metrics_to_dict(m: Metrics) -> dict:
 
 # --------------------------------------------------------------------------- sweeps
 
-def _coerce_like(current, value, key: str, words: bool = False):
+def _coerce_like(current, value, key: str, declared: tuple[str, ...] = ()):
     """``value`` in the type of the field's ``current`` value.
 
-    Strings (from the CLI) are read as JSON; a bare word that is not JSON is
-    kept only for a field declared to take strings (``words``, e.g.
-    ``controller.k1=structured``).  A value that does not convert raises
-    ValueError naming ``key``.
+    Strings (from the CLI) are read as JSON.  For a field declared to take
+    strings (``declared``, the field's type names, holds "str") a JSON string
+    or a bare word that is not JSON is kept as the string, a JSON number
+    becomes a float where the field also takes one, and other JSON text stays
+    the word it is: so ``controller.k1=structured`` stores the word and
+    ``controller.k1=30`` the number, whatever k1 held before.  A value that
+    does not convert raises ValueError naming ``key``.
     """
     if isinstance(value, str):
         text = value.strip()
-        if isinstance(current, str):
-            return text
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
-            if words:
+            if "str" in declared:
                 return text
             raise ValueError(f"{key} needs a JSON value, got {text!r}") from None
+        if "str" in declared:
+            if isinstance(value, str):
+                return value
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            return float(text) if number and "float" in declared else text
     try:
         if isinstance(current, bool):
             return bool(value)
@@ -589,10 +597,14 @@ def _coerce_like(current, value, key: str, words: bool = False):
     return value
 
 
-def _takes_str(holder, leaf: str) -> bool:
-    """Whether the dataclass field ``leaf`` of ``holder`` is declared with str."""
-    return is_dataclass(holder) and any(
-        f.name == leaf and "str" in str(f.type).split(" | ") for f in fields(holder))
+def _declared_types(holder, leaf: str) -> tuple[str, ...]:
+    """The type names the dataclass field ``leaf`` of ``holder`` is declared
+    with, e.g. ``("float", "str")``; empty when it is no such field."""
+    if is_dataclass(holder):
+        for f in fields(holder):
+            if f.name == leaf:
+                return tuple(str(f.type).split(" | "))
+    return ()
 
 
 def apply_override(sc: Scenario, key: str, value) -> None:
@@ -614,7 +626,7 @@ def apply_override(sc: Scenario, key: str, value) -> None:
             raise KeyError(f"override path {key!r} does not resolve")
         chain.append(getattr(chain[-1], part))
     holder, leaf = chain[-2], parts[-1]
-    value = _coerce_like(chain[-1], value, key, _takes_str(holder, leaf))
+    value = _coerce_like(chain[-1], value, key, _declared_types(holder, leaf))
     if is_dataclass(holder) and holder.__dataclass_params__.frozen:
         setattr(chain[-3], parts[-2], replace(holder, **{leaf: value}))
     else:
@@ -833,8 +845,11 @@ def scenario_from_dict(d: dict) -> Scenario:
         if cls is None:
             raise ValueError(f"plant_params: plant {d['plant']!r} takes no parameters")
         keys = tuple((f.name, f.name) for f in fields(cls))
-        kwargs["plant_params"] = cls(**_section_from_dict(d["plant_params"], keys,
-                                                          "plant_params"))
+        try:
+            kwargs["plant_params"] = cls(**_section_from_dict(d["plant_params"], keys,
+                                                              "plant_params"))
+        except ValueError as exc:
+            raise _section_error("plant_params", exc, keys) from exc
     for key, (cls, keys) in _SECTION_KEYS.items():
         attrs = _section_from_dict(d.get(key, {}), keys, key)
         try:

@@ -84,11 +84,20 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("approach.mode=bogus", "approach.mode"),
     ("approach.v_ref_m_per_s=NaN", "approach.v_ref_m_per_s"),
     ("fd_schedule_N=[[0.0,0.0,NaN]]", "fd_schedule_N"),
+    # plant parameters, on the preset named first
+    ("linmotor_steps plant_params.friction_coulomb=NaN", "plant_params.friction_coulomb"),
+    ("linmotor_steps plant_params.friction_viscous=-50", "plant_params.friction_viscous"),
+    ("linmotor_steps plant_params.kappa=0", "plant_params.kappa"),
+    ("fig3_one_dof plant_params.g=Infinity", "plant_params.g"),
+    ("fig5_two_dof plant_params.J2=NaN", "plant_params.J2"),
 ])
 def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field):
-    """``override`` holds one or more space-separated ``--set`` values."""
-    sets = [arg for value in override.split() for arg in ("--set", value)]
-    code = main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
+    """``override`` holds one or more space-separated ``--set`` values, led by
+    the preset to run when it is not fig5_two_dof."""
+    words = override.split()
+    scenario = words.pop(0) if "=" not in words[0] else "fig5_two_dof"
+    sets = [arg for value in words for arg in ("--set", value)]
+    code = main(["run", "--scenario", scenario, "--out", str(tmp_path / "x"),
                  "--set", "duration_s=0.1", *sets])
     assert code == 2
     err = capsys.readouterr().err
@@ -221,6 +230,22 @@ def test_naive_gain_source_is_named(tmp_path, capsys, override, field):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{field} must be finite" in err and "controller.kp" not in err
+
+
+@pytest.mark.parametrize("first,second,stored", [("structured", "30", 30.0),
+                                                 ("30", "structured", "structured"),
+                                                 ("structured", '"structured"', "structured"),
+                                                 ("structured", "2.5e1", 25.0)])
+def test_set_on_a_str_or_number_field_reads_json_first(tmp_path, first, second, stored):
+    """controller.k1 takes a number or the word "structured": a later --set
+    is read as JSON whatever k1 holds, so a number replaces the word."""
+    out = tmp_path / "x"
+    code = main(["run", "--scenario", "fig3_one_dof", "--out", str(out),
+                 "--set", "duration_s=0.05", "--set", f"controller.k1={first}",
+                 "--set", f"controller.k1={second}"])
+    assert code == 0
+    k1 = json.load(open(out / "scenario.json"))["controller"]["k1"]
+    assert k1 == stored and type(k1) is type(stored)
 
 
 def test_gains_error_names_json_key(tmp_path, capsys):

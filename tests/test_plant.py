@@ -196,6 +196,28 @@ def test_environment_rejects_non_finite(field, bad):
         EnvironmentModel(**{field: bad})
 
 
+@pytest.mark.parametrize("cls,field,bad", [
+    *((OneDofParams, f, b) for f in ("m1", "l1", "lc1", "mass_ripple", "damping", "g")
+      for b in (math.nan, math.inf)),
+    *((TwoLinkParams, f, -math.inf) for f in ("m1", "m2", "l1", "l2", "J1", "J2")),
+    *((LinearMotorParams, f, math.nan) for f in ("mass", "viscous", "kappa",
+                                                  "friction_coulomb", "friction_viscous", "g")),
+])
+def test_plant_params_reject_non_finite_fields(cls, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: bad})
+
+
+@pytest.mark.parametrize("field,bad,message", [("kappa", 0.0, "kappa must be positive"),
+                                               ("kappa", -1.0, "kappa must be positive"),
+                                               ("friction_coulomb", -1.0, "friction_coulomb"),
+                                               ("friction_viscous", -50.0, "friction_viscous")])
+def test_linear_motor_params_reject_bad_signs(field, bad, message):
+    with pytest.raises(ValueError, match=message):
+        LinearMotorParams(**{field: bad})
+    LinearMotorParams(**{field: 0.0 if field != "kappa" else 1e-9})
+
+
 def test_pendulum_energy_drift():
     # undamped constant-inertia pendulum: semi-implicit Euler keeps energy
     # bounded; drift over one second stays below 0.5 %

@@ -252,6 +252,16 @@ def test_scenario_from_dict_names_the_json_key_of_a_bad_value():
         scenario_from_dict(d)
 
 
+def test_scenario_from_dict_names_a_bad_plant_parameter():
+    d = scenario_to_dict(presets()["linmotor_steps"])
+    d["plant_params"]["kappa"] = 0.0
+    with pytest.raises(ValueError, match=r"^plant_params\.kappa must be positive"):
+        scenario_from_dict(d)
+    d["plant_params"]["kappa"] = math.inf
+    with pytest.raises(ValueError, match=r"^plant_params\.kappa must be finite"):
+        scenario_from_dict(d)
+
+
 @pytest.mark.parametrize("section,key", [(None, "bogus"), (None, "seed"), ("env", "ks"),
                                          ("disturbance", "amp"),
                                          ("controller", "torque_limit_Nm"),
