@@ -29,7 +29,7 @@ from .msta import (
     _solve_inclusion,
     _u_from_selection,
     msta_explicit_step,
-    msta_implicit_decoupled_step,
+    msta_implicit_decoupled_step,  # noqa: F401  (perfbench traces it under this name)
     solve_shat_vector,  # noqa: F401  (perfbench traces it under this name)
     sta_scalar_implicit_step,
 )
@@ -61,7 +61,7 @@ __all__ = [
     "baseline_naive_step",
 ]
 
-US_MODES = ("auto", "explicit", "implicit-vector", "implicit-decoupled", "scalar-implicit")
+US_MODES = ("auto", "explicit", "implicit-vector", "scalar-implicit")
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,9 @@ class AdmittanceGains:
     rate, k1 either a scalar linear gain or the literal string "structured"
     for -C + gamma1*M, box the torque limits, h the controller period, and
     us_mode selects the inner-loop discretization ("auto" picks the scalar
-    implicit form for one joint and the explicit form otherwise).
+    implicit form for one joint and the explicit form otherwise;
+    "implicit-vector" solves the loop's inclusion, by its radial closed form
+    when the iteration matrix is a multiple of I).
 
     mx and bx are kept as read-only copies.  The constants that depend on the
     gains alone are derived once, in ``__post_init__``, as private attributes
@@ -281,13 +283,12 @@ class StepDiagnostics:
     solver: SolverDiagnostics | None = None
 
 
-def initial_state(q0: np.ndarray, dof: int | None = None) -> AdmittanceState:
+def initial_state(q0: np.ndarray) -> AdmittanceState:
     """Rest initialization: proxy on the robot, zero velocities and integrators."""
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    n = q0.size if dof is None else dof
-    zero = np.zeros(n)
+    zero = np.zeros(q0.size)
     return AdmittanceState(q0.copy(), zero.copy(), zero.copy(), q0.copy(), zero.copy(),
-                           MstaState.zero(n))
+                           MstaState.zero(q0.size))
 
 
 def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
@@ -355,9 +356,7 @@ class _Loop(NamedTuple):
     """
 
     Mk: np.ndarray
-    Ck: np.ndarray
     Gk: np.ndarray
-    k1m: np.ndarray
     B: np.ndarray
     Bhat: np.ndarray
     W: np.ndarray
@@ -405,7 +404,7 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     iteration = None
     if g._us_mode == "implicit-vector":
         iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m), g.msta.mu)
-    return _Loop(Mk, Ck, Gk, k1m, B, Bhat, W, MhC, _diagonal(W), beta, iteration,
+    return _Loop(Mk, Gk, B, Bhat, W, MhC, _diagonal(W), beta, iteration,
                  _one_loop(Mk, Gk, B, Bhat, W, MhC))
 
 
@@ -494,8 +493,6 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
         u, v_next, _, _ = sta_scalar_implicit_step(float(s[0]), ms, loop.beta, h,
                                                    float(state.msta_state.v[0]))
         return np.array([u]), _unchecked(MstaState, v=np.array([v_next])), None
-    if mode == "implicit-decoupled":
-        return msta_implicit_decoupled_step(s, ms, h, state.msta_state)
     # implicit-vector
     diag = _solve_inclusion(s, loop.iteration, ms, h)
     u_s, m_next = _u_from_selection(diag, state.msta_state, ms, h)

@@ -137,7 +137,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     groups = [args.group] if args.group else None
     try:
-        results = run_verification(groups, tol_scale=args.tol_scale)
+        results = run_verification(groups)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     failed = [r for r in results if not r.passed]
@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant and oracle suites")
     p.add_argument("--group", default=None, help=f"run one group ({', '.join(GROUPS)})")
-    p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="scale all tolerances (self-test hook)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plot", help="render SVG panels from an existing trace.csv")

@@ -2,7 +2,8 @@
 
 Three plants are provided: a one-joint rotary arm with an uncertain inertia
 term, a planar two-link arm (horizontal plane, so gravity acts out of plane),
-and a vertical linear motor stage.  The environment is a unilateral linear
+and a vertical linear motor stage (the double integrator is that stage with
+no friction, viscosity or gravity).  The environment is a unilateral linear
 spring surface with Coulomb friction along the tangential direction.
 """
 
@@ -352,23 +353,11 @@ def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
 
 
 def double_integrator_model(mass: float = 1.0) -> ManipulatorModel:
-    """Frictionless unit stage used by the inner-loop benchmarks."""
-
-    def terms(q: float, qd: float) -> tuple:
-        return mass, 0.0, 0.0, 0.0, q, 0.0, 1.0
-
-    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
-        ks, ys = env.k_s, env.y_s
-        for _ in range(n_sub):
-            fy = ks * (ys - q)   # Jacobian (0, 1), as on the linear stage
-            fc = fy if fy > 0.0 else 0.0
-            fe = disturbance(t, q, qd) if disturbance is not None else 0.0
-            qd += dt * (gt + fc + fe - 0.0 * qd - 0.0) / mass
-            q += dt * qd
-            t += dt
-        return q, qd
-
-    return ManipulatorModel(1, terms, _advance=advance)
+    """Frictionless unit stage used by the inner-loop benchmarks: the linear
+    stage with no friction, viscosity or gravity and unit drive gain."""
+    return linear_motor_model(LinearMotorParams(mass=mass, viscous=0.0, kappa=1.0,
+                                                friction_coulomb=0.0, friction_viscous=0.0,
+                                                g=0.0))
 
 
 def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],

@@ -186,6 +186,7 @@ def variational_residual(
 
     If y_proj really is the box projection of y_star, every term is <= 0 up to
     roundoff; a positive value witnesses a violated variational inequality.
+    A NaN term, as from a NaN candidate, makes the certificate NaN.
 
     A one-joint certificate is computed on floats, bitwise equal to
     ``_variational_residual_arrays``: a 1-entry ``d @ x`` is ``0.0 + d*x``.
@@ -199,7 +200,7 @@ def variational_residual(
     yp = y_proj.item()
     d = ys - yp
     scaled = yp / limit
-    worst = -math.inf
+    worst = None
     for p in probes:
         if type(p) is not float:
             p = _vector(p)
@@ -208,9 +209,17 @@ def variational_residual(
             p = p.item()
         if abs(p) > 1.0 + 1e-12:
             raise ValueError("probe lies outside the unit box")
-        worst = max(worst, 0.0 + d * (p - scaled))
-    if worst == -math.inf:
+        worst = _larger(worst, 0.0 + d * (p - scaled))
+    if worst is None:
         raise ValueError("at least one probe is required")
+    return worst
+
+
+def _larger(worst: float | None, value: float) -> float:
+    """``max(worst, value)``, with None for no value yet, that keeps a NaN
+    from either side: a NaN candidate gives a NaN certificate."""
+    if worst is None or value > worst or value != value:
+        return value
     return worst
 
 
@@ -219,14 +228,14 @@ def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray, box: Bo
     """``variational_residual`` on float vectors, for any number of entries."""
     d = y_star - y_proj
     scaled = y_proj / box.limits
-    worst = -np.inf
+    worst = None
     for p in probes:
         p = _vector(p)
         if p.shape != scaled.shape:
             raise ValueError("probe dimension mismatch")
         if (np.abs(p) > 1.0 + 1e-12).any():
             raise ValueError("probe lies outside the unit box")
-        worst = max(worst, float(d @ (p - scaled)))
-    if worst == -np.inf:
+        worst = _larger(worst, float(d @ (p - scaled)))
+    if worst is None:
         raise ValueError("at least one probe is required")
     return worst

@@ -14,6 +14,7 @@ import copy
 import itertools
 import json
 import math
+import numbers
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -559,16 +560,57 @@ def metrics_to_dict(m: Metrics) -> dict:
 
 # --------------------------------------------------------------------------- sweeps
 
-def _coerce_like(current, value, key: str, declared: tuple[str, ...] = ()):
-    """``value`` in the type of the field's ``current`` value.
+# what a JSON value must be for each declared type name of a scenario field
+_TYPE_WORDS = {"float": "a number", "int": "an integer", "str": "a string",
+               "tuple": "a list of numbers", "None": "null",
+               "rows": "a list of [t_s, fx_N, fy_N] rows"}
+# the declared type of the force schedule, whose rows are lists of numbers
+_ROWS = ("rows",)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _typed(value, declared: tuple[str, ...], key: str):
+    """``value``, read from JSON, as a value of a field declared with the
+    type names ``declared`` (e.g. ``("float", "str")``): a number as a float
+    (an int field takes an integral number, as an int), a list of numbers as
+    a tuple of floats, and for ``_ROWS`` a list of such lists as a tuple of
+    tuples (the rows' length and order are ``Scenario.validate``'s to check).
+    Anything else, a bool for a number included, raises ValueError naming
+    ``key``."""
+    try:
+        if value is None and "None" in declared:
+            return None
+        if _is_number(value) and "float" in declared:
+            return float(value)
+        if _is_number(value) and "int" in declared and float(value).is_integer():
+            return int(value)
+        if isinstance(value, str) and "str" in declared:
+            return value
+        if (isinstance(value, (list, tuple)) and "tuple" in declared
+                and all(map(_is_number, value))):
+            return tuple(map(float, value))
+        if isinstance(value, (list, tuple)) and "rows" in declared:
+            return tuple(_typed(row, ("tuple",), f"{key} entry {i}")
+                         for i, row in enumerate(value))
+    except OverflowError:
+        pass
+    wanted = " or ".join(_TYPE_WORDS.get(name, name) for name in declared)
+    raise ValueError(f"{key} must be {wanted}, got {value!r}")
+
+
+def _coerce(value, declared: tuple[str, ...], key: str):
+    """A ``--set`` value for a field declared with the type names ``declared``.
 
     Strings (from the CLI) are read as JSON.  For a field declared to take
-    strings (``declared``, the field's type names, holds "str") a JSON string
-    or a bare word that is not JSON is kept as the string, a JSON number
-    becomes a float where the field also takes one, and other JSON text stays
-    the word it is: so ``controller.k1=structured`` stores the word and
-    ``controller.k1=30`` the number, whatever k1 held before.  A value that
-    does not convert raises ValueError naming ``key``.
+    strings a JSON string or a bare word that is not JSON is kept as the
+    string, a JSON number becomes a float where the field also takes one, and
+    other JSON text stays the word it is: so ``controller.k1=structured``
+    stores the word and ``controller.k1=30`` the number, whatever k1 held
+    before.  A single number for a list field is a one-entry list.  The value
+    is then checked by ``_typed``, which raises ValueError naming ``key``.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -581,20 +623,10 @@ def _coerce_like(current, value, key: str, declared: tuple[str, ...] = ()):
         if "str" in declared:
             if isinstance(value, str):
                 return value
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            return float(text) if number and "float" in declared else text
-    try:
-        if isinstance(current, bool):
-            return bool(value)
-        if isinstance(current, int):
-            return int(value)
-        if isinstance(current, float):
-            return float(value)
-        if isinstance(current, tuple):
-            return tuple(value) if isinstance(value, (list, tuple)) else (float(value),)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} needs a {type(current).__name__}, got {value!r}") from None
-    return value
+            return float(text) if _is_number(value) and "float" in declared else text
+    if _is_number(value) and "tuple" in declared:
+        value = [value]
+    return _typed(value, declared, key)
 
 
 def _declared_types(holder, leaf: str) -> tuple[str, ...]:
@@ -616,7 +648,7 @@ def apply_override(sc: Scenario, key: str, value) -> None:
     one that does not convert to the field's type raises ValueError.
     """
     if key == "fd_y":
-        sc.fd_schedule = ((0.0, 0.0, _coerce_like(0.0, value, key)),)
+        sc.fd_schedule = ((0.0, 0.0, _coerce(value, ("float",), key)),)
         return
     path = _JSON_PATHS.get(key, key)
     parts = path.split(".")
@@ -626,7 +658,10 @@ def apply_override(sc: Scenario, key: str, value) -> None:
             raise KeyError(f"override path {key!r} does not resolve")
         chain.append(getattr(chain[-1], part))
     holder, leaf = chain[-2], parts[-1]
-    value = _coerce_like(chain[-1], value, key, _declared_types(holder, leaf))
+    declared = _ROWS if path == "fd_schedule" else _declared_types(holder, leaf)
+    if not declared:
+        raise KeyError(f"override path {key!r} does not name a scenario field")
+    value = _coerce(value, declared, key)
     if is_dataclass(holder) and holder.__dataclass_params__.frozen:
         setattr(chain[-3], parts[-2], replace(holder, **{leaf: value}))
     else:
@@ -804,16 +839,19 @@ def _section_to_dict(obj, keys) -> dict:
     return out
 
 
-def _section_from_dict(d, keys, where: str) -> dict:
-    """Attribute keyword arguments of one section; lists become tuples."""
+def _section_from_dict(d, cls, keys, where: str) -> dict:
+    """Attribute keyword arguments of one section of dataclass ``cls``, each
+    value checked against its field's declared types (``_typed``)."""
     if not isinstance(d, dict):
         raise ValueError(f"scenario key {where!r} must be an object")
     attrs = dict(keys)
-    for key in d:
+    out = {}
+    for key, value in d.items():
+        dotted = f"{where}.{key}" if where else key
         if key not in attrs:
-            dotted = f"{where}.{key}" if where else key
             raise ValueError(f"unknown scenario key {dotted!r}")
-    return {attrs[k]: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+        out[attrs[key]] = _typed(value, _declared_types(cls, attrs[key]), dotted)
+    return out
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -836,7 +874,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     if not isinstance(d, dict):
         raise ValueError("a scenario must be a JSON object")
     kwargs = _section_from_dict({k: v for k, v in d.items() if k not in _SECTIONS},
-                                _TOP_KEYS, "")
+                                Scenario, _TOP_KEYS, "")
     if "plant" not in d:
         raise ValueError("scenario key 'plant' is required")
     kwargs.setdefault("name", "scenario")
@@ -845,19 +883,19 @@ def scenario_from_dict(d: dict) -> Scenario:
         if cls is None:
             raise ValueError(f"plant_params: plant {d['plant']!r} takes no parameters")
         keys = tuple((f.name, f.name) for f in fields(cls))
+        attrs = _section_from_dict(d["plant_params"], cls, keys, "plant_params")
         try:
-            kwargs["plant_params"] = cls(**_section_from_dict(d["plant_params"], keys,
-                                                              "plant_params"))
+            kwargs["plant_params"] = cls(**attrs)
         except ValueError as exc:
             raise _section_error("plant_params", exc, keys) from exc
     for key, (cls, keys) in _SECTION_KEYS.items():
-        attrs = _section_from_dict(d.get(key, {}), keys, key)
+        attrs = _section_from_dict(d.get(key, {}), cls, keys, key)
         try:
             kwargs[key] = cls(**attrs)
         except ValueError as exc:
             raise _section_error(key, exc) from exc
     if "fd_schedule_N" in d:
-        kwargs["fd_schedule"] = tuple(tuple(e) for e in d["fd_schedule_N"])
+        kwargs["fd_schedule"] = _typed(d["fd_schedule_N"], _ROWS, "fd_schedule_N")
     return Scenario(**kwargs)
 
 

@@ -191,7 +191,7 @@ def _check(group: str, name: str, value: float, bound: float) -> CheckResult:
     return CheckResult(group, name, value <= bound, f"{value:.3e} <= {bound:.3e}")
 
 
-def _group_prox(tol_scale: float) -> list[CheckResult]:
+def _group_prox() -> list[CheckResult]:
     rng = np.random.default_rng(11)
     out = []
     worst = 0.0
@@ -206,7 +206,7 @@ def _group_prox(tol_scale: float) -> list[CheckResult]:
         closed = prox_norm_quad(z, index, NormQuadWeights(a, b))
         ref = prox_reference(z, index, a, b)
         worst = max(worst, float(np.linalg.norm(closed - ref)))
-    out.append(_check("prox", "closed-form-vs-minimizer", worst, 1e-8 * tol_scale))
+    out.append(_check("prox", "closed-form-vs-minimizer", worst, 1e-8))
 
     worst = 0.0
     for _ in range(200):
@@ -217,17 +217,17 @@ def _group_prox(tol_scale: float) -> list[CheckResult]:
         pa, pb = prox_norm_quad(za, index, w), prox_norm_quad(zb, index, w)
         gap = float(np.sum((pa - pb) ** 2) - (pa - pb) @ (za - zb))
         worst = max(worst, gap)
-    out.append(_check("prox", "firm-nonexpansiveness", worst, 1e-12 * tol_scale))
+    out.append(_check("prox", "firm-nonexpansiveness", worst, 1e-12))
 
     dead = max(
         float(np.linalg.norm(prox_norm_quad(np.array([0.5, 0.0]), 1.0, NormQuadWeights(0.5, 1.0)))),
         abs(float(np.linalg.norm(prox_norm_quad(np.array([0.5001, 0.0]), 1.0, NormQuadWeights(0.5, 0.0)))) - 1e-4),
     )
-    out.append(_check("prox", "dead-zone-boundary", dead, 1e-12 * tol_scale))
+    out.append(_check("prox", "dead-zone-boundary", dead, 1e-12))
     return out
 
 
-def _group_projection(tol_scale: float) -> list[CheckResult]:
+def _group_projection() -> list[CheckResult]:
     rng = np.random.default_rng(12)
     out = []
     worst_idem = worst_nonexp = worst_vi = 0.0
@@ -242,13 +242,13 @@ def _group_projection(tol_scale: float) -> list[CheckResult]:
         worst_nonexp = max(worst_nonexp, float(np.linalg.norm(p - p2) - np.linalg.norm(y - y2)))
         probes = [np.zeros(n), np.ones(n), -np.ones(n), np.sign(y - p)]
         worst_vi = max(worst_vi, variational_residual(y, p, box, probes))
-    out.append(_check("projection", "idempotent", worst_idem, 1e-15 * tol_scale))
-    out.append(_check("projection", "non-expansive", worst_nonexp, 1e-12 * tol_scale))
-    out.append(_check("projection", "variational-inequality", worst_vi, 1e-12 * tol_scale))
+    out.append(_check("projection", "idempotent", worst_idem, 1e-15))
+    out.append(_check("projection", "non-expansive", worst_nonexp, 1e-12))
+    out.append(_check("projection", "variational-inequality", worst_vi, 1e-12))
     return out
 
 
-def _group_sta_scalar(tol_scale: float) -> list[CheckResult]:
+def _group_sta_scalar() -> list[CheckResult]:
     rng = np.random.default_rng(13)
     out = []
     worst = 0.0
@@ -262,23 +262,23 @@ def _group_sta_scalar(tol_scale: float) -> list[CheckResult]:
         got = sta_scalar_implicit_step(s, g, 1.0, h, v)
         ref = sta_bisection_reference(s, k2, k3, h, v)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, ref)))
-    out.append(_check("sta-scalar", "bisection-oracle", worst, 1e-10 * tol_scale))
+    out.append(_check("sta-scalar", "bisection-oracle", worst, 1e-10))
 
     g = MstaGains(k2=1.0, k3=1.0)
     u, vn, p1, p2 = sta_scalar_implicit_step(5e-5, g, 1.0, 0.01, 0.0)
     branch = max(abs(p2 - 0.5), abs(p1 - 0.005))
-    out.append(_check("sta-scalar", "sliding-branch", branch, 1e-15 * tol_scale))
+    out.append(_check("sta-scalar", "sliding-branch", branch, 1e-15))
 
     worst = 0.0
     for _ in range(200):
         s = float(rng.normal(scale=10.0 ** rng.uniform(-6, 1)))
         _, _, p1, p2 = sta_scalar_implicit_step(s, g, float(rng.uniform(1, 3)), 0.001, 0.0)
         worst = max(worst, abs(p2) - 1.0, -np.sign(p1) * np.sign(s))
-    out.append(_check("sta-scalar", "selection-bounds", worst, 1e-12 * tol_scale))
+    out.append(_check("sta-scalar", "selection-bounds", worst, 1e-12))
     return out
 
 
-def _group_msta_vector(tol_scale: float) -> list[CheckResult]:
+def _group_msta_vector() -> list[CheckResult]:
     rng = np.random.default_rng(14)
     out = []
     worst = 0.0
@@ -292,7 +292,7 @@ def _group_msta_vector(tol_scale: float) -> list[CheckResult]:
                                                  g, h, MstaState(v))
         u_sc, v_sc, _, _ = sta_scalar_implicit_step(float(s[0]), g, 1.0, h, float(v[0]))
         worst = max(worst, abs(float(u_vec[0]) - u_sc), abs(float(st_vec.v[0]) - v_sc))
-    out.append(_check("msta-vector", "n1-matches-scalar", worst, 1e-8 * tol_scale))
+    out.append(_check("msta-vector", "n1-matches-scalar", worst, 1e-8))
 
     worst = 0.0
     for _ in range(200):
@@ -306,7 +306,7 @@ def _group_msta_vector(tol_scale: float) -> list[CheckResult]:
         u_b, st_b, d_b = msta_implicit_decoupled_step(s, g, h, MstaState(v))
         worst = max(worst, float(np.linalg.norm(u_a - u_b)),
                     float(np.linalg.norm(d_a.shat - d_b.shat)))
-    out.append(_check("msta-vector", "vector-vs-decoupled", worst, 1e-8 * tol_scale))
+    out.append(_check("msta-vector", "vector-vs-decoupled", worst, 1e-8))
 
     worst = 0.0
     for _ in range(200):
@@ -321,11 +321,11 @@ def _group_msta_vector(tol_scale: float) -> list[CheckResult]:
             unit = d.shat / np.linalg.norm(d.shat)
             dev = max(dev, float(np.linalg.norm(d.m2 - g.alpha2 * d.shat - unit)))
         worst = max(worst, dev)
-    out.append(_check("msta-vector", "selection-in-subdifferential", worst, 1e-9 * tol_scale))
+    out.append(_check("msta-vector", "selection-in-subdifferential", worst, 1e-9))
     return out
 
 
-def _group_lyapunov(tol_scale: float) -> list[CheckResult]:
+def _group_lyapunov() -> list[CheckResult]:
     rng = np.random.default_rng(15)
     worst = -math.inf
     for _ in range(20):
@@ -342,10 +342,10 @@ def _group_lyapunov(tol_scale: float) -> list[CheckResult]:
             if v_prev is not None:
                 worst = max(worst, v - v_prev)
             v_prev = v
-    return [_check("lyapunov", "nominal-decrease", worst, 1e-12 * tol_scale)]
+    return [_check("lyapunov", "nominal-decrease", worst, 1e-12)]
 
 
-def _group_band(tol_scale: float) -> list[CheckResult]:
+def _group_band() -> list[CheckResult]:
     g = MstaGains(k2=11.6, k3=66.0)
     h, delta3 = 1e-3, 10.0
     s1 = np.array([0.5])
@@ -356,7 +356,7 @@ def _group_band(tol_scale: float) -> list[CheckResult]:
         s1, s2, _, _, _ = msta_error_recursion_step(s1, s2, g, h, delta)
         if k * h > 1.0:
             worst = max(worst, float(np.linalg.norm(s1)))
-    return [_check("band", "steady-band-2h2d3", worst, 2.0 * h * h * delta3 * tol_scale)]
+    return [_check("band", "steady-band-2h2d3", worst, 2.0 * h * h * delta3)]
 
 
 def _fig3_like_gains(h: float = 1e-3) -> AdmittanceGains:
@@ -365,7 +365,7 @@ def _fig3_like_gains(h: float = 1e-3) -> AdmittanceGains:
                            h=h, us_mode="scalar-implicit")
 
 
-def _group_admittance(tol_scale: float) -> list[CheckResult]:
+def _group_admittance() -> list[CheckResult]:
     rng = np.random.default_rng(16)
     out = []
     g = _fig3_like_gains()
@@ -380,7 +380,7 @@ def _group_admittance(tol_scale: float) -> list[CheckResult]:
     tau, state2, _ = admittance_step(state, Measurement([0.2], [0.0], [0.0]), est, g)
     fixed = max(fixed, 1e-3 * float(np.abs(tau).max()),
                 float(np.abs(state2.qx_prev - 0.2).max()))
-    out.append(_check("admittance", "zero-dynamics-fixed-point", fixed, 1e-12 * tol_scale))
+    out.append(_check("admittance", "zero-dynamics-fixed-point", fixed, 1e-12))
 
     worst_ref = worst_trans = worst_bound = worst_vi = 0.0
     for _ in range(50):
@@ -415,21 +415,21 @@ def _group_admittance(tol_scale: float) -> list[CheckResult]:
             worst_trans = max(worst_trans, float(np.abs(st2.qx_prev - diag.qx_star).max()))
         worst_bound = max(worst_bound, float((np.abs(tau) - gg.box.limits).max()))
         worst_vi = max(worst_vi, diag.lambda_vi_residual)
-    out.append(_check("admittance", "straight-line-reference", worst_ref, 1e-12 * tol_scale))
-    out.append(_check("admittance", "unsaturated-transparency", worst_trans, 1e-10 * tol_scale))
+    out.append(_check("admittance", "straight-line-reference", worst_ref, 1e-12))
+    out.append(_check("admittance", "unsaturated-transparency", worst_trans, 1e-10))
     out.append(_check("admittance", "torque-hard-bound", worst_bound, 0.0))
-    out.append(_check("admittance", "vi-residual", worst_vi, 1e-10 * tol_scale))
+    out.append(_check("admittance", "vi-residual", worst_vi, 1e-10))
     return out
 
 
-def _group_plant(tol_scale: float) -> list[CheckResult]:
+def _group_plant() -> list[CheckResult]:
     from .plant import PlantState, forward_dynamics
 
     out = []
     model = one_dof_model(OneDofParams())
     qdd = forward_dynamics(model, PlantState([0.0], [0.0]), np.zeros(1), np.zeros(1), np.zeros(1))
     out.append(_check("plant", "one-dof-rest-accel", abs(float(qdd[0]) + 16.81714285714286),
-                      1e-9 * tol_scale))
+                      1e-9))
 
     rng = np.random.default_rng(17)
     two = two_link_model()
@@ -444,7 +444,7 @@ def _group_plant(tol_scale: float) -> list[CheckResult]:
         c = two.coriolis_fn(q, qd)
         worst_skew = max(worst_skew, abs(float(x @ (mdot - 2 * c) @ x)) / (1e-12 + float(x @ x)))
         worst_spd = max(worst_spd, -float(np.linalg.eigvalsh(two.mass_fn(q)).min()))
-    out.append(_check("plant", "two-link-skew-symmetry", worst_skew, 1e-6 * tol_scale))
+    out.append(_check("plant", "two-link-skew-symmetry", worst_skew, 1e-6))
     out.append(_check("plant", "mass-matrix-spd", worst_spd, 0.0))
 
     env = EnvironmentModel(k_s=2e3, y_s=0.0, mu_fric=0.1)
@@ -454,11 +454,11 @@ def _group_plant(tol_scale: float) -> list[CheckResult]:
         xd = rng.normal()
         fx, fy = contact_wrench((0.0, y), (xd, 0.0), env)
         worst = max(worst, -fy, fy * max(0.0, y), abs(fx) - env.mu_fric * fy)
-    out.append(_check("plant", "contact-complementarity", worst, 1e-12 * tol_scale))
+    out.append(_check("plant", "contact-complementarity", worst, 1e-12))
     return out
 
 
-def _group_determinism(tol_scale: float) -> list[CheckResult]:
+def _group_determinism() -> list[CheckResult]:
     from .sim import presets, run_scenario
 
     sc = presets()["msta_bench"]
@@ -484,11 +484,11 @@ GROUPS = {
 }
 
 
-def run_verification(groups: list[str] | None = None, tol_scale: float = 1.0) -> list[CheckResult]:
+def run_verification(groups: list[str] | None = None) -> list[CheckResult]:
     names = list(GROUPS) if not groups else groups
     results: list[CheckResult] = []
     for name in names:
         if name not in GROUPS:
             raise KeyError(f"unknown verification group {name!r}; available: {', '.join(GROUPS)}")
-        results.extend(GROUPS[name](tol_scale))
+        results.extend(GROUPS[name]())
     return results

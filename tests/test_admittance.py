@@ -461,8 +461,7 @@ def test_non_diagonal_matrices_keep_the_solve(monkeypatch):
 @pytest.mark.parametrize("n,us_mode,k1", [(1, "scalar-implicit", 30.0),
                                           (2, "explicit", 30.0),
                                           (2, "implicit-vector", 30.0),
-                                          (2, "implicit-vector", "structured"),
-                                          (2, "implicit-decoupled", "structured")])
+                                          (2, "implicit-vector", "structured")])
 def test_cached_loop_matches_a_fresh_gains_object_bitwise(n, us_mode, k1):
     """One gains object alternating between two constant estimates gives, at
     every step, the bits of a fresh gains object and of the same matrices
@@ -650,7 +649,6 @@ def _rebuilt(st: AdmittanceState) -> AdmittanceState:
                                           (2, "explicit", 30.0),
                                           (2, "implicit-vector", 30.0),
                                           (2, "implicit-vector", "structured"),
-                                          (2, "implicit-decoupled", "structured"),
                                           (2, "naive", None)])
 def test_step_states_are_float_vectors_that_feed_back_bitwise(n, mode, k1):
     """The states a step returns skip the constructors' checks; they have the

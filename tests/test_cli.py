@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from nonsmooth_adm import verify
 from nonsmooth_adm.cli import main
 from nonsmooth_adm.sim import presets, save_scenario, scenario_to_dict, trace_from_csv
 
@@ -70,6 +71,7 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("controller.torque_limits=[3.0]", "controller.torque_limits_Nm"),
     ("duration_s=0.0004", "duration_s"),
     ("controller.us_mode=scalar-implicit", "controller.us_mode"),
+    ("controller.us_mode=implicit-decoupled", "controller.us_mode"),
     ("estimate.mass_diag_kgm2=[0.2,0.2,0.2]", "estimate.mass_diag_kgm2"),
     ("estimate.mass_diag_kgm2=[NaN]", "estimate.mass_diag_kgm2"),
     ("controller.k2=NaN", "controller.k2"),
@@ -81,6 +83,8 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     # --set values that do not convert to the field's type
     ("disturbance.amplitude=null", "disturbance.amplitude"),
     ("controller.fp_max_iter=abc", "controller.fp_max_iter"),
+    ("controller.fp_max_iter=2.5", "controller.fp_max_iter"),
+    ("duration_s=true", "duration_s"),
     ("approach.mode=bogus", "approach.mode"),
     ("approach.v_ref_m_per_s=NaN", "approach.v_ref_m_per_s"),
     ("fd_schedule_N=[[0.0,0.0,NaN]]", "fd_schedule_N"),
@@ -120,6 +124,25 @@ def test_scenario_file_with_unknown_key_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "controller.torque_limit_Nm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,bad", [("controller.k2", "11.6"),
+                                     ("controller.lambda_per_s", [10.0]),
+                                     ("q0_rad", "0"), ("duration_s", True),
+                                     ("controller.fp_max_iter", 2.5), ("h_s", "0.001"),
+                                     ("env.ks_N_per_m", "2000"), ("controller.mx_diag", 0.3),
+                                     ("fd_schedule_N", [[0.0, 0.0, "-2"]]),
+                                     ("fd_schedule_N", [0.0])])
+def test_scenario_file_value_of_the_wrong_type_is_config_error(tmp_path, capsys, key, bad):
+    doc = scenario_to_dict(presets()["fig3_one_dof"])
+    section, _, leaf = key.rpartition(".")
+    (doc[section] if section else doc)[leaf] = bad
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} " in err
+    assert "Traceback" not in err
 
 
 def test_compare_outputs(tmp_path, capsys):
@@ -167,12 +190,14 @@ def test_verify_unknown_group(capsys):
     assert main(["verify", "--group", "bogus"]) == 2
 
 
-def test_verify_fault_injection(capsys):
-    # forcing every tolerance to zero must fail and name the group
-    code = main(["verify", "--group", "prox", "--tol-scale", "0"])
+def test_verify_fault_injection(monkeypatch, capsys):
+    # a failing check must fail the command and name its group
+    monkeypatch.setitem(verify.GROUPS, "prox",
+                        lambda: [verify.CheckResult("prox", "injected", False, "injected fault")])
+    code = main(["verify", "--group", "prox"])
     out = capsys.readouterr().out
     assert code == 4
-    assert "FAIL prox:" in out
+    assert "FAIL prox:injected" in out
 
 
 def test_plot_from_trace(tmp_path):

@@ -126,6 +126,12 @@ def test_linear_motor_dynamics():
     assert fric(0.0, 0.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
+def test_double_integrator_rejects_what_the_linear_stage_rejects(mass):
+    with pytest.raises(ValueError, match="mass"):
+        double_integrator_model(mass)
+
+
 def test_free_fall_substep_value():
     model = one_dof_model(OneDofParams())
     env = EnvironmentModel()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,20 @@ def test_variational_residual_random_grid(rng):
         y = rng.normal(scale=6, size=1)
         p = project_box(y, box)
         assert variational_residual(y, p, box, grid) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_variational_residual_of_a_nan_candidate_is_nan(n):
+    """A NaN term wins over any other probe's term, and only a call without
+    probes is told that it needs one."""
+    box = BoxConstraint([1.0] * n)
+    y_star, y_proj = np.array([np.nan, 0.0][:n]), np.array([0.5, 0.0][:n])
+    for probes in ([np.ones(n)], [-np.ones(n), np.zeros(n)], [np.array([np.nan] * n)]):
+        assert math.isnan(variational_residual(y_star, y_proj, box, probes))
+    assert math.isnan(variational_residual(np.full(n, 0.5), y_proj, box,
+                                           [np.ones(n), np.array([np.nan] * n)]))
+    with pytest.raises(ValueError, match="at least one probe"):
+        variational_residual(y_star, y_proj, box, [])
 
 
 def test_variational_residual_rejects_bad_probe():

@@ -331,6 +331,8 @@ def test_every_json_key_resolves_through_apply_override(name):
         doc = dict(_json_leaves(scenario_to_dict(sc)))
         for key, value in doc.items():
             assert not isinstance(value, bool), key
+            if key == "qd0_rad_per_s" and value is None:
+                value = doc["q0_rad"]   # unset, it takes a list like q0_rad
             changed = copy.deepcopy(sc)
             apply_override(changed, key, _bumped(value))
             # the override lands on exactly the field the file writes under key
@@ -459,10 +461,15 @@ def test_torque_limit_count_must_match_plant(name, limits):
         build_model(sc)
 
 
-@pytest.mark.parametrize("us_mode", ["implicit-vector", "implicit-decoupled"])
-def test_two_dof_implicit_inner_loops_closed_loop(us_mode):
+@pytest.mark.parametrize("k1,gamma1", [pytest.param(30.0, 0.0, id="implicit-vector"),
+                                       # G = (1 + h*gamma1) I: the radial closed form
+                                       pytest.param("structured", 150.0,
+                                                    id="implicit-vector-structured")])
+def test_two_dof_implicit_inner_loops_closed_loop(k1, gamma1):
     sc = short(presets()["fig5_two_dof"], 1.0)
-    sc.controller.us_mode = us_mode
+    sc.controller.us_mode = "implicit-vector"
+    sc.controller.k1 = k1
+    sc.controller.gamma1 = gamma1
     tr = run_scenario(sc)
     m = compute_metrics(tr, sc)
     assert m.torque_violations == 0

@@ -3,9 +3,11 @@
     python3 tools/trace_digest.py > digest.json
 
 Runs the four presets with the proposed controller and with the naive
-baseline, fig5 with the ``implicit-vector`` and ``implicit-decoupled``
-inner loops, and ``linmotor_steps`` under a sine disturbance (on top of the
-stage's own rail friction), and prints sorted JSON: per run, one SHA-256 per ``Trace``
+baseline, fig5 with the ``implicit-vector`` inner loop for the preset's
+scalar k1 and for a structured k1 (``gamma1 = 150``, whose iteration matrix
+is a multiple of I, so the solve takes its radial closed form), and
+``linmotor_steps`` under a sine disturbance (on top of the stage's own rail
+friction), and prints sorted JSON: per run, one SHA-256 per ``Trace``
 channel (dtype, shape and bytes), one of the written CSV, and the ``repr`` of
 every ``Metrics`` field.  The package is imported from the ``src`` directory
 next to this script, so two checkouts compare with ``cmp`` of their outputs.
@@ -37,10 +39,13 @@ def standard_runs() -> dict:
     for sc in presets().values():
         runs[sc.name] = sc
         runs[sc.name + "_naive"] = naive_variant(sc)
-    for mode in ("implicit-vector", "implicit-decoupled"):
-        sc = copy.deepcopy(presets()["fig5_two_dof"])
-        sc.controller.us_mode = mode
-        runs[f"fig5_two_dof:{mode}"] = sc
+    sc = copy.deepcopy(presets()["fig5_two_dof"])
+    sc.controller.us_mode = "implicit-vector"
+    runs["fig5_two_dof:implicit-vector"] = sc
+    sc = copy.deepcopy(sc)
+    sc.controller.k1 = "structured"
+    sc.controller.gamma1 = 150.0
+    runs["fig5_two_dof:implicit-vector-structured"] = sc
     sc = copy.deepcopy(presets()["linmotor_steps"])
     sc.disturbance = DisturbanceSpec(kind="sine", amplitude=0.5, freq_hz=2.0)
     runs["linmotor_steps:sine"] = sc
