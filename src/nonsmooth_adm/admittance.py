@@ -25,6 +25,8 @@ from .msta import (
     MstaGains,
     MstaState,
     SolverDiagnostics,
+    _explicit_floats,
+    _inclusion_floats,
     _Iteration,
     _solve_inclusion,
     _u_from_selection,
@@ -34,8 +36,8 @@ from .msta import (
     sta_scalar_implicit_step,
 )
 from .setvalued import (
-    _ONE,
     BoxConstraint,
+    _FLOAT_JOINTS,
     _all_finite,
     _read_only,
     _require_finite,
@@ -99,10 +101,15 @@ class ModelEstimate:
         return est
 
 
+def _is_diagonal(A: np.ndarray) -> bool:
+    """Whether A is 1 x 1, or 2 x 2 with exact zeros off the diagonal."""
+    return A.shape == (1, 1) or (A.shape == (2, 2) and A[0, 1] == 0.0 and A[1, 0] == 0.0)
+
+
 def _diagonal(A: np.ndarray) -> np.ndarray | None:
     """The diagonal of A when A is 1 x 1 or 2 x 2, diagonal, with nonzero
     diagonal entries: then ``_solve`` divides by it.  None otherwise."""
-    if A.shape == (1, 1) or (A.shape == (2, 2) and A[0, 1] == 0.0 and A[1, 0] == 0.0):
+    if _is_diagonal(A):
         d = A.diagonal()
         if 0.0 not in d.tolist():
             return _read_only(d.copy())
@@ -123,10 +130,32 @@ def _solve(A: np.ndarray, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+def _finite(*values: float) -> bool:
+    """Whether every float of ``values`` is finite (an overflowing sum of
+    finite values also reads False, which only costs a stage its float branch).
+
+    Row i of a product of a diagonal matrix with x is ``0.0 + A_ii*x_i`` in
+    any summation order, plus the off-diagonal zero times the other entries,
+    which numpy adds: that term is NaN when another entry is not finite.  A
+    non-finite product input of a two-joint stage makes its own row of the
+    stage's outputs non-finite, so a two-joint stage whose float outputs are
+    finite has computed numpy's bits; the others redo their arrays.
+    """
+    return math.isfinite(sum(values))
+
+
+class _ProxyFloats(NamedTuple):
+    """A diagonal proxy of one or two joints, as floats."""
+
+    shape: tuple    # (n,), the shape of the controller's vectors
+    joints: tuple   # per joint (mx_jj, P_jj), P = mx + bx*h with no zero entry
+
+
 def _set_proxy(gains) -> None:
     """Check mx, bx and h of ``gains``, keep mx and bx as read-only copies,
-    and derive ``mx + bx*h`` and its diagonal for ``proxy_predict``; for one
-    joint also ``(mx, mx + bx*h)`` as floats, ``_proxy_one`` (else None)."""
+    and derive ``mx + bx*h`` and its diagonal for ``proxy_predict``; for a
+    diagonal proxy of one or two joints also the diagonals as floats,
+    ``_proxy_floats`` (else None)."""
     n = gains.box.dim
     mx = np.atleast_2d(np.array(gains.mx, dtype=float))
     bx = np.atleast_2d(np.array(gains.bx, dtype=float))
@@ -144,8 +173,12 @@ def _set_proxy(gains) -> None:
     object.__setattr__(gains, "mx", _read_only(mx))
     object.__setattr__(gains, "bx", _read_only(bx))
     object.__setattr__(gains, "_proxy_matrix", _read_only(P))
-    object.__setattr__(gains, "_proxy_diag", _diagonal(P))
-    object.__setattr__(gains, "_proxy_one", (mx.item(), P.item()) if n == 1 else None)
+    Pd = _diagonal(P)
+    floats = None
+    if Pd is not None and _is_diagonal(mx):
+        floats = _ProxyFloats((n,), tuple(zip(mx.diagonal().tolist(), Pd.tolist())))
+    object.__setattr__(gains, "_proxy_diag", Pd)
+    object.__setattr__(gains, "_proxy_floats", floats)
 
 
 @dataclass(frozen=True)
@@ -297,17 +330,40 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
 
     ux_star = (mx + bx*h)^{-1} (mx*qxd_prev + h*(fc + fd)),
     qx_star = qx_prev + h*ux_star.  ``g`` may also be ``NaiveGains``.
+
+    A diagonal proxy of one or two joints computes on floats, one joint at
+    a time (``_proxy_joint``), bitwise equal to ``_proxy_predict_arrays``.
     """
     fc = _vector(fc)
     fd = _vector(fd)
-    one = g._proxy_one
-    if (one is None or fc.shape != _ONE or fd.shape != _ONE
-            or state.qxd_prev.shape != _ONE or state.qx_prev.shape != _ONE):
-        return _proxy_predict_arrays(state, fc, fd, g)
-    mx, P = one
-    h = g.h
-    ux_star = (0.0 + mx * state.qxd_prev.item() + h * (fc.item() + fd.item())) / P
-    return np.array([ux_star]), np.array([state.qx_prev.item() + h * ux_star])
+    floats = g._proxy_floats
+    if floats is not None and (floats.shape == fc.shape == fd.shape == state.qxd_prev.shape
+                               == state.qx_prev.shape):
+        h = g.h
+        if len(floats.joints) == 1:
+            u, x = _proxy_joint(floats.joints[0], h, state.qxd_prev.item(), fc.item(), fd.item(),
+                                state.qx_prev.item())
+            return np.array([u]), np.array([x])
+        (v0, v1), (f0, f1), (d0, d1) = state.qxd_prev.tolist(), fc.tolist(), fd.tolist()
+        x0, x1 = state.qx_prev.tolist()
+        joint0, joint1 = floats.joints
+        u0, x0 = _proxy_joint(joint0, h, v0, f0, d0, x0)
+        u1, x1 = _proxy_joint(joint1, h, v1, f1, d1, x1)
+        # a zero ux_star comes from an exact zero in b, which _solve hands to
+        # np.linalg.solve (or, harmlessly, from an underflow)
+        if u0 != 0.0 and u1 != 0.0 and _finite(u0, u1, x0, x1):
+            return np.array([u0, u1]), np.array([x0, x1])
+    return _proxy_predict_arrays(state, fc, fd, g)
+
+
+def _proxy_joint(joint: tuple, h: float, qxd_prev: float, fc: float, fd: float,
+                 qx_prev: float) -> tuple[float, float]:
+    """One joint of ``proxy_predict`` on floats: (ux_star, qx_star).  Row j
+    of the diagonal product ``mx @ qxd_prev`` is ``0.0 + mx_jj*qxd_prev_j``
+    (see ``_finite``)."""
+    mx, P = joint
+    ux_star = (0.0 + mx * qxd_prev + h * (fc + fd)) / P
+    return ux_star, qx_prev + h * ux_star
 
 
 def _proxy_predict_arrays(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
@@ -324,13 +380,28 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
 
     qe uses the predicted proxy position (the corrected one is not known yet);
     its rate is the backward difference against the stored previous error.
+    With the float proxy of ``proxy_predict`` it computes on floats, one
+    joint at a time (``_sliding_joint``).
     """
-    if (g._proxy_one is None or qx_star.shape != _ONE or q.shape != _ONE
-            or state.qe_prev.shape != _ONE):
+    floats = g._proxy_floats
+    if floats is None or not floats.shape == qx_star.shape == q.shape == state.qe_prev.shape:
         return _sliding_variable_arrays(qx_star, q, state, g)
-    qe = qx_star.item() - q.item()
-    qed = (qe - state.qe_prev.item()) / g.h
-    return np.array([qe]), np.array([qed]), np.array([qed + g.lam * qe])
+    h, lam = g.h, g.lam
+    if len(floats.joints) == 1:
+        qe, qed, s = _sliding_joint(h, lam, qx_star.item(), q.item(), state.qe_prev.item())
+        return np.array([qe]), np.array([qed]), np.array([s])
+    (x0, x1), (y0, y1), (p0, p1) = qx_star.tolist(), q.tolist(), state.qe_prev.tolist()
+    qe0, qed0, s0 = _sliding_joint(h, lam, x0, y0, p0)
+    qe1, qed1, s1 = _sliding_joint(h, lam, x1, y1, p1)
+    return np.array([qe0, qe1]), np.array([qed0, qed1]), np.array([s0, s1])
+
+
+def _sliding_joint(h: float, lam: float, qx_star: float, q: float, qe_prev: float
+                   ) -> tuple[float, float, float]:
+    """One joint of ``sliding_variable`` on floats: (qe, its rate, s)."""
+    qe = qx_star - q
+    qed = (qe - qe_prev) / h
+    return qe, qed, qed + lam * qe
 
 
 def _sliding_variable_arrays(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
@@ -350,9 +421,10 @@ class _Loop(NamedTuple):
     ``MhC`` is ``Mk + h*Ck``, ``Wd`` the diagonal of W when solves against W
     are divisions, ``beta`` the scalar-implicit iteration factor, and
     ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A``, which
-    keeps its relaxation parameter once a solve has chosen it.  ``one`` holds
-    the one-joint loop as floats (``_OneLoop``) when every matrix is 1 x 1,
-    Gk has one entry and W is nonzero; None otherwise.
+    keeps its relaxation parameter once a solve has chosen it.  ``diag``
+    holds the diagonals as floats (``_DiagLoop``) when the loop has one or
+    two joints, every matrix is diagonal and W has no zero entry; None
+    otherwise.
     """
 
     Mk: np.ndarray
@@ -364,27 +436,37 @@ class _Loop(NamedTuple):
     Wd: np.ndarray | None
     beta: float | None
     iteration: _Iteration | None
-    one: "_OneLoop | None"
+    diag: "_DiagLoop | None"
 
 
-class _OneLoop(NamedTuple):
-    """The entries of a one-joint ``_Loop``, as floats."""
+class _DiagLoop(NamedTuple):
+    """A diagonal ``_Loop`` as floats: per joint j the record
+    ``(Mk_jj, Gk_j, B_jj, Bhat_jj, W_jj, MhC_jj)``, the diagonal of W, and
+    that of the implicit-vector iteration matrix (None when there is none or
+    it is not diagonal)."""
 
-    Mk: float
-    Gk: float
-    B: float
-    Bhat: float
-    W: float
-    MhC: float
+    shape: tuple    # (n,), the shape of the loop's vectors
+    joints: tuple
+    W: tuple
+    G: tuple | None
 
 
-def _one_loop(Mk, Gk, B, Bhat, W, MhC) -> _OneLoop | None:
+def _diag_loop(Mk, Gk, B, Bhat, W, MhC, iteration) -> _DiagLoop | None:
+    if not (type(Gk) is np.ndarray and Gk.ndim == 1 and Gk.size in _FLOAT_JOINTS
+            and Gk.dtype == float):
+        return None
+    square = (Gk.size, Gk.size)
     matrices = (Mk, B, Bhat, W, MhC)
-    if (all(type(a) is np.ndarray and a.shape == (1, 1) and a.dtype == float for a in matrices)
-            and type(Gk) is np.ndarray and Gk.shape == _ONE and Gk.dtype == float
-            and W.item() != 0.0):
-        return _OneLoop(Mk.item(), Gk.item(), B.item(), Bhat.item(), W.item(), MhC.item())
-    return None
+    if not all(type(a) is np.ndarray and a.shape == square and a.dtype == float
+               and _is_diagonal(a) for a in matrices):
+        return None
+    Mk, B, Bhat, W, MhC = (a.diagonal().tolist() for a in matrices)
+    if 0.0 in W:
+        return None
+    G = None
+    if iteration is not None and _is_diagonal(iteration.G):
+        G = tuple(iteration.G.diagonal().tolist())
+    return _DiagLoop(Gk.shape, tuple(zip(Mk, Gk.tolist(), B, Bhat, W, MhC)), tuple(W), G)
 
 
 def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
@@ -405,7 +487,7 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     if g._us_mode == "implicit-vector":
         iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m), g.msta.mu)
     return _Loop(Mk, Gk, B, Bhat, W, MhC, _diagonal(W), beta, iteration,
-                 _one_loop(Mk, Gk, B, Bhat, W, MhC))
+                 _diag_loop(Mk, Gk, B, Bhat, W, MhC, iteration))
 
 
 def _loop_for(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
@@ -436,27 +518,46 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
     (q1_star, tau_star) with tau_star = W (qx_star - q1_star).  ``loop`` is the
     period's evaluated estimate and matrices; it is built here when omitted.
 
-    A one-joint loop computes on floats, bitwise equal to
-    ``_inner_loop_candidate_arrays``: a 1 x 1 product ``A @ x`` is ``0.0 + A*x``.
+    A diagonal loop computes on floats, one joint at a time
+    (``_candidate_joint``), bitwise equal to ``_inner_loop_candidate_arrays``.
     """
     if loop is None:
         loop = _evaluate_loop(model, q, state, g)
-    one = loop.one
-    if (one is None or qx_star.shape != _ONE or q.shape != _ONE or u_s.shape != _ONE
-            or state.qx_prev.shape != _ONE or state.ux_prev.shape != _ONE
-            or state.q_prev.shape != _ONE):
-        return _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
-    h = g.h
+    d = loop.diag
+    if d is not None and (d.shape == qx_star.shape == q.shape == u_s.shape == state.qx_prev.shape
+                          == state.ux_prev.shape == state.q_prev.shape):
+        h = g.h
+        direct = g.us_coupling == "direct"
+        if len(d.joints) == 1:
+            _, q1, tau = _candidate_joint(d.joints[0], h, direct, q.item(), state.q_prev.item(),
+                                          state.qx_prev.item(), state.ux_prev.item(), u_s.item(),
+                                          qx_star.item())
+            return np.array([q1]), np.array([tau])
+        (y0, y1), (p0, p1), (x0, x1) = q.tolist(), state.q_prev.tolist(), state.qx_prev.tolist()
+        (v0, v1), (u0, u1), (s0, s1) = state.ux_prev.tolist(), u_s.tolist(), qx_star.tolist()
+        joint0, joint1 = d.joints
+        b0, q0, tau0 = _candidate_joint(joint0, h, direct, y0, p0, x0, v0, u0, s0)
+        b1, q1, tau1 = _candidate_joint(joint1, h, direct, y1, p1, x1, v1, u1, s1)
+        # _solve hands a b with an exact zero to np.linalg.solve
+        if b0 != 0.0 and b1 != 0.0 and _finite(q0, q1, tau0, tau1):
+            return np.array([q0, q1]), np.array([tau0, tau1])
+    return _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
+
+
+def _candidate_joint(joint: tuple, h: float, direct: bool, q: float, q_prev: float,
+                     qx_prev: float, ux_prev: float, u_s: float, qx_star: float
+                     ) -> tuple[float, float, float]:
+    """One joint of ``inner_loop_candidate`` on floats: (b, q1_star, tau_star)
+    with b the right-hand side of the solve against W.  Row j of a diagonal
+    product ``A @ x`` is ``0.0 + A_jj*x_j`` (see ``_finite``)."""
+    Mk, Gk, B, Bhat, W, MhC = joint
     hh = h * h
-    qv = q.item()
-    qx_prev = state.qx_prev.item()
-    us = u_s.item()
-    tau_us = us if g.us_coupling == "direct" else 0.0 + one.Mk * us
-    phi_a = (0.0 + one.MhC * qv + h * (0.0 + one.B * state.q_prev.item())) / hh + one.Gk + tau_us
-    phi_b = ((0.0 + one.Mk * (qx_prev + h * state.ux_prev.item())) / hh
-             + (0.0 + one.Bhat * qx_prev) / h)
-    q1_star = qv + (phi_b - phi_a) / one.W
-    return np.array([q1_star]), np.array([0.0 + one.W * (qx_star.item() - q1_star)])
+    tau_us = u_s if direct else 0.0 + Mk * u_s
+    phi_a = (0.0 + MhC * q + h * (0.0 + B * q_prev)) / hh + Gk + tau_us
+    phi_b = (0.0 + Mk * (qx_prev + h * ux_prev)) / hh + (0.0 + Bhat * qx_prev) / h
+    b = phi_b - phi_a
+    q1_star = q + b / W
+    return b, q1_star, 0.0 + W * (qx_star - q1_star)
 
 
 def _inner_loop_candidate_arrays(qx_star: np.ndarray, q: np.ndarray, u_s: np.ndarray,
@@ -482,17 +583,31 @@ def _scalar_beta(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> float:
 
 
 def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: AdmittanceGains):
-    """Dispatch u_s through the configured discretization."""
+    """Dispatch u_s through the configured discretization.
+
+    On a diagonal loop, ``explicit`` and the dead band and radial branch of
+    ``implicit-vector`` compute on floats, bitwise equal to the array code;
+    the fixed point of a non-scalar iteration matrix stays on arrays.
+    """
     mode = g._us_mode
     h = g.h
     ms = g.msta
+    if mode == "scalar-implicit":
+        u, v_next, _, _ = sta_scalar_implicit_step(s.item(), ms, loop.beta, h,
+                                                   state.msta_state.v.item())
+        return np.array([u]), _unchecked(MstaState, v=np.array([v_next])), None
+    d = loop.diag
+    v = state.msta_state.v
+    if d is not None and d.shape == s.shape == v.shape:
+        if mode == "explicit":
+            return (*_explicit_floats(s, v.tolist(), ms, h), None)
+        if d.G is not None:
+            out = _inclusion_floats(s, loop.iteration, d.G, v.tolist(), ms, h)
+            if out is not None:
+                return out
     if mode == "explicit":
         u_s, m_next = msta_explicit_step(s, state.msta_state, ms, h)
         return u_s, m_next, None
-    if mode == "scalar-implicit":
-        u, v_next, _, _ = sta_scalar_implicit_step(float(s[0]), ms, loop.beta, h,
-                                                   float(state.msta_state.v[0]))
-        return np.array([u]), _unchecked(MstaState, v=np.array([v_next])), None
     # implicit-vector
     diag = _solve_inclusion(s, loop.iteration, ms, h)
     u_s, m_next = _u_from_selection(diag, state.msta_state, ms, h)
@@ -508,13 +623,20 @@ def _worst_probe(y_star: np.ndarray, y_proj: np.ndarray) -> list[np.ndarray]:
     return [np.sign(y_star - y_proj)]
 
 
-def _sign(x: float) -> float:
-    """``np.sign`` of a float: +0.0 for either zero, NaN for NaN."""
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0 if x == 0.0 else x
+def _clip_flags(limit: float, y_star: float, y: float) -> tuple[bool, float]:
+    """One entry of the saturation flags ``|y_star| > F`` and of the worst
+    probe ``_worst_probe(y_star, y)`` on floats: ``np.sign`` of y_star - y,
+    which is +0.0 for either zero and keeps a NaN."""
+    d = y_star - y
+    return abs(y_star) > limit, 1.0 if d > 0.0 else -1.0 if d < 0.0 else 0.0 if d == 0.0 else d
+
+
+def _correct_joint(W: float, h: float, tau: float, q1_star: float, qx_prev: float
+                   ) -> tuple[float, float]:
+    """One joint of the step's proxy correction on floats: qx = tau/W + q1_star
+    and its rate."""
+    qx = tau / W + q1_star
+    return qx, (qx - qx_prev) / h
 
 
 def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstimate,
@@ -524,8 +646,9 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
 
     The applied torque is exactly the box projection of the candidate, and the
     corrected proxy satisfies qx = W^{-1} tau + q1_star, so tau == tau_star
-    implies qx == qx_star.  For one joint, each stage and the step's own
-    arithmetic compute on floats, bitwise equal to the array code.
+    implies qx == qx_star.  On a diagonal loop of one or two joints, each
+    stage and the step's own arithmetic compute on floats, bitwise equal to
+    the array code.
     """
     h = g.h
     loop = _loop_for(model, meas.q, state, g)
@@ -537,26 +660,46 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
                                              loop=loop)
 
     tau = project_box(tau_star, g.box)
-    one = loop.one
-    if one is not None and q1_star.shape == _ONE and state.qx_prev.shape == _ONE:
-        t, ts = tau.item(), tau_star.item()
-        qx1 = t / one.W + q1_star.item()
-        qx = np.array([qx1])
-        qxd = np.array([(qx1 - state.qx_prev.item()) / h])
-        saturated = np.array([abs(ts) > g.box._limit])
-        probes = [_sign(ts - t)]
+    d = loop.diag
+    qx = None
+    if d is not None and d.shape == tau.shape == q1_star.shape == state.qx_prev.shape:
+        limits = g.box._floats
+        if len(limits) == 1:
+            t, ts = tau.item(), tau_star.item()
+            qx, qxd = _correct_joint(d.W[0], h, t, q1_star.item(), state.qx_prev.item())
+            flag, sign = _clip_flags(limits[0], ts, t)
+            qx, qxd, saturated, probes = np.array([qx]), np.array([qxd]), np.array([flag]), [sign]
+        else:
+            (t0, t1), (s0, s1) = tau.tolist(), tau_star.tolist()
+            flag0, sign0 = _clip_flags(limits[0], s0, t0)
+            flag1, sign1 = _clip_flags(limits[1], s1, t1)
+            saturated, probes = np.array([flag0, flag1]), [[sign0, sign1]]
+            if t0 != 0.0 and t1 != 0.0:     # else _solve hands tau to np.linalg.solve
+                (q0, q1), (x0, x1) = q1_star.tolist(), state.qx_prev.tolist()
+                qx0, qxd0 = _correct_joint(d.W[0], h, t0, q0, x0)
+                qx1, qxd1 = _correct_joint(d.W[1], h, t1, q1, x1)
+                qx, qxd = np.array([qx0, qx1]), np.array([qxd0, qxd1])
     else:
-        qx = _solve(loop.W, loop.Wd, tau) + q1_star
-        qxd = (qx - state.qx_prev) / h
         saturated = np.abs(tau_star) > g.box.limits
         probes = _worst_probe(tau_star, tau)
+    if qx is None:
+        qx = _solve(loop.W, loop.Wd, tau) + q1_star
+        qxd = (qx - state.qx_prev) / h
     vi_residual = variational_residual(tau_star, tau, g.box, probes)
 
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
                             q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
-    diag = StepDiagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated,
-                           vi_residual, solver_diag)
+    diag = _unchecked(StepDiagnostics, tau_star=tau_star, tau=tau, qx_star=qx_star,
+                      q1_star=q1_star, s=s, qe=qe, u_s=u_s, saturated=saturated,
+                      lambda_vi_residual=vi_residual, solver=solver_diag)
     return tau, next_state, diag
+
+
+def _naive_joint(kp: float, kd: float, h: float, qx: float, q: float, qe_prev: float,
+                 gravity: float) -> tuple[float, float]:
+    """One joint of the naive baseline's PD on floats: (qe, the raw torque)."""
+    qe = qx - q
+    return qe, kp * qe + kd * ((qe - qe_prev) / h) + gravity
 
 
 def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelEstimate,
@@ -565,25 +708,35 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
 
     The proxy integrates the measured and desired forces with no feedback from
     the applied torque, and the position loop is a gravity-compensated PD whose
-    output is hard-clamped to the torque box.  For one joint the arithmetic
-    is on floats, bitwise equal to the array code.
+    output is hard-clamped to the torque box.  For one or two joints the
+    arithmetic is on floats, bitwise equal to the array code.
     """
     h = ng.h
     ux, qx = proxy_predict(state, meas.fc, meas.fd, ng)
     gravity = model.gravity_fn(meas.q)
-    limit = ng.box._limit
-    if (limit is not None and qx.shape == _ONE and meas.q.shape == _ONE
-            and state.qe_prev.shape == _ONE and type(gravity) is np.ndarray
-            and gravity.shape == _ONE and gravity.dtype == float):
-        qe1 = qx.item() - meas.q.item()
-        qed = (qe1 - state.qe_prev.item()) / h
-        raw = ng.kp * qe1 + ng.kd * qed + gravity.item()
-        qe = np.array([qe1])
-        tau_raw = np.array([raw])
-        tau = project_box(tau_raw, ng.box)
-        t = tau.item()
-        saturated = np.array([abs(raw) > limit])
-        probes = [_sign(raw - t)]
+    limits = ng.box._floats
+    if (limits is not None and type(gravity) is np.ndarray and gravity.dtype == float
+            and ng.box.limits.shape == qx.shape == meas.q.shape == state.qe_prev.shape
+            == gravity.shape):
+        kp, kd = ng.kp, ng.kd
+        if len(limits) == 1:
+            e, raw = _naive_joint(kp, kd, h, qx.item(), meas.q.item(), state.qe_prev.item(),
+                                  gravity.item())
+            qe, tau_raw = np.array([e]), np.array([raw])
+            tau = project_box(tau_raw, ng.box)
+            flag, sign = _clip_flags(limits[0], raw, tau.item())
+            saturated, probes = np.array([flag]), [sign]
+        else:
+            (x0, x1), (y0, y1) = qx.tolist(), meas.q.tolist()
+            (p0, p1), (c0, c1) = state.qe_prev.tolist(), gravity.tolist()
+            e0, raw0 = _naive_joint(kp, kd, h, x0, y0, p0, c0)
+            e1, raw1 = _naive_joint(kp, kd, h, x1, y1, p1, c1)
+            qe, tau_raw = np.array([e0, e1]), np.array([raw0, raw1])
+            tau = project_box(tau_raw, ng.box)
+            t0, t1 = tau.tolist()
+            flag0, sign0 = _clip_flags(limits[0], raw0, t0)
+            flag1, sign1 = _clip_flags(limits[1], raw1, t1)
+            saturated, probes = np.array([flag0, flag1]), [[sign0, sign1]]
     else:
         qe = qx - meas.q
         qed = (qe - state.qe_prev) / h
@@ -595,6 +748,7 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     zero = np.zeros_like(qe)
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,
                             q_prev=meas.q.copy(), qe_prev=qe, msta_state=state.msta_state)
-    diag = StepDiagnostics(tau_raw, tau, qx, meas.q.copy(), zero, qe, zero, saturated,
-                           vi_residual, None)
+    diag = _unchecked(StepDiagnostics, tau_star=tau_raw, tau=tau, qx_star=qx,
+                      q1_star=meas.q.copy(), s=zero, qe=qe, u_s=zero, saturated=saturated,
+                      lambda_vi_residual=vi_residual, solver=None)
     return tau, next_state, diag

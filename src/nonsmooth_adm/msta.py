@@ -38,8 +38,6 @@ from .setvalued import (
     _unchecked,
     _vector,
     prox_norm_quad,
-    sat,
-    sign0,
 )
 
 __all__ = [
@@ -144,6 +142,23 @@ def msta_explicit_step(
         u_s = state.v.copy()
         v_next = state.v.copy()
     return u_s, _unchecked(MstaState, v=v_next)
+
+
+def _explicit_floats(s: np.ndarray, v: list, g: MstaGains, h: float
+                     ) -> tuple[np.ndarray, MstaState]:
+    """``msta_explicit_step`` on the floats ``v`` of the state, bitwise equal
+    to it: the step is entrywise but for ||s||, which is numpy's (``_norm``)."""
+    ns = _norm(s)
+    if not ns > 0.0:
+        return np.array(v), _unchecked(MstaState, v=np.array(v))
+    s = s.tolist()
+    k2, hk3, k4 = g.k2, h * g.k3, g.k4
+    root = math.sqrt(ns)
+    u_s, v_next = [], []
+    for j, y in enumerate(s):
+        u_s.append(v[j] + k2 * y / root)
+        v_next.append(v[j] + hk3 * y / ns + k4 * y)
+    return np.array(u_s), _unchecked(MstaState, v=np.array(v_next))
 
 
 def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
@@ -314,6 +329,64 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: floa
     )
 
 
+def _inclusion_floats(s: np.ndarray, iteration: _Iteration, G: tuple, v: list, g: MstaGains,
+                      h: float) -> tuple[np.ndarray, MstaState, SolverDiagnostics] | None:
+    """``_solve_inclusion`` and ``_u_from_selection`` on floats for a diagonal
+    iteration matrix with diagonal ``G``, bitwise equal to them, in the dead
+    band and on the radial branch; None for a non-finite s or a solve that
+    needs the fixed point (or a zero dead band, whose 0/0 numpy turns into
+    NaN).  Each norm is numpy's (``_norm``) of an array, since a two-entry
+    dot sums with one rounding; shat is an array of the result anyway, the
+    fixed-point residual's two vectors are built for their norms.
+    """
+    ns = _norm(s)
+    dead_band = h * h * g.k3
+    if not (ns < math.inf and dead_band > 0.0):
+        return None
+    tol = g.fp_tol * (1.0 + ns)
+    s = s.tolist()
+    n = len(s)
+    if ns <= dead_band:
+        shat = np.zeros(n)
+        m2 = [x / dead_band for x in s]
+        res = 0.0
+        gam = h * g.k3      # _gamma(0) = k2*0 + h*k3, k2 > 0
+    else:
+        tr, mu, _ = iteration.prepared
+        if tr is None:
+            return None
+        w = _radial_magnitude(ns, tr, g, h)
+        c = w * w / ns
+        hgam = h * (g.k2 * w + h * g.k3)
+        x, m2 = [], []
+        for y in s:
+            x.append(c * y)
+            m2.append((y - tr * x[-1]) / hgam)
+        shat = np.array(x)
+        gam = g.k2 * math.sqrt(_norm(shat)) + h * g.k3
+        # _fixed_point_residual(shat, s, G, g, h, mu, gam), prox_norm_quad inlined
+        a = h * gam
+        z = []
+        for j, y in enumerate(s):
+            z.append(x[j] - mu * (0.0 + G[j] * x[j]) + mu * y)
+        nz = _norm(np.array(z))
+        if nz <= mu * a:
+            res = _norm(shat)
+        else:
+            scale = (nz - mu * a) / ((1.0 + mu * (a * g.alpha2)) * nz)
+            for j, y in enumerate(z):
+                x[j] -= scale * y
+            res = _norm(np.array(x))
+    hk3 = h * g.k3
+    u_s, v_next = [], []
+    for j, y in enumerate(m2):
+        v_next.append(v[j] + hk3 * y)
+        u_s.append(gam * y + v_next[j])
+    diag = _unchecked(SolverDiagnostics, iterations=1, residual=res, converged=res <= tol,
+                      shat=shat, m2=np.array(m2))
+    return np.array(u_s), _unchecked(MstaState, v=np.array(v_next)), diag
+
+
 def solve_shat_vector(
     s: np.ndarray, Ak: np.ndarray, Mk: np.ndarray, g: MstaGains, h: float
 ) -> SolverDiagnostics:
@@ -390,17 +463,24 @@ def sta_scalar_implicit_step(
 
     Returns (u_s, v_next, phi1, phi2) with phi2 = sat(s / (h^2 k3)) and phi1
     the saturated square-root term; the max() guard keeps the root real during
-    discrete sliding, where both selections vary continuously with s.
+    discrete sliding, where both selections vary continuously with s.  The
+    calls of ``sat``, ``sign0`` and ``max`` are written out inline: this runs
+    every one-joint period.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
     band = h * h * g.k3
-    phi2 = sat(s / band)
-    root = math.sqrt((h * g.k2) ** 2 + 4.0 * max(0.0, abs(s) - band))
-    phi1 = sign0(s) * (
-        (h * g.k3 / g.k2) * sat(abs(s) / band) - h * g.k2 / (2.0 * beta) + root / (2.0 * beta)
+    z = s / band
+    phi2 = 1.0 if z > 1.0 else -1.0 if z < -1.0 else float(z)           # sat(s / band)
+    a = abs(s)
+    excess = a - band
+    root = math.sqrt((h * g.k2) ** 2 + 4.0 * (excess if excess > 0.0 else 0.0))
+    z = a / band
+    phi1 = (1.0 if s > 0.0 else -1.0 if s < 0.0 else 0.0) * (           # sign0(s)
+        (h * g.k3 / g.k2) * (1.0 if z > 1.0 else float(z)) - h * g.k2 / (2.0 * beta)
+        + root / (2.0 * beta)
     )
     v_next = v + h * g.k3 * phi2
     u_s = g.k2 * phi1 + v_next

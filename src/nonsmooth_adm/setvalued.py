@@ -26,7 +26,7 @@ __all__ = [
 
 
 _FLOAT = np.dtype(float)
-_ONE = (1,)     # the shape of a one-joint vector: such stages compute on floats
+_FLOAT_JOINTS = (1, 2)     # the joint counts whose stages compute on floats
 
 
 def _vector(x) -> np.ndarray:
@@ -102,7 +102,8 @@ class BoxConstraint:
     """Per-joint symmetric actuation bound: admissible set is [-limits_i, +limits_i].
 
     ``limits`` is kept as a read-only copy, next to its negation ``_lower``;
-    a one-joint box also keeps its limit as the float ``_limit`` (else None).
+    a box of one or two joints also keeps its limits as the tuple of floats
+    ``_floats`` (else None).
     """
 
     limits: np.ndarray
@@ -115,7 +116,8 @@ class BoxConstraint:
             raise ValueError("all box limits must be strictly positive")
         object.__setattr__(self, "limits", _read_only(lim))
         object.__setattr__(self, "_lower", _read_only(-lim))
-        object.__setattr__(self, "_limit", lim.item() if lim.shape == _ONE else None)
+        object.__setattr__(self, "_floats",
+                           tuple(lim.tolist()) if lim.size in _FLOAT_JOINTS else None)
 
     @property
     def dim(self) -> int:
@@ -137,15 +139,23 @@ class NormQuadWeights:
 def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
     """Euclidean projection of y onto the box [-F, +F], entrywise clamp.
 
-    One entry is clamped on floats, bitwise equal to ``_project_box_arrays``:
-    a NaN passes through, and as F > 0 no tie between signed zeros arises.
+    One or two entries are clamped on floats, bitwise equal to
+    ``_project_box_arrays``: a NaN passes through, and as F > 0 no tie between
+    signed zeros arises.
     """
     y = _vector(y)
-    limit = box._limit
-    if limit is not None and y.shape == _ONE:
-        v = y.item()
-        return np.array([-limit if v < -limit else limit if v > limit else v])
-    return _project_box_arrays(y, box)
+    limits = box._floats
+    if limits is None or y.shape != box.limits.shape:
+        return _project_box_arrays(y, box)
+    if len(limits) == 1:
+        return np.array([_clamp(y.item(), limits[0])])
+    y0, y1 = y.tolist()
+    return np.array([_clamp(y0, limits[0]), _clamp(y1, limits[1])])
+
+
+def _clamp(y: float, limit: float) -> float:
+    """One entry of ``project_box`` on floats."""
+    return -limit if y < -limit else limit if y > limit else y
 
 
 def _project_box_arrays(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
@@ -188,31 +198,64 @@ def variational_residual(
     roundoff; a positive value witnesses a violated variational inequality.
     A NaN term, as from a NaN candidate, makes the certificate NaN.
 
-    A one-joint certificate is computed on floats, bitwise equal to
-    ``_variational_residual_arrays``: a 1-entry ``d @ x`` is ``0.0 + d*x``.
+    With one or two entries the certificate is computed on floats, bitwise
+    equal to ``_variational_residual_arrays``.  numpy's dot of two entries
+    fuses its second product into the sum (one rounding, an FMA), which
+    Python floats cannot do before ``math.fma``; the float sum
+    ``0.0 + d0*x0 + d1*x1`` is that dot whenever the second product is exact,
+    as with a zero factor, and numpy's dot is called otherwise.  The step's
+    worst probe always has a zero factor in each product: an unclipped entry
+    has d = 0, a clipped one p - F^{-1} y_proj = 0.
     """
     y_star = _vector(y_star)
     y_proj = _vector(y_proj)
-    limit = box._limit
-    if limit is None or y_star.shape != _ONE or y_proj.shape != _ONE:
+    limits = box._floats
+    shape = box.limits.shape
+    if limits is None or y_star.shape != shape or y_proj.shape != shape:
         return _variational_residual_arrays(y_star, y_proj, box, probes)
-    ys = y_star.item()
-    yp = y_proj.item()
-    d = ys - yp
-    scaled = yp / limit
     worst = None
-    for p in probes:
-        if type(p) is not float:
-            p = _vector(p)
-            if p.shape != _ONE:
-                raise ValueError("probe dimension mismatch")
-            p = p.item()
-        if abs(p) > 1.0 + 1e-12:
-            raise ValueError("probe lies outside the unit box")
-        worst = _larger(worst, 0.0 + d * (p - scaled))
+    if len(limits) == 1:
+        ys, yp = y_star.item(), y_proj.item()
+        for p in probes:
+            if type(p) is not float:
+                p = _probe_floats(p, shape)[0]
+            d, x = _certificate_terms(ys, yp, limits[0], p)
+            worst = _larger(worst, 0.0 + d * x)
+    else:
+        (ys0, ys1), (yp0, yp1) = y_star.tolist(), y_proj.tolist()
+        for p in probes:
+            p0, p1 = _probe_floats(p, shape)
+            d0, x0 = _certificate_terms(ys0, yp0, limits[0], p0)
+            d1, x1 = _certificate_terms(ys1, yp1, limits[1], p1)
+            if d1 == 0.0 or x1 == 0.0:
+                value = 0.0 + d0 * x0 + d1 * x1
+            else:
+                value = float((y_star - y_proj) @ (np.array([p0, p1]) - y_proj / box.limits))
+            worst = _larger(worst, value)
     if worst is None:
         raise ValueError("at least one probe is required")
     return worst
+
+
+def _certificate_terms(y_star: float, y_proj: float, limit: float, p: float
+                       ) -> tuple[float, float]:
+    """One entry of the certificate's dot on floats: (y_star - y_proj,
+    p - y_proj/F), after checking the probe's entry."""
+    if abs(p) > 1.0 + 1e-12:
+        raise ValueError("probe lies outside the unit box")
+    return y_star - y_proj, p - y_proj / limit
+
+
+def _probe_floats(p, shape: tuple):
+    """A probe of ``variational_residual``'s float branch as floats: a list of
+    floats (as the two-joint steps build them) is taken as it is, anything
+    else goes through ``_vector`` and must have ``shape``."""
+    if type(p) is list and len(p) == shape[0] and type(p[0]) is float and type(p[-1]) is float:
+        return p        # with at most two entries, p[0] and p[-1] are all of them
+    p = _vector(p)
+    if p.shape != shape:
+        raise ValueError("probe dimension mismatch")
+    return p.tolist()
 
 
 def _larger(worst: float | None, value: float) -> float:

@@ -141,6 +141,11 @@ class ApproachSpec:
     hold_force: float = 0.0     # N feedforward (e.g. estimated weight)
 
 
+# the most plant substeps per controller period (h_s / dt_sub_s); the presets
+# take 100
+MAX_SUBSTEPS = 10_000
+
+
 @dataclass
 class Scenario:
     name: str
@@ -168,8 +173,13 @@ class Scenario:
         if not all(0.0 < x < math.inf for x in (self.duration, self.h, self.dt_sub)):
             raise ValueError("duration_s, h_s and dt_sub_s must be positive and finite")
         ratio = self.h / self.dt_sub
+        if not ratio < MAX_SUBSTEPS + 0.5:
+            raise ValueError(f"dt_sub_s = {self.dt_sub} s makes {ratio:.6g} plant substeps per "
+                             f"controller period h_s = {self.h} s; at most {MAX_SUBSTEPS} are "
+                             f"allowed")
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("h must be an integer multiple of dt_sub")
+            raise ValueError(f"h_s = {self.h} s must be an integer multiple of dt_sub_s = "
+                             f"{self.dt_sub} s")
         if self.duration / self.h <= 0.5:
             # run_scenario makes round(duration / h) steps
             raise ValueError(f"duration_s = {self.duration} s rounds to 0 controller steps "
@@ -202,7 +212,11 @@ def build_model(sc: Scenario) -> ManipulatorModel:
     if sc.plant not in _PLANTS:
         raise ValueError(f"unknown plant kind: {sc.plant!r}")
     make, params = _PLANTS[sc.plant]
-    model = make() if params is None or sc.plant_params is None else make(sc.plant_params)
+    if sc.plant_params is not None and (params is None or type(sc.plant_params) is not params):
+        takes = "no plant_params" if params is None else params.__name__
+        raise ValueError(f"plant_params is {type(sc.plant_params).__name__}; plant {sc.plant!r} "
+                         f"takes {takes}")
+    model = make() if sc.plant_params is None else make(sc.plant_params)
     n = len(sc.controller.torque_limits)
     if n != model.dof:
         raise ValueError(f"controller.torque_limits_Nm has {n} entries; plant "

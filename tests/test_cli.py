@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from nonsmooth_adm import verify
+from nonsmooth_adm import sim, verify
 from nonsmooth_adm.cli import main
 from nonsmooth_adm.sim import presets, save_scenario, scenario_to_dict, trace_from_csv
 
@@ -94,6 +94,12 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("linmotor_steps plant_params.kappa=0", "plant_params.kappa"),
     ("fig3_one_dof plant_params.g=Infinity", "plant_params.g"),
     ("fig5_two_dof plant_params.J2=NaN", "plant_params.J2"),
+    # a plant kind whose parameter type is not that of the preset's plant_params
+    ("fig3_one_dof plant=two_link", "plant_params"),
+    ("fig5_two_dof plant=linear_motor", "plant_params"),
+    ("fig3_one_dof plant=double_integrator", "plant_params"),
+    ("fig3_one_dof dt_sub_s=1e-300", "dt_sub_s"),
+    ("fig3_one_dof dt_sub_s=3e-5", "dt_sub_s"),
 ])
 def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field):
     """``override`` holds one or more space-separated ``--set`` values, led by
@@ -107,6 +113,28 @@ def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dt_sub", ["1e-300", "5e-324", "9.999e-8"])
+def test_too_many_substeps_is_config_error_before_the_run(tmp_path, capsys, monkeypatch, dt_sub):
+    """More than MAX_SUBSTEPS plant substeps per controller period (h_s =
+    1 ms here) is refused, naming dt_sub_s, before any substep runs."""
+    calls = []
+    monkeypatch.setattr(sim, "integrate_substep", lambda *args: calls.append(args))
+    code = main(["run", "--scenario", "fig3_one_dof", "--out", str(tmp_path / "x"),
+                 "--set", f"dt_sub_s={dt_sub}", "--set", "duration_s=0.05"])
+    assert code == 2 and calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dt_sub_s" in err and str(sim.MAX_SUBSTEPS) in err
+
+
+def test_substep_bound_admits_its_own_count():
+    sc = presets()["fig3_one_dof"]
+    sc.dt_sub = sc.h / sim.MAX_SUBSTEPS
+    sc.validate()
+    sc.dt_sub = sc.h / (sim.MAX_SUBSTEPS + 1)
+    with pytest.raises(ValueError, match="dt_sub_s"):
+        sc.validate()
 
 
 def test_compare_too_short_duration_is_config_error(tmp_path, capsys):

@@ -1,13 +1,23 @@
-"""The one-joint float path of each controller stage against its array code.
+"""The float path of each controller stage against its array code.
 
-With one joint every stage of a controller period computes on Python floats;
-two or more joints keep the array code, which each stage keeps as a private
-helper.  Bits matter (a one-ulp change of the torque moves the closed-loop
-traces visibly), so every comparison here is of bytes: ``float.hex`` for a
-float, ``tobytes`` (with dtype and shape) for an array.  The inputs include
-signed zeros, where numpy and Python floats disagree most easily:
-``np.sign(-0.0)`` is +0.0, a 1 x 1 product ``A @ x`` is ``0.0 + A*x``, and
-``np.maximum``/``np.minimum`` break +-0 ties unlike ``max``/``min``.
+On a diagonal loop of one or two joints (every loop matrix diagonal, as with
+a constant diagonal estimate) every stage of a controller period computes on
+Python floats, one joint at a time; a non-diagonal loop (``estimate.kind =
+exact`` on the two-link arm) and the fixed point of a non-scalar iteration
+matrix keep the array code, which each stage keeps as a private helper.
+Bits matter (a one-ulp change of the torque moves the closed-loop traces
+visibly), so every comparison here is of bytes: ``float.hex`` for a float,
+``tobytes`` (with dtype and shape) for an array.  The inputs include signed
+zeros, where numpy and Python floats disagree most easily: ``np.sign(-0.0)``
+is +0.0, row i of a product with a diagonal matrix is ``0.0 + A_ii*x_i``
+whatever the other entry's sign, and ``np.maximum``/``np.minimum`` break +-0
+ties unlike ``max``/``min``.  Two sums are left to numpy: a norm is numpy's
+dot of an array, and the certificate's dot of two entries is numpy's unless
+its second product has a zero factor, because numpy's two-entry dot may
+round once for a product and a sum (an FMA).  Where numpy's ``_solve`` hands
+a two-entry b with an exact zero to ``np.linalg.solve`` (which may flip the
+sign of a zero), or an entry is not finite (numpy adds 0 times the other
+entry, NaN for inf), the float branch hands the stage to its array code.
 """
 
 import itertools
@@ -15,7 +25,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nonsmooth_adm import admittance, setvalued
+from nonsmooth_adm import admittance, msta, setvalued
 from nonsmooth_adm.admittance import (
     AdmittanceGains,
     AdmittanceState,
@@ -25,6 +35,7 @@ from nonsmooth_adm.admittance import (
     _evaluate_loop,
     _inner_loop_candidate_arrays,
     _proxy_predict_arrays,
+    _robust_term,
     _sliding_variable_arrays,
     admittance_step,
     baseline_naive_step,
@@ -34,30 +45,39 @@ from nonsmooth_adm.admittance import (
     sliding_variable,
 )
 from nonsmooth_adm.msta import MstaGains, MstaState
-from nonsmooth_adm.plant import one_dof_model
+from nonsmooth_adm.plant import one_dof_model, two_link_model
 from nonsmooth_adm.setvalued import (
     BoxConstraint,
     _project_box_arrays,
+    _unchecked,
     _variational_residual_arrays,
     project_box,
     variational_residual,
 )
 
 LIMIT = 3.0
+LIMITS2 = (3.0, 4.0)
 
 
 def _bits(x) -> bytes:
-    """Bytes of a float, an array (with its dtype and shape) or a tuple of them."""
+    """Bytes of a float, an array (with its dtype and shape), a tuple of
+    them, or of the solver diagnostics' fields (None as such)."""
     if isinstance(x, tuple):
         return b"|".join(_bits(a) for a in x)
+    if x is None:
+        return b"None"
+    if isinstance(x, msta.SolverDiagnostics):
+        return _bits((float(x.iterations), float(x.residual), float(x.converged), x.shat, x.m2))
+    if isinstance(x, MstaState):
+        return _bits(x.v)
     if isinstance(x, float):
         return float.hex(x).encode()
     return f"{x.dtype.str}{x.shape}".encode() + x.tobytes()
 
 
-def _values(gen, n=60):
-    """Random floats over many scales, both zeros, and the box's limits."""
-    special = [0.0, -0.0, LIMIT, -LIMIT, np.nextafter(LIMIT, np.inf), np.nextafter(-LIMIT, 0.0),
+def _values(gen, n=60, limit=LIMIT):
+    """Random floats over many scales, both zeros, and a box's limits."""
+    special = [0.0, -0.0, limit, -limit, np.nextafter(limit, np.inf), np.nextafter(-limit, 0.0),
                5e-324, -5e-324, 1.0, -1.0]
     scales = 10.0 ** gen.integers(-8, 4, n)
     return special + (gen.normal(size=n) * scales).tolist()
@@ -74,9 +94,34 @@ def _inputs(gen, scales, n=200):
     return zeros + [tuple(v) for v in (gen.normal(size=(n, len(scales))) * scales).tolist()]
 
 
+def _pairs(gen, scales, n=300):
+    """Tuples of two-entry vectors, one per scale: every combination of the
+    signed-zero pairs, then ``n`` tuples whose vectors are random or, one in
+    two, one of the pairs of +-0.0 and +-scale (so a -0.0 entry sits next to
+    a negative one)."""
+    zeros = [np.array(p) for p in itertools.product((0.0, -0.0), repeat=2)]
+    out = [tuple(v) for v in itertools.product(zeros, repeat=len(scales))]
+    for _ in range(n):
+        row = []
+        for scale in scales:
+            if gen.random() < 0.5:
+                special = (0.0, -0.0, scale, -scale)
+                row.append(np.array([special[gen.integers(4)], special[gen.integers(4)]]))
+            else:
+                row.append(gen.normal(size=2) * scale * 10.0 ** gen.integers(-3, 3, 2))
+        out.append(tuple(row))
+    return out
+
+
 def _state(qx_prev=0.0, qxd_prev=0.0, ux_prev=0.0, q_prev=0.0, qe_prev=0.0):
     return AdmittanceState(*map(_one, (qx_prev, qxd_prev, ux_prev, q_prev, qe_prev)),
                            MstaState.zero(1))
+
+
+def _state2(qx_prev=(0.0, 0.0), qxd_prev=(0.0, 0.0), ux_prev=(0.0, 0.0), q_prev=(0.0, 0.0),
+            qe_prev=(0.0, 0.0), v=(0.0, 0.0)):
+    return AdmittanceState(*map(np.array, (qx_prev, qxd_prev, ux_prev, q_prev, qe_prev)),
+                           MstaState(np.array(v)))
 
 
 def _gains(us_coupling="direct", k1=30.0, us_mode="auto", limit=LIMIT):
@@ -86,9 +131,21 @@ def _gains(us_coupling="direct", k1=30.0, us_mode="auto", limit=LIMIT):
                            us_coupling=us_coupling)
 
 
+def _gains2(us_coupling="direct", k1=30.0, us_mode="explicit", limits=LIMITS2, k4=0.0, mu=0.5):
+    return AdmittanceGains(mx=np.diag([0.5, 0.3]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=k1,
+                           msta=MstaGains(k2=11.6, k3=66.0, k4=k4, gamma1=40.0, mu=mu),
+                           box=BoxConstraint(list(limits)), h=1e-3, us_mode=us_mode,
+                           us_coupling=us_coupling)
+
+
 def _naive_gains(limit=LIMIT):
     return NaiveGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), kp=300.0, kd=31.0,
                       box=BoxConstraint([limit]), h=1e-3)
+
+
+def _naive_gains2(limits=LIMITS2):
+    return NaiveGains(mx=np.diag([0.5, 0.3]), bx=np.diag([1.0, 2.0]), kp=300.0, kd=31.0,
+                      box=BoxConstraint(list(limits)), h=1e-3)
 
 
 _PLANT = one_dof_model()
@@ -99,6 +156,18 @@ _ESTIMATES = {
     "zero-gravity": ModelEstimate(lambda q: np.array([[0.1]]), lambda q, qd: np.array([[2.0]]),
                                   lambda q: np.array([-0.0])),
 }
+_ARM = two_link_model()
+_ESTIMATES2 = {
+    # the fig5 preset's estimate: with a scalar k1 the iteration matrix is 1.25 I
+    "equal": ModelEstimate.constant((0.2, 0.2), (20.0, 20.0)),
+    # diagonal but, with a scalar k1, a non-scalar iteration matrix
+    "unequal": ModelEstimate.constant((0.2, 0.3), (20.0, 30.0)),
+    "zero-gravity": ModelEstimate(lambda q: np.diag([0.2, 0.3]),
+                                  lambda q, qd: np.diag([20.0, 30.0]),
+                                  lambda q: np.array([-0.0, -0.0])),
+    # the arm's own full mass matrix: not diagonal, so the loop keeps its arrays
+    "exact": ModelEstimate(_ARM.mass_fn, _ARM.coriolis_fn, _ARM.gravity_fn),
+}
 
 
 def test_project_box_float_path_matches_arrays():
@@ -106,6 +175,15 @@ def test_project_box_float_path_matches_arrays():
     box = BoxConstraint([LIMIT])
     for v in _values(gen) + [np.inf, -np.inf, np.nan]:
         y = _one(v)
+        assert _bits(project_box(y, box)) == _bits(_project_box_arrays(y, box))
+
+
+def test_project_box_two_entry_float_path_matches_arrays():
+    gen = np.random.default_rng(11)
+    box = BoxConstraint(list(LIMITS2))
+    values = _values(gen, 25, LIMITS2[0]) + [LIMITS2[1], -LIMITS2[1], np.inf, -np.inf, np.nan]
+    for v in itertools.product(values, values):
+        y = np.array(v)
         assert _bits(project_box(y, box)) == _bits(_project_box_arrays(y, box))
 
 
@@ -123,10 +201,46 @@ def test_variational_residual_float_path_matches_arrays():
         assert _bits(variational_residual(y_star, y_proj, box, floats)) == _bits(expected)
 
 
+def test_variational_residual_two_entry_float_path_matches_arrays():
+    """Projected and unprojected pairs over many scales, with the worst
+    probe (a zero factor in every product), probes whose second product has
+    a zero factor, and random probes that leave the sum to numpy's dot."""
+    gen = np.random.default_rng(12)
+    box = BoxConstraint(list(LIMITS2))
+    values = _values(gen, 12, LIMITS2[0])
+    pairs = [np.array(v) for v in itertools.product(values, values)]
+    for y_star in pairs[::3]:
+        for y_proj in (project_box(y_star, box), pairs[gen.integers(len(pairs))]):
+            probes = [np.sign(y_star - y_proj), np.array([0.5, -0.0]), np.array([-0.0, 0.0]),
+                      gen.uniform(-1.0, 1.0, 2), [float(gen.uniform(-1, 1)), 0.0]]
+            expected = _variational_residual_arrays(y_star, y_proj, box, probes)
+            assert _bits(variational_residual(y_star, y_proj, box, probes)) == _bits(expected)
+            # probes as lists of floats, as the steps build them
+            lists = [[float(x) for x in p] for p in probes]
+            assert _bits(variational_residual(y_star, y_proj, box, lists)) == _bits(expected)
+
+
 def test_worst_probe_sign_matches_numpy():
     for x in (0.0, -0.0, 2.5, -2.5, 5e-324, -5e-324, np.inf, -np.inf):
-        assert _bits(admittance._sign(x)) == _bits(float(np.sign(x)))
-    assert np.isnan(admittance._sign(np.nan))
+        for y in (0.0, -0.0):
+            assert _bits(admittance._clip_flags(1.0, x, y)[1]) == _bits(float(np.sign(x - y)))
+    assert np.isnan(admittance._clip_flags(1.0, np.nan, 0.0)[1])
+
+
+def test_diagonal_product_is_entrywise_until_an_entry_is_not_finite():
+    """Row i of numpy's product with a diagonal 2 x 2 matrix is
+    ``0.0 + A_ii*x_i`` for every sign of the off-diagonal zero and of the
+    other entry, zeros included; a non-finite other entry makes it NaN,
+    which is why a two-joint stage with a non-finite result redoes its arrays."""
+    entries = (0.0, -0.0, 1.5, -1.5, 5e-324, -2.5e-300)
+    for a0, a1, z in itertools.product((0.3, -0.7, 0.0), (2.0, -0.0), (0.0, -0.0)):
+        A = np.array([[a0, z], [z, a1]])
+        for x0, x1 in itertools.product(entries, entries):
+            x = np.array([x0, x1])
+            assert _bits(A @ x) == _bits(np.array([0.0 + a0 * x0, 0.0 + a1 * x1]))
+    with np.errstate(invalid="ignore"):
+        row = (np.diag([2.0, 3.0]) @ np.array([np.inf, 1.0]))[1]
+    assert np.isnan(row)
 
 
 @pytest.mark.parametrize("naive", [False, True])
@@ -138,10 +252,27 @@ def test_proxy_predict_float_path_matches_arrays(naive):
                 == _bits(_proxy_predict_arrays(state, fc, fd, g)))
 
 
+@pytest.mark.parametrize("naive", [False, True])
+def test_two_joint_proxy_predict_float_path_matches_arrays(naive):
+    g = _naive_gains2() if naive else _gains2()
+    for qx_prev, qxd_prev, fc, fd in _pairs(np.random.default_rng(13), [0.01, 0.1, 5.0, 3.0]):
+        state = _state2(qx_prev=qx_prev, qxd_prev=qxd_prev)
+        assert (_bits(proxy_predict(state, fc, fd, g))
+                == _bits(_proxy_predict_arrays(state, fc, fd, g)))
+
+
 def test_sliding_variable_float_path_matches_arrays():
     g = _gains()
     for qx_star, q, qe_prev in _inputs(np.random.default_rng(4), [0.01, 0.01, 0.01]):
         state, qx_star, q = _state(qe_prev=qe_prev), _one(qx_star), _one(q)
+        assert (_bits(sliding_variable(qx_star, q, state, g))
+                == _bits(_sliding_variable_arrays(qx_star, q, state, g)))
+
+
+def test_two_joint_sliding_variable_float_path_matches_arrays():
+    g = _gains2()
+    for qx_star, q, qe_prev in _pairs(np.random.default_rng(14), [0.01, 0.01, 0.01]):
+        state = _state2(qe_prev=qe_prev)
         assert (_bits(sliding_variable(qx_star, q, state, g))
                 == _bits(_sliding_variable_arrays(qx_star, q, state, g)))
 
@@ -156,7 +287,7 @@ def test_inner_loop_candidate_float_path_matches_arrays(us_coupling, k1, estimat
         state = _state(qx_prev=qx_prev, ux_prev=ux_prev, q_prev=q_prev)
         qx_star, q, u_s = _one(qx_star), _one(q), _one(u_s)
         loop = _evaluate_loop(model, q, state, g)
-        assert loop.one is not None
+        assert loop.diag is not None
         expected = _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
         assert _bits(inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g)) == \
             _bits(expected)
@@ -164,11 +295,136 @@ def test_inner_loop_candidate_float_path_matches_arrays(us_coupling, k1, estimat
                                           loop=loop)) == _bits(expected)
 
 
+@pytest.mark.parametrize("us_coupling,k1,estimate", itertools.product(
+    ("direct", "inertia-scaled"), (30.0, "structured"), sorted(_ESTIMATES2)))
+def test_two_joint_inner_loop_candidate_float_path_matches_arrays(us_coupling, k1, estimate):
+    g = _gains2(us_coupling, k1)
+    model = _ESTIMATES2[estimate]
+    for qx_star, q, u_s, qx_prev, ux_prev, q_prev in _pairs(
+            np.random.default_rng(15), [0.01, 0.01, 5.0, 0.01, 0.1, 0.01], n=200):
+        state = _state2(qx_prev=qx_prev, ux_prev=ux_prev, q_prev=q_prev)
+        loop = _evaluate_loop(model, q, state, g)
+        assert (loop.diag is None) == (estimate == "exact")
+        expected = _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
+        assert _bits(inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g,
+                                          loop=loop)) == _bits(expected)
+
+
+@pytest.mark.parametrize("us_mode,k1,estimate,k4_mu", itertools.product(
+    ("explicit", "implicit-vector"), (30.0, "structured"), ("equal", "unequal"),
+    ((0.0, 0.5), (5.0, 0.3))))
+def test_two_joint_robust_term_float_path_matches_arrays(us_mode, k1, estimate, k4_mu):
+    """s and v over many scales, from inside the dead band (h^2 k3 = 6.6e-5)
+    to far outside it, against the same loop without its float entries; a
+    scalar k1 with unequal estimate entries makes a diagonal but non-scalar
+    iteration matrix, whose fixed point stays on arrays.  k4 > 0 gives the
+    radial magnitude its cubic and the prox its quadratic weight."""
+    k4, mu = k4_mu
+    g = _gains2(k1=k1, us_mode=us_mode, k4=k4, mu=mu)
+    gen = np.random.default_rng(16)
+    loop = _evaluate_loop(_ESTIMATES2[estimate], np.zeros(2), _state2(), g)
+    arrays = loop._replace(diag=None)
+    for s, v in _pairs(gen, [1e-5, 3.0], n=400):
+        state = _state2(v=v)
+        assert _outcome(_robust_term, s, loop, state, g) == \
+            _outcome(_robust_term, s, arrays, state, g)
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the error it raises: the fixed point
+    does not always converge (ROADMAP item 2), on either path alike."""
+    try:
+        return _bits(fn(*args))
+    except msta.SolverConvergenceError as exc:
+        return repr(exc).encode()
+
+
+def test_one_joint_robust_term_float_path_matches_arrays():
+    gen = np.random.default_rng(17)
+    for us_mode, k4 in itertools.product(("explicit", "implicit-vector"), (0.0, 5.0)):
+        g = AdmittanceGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), lam=10.0, k1=30.0,
+                            msta=MstaGains(k2=11.6, k3=66.0, k4=k4), box=BoxConstraint([LIMIT]),
+                            h=1e-3, us_mode=us_mode)
+        loop = _evaluate_loop(_ESTIMATES["constant"], np.zeros(1), _state(), g)
+        arrays = loop._replace(diag=None)
+        for s, v in _inputs(gen, [1e-5, 3.0], n=100) + _inputs(gen, [3.0, 1.0], n=100):
+            state = AdmittanceState(*(np.zeros(1),) * 5, MstaState(_one(v)))
+            s = _one(s)
+            assert _bits(_robust_term(s, loop, state, g)) == \
+                _bits(_robust_term(s, arrays, state, g))
+
+
+def test_non_scalar_diagonal_iteration_matrix_takes_the_fixed_point(monkeypatch):
+    g = _gains2(us_mode="implicit-vector")
+    calls = []
+
+    def counting(*args, _fn=admittance._solve_inclusion):
+        calls.append(args[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(admittance, "_solve_inclusion", counting)
+    s = np.array([0.02, -0.01])
+    loop = _evaluate_loop(_ESTIMATES2["unequal"], np.zeros(2), _state2(), g)
+    assert loop.diag is not None and loop.iteration.prepared[0] is None
+    u_s, _, diag = _robust_term(s, loop, _state2(), g)
+    assert len(calls) == 1 and diag.iterations > 1
+    calls.clear()
+    loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), _state2(), g)
+    _, _, diag = _robust_term(s, loop, _state2(), g)
+    assert calls == [] and diag.iterations == 1
+
+
+def test_two_joint_exact_zero_hands_the_stage_to_np_linalg_solve(monkeypatch):
+    """A two-entry b with an exact zero: ``_solve`` calls np.linalg.solve,
+    which may give a zero another sign than division does, so the float
+    branch hands the stage to its arrays, which make that call."""
+    b = np.array([-0.0, -1.0])
+    P = np.diag([0.52, 0.304])
+    assert _bits(np.linalg.solve(P, b)) != _bits(b / P.diagonal())
+    solves = []
+
+    def counting(A, b, _fn=np.linalg.solve):
+        solves.append(b.copy())
+        return _fn(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    g = _gains2()
+    state = _state2(qxd_prev=(0.0, 0.2))
+    # b = mx @ qxd_prev + h*(fc + fd) = (0, 0.06): one solve against mx + bx*h
+    out = proxy_predict(state, np.zeros(2), np.zeros(2), g)
+    assert len(solves) == 1 and solves[0][0] == 0.0
+    assert _bits(out) == _bits(_proxy_predict_arrays(state, np.zeros(2), np.zeros(2), g))
+    # an all-zero first period: every solve of the step meets an exact zero
+    solves.clear()
+    admittance_step(initial_state(np.zeros(2)), Measurement(np.zeros(2), np.zeros(2),
+                                                            np.zeros(2)),
+                    _ESTIMATES2["zero-gravity"], g)
+    assert len(solves) == 3
+
+
+def test_two_joint_non_finite_entry_redoes_the_arrays():
+    g = _gains2()
+    state = _unchecked(AdmittanceState, qx_prev=np.zeros(2), qxd_prev=np.array([np.inf, 0.1]),
+                       ux_prev=np.zeros(2), q_prev=np.zeros(2), qe_prev=np.zeros(2),
+                       msta_state=MstaState.zero(2))
+    fc = np.array([1.0, 2.0])
+    with np.errstate(invalid="ignore"):
+        expected = _proxy_predict_arrays(state, fc, fc, g)
+        assert np.isnan(expected[0][1])
+        assert _bits(proxy_predict(state, fc, fc, g)) == _bits(expected)
+        u_s = np.array([np.inf, 1.0])
+        loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), state, g)
+        for gains in (g, _gains2("inertia-scaled")):
+            expected = _inner_loop_candidate_arrays(fc, fc, u_s, state, gains, loop)
+            assert _bits(inner_loop_candidate(fc, fc, u_s, u_s, state, None, gains,
+                                              loop=loop)) == _bits(expected)
+
+
 def _step_bits(out) -> bytes:
     tau, st, d = out
     parts = [tau, st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev, st.msta_state.v,
              d.tau_star, d.tau, d.qx_star, d.q1_star, d.s, d.qe, d.u_s, d.saturated,
-             float(d.lambda_vi_residual)]
+             float(d.lambda_vi_residual), d.solver]
     return _bits(tuple(parts))
 
 
@@ -188,17 +444,17 @@ def _arrays_only(monkeypatch):
                          ("project_box", _project_box_arrays),
                          ("variational_residual", _variational_residual_arrays)):
         monkeypatch.setattr(admittance, name, arrays)
-    monkeypatch.setattr(admittance, "_one_loop", lambda *args: None)
+    monkeypatch.setattr(admittance, "_diag_loop", lambda *args: None)
 
 
 def _array_box(g):
-    """``g`` with its box's one-joint float limit removed."""
-    object.__setattr__(g.box, "_limit", None)
+    """``g`` with its box's float limits removed."""
+    object.__setattr__(g.box, "_floats", None)
     return g
 
 
 def _run(step, g, model, meas_seq):
-    state = initial_state(np.array([-0.0]))
+    state = initial_state(np.full(meas_seq[0].q.size, -0.0))
     out = []
     for meas in meas_seq:
         res = step(state, meas, model, g)
@@ -207,11 +463,11 @@ def _run(step, g, model, meas_seq):
     return out
 
 
-def _measurements(gen, n=150):
-    seq = [Measurement(_one(-0.0), _one(-0.0), _one(0.0)), Measurement(_one(0.0), _one(0.0),
-                                                                          _one(-0.0))]
-    for q, fc, fd in (gen.normal(size=(n, 3)) * [0.02, 5.0, 3.0]).tolist():
-        seq.append(Measurement(_one(q), _one(fc), _one(fd)))
+def _measurements(gen, n=150, dof=1):
+    zero, minus = np.zeros(dof), np.full(dof, -0.0)
+    seq = [Measurement(minus, minus, zero), Measurement(zero, zero, minus)]
+    for q, fc, fd in (gen.normal(size=(n, 3, dof)) * [[0.02], [5.0], [3.0]]).tolist():
+        seq.append(Measurement(q, fc, fd))
     return seq
 
 
@@ -233,6 +489,24 @@ def test_one_joint_step_matches_array_code(monkeypatch, us_coupling, k1, estimat
     assert fast == slow
 
 
+@pytest.mark.parametrize("us_coupling,k1,estimate,us_mode", itertools.product(
+    ("direct", "inertia-scaled"), (30.0, "structured"), ("equal", "unequal", "zero-gravity"),
+    ("explicit", "implicit-vector")))
+def test_two_joint_step_matches_array_code(monkeypatch, us_coupling, k1, estimate, us_mode):
+    """As the one-joint test, on a diagonal two-joint loop: both joints
+    saturated, or some, or none."""
+    meas_seq = _measurements(np.random.default_rng(18), dof=2)
+    model = _ESTIMATES2[estimate]
+    limits = ((0.05, 0.08), (0.5, 1e3), (1e3, 1e3))
+    fast = [_run(admittance_step, _gains2(us_coupling, k1, us_mode, lim), model, meas_seq)
+            for lim in limits]
+    with monkeypatch.context() as m:
+        _arrays_only(m)
+        slow = [_run(admittance_step, _array_box(_gains2(us_coupling, k1, us_mode, lim)),
+                     model, meas_seq) for lim in limits]
+    assert fast == slow
+
+
 @pytest.mark.parametrize("estimate", sorted(_ESTIMATES))
 def test_one_joint_naive_step_matches_array_code(monkeypatch, estimate):
     meas_seq = _measurements(np.random.default_rng(7))
@@ -246,25 +520,46 @@ def test_one_joint_naive_step_matches_array_code(monkeypatch, estimate):
     assert fast == slow
 
 
-def test_two_joints_run_the_array_code(monkeypatch):
+@pytest.mark.parametrize("estimate", sorted(_ESTIMATES2))
+def test_two_joint_naive_step_matches_array_code(monkeypatch, estimate):
+    meas_seq = _measurements(np.random.default_rng(19), dof=2)
+    model = _ESTIMATES2[estimate]
+    limits = ((0.05, 0.08), (1e3, 1e3))
+    fast = [_run(baseline_naive_step, _naive_gains2(lim), model, meas_seq) for lim in limits]
+    with monkeypatch.context() as m:
+        _arrays_only(m)
+        slow = [_run(baseline_naive_step, _array_box(_naive_gains2(lim)), model, meas_seq)
+                for lim in limits]
+    assert fast == slow
+
+
+_HELPERS = ((admittance, "_proxy_predict_arrays"), (admittance, "_sliding_variable_arrays"),
+            (admittance, "msta_explicit_step"), (admittance, "_solve_inclusion"),
+            (admittance, "_inner_loop_candidate_arrays"), (setvalued, "_project_box_arrays"),
+            (setvalued, "_variational_residual_arrays"))
+
+
+def test_array_helper_calls_follow_the_loop(monkeypatch):
+    """A diagonal two-joint loop calls no array helper.  The arm's own
+    (full) mass matrix calls those of the loop, the robust term and the
+    candidate; the proxy, the sliding variable, the projection and the
+    certificate do not see the loop, and stay on floats for the diagonal
+    proxy and the two-joint box."""
     calls = []
-    for module, name in ((admittance, "_proxy_predict_arrays"),
-                         (admittance, "_sliding_variable_arrays"),
-                         (admittance, "_inner_loop_candidate_arrays"),
-                         (setvalued, "_project_box_arrays"),
-                         (setvalued, "_variational_residual_arrays")):
+    for module, name in _HELPERS:
         def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
-    meas = Measurement([0.01, -0.02], [1.0, -2.0], [0.5, 0.0])
-    g2 = AdmittanceGains(mx=np.diag([0.3, 0.3]), bx=np.diag([2.0, 2.0]), lam=10.0, k1=30.0,
-                         msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 3.0]),
-                         h=1e-3)
-    admittance_step(initial_state(np.zeros(2)), meas, ModelEstimate.constant((0.1, 0.2)), g2)
-    assert sorted(calls) == sorted(["_proxy_predict_arrays", "_sliding_variable_arrays",
-                                    "_inner_loop_candidate_arrays", "_project_box_arrays",
-                                    "_variational_residual_arrays"])
+    meas = Measurement([2.5, -1.5], [1.0, -2.0], [0.5, 0.3])
+    for us_mode, robust in (("explicit", "msta_explicit_step"),
+                            ("implicit-vector", "_solve_inclusion")):
+        for estimate, expected in (("equal", []),
+                                   ("exact", [robust, "_inner_loop_candidate_arrays"])):
+            calls.clear()
+            admittance_step(initial_state(np.array([2.4, -1.4])), meas, _ESTIMATES2[estimate],
+                            _gains2(us_mode=us_mode))
+            assert calls == expected
     calls.clear()
     meas1 = Measurement([0.01], [1.0], [0.5])
     admittance_step(initial_state(np.zeros(1)), meas1, ModelEstimate.constant((0.1,)), _gains())
@@ -289,6 +584,18 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
         for residual in (variational_residual, _variational_residual_arrays):
             with pytest.raises(ValueError, match=message):
                 residual(y1, y1, box1, probes)
+    box2 = BoxConstraint([1.0, 1.0])
+    for probes, message in (([0.5], "probe dimension mismatch"),
+                            ([[0.5]], "probe dimension mismatch"),
+                            ([[0.5, 1.5]], "outside the unit box"),
+                            ([[1, 0]], None)):
+        for residual in (variational_residual, _variational_residual_arrays):
+            if message is None:
+                assert _bits(residual(y2, y2, box2, probes)) == \
+                    _bits(_variational_residual_arrays(y2, y2, box2, probes))
+                continue
+            with pytest.raises(ValueError, match=message):
+                residual(y2, y2, box2, probes)
     g = _gains()
     state = _state(0.001, -0.002, 0.003, -0.004, 0.005)
     # 2-entry forces or positions against a one-joint controller broadcast

@@ -1,13 +1,15 @@
-"""Fingerprint the eleven standard closed-loop runs, for bitwise comparison.
+"""Fingerprint the twelve standard closed-loop runs, for bitwise comparison.
 
     python3 tools/trace_digest.py > digest.json
 
 Runs the four presets with the proposed controller and with the naive
 baseline, fig5 with the ``implicit-vector`` inner loop for the preset's
 scalar k1 and for a structured k1 (``gamma1 = 150``, whose iteration matrix
-is a multiple of I, so the solve takes its radial closed form), and
-``linmotor_steps`` under a sine disturbance (on top of the stage's own rail
-friction), and prints sorted JSON: per run, one SHA-256 per ``Trace``
+is a multiple of I, so the solve takes its radial closed form), fig5 with a
+diagonal estimate of unequal entries (``mass_diag = (0.2, 0.3)``,
+``coriolis_diag = (20, 30)``: every loop matrix diagonal but not a multiple
+of I), and ``linmotor_steps`` under a sine disturbance (on top of the stage's
+own rail friction), and prints sorted JSON: per run, one SHA-256 per ``Trace``
 channel (dtype, shape and bytes), one of the written CSV, and the ``repr`` of
 every ``Metrics`` field.  The package is imported from the ``src`` directory
 next to this script, so two checkouts compare with ``cmp`` of their outputs.
@@ -46,6 +48,10 @@ def standard_runs() -> dict:
     sc.controller.k1 = "structured"
     sc.controller.gamma1 = 150.0
     runs["fig5_two_dof:implicit-vector-structured"] = sc
+    sc = copy.deepcopy(presets()["fig5_two_dof"])
+    sc.estimate.mass_diag = (0.2, 0.3)
+    sc.estimate.coriolis_diag = (20.0, 30.0)
+    runs["fig5_two_dof:unequal-diag"] = sc
     sc = copy.deepcopy(presets()["linmotor_steps"])
     sc.disturbance = DisturbanceSpec(kind="sine", amplitude=0.5, freq_hz=2.0)
     runs["linmotor_steps:sine"] = sc
