@@ -191,7 +191,8 @@ class AdmittanceGains:
     us_mode selects the inner-loop discretization ("auto" picks the scalar
     implicit form for one joint and the explicit form otherwise;
     "implicit-vector" solves the loop's inclusion, by its radial closed form
-    when the iteration matrix is a multiple of I).
+    when the iteration matrix G is a multiple of I and by a scalar root
+    otherwise, which needs G + G^T positive definite).
 
     mx and bx are kept as read-only copies.  The constants that depend on the
     gains alone are derived once, in ``__post_init__``, as private attributes
@@ -420,8 +421,8 @@ class _Loop(NamedTuple):
 
     ``MhC`` is ``Mk + h*Ck``, ``Wd`` the diagonal of W when solves against W
     are divisions, ``beta`` the scalar-implicit iteration factor, and
-    ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A``, which
-    keeps its relaxation parameter once a solve has chosen it.  ``diag``
+    ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A`` with its
+    radial scale (building it checks that the step is well posed).  ``diag``
     holds the diagonals as floats (``_DiagLoop``) when the loop has one or
     two joints, every matrix is diagonal and W has no zero entry; None
     otherwise.
@@ -441,17 +442,14 @@ class _Loop(NamedTuple):
 
 class _DiagLoop(NamedTuple):
     """A diagonal ``_Loop`` as floats: per joint j the record
-    ``(Mk_jj, Gk_j, B_jj, Bhat_jj, W_jj, MhC_jj)``, the diagonal of W, and
-    that of the implicit-vector iteration matrix (None when there is none or
-    it is not diagonal)."""
+    ``(Mk_jj, Gk_j, B_jj, Bhat_jj, W_jj, MhC_jj)`` and the diagonal of W."""
 
     shape: tuple    # (n,), the shape of the loop's vectors
     joints: tuple
     W: tuple
-    G: tuple | None
 
 
-def _diag_loop(Mk, Gk, B, Bhat, W, MhC, iteration) -> _DiagLoop | None:
+def _diag_loop(Mk, Gk, B, Bhat, W, MhC) -> _DiagLoop | None:
     if not (type(Gk) is np.ndarray and Gk.ndim == 1 and Gk.size in _FLOAT_JOINTS
             and Gk.dtype == float):
         return None
@@ -463,10 +461,7 @@ def _diag_loop(Mk, Gk, B, Bhat, W, MhC, iteration) -> _DiagLoop | None:
     Mk, B, Bhat, W, MhC = (a.diagonal().tolist() for a in matrices)
     if 0.0 in W:
         return None
-    G = None
-    if iteration is not None and _is_diagonal(iteration.G):
-        G = tuple(iteration.G.diagonal().tolist())
-    return _DiagLoop(Gk.shape, tuple(zip(Mk, Gk.tolist(), B, Bhat, W, MhC)), tuple(W), G)
+    return _DiagLoop(Gk.shape, tuple(zip(Mk, Gk.tolist(), B, Bhat, W, MhC)), tuple(W))
 
 
 def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
@@ -485,9 +480,9 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     beta = _scalar_beta(g, Mk, Ck) if g._us_mode == "scalar-implicit" else None
     iteration = None
     if g._us_mode == "implicit-vector":
-        iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m), g.msta.mu)
+        iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m))
     return _Loop(Mk, Gk, B, Bhat, W, MhC, _diagonal(W), beta, iteration,
-                 _diag_loop(Mk, Gk, B, Bhat, W, MhC, iteration))
+                 _diag_loop(Mk, Gk, B, Bhat, W, MhC))
 
 
 def _loop_for(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
@@ -587,7 +582,7 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
 
     On a diagonal loop, ``explicit`` and the dead band and radial branch of
     ``implicit-vector`` compute on floats, bitwise equal to the array code;
-    the fixed point of a non-scalar iteration matrix stays on arrays.
+    the scalar root of a non-scalar iteration matrix stays on arrays.
     """
     mode = g._us_mode
     h = g.h
@@ -601,8 +596,8 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
     if d is not None and d.shape == s.shape == v.shape:
         if mode == "explicit":
             return (*_explicit_floats(s, v.tolist(), ms, h), None)
-        if d.G is not None:
-            out = _inclusion_floats(s, loop.iteration, d.G, v.tolist(), ms, h)
+        if loop.iteration is not None:
+            out = _inclusion_floats(s, loop.iteration, v.tolist(), ms, h)
             if out is not None:
                 return out
     if mode == "explicit":

@@ -7,8 +7,9 @@ The inner loop is a (multivariable) super-twisting law
 and this module provides its discrete-time realizations:
 
 * ``msta_explicit_step``          -- forward-Euler stepping (chatters),
-* ``solve_shat_vector``           -- proximal solve of the implicit nominal
-                                     state for a general iteration matrix,
+* ``solve_shat_vector``           -- implicit nominal state for any G with
+                                     G + G^T positive definite: the radial
+                                     closed form, or one scalar root in ||shat||,
 * ``msta_implicit_step``          -- implicit step built on that solve,
 * ``msta_implicit_decoupled_step``-- implicit step with the structured gain
                                      that reduces the matrix to a scalar,
@@ -16,20 +17,20 @@ and this module provides its discrete-time realizations:
 * ``msta_error_recursion_step``   -- the coupled nominal error recursion used
                                      by the stability and disturbance tests.
 
-The implicit variants compute the discontinuous selection by a proximal map
-instead of a sign evaluation, which is what removes numerical chattering.
+The implicit variants compute the discontinuous selection from the implicit
+inclusion instead of a sign evaluation, which is what removes numerical
+chattering.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .setvalued import (
-    NormQuadWeights,
     _all_finite,
     _matrix,
     _norm,
@@ -37,7 +38,6 @@ from .setvalued import (
     _require_finite,
     _unchecked,
     _vector,
-    prox_norm_quad,
 )
 
 __all__ = [
@@ -61,8 +61,9 @@ class MstaGains:
 
     k2, k3 are the square-root and integrator gains, k4 an optional linear
     integrator gain, gamma1 the structured linear-feedback rate (the inner
-    linear gain is -C + gamma1*M), mu the proximal relaxation parameter, and
-    fp_tol / fp_max_iter control the implicit fixed-point solve.
+    linear gain is -C + gamma1*M), and fp_tol / fp_max_iter the tolerance
+    and iteration cap of the implicit solve's scalar root.  mu, checked to
+    lie in (0, 1), has no effect: no solve takes a relaxation parameter.
     """
 
     k2: float
@@ -110,7 +111,10 @@ class MstaState:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
-    """Result of the implicit nominal-state solve."""
+    """Result of the implicit nominal-state solve.  ``residual`` is the
+    inclusion residual, the distance of m2 from subdiff Psi2(shat): that is
+    ||m2 - shat/||shat|| - alpha2*shat||, or max(0, ||m2|| - 1) at shat = 0;
+    ``converged`` says it is at most fp_tol*(1 + ||s||)."""
 
     iterations: int
     residual: float
@@ -120,11 +124,8 @@ class SolverDiagnostics:
 
 
 class SolverConvergenceError(RuntimeError):
-    """Raised when the proximal fixed-point solve does not converge."""
-
-    def __init__(self, message: str, diagnostics: SolverDiagnostics | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """Raised when the implicit solve is not well posed (G + G^T is not
+    positive definite) or its root does not converge within fp_max_iter."""
 
 
 def msta_explicit_step(
@@ -206,68 +207,73 @@ def _eye(n: int) -> np.ndarray:
     return _read_only(np.eye(n))
 
 
-def _choose_mu(G: np.ndarray | float, mu0: float) -> float:
-    """Largest mu <= mu0 (by halving) with G + G^T - mu*G^T G positive definite.
-
-    A float G stands for a 1 x 1 matrix, whose only eigenvalue is the matrix
-    entry 2G - mu*G^2 itself.
-    """
-    if not isinstance(G, float) and G.shape == (1, 1):
-        G = float(G[0, 0])
-    scalar = isinstance(G, float)
-    mu = mu0
-    for _ in range(80):
-        if scalar:
-            positive = (G + G) - mu * (G * G) > 0.0
-        else:
-            m = G + G.T - mu * (G.T @ G)
-            positive = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) > 0.0
-        if positive:
-            return mu
-        mu *= 0.5
-    raise SolverConvergenceError("no relaxation parameter satisfies the positivity condition")
-
-
 def _gamma(x: np.ndarray, g: MstaGains, h: float) -> float:
     """gamma(x) = k2*||x||^{1/2} + h*k3."""
     return g.k2 * math.sqrt(_norm(x)) + h * g.k3
 
 
-def _fixed_point_residual(
-    x: np.ndarray, s: np.ndarray, G: np.ndarray, g: MstaGains, h: float, mu: float,
-    gam: float,
-) -> float:
-    """||x - prox(x - mu*G x + mu*s)|| with the prox weights of gam = gamma(x)."""
-    w = NormQuadWeights(h * gam, h * gam * g.alpha2)
-    t = prox_norm_quad(x - mu * (G @ x) + mu * s, mu, w)
-    return _norm(x - t)
-
-
 class _Iteration:
-    """The iteration matrix G of the inclusion, with what depends on G alone.
-
-    ``prepared`` classifies G and chooses its relaxation parameter from mu0;
-    only a solve outside the sliding band needs it, and it is worked out
-    once per object.  It is ``(scale, mu, eye_minus)``: ``scale`` is
+    """The iteration matrix G of the inclusion and its radial ``scale``:
     tr(G)/n when G is a positive multiple of I (the inclusion is then radial
-    and solved in closed form) and None otherwise, and ``eye_minus`` is
-    I - mu*G for the fixed point iteration (None in the radial case).
-    """
+    and solved in closed form), else None.  Any other G must have G + G^T
+    positive definite, so that G + c*I is invertible for every c > 0 and the
+    root of ``_root`` is bracketed; building the object checks it."""
 
-    def __init__(self, G: np.ndarray, mu0: float):
-        self.G = G
-        self.mu0 = mu0
-
-    @cached_property
-    def prepared(self) -> tuple[float | None, float, np.ndarray | None]:
-        G = self.G
+    def __init__(self, G: np.ndarray):
         n = G.shape[0]
         tr = float(np.trace(G)) / n
-        off = G - tr * _eye(n)
-        if float(np.abs(off).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0:
-            return tr, _choose_mu(tr, self.mu0), None
-        mu = _choose_mu(G, self.mu0)
-        return None, mu, _eye(n) - mu * G
+        radial = float(np.abs(G - tr * _eye(n)).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0
+        self.G = G
+        self.scale = tr if radial else None
+        if not radial:
+            try:
+                well_posed = _all_finite(np.linalg.cholesky(G + G.T))
+            except np.linalg.LinAlgError:
+                well_posed = False
+            if not well_posed:
+                raise SolverConvergenceError(
+                    f"implicit-vector step is not well posed: its iteration matrix "
+                    f"G = M^-1 A = {G.tolist()} has G + G^T not positive definite")
+
+
+def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
+          ) -> tuple[int, np.ndarray]:
+    """(iterations, shat) outside the dead band for a general G.  With
+    shat != 0 the inclusion is (G + c I) shat = s, c(w) = h*gamma*(1/w^2 +
+    alpha2) at w = ||shat||^{1/2}: w is the root of f(w) = ||x(w)|| - w^2,
+    x(w) = (G + c(w) I)^{-1} s, in the bracket (0, (||s|| - h^2 k3)/(h k2)].
+    Safeguarded Newton, d||x||/dw = -c'(w) x^T (G + cI)^{-1} x / ||x||, from
+    the radial root of tr(G)/n; it stops on |f| <= fp_tol*w^2 or a collapsed
+    bracket, never on the step, which is tiny near w -> 0 while f is still
+    large."""
+    n = s.size
+    hk2, band, a2 = h * g.k2, h * h * g.k3, g.alpha2
+    lo, hi = 0.0, (ns - band) / hk2
+    w = _radial_magnitude(ns, float(np.trace(G)) / n, g, h)
+    for it in range(1, g.fp_max_iter + 1):
+        ww = w * w
+        A = G + ((hk2 * w + band) * (1.0 / ww + a2)) * _eye(n)
+        x = np.linalg.solve(A, s)
+        nx = _norm(x)
+        f = nx - ww
+        if abs(f) <= g.fp_tol * ww:
+            return it, x
+        if f > 0.0:
+            lo = w
+        else:
+            hi = w
+        dc = hk2 * a2 - hk2 / ww - 2.0 * band / (ww * w)
+        df = -dc * float(x @ np.linalg.solve(A, x)) / nx - 2.0 * w
+        w_new = w - f / df if df != 0.0 else lo     # a flat f bisects
+        if not lo < w_new < hi:
+            w_new = 0.5 * (lo + hi)
+            if not lo < w_new < hi:
+                return it, x    # the bracket has collapsed to adjacent floats
+        w = w_new
+    raise SolverConvergenceError(
+        f"implicit solve did not reach |f| <= {g.fp_tol:.3e} w^2 in {g.fp_max_iter} "
+        f"iterations (|f| = {abs(f):.3e} at w = {w:.6e}); check conditioning of the "
+        "iteration matrix")
 
 
 def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: float
@@ -277,8 +283,8 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: floa
         G @ shat + h * gamma(shat) * m2 = s,   m2 in subdiff Psi2(shat),
 
     where G = iteration.G, gamma(x) = k2*||x||^{1/2} + h*k3 and
-    Psi2 = ||.|| + (alpha2/2)||.||^2.  Equivalent fixed point:
-    shat = prox_{mu*h*gamma*Psi2}((I - mu*G) shat + mu*s).
+    Psi2 = ||.|| + (alpha2/2)||.||^2: shat = 0 in the dead band, else the
+    radial closed form for G = beta*I or ``_root``.  m2 = (s - G shat)/(h*gamma).
     """
     n = s.size
     ns = _norm(s)
@@ -287,57 +293,32 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: floa
 
     if ns <= dead_band:
         # discrete sliding: shat = 0 exactly, selection taken inside the unit ball
-        return SolverDiagnostics(1, 0.0, True, np.zeros(n), s / dead_band)
+        m2 = s / dead_band
+        res = max(0.0, _norm(m2) - 1.0)
+        return SolverDiagnostics(1, res, res <= tol, np.zeros(n), m2)
 
-    G = iteration.G
-    tr, mu, eye_minus = iteration.prepared
+    tr = iteration.scale
     if tr is not None:
         # scalar iteration matrix: the inclusion is radial and solved exactly
         w = _radial_magnitude(ns, tr, g, h)
         shat = (w * w / ns) * s
-        gam = g.k2 * w + h * g.k3
-        m2 = (s - tr * shat) / (h * gam)
-        res = _fixed_point_residual(shat, s, G, g, h, mu, _gamma(shat, g, h))
-        return SolverDiagnostics(1, res, res <= tol, shat, m2)
-
-    x = np.zeros(n)
-    omega = 1.0
-    best = math.inf
-    res = math.inf
-    for it in range(1, g.fp_max_iter + 1):
-        gam = _gamma(x, g, h)
-        weights = NormQuadWeights(h * gam, h * gam * g.alpha2)
-        t = prox_norm_quad(eye_minus @ x + mu * s, mu, weights)
-        res = _norm(t - x)
-        if res <= tol:
-            x = t
-            gam = _gamma(x, g, h)
-            m2 = (s - G @ x) / (h * gam)
-            final = _fixed_point_residual(x, s, G, g, h, mu, gam)
-            return SolverDiagnostics(it, final, True, x, m2)
-        if res >= best:
-            omega = max(0.125, 0.5 * omega)  # damp oscillating iterates
-        best = min(best, res)
-        x = (1.0 - omega) * x + omega * t
-
-    gam = _gamma(x, g, h)
-    diag = SolverDiagnostics(g.fp_max_iter, res, False, x, (s - G @ x) / (h * gam))
-    raise SolverConvergenceError(
-        f"implicit solve did not reach tol={tol:.3e} in {g.fp_max_iter} iterations "
-        f"(residual {res:.3e}); check conditioning of the iteration matrix or mu",
-        diag,
-    )
+        m2 = (s - tr * shat) / (h * (g.k2 * w + h * g.k3))
+        iterations = 1
+    else:
+        iterations, shat = _root(s, ns, iteration.G, g, h)
+        m2 = (s - iteration.G @ shat) / (h * _gamma(shat, g, h))
+    res = _norm(m2 - shat / _norm(shat) - g.alpha2 * shat)  # distance from subdiff Psi2
+    return SolverDiagnostics(iterations, res, res <= tol, shat, m2)
 
 
-def _inclusion_floats(s: np.ndarray, iteration: _Iteration, G: tuple, v: list, g: MstaGains,
+def _inclusion_floats(s: np.ndarray, iteration: _Iteration, v: list, g: MstaGains,
                       h: float) -> tuple[np.ndarray, MstaState, SolverDiagnostics] | None:
-    """``_solve_inclusion`` and ``_u_from_selection`` on floats for a diagonal
-    iteration matrix with diagonal ``G``, bitwise equal to them, in the dead
-    band and on the radial branch; None for a non-finite s or a solve that
-    needs the fixed point (or a zero dead band, whose 0/0 numpy turns into
-    NaN).  Each norm is numpy's (``_norm``) of an array, since a two-entry
-    dot sums with one rounding; shat is an array of the result anyway, the
-    fixed-point residual's two vectors are built for their norms.
+    """``_solve_inclusion`` and ``_u_from_selection`` on floats, bitwise equal
+    to them, in the dead band and on the radial branch; None for a non-finite
+    s or a solve that needs the root (or a zero dead band, whose 0/0 numpy
+    turns into NaN).  Each norm is numpy's (``_norm``) of an array, since a
+    two-entry dot sums with one rounding; shat is an array of the result
+    anyway, and the residual's vector is built for its norm.
     """
     ns = _norm(s)
     dead_band = h * h * g.k3
@@ -349,10 +330,10 @@ def _inclusion_floats(s: np.ndarray, iteration: _Iteration, G: tuple, v: list, g
     if ns <= dead_band:
         shat = np.zeros(n)
         m2 = [x / dead_band for x in s]
-        res = 0.0
+        res = max(0.0, _norm(np.array(m2)) - 1.0)
         gam = h * g.k3      # _gamma(0) = k2*0 + h*k3, k2 > 0
     else:
-        tr, mu, _ = iteration.prepared
+        tr = iteration.scale
         if tr is None:
             return None
         w = _radial_magnitude(ns, tr, g, h)
@@ -363,20 +344,10 @@ def _inclusion_floats(s: np.ndarray, iteration: _Iteration, G: tuple, v: list, g
             x.append(c * y)
             m2.append((y - tr * x[-1]) / hgam)
         shat = np.array(x)
-        gam = g.k2 * math.sqrt(_norm(shat)) + h * g.k3
-        # _fixed_point_residual(shat, s, G, g, h, mu, gam), prox_norm_quad inlined
-        a = h * gam
-        z = []
-        for j, y in enumerate(s):
-            z.append(x[j] - mu * (0.0 + G[j] * x[j]) + mu * y)
-        nz = _norm(np.array(z))
-        if nz <= mu * a:
-            res = _norm(shat)
-        else:
-            scale = (nz - mu * a) / ((1.0 + mu * (a * g.alpha2)) * nz)
-            for j, y in enumerate(z):
-                x[j] -= scale * y
-            res = _norm(np.array(x))
+        nx = _norm(shat)
+        gam = g.k2 * math.sqrt(nx) + h * g.k3
+        a2 = g.alpha2
+        res = _norm(np.array([m2[j] - y / nx - a2 * y for j, y in enumerate(x)]))
     hk3 = h * g.k3
     u_s, v_next = [], []
     for j, y in enumerate(m2):
@@ -390,17 +361,18 @@ def _inclusion_floats(s: np.ndarray, iteration: _Iteration, G: tuple, v: list, g
 def solve_shat_vector(
     s: np.ndarray, Ak: np.ndarray, Mk: np.ndarray, g: MstaGains, h: float
 ) -> SolverDiagnostics:
-    """Solve the implicit nominal state for iteration matrix M^{-1} A.
+    """Solve the implicit nominal state for iteration matrix G = M^{-1} A.
 
-    The recovered selection m2 always satisfies ||m2 - alpha2*shat|| <= 1, with
-    equality of direction when shat != 0.
+    The recovered selection m2 satisfies ||m2 - alpha2*shat|| <= 1, with
+    equality of direction when shat != 0, to the reported residual.  A G
+    with G + G^T not positive definite raises SolverConvergenceError.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
     s = _vector(s)
     Ak = _matrix(Ak)
     Mk = _matrix(Mk)
-    return _solve_inclusion(s, _Iteration(np.linalg.solve(Mk, Ak), g.mu), g, h)
+    return _solve_inclusion(s, _Iteration(np.linalg.solve(Mk, Ak)), g, h)
 
 
 def _u_from_selection(diag: SolverDiagnostics, state: MstaState, g: MstaGains, h: float):
@@ -421,7 +393,7 @@ def msta_implicit_step(
     """Implicit step with the structured linear gain -C + gamma1*M.
 
     The twisting term is evaluated at the nominal state delivered by the
-    proximal solve.  For one degree of freedom the iteration factor is
+    implicit solve.  For one degree of freedom the iteration factor is
     beta = 1 + h*gamma1, and this step agrees with ``sta_scalar_implicit_step``
     to roundoff only at beta = 1: that closed form divides the root by beta
     but leaves beta out of the square root, while this solve satisfies
@@ -451,7 +423,7 @@ def msta_implicit_decoupled_step(
         raise ValueError("h must be positive")
     s = _vector(s)
     beta = 1.0 + h * g.gamma1
-    diag = _solve_inclusion(s, _Iteration(beta * _eye(s.size), g.mu), g, h)
+    diag = _solve_inclusion(s, _Iteration(beta * _eye(s.size)), g, h)
     u_s, state_next = _u_from_selection(diag, state, g, h)
     return u_s, state_next, diag
 

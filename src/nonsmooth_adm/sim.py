@@ -28,11 +28,13 @@ from .admittance import (
     Measurement,
     ModelEstimate,
     NaiveGains,
+    _loop_for,
     admittance_step,
     baseline_naive_step,
     initial_state,
 )
-from .msta import MstaGains, MstaState, msta_explicit_step, sta_scalar_implicit_step
+from .msta import (MstaGains, MstaState, SolverConvergenceError, msta_explicit_step,
+                   sta_scalar_implicit_step)
 from .plant import (
     Disturbance,
     EnvironmentModel,
@@ -111,8 +113,8 @@ class ControllerSpec:
     k3: float = 66.0
     k4: float = 0.0
     gamma1: float = 0.0
-    mu: float = 0.5
-    fp_tol: float = 1e-12
+    mu: float = 0.5             # checked, has no effect (see MstaGains)
+    fp_tol: float = 1e-12       # tolerance and iteration cap of the implicit root
     fp_max_iter: int = 100
     torque_limits: tuple = (3.0,)
     us_mode: str = "auto"
@@ -439,6 +441,12 @@ def run_scenario(sc: Scenario) -> Trace:
             gains = _build_gains(sc) if proposed else _build_naive_gains(sc)
         except ValueError as exc:
             raise _section_error("controller", exc) from exc
+        if proposed and sc.estimate.kind == "diag":
+            try:    # the constant estimate's loop, built now: the first step reuses it
+                _loop_for(estimate, q0, initial_state(q0), gains)
+            except SolverConvergenceError as exc:
+                raise ValueError(f"with estimate.mass_diag_kgm2, estimate.coriolis_diag_Nms "
+                                 f"and controller.k1 as given, the {exc}") from None
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     env = sc.env

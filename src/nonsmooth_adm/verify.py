@@ -30,6 +30,7 @@ from .msta import (
     msta_implicit_decoupled_step,
     msta_implicit_step,
     norm_quad_value,
+    solve_shat_vector,
     sta_scalar_implicit_step,
 )
 from .plant import EnvironmentModel, OneDofParams, contact_wrench, one_dof_model, two_link_model
@@ -316,13 +317,34 @@ def _group_msta_vector() -> list[CheckResult]:
         h = 10.0 ** rng.uniform(-3.5, -2)
         s = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 0.5)
         d = msta_implicit_decoupled_step(s, g, h, MstaState(np.zeros(n)))[2]
-        dev = float(np.linalg.norm(d.m2 - g.alpha2 * d.shat)) - 1.0
-        if np.linalg.norm(d.shat) > 0:
-            unit = d.shat / np.linalg.norm(d.shat)
-            dev = max(dev, float(np.linalg.norm(d.m2 - g.alpha2 * d.shat - unit)))
-        worst = max(worst, dev)
+        worst = max(worst, _subdifferential_gap(d.shat, d.m2, g.alpha2))
     out.append(_check("msta-vector", "selection-in-subdifferential", worst, 1e-9))
+
+    # a non-symmetric G = S + K (S symmetric positive definite, K skew), s
+    # inside and outside the band: G x + h*gamma(x)*m2 = s, relative to ||s||
+    worst = 0.0
+    for k in range(200):
+        n = 2 + k % 2
+        g = MstaGains(k2=rng.uniform(1, 20), k3=rng.uniform(5, 200), k4=rng.uniform(0, 5))
+        h = 10.0 ** rng.uniform(-3.5, -2)
+        R, K = rng.normal(size=(n, n)), rng.normal(scale=rng.uniform(0.0, 3.0), size=(n, n))
+        G = R @ R.T + rng.uniform(0.05, 2.0) * np.eye(n) + K - K.T
+        s = rng.normal(size=n)
+        s *= h * h * g.k3 * (rng.uniform() if k % 4 == 0 else 1.0 + 10.0 ** rng.uniform(-6, 4)) \
+            / np.linalg.norm(s)
+        d = solve_shat_vector(s, G, np.eye(n), g, h)
+        gamma = g.k2 * math.sqrt(np.linalg.norm(d.shat)) + h * g.k3
+        inclusion = np.linalg.norm(G @ d.shat + h * gamma * d.m2 - s) / (1.0 + np.linalg.norm(s))
+        worst = max(worst, float(inclusion), _subdifferential_gap(d.shat, d.m2, g.alpha2))
+    out.append(_check("msta-vector", "general-G-inclusion", worst, 1e-9))
     return out
+
+
+def _subdifferential_gap(x: np.ndarray, m2: np.ndarray, alpha2: float) -> float:
+    """How far m2 - alpha2*x lies from the subdifferential of ||.|| at x: the
+    unit ball at x = 0, the unit vector x/||x|| elsewhere."""
+    ball, nx = m2 - alpha2 * x, float(np.linalg.norm(x))
+    return float(np.linalg.norm(ball)) - 1.0 if nx == 0.0 else float(np.linalg.norm(ball - x / nx))
 
 
 def _group_lyapunov() -> list[CheckResult]:

@@ -23,7 +23,7 @@ from nonsmooth_adm.admittance import (
     proxy_predict,
     sliding_variable,
 )
-from nonsmooth_adm.msta import MstaGains, MstaState
+from nonsmooth_adm.msta import MstaGains, MstaState, SolverConvergenceError
 from nonsmooth_adm.plant import two_link_model
 from nonsmooth_adm.setvalued import BoxConstraint, project_box
 from nonsmooth_adm.verify import admittance_reference
@@ -557,11 +557,10 @@ def test_other_estimates_are_evaluated_every_period():
     assert at_b != _step_bits(admittance_step(st2, meas_b, stale, g2))
 
 
-def test_constant_loop_chooses_its_relaxation_parameter_once(monkeypatch):
-    """The implicit-vector loop of a constant estimate chooses the relaxation
-    parameter on its first solve outside the sliding band and keeps it; an
-    estimate evaluated every period chooses it on every such period, and a
-    solve inside the band never does."""
+def test_constant_loop_checks_its_iteration_matrix_once(monkeypatch):
+    """The implicit-vector loop of a constant estimate checks that G + G^T is
+    positive definite once, when it is built; an estimate evaluated every
+    period checks it on every period, inside the sliding band too."""
     g = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
                         msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
                         h=1e-3, us_mode="implicit-vector")
@@ -570,22 +569,36 @@ def test_constant_loop_chooses_its_relaxation_parameter_once(monkeypatch):
     st = initial_state(np.zeros(2))
     at_rest = Measurement(np.zeros(2), np.zeros(2), np.zeros(2))
     moved = Measurement(np.array([0.01, -0.02]), np.array([1.0, -2.0]), np.array([0.5, 0.5]))
-    eigvals = []
-    real_eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvals.append(1) or real_eigvalsh(a))
-    for model in (est, evaluated):
-        _, _, diag = admittance_step(st, at_rest, model, g)
-        assert np.array_equal(diag.solver.shat, np.zeros(2))
-    assert eigvals == []
-    admittance_step(st, moved, est, g)
-    once = len(eigvals)
-    assert once > 0
+    checks = []
+    real_cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: checks.append(1) or real_cholesky(a))
     for _ in range(3):
-        admittance_step(st, moved, est, g)
-    assert len(eigvals) == once
+        _, _, diag = admittance_step(st, at_rest, est, g)
+        assert np.array_equal(diag.solver.shat, np.zeros(2))
+        _, _, diag = admittance_step(st, moved, est, g)
+        assert diag.solver.converged and diag.solver.iterations > 1
+    assert len(checks) == 1
+    admittance_step(st, at_rest, evaluated, g)
     admittance_step(st, moved, evaluated, g)
-    admittance_step(st, moved, evaluated, g)
-    assert len(eigvals) == 3 * once
+    assert len(checks) == 3
+
+
+def test_state_dependent_ill_posed_estimate_raises_at_its_period():
+    """An estimate evaluated every period whose iteration matrix loses
+    G + G^T > 0 raises SolverConvergenceError at that period, naming the
+    condition; the periods before it run."""
+    g = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
+                        msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
+                        h=1e-3, us_mode="implicit-vector")
+    # the Coriolis estimate of joint 0 turns strongly negative for q_0 > 0.5
+    est = ModelEstimate(lambda q: np.diag([0.2, 0.3]),
+                        lambda q, qd: np.diag([20.0 if q[0] <= 0.5 else -1000.0, 5.0]),
+                        lambda q: np.zeros(2))
+    st = initial_state(np.zeros(2))
+    fc, fd = np.array([1.0, -2.0]), np.array([0.5, 0.5])
+    _, st, _ = admittance_step(st, Measurement(np.array([0.4, 0.0]), fc, fd), est, g)
+    with pytest.raises(SolverConvergenceError, match=r"G \+ G\^T not positive definite"):
+        admittance_step(st, Measurement(np.array([0.6, 0.0]), fc, fd), est, g)
 
 
 def test_constant_estimate_is_read_only_and_checks_entry_counts():

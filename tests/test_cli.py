@@ -128,6 +128,25 @@ def test_too_many_substeps_is_config_error_before_the_run(tmp_path, capsys, monk
     assert err.startswith("error: ") and "dt_sub_s" in err and str(sim.MAX_SUBSTEPS) in err
 
 
+def test_ill_posed_implicit_step_is_config_error_before_the_run(tmp_path, capsys, monkeypatch):
+    """A constant estimate whose implicit-vector iteration matrix G has
+    G + G^T not positive definite is refused before the first step, naming
+    the fields G comes from; the explicit inner loop runs with it."""
+    bad = ["--set", "estimate.coriolis_diag_Nms=[-1000,20]", "--set", "duration_s=0.05"]
+    calls = []
+    monkeypatch.setattr(sim, "integrate_substep", lambda *args: calls.append(args))
+    code = main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
+                 "--set", "controller.us_mode=implicit-vector", *bad])
+    assert code == 2 and calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "G + G^T not positive definite" in err
+    for key in ("estimate.mass_diag_kgm2", "estimate.coriolis_diag_Nms", "controller.k1"):
+        assert key in err
+    monkeypatch.undo()
+    assert main(["run", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "y"),
+                 "--set", "controller.us_mode=explicit", *bad]) == 0
+
+
 def test_substep_bound_admits_its_own_count():
     sc = presets()["fig3_one_dof"]
     sc.dt_sub = sc.h / sim.MAX_SUBSTEPS

@@ -3,7 +3,7 @@
 On a diagonal loop of one or two joints (every loop matrix diagonal, as with
 a constant diagonal estimate) every stage of a controller period computes on
 Python floats, one joint at a time; a non-diagonal loop (``estimate.kind =
-exact`` on the two-link arm) and the fixed point of a non-scalar iteration
+exact`` on the two-link arm) and the scalar root of a non-scalar iteration
 matrix keep the array code, which each stage keeps as a private helper.
 Bits matter (a one-ulp change of the torque moves the closed-loop traces
 visibly), so every comparison here is of bytes: ``float.hex`` for a float,
@@ -131,9 +131,9 @@ def _gains(us_coupling="direct", k1=30.0, us_mode="auto", limit=LIMIT):
                            us_coupling=us_coupling)
 
 
-def _gains2(us_coupling="direct", k1=30.0, us_mode="explicit", limits=LIMITS2, k4=0.0, mu=0.5):
+def _gains2(us_coupling="direct", k1=30.0, us_mode="explicit", limits=LIMITS2, k4=0.0):
     return AdmittanceGains(mx=np.diag([0.5, 0.3]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=k1,
-                           msta=MstaGains(k2=11.6, k3=66.0, k4=k4, gamma1=40.0, mu=mu),
+                           msta=MstaGains(k2=11.6, k3=66.0, k4=k4, gamma1=40.0),
                            box=BoxConstraint(list(limits)), h=1e-3, us_mode=us_mode,
                            us_coupling=us_coupling)
 
@@ -310,33 +310,21 @@ def test_two_joint_inner_loop_candidate_float_path_matches_arrays(us_coupling, k
                                           loop=loop)) == _bits(expected)
 
 
-@pytest.mark.parametrize("us_mode,k1,estimate,k4_mu", itertools.product(
-    ("explicit", "implicit-vector"), (30.0, "structured"), ("equal", "unequal"),
-    ((0.0, 0.5), (5.0, 0.3))))
-def test_two_joint_robust_term_float_path_matches_arrays(us_mode, k1, estimate, k4_mu):
+@pytest.mark.parametrize("us_mode,k1,estimate,k4", itertools.product(
+    ("explicit", "implicit-vector"), (30.0, "structured"), ("equal", "unequal"), (0.0, 5.0)))
+def test_two_joint_robust_term_float_path_matches_arrays(us_mode, k1, estimate, k4):
     """s and v over many scales, from inside the dead band (h^2 k3 = 6.6e-5)
     to far outside it, against the same loop without its float entries; a
     scalar k1 with unequal estimate entries makes a diagonal but non-scalar
-    iteration matrix, whose fixed point stays on arrays.  k4 > 0 gives the
-    radial magnitude its cubic and the prox its quadratic weight."""
-    k4, mu = k4_mu
-    g = _gains2(k1=k1, us_mode=us_mode, k4=k4, mu=mu)
+    iteration matrix, whose scalar root stays on arrays.  k4 > 0 gives the
+    radial magnitude its cubic and the residual its alpha2 term."""
+    g = _gains2(k1=k1, us_mode=us_mode, k4=k4)
     gen = np.random.default_rng(16)
     loop = _evaluate_loop(_ESTIMATES2[estimate], np.zeros(2), _state2(), g)
     arrays = loop._replace(diag=None)
     for s, v in _pairs(gen, [1e-5, 3.0], n=400):
         state = _state2(v=v)
-        assert _outcome(_robust_term, s, loop, state, g) == \
-            _outcome(_robust_term, s, arrays, state, g)
-
-
-def _outcome(fn, *args):
-    """The bits of ``fn(*args)``, or the error it raises: the fixed point
-    does not always converge (ROADMAP item 2), on either path alike."""
-    try:
-        return _bits(fn(*args))
-    except msta.SolverConvergenceError as exc:
-        return repr(exc).encode()
+        assert _bits(_robust_term(s, loop, state, g)) == _bits(_robust_term(s, arrays, state, g))
 
 
 def test_one_joint_robust_term_float_path_matches_arrays():
@@ -354,7 +342,10 @@ def test_one_joint_robust_term_float_path_matches_arrays():
                 _bits(_robust_term(s, arrays, state, g))
 
 
-def test_non_scalar_diagonal_iteration_matrix_takes_the_fixed_point(monkeypatch):
+def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
+    """A diagonal but non-scalar iteration matrix (G = diag(1.25, 1.2)) sends
+    a solve outside the dead band to the scalar root on arrays, and one just
+    outside the band converges too; a scalar G stays on the float path."""
     g = _gains2(us_mode="implicit-vector")
     calls = []
 
@@ -365,9 +356,13 @@ def test_non_scalar_diagonal_iteration_matrix_takes_the_fixed_point(monkeypatch)
     monkeypatch.setattr(admittance, "_solve_inclusion", counting)
     s = np.array([0.02, -0.01])
     loop = _evaluate_loop(_ESTIMATES2["unequal"], np.zeros(2), _state2(), g)
-    assert loop.diag is not None and loop.iteration.prepared[0] is None
-    u_s, _, diag = _robust_term(s, loop, _state2(), g)
-    assert len(calls) == 1 and diag.iterations > 1
+    assert loop.diag is not None and loop.iteration.scale is None
+    assert np.allclose(loop.iteration.G, np.diag([1.25, 1.2]), rtol=0.0, atol=1e-15)
+    # s = (2.79e-6, -7.69e-5) sits just above the band h^2 k3 = 6.6e-5
+    for s_in in (s, np.array([2.79e-6, -7.69e-5])):
+        u_s, _, diag = _robust_term(s_in, loop, _state2(), g)
+        assert diag.converged and 1 < diag.iterations <= 8
+    assert len(calls) == 2
     calls.clear()
     loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), _state2(), g)
     _, _, diag = _robust_term(s, loop, _state2(), g)

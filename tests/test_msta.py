@@ -7,7 +7,6 @@ from nonsmooth_adm.msta import (
     MstaGains,
     MstaState,
     SolverConvergenceError,
-    _choose_mu,
     msta_error_recursion_step,
     msta_explicit_step,
     msta_implicit_decoupled_step,
@@ -179,56 +178,60 @@ def test_decoupled_matches_vector_solver(rng):
     assert worst <= 1e-8
 
 
+def _general_iteration_matrix(rng, n):
+    """A non-symmetric G = S + K with S symmetric positive definite and K
+    skew: G + G^T = 2S is positive definite, and G is not symmetric."""
+    R = rng.normal(size=(n, n))
+    S = R @ R.T + rng.uniform(0.05, 2.0) * np.eye(n)
+    K = rng.normal(scale=rng.uniform(0.0, 3.0), size=(n, n))
+    return S + (K - K.T)
+
+
 def test_solver_general_matrix_residual(rng):
-    # non-scalar iteration matrix exercises the damped fixed-point path
-    for _ in range(50):
-        n = 3
-        g = MstaGains(k2=5.0, k3=60.0, k4=rng.uniform(0, 3), mu=0.5)
-        h = 1e-3
-        M = np.diag(rng.uniform(0.5, 2.0, size=n))
-        A = M + h * rng.normal(scale=2.0, size=(n, n)) + 0.2 * h * np.eye(n)
-        s = rng.normal(size=n)
-        diag = solve_shat_vector(s, A, M, g, h)
-        assert diag.converged
-        # verify the defining inclusion directly
+    """A non-scalar iteration matrix takes the scalar root in ||shat||: the
+    solution meets the defining inclusion and its selection lies in the
+    subdifferential, for near-identity G = M^-1 A and for non-symmetric G
+    far from I (G + G^T positive definite in both), from just outside the
+    dead band to far outside it."""
+    h = 1e-3
+    for _ in range(200):
+        n = int(rng.choice([2, 3]))
+        g = MstaGains(k2=rng.uniform(1, 20), k3=rng.uniform(5, 200), k4=rng.uniform(0, 3))
+        if rng.uniform() < 0.5:
+            M = np.diag(rng.uniform(0.5, 2.0, size=n))
+            A = M + h * rng.normal(scale=2.0, size=(n, n)) + 0.2 * h * np.eye(n)
+        else:
+            M = np.eye(n)
+            A = _general_iteration_matrix(rng, n)
         G = np.linalg.solve(M, A)
-        gam = g.k2 * math.sqrt(np.linalg.norm(diag.shat)) + h * g.k3
+        assert not np.allclose(G, G.T)
+        s = rng.normal(size=n)
+        s *= h * h * g.k3 * (1.0 + 10.0 ** rng.uniform(-9, 5)) / np.linalg.norm(s)
+        diag = solve_shat_vector(s, A, M, g, h)
+        assert diag.converged and 1 <= diag.iterations <= 8
+        nshat = np.linalg.norm(diag.shat)
+        assert nshat > 0.0
+        gam = g.k2 * math.sqrt(nshat) + h * g.k3
         residual = G @ diag.shat + h * gam * diag.m2 - s
-        assert np.linalg.norm(residual) <= 1e-9 * (1 + np.linalg.norm(s))
+        assert np.linalg.norm(residual) <= 1e-12 * (1 + np.linalg.norm(s))
+        # m2 - alpha2*shat is the unit vector along shat, the subdifferential of ||.||
+        member = np.linalg.norm(diag.m2 - g.alpha2 * diag.shat - diag.shat / nshat)
+        assert member <= 1e-11
+        assert diag.residual == pytest.approx(member, rel=1e-6, abs=1e-15)
 
 
-def test_solver_reports_nonconvergence():
-    g = MstaGains(k2=5.0, k3=60.0, fp_max_iter=2)
+def test_solver_reports_nonconvergence_and_an_ill_posed_step():
+    g = MstaGains(k2=5.0, k3=60.0, fp_max_iter=1)
     h = 1e-3
     A = np.array([[1.0, 0.9], [-0.9, 1.0]])
-    with pytest.raises(SolverConvergenceError):
+    with pytest.raises(SolverConvergenceError, match="in 1 iterations"):
         solve_shat_vector(np.array([5.0, -3.0]), A, np.eye(2), g, h)
-    # an indefinite iteration matrix admits no relaxation parameter; only a
-    # solve outside the sliding band needs one
-    indefinite = np.diag([-1.0, 1.0])
-    inside = solve_shat_vector(np.array([1e-5, 0.0]), indefinite, np.eye(2), g, h)
-    assert inside.converged and np.array_equal(inside.shat, np.zeros(2))
-    with pytest.raises(SolverConvergenceError, match="relaxation"):
-        solve_shat_vector(np.array([5.0, -3.0]), indefinite, np.eye(2), g, h)
-
-
-def test_relaxation_parameter_is_chosen_only_outside_the_sliding_band(monkeypatch):
-    """A solve with ||s|| <= h^2*k3 returns shat = 0 before the iteration
-    matrix is classified or its relaxation parameter chosen."""
-    g = MstaGains(k2=5.0, k3=60.0)
-    h = 1e-3
-    A = np.array([[1.0, 0.2], [0.1, 1.5]])
-    M = np.array([[1.0, 0.1], [0.1, 2.0]])
-    inside = np.array([3e-5, -4e-5])    # norm 5e-5 <= h^2*k3 = 6e-5
-    eigvals = []
-    real_eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvals.append(1) or real_eigvalsh(a))
-    assert np.array_equal(solve_shat_vector(inside, A, M, g, h).shat, np.zeros(2))
-    _, _, diag = msta_implicit_step(inside, M, np.diag([2.0, 3.0]), g, h, MstaState.zero(2))
-    assert np.array_equal(diag.shat, np.zeros(2))
-    assert eigvals == []
-    solve_shat_vector(np.array([5.0, -3.0]), A, M, g, h)
-    assert len(eigvals) > 0
+    # G + G^T must be positive definite; an iteration matrix that violates
+    # it is rejected whatever s is, inside the sliding band or outside it
+    for bad in (np.diag([-1.0, 1.0]), np.array([[1.0, 3.0], [-0.5, 1.0]]), np.zeros((2, 2))):
+        for s in (np.array([1e-5, 0.0]), np.array([5.0, -3.0])):
+            with pytest.raises(SolverConvergenceError, match=r"G \+ G\^T not positive definite"):
+                solve_shat_vector(s, bad, np.eye(2), g, h)
 
 
 def test_implicit_step_preserves_state_at_zero():
@@ -278,26 +281,3 @@ def test_error_recursion_consistency():
     s1n, s2n, shat, m1, m2 = msta_error_recursion_step(s1, s2, g, h)
     assert np.allclose(shat, s1 - h * g.k2 * m1 - h * h * g.k3 * m2, atol=1e-14)
     assert np.allclose(s1n, shat + h * s2n, atol=1e-14)
-
-
-def test_choose_mu_scalar_matches_eigenvalue_route():
-    """The closed-form 1 x 1 case picks the same mu as the eigenvalue test."""
-    def by_eigenvalues(G, mu):
-        for _ in range(80):
-            m = G + G.T - mu * (G.T @ G)
-            if float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) > 0.0:
-                return mu
-            mu *= 0.5
-        return None
-
-    gen = np.random.default_rng(9)
-    values = list(gen.uniform(-2.0, 2.0, 100)) + list(gen.uniform(0.0, 1e4, 100)) + [0.0, 4.0]
-    for gval in values:
-        for mu0 in (0.5, 0.99):
-            expected = by_eigenvalues(np.array([[gval]]), mu0)
-            if expected is None:
-                with pytest.raises(SolverConvergenceError):
-                    _choose_mu(float(gval), mu0)
-            else:
-                assert _choose_mu(float(gval), mu0) == expected
-                assert _choose_mu(np.array([[gval]]), mu0) == expected

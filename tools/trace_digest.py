@@ -1,4 +1,4 @@
-"""Fingerprint the twelve standard closed-loop runs, for bitwise comparison.
+"""Fingerprint the fourteen standard closed-loop runs, for bitwise comparison.
 
     python3 tools/trace_digest.py > digest.json
 
@@ -8,11 +8,16 @@ scalar k1 and for a structured k1 (``gamma1 = 150``, whose iteration matrix
 is a multiple of I, so the solve takes its radial closed form), fig5 with a
 diagonal estimate of unequal entries (``mass_diag = (0.2, 0.3)``,
 ``coriolis_diag = (20, 30)``: every loop matrix diagonal but not a multiple
-of I), and ``linmotor_steps`` under a sine disturbance (on top of the stage's
-own rail friction), and prints sorted JSON: per run, one SHA-256 per ``Trace``
-channel (dtype, shape and bytes), one of the written CSV, and the ``repr`` of
-every ``Metrics`` field.  The package is imported from the ``src`` directory
-next to this script, so two checkouts compare with ``cmp`` of their outputs.
+of I) under the explicit inner loop and under ``implicit-vector`` (whose
+iteration matrix diag(1.25, 1.2) sends the solve to its scalar root), fig5
+with ``implicit-vector`` and the arm's own model as the estimate
+(``estimate.kind = exact``: a non-symmetric iteration matrix, evaluated every
+period, also solved by the root), and ``linmotor_steps`` under a sine
+disturbance (on top of the stage's own rail friction), and prints sorted
+JSON: per run, one SHA-256 per ``Trace`` channel (dtype, shape and bytes),
+one of the written CSV, and the ``repr`` of every ``Metrics`` field.  The
+package is imported from the ``src`` directory next to this script, so two
+checkouts compare with ``cmp`` of their outputs.
 """
 
 from __future__ import annotations
@@ -52,6 +57,13 @@ def standard_runs() -> dict:
     sc.estimate.mass_diag = (0.2, 0.3)
     sc.estimate.coriolis_diag = (20.0, 30.0)
     runs["fig5_two_dof:unequal-diag"] = sc
+    sc = copy.deepcopy(sc)
+    sc.controller.us_mode = "implicit-vector"
+    runs["fig5_two_dof:implicit-vector-unequal-diag"] = sc
+    sc = copy.deepcopy(presets()["fig5_two_dof"])
+    sc.controller.us_mode = "implicit-vector"
+    sc.estimate.kind = "exact"
+    runs["fig5_two_dof:implicit-vector-exact"] = sc
     sc = copy.deepcopy(presets()["linmotor_steps"])
     sc.disturbance = DisturbanceSpec(kind="sine", amplitude=0.5, freq_hz=2.0)
     runs["linmotor_steps:sine"] = sc
