@@ -25,12 +25,11 @@ from .msta import (
     MstaGains,
     MstaState,
     SolverDiagnostics,
-    _explicit_floats,
-    _inclusion_floats,
+    _check_period,
+    _explicit,
     _Iteration,
     _solve_inclusion,
-    _u_from_selection,
-    msta_explicit_step,
+    msta_explicit_step,  # noqa: F401  (perfbench traces it under this name)
     msta_implicit_decoupled_step,  # noqa: F401  (perfbench traces it under this name)
     solve_shat_vector,  # noqa: F401  (perfbench traces it under this name)
     sta_scalar_implicit_step,
@@ -80,9 +79,10 @@ class ModelEstimate:
 
         ``mass_diag`` and ``coriolis_diag`` each have one entry, shared by
         every joint, or ``dof`` entries (``dof`` defaults to the length of
-        ``mass_diag``).  The returned M, C and gravity arrays are read-only,
-        so ``admittance_step`` builds the loop of a constant estimate once and
-        reuses it while the same estimate object comes back.
+        ``mass_diag``); every mass entry must be positive, since the loop
+        divides by the inertia.  The returned M, C and gravity arrays are
+        read-only, so ``admittance_step`` builds the loop of a constant
+        estimate once and reuses it while the same estimate object comes back.
         """
         m = np.atleast_1d(np.asarray(mass_diag, dtype=float))
         c = np.zeros(1) if coriolis_diag is None else np.atleast_1d(
@@ -93,6 +93,8 @@ class ModelEstimate:
                 raise ValueError(f"{name} has {x.size} entries; it needs 1 or dof = {n}")
             if not _all_finite(x):
                 raise ValueError(f"{name} must be finite, got {x.tolist()}")
+        if not min(m.tolist()) > 0.0:
+            raise ValueError(f"mass_diag entries must be positive, got {m.tolist()}")
         M = _read_only(np.diag(np.broadcast_to(m, n)))
         C = _read_only(np.diag(np.broadcast_to(c, n)))
         zero = _read_only(np.zeros(n))
@@ -235,6 +237,7 @@ class AdmittanceGains:
             mode = "scalar-implicit" if n == 1 else "explicit"
         if mode == "scalar-implicit" and n != 1:
             raise ValueError(f"us_mode 'scalar-implicit' needs one joint; the torque box has {n}")
+        _check_period(self.msta, self.h)
         object.__setattr__(self, "_us_mode", mode)
         object.__setattr__(self, "_k1m", k1m)
         object.__setattr__(self, "_cached_loop", (None, None))
@@ -266,6 +269,9 @@ class NaiveGains:
         _require_finite(self, "kp", "kd")
 
 
+_STATE_VECTORS = ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev")
+
+
 @dataclass(frozen=True)
 class AdmittanceState:
     """Controller memory between sampling instants."""
@@ -278,11 +284,16 @@ class AdmittanceState:
     msta_state: MstaState
 
     def __post_init__(self) -> None:
-        for name in ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev"):
+        for name in _STATE_VECTORS:
             vec = _vector(getattr(self, name))
             if not _all_finite(vec):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, vec)
+        # the robust term indexes v entry by entry
+        sizes = {getattr(self, name).size for name in _STATE_VECTORS} | {self.msta_state.v.size}
+        if len(sizes) > 1:
+            raise ValueError(f"the state vectors and the integrator state v have different "
+                             f"numbers of entries: {sorted(sizes)}")
 
 
 @dataclass(frozen=True)
@@ -376,8 +387,9 @@ def _proxy_predict_arrays(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray
 
 
 def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
-                     g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tracking error against the predicted proxy and its mixed rate.
+                     g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
+    """Tracking error qe against the predicted proxy and the sliding variable
+    s = qed + lam*qe, with qed its rate.
 
     qe uses the predicted proxy position (the corrected one is not known yet);
     its rate is the backward difference against the stored previous error.
@@ -389,29 +401,26 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
         return _sliding_variable_arrays(qx_star, q, state, g)
     h, lam = g.h, g.lam
     if len(floats.joints) == 1:
-        qe, qed, s = _sliding_joint(h, lam, qx_star.item(), q.item(), state.qe_prev.item())
-        return np.array([qe]), np.array([qed]), np.array([s])
+        qe, s = _sliding_joint(h, lam, qx_star.item(), q.item(), state.qe_prev.item())
+        return np.array([qe]), np.array([s])
     (x0, x1), (y0, y1), (p0, p1) = qx_star.tolist(), q.tolist(), state.qe_prev.tolist()
-    qe0, qed0, s0 = _sliding_joint(h, lam, x0, y0, p0)
-    qe1, qed1, s1 = _sliding_joint(h, lam, x1, y1, p1)
-    return np.array([qe0, qe1]), np.array([qed0, qed1]), np.array([s0, s1])
+    qe0, s0 = _sliding_joint(h, lam, x0, y0, p0)
+    qe1, s1 = _sliding_joint(h, lam, x1, y1, p1)
+    return np.array([qe0, qe1]), np.array([s0, s1])
 
 
 def _sliding_joint(h: float, lam: float, qx_star: float, q: float, qe_prev: float
-                   ) -> tuple[float, float, float]:
-    """One joint of ``sliding_variable`` on floats: (qe, its rate, s)."""
+                   ) -> tuple[float, float]:
+    """One joint of ``sliding_variable`` on floats: (qe, s)."""
     qe = qx_star - q
-    qed = (qe - qe_prev) / h
-    return qe, qed, qed + lam * qe
+    return qe, (qe - qe_prev) / h + lam * qe
 
 
 def _sliding_variable_arrays(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
-                             g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                             g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
     """``sliding_variable`` on arrays, for any number of joints."""
     qe = qx_star - q
-    qed = (qe - state.qe_prev) / g.h
-    s = qed + g.lam * qe
-    return qe, qed, s
+    return qe, (qe - state.qe_prev) / g.h + g.lam * qe
 
 
 class _Loop(NamedTuple):
@@ -578,35 +587,15 @@ def _scalar_beta(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> float:
 
 
 def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: AdmittanceGains):
-    """Dispatch u_s through the configured discretization.
-
-    On a diagonal loop, ``explicit`` and the dead band and radial branch of
-    ``implicit-vector`` compute on floats, bitwise equal to the array code;
-    the scalar root of a non-scalar iteration matrix stays on arrays.
-    """
+    """Dispatch u_s through the configured discretization."""
     mode = g._us_mode
-    h = g.h
-    ms = g.msta
-    if mode == "scalar-implicit":
-        u, v_next, _, _ = sta_scalar_implicit_step(s.item(), ms, loop.beta, h,
-                                                   state.msta_state.v.item())
-        return np.array([u]), _unchecked(MstaState, v=np.array([v_next])), None
-    d = loop.diag
     v = state.msta_state.v
-    if d is not None and d.shape == s.shape == v.shape:
-        if mode == "explicit":
-            return (*_explicit_floats(s, v.tolist(), ms, h), None)
-        if loop.iteration is not None:
-            out = _inclusion_floats(s, loop.iteration, v.tolist(), ms, h)
-            if out is not None:
-                return out
+    if mode == "scalar-implicit":
+        u, v_next, _, _ = sta_scalar_implicit_step(s.item(), g.msta, loop.beta, g.h, v.item())
+        return np.array([u]), _unchecked(MstaState, v=np.array([v_next])), None
     if mode == "explicit":
-        u_s, m_next = msta_explicit_step(s, state.msta_state, ms, h)
-        return u_s, m_next, None
-    # implicit-vector
-    diag = _solve_inclusion(s, loop.iteration, ms, h)
-    u_s, m_next = _u_from_selection(diag, state.msta_state, ms, h)
-    return u_s, m_next, diag
+        return (*_explicit(s, v, g.msta, g.h), None)
+    return _solve_inclusion(s, loop.iteration, v, g.msta, g.h)
 
 
 def _worst_probe(y_star: np.ndarray, y_proj: np.ndarray) -> list[np.ndarray]:
@@ -649,7 +638,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     loop = _loop_for(model, meas.q, state, g)
 
     ux_star, qx_star = proxy_predict(state, meas.fc, meas.fd, g)
-    qe, _, s = sliding_variable(qx_star, meas.q, state, g)
+    qe, s = sliding_variable(qx_star, meas.q, state, g)
     u_s, msta_next, solver_diag = _robust_term(s, loop, state, g)
     q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, s, u_s, state, model, g,
                                              loop=loop)

@@ -20,6 +20,12 @@ and this module provides its discrete-time realizations:
 The implicit variants compute the discontinuous selection from the implicit
 inclusion instead of a sign evaluation, which is what removes numerical
 chattering.
+
+Each branch of the robust term has one body, on Python floats, for any
+number of joints: ``_explicit`` for the forward-Euler step and
+``_solve_inclusion`` for the implicit one, which the controller calls
+directly and the public steps call after checking their inputs.  Only the
+scalar root's linear solves (and its m2) use arrays; every norm is numpy's.
 """
 
 from __future__ import annotations
@@ -128,35 +134,44 @@ class SolverConvergenceError(RuntimeError):
     positive definite) or its root does not converge within fp_max_iter."""
 
 
+def _check_period(g: MstaGains, h: float) -> None:
+    """Reject an h that is not positive or whose dead band h^2*k3 underflows
+    to 0 (the implicit step divides by the band)."""
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    if h * h * g.k3 == 0.0:
+        raise ValueError(f"the dead band h^2*k3 underflows to 0 at h = {h}, k3 = {g.k3}")
+
+
+def _step_input(s, state: MstaState, g: MstaGains, h: float) -> np.ndarray:
+    """s as a float vector, checked against the period and the state: the
+    steps index v entry by entry, so s and v need as many entries."""
+    _check_period(g, h)
+    s = _vector(s)
+    if s.shape != state.v.shape:
+        raise ValueError(f"s has {s.size} entries but the integrator state v has {state.v.size}")
+    return s
+
+
 def msta_explicit_step(
     s: np.ndarray, state: MstaState, g: MstaGains, h: float
 ) -> tuple[np.ndarray, MstaState]:
     """Forward-Euler step of the twisting law; normalized terms vanish at s = 0."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    s = _vector(s)
-    ns = _norm(s)
-    if ns > 0.0:
-        u_s = state.v + g.k2 * s / math.sqrt(ns)
-        v_next = state.v + h * g.k3 * s / ns + g.k4 * s
-    else:
-        u_s = state.v.copy()
-        v_next = state.v.copy()
-    return u_s, _unchecked(MstaState, v=v_next)
+    return _explicit(_step_input(s, state, g, h), state.v, g, h)
 
 
-def _explicit_floats(s: np.ndarray, v: list, g: MstaGains, h: float
-                     ) -> tuple[np.ndarray, MstaState]:
-    """``msta_explicit_step`` on the floats ``v`` of the state, bitwise equal
-    to it: the step is entrywise but for ||s||, which is numpy's (``_norm``)."""
+def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
+              ) -> tuple[np.ndarray, MstaState]:
+    """``msta_explicit_step`` on checked inputs, on floats entry by entry;
+    ||s|| is numpy's (``_norm``)."""
     ns = _norm(s)
     if not ns > 0.0:
-        return np.array(v), _unchecked(MstaState, v=np.array(v))
-    s = s.tolist()
+        return v.copy(), _unchecked(MstaState, v=v.copy())
+    v = v.tolist()
     k2, hk3, k4 = g.k2, h * g.k3, g.k4
     root = math.sqrt(ns)
     u_s, v_next = [], []
-    for j, y in enumerate(s):
+    for j, y in enumerate(s.tolist()):
         u_s.append(v[j] + k2 * y / root)
         v_next.append(v[j] + hk3 * y / ns + k4 * y)
     return np.array(u_s), _unchecked(MstaState, v=np.array(v_next))
@@ -205,11 +220,6 @@ def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
 @lru_cache(maxsize=None)
 def _eye(n: int) -> np.ndarray:
     return _read_only(np.eye(n))
-
-
-def _gamma(x: np.ndarray, g: MstaGains, h: float) -> float:
-    """gamma(x) = k2*||x||^{1/2} + h*k3."""
-    return g.k2 * math.sqrt(_norm(x)) + h * g.k3
 
 
 class _Iteration:
@@ -276,85 +286,60 @@ def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
         "iteration matrix")
 
 
-def _solve_inclusion(s: np.ndarray, iteration: _Iteration, g: MstaGains, h: float
-                     ) -> SolverDiagnostics:
-    """Nominal-state solve: find shat with
+def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: MstaGains,
+                     h: float) -> tuple[np.ndarray, MstaState, SolverDiagnostics]:
+    """The implicit step on checked inputs: find shat with
 
         G @ shat + h * gamma(shat) * m2 = s,   m2 in subdiff Psi2(shat),
 
     where G = iteration.G, gamma(x) = k2*||x||^{1/2} + h*k3 and
-    Psi2 = ||.|| + (alpha2/2)||.||^2: shat = 0 in the dead band, else the
-    radial closed form for G = beta*I or ``_root``.  m2 = (s - G shat)/(h*gamma).
+    Psi2 = ||.|| + (alpha2/2)||.||^2, then v+ = v + h*k3*m2 and
+    u_s = gamma(shat)*m2 + v+.  shat = 0 in the dead band, else the radial
+    closed form for G = beta*I or ``_root``, whose m2 = (s - G shat)/(h*gamma)
+    is formed on arrays; the rest is on floats, entry by entry.  Each norm is
+    numpy's (``_norm``) of an array, since a two-entry dot sums with one
+    rounding.  Returns (u_s, the next state, the solve's diagnostics).
     """
-    n = s.size
     ns = _norm(s)
-    tol = g.fp_tol * (1.0 + ns)
-    dead_band = h * h * g.k3
-
-    if ns <= dead_band:
+    band = h * h * g.k3
+    hk3 = h * g.k3
+    if ns <= band:
         # discrete sliding: shat = 0 exactly, selection taken inside the unit ball
-        m2 = s / dead_band
-        res = max(0.0, _norm(m2) - 1.0)
-        return SolverDiagnostics(1, res, res <= tol, np.zeros(n), m2)
-
-    tr = iteration.scale
-    if tr is not None:
-        # scalar iteration matrix: the inclusion is radial and solved exactly
-        w = _radial_magnitude(ns, tr, g, h)
-        shat = (w * w / ns) * s
-        m2 = (s - tr * shat) / (h * (g.k2 * w + h * g.k3))
+        shat = np.zeros(s.size)
+        m2 = [y / band for y in s.tolist()]
+        res = max(0.0, _norm(np.array(m2)) - 1.0)
+        gam = hk3       # gamma(0) = k2*0 + h*k3, k2 > 0
         iterations = 1
     else:
-        iterations, shat = _root(s, ns, iteration.G, g, h)
-        m2 = (s - iteration.G @ shat) / (h * _gamma(shat, g, h))
-    res = _norm(m2 - shat / _norm(shat) - g.alpha2 * shat)  # distance from subdiff Psi2
-    return SolverDiagnostics(iterations, res, res <= tol, shat, m2)
-
-
-def _inclusion_floats(s: np.ndarray, iteration: _Iteration, v: list, g: MstaGains,
-                      h: float) -> tuple[np.ndarray, MstaState, SolverDiagnostics] | None:
-    """``_solve_inclusion`` and ``_u_from_selection`` on floats, bitwise equal
-    to them, in the dead band and on the radial branch; None for a non-finite
-    s or a solve that needs the root (or a zero dead band, whose 0/0 numpy
-    turns into NaN).  Each norm is numpy's (``_norm``) of an array, since a
-    two-entry dot sums with one rounding; shat is an array of the result
-    anyway, and the residual's vector is built for its norm.
-    """
-    ns = _norm(s)
-    dead_band = h * h * g.k3
-    if not (ns < math.inf and dead_band > 0.0):
-        return None
-    tol = g.fp_tol * (1.0 + ns)
-    s = s.tolist()
-    n = len(s)
-    if ns <= dead_band:
-        shat = np.zeros(n)
-        m2 = [x / dead_band for x in s]
-        res = max(0.0, _norm(np.array(m2)) - 1.0)
-        gam = h * g.k3      # _gamma(0) = k2*0 + h*k3, k2 > 0
-    else:
         tr = iteration.scale
-        if tr is None:
-            return None
-        w = _radial_magnitude(ns, tr, g, h)
-        c = w * w / ns
-        hgam = h * (g.k2 * w + h * g.k3)
-        x, m2 = [], []
-        for y in s:
-            x.append(c * y)
-            m2.append((y - tr * x[-1]) / hgam)
-        shat = np.array(x)
+        if tr is not None:
+            # scalar iteration matrix: the inclusion is radial and solved exactly
+            w = _radial_magnitude(ns, tr, g, h)
+            c = w * w / ns
+            hgam = h * (g.k2 * w + hk3)
+            x, m2 = [], []
+            for y in s.tolist():
+                x.append(c * y)
+                m2.append((y - tr * x[-1]) / hgam)
+            shat = np.array(x)
+            iterations = 1
+        else:
+            iterations, shat = _root(s, ns, iteration.G, g, h)
+            x = shat.tolist()
         nx = _norm(shat)
-        gam = g.k2 * math.sqrt(nx) + h * g.k3
+        gam = g.k2 * math.sqrt(nx) + hk3
+        if tr is None:
+            m2 = ((s - iteration.G @ shat) / (h * gam)).tolist()
         a2 = g.alpha2
+        # distance from subdiff Psi2
         res = _norm(np.array([m2[j] - y / nx - a2 * y for j, y in enumerate(x)]))
-    hk3 = h * g.k3
+    v = v.tolist()
     u_s, v_next = [], []
     for j, y in enumerate(m2):
         v_next.append(v[j] + hk3 * y)
         u_s.append(gam * y + v_next[j])
-    diag = _unchecked(SolverDiagnostics, iterations=1, residual=res, converged=res <= tol,
-                      shat=shat, m2=np.array(m2))
+    diag = _unchecked(SolverDiagnostics, iterations=iterations, residual=res,
+                      converged=res <= g.fp_tol * (1.0 + ns), shat=shat, m2=np.array(m2))
     return np.array(u_s), _unchecked(MstaState, v=np.array(v_next)), diag
 
 
@@ -367,19 +352,10 @@ def solve_shat_vector(
     equality of direction when shat != 0, to the reported residual.  A G
     with G + G^T not positive definite raises SolverConvergenceError.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_period(g, h)
     s = _vector(s)
-    Ak = _matrix(Ak)
-    Mk = _matrix(Mk)
-    return _solve_inclusion(s, _Iteration(np.linalg.solve(Mk, Ak)), g, h)
-
-
-def _u_from_selection(diag: SolverDiagnostics, state: MstaState, g: MstaGains, h: float):
-    gam = _gamma(diag.shat, g, h)
-    v_next = state.v + h * g.k3 * diag.m2
-    u_s = gam * diag.m2 + v_next
-    return u_s, _unchecked(MstaState, v=v_next)
+    G = np.linalg.solve(_matrix(Mk), _matrix(Ak))
+    return _solve_inclusion(s, _Iteration(G), np.zeros(s.size), g, h)[2]
 
 
 def msta_implicit_step(
@@ -401,14 +377,12 @@ def msta_implicit_step(
     h = 1 ms, k2 = 11.6, k3 = 66 the two u_s differ by 0.115 at beta = 1.1
     and by 0.537 at beta = 2.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    Mk = np.atleast_2d(np.asarray(Mk, dtype=float))
-    Ck = np.atleast_2d(np.asarray(Ck, dtype=float))
+    s = _step_input(s, state, g, h)
+    Mk = _matrix(Mk)
+    Ck = _matrix(Ck)
     k1 = -Ck + g.gamma1 * Mk
     Ak = Mk + h * Ck + h * k1
-    diag = solve_shat_vector(s, Ak, Mk, g, h)
-    u_s, state_next = _u_from_selection(diag, state, g, h)
-    return u_s, state_next, diag
+    return _solve_inclusion(s, _Iteration(np.linalg.solve(Mk, Ak)), state.v, g, h)
 
 
 def msta_implicit_decoupled_step(
@@ -419,13 +393,9 @@ def msta_implicit_decoupled_step(
     Avoids any matrix solve; the nominal state is obtained from the radial
     closed form of the inclusion.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    s = _vector(s)
+    s = _step_input(s, state, g, h)
     beta = 1.0 + h * g.gamma1
-    diag = _solve_inclusion(s, _Iteration(beta * _eye(s.size)), g, h)
-    u_s, state_next = _u_from_selection(diag, state, g, h)
-    return u_s, state_next, diag
+    return _solve_inclusion(s, _Iteration(beta * _eye(s.size)), state.v, g, h)
 
 
 def sta_scalar_implicit_step(

@@ -54,6 +54,8 @@ def _step_bits(out) -> bytes:
 def test_gains_validation():
     with pytest.raises(ValueError):
         fig3_gains(h=0.2)             # lam >= 1/h
+    with pytest.raises(ValueError, match="underflows to 0"):
+        fig3_gains(h=1e-200)          # the dead band h^2*k3 underflows to 0
     with pytest.raises(ValueError):
         AdmittanceGains(mx=np.array([[-0.3]]), bx=np.array([[2.0]]), lam=10.0, k1=30.0,
                         msta=MstaGains(k2=1.0, k3=1.0), box=BoxConstraint([3.0]), h=1e-3)
@@ -90,21 +92,21 @@ def test_proxy_steady_state_fixed_point():
 def test_sliding_variable_values():
     g = fig3_gains()
     st = initial_state(np.zeros(1))
-    qe, qed, s = sliding_variable(np.array([0.01]), np.zeros(1), st, g)
+    qe, s = sliding_variable(np.array([0.01]), np.zeros(1), st, g)
     assert qe[0] == pytest.approx(0.01)
-    assert qed[0] == pytest.approx(10.0)
+    assert s[0] - g.lam * qe[0] == pytest.approx(10.0)     # the rate qed
     assert s[0] == pytest.approx(10.1)
 
 
 def test_sliding_variable_zero_and_steady():
     g = fig3_gains()
     st = initial_state(np.array([0.2]))
-    qe, qed, s = sliding_variable(np.array([0.2]), np.array([0.2]), st, g)
+    qe, s = sliding_variable(np.array([0.2]), np.array([0.2]), st, g)
     assert qe[0] == 0.0 and s[0] == 0.0
     st2 = AdmittanceState(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
                           np.array([0.03]), MstaState.zero(1))
-    qe, qed, s = sliding_variable(np.array([0.03]), np.zeros(1), st2, g)
-    assert qed[0] == 0.0
+    qe, s = sliding_variable(np.array([0.03]), np.zeros(1), st2, g)
+    assert s[0] == g.lam * qe[0]        # qed = 0 exactly
     assert s[0] == pytest.approx(g.lam * 0.03)
 
 
@@ -615,6 +617,9 @@ def test_constant_estimate_is_read_only_and_checks_entry_counts():
                                (((0.1, 0.2), (1.0, 2.0, 3.0)), {}, "coriolis_diag"),
                                (((0.1,), (1.0, 2.0)), {}, "coriolis_diag"),
                                (((),), {}, "mass_diag"),
+                               # a mass entry that is not positive
+                               (((0.0, 0.2),), {}, "mass_diag"),
+                               (((-0.1,),), {}, "mass_diag"),
                                (([[0.1, 0.2]],), {}, "mass_diag")):
         with pytest.raises(ValueError, match=name):
             ModelEstimate.constant(*args, **kwargs)
@@ -647,6 +652,10 @@ def test_caller_built_states_are_converted_and_checked(bad):
             AdmittanceState(**values, msta_state=MstaState.zero(1))
     with pytest.raises(ValueError, match="integrator state v must be finite"):
         MstaState([0.0, bad])
+    # the robust term indexes v entry by entry, so every vector has n entries
+    for v, qe_prev in (([0.0, 0.0], [0.0]), ([0.0], [0.0, 0.0])):
+        with pytest.raises(ValueError, match="different numbers of entries"):
+            AdmittanceState([0.0], [0.0], [0.0], [0.0], qe_prev, MstaState(v))
 
 
 def _rebuilt(st: AdmittanceState) -> AdmittanceState:

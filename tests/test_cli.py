@@ -74,6 +74,9 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("controller.us_mode=implicit-decoupled", "controller.us_mode"),
     ("estimate.mass_diag_kgm2=[0.2,0.2,0.2]", "estimate.mass_diag_kgm2"),
     ("estimate.mass_diag_kgm2=[NaN]", "estimate.mass_diag_kgm2"),
+    ("controller.us_mode=implicit-vector estimate.mass_diag_kgm2=[0,0.2]",
+     "estimate.mass_diag_kgm2"),
+    ("fig3_one_dof estimate.mass_diag_kgm2=[0]", "estimate.mass_diag_kgm2"),
     ("controller.k2=NaN", "controller.k2"),
     ("controller.k1=NaN", "controller.k1"),
     ("controller.kind=naive controller.kp=NaN", "controller.kp"),
@@ -100,6 +103,8 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("fig3_one_dof plant=double_integrator", "plant_params"),
     ("fig3_one_dof dt_sub_s=1e-300", "dt_sub_s"),
     ("fig3_one_dof dt_sub_s=3e-5", "dt_sub_s"),
+    # the dead band h^2*k3 underflows to 0
+    ("fig3_one_dof h_s=1e-200 dt_sub_s=1e-200 duration_s=1e-200", "controller.k3"),
 ])
 def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field):
     """``override`` holds one or more space-separated ``--set`` values, led by

@@ -3,8 +3,9 @@
 On a diagonal loop of one or two joints (every loop matrix diagonal, as with
 a constant diagonal estimate) every stage of a controller period computes on
 Python floats, one joint at a time; a non-diagonal loop (``estimate.kind =
-exact`` on the two-link arm) and the scalar root of a non-scalar iteration
-matrix keep the array code, which each stage keeps as a private helper.
+exact`` on the two-link arm) keeps the array code, which each stage keeps as
+a private helper.  The robust term has one float body for every loop, which
+``tests/test_msta.py`` checks against its defining inclusion.
 Bits matter (a one-ulp change of the torque moves the closed-loop traces
 visibly), so every comparison here is of bytes: ``float.hex`` for a float,
 ``tobytes`` (with dtype and shape) for an array.  The inputs include signed
@@ -310,50 +311,18 @@ def test_two_joint_inner_loop_candidate_float_path_matches_arrays(us_coupling, k
                                           loop=loop)) == _bits(expected)
 
 
-@pytest.mark.parametrize("us_mode,k1,estimate,k4", itertools.product(
-    ("explicit", "implicit-vector"), (30.0, "structured"), ("equal", "unequal"), (0.0, 5.0)))
-def test_two_joint_robust_term_float_path_matches_arrays(us_mode, k1, estimate, k4):
-    """s and v over many scales, from inside the dead band (h^2 k3 = 6.6e-5)
-    to far outside it, against the same loop without its float entries; a
-    scalar k1 with unequal estimate entries makes a diagonal but non-scalar
-    iteration matrix, whose scalar root stays on arrays.  k4 > 0 gives the
-    radial magnitude its cubic and the residual its alpha2 term."""
-    g = _gains2(k1=k1, us_mode=us_mode, k4=k4)
-    gen = np.random.default_rng(16)
-    loop = _evaluate_loop(_ESTIMATES2[estimate], np.zeros(2), _state2(), g)
-    arrays = loop._replace(diag=None)
-    for s, v in _pairs(gen, [1e-5, 3.0], n=400):
-        state = _state2(v=v)
-        assert _bits(_robust_term(s, loop, state, g)) == _bits(_robust_term(s, arrays, state, g))
-
-
-def test_one_joint_robust_term_float_path_matches_arrays():
-    gen = np.random.default_rng(17)
-    for us_mode, k4 in itertools.product(("explicit", "implicit-vector"), (0.0, 5.0)):
-        g = AdmittanceGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), lam=10.0, k1=30.0,
-                            msta=MstaGains(k2=11.6, k3=66.0, k4=k4), box=BoxConstraint([LIMIT]),
-                            h=1e-3, us_mode=us_mode)
-        loop = _evaluate_loop(_ESTIMATES["constant"], np.zeros(1), _state(), g)
-        arrays = loop._replace(diag=None)
-        for s, v in _inputs(gen, [1e-5, 3.0], n=100) + _inputs(gen, [3.0, 1.0], n=100):
-            state = AdmittanceState(*(np.zeros(1),) * 5, MstaState(_one(v)))
-            s = _one(s)
-            assert _bits(_robust_term(s, loop, state, g)) == \
-                _bits(_robust_term(s, arrays, state, g))
-
-
 def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
     """A diagonal but non-scalar iteration matrix (G = diag(1.25, 1.2)) sends
-    a solve outside the dead band to the scalar root on arrays, and one just
-    outside the band converges too; a scalar G stays on the float path."""
+    a solve outside the dead band to the scalar root, and one just outside
+    the band converges too; a scalar G takes the radial closed form."""
     g = _gains2(us_mode="implicit-vector")
     calls = []
 
-    def counting(*args, _fn=admittance._solve_inclusion):
+    def counting(*args, _fn=msta._root):
         calls.append(args[0])
         return _fn(*args)
 
-    monkeypatch.setattr(admittance, "_solve_inclusion", counting)
+    monkeypatch.setattr(msta, "_root", counting)
     s = np.array([0.02, -0.01])
     loop = _evaluate_loop(_ESTIMATES2["unequal"], np.zeros(2), _state2(), g)
     assert loop.diag is not None and loop.iteration.scale is None
@@ -529,27 +498,27 @@ def test_two_joint_naive_step_matches_array_code(monkeypatch, estimate):
 
 
 _HELPERS = ((admittance, "_proxy_predict_arrays"), (admittance, "_sliding_variable_arrays"),
-            (admittance, "msta_explicit_step"), (admittance, "_solve_inclusion"),
             (admittance, "_inner_loop_candidate_arrays"), (setvalued, "_project_box_arrays"),
             (setvalued, "_variational_residual_arrays"))
+# the robust term's one body per inner-loop mode, on any loop
+_ROBUST = ((admittance, "_explicit"), (admittance, "_solve_inclusion"))
 
 
 def test_array_helper_calls_follow_the_loop(monkeypatch):
     """A diagonal two-joint loop calls no array helper.  The arm's own
-    (full) mass matrix calls those of the loop, the robust term and the
-    candidate; the proxy, the sliding variable, the projection and the
-    certificate do not see the loop, and stay on floats for the diagonal
-    proxy and the two-joint box."""
+    (full) mass matrix calls those of the loop and the candidate; the proxy,
+    the sliding variable, the projection and the certificate do not see the
+    loop, and stay on floats for the diagonal proxy and the two-joint box.
+    The robust term calls its one body once on either loop."""
     calls = []
-    for module, name in _HELPERS:
+    for module, name in _HELPERS + _ROBUST:
         def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
     meas = Measurement([2.5, -1.5], [1.0, -2.0], [0.5, 0.3])
-    for us_mode, robust in (("explicit", "msta_explicit_step"),
-                            ("implicit-vector", "_solve_inclusion")):
-        for estimate, expected in (("equal", []),
+    for us_mode, robust in (("explicit", "_explicit"), ("implicit-vector", "_solve_inclusion")):
+        for estimate, expected in (("equal", [robust]),
                                    ("exact", [robust, "_inner_loop_candidate_arrays"])):
             calls.clear()
             admittance_step(initial_state(np.array([2.4, -1.4])), meas, _ESTIMATES2[estimate],

@@ -7,6 +7,8 @@ from nonsmooth_adm.msta import (
     MstaGains,
     MstaState,
     SolverConvergenceError,
+    _Iteration,
+    _solve_inclusion,
     msta_error_recursion_step,
     msta_explicit_step,
     msta_implicit_decoupled_step,
@@ -218,6 +220,95 @@ def test_solver_general_matrix_residual(rng):
         member = np.linalg.norm(diag.m2 - g.alpha2 * diag.shat - diag.shat / nshat)
         assert member <= 1e-11
         assert diag.residual == pytest.approx(member, rel=1e-6, abs=1e-15)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _step_inputs(rng, n):
+    """(s, v) pairs: s = 0, then ||s|| from inside the dead band h^2 k3 to
+    10^3 times it in random directions, some with a +-0.0 entry."""
+    band = 1e-6 * 66.0
+    out = [(np.zeros(n), rng.normal(size=n)), (np.full(n, -0.0), np.zeros(n))]
+    for ratio in [0.3, 0.999, 1.001] + (10.0 ** rng.uniform(-1.0, 3.0, 60)).tolist():
+        s = rng.normal(size=n)
+        if n > 1 and rng.uniform() < 0.3:
+            s[rng.integers(n)] = rng.choice([0.0, -0.0])
+        out.append((s * (ratio * band / np.linalg.norm(s)), rng.normal(scale=2.0, size=n)))
+    return out
+
+
+_STEP_CASES = [("explicit", n, None) for n in (1, 2, 3)] + [
+    ("implicit-vector", n, kind) for n, kind in
+    ((1, "scalar"), (2, "scalar"), (2, "diagonal"), (2, "general"), (3, "scalar"),
+     (3, "diagonal"), (3, "general"))]
+
+
+@pytest.mark.parametrize("k4", [0.0, 5.0])
+@pytest.mark.parametrize("mode,n,kind", _STEP_CASES)
+def test_step_meets_its_definition(mode, n, kind, k4):
+    """The robust term's step against its definition, at h = 1 ms and the
+    preset gains (dead band h^2 k3 = 6.6e-5).  The implicit step, for G =
+    beta*I (radial closed form), diag(1.25, 1.2[, 1.3]) and a non-symmetric
+    G with G + G^T positive definite (scalar root): shat and m2 solve
+    G shat + h*gamma(shat)*m2 = s with m2 - alpha2*shat in the subdifferential
+    of ||.|| at shat, and v+ = v + h*k3*m2, u = gamma(shat)*m2 + v+ bit for
+    bit, evaluated here with numpy.  The explicit step: u = v + k2*s/||s||^(1/2)
+    and v+ = v + h*k3*s/||s|| + k4*s bit for bit, and u = v+ = v at s = 0."""
+    rng = np.random.default_rng([n, int(k4), _STEP_CASES.index((mode, n, kind))])
+    g = MstaGains(k2=11.6, k3=66.0, k4=k4)
+    h = 1e-3
+    hk3 = h * g.k3
+    if kind == "scalar":
+        G = rng.uniform(1.0, 3.0) * np.eye(n)
+    elif kind == "diagonal":
+        G = np.diag([1.25, 1.2, 1.3][:n])
+    elif kind == "general":
+        G = _general_iteration_matrix(rng, n)
+    if kind is not None:
+        iteration = _Iteration(G)
+        assert (iteration.scale is None) == (kind != "scalar")
+    for s, v in _step_inputs(rng, n):
+        if mode == "explicit":
+            u, st = msta_explicit_step(s, MstaState(v), g, h)
+            ns = np.linalg.norm(s)
+            u_def, v_def = v, v
+            if ns > 0.0:
+                u_def = v + g.k2 * s / math.sqrt(ns)
+                v_def = v + hk3 * s / ns + g.k4 * s
+            assert _same_bits(u, u_def) and _same_bits(st.v, v_def)
+            continue
+        u, st, d = _solve_inclusion(s, iteration, v, g, h)
+        nshat = np.linalg.norm(d.shat)
+        gam = g.k2 * math.sqrt(nshat) + hk3
+        inclusion = np.linalg.norm(G @ d.shat + h * gam * d.m2 - s) / (1.0 + np.linalg.norm(s))
+        ball = d.m2 - g.alpha2 * d.shat
+        gap = np.linalg.norm(ball - d.shat / nshat) if nshat > 0.0 else \
+            max(0.0, np.linalg.norm(ball) - 1.0)
+        assert inclusion <= 1e-9 and gap <= 1e-9 and d.converged
+        v_next = v + hk3 * d.m2
+        assert _same_bits(st.v, v_next) and _same_bits(u, gam * d.m2 + v_next)
+
+
+def test_steps_reject_a_state_of_another_length_and_an_underflowing_band():
+    """The steps index v entry by entry, so s and v need as many entries; and
+    the implicit step divides by the dead band h^2 k3, which must not
+    underflow to 0 (it does at h = 1e-200)."""
+    g = MstaGains(k2=11.6, k3=66.0)
+    s = np.array([0.02, -0.01])
+    steps = (lambda s, st, h: msta_explicit_step(s, st, g, h),
+             lambda s, st, h: msta_implicit_step(s, np.eye(2), np.zeros((2, 2)), g, h, st),
+             lambda s, st, h: msta_implicit_decoupled_step(s, g, h, st))
+    for step in steps:
+        for v in (np.zeros(1), np.zeros(3)):
+            with pytest.raises(ValueError, match="s has 2 entries but the integrator state v"):
+                step(s, MstaState(v), 1e-3)
+        for s_in in (s, np.zeros(2)):
+            with pytest.raises(ValueError, match="h\\^2\\*k3 underflows to 0"):
+                step(s_in, MstaState.zero(2), 1e-200)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        solve_shat_vector(np.zeros(2), np.eye(2), np.eye(2), g, 1e-200)
 
 
 def test_solver_reports_nonconvergence_and_an_ill_posed_step():
