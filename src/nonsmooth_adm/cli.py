@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -120,10 +121,7 @@ def cmd_sweep(args) -> int:
         values = [json.loads(v) for v in args.values.split(",")]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"could not parse sweep values {args.values!r}: {exc}") from exc
-    try:
-        rows = sweep(sc, args.param, values)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = sweep(sc, args.param, values)    # checks every value before the first run
     os.makedirs(args.out, exist_ok=True)
     table = [{"value": v, **metrics_to_dict(m)} for v, m in rows]
     with open(os.path.join(args.out, "sweep.json"), "w") as f:
@@ -157,8 +155,16 @@ def cmd_plot(args) -> int:
         trace = trace_from_csv(args.scenario)
     except ValueError as exc:
         raise ConfigError(f"could not parse trace file {args.scenario!r}: {exc}") from exc
-    limits = [float(x) for x in args.limits.split(",")] if args.limits else \
-        [float(abs(trace.tau).max() or 1.0)] * trace.dof
+    if args.limits is None:
+        limits = [float(abs(trace.tau).max() or 1.0)] * trace.dof
+    else:
+        try:
+            limits = [float(x) for x in args.limits.split(",")]
+        except ValueError:
+            limits = []
+        if len(limits) != trace.dof or not all(math.isfinite(x) and x > 0.0 for x in limits):
+            raise ConfigError(f"--limits {args.limits!r} must hold {trace.dof} finite positive "
+                              f"torque limit(s), one per joint of the trace")
     written = trace_panels(trace, limits, args.out)
     print("wrote " + ", ".join(written))
     return EXIT_OK

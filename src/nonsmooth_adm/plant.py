@@ -105,12 +105,14 @@ class ManipulatorModel:
         return t[e], t[e + 1]
 
     def jacobian_fn(self, q: np.ndarray) -> np.ndarray:
-        return self._pose_jacobian(q)[1]
+        j = _LAYOUT[self.dof][3]
+        return np.array(self._at(q)[j:]).reshape(2, self.dof)
 
-    def _pose_jacobian(self, q: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
-        """``(ee_pose_fn(q), jacobian_fn(q))`` from one kernel call."""
+    def pose_jacobian(self, q: list[float]) -> tuple[tuple[float, float], np.ndarray]:
+        """``(ee_pose_fn(q), jacobian_fn(q))`` from one kernel call, for joint
+        angles given as a list of floats."""
         e, j = _LAYOUT[self.dof][2:]
-        t = self._at(q)
+        t = self.terms(*q, *(0.0,) * self.dof)
         return (t[e], t[e + 1]), np.array(t[j:]).reshape(2, self.dof)
 
 
@@ -239,11 +241,15 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
             if m <= 0.0:
                 raise ValueError(f"inertia lost positivity at q = {q:.4f}")
             fc = 0.0
-            fy = ks * (ys - l1 * s)
+            p1 = l1 * s
+            fy = ks * (ys - p1)
             if fy > 0.0:
-                jx = nl1 * s
-                v = jx * qd   # Coulomb friction: -mu * fy * sign0(v)
-                fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
+                jx = -p1    # nl1 * s
+                v = jx * qd
+                # Coulomb friction -mu * fy * sign0(v); f * 1.0 is f and
+                # f * -1.0 is -f, but f * 0.0 keeps the sign of f
+                f = nmu * fy
+                fx = f if v > 0.0 else -f if v < 0.0 else f * 0.0
                 fc = jx * fx + l1 * c * fy
             fe = disturbance(t, q, qd) if disturbance is not None else 0.0
             qd += dt * (gt + fc + fe - damping * c * qd - mgl * c) / m
@@ -288,19 +294,27 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
             q12 = q1 + q2
             s1, s12, c2 = sin(q1), sin(q12), cos(q2)
             hh = hk * sin(q2)
+            p2 = l2 * s12
             fc1 = fc2 = 0.0
-            fy = ks * (ys - (l1 * s1 + l2 * s12))
+            fy = ks * (ys - (l1 * s1 + p2))
             if fy > 0.0:
-                # the Jacobian, needed only in contact
+                # the Jacobian, needed only in contact (nl2 * s12 is -p2, and
+                # j22 is the l2 * c12 of ee_x)
                 c12 = cos(q12)
-                j11, j12, j22 = nl1 * s1 - l2 * s12, nl2 * s12, l2 * c12
-                v = j11 * qd1 + j12 * qd2   # Coulomb friction: -mu * fy * sign0(v)
-                fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
-                fc1 = j11 * fx + (l1 * cos(q1) + l2 * c12) * fy
+                j11, j12, j22 = nl1 * s1 - p2, -p2, l2 * c12
+                v = j11 * qd1 + j12 * qd2
+                # Coulomb friction -mu * fy * sign0(v); f * 1.0 is f and
+                # f * -1.0 is -f, but f * 0.0 keeps the sign of f
+                f = nmu * fy
+                fx = f if v > 0.0 else -f if v < 0.0 else f * 0.0
+                fc1 = j11 * fx + (l1 * cos(q1) + j22) * fy
                 fc2 = j12 * fx + j22 * fy
-            # C qd with C = [[hh qd2, hh (qd1 + qd2)], [-hh qd1, 0]]; G = 0
-            r1 = g1t + fc1 - hh * qd2 * qd1 - hh * (qd1 + qd2) * qd2 - 0.0
-            r2 = g2t + fc2 - -hh * qd1 * qd1 - 0.0 * qd2 - 0.0
+            # C qd with C = [[hh qd2, hh (qd1 + qd2)], [-hh qd1, 0]]; G = 0.  The
+            # kernel's terms less its exact no-ops: x - 0.0 is x and x - -y is
+            # x + y.  The 0.0 * qd2 term stays, because it is NaN for an
+            # infinite qd2 and flips a -0.0 sum for a negative qd2.
+            r1 = g1t + fc1 - hh * qd2 * qd1 - hh * (qd1 + qd2) * qd2
+            r2 = g2t + fc2 + hh * qd1 * qd1 - 0.0 * qd2
             m11 = a11 + m2 * (b11 + d11 * c2)
             m12 = m2 * (b12 + d12 * c2) + ic2
             det = m11 * m22 - m12 * m12
@@ -404,17 +418,17 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
     """
     gain = model.input_gain
     if model.dof == 1:
-        q1, qd1 = model._advance(float(state.q[0]), float(state.qd[0]),
-                                 gain * float(tau_held[0]), env, disturbance, t, dt_sub, n_sub)
+        q1, qd1 = model._advance(state.q.item(), state.qd.item(), gain * tau_held.item(),
+                                 env, disturbance, t, dt_sub, n_sub)
         if not (math.isfinite(q1) and math.isfinite(qd1)):
             raise SimulationBlowUp(step=-1, t=t)
         return _unchecked(PlantState, q=np.array([q1]), qd=np.array([qd1]))
 
     if disturbance is not None:
         raise ValueError("disturbance forces act on one-joint plants only")
-    q1, q2, qd1, qd2 = model._advance(
-        float(state.q[0]), float(state.q[1]), float(state.qd[0]), float(state.qd[1]),
-        gain * float(tau_held[0]), gain * float(tau_held[1]), env, dt_sub, n_sub)
+    (q1, q2), (qd1, qd2), (tau1, tau2) = state.q.tolist(), state.qd.tolist(), tau_held.tolist()
+    q1, q2, qd1, qd2 = model._advance(q1, q2, qd1, qd2, gain * tau1, gain * tau2,
+                                      env, dt_sub, n_sub)
     if not (math.isfinite(q1) and math.isfinite(q2) and math.isfinite(qd1)
             and math.isfinite(qd2)):
         raise SimulationBlowUp(step=-1, t=t)

@@ -274,12 +274,14 @@ def _build_gains(sc: Scenario) -> AdmittanceGains:
                            us_mode=c.us_mode, us_coupling=c.us_coupling)
 
 
-def _section_error(section: str, exc: ValueError, keys=None) -> ValueError:
+def _section_error(section: str, exc: ValueError, keys=None, top=()) -> ValueError:
     """An error from building one scenario section, restated with the
     scenario file's dotted names of that section's fields (``keys``, the
-    section's ``(key, attribute)`` pairs, default from ``_SECTION_KEYS``)."""
+    section's ``(key, attribute)`` pairs, default from ``_SECTION_KEYS``) and
+    the names of the top-level fields ``top`` it also reads (same pairs)."""
     keys = _SECTION_KEYS[section][1] if keys is None else keys
     names = {attr: f"{section}.{key}" for key, attr in keys}
+    names.update((attr, key) for key, attr in top)
     return ValueError(re.sub(r"\w+", lambda m: names.get(m[0], m[0]), str(exc)))
 
 
@@ -439,8 +441,8 @@ def run_scenario(sc: Scenario) -> Trace:
             raise ValueError(f"unknown controller.kind: {sc.controller.kind!r}")
         try:
             gains = _build_gains(sc) if proposed else _build_naive_gains(sc)
-        except ValueError as exc:
-            raise _section_error("controller", exc) from exc
+        except ValueError as exc:   # the gains also check the period, h_s
+            raise _section_error("controller", exc, top=(("h_s", "h"),)) from exc
         if proposed and sc.estimate.kind == "diag":
             try:    # the constant estimate's loop, built now: the first step reuses it
                 _loop_for(estimate, q0, initial_state(q0), gains)
@@ -462,21 +464,25 @@ def run_scenario(sc: Scenario) -> Trace:
 
     for k in range(steps):
         t = k * sc.h
-        ee, jac = model._pose_jacobian(state.q)
-        ee_vel = jac @ state.qd
-        fx, fy = contact_wrench(ee, (ee_vel[0], ee_vel[1]), env)
-        fc_joint = jac.T @ np.array([fx, fy])
+        ee, jac = model.pose_jacobian(state.q.tolist())
+        fx, fy = contact_wrench(ee, jac.dot(state.qd).tolist(), env)
         fdx, fdy = _fd_lookup(sc.fd_schedule, t)
-        fd_joint = jac.T @ np.array([fdx, fdy])
+        # both joint-space forces from one matrix-matrix product.  It equals
+        # jac.T @ [fx, fy] and jac.T @ [fdx, fdy] bit for bit only if the BLAS
+        # build rounds its two-term sums alike in both kernels (FMA or not):
+        # tests/test_float_path.py checks this on the build it runs on
+        forces = jac.T.dot(np.array([[fx, fdx], [fy, fdy]])).T
+        fc_joint, fd_joint = forces[0], forces[1]
 
         if not in_force_phase and fy != 0.0:
             in_force_phase = True
             ctrl_state = initial_state(state.q)
 
         if in_force_phase:
-            # float vectors of the plant state, finite-checked every period,
-            # and of the validated force schedule: not checked again
-            meas = _unchecked(Measurement, q=state.q.copy(), fc=fc_joint, fd=fd_joint)
+            # float vectors of the plant state, finite-checked every period
+            # and new every period (so not copied), and of the validated force
+            # schedule: not checked again
+            meas = _unchecked(Measurement, q=state.q, fc=fc_joint, fd=fd_joint)
             tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
             tr.qx[k] = ctrl_state.qx_prev
             tr.qxd[k] = ctrl_state.qxd_prev
@@ -498,7 +504,8 @@ def run_scenario(sc: Scenario) -> Trace:
         tr.qd[k] = state.qd
         tr.tau[k] = tau
         tr.fc_joint[k] = fc_joint
-        tr.fc_cart[k] = (fx, fy)
+        tr.fc_cart[k, 0] = fx
+        tr.fc_cart[k, 1] = fy
         tr.contact[k] = fy > 0.0
 
         try:
@@ -691,10 +698,17 @@ def apply_override(sc: Scenario, key: str, value) -> None:
 
 
 def sweep(sc_template: Scenario, param_path: str, values: Sequence) -> list[tuple[object, Metrics]]:
-    """Run the template once per value of the addressed parameter, in order."""
+    """Run the template once per value of the addressed parameter, in order.
+
+    Every value is set on its own copy of the template before the first run;
+    one that its field rejects (or a path that names no field) raises
+    ScenarioError naming the path and the value."""
     scenarios = [copy.deepcopy(sc_template) for _ in values]
     for s, v in zip(scenarios, values):
-        apply_override(s, param_path, v)
+        try:
+            apply_override(s, param_path, v)
+        except (KeyError, ValueError) as exc:
+            raise ScenarioError(f"bad sweep value {v!r} for {param_path}: {exc}") from exc
     return [(v, compute_metrics(run_scenario(s), s)) for v, s in zip(values, scenarios)]
 
 

@@ -103,12 +103,13 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("fig3_one_dof plant=double_integrator", "plant_params"),
     ("fig3_one_dof dt_sub_s=1e-300", "dt_sub_s"),
     ("fig3_one_dof dt_sub_s=3e-5", "dt_sub_s"),
-    # the dead band h^2*k3 underflows to 0
-    ("fig3_one_dof h_s=1e-200 dt_sub_s=1e-200 duration_s=1e-200", "controller.k3"),
+    # the dead band h^2*k3 underflows to 0; the period is the scenario's h_s
+    ("fig3_one_dof h_s=1e-200 dt_sub_s=1e-200 duration_s=1e-200", "controller.k3 h_s"),
 ])
 def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field):
     """``override`` holds one or more space-separated ``--set`` values, led by
-    the preset to run when it is not fig5_two_dof."""
+    the preset to run when it is not fig5_two_dof; ``field`` holds each name
+    the error must give, space-separated."""
     words = override.split()
     scenario = words.pop(0) if "=" not in words[0] else "fig5_two_dof"
     sets = [arg for value in words for arg in ("--set", value)]
@@ -116,7 +117,7 @@ def test_unbuildable_scenario_is_config_error(tmp_path, capsys, override, field)
                  "--set", "duration_s=0.1", *sets])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err
+    assert err.startswith("error: ") and all(name in err for name in field.split())
     assert "Traceback" not in err
 
 
@@ -230,6 +231,19 @@ def test_sweep_command(tmp_path, capsys):
     assert all(row["torque_violations"] == 0 for row in table["rows"])
 
 
+@pytest.mark.parametrize("values", ["-5", '"a"', "200,-5"])
+def test_sweep_value_its_field_rejects_is_config_error(tmp_path, capsys, monkeypatch, values):
+    """Every sweep value is checked against its field before the first run."""
+    runs = []
+    monkeypatch.setattr(sim, "run_scenario", lambda sc: runs.append(sc))
+    code = main(["sweep", "--scenario", "fig3_one_dof", "--out", str(tmp_path / "x"),
+                 "--set", "duration_s=0.02", "--param", "env.k_s", "--values", values])
+    assert code == 2 and runs == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad sweep value ") and "env.k_s" in err
+    assert repr(json.loads(values.split(",")[-1])) in err and "Traceback" not in err
+
+
 def test_verify_single_group(capsys):
     code = main(["verify", "--group", "prox"])
     out = capsys.readouterr().out
@@ -261,6 +275,20 @@ def test_plot_from_trace(tmp_path):
                  "--out", out2, "--limits", "50"])
     assert code == 0
     assert os.path.exists(os.path.join(out2, "position.svg"))
+
+
+@pytest.mark.parametrize("limits", ["3,x", "3,4", "nan", "-3"])
+def test_plot_limits_need_one_finite_positive_value_per_joint(tmp_path, capsys, limits):
+    out = str(tmp_path / "p")
+    assert main(["run", "--scenario", "fig3_one_dof", "--out", out,
+                 "--set", "duration_s=0.05"]) == 0
+    capsys.readouterr()
+    code = main(["plot", "--scenario", os.path.join(out, "trace.csv"),
+                 "--out", str(tmp_path / "panels"), "--limits", limits])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --limits") and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "panels")
 
 
 @pytest.mark.parametrize("content", ["a,b\n1,2\n", "{}"])

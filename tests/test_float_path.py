@@ -244,6 +244,33 @@ def test_diagonal_product_is_entrywise_until_an_entry_is_not_finite():
     assert np.isnan(row)
 
 
+def test_runner_products_equal_numpy_matrix_vector_products():
+    """The runner maps both planar forces to joint space with one product,
+    ``jac.T.dot([[fx, fdx], [fy, fdy]])`` (``@`` alike), whose columns are
+    bitwise ``jac.T @ [fx, fy]`` and ``jac.T @ [fdx, fdy]`` on the numpy and
+    BLAS build under test, and the end-effector velocity from ``jac.dot(qd)``,
+    bitwise ``jac @ qd``.  One- and two-joint Jacobians, scales 1e-8 to 1e6,
+    signed zeros."""
+    gen = np.random.default_rng(14)
+
+    def entries(size):
+        x = gen.normal(size=size) * 10.0 ** gen.uniform(-8, 6, size)
+        pick = gen.random(size)
+        x[pick < 0.15] = 0.0
+        x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+        return x
+
+    for n in (1, 2):
+        for _ in range(5000):
+            jac, qd = entries((2, n)), entries(n)
+            fx, fy, fdx, fdy = entries(4).tolist()
+            w = np.array([[fx, fdx], [fy, fdy]])
+            fc, fd = jac.T @ np.array([fx, fy]), jac.T @ np.array([fdx, fdy])
+            for forces in (jac.T @ w, jac.T.dot(w)):
+                assert _bits(forces.T[0]) == _bits(fc) and _bits(forces.T[1]) == _bits(fd)
+            assert _bits(jac.dot(qd)) == _bits(jac @ qd)
+
+
 @pytest.mark.parametrize("naive", [False, True])
 def test_proxy_predict_float_path_matches_arrays(naive):
     g = _naive_gains() if naive else _gains()

@@ -315,7 +315,7 @@ def test_pose_jacobian_matches_the_array_views_bitwise(rng):
     for model in models:
         for _ in range(50):
             q = rng.normal(scale=1.5, size=model.dof)
-            ee, jac = model._pose_jacobian(q)
+            ee, jac = model.pose_jacobian(q.tolist())
             assert _bits(ee) == _bits(model.ee_pose_fn(q))
             ref = model.jacobian_fn(q)
             assert jac.dtype == ref.dtype and jac.shape == ref.shape == (2, model.dof)
