@@ -120,30 +120,15 @@ def _diagonal(A: np.ndarray) -> np.ndarray | None:
 
 def _solve(A: np.ndarray, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(A, b)`` where ``d = _diagonal(A)``: ``b / d`` when d
-    is given, except for a 2 x 2 b holding an exact zero, which keeps the solve.
+    is given, as the float kernels divide.
 
     Division agrees with the solve to roundoff.  With numpy 2.4 on OpenBLAS
     (x86-64) it was measured equal bit for bit on random 1 x 1 and 2 x 2
     systems, except that the 2 x 2 solve may flip the sign of a zero entry
-    of b; the reciprocal ``b * (1/d)`` differed in about a third of them.
+    of b, which division keeps; the reciprocal ``b * (1/d)`` differed in
+    about a third of them.
     """
-    if d is not None and (d.size == 1 or 0.0 not in b.tolist()):
-        return b / d
-    return np.linalg.solve(A, b)
-
-
-def _finite(*values: float) -> bool:
-    """Whether every float of ``values`` is finite (an overflowing sum of
-    finite values also reads False, which only costs a stage its float branch).
-
-    Row i of a product of a diagonal matrix with x is ``0.0 + A_ii*x_i`` in
-    any summation order, plus the off-diagonal zero times the other entries,
-    which numpy adds: that term is NaN when another entry is not finite.  A
-    non-finite product input of a two-joint stage makes its own row of the
-    stage's outputs non-finite, so a two-joint stage whose float outputs are
-    finite has computed numpy's bits; the others redo their arrays.
-    """
-    return math.isfinite(sum(values))
+    return b / d if d is not None else np.linalg.solve(A, b)
 
 
 class _ProxyFloats(NamedTuple):
@@ -194,7 +179,9 @@ class AdmittanceGains:
     implicit form for one joint and the explicit form otherwise;
     "implicit-vector" solves the loop's inclusion, by its radial closed form
     when the iteration matrix G is a multiple of I and by a scalar root
-    otherwise, which needs G + G^T positive definite).
+    otherwise, which needs G + G^T positive definite).  us_coupling, checked
+    to be "direct", has no choice to make: the robust term acts as a
+    generalized force.
 
     mx and bx are kept as read-only copies.  The constants that depend on the
     gains alone are derived once, in ``__post_init__``, as private attributes
@@ -223,8 +210,8 @@ class AdmittanceGains:
             raise ValueError("lam must satisfy 0 < lam < 1/h")
         if self.us_mode not in US_MODES:
             raise ValueError(f"us_mode must be one of {US_MODES}")
-        if self.us_coupling not in ("direct", "inertia-scaled"):
-            raise ValueError('us_coupling must be "direct" or "inertia-scaled"')
+        if self.us_coupling != "direct":
+            raise ValueError(f'us_coupling must be "direct", got {self.us_coupling!r}')
         k1m = None
         if not isinstance(self.k1, str):
             object.__setattr__(self, "k1", float(self.k1))
@@ -361,10 +348,7 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
         joint0, joint1 = floats.joints
         u0, x0 = _proxy_joint(joint0, h, v0, f0, d0, x0)
         u1, x1 = _proxy_joint(joint1, h, v1, f1, d1, x1)
-        # a zero ux_star comes from an exact zero in b, which _solve hands to
-        # np.linalg.solve (or, harmlessly, from an underflow)
-        if u0 != 0.0 and u1 != 0.0 and _finite(u0, u1, x0, x1):
-            return np.array([u0, u1]), np.array([x0, x1])
+        return np.array([u0, u1]), np.array([x0, x1])
     return _proxy_predict_arrays(state, fc, fd, g)
 
 
@@ -372,7 +356,7 @@ def _proxy_joint(joint: tuple, h: float, qxd_prev: float, fc: float, fd: float,
                  qx_prev: float) -> tuple[float, float]:
     """One joint of ``proxy_predict`` on floats: (ux_star, qx_star).  Row j
     of the diagonal product ``mx @ qxd_prev`` is ``0.0 + mx_jj*qxd_prev_j``
-    (see ``_finite``)."""
+    while the other entry is finite."""
     mx, P = joint
     ux_star = (0.0 + mx * qxd_prev + h * (fc + fd)) / P
     return ux_star, qx_prev + h * ux_star
@@ -515,10 +499,7 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
     """Unconstrained torque candidate of the implicit inner loop.
 
     The sliding variable enters through the gain matrices; u_s is the robust
-    term evaluated beforehand.  With us_coupling "direct" the robust term acts
-    as a generalized force; "inertia-scaled" premultiplies it by the inertia
-    estimate, which starves the twisting gains of authority whenever the
-    estimate is much lighter than the true inertia.  Returns
+    term evaluated beforehand, added as a generalized force.  Returns
     (q1_star, tau_star) with tau_star = W (qx_star - q1_star).  ``loop`` is the
     period's evaluated estimate and matrices; it is built here when omitted.
 
@@ -531,37 +512,32 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
     if d is not None and (d.shape == qx_star.shape == q.shape == u_s.shape == state.qx_prev.shape
                           == state.ux_prev.shape == state.q_prev.shape):
         h = g.h
-        direct = g.us_coupling == "direct"
         if len(d.joints) == 1:
-            _, q1, tau = _candidate_joint(d.joints[0], h, direct, q.item(), state.q_prev.item(),
-                                          state.qx_prev.item(), state.ux_prev.item(), u_s.item(),
-                                          qx_star.item())
+            q1, tau = _candidate_joint(d.joints[0], h, q.item(), state.q_prev.item(),
+                                       state.qx_prev.item(), state.ux_prev.item(), u_s.item(),
+                                       qx_star.item())
             return np.array([q1]), np.array([tau])
         (y0, y1), (p0, p1), (x0, x1) = q.tolist(), state.q_prev.tolist(), state.qx_prev.tolist()
         (v0, v1), (u0, u1), (s0, s1) = state.ux_prev.tolist(), u_s.tolist(), qx_star.tolist()
         joint0, joint1 = d.joints
-        b0, q0, tau0 = _candidate_joint(joint0, h, direct, y0, p0, x0, v0, u0, s0)
-        b1, q1, tau1 = _candidate_joint(joint1, h, direct, y1, p1, x1, v1, u1, s1)
-        # _solve hands a b with an exact zero to np.linalg.solve
-        if b0 != 0.0 and b1 != 0.0 and _finite(q0, q1, tau0, tau1):
-            return np.array([q0, q1]), np.array([tau0, tau1])
+        q0, tau0 = _candidate_joint(joint0, h, y0, p0, x0, v0, u0, s0)
+        q1, tau1 = _candidate_joint(joint1, h, y1, p1, x1, v1, u1, s1)
+        return np.array([q0, q1]), np.array([tau0, tau1])
     return _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
 
 
-def _candidate_joint(joint: tuple, h: float, direct: bool, q: float, q_prev: float,
-                     qx_prev: float, ux_prev: float, u_s: float, qx_star: float
-                     ) -> tuple[float, float, float]:
-    """One joint of ``inner_loop_candidate`` on floats: (b, q1_star, tau_star)
-    with b the right-hand side of the solve against W.  Row j of a diagonal
-    product ``A @ x`` is ``0.0 + A_jj*x_j`` (see ``_finite``)."""
+def _candidate_joint(joint: tuple, h: float, q: float, q_prev: float, qx_prev: float,
+                     ux_prev: float, u_s: float, qx_star: float) -> tuple[float, float]:
+    """One joint of ``inner_loop_candidate`` on floats: (q1_star, tau_star).
+    Row j of a diagonal product ``A @ x`` is ``0.0 + A_jj*x_j`` while the
+    other entry is finite, and the solve against W is a division, as in
+    ``_solve``."""
     Mk, Gk, B, Bhat, W, MhC = joint
     hh = h * h
-    tau_us = u_s if direct else 0.0 + Mk * u_s
-    phi_a = (0.0 + MhC * q + h * (0.0 + B * q_prev)) / hh + Gk + tau_us
+    phi_a = (0.0 + MhC * q + h * (0.0 + B * q_prev)) / hh + Gk + u_s
     phi_b = (0.0 + Mk * (qx_prev + h * ux_prev)) / hh + (0.0 + Bhat * qx_prev) / h
-    b = phi_b - phi_a
-    q1_star = q + b / W
-    return b, q1_star, 0.0 + W * (qx_star - q1_star)
+    q1_star = q + (phi_b - phi_a) / W
+    return q1_star, 0.0 + W * (qx_star - q1_star)
 
 
 def _inner_loop_candidate_arrays(qx_star: np.ndarray, q: np.ndarray, u_s: np.ndarray,
@@ -570,8 +546,7 @@ def _inner_loop_candidate_arrays(qx_star: np.ndarray, q: np.ndarray, u_s: np.nda
     """``inner_loop_candidate`` on arrays, for any number of joints."""
     h = g.h
     Mk, W = loop.Mk, loop.W
-    tau_us = u_s if g.us_coupling == "direct" else Mk @ u_s
-    phi_a = (loop.MhC @ q + h * (loop.B @ state.q_prev)) / (h * h) + loop.Gk + tau_us
+    phi_a = (loop.MhC @ q + h * (loop.B @ state.q_prev)) / (h * h) + loop.Gk + u_s
     phi_b = (Mk @ (state.qx_prev + h * state.ux_prev)) / (h * h) + (loop.Bhat @ state.qx_prev) / h
     q1_star = q + _solve(W, loop.Wd, phi_b - phi_a)
     tau_star = W @ (qx_star - q1_star)
@@ -598,19 +573,34 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
     return _solve_inclusion(s, loop.iteration, v, g.msta, g.h)
 
 
-def _worst_probe(y_star: np.ndarray, y_proj: np.ndarray) -> list[np.ndarray]:
-    """The corner p = sign(y_star - y_proj) of the unit box.
+def _clip(y_star: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarray, float]:
+    """Project a step's candidate onto the box: (y, the saturation flags
+    ``|y_star| > F``, the projection certificate).
 
-    The certificate d.(p - F^{-1} y_proj) is linear in p, so this single probe
-    attains its maximum over the whole box.
+    The certificate's one probe is the corner p = sign(y_star - y) of the
+    unit box: the certificate d.(p - F^{-1} y) is linear in p, so this probe
+    attains its maximum over the whole box.  A box of one or two joints
+    forms the flags and the probe on floats (``_clip_flags``).
     """
-    return [np.sign(y_star - y_proj)]
+    y = project_box(y_star, box)
+    limits = box._floats
+    if limits is None:
+        saturated, probe = np.abs(y_star) > box.limits, np.sign(y_star - y)
+    elif len(limits) == 1:
+        flag, probe = _clip_flags(limits[0], y_star.item(), y.item())
+        saturated = np.array([flag])
+    else:
+        (s0, s1), (t0, t1) = y_star.tolist(), y.tolist()
+        flag0, sign0 = _clip_flags(limits[0], s0, t0)
+        flag1, sign1 = _clip_flags(limits[1], s1, t1)
+        saturated, probe = np.array([flag0, flag1]), [sign0, sign1]
+    return y, saturated, variational_residual(y_star, y, box, [probe])
 
 
 def _clip_flags(limit: float, y_star: float, y: float) -> tuple[bool, float]:
-    """One entry of the saturation flags ``|y_star| > F`` and of the worst
-    probe ``_worst_probe(y_star, y)`` on floats: ``np.sign`` of y_star - y,
-    which is +0.0 for either zero and keeps a NaN."""
+    """One entry of ``_clip``'s saturation flags and worst probe on floats:
+    ``|y_star| > F`` and ``np.sign(y_star - y)``, which is +0.0 for either
+    zero and keeps a NaN."""
     d = y_star - y
     return abs(y_star) > limit, 1.0 if d > 0.0 else -1.0 if d < 0.0 else 0.0 if d == 0.0 else d
 
@@ -623,6 +613,18 @@ def _correct_joint(W: float, h: float, tau: float, q1_star: float, qx_prev: floa
     return qx, (qx - qx_prev) / h
 
 
+def _check_entry_counts(state: AdmittanceState, meas: Measurement, box: BoxConstraint) -> None:
+    """Raise ValueError naming the first measurement vector, or the state,
+    whose entry count is not the gains' joint count."""
+    n = box.limits.shape
+    if n == meas.q.shape == meas.fc.shape == meas.fd.shape == state.qx_prev.shape:
+        return
+    for name, x in (("measurement q", meas.q), ("measurement fc", meas.fc),
+                    ("measurement fd", meas.fd), ("state qx_prev", state.qx_prev)):
+        if x.shape != n:
+            raise ValueError(f"{name} has {x.size} entries; the gains' joint count is {n[0]}")
+
+
 def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstimate,
                     g: AdmittanceGains) -> tuple[np.ndarray, AdmittanceState, StepDiagnostics]:
     """One controller period; returns the projected torque, the advanced state,
@@ -632,8 +634,9 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     corrected proxy satisfies qx = W^{-1} tau + q1_star, so tau == tau_star
     implies qx == qx_star.  On a diagonal loop of one or two joints, each
     stage and the step's own arithmetic compute on floats, bitwise equal to
-    the array code.
+    the array code for finite values.
     """
+    _check_entry_counts(state, meas, g.box)
     h = g.h
     loop = _loop_for(model, meas.q, state, g)
 
@@ -642,34 +645,20 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     u_s, msta_next, solver_diag = _robust_term(s, loop, state, g)
     q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, s, u_s, state, model, g,
                                              loop=loop)
+    tau, saturated, vi_residual = _clip(tau_star, g.box)
 
-    tau = project_box(tau_star, g.box)
     d = loop.diag
-    qx = None
-    if d is not None and d.shape == tau.shape == q1_star.shape == state.qx_prev.shape:
-        limits = g.box._floats
-        if len(limits) == 1:
-            t, ts = tau.item(), tau_star.item()
-            qx, qxd = _correct_joint(d.W[0], h, t, q1_star.item(), state.qx_prev.item())
-            flag, sign = _clip_flags(limits[0], ts, t)
-            qx, qxd, saturated, probes = np.array([qx]), np.array([qxd]), np.array([flag]), [sign]
-        else:
-            (t0, t1), (s0, s1) = tau.tolist(), tau_star.tolist()
-            flag0, sign0 = _clip_flags(limits[0], s0, t0)
-            flag1, sign1 = _clip_flags(limits[1], s1, t1)
-            saturated, probes = np.array([flag0, flag1]), [[sign0, sign1]]
-            if t0 != 0.0 and t1 != 0.0:     # else _solve hands tau to np.linalg.solve
-                (q0, q1), (x0, x1) = q1_star.tolist(), state.qx_prev.tolist()
-                qx0, qxd0 = _correct_joint(d.W[0], h, t0, q0, x0)
-                qx1, qxd1 = _correct_joint(d.W[1], h, t1, q1, x1)
-                qx, qxd = np.array([qx0, qx1]), np.array([qxd0, qxd1])
-    else:
-        saturated = np.abs(tau_star) > g.box.limits
-        probes = _worst_probe(tau_star, tau)
-    if qx is None:
+    if d is None:
         qx = _solve(loop.W, loop.Wd, tau) + q1_star
         qxd = (qx - state.qx_prev) / h
-    vi_residual = variational_residual(tau_star, tau, g.box, probes)
+    elif len(d.W) == 1:
+        qx, qxd = _correct_joint(d.W[0], h, tau.item(), q1_star.item(), state.qx_prev.item())
+        qx, qxd = np.array([qx]), np.array([qxd])
+    else:
+        (t0, t1), (q0, q1), (x0, x1) = tau.tolist(), q1_star.tolist(), state.qx_prev.tolist()
+        qx0, qxd0 = _correct_joint(d.W[0], h, t0, q0, x0)
+        qx1, qxd1 = _correct_joint(d.W[1], h, t1, q1, x1)
+        qx, qxd = np.array([qx0, qx1]), np.array([qxd0, qxd1])
 
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
                             q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
@@ -695,40 +684,28 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     output is hard-clamped to the torque box.  For one or two joints the
     arithmetic is on floats, bitwise equal to the array code.
     """
+    _check_entry_counts(state, meas, ng.box)
     h = ng.h
     ux, qx = proxy_predict(state, meas.fc, meas.fd, ng)
     gravity = model.gravity_fn(meas.q)
-    limits = ng.box._floats
-    if (limits is not None and type(gravity) is np.ndarray and gravity.dtype == float
-            and ng.box.limits.shape == qx.shape == meas.q.shape == state.qe_prev.shape
-            == gravity.shape):
+    if (ng.box._floats is not None and type(gravity) is np.ndarray and gravity.dtype == float
+            and gravity.shape == qx.shape):
         kp, kd = ng.kp, ng.kd
-        if len(limits) == 1:
+        if qx.size == 1:
             e, raw = _naive_joint(kp, kd, h, qx.item(), meas.q.item(), state.qe_prev.item(),
                                   gravity.item())
             qe, tau_raw = np.array([e]), np.array([raw])
-            tau = project_box(tau_raw, ng.box)
-            flag, sign = _clip_flags(limits[0], raw, tau.item())
-            saturated, probes = np.array([flag]), [sign]
         else:
             (x0, x1), (y0, y1) = qx.tolist(), meas.q.tolist()
             (p0, p1), (c0, c1) = state.qe_prev.tolist(), gravity.tolist()
             e0, raw0 = _naive_joint(kp, kd, h, x0, y0, p0, c0)
             e1, raw1 = _naive_joint(kp, kd, h, x1, y1, p1, c1)
             qe, tau_raw = np.array([e0, e1]), np.array([raw0, raw1])
-            tau = project_box(tau_raw, ng.box)
-            t0, t1 = tau.tolist()
-            flag0, sign0 = _clip_flags(limits[0], raw0, t0)
-            flag1, sign1 = _clip_flags(limits[1], raw1, t1)
-            saturated, probes = np.array([flag0, flag1]), [[sign0, sign1]]
     else:
         qe = qx - meas.q
         qed = (qe - state.qe_prev) / h
         tau_raw = ng.kp * qe + ng.kd * qed + gravity
-        tau = project_box(tau_raw, ng.box)
-        saturated = np.abs(tau_raw) > ng.box.limits
-        probes = _worst_probe(tau_raw, tau)
-    vi_residual = variational_residual(tau_raw, tau, ng.box, probes)
+    tau, saturated, vi_residual = _clip(tau_raw, ng.box)
     zero = np.zeros_like(qe)
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,
                             q_prev=meas.q.copy(), qe_prev=qe, msta_state=state.msta_state)

@@ -118,9 +118,11 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     sc = _resolve_scenario(args.scenario, args.set)
     try:
-        values = [json.loads(v) for v in args.values.split(",")]
+        values = json.loads(f"[{args.values}]")     # the items of one JSON array
     except json.JSONDecodeError as exc:
         raise ConfigError(f"could not parse sweep values {args.values!r}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"could not parse sweep values {args.values!r}: no value given")
     rows = sweep(sc, args.param, values)    # checks every value before the first run
     os.makedirs(args.out, exist_ok=True)
     table = [{"value": v, **metrics_to_dict(m)} for v, m in rows]
@@ -193,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rerun a scenario over parameter values")
     common(p, "preset name or scenario JSON path")
     p.add_argument("--param", required=True, help="dotted parameter path, e.g. env.ks_N_per_m")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True,
+                   help="comma-separated JSON values, e.g. -1.5,-2.0 or [3,4],[5,6]")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the invariant and oracle suites")

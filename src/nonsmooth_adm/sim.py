@@ -118,7 +118,7 @@ class ControllerSpec:
     fp_max_iter: int = 100
     torque_limits: tuple = (3.0,)
     us_mode: str = "auto"
-    us_coupling: str = "direct"
+    us_coupling: str = "direct"  # checked, "direct" only (see AdmittanceGains)
     kp: float | None = None     # naive baseline PD; derived from k1 if None
     kd: float | None = None
 

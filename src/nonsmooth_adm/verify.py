@@ -117,7 +117,7 @@ def sta_bisection_reference(s: float, k2: float, k3: float, h: float,
 def admittance_reference(qx_prev, qxd_prev, ux_prev, q_prev, qe_prev, v_prev,
                          q, fc, fd, mx, bx, lam, k1, mhat, chat, ghat, limits, h,
                          us_mode="scalar-implicit", k2=11.6, k3=66.0,
-                         gamma1=None, us_coupling="direct") -> dict:
+                         gamma1=None) -> dict:
     """Flat single-pass evaluation of one controller period.
 
     Independent of the admittance module: explicit matrix inverses, inline
@@ -164,8 +164,7 @@ def admittance_reference(qx_prev, qxd_prev, ux_prev, q_prev, qe_prev, v_prev,
     Bhat = B + chat
     Khat = Bhat / h + K
     W = mhat / (h * h) + Khat
-    tau_us = u_s if us_coupling == "direct" else mhat @ u_s
-    phi_a = ((mhat + chat * h) @ q + h * (B @ q_prev)) / (h * h) + ghat + tau_us
+    phi_a = ((mhat + chat * h) @ q + h * (B @ q_prev)) / (h * h) + ghat + u_s
     phi_b = (mhat @ (qx_prev + h * ux_prev)) / (h * h) + (Bhat @ qx_prev) / h
     q1_star = q + inv(W) @ (phi_b - phi_a)
     tau_star = W @ (qx_star - q1_star)

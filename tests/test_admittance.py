@@ -62,6 +62,9 @@ def test_gains_validation():
     with pytest.raises(ValueError):
         AdmittanceGains(mx=np.array([[0.3]]), bx=np.array([[-2.0]]), lam=10.0, k1=30.0,
                         msta=MstaGains(k2=1.0, k3=1.0), box=BoxConstraint([3.0]), h=1e-3)
+    # the robust term acts as a generalized force; no other coupling exists
+    with pytest.raises(ValueError, match="us_coupling"):
+        dataclasses.replace(fig3_gains(), us_coupling="inertia-scaled")
 
 
 def test_proxy_predict_rest():
@@ -209,7 +212,7 @@ def _reference_error(g, est, mhat, chat, st, meas, us_mode):
                                st.qe_prev, st.msta_state.v, meas.q, meas.fc, meas.fd,
                                g.mx, g.bx, g.lam, g.k1, mhat, chat, np.zeros(len(meas.q)),
                                g.box.limits, g.h, us_mode, g.msta.k2, g.msta.k3,
-                               gamma1=g.msta.gamma1, us_coupling=g.us_coupling)
+                               gamma1=g.msta.gamma1)
     scale = 1.0 + float(np.abs(ref["tau_star"]).max())
     return max(float(np.abs(tau - ref["tau"]).max()) / scale,
                float(np.abs(diag.tau_star - ref["tau_star"]).max()) / scale,
@@ -237,27 +240,25 @@ def test_step_matches_straight_line_reference(rng):
         meas = Measurement(rng.normal(size=1) * 0.3, rng.normal(size=1) * 4,
                            rng.normal(size=1) * 2)
         worst = max(worst, _reference_error(g, est, mhat, chat, st, meas, "scalar-implicit"))
-    # the structured gain -C + gamma1*M and the inertia-scaled coupling, drawn
-    # from their own stream so the shared rng sequence is unchanged
+    # the structured gain -C + gamma1*M, drawn from its own stream so the
+    # shared rng sequence is unchanged
     gen = np.random.default_rng(11)
-    for k1, coupling in (("structured", "direct"), (30.0, "inertia-scaled"),
-                         ("structured", "inertia-scaled")):
-        for _ in range(50):
-            mhat = np.array([[gen.uniform(0.05, 0.5)]])
-            chat = np.array([[gen.uniform(0.0, 2.0)]])
-            g = AdmittanceGains(mx=np.array([[gen.uniform(0.1, 1.0)]]),
-                                bx=np.array([[gen.uniform(0.5, 5.0)]]),
-                                lam=gen.uniform(1.0, 50.0), k1=k1,
-                                msta=MstaGains(k2=gen.uniform(2, 20), k3=gen.uniform(10, 200),
-                                               gamma1=gen.uniform(0.0, 100.0)),
-                                box=BoxConstraint([gen.uniform(1.0, 6.0)]), h=1e-3,
-                                us_mode="scalar-implicit", us_coupling=coupling)
-            est = ModelEstimate(lambda q, M=mhat: M, lambda q, qd, C=chat: C,
-                                lambda q: np.zeros(1))
-            meas = Measurement(gen.normal(size=1) * 0.3, gen.normal(size=1) * 4,
-                               gen.normal(size=1) * 2)
-            worst = max(worst, _reference_error(g, est, mhat, chat, _random_state(gen, 1),
-                                                meas, "scalar-implicit"))
+    for _ in range(50):
+        mhat = np.array([[gen.uniform(0.05, 0.5)]])
+        chat = np.array([[gen.uniform(0.0, 2.0)]])
+        g = AdmittanceGains(mx=np.array([[gen.uniform(0.1, 1.0)]]),
+                            bx=np.array([[gen.uniform(0.5, 5.0)]]),
+                            lam=gen.uniform(1.0, 50.0), k1="structured",
+                            msta=MstaGains(k2=gen.uniform(2, 20), k3=gen.uniform(10, 200),
+                                           gamma1=gen.uniform(0.0, 100.0)),
+                            box=BoxConstraint([gen.uniform(1.0, 6.0)]), h=1e-3,
+                            us_mode="scalar-implicit")
+        est = ModelEstimate(lambda q, M=mhat: M, lambda q, qd, C=chat: C,
+                            lambda q: np.zeros(1))
+        meas = Measurement(gen.normal(size=1) * 0.3, gen.normal(size=1) * 4,
+                           gen.normal(size=1) * 2)
+        worst = max(worst, _reference_error(g, est, mhat, chat, _random_state(gen, 1),
+                                            meas, "scalar-implicit"))
     assert worst <= 1e-12
 
 
@@ -353,6 +354,29 @@ def test_scalar_mode_requires_one_joint():
                         h=1e-3, us_mode="scalar-implicit")
 
 
+@pytest.mark.parametrize("controller", ["scalar-implicit", "explicit", "naive"])
+def test_step_rejects_entry_counts_other_than_the_joint_count(controller):
+    """A measurement or state whose entry count is not the gains' joint count
+    is refused before the step computes anything, naming the field."""
+    if controller == "naive":
+        g = NaiveGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), kp=300.0, kd=31.0,
+                       box=BoxConstraint([3.0]), h=1e-3)
+        step = baseline_naive_step
+    else:
+        g, step = fig3_gains(us_mode=controller), admittance_step
+    est, one, two = estimate_1dof(), [0.0], [0.0, 0.0]
+    for meas, st, name in ((Measurement(two, two, two), initial_state(np.zeros(1)),
+                            "measurement q"),
+                           (Measurement(one, two, one), initial_state(np.zeros(1)),
+                            "measurement fc"),
+                           (Measurement(one, one, two), initial_state(np.zeros(1)),
+                            "measurement fd"),
+                           (Measurement(one, one, one), initial_state(np.zeros(2)),
+                            "state qx_prev")):
+        with pytest.raises(ValueError, match=f"{name} has 2 entries; the gains' joint count is 1"):
+            step(st, meas, est, g)
+
+
 def test_naive_baseline_step():
     ng = NaiveGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), kp=300.0, kd=31.0,
                     box=BoxConstraint([3.0]), h=1e-3)
@@ -404,8 +428,8 @@ def test_certificate_equals_corner_enumeration(rng):
 
 def test_diagonal_solve_is_division_bitwise(monkeypatch):
     """Against a diagonal 1 x 1 or 2 x 2 matrix ``_solve`` is ``b / d`` bit for
-    bit and agrees with np.linalg.solve to roundoff; a 2 x 2 right-hand side
-    holding an exact zero goes to np.linalg.solve."""
+    bit and agrees with np.linalg.solve to roundoff; a right-hand side holding
+    an exact zero is divided too, so the zero keeps its sign."""
     gen = np.random.default_rng(14)
     for i in range(4000):
         n = 1 + i % 2
@@ -420,11 +444,11 @@ def test_diagonal_solve_is_division_bitwise(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(b) or real_solve(a, b))
     for zero in (0.0, -0.0):
         one = _solve(np.array([[4.0]]), np.array([4.0]), np.array([zero]))
-        assert one.tobytes() == np.array([zero / 4.0]).tobytes() and solved == []
+        assert one.tobytes() == np.array([zero / 4.0]).tobytes()
         A = np.diag([2.0, 4.0])
-        for b in (np.array([zero, 1.0]), np.array([3.0, zero])):
-            assert _solve(A, _diagonal(A), b).tobytes() == real_solve(A, b).tobytes()
-            assert solved.pop() is b
+        for b in (np.array([zero, 1.0]), np.array([3.0, zero]), np.array([zero, zero])):
+            assert _solve(A, _diagonal(A), b).tobytes() == (b / A.diagonal()).tobytes()
+    assert solved == []
 
 
 def test_non_diagonal_matrices_keep_the_solve(monkeypatch):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from nonsmooth_adm import sim, verify
+from nonsmooth_adm import cli, sim, verify
 from nonsmooth_adm.cli import main
 from nonsmooth_adm.sim import presets, save_scenario, scenario_to_dict, trace_from_csv
 
@@ -72,6 +72,7 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("duration_s=0.0004", "duration_s"),
     ("controller.us_mode=scalar-implicit", "controller.us_mode"),
     ("controller.us_mode=implicit-decoupled", "controller.us_mode"),
+    ("controller.us_coupling=inertia-scaled", "controller.us_coupling"),
     ("estimate.mass_diag_kgm2=[0.2,0.2,0.2]", "estimate.mass_diag_kgm2"),
     ("estimate.mass_diag_kgm2=[NaN]", "estimate.mass_diag_kgm2"),
     ("controller.us_mode=implicit-vector estimate.mass_diag_kgm2=[0,0.2]",
@@ -229,6 +230,40 @@ def test_sweep_command(tmp_path, capsys):
     assert table["param"] == "fd_y"
     assert [row["value"] for row in table["rows"]] == [-1.5, -2.0]
     assert all(row["torque_violations"] == 0 for row in table["rows"])
+
+
+def test_sweep_over_a_list_field(tmp_path):
+    """A list value is one item of ``--values``, brackets and all."""
+    out = str(tmp_path / "sweep")
+    code = main(["sweep", "--scenario", "fig5_two_dof", "--out", out,
+                 "--set", "duration_s=0.05", "--param", "controller.torque_limits_Nm",
+                 "--values", "[3,4],[5.5,6]"])
+    assert code == 0
+    table = json.load(open(os.path.join(out, "sweep.json")))
+    assert [row["value"] for row in table["rows"]] == [[3, 4], [5.5, 6]]
+
+
+@pytest.mark.parametrize("values,expected", [
+    ("-1.5,-2.0", [-1.5, -2.0]),
+    ("[3,4]", [[3, 4]]),
+])
+def test_sweep_values_are_the_items_of_one_json_array(tmp_path, monkeypatch, values, expected):
+    swept = []
+    monkeypatch.setattr(cli, "sweep", lambda sc, param, vals: swept.append(vals) or [])
+    code = main(["sweep", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
+                 "--param", "controller.k1", f"--values={values}"])
+    assert code == 0 and swept == [expected]
+
+
+@pytest.mark.parametrize("values", ["[3,4", "1,,2", ""])
+def test_unparsable_sweep_values_are_config_error(tmp_path, capsys, monkeypatch, values):
+    monkeypatch.setattr(sim, "run_scenario", lambda sc: pytest.fail("a run started"))
+    code = main(["sweep", "--scenario", "fig5_two_dof", "--out", str(tmp_path / "x"),
+                 "--param", "controller.torque_limits_Nm", f"--values={values}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: could not parse sweep values {values!r}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("values", ["-5", '"a"', "200,-5"])

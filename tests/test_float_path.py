@@ -2,10 +2,11 @@
 
 On a diagonal loop of one or two joints (every loop matrix diagonal, as with
 a constant diagonal estimate) every stage of a controller period computes on
-Python floats, one joint at a time; a non-diagonal loop (``estimate.kind =
-exact`` on the two-link arm) keeps the array code, which each stage keeps as
-a private helper.  The robust term has one float body for every loop, which
-``tests/test_msta.py`` checks against its defining inclusion.
+Python floats, one joint at a time, and never hands a stage to the array
+code; a non-diagonal loop (``estimate.kind = exact`` on the two-link arm)
+keeps the array code, which each stage keeps as a private helper.  The
+robust term has one float body for every loop, which ``tests/test_msta.py``
+checks against its defining inclusion.
 Bits matter (a one-ulp change of the torque moves the closed-loop traces
 visibly), so every comparison here is of bytes: ``float.hex`` for a float,
 ``tobytes`` (with dtype and shape) for an array.  The inputs include signed
@@ -15,13 +16,16 @@ whatever the other entry's sign, and ``np.maximum``/``np.minimum`` break +-0
 ties unlike ``max``/``min``.  Two sums are left to numpy: a norm is numpy's
 dot of an array, and the certificate's dot of two entries is numpy's unless
 its second product has a zero factor, because numpy's two-entry dot may
-round once for a product and a sum (an FMA).  Where numpy's ``_solve`` hands
-a two-entry b with an exact zero to ``np.linalg.solve`` (which may flip the
-sign of a zero), or an entry is not finite (numpy adds 0 times the other
-entry, NaN for inf), the float branch hands the stage to its array code.
+round once for a product and a sum (an FMA).  A diagonal solve is a
+division in both paths (``_solve``), exact zeros included.  Where an entry
+is not finite the two paths part: numpy's product adds 0 times the other
+entry (NaN for inf) to each row, while each float joint keeps to its own
+entries.
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,9 +59,12 @@ from nonsmooth_adm.setvalued import (
     project_box,
     variational_residual,
 )
+from nonsmooth_adm.sim import run_scenario
 
 LIMIT = 3.0
 LIMITS2 = (3.0, 4.0)
+# the presets' controller periods: 1 ms (fig3, fig5) and 4 ms (the linear stage)
+_PERIODS = (1e-3, 4e-3)
 
 
 def _bits(x) -> bytes:
@@ -125,18 +132,16 @@ def _state2(qx_prev=(0.0, 0.0), qxd_prev=(0.0, 0.0), ux_prev=(0.0, 0.0), q_prev=
                            MstaState(np.array(v)))
 
 
-def _gains(us_coupling="direct", k1=30.0, us_mode="auto", limit=LIMIT):
+def _gains(k1=30.0, us_mode="auto", limit=LIMIT, h=1e-3):
     return AdmittanceGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), lam=10.0, k1=k1,
                            msta=MstaGains(k2=11.6, k3=66.0, gamma1=40.0),
-                           box=BoxConstraint([limit]), h=1e-3, us_mode=us_mode,
-                           us_coupling=us_coupling)
+                           box=BoxConstraint([limit]), h=h, us_mode=us_mode)
 
 
-def _gains2(us_coupling="direct", k1=30.0, us_mode="explicit", limits=LIMITS2, k4=0.0):
+def _gains2(k1=30.0, us_mode="explicit", limits=LIMITS2, k4=0.0, h=1e-3):
     return AdmittanceGains(mx=np.diag([0.5, 0.3]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=k1,
                            msta=MstaGains(k2=11.6, k3=66.0, k4=k4, gamma1=40.0),
-                           box=BoxConstraint(list(limits)), h=1e-3, us_mode=us_mode,
-                           us_coupling=us_coupling)
+                           box=BoxConstraint(list(limits)), h=h, us_mode=us_mode)
 
 
 def _naive_gains(limit=LIMIT):
@@ -232,7 +237,7 @@ def test_diagonal_product_is_entrywise_until_an_entry_is_not_finite():
     """Row i of numpy's product with a diagonal 2 x 2 matrix is
     ``0.0 + A_ii*x_i`` for every sign of the off-diagonal zero and of the
     other entry, zeros included; a non-finite other entry makes it NaN,
-    which is why a two-joint stage with a non-finite result redoes its arrays."""
+    where the float joint keeps its own finite value."""
     entries = (0.0, -0.0, 1.5, -1.5, 5e-324, -2.5e-300)
     for a0, a1, z in itertools.product((0.3, -0.7, 0.0), (2.0, -0.0), (0.0, -0.0)):
         A = np.array([[a0, z], [z, a1]])
@@ -305,10 +310,10 @@ def test_two_joint_sliding_variable_float_path_matches_arrays():
                 == _bits(_sliding_variable_arrays(qx_star, q, state, g)))
 
 
-@pytest.mark.parametrize("us_coupling,k1,estimate", itertools.product(
-    ("direct", "inertia-scaled"), (30.0, "structured"), sorted(_ESTIMATES)))
-def test_inner_loop_candidate_float_path_matches_arrays(us_coupling, k1, estimate):
-    g = _gains(us_coupling, k1)
+@pytest.mark.parametrize("h,k1,estimate", itertools.product(
+    _PERIODS, (30.0, "structured"), sorted(_ESTIMATES)))
+def test_inner_loop_candidate_float_path_matches_arrays(h, k1, estimate):
+    g = _gains(k1, h=h)
     model = _ESTIMATES[estimate]
     for qx_star, q, u_s, qx_prev, ux_prev, q_prev in _inputs(
             np.random.default_rng(5), [0.01, 0.01, 5.0, 0.01, 0.1, 0.01]):
@@ -323,10 +328,10 @@ def test_inner_loop_candidate_float_path_matches_arrays(us_coupling, k1, estimat
                                           loop=loop)) == _bits(expected)
 
 
-@pytest.mark.parametrize("us_coupling,k1,estimate", itertools.product(
-    ("direct", "inertia-scaled"), (30.0, "structured"), sorted(_ESTIMATES2)))
-def test_two_joint_inner_loop_candidate_float_path_matches_arrays(us_coupling, k1, estimate):
-    g = _gains2(us_coupling, k1)
+@pytest.mark.parametrize("h,k1,estimate", itertools.product(
+    _PERIODS, (30.0, "structured"), sorted(_ESTIMATES2)))
+def test_two_joint_inner_loop_candidate_float_path_matches_arrays(h, k1, estimate):
+    g = _gains2(k1, h=h)
     model = _ESTIMATES2[estimate]
     for qx_star, q, u_s, qx_prev, ux_prev, q_prev in _pairs(
             np.random.default_rng(15), [0.01, 0.01, 5.0, 0.01, 0.1, 0.01], n=200):
@@ -365,50 +370,73 @@ def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
     assert calls == [] and diag.iterations == 1
 
 
-def test_two_joint_exact_zero_hands_the_stage_to_np_linalg_solve(monkeypatch):
-    """A two-entry b with an exact zero: ``_solve`` calls np.linalg.solve,
-    which may give a zero another sign than division does, so the float
-    branch hands the stage to its arrays, which make that call."""
+_HELPERS = ((admittance, "_proxy_predict_arrays"), (admittance, "_sliding_variable_arrays"),
+            (admittance, "_inner_loop_candidate_arrays"), (setvalued, "_project_box_arrays"),
+            (setvalued, "_variational_residual_arrays"))
+# the robust term's one body per inner-loop mode, on any loop
+_ROBUST = ((admittance, "_explicit"), (admittance, "_solve_inclusion"))
+
+
+def _counting(monkeypatch, targets) -> list:
+    """Wrap each ``(module, name)`` of ``targets`` so that a call appends its
+    name to the returned list."""
+    calls = []
+    for module, name in targets:
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_two_joint_exact_zero_divides_in_both_paths(monkeypatch):
+    """A two-entry b with an exact zero is divided, by the float kernels and
+    by the array code alike, so the zero keeps the sign that np.linalg.solve
+    may flip; no stage of a step on a diagonal loop calls np.linalg.solve or
+    an array helper."""
     b = np.array([-0.0, -1.0])
     P = np.diag([0.52, 0.304])
     assert _bits(np.linalg.solve(P, b)) != _bits(b / P.diagonal())
-    solves = []
-
-    def counting(A, b, _fn=np.linalg.solve):
-        solves.append(b.copy())
-        return _fn(A, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    calls = _counting(monkeypatch, ((np.linalg, "solve"),) + _HELPERS)
     g = _gains2()
     state = _state2(qxd_prev=(0.0, 0.2))
-    # b = mx @ qxd_prev + h*(fc + fd) = (0, 0.06): one solve against mx + bx*h
+    # b = mx @ qxd_prev + h*(fc + fd) = (0, 0.06): a division against mx + bx*h
     out = proxy_predict(state, np.zeros(2), np.zeros(2), g)
-    assert len(solves) == 1 and solves[0][0] == 0.0
     assert _bits(out) == _bits(_proxy_predict_arrays(state, np.zeros(2), np.zeros(2), g))
     # an all-zero first period: every solve of the step meets an exact zero
-    solves.clear()
-    admittance_step(initial_state(np.zeros(2)), Measurement(np.zeros(2), np.zeros(2),
-                                                            np.zeros(2)),
-                    _ESTIMATES2["zero-gravity"], g)
-    assert len(solves) == 3
+    zero = np.zeros(2)
+    first = (initial_state(zero), Measurement(zero, zero, zero), _ESTIMATES2["zero-gravity"])
+    fast = _step_bits(admittance_step(*first, g))
+    assert calls == []
+    with monkeypatch.context() as m:
+        _arrays_only(m)
+        slow = _step_bits(admittance_step(*first, _array_box(_gains2())))
+    assert fast == slow and calls == []
 
 
-def test_two_joint_non_finite_entry_redoes_the_arrays():
+def test_two_joint_non_finite_entry_stays_in_its_joint(monkeypatch):
+    """A non-finite input entry of a two-joint stage makes only its own
+    joint's outputs non-finite; the other joint gets the bits it gets with a
+    finite entry (numpy's product would make it NaN), and no array helper is
+    called."""
+    calls = _counting(monkeypatch, _HELPERS)
     g = _gains2()
-    state = _unchecked(AdmittanceState, qx_prev=np.zeros(2), qxd_prev=np.array([np.inf, 0.1]),
-                       ux_prev=np.zeros(2), q_prev=np.zeros(2), qe_prev=np.zeros(2),
-                       msta_state=MstaState.zero(2))
     fc = np.array([1.0, 2.0])
-    with np.errstate(invalid="ignore"):
-        expected = _proxy_predict_arrays(state, fc, fc, g)
-        assert np.isnan(expected[0][1])
-        assert _bits(proxy_predict(state, fc, fc, g)) == _bits(expected)
-        u_s = np.array([np.inf, 1.0])
-        loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), state, g)
-        for gains in (g, _gains2("inertia-scaled")):
-            expected = _inner_loop_candidate_arrays(fc, fc, u_s, state, gains, loop)
-            assert _bits(inner_loop_candidate(fc, fc, u_s, u_s, state, None, gains,
-                                              loop=loop)) == _bits(expected)
+
+    def state(qxd0):
+        return _unchecked(AdmittanceState, qx_prev=np.zeros(2), qxd_prev=np.array([qxd0, 0.1]),
+                          ux_prev=np.zeros(2), q_prev=np.zeros(2), qe_prev=np.zeros(2),
+                          msta_state=MstaState.zero(2))
+
+    (ux, qx), (ux_f, qx_f) = (proxy_predict(state(x), fc, fc, g) for x in (np.inf, 1.0))
+    assert ux[0] == qx[0] == np.inf and _bits((ux[1], qx[1])) == _bits((ux_f[1], qx_f[1]))
+    loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), state(1.0), g)
+    (q1, tau), (q1_f, tau_f) = (
+        inner_loop_candidate(fc, fc, u_s, u_s, state(1.0), None, g, loop=loop)
+        for u_s in (np.array([np.inf, 1.0]), np.array([1.0, 1.0])))
+    assert q1[0] == -np.inf and tau[0] == np.inf
+    assert _bits((q1[1], tau[1])) == _bits((q1_f[1], tau_f[1]))
+    assert calls == []
 
 
 def _step_bits(out) -> bytes:
@@ -462,39 +490,39 @@ def _measurements(gen, n=150, dof=1):
     return seq
 
 
-@pytest.mark.parametrize("us_coupling,k1,estimate,us_mode", itertools.product(
-    ("direct", "inertia-scaled"), (30.0, "structured"), sorted(_ESTIMATES),
+@pytest.mark.parametrize("h,k1,estimate,us_mode", itertools.product(
+    _PERIODS, (30.0, "structured"), sorted(_ESTIMATES),
     ("scalar-implicit", "explicit", "implicit-vector")))
-def test_one_joint_step_matches_array_code(monkeypatch, us_coupling, k1, estimate, us_mode):
+def test_one_joint_step_matches_array_code(monkeypatch, h, k1, estimate, us_mode):
     """Whole periods, nearly all saturated (small limit) or about a third
     (large limit), against the same periods with every stage and the step's
     own code on arrays."""
     meas_seq = _measurements(np.random.default_rng(6))
     model = _ESTIMATES[estimate]
-    fast = [_run(admittance_step, _gains(us_coupling, k1, us_mode, limit), model, meas_seq)
+    fast = [_run(admittance_step, _gains(k1, us_mode, limit, h), model, meas_seq)
             for limit in (0.05, 1e3)]
     with monkeypatch.context() as m:
         _arrays_only(m)
-        slow = [_run(admittance_step, _array_box(_gains(us_coupling, k1, us_mode, limit)),
-                     model, meas_seq) for limit in (0.05, 1e3)]
+        slow = [_run(admittance_step, _array_box(_gains(k1, us_mode, limit, h)), model,
+                     meas_seq) for limit in (0.05, 1e3)]
     assert fast == slow
 
 
-@pytest.mark.parametrize("us_coupling,k1,estimate,us_mode", itertools.product(
-    ("direct", "inertia-scaled"), (30.0, "structured"), ("equal", "unequal", "zero-gravity"),
+@pytest.mark.parametrize("h,k1,estimate,us_mode", itertools.product(
+    _PERIODS, (30.0, "structured"), ("equal", "unequal", "zero-gravity"),
     ("explicit", "implicit-vector")))
-def test_two_joint_step_matches_array_code(monkeypatch, us_coupling, k1, estimate, us_mode):
+def test_two_joint_step_matches_array_code(monkeypatch, h, k1, estimate, us_mode):
     """As the one-joint test, on a diagonal two-joint loop: both joints
     saturated, or some, or none."""
     meas_seq = _measurements(np.random.default_rng(18), dof=2)
     model = _ESTIMATES2[estimate]
     limits = ((0.05, 0.08), (0.5, 1e3), (1e3, 1e3))
-    fast = [_run(admittance_step, _gains2(us_coupling, k1, us_mode, lim), model, meas_seq)
+    fast = [_run(admittance_step, _gains2(k1, us_mode, lim, h=h), model, meas_seq)
             for lim in limits]
     with monkeypatch.context() as m:
         _arrays_only(m)
-        slow = [_run(admittance_step, _array_box(_gains2(us_coupling, k1, us_mode, lim)),
-                     model, meas_seq) for lim in limits]
+        slow = [_run(admittance_step, _array_box(_gains2(k1, us_mode, lim, h=h)), model,
+                     meas_seq) for lim in limits]
     assert fast == slow
 
 
@@ -524,25 +552,13 @@ def test_two_joint_naive_step_matches_array_code(monkeypatch, estimate):
     assert fast == slow
 
 
-_HELPERS = ((admittance, "_proxy_predict_arrays"), (admittance, "_sliding_variable_arrays"),
-            (admittance, "_inner_loop_candidate_arrays"), (setvalued, "_project_box_arrays"),
-            (setvalued, "_variational_residual_arrays"))
-# the robust term's one body per inner-loop mode, on any loop
-_ROBUST = ((admittance, "_explicit"), (admittance, "_solve_inclusion"))
-
-
 def test_array_helper_calls_follow_the_loop(monkeypatch):
     """A diagonal two-joint loop calls no array helper.  The arm's own
     (full) mass matrix calls those of the loop and the candidate; the proxy,
     the sliding variable, the projection and the certificate do not see the
     loop, and stay on floats for the diagonal proxy and the two-joint box.
     The robust term calls its one body once on either loop."""
-    calls = []
-    for module, name in _HELPERS + _ROBUST:
-        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counting)
+    calls = _counting(monkeypatch, _HELPERS + _ROBUST)
     meas = Measurement([2.5, -1.5], [1.0, -2.0], [0.5, 0.3])
     for us_mode, robust in (("explicit", "_explicit"), ("implicit-vector", "_solve_inclusion")):
         for estimate, expected in (("equal", [robust]),
@@ -555,6 +571,24 @@ def test_array_helper_calls_follow_the_loop(monkeypatch):
     meas1 = Measurement([0.01], [1.0], [0.5])
     admittance_step(initial_state(np.zeros(1)), meas1, ModelEstimate.constant((0.1,)), _gains())
     assert calls == []
+
+
+def test_standard_runs_call_array_helpers_only_on_the_non_diagonal_loop(monkeypatch):
+    """Over each of the fourteen runs of ``tools/trace_digest.py``, shortened
+    to 0.2 s, only the run whose estimate is the arm's own full model calls
+    an array helper: every other loop is diagonal, of one or two joints."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "trace_digest.py"
+    spec = importlib.util.spec_from_file_location("trace_digest", path)
+    trace_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_digest)
+    runs = trace_digest.standard_runs()
+    assert len(runs) == 14
+    calls = _counting(monkeypatch, _HELPERS)
+    for name, sc in runs.items():
+        calls.clear()
+        sc.duration = 0.2
+        run_scenario(sc)
+        assert bool(calls) == (name == "fig5_two_dof:implicit-vector-exact"), name
 
 
 def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
