@@ -1,16 +1,12 @@
 """Tour of the nonsmooth primitives.
 
 Shows the box projection acting as an exact torque clamp with a verifiable
-optimality certificate, and the proximal map of a*||x|| + (b/2)*||x||^2 with
-its dead zone, cross-checked against a numerical minimizer.
+optimality certificate.
 """
 
 import numpy as np
 
-from nonsmooth_adm import BoxConstraint, NormQuadWeights, project_box, prox_norm_quad, variational_residual
-from nonsmooth_adm.verify import prox_objective, prox_reference
-
-rng = np.random.default_rng(7)
+from nonsmooth_adm import BoxConstraint, project_box, variational_residual
 
 print("== box projection ==")
 box = BoxConstraint([3.0, 4.0])
@@ -19,26 +15,3 @@ for y in ([-5.0, 2.0], [10.0, -10.0], [1.0, 1.0]):
     probes = [np.array(c, dtype=float) for c in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     cert = variational_residual(np.array(y), p, box, probes)
     print(f"  project {y} -> {p}   optimality certificate {cert:+.2e} (<= 0)")
-
-print("\n== proximal map of a*||x|| + (b/2)*||x||^2 ==")
-for z, a, b in (([3.0, 4.0], 1.0, 0.0), ([1.0, 0.0], 2.0, 0.0), ([3.0, 4.0], 1.0, 1.0)):
-    p = prox_norm_quad(np.array(z), 1.0, NormQuadWeights(a, b))
-    print(f"  prox(z={z}, a={a}, b={b}) = {p}")
-
-print("\nthe dead zone absorbs small inputs entirely:")
-for radius in (0.4, 0.99, 1.01, 2.0):
-    z = np.array([radius, 0.0])
-    p = prox_norm_quad(z, 1.0, NormQuadWeights(1.0, 0.0))
-    print(f"  ||z|| = {radius:4.2f}  ->  ||prox|| = {np.linalg.norm(p):.3f}")
-
-print("\ncross-check against a numerical minimizer on random instances:")
-worst = 0.0
-for _ in range(200):
-    n = int(rng.choice([1, 2, 6]))
-    z = rng.normal(scale=2.0, size=n)
-    a, b = rng.uniform(0, 2), rng.uniform(0, 2)
-    closed = prox_norm_quad(z, 0.7, NormQuadWeights(a, b))
-    ref = prox_reference(z, 0.7, a, b)
-    worst = max(worst, float(np.linalg.norm(closed - ref)))
-    assert prox_objective(closed, z, 0.7, a, b) <= prox_objective(ref, z, 0.7, a, b) + 1e-12
-print(f"  worst closed-form vs minimizer deviation over 200 draws: {worst:.2e}")

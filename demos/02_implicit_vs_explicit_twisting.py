@@ -2,8 +2,8 @@
 
 Both controllers reject the same ramp-and-hold disturbance on a first-order
 loop.  The explicit stepping keeps switching at the sampling rate once the
-error is small; the implicit stepping computes its selection by a proximal map
-and goes quiet, with the error parked inside the h^2-scale band.
+error is small; the implicit stepping computes its selection from the
+inclusion of its implicit Euler step and goes quiet, with the error parked inside the h^2-scale band.
 """
 
 import os

@@ -3,15 +3,14 @@
 The library couples two nonsmooth loops: an outer proxy loop whose torque is
 kept inside a hard per-joint box by exact projection (with the proxy corrected
 so saturation cannot wind it up), and an inner super-twisting loop whose
-discontinuous selections are computed implicitly through proximal maps, which
-removes numerical chattering.  A fixed-step simulator with impact-contact
-scenarios, metrics, presets, and a CLI sit on top.
+discontinuous selections are computed implicitly, by solving the inclusion of
+its implicit Euler step, which removes numerical chattering.  A fixed-step
+simulator with impact-contact scenarios, metrics, presets, and a CLI sit on
+top.
 """
 
 from .setvalued import (
     BoxConstraint,
-    NormQuadWeights,
-    prox_norm_quad,
     project_box,
     sat,
     sign0,

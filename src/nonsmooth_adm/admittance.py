@@ -463,6 +463,10 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     Mk = model.mass_fn(q)
     Ck = model.coriolis_fn(q, (q - state.q_prev) / h)
     Gk = model.gravity_fn(q)
+    n = q.size
+    _check_estimate_shape("mass_fn", Mk, (n, n))
+    _check_estimate_shape("coriolis_fn", Ck, (n, n))
+    _check_estimate_shape("gravity_fn", Gk, (n,))
     k1m = g._k1m if g._k1m is not None else -Ck + g.msta.gamma1 * Mk
     B = Mk * g.lam + k1m
     K = (Ck + k1m) * g.lam
@@ -476,6 +480,14 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
         iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m))
     return _Loop(Mk, Gk, B, Bhat, W, MhC, _diagonal(W), beta, iteration,
                  _diag_loop(Mk, Gk, B, Bhat, W, MhC))
+
+
+def _check_estimate_shape(name: str, x, shape: tuple) -> None:
+    """Raise ValueError naming the estimate's function when its value ``x``
+    does not have ``shape``, the one the gains' joint count needs."""
+    if np.shape(x) != shape:
+        raise ValueError(f"the estimate's {name} returns shape {np.shape(x)}; "
+                         f"the gains' joint count {shape[0]} needs {shape}")
 
 
 def _loop_for(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
@@ -702,6 +714,7 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
             e1, raw1 = _naive_joint(kp, kd, h, x1, y1, p1, c1)
             qe, tau_raw = np.array([e0, e1]), np.array([raw0, raw1])
     else:
+        _check_estimate_shape("gravity_fn", gravity, qx.shape)
         qe = qx - meas.q
         qed = (qe - state.qe_prev) / h
         tau_raw = ng.kp * qe + ng.kd * qed + gravity

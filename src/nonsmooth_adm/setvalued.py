@@ -1,9 +1,9 @@
 """Elementary nonsmooth primitives.
 
 Saturation, single-valued signum, projection onto a symmetric box, and the
-closed-form proximal map of ``a*||x|| + (b/2)*||x||^2``.  Everything here is
-closed form and pure; the set-valued selections of the controllers are always
-computed through these maps rather than by evaluating a multivalued sign.
+variational-inequality certificate of that projection.  Everything here is
+closed form and pure; the box's normal-cone selection is always computed
+through the projection rather than by evaluating a multivalued sign.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import numpy as np
 
 __all__ = [
     "BoxConstraint",
-    "NormQuadWeights",
     "sat",
     "sign0",
     "project_box",
-    "prox_norm_quad",
     "variational_residual",
 ]
 
@@ -124,18 +122,6 @@ class BoxConstraint:
         return int(self.limits.size)
 
 
-@dataclass(frozen=True)
-class NormQuadWeights:
-    """Weights of the penalty a*||x|| + (b/2)*||x||^2 (a, b >= 0)."""
-
-    a: float
-    b: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("penalty weights must be nonnegative")
-
-
 def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
     """Euclidean projection of y onto the box [-F, +F], entrywise clamp.
 
@@ -163,23 +149,6 @@ def _project_box_arrays(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
     if y.shape != box.limits.shape:
         raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
     return np.minimum(np.maximum(y, box._lower), box.limits)
-
-
-def prox_norm_quad(z: np.ndarray, index: float, w: NormQuadWeights) -> np.ndarray:
-    """Proximal map of index mu for f(x) = a*||x|| + (b/2)*||x||^2.
-
-    Returns argmin_x  ||x - z||^2 / (2*index) + a*||x|| + (b/2)*||x||^2, which
-    is 0 when ||z|| <= index*a (the dead zone of the norm term) and otherwise a
-    radial shrinkage of z.
-    """
-    if index <= 0.0:
-        raise ValueError("prox index must be positive")
-    z = _vector(z)
-    nz = _norm(z)
-    if nz <= index * w.a:
-        return np.zeros_like(z)
-    scale = (nz - index * w.a) / ((1.0 + index * w.b) * nz)
-    return scale * z
 
 
 def variational_residual(

@@ -1,9 +1,10 @@
 """Independent reference implementations and the runtime verification suite.
 
 The references here deliberately re-derive their results along different
-routes than the library code (numerical minimization for the proximal map,
-bisection for the scalar implicit step, a single flat evaluation for the full
-controller period) so each pair of implementations cross-checks the other.
+routes than the library code (bisection for the scalar implicit step, the
+residual of the defining inclusion for the vector step, a single flat
+evaluation for the full controller period) so each pair of implementations
+cross-checks the other.
 ``run_verification`` executes grouped invariant checks and is what the
 ``verify`` CLI command calls.
 """
@@ -33,12 +34,10 @@ from .msta import (
     sta_scalar_implicit_step,
 )
 from .plant import EnvironmentModel, OneDofParams, contact_wrench, one_dof_model, two_link_model
-from .setvalued import BoxConstraint, NormQuadWeights, project_box, prox_norm_quad, variational_residual
+from .setvalued import BoxConstraint, project_box, variational_residual
 
 __all__ = [
     "CheckResult",
-    "prox_objective",
-    "prox_reference",
     "sta_bisection_reference",
     "admittance_reference",
     "GROUPS",
@@ -47,43 +46,6 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ references
-
-def prox_objective(x: np.ndarray, z: np.ndarray, index: float, a: float, b: float) -> float:
-    x = np.asarray(x, dtype=float)
-    return (float(np.sum((x - z) ** 2)) / (2.0 * index)
-            + a * float(np.linalg.norm(x)) + 0.5 * b * float(np.sum(x * x)))
-
-
-def prox_reference(z: np.ndarray, index: float, a: float, b: float) -> np.ndarray:
-    """Numerical minimizer of the proximal objective.
-
-    Candidates are the kink at the origin and stationary points of the smooth
-    branch found by a root solve of the gradient; the best objective wins.
-    """
-    import scipy.optimize  # imported here so that importing the package skips scipy
-
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    best = np.zeros_like(z)
-    best_f = prox_objective(best, z, index, a, b)
-
-    def grad(x):
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return (x - z) / index
-        return (x - z) / index + a * x / nx + b * x
-
-    for scale in (1.0, 0.5, 0.1):
-        x0 = scale * z
-        if np.linalg.norm(x0) == 0.0:
-            continue
-        sol = scipy.optimize.root(grad, x0, tol=1e-14)
-        x = np.asarray(sol.x, dtype=float)
-        if np.linalg.norm(x) > 0.0:
-            f = prox_objective(x, z, index, a, b)
-            if f < best_f:
-                best, best_f = x, f
-    return best
-
 
 def sta_bisection_reference(s: float, k2: float, k3: float, h: float,
                             v: float) -> tuple[float, float, float, float]:
@@ -188,42 +150,6 @@ class CheckResult:
 
 def _check(group: str, name: str, value: float, bound: float) -> CheckResult:
     return CheckResult(group, name, value <= bound, f"{value:.3e} <= {bound:.3e}")
-
-
-def _group_prox() -> list[CheckResult]:
-    rng = np.random.default_rng(11)
-    out = []
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.choice([1, 2, 6]))
-        z = rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=n)
-        index = 10.0 ** rng.uniform(-2, 1)
-        a = rng.uniform(0.0, 3.0)
-        b = rng.uniform(0.0, 3.0)
-        if abs(np.linalg.norm(z) - index * a) < 1e-6:
-            continue
-        closed = prox_norm_quad(z, index, NormQuadWeights(a, b))
-        ref = prox_reference(z, index, a, b)
-        worst = max(worst, float(np.linalg.norm(closed - ref)))
-    out.append(_check("prox", "closed-form-vs-minimizer", worst, 1e-8))
-
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.choice([1, 3]))
-        za, zb = rng.normal(size=n), rng.normal(size=n)
-        index = 10.0 ** rng.uniform(-1, 1)
-        w = NormQuadWeights(rng.uniform(0, 2), rng.uniform(0, 2))
-        pa, pb = prox_norm_quad(za, index, w), prox_norm_quad(zb, index, w)
-        gap = float(np.sum((pa - pb) ** 2) - (pa - pb) @ (za - zb))
-        worst = max(worst, gap)
-    out.append(_check("prox", "firm-nonexpansiveness", worst, 1e-12))
-
-    dead = max(
-        float(np.linalg.norm(prox_norm_quad(np.array([0.5, 0.0]), 1.0, NormQuadWeights(0.5, 1.0)))),
-        abs(float(np.linalg.norm(prox_norm_quad(np.array([0.5001, 0.0]), 1.0, NormQuadWeights(0.5, 0.0)))) - 1e-4),
-    )
-    out.append(_check("prox", "dead-zone-boundary", dead, 1e-12))
-    return out
 
 
 def _group_projection() -> list[CheckResult]:
@@ -484,7 +410,6 @@ def _group_determinism() -> list[CheckResult]:
 
 
 GROUPS = {
-    "prox": _group_prox,
     "projection": _group_projection,
     "sta-scalar": _group_sta_scalar,
     "msta-vector": _group_msta_vector,

@@ -21,13 +21,7 @@ from nonsmooth_adm.msta import (
     norm_quad_value,
     sta_scalar_implicit_step,
 )
-from nonsmooth_adm.setvalued import (
-    BoxConstraint,
-    NormQuadWeights,
-    project_box,
-    prox_norm_quad,
-    variational_residual,
-)
+from nonsmooth_adm.setvalued import BoxConstraint, project_box, variational_residual
 from nonsmooth_adm.sim import (
     LINMOTOR_STIFFNESS_LEVELS,
     apply_override,
@@ -39,7 +33,6 @@ from nonsmooth_adm.sim import (
 from nonsmooth_adm.plant import two_link_model
 from nonsmooth_adm.verify import (
     admittance_reference,
-    prox_reference,
     sta_bisection_reference,
 )
 
@@ -101,24 +94,6 @@ def test_criterion_4_chattering_suppression():
            f"std(u) implicit {std_i:.2e} vs explicit {std_e:.2e} "
            f"(ratio {std_i / std_e if std_e else math.inf:.4f} <= 0.10), "
            f"|s| band {band:.2e} <= {bound:.2e}")
-
-
-def test_criterion_5a_prox_oracle(rng):
-    worst = 0.0
-    count = 0
-    while count < 1000:
-        n = int(rng.choice([1, 2, 6]))
-        z = rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=n)
-        index = 10.0 ** rng.uniform(-2, 1)
-        a, b = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
-        if abs(np.linalg.norm(z) - index * a) < 1e-6:
-            continue
-        count += 1
-        closed = prox_norm_quad(z, index, NormQuadWeights(a, b))
-        worst = max(worst, float(np.linalg.norm(closed - prox_reference(z, index, a, b))))
-    ok = worst <= 1e-8
-    report("criterion-5a prox closed form vs numerical minimizer", ok,
-           f"worst deviation {worst:.2e} <= 1e-8 over {count} instances, n in {{1,2,6}}")
 
 
 def test_criterion_5b_scalar_sta_oracle(rng):
@@ -233,7 +208,7 @@ def test_criterion_8_structural_invariants(rng, fig3_run, fig5_run):
     _, trace3, _, _ = fig3_run
     _, trace5, _ = fig5_run
 
-    worst_idem = worst_nonexp = worst_firm = 0.0
+    worst_idem = worst_nonexp = 0.0
     for _ in range(300):
         n = int(rng.choice([1, 2, 4]))
         box = BoxConstraint(rng.uniform(0.3, 5.0, size=n))
@@ -242,9 +217,6 @@ def test_criterion_8_structural_invariants(rng, fig3_run, fig5_run):
         worst_idem = max(worst_idem, float(np.abs(project_box(pa, box) - pa).max()))
         worst_nonexp = max(worst_nonexp,
                            float(np.linalg.norm(pa - pb) - np.linalg.norm(a - b)))
-        w = NormQuadWeights(rng.uniform(0, 2), rng.uniform(0, 2))
-        qa, qb = prox_norm_quad(a, 0.7, w), prox_norm_quad(b, 0.7, w)
-        worst_firm = max(worst_firm, float(np.sum((qa - qb) ** 2) - (qa - qb) @ (a - b)))
 
     # saturated-step optimality straight off the logged traces
     worst_vi = -math.inf
@@ -297,11 +269,11 @@ def test_criterion_8_structural_invariants(rng, fig3_run, fig5_run):
     identical = all(np.array_equal(getattr(trace3, f), getattr(rerun, f))
                     for f in ("t", "q", "qx", "tau", "u_s", "s", "v"))
 
-    ok = (worst_idem <= 1e-15 and worst_nonexp <= 1e-12 and worst_firm <= 1e-12
+    ok = (worst_idem <= 1e-15 and worst_nonexp <= 1e-12
           and worst_vi <= 1e-10 and saturated_steps > 0 and worst_trans <= 1e-10
           and worst_skew <= 1e-6 and identical)
     report("criterion-8 structural invariants", ok,
            f"idempotence {worst_idem:.1e}, non-expansive slack {worst_nonexp:.1e}, "
-           f"firm non-expansiveness {worst_firm:.1e}, VI residual {worst_vi:.1e} over "
+           f"VI residual {worst_vi:.1e} over "
            f"{saturated_steps} saturated steps, transparency {worst_trans:.1e}, "
            f"skew-symmetry {worst_skew:.1e}, bit-identical rerun {identical}")

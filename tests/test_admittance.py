@@ -377,6 +377,31 @@ def test_step_rejects_entry_counts_other_than_the_joint_count(controller):
             step(st, meas, est, g)
 
 
+@pytest.mark.parametrize("controller", ["scalar-implicit", "explicit", "implicit-vector", "naive"])
+def test_step_rejects_an_estimate_of_another_joint_count(controller):
+    """An estimate of two joints under one-joint gains is refused with an
+    error that names the estimate's function, not one from numpy's products."""
+    if controller == "naive":
+        g = NaiveGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), kp=300.0, kd=31.0,
+                       box=BoxConstraint([3.0]), h=1e-3)
+        step, first = baseline_naive_step, r"gravity_fn returns shape \(2,\)"
+    else:
+        g, step = fig3_gains(us_mode=controller), admittance_step
+        first = r"mass_fn returns shape \(2, 2\); the gains' joint count 1 needs \(1, 1\)"
+    meas, st = Measurement([0.01], [0.5], [2.0]), initial_state(np.zeros(1))
+    with pytest.raises(ValueError, match="the estimate's " + first):
+        step(st, meas, ModelEstimate.constant((0.2, 0.2)), g)
+    if controller == "naive":
+        return
+    one, two = np.eye(1), np.zeros((2, 2))
+    for est, name in ((ModelEstimate(lambda q: one, lambda q, qd: two, lambda q: np.zeros(1)),
+                       r"coriolis_fn returns shape \(2, 2\)"),
+                      (ModelEstimate(lambda q: one, lambda q, qd: one, lambda q: np.zeros(2)),
+                       r"gravity_fn returns shape \(2,\)")):
+        with pytest.raises(ValueError, match="the estimate's " + name):
+            step(st, meas, est, g)
+
+
 def test_naive_baseline_step():
     ng = NaiveGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), kp=300.0, kd=31.0,
                     box=BoxConstraint([3.0]), h=1e-3)

@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,11 +283,11 @@ def test_sweep_value_its_field_rejects_is_config_error(tmp_path, capsys, monkeyp
 
 
 def test_verify_single_group(capsys):
-    code = main(["verify", "--group", "prox"])
+    code = main(["verify", "--group", "projection"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "PASS prox:closed-form-vs-minimizer" in out
-    assert "projection:" not in out
+    assert "PASS projection:variational-inequality" in out
+    assert "sta-scalar:" not in out
 
 
 def test_verify_unknown_group(capsys):
@@ -293,12 +296,26 @@ def test_verify_unknown_group(capsys):
 
 def test_verify_fault_injection(monkeypatch, capsys):
     # a failing check must fail the command and name its group
-    monkeypatch.setitem(verify.GROUPS, "prox",
-                        lambda: [verify.CheckResult("prox", "injected", False, "injected fault")])
-    code = main(["verify", "--group", "prox"])
+    monkeypatch.setitem(verify.GROUPS, "projection",
+                        lambda: [verify.CheckResult("projection", "injected", False,
+                                                    "injected fault")])
+    code = main(["verify", "--group", "projection"])
     out = capsys.readouterr().out
     assert code == 4
-    assert "FAIL prox:injected" in out
+    assert "FAIL projection:injected" in out
+
+
+def test_verify_needs_only_numpy():
+    # every check runs in an interpreter where importing scipy fails
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from nonsmooth_adm import cli; sys.exit(cli.main(['verify']))")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "all 20 checks passed" in done.stdout
 
 
 def test_plot_from_trace(tmp_path):

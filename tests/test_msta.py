@@ -222,6 +222,20 @@ def test_solver_general_matrix_residual(rng):
         assert diag.residual == pytest.approx(member, rel=1e-6, abs=1e-15)
 
 
+def test_solver_root_tail_draw():
+    """A draw from the tail of the root's iteration counts (draw 6595 of
+    ``default_rng(1)`` through the generator above): an ill-conditioned G
+    (eigenvalues 2.54 and 0.06), with ||s|| about 1300 bands.  Newton
+    on ||x(w)|| - w^2 from tr(G)/n took 11 iterations; the root converges
+    within the bound of the general-matrix test."""
+    g = MstaGains(k2=1.3467017997902047, k3=117.20901191848675, k4=0.2073214018272772)
+    A = np.array([[2.5393995007384014, 0.06900594836618078],
+                  [0.14762049252887632, 0.06414227200308513]])
+    s = np.array([0.0014430524756604425, 0.15382666868432346])
+    diag = solve_shat_vector(s, A, np.eye(2), g, 1e-3)
+    assert diag.converged and 1 <= diag.iterations <= 8
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

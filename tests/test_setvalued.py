@@ -7,14 +7,11 @@ from nonsmooth_adm.setvalued import (
     BoxConstraint,
     _all_finite,
     _norm,
-    NormQuadWeights,
     project_box,
-    prox_norm_quad,
     sat,
     sign0,
     variational_residual,
 )
-from nonsmooth_adm.verify import prox_objective, prox_reference
 
 
 def test_sat_branches():
@@ -54,61 +51,6 @@ def test_project_box_identity_inside():
     box = BoxConstraint([1.0, 2.0, 3.0])
     y = np.array([0.5, -1.5, 2.9])
     assert np.array_equal(project_box(y, box), y)
-
-
-def test_prox_norm_quad_examples():
-    assert np.allclose(prox_norm_quad(np.array([3.0, 4.0]), 1.0, NormQuadWeights(1.0, 0.0)),
-                       [2.4, 3.2])
-    assert np.array_equal(prox_norm_quad(np.array([1.0, 0.0]), 1.0, NormQuadWeights(2.0, 0.0)),
-                          [0.0, 0.0])
-    assert np.allclose(prox_norm_quad(np.array([3.0, 4.0]), 1.0, NormQuadWeights(1.0, 1.0)),
-                       [1.2, 1.6])
-
-
-def test_prox_requires_positive_index():
-    with pytest.raises(ValueError):
-        prox_norm_quad(np.array([1.0]), 0.0, NormQuadWeights(1.0))
-
-
-def test_prox_dead_zone_boundary(rng):
-    for _ in range(100):
-        a = rng.uniform(0.1, 3.0)
-        index = rng.uniform(0.1, 3.0)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        inside = (index * a * 0.999) * direction
-        outside = (index * a * 1.001) * direction
-        assert np.linalg.norm(prox_norm_quad(inside, index, NormQuadWeights(a))) == 0.0
-        assert np.linalg.norm(prox_norm_quad(outside, index, NormQuadWeights(a))) > 0.0
-
-
-def test_prox_matches_numerical_minimizer(rng):
-    # spot check; the full 1000-instance sweep runs in the acceptance suite
-    worst = 0.0
-    for _ in range(150):
-        n = int(rng.choice([1, 2, 6]))
-        z = rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=n)
-        index = 10.0 ** rng.uniform(-2, 1)
-        a, b = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
-        if abs(np.linalg.norm(z) - index * a) < 1e-6:
-            continue
-        closed = prox_norm_quad(z, index, NormQuadWeights(a, b))
-        ref = prox_reference(z, index, a, b)
-        worst = max(worst, float(np.linalg.norm(closed - ref)))
-        assert prox_objective(closed, z, index, a, b) <= prox_objective(ref, z, index, a, b) + 1e-12
-    assert worst <= 1e-8
-
-
-def test_prox_firmly_nonexpansive(rng):
-    for _ in range(300):
-        n = int(rng.choice([1, 2, 4]))
-        w = NormQuadWeights(rng.uniform(0, 3), rng.uniform(0, 3))
-        index = 10.0 ** rng.uniform(-1, 1)
-        za, zb = rng.normal(size=n) * 3, rng.normal(size=n) * 3
-        pa, pb = prox_norm_quad(za, index, w), prox_norm_quad(zb, index, w)
-        lhs = float(np.sum((pa - pb) ** 2))
-        rhs = float((pa - pb) @ (za - zb))
-        assert lhs <= rhs + 1e-12
 
 
 def test_projection_idempotent_and_nonexpansive(rng):
