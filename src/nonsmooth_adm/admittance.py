@@ -11,6 +11,16 @@ never winds up the virtual state.
 
 A deliberately naive clamped proxy-PD controller is included as a contrast
 baseline; it integrates the same proxy but feeds nothing back into it.
+
+Both controllers take one or two joints and compute each period on Python
+floats.  A matrix is a row-major tuple of floats.  Row i of a two-joint
+product A x is written ``0.0 + A_i0*x_0 + A_i1*x_1``; with a zero
+off-diagonal entry and a finite other entry of x that is the one-joint
+``0.0 + A_ii*x_i`` bit for bit.  A solve is ``_solve2``, which divides row by
+row when the matrix is diagonal.  So a diagonal loop, as with every preset,
+computes each joint as a one-joint loop would.  The same stages on numpy
+arrays are kept in the tests, as the oracle that this code is checked
+against.
 """
 
 from __future__ import annotations
@@ -36,8 +46,8 @@ from .msta import (
 )
 from .setvalued import (
     BoxConstraint,
-    _FLOAT_JOINTS,
     _all_finite,
+    _finite_vector,
     _read_only,
     _require_finite,
     _unchecked,
@@ -103,47 +113,39 @@ class ModelEstimate:
         return est
 
 
-def _is_diagonal(A: np.ndarray) -> bool:
-    """Whether A is 1 x 1, or 2 x 2 with exact zeros off the diagonal."""
-    return A.shape == (1, 1) or (A.shape == (2, 2) and A[0, 1] == 0.0 and A[1, 0] == 0.0)
+def _solve2(A: tuple, b0: float, b1: float) -> tuple[float, float]:
+    """The solution of A x = b for a 2 x 2 matrix A, given as the row-major
+    tuple (A00, A01, A10, A11), on floats.
 
-
-def _diagonal(A: np.ndarray) -> np.ndarray | None:
-    """The diagonal of A when A is 1 x 1 or 2 x 2, diagonal, with nonzero
-    diagonal entries: then ``_solve`` divides by it.  None otherwise."""
-    if _is_diagonal(A):
-        d = A.diagonal()
-        if 0.0 not in d.tolist():
-            return _read_only(d.copy())
-    return None
-
-
-def _solve(A: np.ndarray, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(A, b)`` where ``d = _diagonal(A)``: ``b / d`` when d
-    is given, as the float kernels divide.
-
-    Division agrees with the solve to roundoff.  With numpy 2.4 on OpenBLAS
-    (x86-64) it was measured equal bit for bit on random 1 x 1 and 2 x 2
-    systems, except that the 2 x 2 solve may flip the sign of a zero entry
-    of b, which division keeps; the reciprocal ``b * (1/d)`` differed in
-    about a third of them.
+    With both off-diagonal entries zero it divides row by row, as a one-joint
+    loop divides, exact zeros included.  Otherwise it eliminates with partial
+    pivoting, swapping the rows when |A10| > |A00|, as LAPACK's LU does; it
+    agrees with ``np.linalg.solve`` to roundoff.  A singular A raises
+    ZeroDivisionError, so a loop checks its W when it is built.
     """
-    return b / d if d is not None else np.linalg.solve(A, b)
+    a00, a01, a10, a11 = A
+    if a01 == 0.0 and a10 == 0.0:
+        return b0 / a00, b1 / a11
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
+    m = a10 / a00
+    x1 = (b1 - m * b0) / (a11 - m * a01)
+    return (b0 - a01 * x1) / a00, x1
 
 
-class _ProxyFloats(NamedTuple):
-    """A diagonal proxy of one or two joints, as floats."""
-
-    shape: tuple    # (n,), the shape of the controller's vectors
-    joints: tuple   # per joint (mx_jj, P_jj), P = mx + bx*h with no zero entry
+def _entries(a) -> tuple:
+    """The entries of a vector or a matrix (row-major) as a tuple of floats."""
+    return tuple(np.ravel(a).tolist())
 
 
 def _set_proxy(gains) -> None:
-    """Check mx, bx and h of ``gains``, keep mx and bx as read-only copies,
-    and derive ``mx + bx*h`` and its diagonal for ``proxy_predict``; for a
-    diagonal proxy of one or two joints also the diagonals as floats,
-    ``_proxy_floats`` (else None)."""
+    """Check the joint count, mx, bx and h of ``gains``, keep mx and bx as
+    read-only copies, and derive for ``proxy_predict`` the pair ``_proxy`` of
+    mx and ``mx + bx*h`` as float tuples.  The checks on mx and bx make
+    ``mx + bx*h`` nonsingular."""
     n = gains.box.dim
+    if n > 2:
+        raise ValueError(f"the controller takes one or two joints; the torque box has {n}")
     mx = np.atleast_2d(np.array(gains.mx, dtype=float))
     bx = np.atleast_2d(np.array(gains.bx, dtype=float))
     if mx.shape != (n, n) or bx.shape != (n, n):
@@ -156,16 +158,9 @@ def _set_proxy(gains) -> None:
         raise ValueError("proxy damping must stabilize the proxy (bx mx^-1 eigenvalues in the right half plane)")
     if not 0.0 < gains.h < math.inf:
         raise ValueError("h must be positive and finite")
-    P = mx + bx * gains.h
     object.__setattr__(gains, "mx", _read_only(mx))
     object.__setattr__(gains, "bx", _read_only(bx))
-    object.__setattr__(gains, "_proxy_matrix", _read_only(P))
-    Pd = _diagonal(P)
-    floats = None
-    if Pd is not None and _is_diagonal(mx):
-        floats = _ProxyFloats((n,), tuple(zip(mx.diagonal().tolist(), Pd.tolist())))
-    object.__setattr__(gains, "_proxy_diag", Pd)
-    object.__setattr__(gains, "_proxy_floats", floats)
+    object.__setattr__(gains, "_proxy", (_entries(mx), _entries(mx + bx * gains.h)))
 
 
 @dataclass(frozen=True)
@@ -183,10 +178,11 @@ class AdmittanceGains:
     to be "direct", has no choice to make: the robust term acts as a
     generalized force.
 
-    mx and bx are kept as read-only copies.  The constants that depend on the
-    gains alone are derived once, in ``__post_init__``, as private attributes
-    (not fields, so ``dataclasses.replace`` derives them afresh): the resolved
-    inner-loop mode, ``mx + bx*h`` and its diagonal, and for a scalar k1 the
+    The controller takes one or two joints.  mx and bx are kept as read-only
+    copies.  The constants that depend on the gains alone are derived once,
+    in ``__post_init__``, as private attributes (not fields, so
+    ``dataclasses.replace`` derives them afresh): the resolved inner-loop
+    mode, mx and ``mx + bx*h`` as float tuples, and for a scalar k1 the
     matrix ``k1*I``.  The "scalar-implicit" mode needs one joint.  The gains
     also keep the loop of the last constant estimate they stepped with, as one
     ``(estimate, loop)`` pair that a new estimate replaces whole; it starts
@@ -240,8 +236,8 @@ class AdmittanceGains:
 class NaiveGains:
     """Clamped proxy-PD baseline: same proxy, high-gain PD, hard clamp.
 
-    mx, bx and h are checked as for ``AdmittanceGains`` and kept the same
-    way, with ``mx + bx*h`` and its diagonal derived once.
+    mx, bx and h (and the joint count, one or two) are checked as for
+    ``AdmittanceGains`` and kept the same way, with ``mx + bx*h`` derived once.
     """
 
     mx: np.ndarray
@@ -272,10 +268,7 @@ class AdmittanceState:
 
     def __post_init__(self) -> None:
         for name in _STATE_VECTORS:
-            vec = _vector(getattr(self, name))
-            if not _all_finite(vec):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _finite_vector(getattr(self, name), name))
         # the robust term indexes v entry by entry
         sizes = {getattr(self, name).size for name in _STATE_VECTORS} | {self.msta_state.v.size}
         if len(sizes) > 1:
@@ -293,10 +286,8 @@ class Measurement:
 
     def __post_init__(self) -> None:
         for name in ("q", "fc", "fd"):
-            vec = _vector(getattr(self, name))
-            if not _all_finite(vec):
-                raise ValueError(f"measurement {name} must be finite")
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _finite_vector(getattr(self, name),
+                                                          f"measurement {name}"))
 
 
 @dataclass(frozen=True)
@@ -329,45 +320,19 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
 
     ux_star = (mx + bx*h)^{-1} (mx*qxd_prev + h*(fc + fd)),
     qx_star = qx_prev + h*ux_star.  ``g`` may also be ``NaiveGains``.
-
-    A diagonal proxy of one or two joints computes on floats, one joint at
-    a time (``_proxy_joint``), bitwise equal to ``_proxy_predict_arrays``.
     """
     fc = _vector(fc)
     fd = _vector(fd)
-    floats = g._proxy_floats
-    if floats is not None and (floats.shape == fc.shape == fd.shape == state.qxd_prev.shape
-                               == state.qx_prev.shape):
-        h = g.h
-        if len(floats.joints) == 1:
-            u, x = _proxy_joint(floats.joints[0], h, state.qxd_prev.item(), fc.item(), fd.item(),
-                                state.qx_prev.item())
-            return np.array([u]), np.array([x])
-        (v0, v1), (f0, f1), (d0, d1) = state.qxd_prev.tolist(), fc.tolist(), fd.tolist()
-        x0, x1 = state.qx_prev.tolist()
-        joint0, joint1 = floats.joints
-        u0, x0 = _proxy_joint(joint0, h, v0, f0, d0, x0)
-        u1, x1 = _proxy_joint(joint1, h, v1, f1, d1, x1)
-        return np.array([u0, u1]), np.array([x0, x1])
-    return _proxy_predict_arrays(state, fc, fd, g)
-
-
-def _proxy_joint(joint: tuple, h: float, qxd_prev: float, fc: float, fd: float,
-                 qx_prev: float) -> tuple[float, float]:
-    """One joint of ``proxy_predict`` on floats: (ux_star, qx_star).  Row j
-    of the diagonal product ``mx @ qxd_prev`` is ``0.0 + mx_jj*qxd_prev_j``
-    while the other entry is finite."""
-    mx, P = joint
-    ux_star = (0.0 + mx * qxd_prev + h * (fc + fd)) / P
-    return ux_star, qx_prev + h * ux_star
-
-
-def _proxy_predict_arrays(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
-                          g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
-    """``proxy_predict`` on float vectors, for any number of joints."""
-    ux_star = _solve(g._proxy_matrix, g._proxy_diag, g.mx @ state.qxd_prev + g.h * (fc + fd))
-    qx_star = state.qx_prev + g.h * ux_star
-    return ux_star, qx_star
+    h = g.h
+    mx, P = g._proxy
+    if len(P) == 1:
+        ux = (0.0 + mx[0] * state.qxd_prev.item() + h * (fc.item() + fd.item())) / P[0]
+        return np.array([ux]), np.array([state.qx_prev.item() + h * ux])
+    (v0, v1), (f0, f1), (d0, d1) = state.qxd_prev.tolist(), fc.tolist(), fd.tolist()
+    x0, x1 = state.qx_prev.tolist()
+    u0, u1 = _solve2(P, 0.0 + mx[0] * v0 + mx[1] * v1 + h * (f0 + d0),
+                     0.0 + mx[2] * v0 + mx[3] * v1 + h * (f1 + d1))
+    return np.array([u0, u1]), np.array([x0 + h * u0, x1 + h * u1])
 
 
 def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
@@ -377,88 +342,42 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
 
     qe uses the predicted proxy position (the corrected one is not known yet);
     its rate is the backward difference against the stored previous error.
-    With the float proxy of ``proxy_predict`` it computes on floats, one
-    joint at a time (``_sliding_joint``).
     """
-    floats = g._proxy_floats
-    if floats is None or not floats.shape == qx_star.shape == q.shape == state.qe_prev.shape:
-        return _sliding_variable_arrays(qx_star, q, state, g)
     h, lam = g.h, g.lam
-    if len(floats.joints) == 1:
-        qe, s = _sliding_joint(h, lam, qx_star.item(), q.item(), state.qe_prev.item())
-        return np.array([qe]), np.array([s])
+    if qx_star.size == 1:
+        qe = qx_star.item() - q.item()
+        return np.array([qe]), np.array([(qe - state.qe_prev.item()) / h + lam * qe])
     (x0, x1), (y0, y1), (p0, p1) = qx_star.tolist(), q.tolist(), state.qe_prev.tolist()
-    qe0, s0 = _sliding_joint(h, lam, x0, y0, p0)
-    qe1, s1 = _sliding_joint(h, lam, x1, y1, p1)
-    return np.array([qe0, qe1]), np.array([s0, s1])
-
-
-def _sliding_joint(h: float, lam: float, qx_star: float, q: float, qe_prev: float
-                   ) -> tuple[float, float]:
-    """One joint of ``sliding_variable`` on floats: (qe, s)."""
-    qe = qx_star - q
-    return qe, (qe - qe_prev) / h + lam * qe
-
-
-def _sliding_variable_arrays(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
-                             g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
-    """``sliding_variable`` on arrays, for any number of joints."""
-    qe = qx_star - q
-    return qe, (qe - state.qe_prev) / g.h + g.lam * qe
+    qe0, qe1 = x0 - y0, x1 - y1
+    return (np.array([qe0, qe1]),
+            np.array([(qe0 - p0) / h + lam * qe0, (qe1 - p1) / h + lam * qe1]))
 
 
 class _Loop(NamedTuple):
     """The estimate at the measured position and the inner-loop matrices
-    built from it: evaluated once per controller period, or once per run for
-    a constant estimate (``_loop_for``).
+    built from it, as float tuples (``_entries``): evaluated once per
+    controller period, or once per run for a constant estimate
+    (``_loop_for``).
 
-    ``MhC`` is ``Mk + h*Ck``, ``Wd`` the diagonal of W when solves against W
-    are divisions, ``beta`` the scalar-implicit iteration factor, and
-    ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A`` with its
-    radial scale (building it checks that the step is well posed).  ``diag``
-    holds the diagonals as floats (``_DiagLoop``) when the loop has one or
-    two joints, every matrix is diagonal and W has no zero entry; None
-    otherwise.
+    ``MhC`` is ``Mk + h*Ck``, ``beta`` the scalar-implicit iteration factor,
+    and ``iteration`` the implicit-vector iteration matrix ``Mk^{-1} A`` with
+    its radial scale (building it checks that the step is well posed).
     """
 
-    Mk: np.ndarray
-    Gk: np.ndarray
-    B: np.ndarray
-    Bhat: np.ndarray
-    W: np.ndarray
-    MhC: np.ndarray
-    Wd: np.ndarray | None
+    Mk: tuple
+    Gk: tuple
+    B: tuple
+    Bhat: tuple
+    W: tuple
+    MhC: tuple
     beta: float | None
     iteration: _Iteration | None
-    diag: "_DiagLoop | None"
-
-
-class _DiagLoop(NamedTuple):
-    """A diagonal ``_Loop`` as floats: per joint j the record
-    ``(Mk_jj, Gk_j, B_jj, Bhat_jj, W_jj, MhC_jj)`` and the diagonal of W."""
-
-    shape: tuple    # (n,), the shape of the loop's vectors
-    joints: tuple
-    W: tuple
-
-
-def _diag_loop(Mk, Gk, B, Bhat, W, MhC) -> _DiagLoop | None:
-    if not (type(Gk) is np.ndarray and Gk.ndim == 1 and Gk.size in _FLOAT_JOINTS
-            and Gk.dtype == float):
-        return None
-    square = (Gk.size, Gk.size)
-    matrices = (Mk, B, Bhat, W, MhC)
-    if not all(type(a) is np.ndarray and a.shape == square and a.dtype == float
-               and _is_diagonal(a) for a in matrices):
-        return None
-    Mk, B, Bhat, W, MhC = (a.diagonal().tolist() for a in matrices)
-    if 0.0 in W:
-        return None
-    return _DiagLoop(Gk.shape, tuple(zip(Mk, Gk.tolist(), B, Bhat, W, MhC)), tuple(W))
 
 
 def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
                    g: AdmittanceGains) -> _Loop:
+    """Build the period's loop with numpy; a singular W raises
+    ``np.linalg.LinAlgError``."""
     h = g.h
     Mk = model.mass_fn(q)
     Ck = model.coriolis_fn(q, (q - state.q_prev) / h)
@@ -478,14 +397,18 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     iteration = None
     if g._us_mode == "implicit-vector":
         iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m))
-    return _Loop(Mk, Gk, B, Bhat, W, MhC, _diagonal(W), beta, iteration,
-                 _diag_loop(Mk, Gk, B, Bhat, W, MhC))
+    loop = _Loop(*map(_entries, (Mk, Gk, B, Bhat, W, MhC)), beta, iteration)
+    try:
+        _solve2(loop.W, 1.0, 1.0) if n == 2 else 1.0 / loop.W[0]
+    except ZeroDivisionError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+    return loop
 
 
 def _check_estimate_shape(name: str, x, shape: tuple) -> None:
     """Raise ValueError naming the estimate's function when its value ``x``
     does not have ``shape``, the one the gains' joint count needs."""
-    if np.shape(x) != shape:
+    if (x.shape if type(x) is np.ndarray else np.shape(x)) != shape:
         raise ValueError(f"the estimate's {name} returns shape {np.shape(x)}; "
                          f"the gains' joint count {shape[0]} needs {shape}")
 
@@ -512,57 +435,40 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
 
     The sliding variable enters through the gain matrices; u_s is the robust
     term evaluated beforehand, added as a generalized force.  Returns
-    (q1_star, tau_star) with tau_star = W (qx_star - q1_star).  ``loop`` is the
-    period's evaluated estimate and matrices; it is built here when omitted.
+    (q1_star, tau_star) with
 
-    A diagonal loop computes on floats, one joint at a time
-    (``_candidate_joint``), bitwise equal to ``_inner_loop_candidate_arrays``.
+        q1_star  = q + W^{-1} (phi_b - phi_a),
+        phi_a    = (MhC q + h B q_prev) / h^2 + Gk + u_s,
+        phi_b    = Mk (qx_prev + h ux_prev) / h^2 + Bhat qx_prev / h,
+        tau_star = W (qx_star - q1_star).
+
+    ``loop`` is the period's evaluated estimate and matrices; it is built
+    here when omitted.
     """
     if loop is None:
         loop = _evaluate_loop(model, q, state, g)
-    d = loop.diag
-    if d is not None and (d.shape == qx_star.shape == q.shape == u_s.shape == state.qx_prev.shape
-                          == state.ux_prev.shape == state.q_prev.shape):
-        h = g.h
-        if len(d.joints) == 1:
-            q1, tau = _candidate_joint(d.joints[0], h, q.item(), state.q_prev.item(),
-                                       state.qx_prev.item(), state.ux_prev.item(), u_s.item(),
-                                       qx_star.item())
-            return np.array([q1]), np.array([tau])
-        (y0, y1), (p0, p1), (x0, x1) = q.tolist(), state.q_prev.tolist(), state.qx_prev.tolist()
-        (v0, v1), (u0, u1), (s0, s1) = state.ux_prev.tolist(), u_s.tolist(), qx_star.tolist()
-        joint0, joint1 = d.joints
-        q0, tau0 = _candidate_joint(joint0, h, y0, p0, x0, v0, u0, s0)
-        q1, tau1 = _candidate_joint(joint1, h, y1, p1, x1, v1, u1, s1)
-        return np.array([q0, q1]), np.array([tau0, tau1])
-    return _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
-
-
-def _candidate_joint(joint: tuple, h: float, q: float, q_prev: float, qx_prev: float,
-                     ux_prev: float, u_s: float, qx_star: float) -> tuple[float, float]:
-    """One joint of ``inner_loop_candidate`` on floats: (q1_star, tau_star).
-    Row j of a diagonal product ``A @ x`` is ``0.0 + A_jj*x_j`` while the
-    other entry is finite, and the solve against W is a division, as in
-    ``_solve``."""
-    Mk, Gk, B, Bhat, W, MhC = joint
-    hh = h * h
-    phi_a = (0.0 + MhC * q + h * (0.0 + B * q_prev)) / hh + Gk + u_s
-    phi_b = (0.0 + Mk * (qx_prev + h * ux_prev)) / hh + (0.0 + Bhat * qx_prev) / h
-    q1_star = q + (phi_b - phi_a) / W
-    return q1_star, 0.0 + W * (qx_star - q1_star)
-
-
-def _inner_loop_candidate_arrays(qx_star: np.ndarray, q: np.ndarray, u_s: np.ndarray,
-                                 state: AdmittanceState, g: AdmittanceGains, loop: _Loop
-                                 ) -> tuple[np.ndarray, np.ndarray]:
-    """``inner_loop_candidate`` on arrays, for any number of joints."""
     h = g.h
-    Mk, W = loop.Mk, loop.W
-    phi_a = (loop.MhC @ q + h * (loop.B @ state.q_prev)) / (h * h) + loop.Gk + u_s
-    phi_b = (Mk @ (state.qx_prev + h * state.ux_prev)) / (h * h) + (loop.Bhat @ state.qx_prev) / h
-    q1_star = q + _solve(W, loop.Wd, phi_b - phi_a)
-    tau_star = W @ (qx_star - q1_star)
-    return q1_star, tau_star
+    hh = h * h
+    Mk, Gk, B, Bhat, W, MhC = loop.Mk, loop.Gk, loop.B, loop.Bhat, loop.W, loop.MhC
+    if len(W) == 1:
+        y, x = q.item(), state.qx_prev.item()
+        phi_a = (0.0 + MhC[0] * y + h * (0.0 + B[0] * state.q_prev.item())) / hh + Gk[0] \
+            + u_s.item()
+        phi_b = (0.0 + Mk[0] * (x + h * state.ux_prev.item())) / hh + (0.0 + Bhat[0] * x) / h
+        q1 = y + (phi_b - phi_a) / W[0]
+        return np.array([q1]), np.array([0.0 + W[0] * (qx_star.item() - q1)])
+    (y0, y1), (p0, p1), (x0, x1) = q.tolist(), state.q_prev.tolist(), state.qx_prev.tolist()
+    (v0, v1), (u0, u1), (s0, s1) = state.ux_prev.tolist(), u_s.tolist(), qx_star.tolist()
+    z0, z1 = x0 + h * v0, x1 + h * v1
+    a0 = (0.0 + MhC[0] * y0 + MhC[1] * y1 + h * (0.0 + B[0] * p0 + B[1] * p1)) / hh + Gk[0] + u0
+    a1 = (0.0 + MhC[2] * y0 + MhC[3] * y1 + h * (0.0 + B[2] * p0 + B[3] * p1)) / hh + Gk[1] + u1
+    b0 = (0.0 + Mk[0] * z0 + Mk[1] * z1) / hh + (0.0 + Bhat[0] * x0 + Bhat[1] * x1) / h
+    b1 = (0.0 + Mk[2] * z0 + Mk[3] * z1) / hh + (0.0 + Bhat[2] * x0 + Bhat[3] * x1) / h
+    d0, d1 = _solve2(W, b0 - a0, b1 - a1)
+    q10, q11 = y0 + d0, y1 + d1
+    e0, e1 = s0 - q10, s1 - q11
+    return (np.array([q10, q11]),
+            np.array([0.0 + W[0] * e0 + W[1] * e1, 0.0 + W[2] * e0 + W[3] * e1]))
 
 
 def _scalar_beta(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> float:
@@ -591,14 +497,12 @@ def _clip(y_star: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarra
 
     The certificate's one probe is the corner p = sign(y_star - y) of the
     unit box: the certificate d.(p - F^{-1} y) is linear in p, so this probe
-    attains its maximum over the whole box.  A box of one or two joints
-    forms the flags and the probe on floats (``_clip_flags``).
+    attains its maximum over the whole box.  The flags and the probe are
+    formed on floats (``_clip_flags``).
     """
     y = project_box(y_star, box)
     limits = box._floats
-    if limits is None:
-        saturated, probe = np.abs(y_star) > box.limits, np.sign(y_star - y)
-    elif len(limits) == 1:
+    if len(limits) == 1:
         flag, probe = _clip_flags(limits[0], y_star.item(), y.item())
         saturated = np.array([flag])
     else:
@@ -617,24 +521,17 @@ def _clip_flags(limit: float, y_star: float, y: float) -> tuple[bool, float]:
     return abs(y_star) > limit, 1.0 if d > 0.0 else -1.0 if d < 0.0 else 0.0 if d == 0.0 else d
 
 
-def _correct_joint(W: float, h: float, tau: float, q1_star: float, qx_prev: float
-                   ) -> tuple[float, float]:
-    """One joint of the step's proxy correction on floats: qx = tau/W + q1_star
-    and its rate."""
-    qx = tau / W + q1_star
-    return qx, (qx - qx_prev) / h
-
-
 def _check_entry_counts(state: AdmittanceState, meas: Measurement, box: BoxConstraint) -> None:
     """Raise ValueError naming the first measurement vector, or the state,
-    whose entry count is not the gains' joint count."""
-    n = box.limits.shape
-    if n == meas.q.shape == meas.fc.shape == meas.fd.shape == state.qx_prev.shape:
+    whose entry count is not the gains' joint count.  The vectors are 1-D,
+    as their constructors check, so their lengths are their entry counts."""
+    n = len(box.limits)
+    if n == len(meas.q) == len(meas.fc) == len(meas.fd) == len(state.qx_prev):
         return
     for name, x in (("measurement q", meas.q), ("measurement fc", meas.fc),
                     ("measurement fd", meas.fd), ("state qx_prev", state.qx_prev)):
-        if x.shape != n:
-            raise ValueError(f"{name} has {x.size} entries; the gains' joint count is {n[0]}")
+        if len(x) != n:
+            raise ValueError(f"{name} has {len(x)} entries; the gains' joint count is {n}")
 
 
 def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstimate,
@@ -644,9 +541,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
 
     The applied torque is exactly the box projection of the candidate, and the
     corrected proxy satisfies qx = W^{-1} tau + q1_star, so tau == tau_star
-    implies qx == qx_star.  On a diagonal loop of one or two joints, each
-    stage and the step's own arithmetic compute on floats, bitwise equal to
-    the array code for finite values.
+    implies qx == qx_star.
     """
     _check_entry_counts(state, meas, g.box)
     h = g.h
@@ -659,18 +554,15 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
                                              loop=loop)
     tau, saturated, vi_residual = _clip(tau_star, g.box)
 
-    d = loop.diag
-    if d is None:
-        qx = _solve(loop.W, loop.Wd, tau) + q1_star
-        qxd = (qx - state.qx_prev) / h
-    elif len(d.W) == 1:
-        qx, qxd = _correct_joint(d.W[0], h, tau.item(), q1_star.item(), state.qx_prev.item())
-        qx, qxd = np.array([qx]), np.array([qxd])
+    W = loop.W
+    if len(W) == 1:
+        qx = tau.item() / W[0] + q1_star.item()
+        qx, qxd = np.array([qx]), np.array([(qx - state.qx_prev.item()) / h])
     else:
         (t0, t1), (q0, q1), (x0, x1) = tau.tolist(), q1_star.tolist(), state.qx_prev.tolist()
-        qx0, qxd0 = _correct_joint(d.W[0], h, t0, q0, x0)
-        qx1, qxd1 = _correct_joint(d.W[1], h, t1, q1, x1)
-        qx, qxd = np.array([qx0, qx1]), np.array([qxd0, qxd1])
+        d0, d1 = _solve2(W, t0, t1)
+        qx0, qx1 = d0 + q0, d1 + q1
+        qx, qxd = np.array([qx0, qx1]), np.array([(qx0 - x0) / h, (qx1 - x1) / h])
 
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
                             q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
@@ -693,31 +585,25 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
 
     The proxy integrates the measured and desired forces with no feedback from
     the applied torque, and the position loop is a gravity-compensated PD whose
-    output is hard-clamped to the torque box.  For one or two joints the
-    arithmetic is on floats, bitwise equal to the array code.
+    output is hard-clamped to the torque box.
     """
     _check_entry_counts(state, meas, ng.box)
     h = ng.h
     ux, qx = proxy_predict(state, meas.fc, meas.fd, ng)
     gravity = model.gravity_fn(meas.q)
-    if (ng.box._floats is not None and type(gravity) is np.ndarray and gravity.dtype == float
-            and gravity.shape == qx.shape):
-        kp, kd = ng.kp, ng.kd
-        if qx.size == 1:
-            e, raw = _naive_joint(kp, kd, h, qx.item(), meas.q.item(), state.qe_prev.item(),
-                                  gravity.item())
-            qe, tau_raw = np.array([e]), np.array([raw])
-        else:
-            (x0, x1), (y0, y1) = qx.tolist(), meas.q.tolist()
-            (p0, p1), (c0, c1) = state.qe_prev.tolist(), gravity.tolist()
-            e0, raw0 = _naive_joint(kp, kd, h, x0, y0, p0, c0)
-            e1, raw1 = _naive_joint(kp, kd, h, x1, y1, p1, c1)
-            qe, tau_raw = np.array([e0, e1]), np.array([raw0, raw1])
+    _check_estimate_shape("gravity_fn", gravity, qx.shape)
+    gravity = _vector(gravity)
+    kp, kd = ng.kp, ng.kd
+    if qx.size == 1:
+        e, raw = _naive_joint(kp, kd, h, qx.item(), meas.q.item(), state.qe_prev.item(),
+                              gravity.item())
+        qe, tau_raw = np.array([e]), np.array([raw])
     else:
-        _check_estimate_shape("gravity_fn", gravity, qx.shape)
-        qe = qx - meas.q
-        qed = (qe - state.qe_prev) / h
-        tau_raw = ng.kp * qe + ng.kd * qed + gravity
+        (x0, x1), (y0, y1) = qx.tolist(), meas.q.tolist()
+        (p0, p1), (c0, c1) = state.qe_prev.tolist(), gravity.tolist()
+        e0, raw0 = _naive_joint(kp, kd, h, x0, y0, p0, c0)
+        e1, raw1 = _naive_joint(kp, kd, h, x1, y1, p1, c1)
+        qe, tau_raw = np.array([e0, e1]), np.array([raw0, raw1])
     tau, saturated, vi_residual = _clip(tau_raw, ng.box)
     zero = np.zeros_like(qe)
     next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,

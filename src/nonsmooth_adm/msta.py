@@ -38,6 +38,7 @@ import numpy as np
 
 from .setvalued import (
     _all_finite,
+    _finite_vector,
     _matrix,
     _norm,
     _read_only,
@@ -105,10 +106,7 @@ class MstaState:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        v = _vector(self.v)
-        if not _all_finite(v):
-            raise ValueError("integrator state v must be finite")
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _finite_vector(self.v, "integrator state v"))
 
     @staticmethod
     def zero(dof: int) -> "MstaState":

@@ -54,6 +54,17 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
 
+def _finite_vector(x, name: str) -> np.ndarray:
+    """``_vector(x)``, refused with a ValueError naming ``name`` unless it
+    is 1-D and finite."""
+    vec = _vector(x)
+    if vec.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {vec.shape}")
+    if not _all_finite(vec):
+        raise ValueError(f"{name} must be finite")
+    return vec
+
+
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a contiguous float vector, bitwise equal to
     ``np.linalg.norm`` (which also takes the square root of ``x.dot(x)``)."""

@@ -353,6 +353,40 @@ def _group_admittance() -> list[CheckResult]:
             worst_trans = max(worst_trans, float(np.abs(st2.qx_prev - diag.qx_star).max()))
         worst_bound = max(worst_bound, float((np.abs(tau) - gg.box.limits).max()))
         worst_vi = max(worst_vi, diag.lambda_vi_residual)
+    # the coupled two-joint step: explicit inner loop, a random non-diagonal
+    # SPD inertia estimate and a full Coriolis estimate, so that every loop
+    # matrix is full and each solve eliminates
+    for _ in range(50):
+        a = rng.normal(size=(2, 2))
+        mhat = a @ a.T + 0.1 * np.eye(2)
+        chat = rng.normal(size=(2, 2)) * 5.0
+        gg = AdmittanceGains(mx=np.diag(rng.uniform(0.1, 1.0, 2)),
+                             bx=np.diag(rng.uniform(0.5, 5.0, 2)), lam=rng.uniform(1.0, 50.0),
+                             k1=rng.uniform(5.0, 80.0),
+                             msta=MstaGains(k2=rng.uniform(2, 20), k3=rng.uniform(10, 200)),
+                             box=BoxConstraint(rng.uniform(1.0, 6.0, 2)), h=1e-3,
+                             us_mode="explicit")
+        est_i = ModelEstimate(lambda q, M=mhat: M, lambda q, qd, C=chat: C,
+                              lambda q: np.zeros(2))
+        st = AdmittanceState(rng.normal(size=2) * 0.3, rng.normal(size=2), rng.normal(size=2),
+                             rng.normal(size=2) * 0.3, rng.normal(size=2) * 0.01,
+                             MstaState(rng.normal(size=2)))
+        meas = Measurement(rng.normal(size=2) * 0.3, rng.normal(size=2) * 4.0,
+                           rng.normal(size=2) * 2.0)
+        tau, st2, diag = admittance_step(st, meas, est_i, gg)
+        ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev,
+                                   st.msta_state.v, meas.q, meas.fc, meas.fd, gg.mx, gg.bx,
+                                   gg.lam, gg.k1, mhat, chat, np.zeros(2),
+                                   gg.box.limits, gg.h, "explicit", gg.msta.k2, gg.msta.k3)
+        scale = 1.0 + float(np.abs(ref["tau_star"]).max())
+        worst_ref = max(worst_ref,
+                        float(np.abs(tau - ref["tau"]).max()) / scale,
+                        float(np.abs(diag.tau_star - ref["tau_star"]).max()) / scale,
+                        float(np.abs(st2.qx_prev - ref["qx"]).max()),
+                        float(np.abs(diag.u_s - ref["u_s"]).max())
+                        / (1 + float(np.abs(ref["u_s"]).max())))
+        worst_bound = max(worst_bound, float((np.abs(tau) - gg.box.limits).max()))
+        worst_vi = max(worst_vi, diag.lambda_vi_residual)
     out.append(_check("admittance", "straight-line-reference", worst_ref, 1e-12))
     out.append(_check("admittance", "unsaturated-transparency", worst_trans, 1e-10))
     out.append(_check("admittance", "torque-hard-bound", worst_bound, 0.0))

@@ -14,8 +14,7 @@ from nonsmooth_adm.admittance import (
     Measurement,
     ModelEstimate,
     NaiveGains,
-    _diagonal,
-    _solve,
+    _solve2,
     admittance_step,
     baseline_naive_step,
     initial_state,
@@ -311,8 +310,7 @@ def test_gains_constants_are_private_read_only_copies():
     mx[0, 0] = 9.0
     lim[0] = 9.0
     assert g.mx[0, 0] == 0.5 and ng.mx[0, 0] == 0.5 and g.box.limits[0] == 3.0
-    for arr in (g.mx, g.bx, ng.mx, ng.bx, g.box.limits, ng.box.limits, g._proxy_diag,
-                ng._proxy_diag):
+    for arr in (g.mx, g.bx, ng.mx, ng.bx, g.box.limits, ng.box.limits):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     # derived constants follow dataclasses.replace
@@ -325,8 +323,8 @@ def test_gains_constants_are_private_read_only_copies():
         expected = np.linalg.solve(g.mx + g.bx * h, g.mx @ st.qxd_prev + h * (fc + fd))
         assert np.array_equal(ux, expected)
         ng2 = dataclasses.replace(ng, h=h)
-        assert np.array_equal(ng2._proxy_matrix, ng.mx + ng.bx * h)
-        assert np.array_equal(ng2._proxy_diag, np.diagonal(ng.mx + ng.bx * h))
+        assert ng2._proxy == (tuple(ng.mx.ravel().tolist()),
+                              tuple((ng.mx + ng.bx * h).ravel().tolist()))
     # the loop kept for a constant estimate: set by a step, not carried over
     # by dataclasses.replace, not pickled
     est = ModelEstimate.constant((0.2, 0.3), (20.0, 5.0))
@@ -451,62 +449,75 @@ def test_certificate_equals_corner_enumeration(rng):
         assert saturated >= 20
 
 
-def test_diagonal_solve_is_division_bitwise(monkeypatch):
-    """Against a diagonal 1 x 1 or 2 x 2 matrix ``_solve`` is ``b / d`` bit for
-    bit and agrees with np.linalg.solve to roundoff; a right-hand side holding
-    an exact zero is divided too, so the zero keeps its sign."""
+def _hex(x: tuple) -> tuple:
+    return tuple(map(float.hex, x))
+
+
+def test_diagonal_solve_is_division_bitwise():
+    """Against a diagonal 2 x 2 matrix ``_solve2`` is ``b / d`` row by row,
+    bit for bit, whatever the signs of the off-diagonal zeros, and agrees
+    with np.linalg.solve to roundoff; a right-hand side holding an exact zero
+    is divided too, so the zero keeps its sign."""
     gen = np.random.default_rng(14)
-    for i in range(4000):
-        n = 1 + i % 2
-        d = gen.lognormal(0.0, 3.0, n) * gen.choice([-1.0, 1.0], n)
-        b = gen.normal(size=n) * 10.0 ** gen.integers(-6, 6, n)
-        A = np.diag(d)
-        x = _solve(A, _diagonal(A), b)
-        assert x.tobytes() == (b / d).tobytes()
-        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-15, atol=0.0)
-    solved = []
-    real_solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(b) or real_solve(a, b))
-    for zero in (0.0, -0.0):
-        one = _solve(np.array([[4.0]]), np.array([4.0]), np.array([zero]))
-        assert one.tobytes() == np.array([zero / 4.0]).tobytes()
-        A = np.diag([2.0, 4.0])
-        for b in (np.array([zero, 1.0]), np.array([3.0, zero]), np.array([zero, zero])):
-            assert _solve(A, _diagonal(A), b).tobytes() == (b / A.diagonal()).tobytes()
-    assert solved == []
+    for _ in range(2000):
+        d = gen.lognormal(0.0, 3.0, 2) * gen.choice([-1.0, 1.0], 2)
+        b = gen.normal(size=2) * 10.0 ** gen.integers(-6, 6, 2)
+        (d0, d1), (b0, b1) = d.tolist(), b.tolist()
+        for z0, z1 in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            assert _hex(_solve2((d0, z0, z1, d1), b0, b1)) == _hex((b0 / d0, b1 / d1))
+        np.testing.assert_allclose(_solve2((d0, 0.0, 0.0, d1), b0, b1),
+                                   np.linalg.solve(np.diag(d), b), rtol=1e-15, atol=0.0)
+    for b0, b1 in itertools.product((0.0, -0.0, 3.0), repeat=2):
+        assert _hex(_solve2((2.0, 0.0, 0.0, -4.0), b0, b1)) == _hex((b0 / 2.0, b1 / -4.0))
 
 
-def test_non_diagonal_matrices_keep_the_solve(monkeypatch):
-    assert np.array_equal(_diagonal(np.diag([2.0, -3.0])), [2.0, -3.0])
-    assert _diagonal(np.array([[1.0, 1e-300], [0.0, 2.0]])) is None
-    assert _diagonal(np.array([[1.0, 0.0], [-1e-300, 2.0]])) is None
-    assert _diagonal(np.diag([1.0, 0.0])) is None      # singular: the solve raises
-    assert _diagonal(np.eye(3)) is None                # division checked for n <= 2 only
-    solved = []
-    real_solve = np.linalg.solve
+def test_non_diagonal_matrices_keep_the_solve():
+    """Off the diagonal ``_solve2`` eliminates with partial pivoting and
+    agrees with np.linalg.solve to a few ulps of the solution times the
+    condition number: random matrices over many scales, about half of which
+    swap their rows (|A10| > |A00|), and matrices with one zero off-diagonal
+    entry.  A step on a loop whose W is singular raises
+    np.linalg.LinAlgError, as np.linalg.solve does."""
+    gen = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    pivoted = 0
+    for k in range(4000):
+        A = gen.normal(size=(2, 2)) * 10.0 ** gen.integers(-3, 4)
+        if k % 4 == 1:
+            A[0, 1] = 0.0
+        elif k % 4 == 2:
+            A[1, 0] = 0.0
+        b = gen.normal(size=2) * 10.0 ** gen.integers(-3, 4, 2)
+        x = np.array(_solve2(tuple(A.ravel().tolist()), *b.tolist()))
+        ref = np.linalg.solve(A, b)
+        pivoted += abs(A[1, 0]) > abs(A[0, 0])
+        assert np.abs(x - ref).max() <= 4.0 * eps * np.linalg.cond(A) * np.abs(ref).max()
+    assert pivoted > 1000
+    g1 = fig3_gains(us_mode="explicit")
+    g2 = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0,
+                         k1="structured", msta=MstaGains(k2=11.6, k3=66.0),
+                         box=BoxConstraint([3.0, 4.0]), h=1e-3, us_mode="explicit")
+    # with k1 = -C + 0*M and C = 0, W = M (1/h^2 + lam/h): singular with M
+    for g, mass in ((dataclasses.replace(g1, k1="structured"), np.zeros((1, 1))),
+                    (g2, np.ones((2, 2)))):
+        n = len(mass)
+        est = ModelEstimate(lambda q, M=mass: M, lambda q, qd, n=n: np.zeros((n, n)),
+                            lambda q, n=n: np.zeros(n))
+        st = initial_state(np.zeros(n))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            admittance_step(st, Measurement(np.zeros(n), np.ones(n), np.zeros(n)), est, g)
 
-    def counting_solve(a, b):
-        solved.append(np.array(a))
-        return real_solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    g = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
-                        msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
-                        h=1e-3, us_mode="explicit")
-    ng = NaiveGains(mx=np.array([[0.5, 0.1], [0.1, 0.4]]), bx=np.diag([1.0, 2.0]), kp=300.0,
-                    kd=31.0, box=BoxConstraint([3.0, 4.0]), h=1e-3)
-    mhat = np.array([[0.2, 0.05], [0.05, 0.3]])
-    full = ModelEstimate(lambda q: mhat, lambda q, qd: np.zeros((2, 2)), lambda q: np.zeros(2))
-    diagonal = ModelEstimate.constant((0.2, 0.3), (20.0, 5.0))
-    st = initial_state(np.zeros(2))
-    meas = Measurement(np.array([0.01, -0.02]), np.array([1.0, -2.0]), np.array([0.5, 0.5]))
-    admittance_step(st, meas, diagonal, g)
-    assert solved == []
-    admittance_step(st, meas, full, g)    # the inner-loop solve and the correction, against W
-    assert len(solved) == 2 and all(a[0, 1] != 0.0 for a in solved)
-    solved.clear()
-    baseline_naive_step(st, meas, diagonal, ng)    # the proxy solve, against mx + bx*h
-    assert len(solved) == 1 and np.array_equal(solved[0], ng._proxy_matrix)
+def test_gains_of_three_or_more_joints_are_refused():
+    for n in (3, 4):
+        box = BoxConstraint([3.0] * n)
+        message = f"one or two joints; the torque box has {n}"
+        with pytest.raises(ValueError, match=message):
+            AdmittanceGains(mx=0.5 * np.eye(n), bx=np.eye(n), lam=10.0, k1=30.0,
+                            msta=MstaGains(k2=11.6, k3=66.0), box=box, h=1e-3,
+                            us_mode="explicit")
+        with pytest.raises(ValueError, match=message):
+            NaiveGains(mx=0.5 * np.eye(n), bx=np.eye(n), kp=300.0, kd=31.0, box=box, h=1e-3)
 
 
 @pytest.mark.parametrize("n,us_mode,k1", [(1, "scalar-implicit", 30.0),
@@ -705,6 +716,26 @@ def test_caller_built_states_are_converted_and_checked(bad):
     for v, qe_prev in (([0.0, 0.0], [0.0]), ([0.0], [0.0, 0.0])):
         with pytest.raises(ValueError, match="different numbers of entries"):
             AdmittanceState([0.0], [0.0], [0.0], [0.0], qe_prev, MstaState(v))
+
+
+def test_step_vectors_must_be_one_dimensional():
+    """A measurement or state vector that is not 1-D is refused by its
+    constructor, naming the field and its shape, so the step can count
+    entries with len()."""
+    column = np.zeros((1, 1))
+    for name in ("q", "fc", "fd"):
+        values = {"q": [0.0], "fc": [0.0], "fd": [0.0], name: column}
+        with pytest.raises(ValueError,
+                           match=rf"measurement {name} must be a 1-D vector, got shape \(1, 1\)"):
+            Measurement(**values)
+    for name in _STATE_VECTORS:
+        values = {f: [0.0] for f in _STATE_VECTORS}
+        values[name] = column
+        with pytest.raises(ValueError, match=rf"{name} must be a 1-D vector, got shape \(1, 1\)"):
+            AdmittanceState(**values, msta_state=MstaState.zero(1))
+    with pytest.raises(ValueError,
+                       match=r"integrator state v must be a 1-D vector, got shape \(2, 1\)"):
+        MstaState(np.zeros((2, 1)))
 
 
 def _rebuilt(st: AdmittanceState) -> AdmittanceState:

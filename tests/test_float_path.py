@@ -1,47 +1,52 @@
-"""The float path of each controller stage against its array code.
+"""The float body of each controller stage against its array oracle.
 
-On a diagonal loop of one or two joints (every loop matrix diagonal, as with
-a constant diagonal estimate) every stage of a controller period computes on
-Python floats, one joint at a time, and never hands a stage to the array
-code; a non-diagonal loop (``estimate.kind = exact`` on the two-link arm)
-keeps the array code, which each stage keeps as a private helper.  The
-robust term has one float body for every loop, which ``tests/test_msta.py``
-checks against its defining inclusion.
-Bits matter (a one-ulp change of the torque moves the closed-loop traces
-visibly), so every comparison here is of bytes: ``float.hex`` for a float,
-``tobytes`` (with dtype and shape) for an array.  The inputs include signed
-zeros, where numpy and Python floats disagree most easily: ``np.sign(-0.0)``
-is +0.0, row i of a product with a diagonal matrix is ``0.0 + A_ii*x_i``
-whatever the other entry's sign, and ``np.maximum``/``np.minimum`` break +-0
-ties unlike ``max``/``min``.  Two sums are left to numpy: a norm is numpy's
-dot of an array, and the certificate's dot of two entries is numpy's unless
-its second product has a zero factor, because numpy's two-entry dot may
-round once for a product and a sum (an FMA).  A diagonal solve is a
-division in both paths (``_solve``), exact zeros included.  Where an entry
-is not finite the two paths part: numpy's product adds 0 times the other
-entry (NaN for inf) to each row, while each float joint keeps to its own
-entries.
+Every stage of a controller period computes on Python floats, for one or
+two joints (``admittance.py``).  The same stages on numpy arrays are kept
+here as the oracle (``_proxy_predict_arrays``, ``_sliding_variable_arrays``,
+``_inner_loop_candidate_arrays`` and the whole periods ``_step_arrays`` and
+``_naive_step_arrays``).  The robust term has one float body for every loop,
+which ``tests/test_msta.py`` checks against its defining inclusion, and both
+sides call it.
+
+On a diagonal loop (every loop matrix diagonal, as with a constant diagonal
+estimate) the float body equals the oracle bit for bit.  Bits matter (a
+one-ulp change of the torque moves the closed-loop traces visibly), so
+every such comparison is of bytes: ``float.hex`` for a float, ``tobytes``
+(with dtype and shape) for an array.  The inputs include signed zeros, where
+numpy and Python floats disagree most easily: ``np.sign(-0.0)`` is +0.0, row
+i of a product with a diagonal matrix is ``0.0 + A_ii*x_i`` whatever the
+other entry's sign, and ``np.maximum``/``np.minimum`` break +-0 ties unlike
+``max``/``min``.  Two sums are left to numpy: a norm is numpy's dot of an
+array, and the certificate's dot of two entries is numpy's unless its second
+product has a zero factor, because numpy's two-entry dot may round once for
+a product and a sum (an FMA).  A diagonal solve is a division on both sides
+(``_solve``, ``admittance._solve2``), exact zeros included.
+
+On a full loop matrix (``estimate.kind = exact`` on the two-link arm) the
+float body agrees with the oracle to roundoff: numpy's 2 x 2 product and
+LAPACK's solve do not round like the float rows and the elimination of
+``admittance._solve2``.  There tau_star = W (qx_star - q1_star) multiplies
+the roundoff of q1_star by W (about 5e5 at h = 1 ms), so its error is
+measured against |W| ulp(q1_star).
 """
 
-import importlib.util
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonsmooth_adm import admittance, msta, setvalued
+from nonsmooth_adm import msta, setvalued
 from nonsmooth_adm.admittance import (
     AdmittanceGains,
     AdmittanceState,
     Measurement,
     ModelEstimate,
     NaiveGains,
+    StepDiagnostics,
+    _clip_flags,
     _evaluate_loop,
-    _inner_loop_candidate_arrays,
-    _proxy_predict_arrays,
     _robust_term,
-    _sliding_variable_arrays,
+    _solve2,
     admittance_step,
     baseline_naive_step,
     initial_state,
@@ -59,7 +64,109 @@ from nonsmooth_adm.setvalued import (
     project_box,
     variational_residual,
 )
-from nonsmooth_adm.sim import run_scenario
+
+
+# ----------------------------------------------------------------- the array oracle
+
+def _diagonal(A: np.ndarray) -> np.ndarray | None:
+    """The diagonal of A when A is 1 x 1 or 2 x 2 with exact zeros off the
+    diagonal and no zero on it: then ``_solve`` divides by it.  None
+    otherwise."""
+    if A.shape == (1, 1) or (A.shape == (2, 2) and A[0, 1] == 0.0 and A[1, 0] == 0.0):
+        d = A.diagonal()
+        if 0.0 not in d.tolist():
+            return d
+    return None
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(A, b)``, but ``b / d`` for d = ``_diagonal(A)``.
+
+    Division agrees with the solve to roundoff.  With numpy 2.4 on OpenBLAS
+    (x86-64) it was measured equal bit for bit on random 1 x 1 and 2 x 2
+    systems, except that the 2 x 2 solve may flip the sign of a zero entry
+    of b, which division keeps; the reciprocal ``b * (1/d)`` differed in
+    about a third of them.
+    """
+    d = _diagonal(A)
+    return b / d if d is not None else np.linalg.solve(A, b)
+
+
+def _loop_arrays(loop) -> tuple:
+    """The loop's matrices and gravity vector as arrays:
+    (Mk, Gk, B, Bhat, W, MhC)."""
+    n = len(loop.Gk)
+    Mk, B, Bhat, W, MhC = (np.array(a).reshape(n, n)
+                           for a in (loop.Mk, loop.B, loop.Bhat, loop.W, loop.MhC))
+    return Mk, np.array(loop.Gk), B, Bhat, W, MhC
+
+
+def _proxy_predict_arrays(state, fc, fd, g):
+    """``proxy_predict`` on arrays."""
+    ux_star = _solve(g.mx + g.bx * g.h, g.mx @ state.qxd_prev + g.h * (fc + fd))
+    return ux_star, state.qx_prev + g.h * ux_star
+
+
+def _sliding_variable_arrays(qx_star, q, state, g):
+    """``sliding_variable`` on arrays."""
+    qe = qx_star - q
+    return qe, (qe - state.qe_prev) / g.h + g.lam * qe
+
+
+def _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop):
+    """``inner_loop_candidate`` on arrays."""
+    h = g.h
+    Mk, Gk, B, Bhat, W, MhC = _loop_arrays(loop)
+    phi_a = (MhC @ q + h * (B @ state.q_prev)) / (h * h) + Gk + u_s
+    phi_b = (Mk @ (state.qx_prev + h * state.ux_prev)) / (h * h) + (Bhat @ state.qx_prev) / h
+    q1_star = q + _solve(W, phi_b - phi_a)
+    return q1_star, W @ (qx_star - q1_star)
+
+
+def _clip_arrays(y_star, box):
+    """The step's projection tail on arrays: (y, the flags, the certificate
+    of the worst probe)."""
+    y = _project_box_arrays(y_star, box)
+    probe = np.sign(y_star - y)
+    return (y, np.abs(y_star) > box.limits,
+            _variational_residual_arrays(y_star, y, box, [probe]))
+
+
+def _step_arrays(state, meas, model, g):
+    """``admittance_step`` on arrays; the loop is built and the robust term
+    computed by the package's own code, on either side."""
+    loop = _evaluate_loop(model, meas.q, state, g)
+    ux_star, qx_star = _proxy_predict_arrays(state, meas.fc, meas.fd, g)
+    qe, s = _sliding_variable_arrays(qx_star, meas.q, state, g)
+    u_s, msta_next, solver = _robust_term(s, loop, state, g)
+    q1_star, tau_star = _inner_loop_candidate_arrays(qx_star, meas.q, u_s, state, g, loop)
+    tau, saturated, vi_residual = _clip_arrays(tau_star, g.box)
+    qx = _solve(_loop_arrays(loop)[4], tau) + q1_star
+    qxd = (qx - state.qx_prev) / g.h
+    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
+                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
+    diag = _unchecked(StepDiagnostics, tau_star=tau_star, tau=tau, qx_star=qx_star,
+                      q1_star=q1_star, s=s, qe=qe, u_s=u_s, saturated=saturated,
+                      lambda_vi_residual=vi_residual, solver=solver)
+    return tau, next_state, diag
+
+
+def _naive_step_arrays(state, meas, model, ng):
+    """``baseline_naive_step`` on arrays."""
+    ux, qx = _proxy_predict_arrays(state, meas.fc, meas.fd, ng)
+    qe = qx - meas.q
+    tau_raw = ng.kp * qe + ng.kd * ((qe - state.qe_prev) / ng.h) + model.gravity_fn(meas.q)
+    tau, saturated, vi_residual = _clip_arrays(tau_raw, ng.box)
+    zero = np.zeros_like(qe)
+    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,
+                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=state.msta_state)
+    diag = _unchecked(StepDiagnostics, tau_star=tau_raw, tau=tau, qx_star=qx,
+                      q1_star=meas.q.copy(), s=zero, qe=qe, u_s=zero, saturated=saturated,
+                      lambda_vi_residual=vi_residual, solver=None)
+    return tau, next_state, diag
+
+
+# ----------------------------------------------------------------- inputs
 
 LIMIT = 3.0
 LIMITS2 = (3.0, 4.0)
@@ -229,24 +336,26 @@ def test_variational_residual_two_entry_float_path_matches_arrays():
 def test_worst_probe_sign_matches_numpy():
     for x in (0.0, -0.0, 2.5, -2.5, 5e-324, -5e-324, np.inf, -np.inf):
         for y in (0.0, -0.0):
-            assert _bits(admittance._clip_flags(1.0, x, y)[1]) == _bits(float(np.sign(x - y)))
-    assert np.isnan(admittance._clip_flags(1.0, np.nan, 0.0)[1])
+            assert _bits(_clip_flags(1.0, x, y)[1]) == _bits(float(np.sign(x - y)))
+    assert np.isnan(_clip_flags(1.0, np.nan, 0.0)[1])
 
 
 def test_diagonal_product_is_entrywise_until_an_entry_is_not_finite():
     """Row i of numpy's product with a diagonal 2 x 2 matrix is
-    ``0.0 + A_ii*x_i`` for every sign of the off-diagonal zero and of the
-    other entry, zeros included; a non-finite other entry makes it NaN,
-    where the float joint keeps its own finite value."""
+    ``0.0 + A_ii*x_i``, and so is the float row ``0.0 + A_i0*x_0 +
+    A_i1*x_1``, for every sign of the off-diagonal zero and of the other
+    entry, zeros included; a non-finite other entry makes both NaN."""
     entries = (0.0, -0.0, 1.5, -1.5, 5e-324, -2.5e-300)
     for a0, a1, z in itertools.product((0.3, -0.7, 0.0), (2.0, -0.0), (0.0, -0.0)):
         A = np.array([[a0, z], [z, a1]])
         for x0, x1 in itertools.product(entries, entries):
             x = np.array([x0, x1])
-            assert _bits(A @ x) == _bits(np.array([0.0 + a0 * x0, 0.0 + a1 * x1]))
+            expected = _bits(np.array([0.0 + a0 * x0, 0.0 + a1 * x1]))
+            assert _bits(A @ x) == expected
+            assert _bits(np.array([0.0 + a0 * x0 + z * x1, 0.0 + z * x0 + a1 * x1])) == expected
     with np.errstate(invalid="ignore"):
         row = (np.diag([2.0, 3.0]) @ np.array([np.inf, 1.0]))[1]
-    assert np.isnan(row)
+    assert np.isnan(row) and np.isnan(0.0 + 0.0 * np.inf + 3.0 * 1.0)
 
 
 def test_runner_products_equal_numpy_matrix_vector_products():
@@ -294,6 +403,30 @@ def test_two_joint_proxy_predict_float_path_matches_arrays(naive):
                 == _bits(_proxy_predict_arrays(state, fc, fd, g)))
 
 
+def test_two_joint_proxy_with_full_matrices_matches_arrays_to_roundoff():
+    """Full mx and bx (no preset has them): ux_star = P^{-1} b, P = mx +
+    bx*h, to a few units of ``_position_unit`` against the oracle's solve,
+    and qx_star = qx_prev + h*ux_star to that times h."""
+    gen = np.random.default_rng(22)
+    for k in range(300):
+        a = gen.normal(size=(2, 2))
+        mx = a @ a.T + 0.05 * np.eye(2)
+        bx = mx @ (gen.normal(size=(2, 2)) * 0.3 + 2.0 * np.eye(2))
+        if k % 3 == 0:
+            mx[0, 1] = mx[1, 0] = 0.0      # a full bx alone
+        h = _PERIODS[k % 2]
+        g = NaiveGains(mx=mx, bx=bx, kp=300.0, kd=31.0, box=BoxConstraint([1.0, 1.0]), h=h)
+        state = _state2(qx_prev=gen.normal(size=2) * 0.01, qxd_prev=gen.normal(size=2) * 0.1)
+        fc, fd = gen.normal(size=2) * 5.0, gen.normal(size=2) * 3.0
+        ux, qx = proxy_predict(state, fc, fd, g)
+        ux_ref, qx_ref = _proxy_predict_arrays(state, fc, fd, g)
+        P = g.mx + g.bx * h
+        unit = _position_unit(P, ux_ref, np.linalg.solve(P, g.mx @ state.qxd_prev),
+                              np.linalg.solve(P, h * (fc + fd)))
+        _assert_within(ux, ux_ref, unit)
+        _assert_within(qx, qx_ref, h * unit + np.spacing(np.abs(qx_ref)))
+
+
 def test_sliding_variable_float_path_matches_arrays():
     g = _gains()
     for qx_star, q, qe_prev in _inputs(np.random.default_rng(4), [0.01, 0.01, 0.01]):
@@ -320,7 +453,6 @@ def test_inner_loop_candidate_float_path_matches_arrays(h, k1, estimate):
         state = _state(qx_prev=qx_prev, ux_prev=ux_prev, q_prev=q_prev)
         qx_star, q, u_s = _one(qx_star), _one(q), _one(u_s)
         loop = _evaluate_loop(model, q, state, g)
-        assert loop.diag is not None
         expected = _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
         assert _bits(inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g)) == \
             _bits(expected)
@@ -328,19 +460,55 @@ def test_inner_loop_candidate_float_path_matches_arrays(h, k1, estimate):
                                           loop=loop)) == _bits(expected)
 
 
+# The roundoff allowance on a full loop matrix, in units of _position_unit.
+# Over the draws of the tests below the worst error was about 2 units.
+_UNITS = 8.0
+
+
+def _position_unit(W: np.ndarray, *positions) -> float:
+    """eps cond(W) times the largest entry of ``positions``: the size of the
+    roundoff of a backward stable solve against W whose right-hand side and
+    solution have entries of that size, and so of the disagreement of two
+    such solves (LAPACK's and ``_solve2``'s elimination)."""
+    return float(np.finfo(float).eps * np.linalg.cond(W)
+                 * max(float(np.abs(x).max()) for x in positions))
+
+
+def _assert_within(got, expected, unit) -> None:
+    assert (np.abs(got - expected) <= _UNITS * unit).all(), (got, expected, unit)
+
+
+def _assert_candidate_close(got, expected, q, qx_star, loop) -> None:
+    """(q1_star, tau_star) against the oracle's on a full W.  q1_star = q +
+    W^{-1} (phi_b - phi_a) to a few position units; tau_star = W (qx_star -
+    q1_star) multiplies that error by W, so it is allowed |W| times it, plus
+    the rounding of the product itself."""
+    (q1, tau), (q1_ref, tau_ref) = got, expected
+    W = _loop_arrays(loop)[4]
+    unit = _position_unit(W, q, q1_ref - q)
+    _assert_within(q1, q1_ref, unit)
+    _assert_within(tau, tau_ref, np.abs(W) @ (unit + np.finfo(float).eps
+                                              * np.abs(qx_star - q1_ref)))
+
+
 @pytest.mark.parametrize("h,k1,estimate", itertools.product(
     _PERIODS, (30.0, "structured"), sorted(_ESTIMATES2)))
 def test_two_joint_inner_loop_candidate_float_path_matches_arrays(h, k1, estimate):
+    """Bit for bit on a diagonal loop; to roundoff on the arm's full mass
+    matrix, whose W the float body solves by elimination."""
     g = _gains2(k1, h=h)
     model = _ESTIMATES2[estimate]
     for qx_star, q, u_s, qx_prev, ux_prev, q_prev in _pairs(
             np.random.default_rng(15), [0.01, 0.01, 5.0, 0.01, 0.1, 0.01], n=200):
         state = _state2(qx_prev=qx_prev, ux_prev=ux_prev, q_prev=q_prev)
         loop = _evaluate_loop(model, q, state, g)
-        assert (loop.diag is None) == (estimate == "exact")
+        assert (loop.W[1] != 0.0) == (estimate == "exact")
+        got = inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g, loop=loop)
         expected = _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
-        assert _bits(inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g,
-                                          loop=loop)) == _bits(expected)
+        if estimate == "exact":
+            _assert_candidate_close(got, expected, q, qx_star, loop)
+        else:
+            assert _bits(got) == _bits(expected)
 
 
 def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
@@ -357,7 +525,7 @@ def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
     monkeypatch.setattr(msta, "_root", counting)
     s = np.array([0.02, -0.01])
     loop = _evaluate_loop(_ESTIMATES2["unequal"], np.zeros(2), _state2(), g)
-    assert loop.diag is not None and loop.iteration.scale is None
+    assert loop.iteration.scale is None
     assert np.allclose(loop.iteration.G, np.diag([1.25, 1.2]), rtol=0.0, atol=1e-15)
     # s = (2.79e-6, -7.69e-5) sits just above the band h^2 k3 = 6.6e-5
     for s_in in (s, np.array([2.79e-6, -7.69e-5])):
@@ -370,11 +538,9 @@ def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
     assert calls == [] and diag.iterations == 1
 
 
-_HELPERS = ((admittance, "_proxy_predict_arrays"), (admittance, "_sliding_variable_arrays"),
-            (admittance, "_inner_loop_candidate_arrays"), (setvalued, "_project_box_arrays"),
-            (setvalued, "_variational_residual_arrays"))
-# the robust term's one body per inner-loop mode, on any loop
-_ROBUST = ((admittance, "_explicit"), (admittance, "_solve_inclusion"))
+# the projection's and the certificate's array code, which a box of one or
+# two entries never reaches
+_HELPERS = ((setvalued, "_project_box_arrays"), (setvalued, "_variational_residual_arrays"))
 
 
 def _counting(monkeypatch, targets) -> list:
@@ -390,36 +556,33 @@ def _counting(monkeypatch, targets) -> list:
 
 
 def test_two_joint_exact_zero_divides_in_both_paths(monkeypatch):
-    """A two-entry b with an exact zero is divided, by the float kernels and
-    by the array code alike, so the zero keeps the sign that np.linalg.solve
-    may flip; no stage of a step on a diagonal loop calls np.linalg.solve or
-    an array helper."""
+    """A two-entry b with an exact zero is divided, by ``_solve2`` and by the
+    oracle alike, so the zero keeps the sign that np.linalg.solve may flip;
+    no stage of a step on a diagonal loop calls np.linalg.solve or an array
+    helper."""
     b = np.array([-0.0, -1.0])
     P = np.diag([0.52, 0.304])
     assert _bits(np.linalg.solve(P, b)) != _bits(b / P.diagonal())
-    calls = _counting(monkeypatch, ((np.linalg, "solve"),) + _HELPERS)
+    assert _bits(np.array(_solve2((0.52, 0.0, 0.0, 0.304), -0.0, -1.0))) == \
+        _bits(b / P.diagonal())
     g = _gains2()
-    state = _state2(qxd_prev=(0.0, 0.2))
+    state, zero = _state2(qxd_prev=(0.0, 0.2)), np.zeros(2)
     # b = mx @ qxd_prev + h*(fc + fd) = (0, 0.06): a division against mx + bx*h
-    out = proxy_predict(state, np.zeros(2), np.zeros(2), g)
-    assert _bits(out) == _bits(_proxy_predict_arrays(state, np.zeros(2), np.zeros(2), g))
+    proxy = _bits(_proxy_predict_arrays(state, zero, zero, g))
     # an all-zero first period: every solve of the step meets an exact zero
-    zero = np.zeros(2)
     first = (initial_state(zero), Measurement(zero, zero, zero), _ESTIMATES2["zero-gravity"])
-    fast = _step_bits(admittance_step(*first, g))
+    step = _step_bits(_step_arrays(*first, _gains2()))
+    calls = _counting(monkeypatch, ((np.linalg, "solve"),) + _HELPERS)
+    assert _bits(proxy_predict(state, zero, zero, g)) == proxy
+    assert _step_bits(admittance_step(*first, g)) == step
     assert calls == []
-    with monkeypatch.context() as m:
-        _arrays_only(m)
-        slow = _step_bits(admittance_step(*first, _array_box(_gains2())))
-    assert fast == slow and calls == []
 
 
-def test_two_joint_non_finite_entry_stays_in_its_joint(monkeypatch):
-    """A non-finite input entry of a two-joint stage makes only its own
-    joint's outputs non-finite; the other joint gets the bits it gets with a
-    finite entry (numpy's product would make it NaN), and no array helper is
-    called."""
-    calls = _counting(monkeypatch, _HELPERS)
+def test_two_joint_non_finite_entry_reaches_the_other_row_as_numpy():
+    """A non-finite input entry of a two-joint stage reaches the other
+    joint's row through the zero off-diagonal product (0 * inf is NaN), as in
+    numpy's product, so the float body and the oracle still agree.  A step
+    never meets one: the measurement and the state refuse non-finite entries."""
     g = _gains2()
     fc = np.array([1.0, 2.0])
 
@@ -428,15 +591,17 @@ def test_two_joint_non_finite_entry_stays_in_its_joint(monkeypatch):
                           ux_prev=np.zeros(2), q_prev=np.zeros(2), qe_prev=np.zeros(2),
                           msta_state=MstaState.zero(2))
 
-    (ux, qx), (ux_f, qx_f) = (proxy_predict(state(x), fc, fc, g) for x in (np.inf, 1.0))
-    assert ux[0] == qx[0] == np.inf and _bits((ux[1], qx[1])) == _bits((ux_f[1], qx_f[1]))
-    loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), state(1.0), g)
-    (q1, tau), (q1_f, tau_f) = (
-        inner_loop_candidate(fc, fc, u_s, u_s, state(1.0), None, g, loop=loop)
-        for u_s in (np.array([np.inf, 1.0]), np.array([1.0, 1.0])))
-    assert q1[0] == -np.inf and tau[0] == np.inf
-    assert _bits((q1[1], tau[1])) == _bits((q1_f[1], tau_f[1]))
-    assert calls == []
+    with np.errstate(invalid="ignore"):
+        ux, qx = proxy_predict(state(np.inf), fc, fc, g)
+        ux_ref, qx_ref = _proxy_predict_arrays(state(np.inf), fc, fc, g)
+        loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), state(1.0), g)
+        u_s = np.array([np.inf, 1.0])
+        q1, tau = inner_loop_candidate(fc, fc, u_s, u_s, state(1.0), None, g, loop=loop)
+        q1_ref, tau_ref = _inner_loop_candidate_arrays(fc, fc, u_s, state(1.0), g, loop)
+    assert ux[0] == qx[0] == np.inf and np.isnan([ux[1], qx[1]]).all()
+    assert q1[0] == -np.inf and tau[0] == np.inf and np.isnan(tau[1])
+    for got, expected in ((ux, ux_ref), (qx, qx_ref), (q1, q1_ref), (tau, tau_ref)):
+        np.testing.assert_array_equal(got, expected)
 
 
 def _step_bits(out) -> bytes:
@@ -445,31 +610,6 @@ def _step_bits(out) -> bytes:
              d.tau_star, d.tau, d.qx_star, d.q1_star, d.s, d.qe, d.u_s, d.saturated,
              float(d.lambda_vi_residual), d.solver]
     return _bits(tuple(parts))
-
-
-def _candidate_arrays(qx_star, q, s, u_s, state, model, g, *, loop=None):
-    """``inner_loop_candidate`` with the public signature, on arrays."""
-    if loop is None:
-        loop = _evaluate_loop(model, q, state, g)
-    return _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
-
-
-def _arrays_only(monkeypatch):
-    """Make every stage and the step's own code run the array code, for
-    steps with gains passed through ``_array_box``."""
-    for name, arrays in (("proxy_predict", _proxy_predict_arrays),
-                         ("sliding_variable", _sliding_variable_arrays),
-                         ("inner_loop_candidate", _candidate_arrays),
-                         ("project_box", _project_box_arrays),
-                         ("variational_residual", _variational_residual_arrays)):
-        monkeypatch.setattr(admittance, name, arrays)
-    monkeypatch.setattr(admittance, "_diag_loop", lambda *args: None)
-
-
-def _array_box(g):
-    """``g`` with its box's float limits removed."""
-    object.__setattr__(g.box, "_floats", None)
-    return g
 
 
 def _run(step, g, model, meas_seq):
@@ -493,105 +633,86 @@ def _measurements(gen, n=150, dof=1):
 @pytest.mark.parametrize("h,k1,estimate,us_mode", itertools.product(
     _PERIODS, (30.0, "structured"), sorted(_ESTIMATES),
     ("scalar-implicit", "explicit", "implicit-vector")))
-def test_one_joint_step_matches_array_code(monkeypatch, h, k1, estimate, us_mode):
+def test_one_joint_step_matches_array_code(h, k1, estimate, us_mode):
     """Whole periods, nearly all saturated (small limit) or about a third
-    (large limit), against the same periods with every stage and the step's
-    own code on arrays."""
+    (large limit), against the same periods of the oracle."""
     meas_seq = _measurements(np.random.default_rng(6))
     model = _ESTIMATES[estimate]
-    fast = [_run(admittance_step, _gains(k1, us_mode, limit, h), model, meas_seq)
-            for limit in (0.05, 1e3)]
-    with monkeypatch.context() as m:
-        _arrays_only(m)
-        slow = [_run(admittance_step, _array_box(_gains(k1, us_mode, limit, h)), model,
-                     meas_seq) for limit in (0.05, 1e3)]
-    assert fast == slow
+    for limit in (0.05, 1e3):
+        assert _run(admittance_step, _gains(k1, us_mode, limit, h), model, meas_seq) == \
+            _run(_step_arrays, _gains(k1, us_mode, limit, h), model, meas_seq)
 
 
 @pytest.mark.parametrize("h,k1,estimate,us_mode", itertools.product(
     _PERIODS, (30.0, "structured"), ("equal", "unequal", "zero-gravity"),
     ("explicit", "implicit-vector")))
-def test_two_joint_step_matches_array_code(monkeypatch, h, k1, estimate, us_mode):
+def test_two_joint_step_matches_array_code(h, k1, estimate, us_mode):
     """As the one-joint test, on a diagonal two-joint loop: both joints
     saturated, or some, or none."""
     meas_seq = _measurements(np.random.default_rng(18), dof=2)
     model = _ESTIMATES2[estimate]
-    limits = ((0.05, 0.08), (0.5, 1e3), (1e3, 1e3))
-    fast = [_run(admittance_step, _gains2(k1, us_mode, lim, h=h), model, meas_seq)
-            for lim in limits]
-    with monkeypatch.context() as m:
-        _arrays_only(m)
-        slow = [_run(admittance_step, _array_box(_gains2(k1, us_mode, lim, h=h)), model,
-                     meas_seq) for lim in limits]
-    assert fast == slow
+    for lim in ((0.05, 0.08), (0.5, 1e3), (1e3, 1e3)):
+        assert _run(admittance_step, _gains2(k1, us_mode, lim, h=h), model, meas_seq) == \
+            _run(_step_arrays, _gains2(k1, us_mode, lim, h=h), model, meas_seq)
+
+
+@pytest.mark.parametrize("h,k1,us_mode", itertools.product(
+    _PERIODS, (30.0, "structured"), ("explicit", "implicit-vector")))
+def test_two_joint_step_on_the_arm_model_matches_arrays_to_roundoff(h, k1, us_mode):
+    """On the arm's own full mass matrix, each period against the oracle's
+    period from the same state: the proxy, the sliding variable, the robust
+    term and the saturation flags bit for bit (they do not see W); q1_star,
+    tau_star and the applied torque as in the candidate test, and the
+    corrected proxy to a few position units."""
+    meas_seq = _measurements(np.random.default_rng(21), dof=2)
+    model = _ESTIMATES2["exact"]
+    for lim in ((0.05, 0.08), (0.5, 1e3), (1e3, 1e3)):
+        g = _gains2(k1, us_mode, lim, h=h)
+        state = initial_state(np.full(2, -0.0))
+        for meas in meas_seq:
+            tau, nxt, d = admittance_step(state, meas, model, g)
+            tau_ref, nxt_ref, d_ref = _step_arrays(state, meas, model, g)
+            exact = ("qx_star", "s", "qe", "u_s", "saturated", "solver")
+            assert _bits(tuple(getattr(d, f) for f in exact)) == \
+                _bits(tuple(getattr(d_ref, f) for f in exact))
+            assert _bits((nxt.ux_prev, nxt.qe_prev, nxt.msta_state.v)) == \
+                _bits((nxt_ref.ux_prev, nxt_ref.qe_prev, nxt_ref.msta_state.v))
+            loop = _evaluate_loop(model, meas.q, state, g)
+            _assert_candidate_close((d.q1_star, d.tau_star), (d_ref.q1_star, d_ref.tau_star),
+                                    meas.q, d.qx_star, loop)
+            W = _loop_arrays(loop)[4]
+            # tau is tau_star or, where saturated, the limit on both sides
+            unit = _position_unit(W, meas.q, d_ref.q1_star - meas.q)
+            _assert_within(tau, tau_ref, np.abs(W) @ (unit + np.finfo(float).eps
+                                                      * np.abs(d.qx_star - d_ref.q1_star)))
+            # qx = W^{-1} tau + q1_star
+            _assert_within(nxt.qx_prev, nxt_ref.qx_prev,
+                           _position_unit(W, meas.q, d_ref.q1_star - meas.q,
+                                          nxt_ref.qx_prev - d_ref.q1_star))
+            state = nxt
 
 
 @pytest.mark.parametrize("estimate", sorted(_ESTIMATES))
-def test_one_joint_naive_step_matches_array_code(monkeypatch, estimate):
+def test_one_joint_naive_step_matches_array_code(estimate):
     meas_seq = _measurements(np.random.default_rng(7))
     model = _ESTIMATES[estimate]
-    fast = [_run(baseline_naive_step, _naive_gains(limit), model, meas_seq)
-            for limit in (0.05, 1e3)]
-    with monkeypatch.context() as m:
-        _arrays_only(m)
-        slow = [_run(baseline_naive_step, _array_box(_naive_gains(limit)), model, meas_seq)
-                for limit in (0.05, 1e3)]
-    assert fast == slow
+    for limit in (0.05, 1e3):
+        assert _run(baseline_naive_step, _naive_gains(limit), model, meas_seq) == \
+            _run(_naive_step_arrays, _naive_gains(limit), model, meas_seq)
 
 
 @pytest.mark.parametrize("estimate", sorted(_ESTIMATES2))
-def test_two_joint_naive_step_matches_array_code(monkeypatch, estimate):
+def test_two_joint_naive_step_matches_array_code(estimate):
     meas_seq = _measurements(np.random.default_rng(19), dof=2)
     model = _ESTIMATES2[estimate]
-    limits = ((0.05, 0.08), (1e3, 1e3))
-    fast = [_run(baseline_naive_step, _naive_gains2(lim), model, meas_seq) for lim in limits]
-    with monkeypatch.context() as m:
-        _arrays_only(m)
-        slow = [_run(baseline_naive_step, _array_box(_naive_gains2(lim)), model, meas_seq)
-                for lim in limits]
-    assert fast == slow
-
-
-def test_array_helper_calls_follow_the_loop(monkeypatch):
-    """A diagonal two-joint loop calls no array helper.  The arm's own
-    (full) mass matrix calls those of the loop and the candidate; the proxy,
-    the sliding variable, the projection and the certificate do not see the
-    loop, and stay on floats for the diagonal proxy and the two-joint box.
-    The robust term calls its one body once on either loop."""
-    calls = _counting(monkeypatch, _HELPERS + _ROBUST)
-    meas = Measurement([2.5, -1.5], [1.0, -2.0], [0.5, 0.3])
-    for us_mode, robust in (("explicit", "_explicit"), ("implicit-vector", "_solve_inclusion")):
-        for estimate, expected in (("equal", [robust]),
-                                   ("exact", [robust, "_inner_loop_candidate_arrays"])):
-            calls.clear()
-            admittance_step(initial_state(np.array([2.4, -1.4])), meas, _ESTIMATES2[estimate],
-                            _gains2(us_mode=us_mode))
-            assert calls == expected
-    calls.clear()
-    meas1 = Measurement([0.01], [1.0], [0.5])
-    admittance_step(initial_state(np.zeros(1)), meas1, ModelEstimate.constant((0.1,)), _gains())
-    assert calls == []
-
-
-def test_standard_runs_call_array_helpers_only_on_the_non_diagonal_loop(monkeypatch):
-    """Over each of the fourteen runs of ``tools/trace_digest.py``, shortened
-    to 0.2 s, only the run whose estimate is the arm's own full model calls
-    an array helper: every other loop is diagonal, of one or two joints."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "trace_digest.py"
-    spec = importlib.util.spec_from_file_location("trace_digest", path)
-    trace_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace_digest)
-    runs = trace_digest.standard_runs()
-    assert len(runs) == 14
-    calls = _counting(monkeypatch, _HELPERS)
-    for name, sc in runs.items():
-        calls.clear()
-        sc.duration = 0.2
-        run_scenario(sc)
-        assert bool(calls) == (name == "fig5_two_dof:implicit-vector-exact"), name
+    for lim in ((0.05, 0.08), (1e3, 1e3)):
+        assert _run(baseline_naive_step, _naive_gains2(lim), model, meas_seq) == \
+            _run(_naive_step_arrays, _naive_gains2(lim), model, meas_seq)
 
 
 def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
+    """The projection and the certificate keep numpy's broadcasting and its
+    errors on either path; a controller stage refuses mixed entry counts."""
     box1 = BoxConstraint([LIMIT])
     y1, y2 = _one(0.5), np.array([0.5, 4.0])
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -621,16 +742,22 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
                 continue
             with pytest.raises(ValueError, match=message):
                 residual(y2, y2, box2, probes)
-    g = _gains()
-    state = _state(0.001, -0.002, 0.003, -0.004, 0.005)
-    # 2-entry forces or positions against a one-joint controller broadcast
-    assert _bits(proxy_predict(state, y2, y1, g)) == _bits(_proxy_predict_arrays(state, y2, y1, g))
-    assert _bits(sliding_variable(y1, y2, state, g)) == \
-        _bits(_sliding_variable_arrays(y1, y2, state, g))
+    # a controller stage refuses vectors of mixed entry counts
+    g, g2 = _gains(), _gains2()
+    state, state2 = _state(0.001, -0.002, 0.003, -0.004, 0.005), _state2()
     model = _ESTIMATES["constant"]
     loop = _evaluate_loop(model, y1, state, g)
-    # ... but a 2-entry position cannot meet the 1 x 1 loop matrices
-    for candidate in (lambda: inner_loop_candidate(y1, y2, y1, y1, state, model, g, loop=loop),
-                      lambda: _inner_loop_candidate_arrays(y1, y2, y1, state, g, loop)):
-        with pytest.raises(ValueError, match="matmul"):
-            candidate()
+    y3 = np.zeros(3)
+    for stage in (lambda: proxy_predict(state, y2, y1, g),
+                  lambda: proxy_predict(state, y1, y2, g),
+                  lambda: proxy_predict(state2, y2, y1, g2),
+                  lambda: proxy_predict(state2, y2, y3, g2),
+                  lambda: proxy_predict(state, y2, y2, g2),
+                  lambda: sliding_variable(y1, y2, state, g),
+                  lambda: sliding_variable(y2, y1, state2, g2),
+                  lambda: sliding_variable(y2, y3, state2, g2),
+                  lambda: sliding_variable(y2, y2, state, g),
+                  lambda: inner_loop_candidate(y1, y2, y1, y1, state, model, g, loop=loop),
+                  lambda: inner_loop_candidate(y2, y2, y2, y2, state, model, g, loop=loop)):
+        with pytest.raises(ValueError):
+            stage()

@@ -11,8 +11,9 @@ diagonal estimate of unequal entries (``mass_diag = (0.2, 0.3)``,
 of I) under the explicit inner loop and under ``implicit-vector`` (whose
 iteration matrix diag(1.25, 1.2) sends the solve to its scalar root), fig5
 with ``implicit-vector`` and the arm's own model as the estimate
-(``estimate.kind = exact``: a non-symmetric iteration matrix, evaluated every
-period, also solved by the root), and ``linmotor_steps`` under a sine
+(``estimate.kind = exact``: full loop matrices, evaluated every period, whose
+solves against W take the elimination of ``admittance._solve2``, and a
+non-symmetric iteration matrix, also solved by the root), and ``linmotor_steps`` under a sine
 disturbance (on top of the stage's own rail friction), and prints sorted
 JSON: per run, one SHA-256 per ``Trace`` channel (dtype, shape and bytes),
 one of the written CSV, and the ``repr`` of every ``Metrics`` field.  The
