@@ -173,8 +173,8 @@ class AdmittanceGains:
     us_mode selects the inner-loop discretization ("auto" picks the scalar
     implicit form for one joint and the explicit form otherwise;
     "implicit-vector" solves the loop's inclusion, by its radial closed form
-    when the iteration matrix G is a multiple of I and by a scalar root
-    otherwise, which needs G + G^T positive definite).  us_coupling, checked
+    when the iteration matrix G is a multiple of I and k4 = 0 and by a
+    scalar root otherwise, which needs G + G^T positive definite).  us_coupling, checked
     to be "direct", has no choice to make: the robust term acts as a
     generalized force.
 

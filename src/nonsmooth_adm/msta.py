@@ -9,7 +9,8 @@ and this module provides its discrete-time realizations:
 * ``msta_explicit_step``          -- forward-Euler stepping (chatters),
 * ``solve_shat_vector``           -- implicit nominal state for any G with
                                      G + G^T positive definite: the radial
-                                     closed form, or one scalar root in ||shat||,
+                                     closed form (G = beta*I, k4 = 0), else
+                                     one scalar root in ||shat||,
 * ``msta_implicit_step``          -- implicit step built on that solve,
 * ``msta_implicit_decoupled_step``-- implicit step with the structured gain
                                      that reduces the matrix to a scalar,
@@ -24,8 +25,9 @@ chattering.
 Each branch of the robust term has one body, on Python floats, for any
 number of joints: ``_explicit`` for the forward-Euler step and
 ``_solve_inclusion`` for the implicit one, which the controller calls
-directly and the public steps call after checking their inputs.  Only the
-scalar root's linear solves (and its m2) use arrays; every norm is numpy's.
+directly and the public steps call after checking their inputs.  Its one
+iterative solve is the scalar root ``_root``; only the root's linear solves
+(and its m2) use arrays, and every norm is numpy's.
 """
 
 from __future__ import annotations
@@ -176,43 +178,12 @@ def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
 
 
 def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
-    """Positive root w = ||shat||^{1/2} of the radial inclusion for a scalar
-    iteration matrix c:
-
-        c*w^2 + h*(k2*w + h*k3) * (1 + alpha2*w^2) = norm_s.
-
-    The caller guarantees norm_s > h^2*k3 so the root is strictly positive.
-    """
+    """Positive root w = ||shat||^{1/2} of c*w^2 + h*k2*w = norm_s - h^2*k3,
+    the radial inclusion for a scalar iteration matrix c at alpha2 = 0, in
+    conjugate form.  The caller guarantees norm_s > h^2*k3."""
     rhs = norm_s - h * h * g.k3
-    a2 = g.alpha2
-    if a2 == 0.0:
-        # quadratic c*w^2 + h*k2*w - rhs = 0, conjugate form for stability
-        disc = (h * g.k2) ** 2 + 4.0 * c * rhs
-        return 2.0 * rhs / (h * g.k2 + math.sqrt(disc))
-    # monotone cubic; Newton with a bisection bracket
-    c3 = h * a2 * g.k2
-    c2 = c + h * h * g.k3 * a2
-    c1 = h * g.k2
-
-    def f(w: float) -> float:
-        return ((c3 * w + c2) * w + c1) * w - rhs
-
-    lo, hi = 0.0, math.sqrt(norm_s / c)
-    w = min(hi, math.sqrt(rhs / c))
-    for _ in range(100):
-        fw = f(w)
-        if fw > 0.0:
-            hi = w
-        else:
-            lo = w
-        dfw = (3.0 * c3 * w + 2.0 * c2) * w + c1
-        w_new = w - fw / dfw
-        if not lo < w_new < hi:
-            w_new = 0.5 * (lo + hi)
-        if abs(w_new - w) <= 1e-16 * (1.0 + w):
-            return w_new
-        w = w_new
-    return w
+    disc = (h * g.k2) ** 2 + 4.0 * c * rhs
+    return 2.0 * rhs / (h * g.k2 + math.sqrt(disc))
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +193,8 @@ def _eye(n: int) -> np.ndarray:
 
 class _Iteration:
     """The iteration matrix G of the inclusion and its radial ``scale``:
-    tr(G)/n when G is a positive multiple of I (the inclusion is then radial
-    and solved in closed form), else None.  Any other G must have G + G^T
+    tr(G)/n when G is a positive multiple of I (the inclusion is then radial,
+    in closed form at alpha2 = 0), else None.  Any other G must have G + G^T
     positive definite, so that G + c*I is invertible for every c > 0 and the
     root of ``_root`` is bracketed; building the object checks it."""
 
@@ -246,18 +217,20 @@ class _Iteration:
 
 def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
           ) -> tuple[int, np.ndarray]:
-    """(iterations, shat) outside the dead band for a general G.  With
-    shat != 0 the inclusion is (G + c I) shat = s, c(w) = h*gamma*(1/w^2 +
-    alpha2) at w = ||shat||^{1/2}: w is the root of f(w) = ||x(w)|| - w^2,
-    x(w) = (G + c(w) I)^{-1} s, in the bracket (0, (||s|| - h^2 k3)/(h k2)].
-    Safeguarded Newton on F(w) = ||x(w)||^{1/2} - w, which has the sign of f
-    and, where ||x|| varies slowly, is close to linear in w while f is
-    quadratic: F'(w) = -c'(w) x^T (G + cI)^{-1} x / (2 ||x||^{3/2}) - 1.  It
-    starts from the radial root of the Rayleigh quotient s^T G s / ||s||^2
-    (positive, as G + G^T is positive definite).  Over 20 000 draws of the
-    general-matrix solver test's G and s it takes at most 7 iterations, 2 on
-    average.  It stops on |f| <= fp_tol*w^2 or a collapsed bracket, never on
-    the step, which is tiny near w -> 0 while f is still large."""
+    """(iterations, shat) outside the dead band, unless G = beta*I and alpha2
+    = 0.  With shat != 0 the inclusion is (G + c I) shat = s, c(w) =
+    h*gamma*(1/w^2 + alpha2) at w = ||shat||^{1/2}: w is the root of f(w) =
+    ||x(w)|| - w^2, x(w) = (G + c(w) I)^{-1} s, in the bracket
+    (0, (||s|| - h^2 k3)/(h k2)].  Safeguarded Newton on F(w) =
+    ||x(w)||^{1/2} - w, which has the sign of f and, where ||x|| varies
+    slowly, is close to linear in w while f is quadratic:
+    F'(w) = -c'(w) x^T (G + cI)^{-1} x / (2 ||x||^{3/2}) - 1.  It starts from
+    the alpha2 = 0 radial root of the Rayleigh quotient s^T G s / ||s||^2
+    (positive, as G + G^T is positive definite), an upper bound on w for
+    G = beta*I.  Over 20 000 draws of the general-matrix solver test's G and
+    s it takes at most 7 iterations, 2 on average.  It stops on
+    |f| <= fp_tol*w^2 or a collapsed bracket, never on the step, which is
+    tiny near w -> 0 while f is still large."""
     n = s.size
     hk2, band, a2 = h * g.k2, h * h * g.k3, g.alpha2
     lo, hi = 0.0, (ns - band) / hk2
@@ -298,10 +271,10 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
     where G = iteration.G, gamma(x) = k2*||x||^{1/2} + h*k3 and
     Psi2 = ||.|| + (alpha2/2)||.||^2, then v+ = v + h*k3*m2 and
     u_s = gamma(shat)*m2 + v+.  shat = 0 in the dead band, else the radial
-    closed form for G = beta*I or ``_root``, whose m2 = (s - G shat)/(h*gamma)
-    is formed on arrays; the rest is on floats, entry by entry.  Each norm is
-    numpy's (``_norm``) of an array, since a two-entry dot sums with one
-    rounding.  Returns (u_s, the next state, the solve's diagnostics).
+    closed form for G = beta*I and alpha2 = 0, else ``_root``, whose
+    m2 = (s - G shat)/(h*gamma) is formed on arrays; the rest is on floats,
+    entry by entry.  Each norm is numpy's (``_norm``) of an array, since a
+    two-entry dot sums with one rounding.  Returns (u_s, the next state, the solve's diagnostics).
     """
     ns = _norm(s)
     band = h * h * g.k3
@@ -314,9 +287,9 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
         gam = hk3       # gamma(0) = k2*0 + h*k3, k2 > 0
         iterations = 1
     else:
-        tr = iteration.scale
+        tr = iteration.scale if g.alpha2 == 0.0 else None
         if tr is not None:
-            # scalar iteration matrix: the inclusion is radial and solved exactly
+            # scalar iteration matrix, alpha2 = 0: the radial quadratic, solved exactly
             w = _radial_magnitude(ns, tr, g, h)
             c = w * w / ns
             hgam = h * (g.k2 * w + hk3)
@@ -393,7 +366,7 @@ def msta_implicit_decoupled_step(
 ) -> tuple[np.ndarray, MstaState, SolverDiagnostics]:
     """Implicit step with the scalar iteration factor beta = 1 + h*gamma1.
 
-    Avoids any matrix solve; the nominal state is obtained from the radial
+    Avoids any matrix solve at k4 = 0, where the nominal state is the radial
     closed form of the inclusion.
     """
     s = _step_input(s, state, g, h)
@@ -471,10 +444,7 @@ def msta_error_recursion_step(
         m2 = s1 / band
     else:
         # radial quadratic (1 + h*k2*alpha1 + h^2*k3*alpha2) w^2 + h*k2*w = ns - band
-        a = 1.0 + h * g.k2 * alpha1 + band * alpha2
-        b = h * g.k2
-        rhs = ns - band
-        w = 2.0 * rhs / (b + math.sqrt(b * b + 4.0 * a * rhs))
+        w = _radial_magnitude(ns, 1.0 + h * g.k2 * alpha1 + band * alpha2, g, h)
         r = w * w
         direction = s1 / ns
         shat = r * direction

@@ -1,9 +1,12 @@
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from nonsmooth_adm.admittance import _evaluate_loop, admittance_step
 from nonsmooth_adm.sim import compute_metrics, naive_variant, presets, run_scenario
+from nonsmooth_adm.verify import admittance_reference
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +33,44 @@ def fig5_run():
     return sc, trace, compute_metrics(trace, sc)
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20240817)
+@pytest.fixture
+def rng(request):
+    """A generator of the test's own, seeded from the SHA-256 of its node id:
+    a test's draws do not depend on which tests run before it, and stay the
+    same from run to run (Python's ``hash`` of a str is salted per process)."""
+    digest = hashlib.sha256(request.node.nodeid.encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:16], "little"))
+
+
+def _straight_line_deviation(g, est, mhat, chat, st, meas, us_mode) -> float:
+    """Largest deviation of one ``admittance_step`` from the straight-line
+    ``verify.admittance_reference``, in units of its allowance (at most 1
+    passes).  qx is allowed 1e-12, s and u_s 1e-12 times 1 + their size.
+    tau_star = W (qx_star - q1_star) multiplies the roundoff of q1_star by W
+    (1e5 to 5e5 at h = 1 ms), so tau and tau_star are allowed 1e-12 times
+    1 + |tau_star| plus 8 units of |W| eps cond(W) times the largest position
+    entry: the unit and the bound of ``tests/test_float_path.py``."""
+    tau, st2, diag = admittance_step(st, meas, est, g)
+    ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev,
+                               st.qe_prev, st.msta_state.v, meas.q, meas.fc, meas.fd,
+                               g.mx, g.bx, g.lam, g.k1, mhat, chat, np.zeros(len(meas.q)),
+                               g.box.limits, g.h, us_mode, g.msta.k2, g.msta.k3,
+                               gamma1=g.msta.gamma1)
+    n = len(meas.q)
+    W = np.array(_evaluate_loop(est, meas.q, st, g).W).reshape(n, n)
+    unit = np.finfo(float).eps * np.linalg.cond(W) * max(
+        float(np.abs(x).max()) for x in (meas.q, ref["qx_star"], ref["q1_star"]))
+    tau_tol = 1e-12 * (1.0 + float(np.abs(ref["tau_star"]).max())) + 8.0 * unit * np.abs(W).sum(1)
+    errors = [np.abs(tau - ref["tau"]) / tau_tol,
+              np.abs(diag.tau_star - ref["tau_star"]) / tau_tol,
+              np.abs(st2.qx_prev - ref["qx"]) / 1e-12]
+    for got, want in ((diag.s, ref["s"]), (diag.u_s, ref["u_s"])):
+        errors.append(np.abs(got - want) / (1e-12 * (1.0 + float(np.abs(want).max()))))
+    return max(float(e.max()) for e in errors)
+
+
+@pytest.fixture
+def straight_line_deviation():
+    """``_straight_line_deviation``, for the tests that compare a step with
+    the straight-line reference."""
+    return _straight_line_deviation

@@ -31,10 +31,7 @@ from nonsmooth_adm.sim import (
     run_scenario,
 )
 from nonsmooth_adm.plant import two_link_model
-from nonsmooth_adm.verify import (
-    admittance_reference,
-    sta_bisection_reference,
-)
+from nonsmooth_adm.verify import sta_bisection_reference
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -129,7 +126,7 @@ def test_criterion_5c_vector_vs_scalar(rng):
            f"worst deviation {worst:.2e} <= 1e-8 over 1000 instances")
 
 
-def test_criterion_5d_controller_oracle(rng):
+def test_criterion_5d_controller_oracle(rng, straight_line_deviation):
     worst = 0.0
     for _ in range(100):
         h = 1e-3
@@ -148,19 +145,12 @@ def test_criterion_5d_controller_oracle(rng):
                              rng.normal(size=1) * 0.01, MstaState(rng.normal(size=1)))
         meas = Measurement(rng.normal(size=1) * 0.3, rng.normal(size=1) * 4,
                            rng.normal(size=1) * 2)
-        tau, st2, diag = admittance_step(st, meas, est, g)
-        ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev,
-                                   st.qe_prev, st.msta_state.v, meas.q, meas.fc,
-                                   meas.fd, g.mx, g.bx, g.lam, g.k1, mhat, chat,
-                                   np.zeros(1), g.box.limits, h, "scalar-implicit",
-                                   g.msta.k2, g.msta.k3)
-        for got, want in ((tau, ref["tau"]), (diag.tau_star, ref["tau_star"]),
-                          (st2.qx_prev, ref["qx"]), (diag.s, ref["s"]),
-                          (diag.u_s, ref["u_s"])):
-            worst = max(worst, float(np.abs(got - want).max()) / (1.0 + float(np.abs(want).max())))
-    ok = worst <= 1e-12
+        worst = max(worst, straight_line_deviation(g, est, mhat, chat, st, meas,
+                                                   "scalar-implicit"))
+    ok = worst <= 1.0
     report("criterion-5d controller step vs straight-line evaluation", ok,
-           f"worst relative deviation {worst:.2e} <= 1e-12 over 100 states")
+           f"worst deviation {worst:.2f} <= 1 allowance (1e-12 relative; tau also "
+           "8 |W| eps cond(W) position units) over 100 states")
 
 
 def test_criterion_6_command_and_environment_robustness():

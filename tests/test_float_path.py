@@ -514,7 +514,8 @@ def test_two_joint_inner_loop_candidate_float_path_matches_arrays(h, k1, estimat
 def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
     """A diagonal but non-scalar iteration matrix (G = diag(1.25, 1.2)) sends
     a solve outside the dead band to the scalar root, and one just outside
-    the band converges too; a scalar G takes the radial closed form."""
+    the band converges too; a scalar G takes the radial closed form at
+    k4 = 0."""
     g = _gains2(us_mode="implicit-vector")
     calls = []
 
@@ -536,6 +537,27 @@ def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
     loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), _state2(), g)
     _, _, diag = _robust_term(s, loop, _state2(), g)
     assert calls == [] and diag.iterations == 1
+
+
+def test_scalar_iteration_matrix_with_k4_takes_the_root(monkeypatch):
+    """A multiple of I (the equal diagonal estimate) takes the radial closed
+    form only at k4 = 0 (above); with k4 > 0 (alpha2 > 0) every solve
+    outside the dead band takes the scalar root, and converges."""
+    g = _gains2(us_mode="implicit-vector", k4=1.0)
+    calls = []
+
+    def counting(*args, _fn=msta._root):
+        calls.append(args[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(msta, "_root", counting)
+    loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), _state2(), g)
+    assert loop.iteration.scale is not None
+    inputs = (np.array([0.02, -0.01]), np.array([2.79e-6, -7.69e-5]), np.array([-3.0, 0.5]))
+    for s in inputs:
+        _, _, diag = _robust_term(s, loop, _state2(), g)
+        assert diag.converged and 1 < diag.iterations <= 8
+    assert len(calls) == len(inputs)
 
 
 # the projection's and the certificate's array code, which a box of one or

@@ -264,8 +264,9 @@ _STEP_CASES = [("explicit", n, None) for n in (1, 2, 3)] + [
 def test_step_meets_its_definition(mode, n, kind, k4):
     """The robust term's step against its definition, at h = 1 ms and the
     preset gains (dead band h^2 k3 = 6.6e-5).  The implicit step, for G =
-    beta*I (radial closed form), diag(1.25, 1.2[, 1.3]) and a non-symmetric
-    G with G + G^T positive definite (scalar root): shat and m2 solve
+    beta*I (radial closed form at k4 = 0, scalar root at k4 = 5),
+    diag(1.25, 1.2[, 1.3]) and a non-symmetric G with G + G^T positive
+    definite (scalar root): shat and m2 solve
     G shat + h*gamma(shat)*m2 = s with m2 - alpha2*shat in the subdifferential
     of ||.|| at shat, and v+ = v + h*k3*m2, u = gamma(shat)*m2 + v+ bit for
     bit, evaluated here with numpy.  The explicit step: u = v + k2*s/||s||^(1/2)

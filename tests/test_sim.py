@@ -478,20 +478,27 @@ def test_two_dof_implicit_inner_loops_closed_loop(k1, gamma1):
     assert tr.contact.any()
 
 
-@pytest.mark.parametrize("estimate", ["exact", "unequal-diag"])
+@pytest.mark.parametrize("estimate", ["exact", "unequal-diag", "structured-k4"])
 def test_two_dof_general_iteration_matrix_closed_loop(monkeypatch, estimate):
-    """fig5 with implicit-vector and an iteration matrix G that is not a
-    multiple of I: the arm's own model (G non-symmetric, evaluated every
-    period) or a diagonal estimate of unequal entries (G = diag(1.25, 1.2)).
-    Every solve outside the dead band takes the scalar root; the run settles
-    without a rebound, and the root converges in a few iterations."""
+    """fig5 with implicit-vector and an inclusion that is not the radial
+    quadratic: an iteration matrix G that is not a multiple of I, from the
+    arm's own model (G non-symmetric, evaluated every period) or a diagonal
+    estimate of unequal entries (G = diag(1.25, 1.2)), or the structured k1
+    (G = (1 + h*gamma1) I) with k4 = 1, whose alpha2 > 0 makes the radial
+    equation a cubic.  Every solve outside the dead band takes the scalar
+    root; the run settles without a rebound, and the root converges in a
+    few iterations."""
     sc = copy.deepcopy(presets()["fig5_two_dof"])
     sc.controller.us_mode = "implicit-vector"
     if estimate == "exact":
         sc.estimate.kind = "exact"
-    else:
+    elif estimate == "unequal-diag":
         sc.estimate.mass_diag = (0.2, 0.3)
         sc.estimate.coriolis_diag = (20.0, 30.0)
+    else:
+        sc.controller.k1 = "structured"
+        sc.controller.gamma1 = 150.0
+        sc.controller.k4 = 1.0
     solves = []
 
     def recording(*args, _fn=admittance._solve_inclusion):

@@ -1,24 +1,26 @@
-"""Fingerprint the fourteen standard closed-loop runs, for bitwise comparison.
+"""Fingerprint the fifteen standard closed-loop runs, for bitwise comparison.
 
     python3 tools/trace_digest.py > digest.json
 
 Runs the four presets with the proposed controller and with the naive
-baseline, fig5 with the ``implicit-vector`` inner loop for the preset's
-scalar k1 and for a structured k1 (``gamma1 = 150``, whose iteration matrix
-is a multiple of I, so the solve takes its radial closed form), fig5 with a
-diagonal estimate of unequal entries (``mass_diag = (0.2, 0.3)``,
-``coriolis_diag = (20, 30)``: every loop matrix diagonal but not a multiple
-of I) under the explicit inner loop and under ``implicit-vector`` (whose
-iteration matrix diag(1.25, 1.2) sends the solve to its scalar root), fig5
-with ``implicit-vector`` and the arm's own model as the estimate
-(``estimate.kind = exact``: full loop matrices, evaluated every period, whose
-solves against W take the elimination of ``admittance._solve2``, and a
-non-symmetric iteration matrix, also solved by the root), and ``linmotor_steps`` under a sine
-disturbance (on top of the stage's own rail friction), and prints sorted
-JSON: per run, one SHA-256 per ``Trace`` channel (dtype, shape and bytes),
-one of the written CSV, and the ``repr`` of every ``Metrics`` field.  The
-package is imported from the ``src`` directory next to this script, so two
-checkouts compare with ``cmp`` of their outputs.
+baseline; fig5 with the ``implicit-vector`` inner loop for the preset's
+scalar k1, for a structured k1 (``gamma1 = 150``, whose iteration matrix
+is a multiple of I, so the solve takes its radial closed form) and for that
+structured k1 with ``k4 = 1`` (whose radial equation is a cubic, solved by
+the scalar root); fig5 with a diagonal estimate of unequal entries
+(``mass_diag = (0.2, 0.3)``, ``coriolis_diag = (20, 30)``: every loop
+matrix diagonal but not a multiple of I) under the explicit inner loop and
+under ``implicit-vector`` (whose iteration matrix diag(1.25, 1.2) sends the
+solve to its scalar root); fig5 with ``implicit-vector`` and the arm's own
+model as the estimate (``estimate.kind = exact``: full loop matrices,
+evaluated every period, whose solves against W take the elimination of
+``admittance._solve2``, and a non-symmetric iteration matrix, also solved
+by the root); and ``linmotor_steps`` under a sine disturbance (on top of the
+stage's own rail friction).  It prints sorted JSON: per run, one SHA-256
+per ``Trace`` channel (dtype, shape and bytes), one of the written CSV, and
+the ``repr`` of every ``Metrics`` field.  The package is imported from the
+``src`` directory next to this script, so two checkouts compare with ``cmp``
+of their outputs.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ def standard_runs() -> dict:
     sc.controller.k1 = "structured"
     sc.controller.gamma1 = 150.0
     runs["fig5_two_dof:implicit-vector-structured"] = sc
+    sc = copy.deepcopy(sc)
+    sc.controller.k4 = 1.0
+    runs["fig5_two_dof:implicit-vector-structured-k4"] = sc
     sc = copy.deepcopy(presets()["fig5_two_dof"])
     sc.estimate.mass_diag = (0.2, 0.3)
     sc.estimate.coriolis_diag = (20.0, 30.0)
