@@ -52,10 +52,7 @@ from .plant import (
     SimulationBlowUp,
     TwoLinkParams,
     contact_wrench,
-    double_integrator_model,
-    forward_dynamics,
     integrate_substep,
-    joint_contact_torque,
     linear_motor_model,
     one_dof_model,
     two_link_model,

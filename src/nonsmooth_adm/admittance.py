@@ -427,7 +427,7 @@ def _loop_for(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     return loop
 
 
-def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray, s: np.ndarray,
+def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray,
                          u_s: np.ndarray, state: AdmittanceState, model: ModelEstimate,
                          g: AdmittanceGains, *, loop: _Loop | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -550,8 +550,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     ux_star, qx_star = proxy_predict(state, meas.fc, meas.fd, g)
     qe, s = sliding_variable(qx_star, meas.q, state, g)
     u_s, msta_next, solver_diag = _robust_term(s, loop, state, g)
-    q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, s, u_s, state, model, g,
-                                             loop=loop)
+    q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, u_s, state, model, g, loop=loop)
     tau, saturated, vi_residual = _clip(tau_star, g.box)
 
     W = loop.W

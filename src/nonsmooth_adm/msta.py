@@ -46,7 +46,6 @@ from .setvalued import (
     _read_only,
     _require_finite,
     _unchecked,
-    _vector,
 )
 
 __all__ = [
@@ -144,10 +143,10 @@ def _check_period(g: MstaGains, h: float) -> None:
 
 
 def _step_input(s, state: MstaState, g: MstaGains, h: float) -> np.ndarray:
-    """s as a float vector, checked against the period and the state: the
-    steps index v entry by entry, so s and v need as many entries."""
+    """s as a finite float vector, checked against the period and the state:
+    the steps index v entry by entry, so s and v need as many entries."""
     _check_period(g, h)
-    s = _vector(s)
+    s = _finite_vector(s, "s")
     if s.shape != state.v.shape:
         raise ValueError(f"s has {s.size} entries but the integrator state v has {state.v.size}")
     return s
@@ -329,7 +328,7 @@ def solve_shat_vector(
     with G + G^T not positive definite raises SolverConvergenceError.
     """
     _check_period(g, h)
-    s = _vector(s)
+    s = _finite_vector(s, "s")
     G = np.linalg.solve(_matrix(Mk), _matrix(Ak))
     return _solve_inclusion(s, _Iteration(G), np.zeros(s.size), g, h)[2]
 

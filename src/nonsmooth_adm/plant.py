@@ -2,9 +2,10 @@
 
 Three plants are provided: a one-joint rotary arm with an uncertain inertia
 term, a planar two-link arm (horizontal plane, so gravity acts out of plane),
-and a vertical linear motor stage (the double integrator is that stage with
-no friction, viscosity or gravity).  The environment is a unilateral linear
-spring surface with Coulomb friction along the tangential direction.
+and a vertical linear motor stage (the ``msta_bench`` double integrator is
+that stage with no friction, viscosity or gravity).  The environment is a
+unilateral linear spring surface with Coulomb friction along the tangential
+direction.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ __all__ = [
     "one_dof_model",
     "two_link_model",
     "linear_motor_model",
-    "linear_motor_friction",
-    "double_integrator_model",
     "contact_wrench",
-    "joint_contact_torque",
-    "forward_dynamics",
     "integrate_substep",
 ]
 
@@ -62,10 +59,10 @@ class ManipulatorModel:
     ``_advance`` is the plant's controller period: ``n_sub`` semi-implicit
     Euler substeps on floats, the kernel's entries written out in its own
     evaluation order so that every float keeps the bits a loop over
-    ``terms`` gives.  For one joint it is called as
-    ``(q, qd, gain * tau, env, disturbance, t, dt, n_sub) -> (q, qd)``; for
-    two as ``(q1, q2, qd1, qd2, gain * tau1, gain * tau2, env, dt, n_sub)
-    -> (q1, q2, qd1, qd2)``.  Each model constructor builds both.
+    ``terms`` gives.  It is called as ``(q, qd, gain * tau, env, disturbance,
+    t, dt, n_sub) -> (q, qd)`` with q, qd and the gained torque as lists of
+    floats, one entry per joint.  Each model constructor builds its kernel
+    and its loop.
     """
 
     dof: int
@@ -234,6 +231,7 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
         return m, damping * c, mgl * c, l1 * c, l1 * s, nl1 * s, l1 * c
 
     def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
+        (q,), (qd,), (gt,) = q, qd, gt
         ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
         for _ in range(n_sub):
             s, c = sin(q), cos(q)
@@ -255,7 +253,7 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
             qd += dt * (gt + fc + fe - damping * c * qd - mgl * c) / m
             q += dt * qd
             t += dt
-        return q, qd
+        return [q], [qd]
 
     return ManipulatorModel(1, terms, _advance=advance)
 
@@ -288,7 +286,10 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
                 hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
                 ex, l1 * s1 + l2 * s12, nl1 * s1 - l2 * s12, nl2 * s12, ex, l2 * c12)
 
-    def advance(q1, q2, qd1, qd2, g1t, g2t, env, dt, n_sub):
+    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
+        if disturbance is not None:
+            raise ValueError("disturbance forces act on one-joint plants only")
+        (q1, q2), (qd1, qd2), (g1t, g2t) = q, qd, gt
         ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
         for _ in range(n_sub):
             q12 = q1 + q2
@@ -322,14 +323,14 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
             qd2 += dt * (m11 * r2 - m12 * r1) / det
             q1 += dt * qd1
             q2 += dt * qd2
-        return q1, q2, qd1, qd2
+        return [q1, q2], [qd1, qd2]
 
     return ManipulatorModel(2, terms, _advance=advance)
 
 
 def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> ManipulatorModel:
-    """Vertical stage; its period loop applies the rail friction of
-    ``linear_motor_friction(params)``, added after any other disturbance."""
+    """Vertical stage; its period loop applies the rail friction, a Coulomb
+    level plus a viscous term, added after any other disturbance."""
     p = params
     mass, viscous, weight = p.mass, p.viscous, p.mass * p.g
     coulomb, rail_viscous = p.friction_coulomb, p.friction_viscous
@@ -338,6 +339,7 @@ def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> Manip
         return mass, viscous, weight, 0.0, q, 0.0, 1.0
 
     def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
+        (q,), (qd,), (gt,) = q, qd, gt
         ks, ys = env.k_s, env.y_s
         for _ in range(n_sub):
             # Jacobian (0, 1): the surface's tangential friction acts across
@@ -350,28 +352,9 @@ def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> Manip
             qd += dt * (gt + fc + fe - viscous * qd - weight) / mass
             q += dt * qd
             t += dt
-        return q, qd
+        return [q], [qd]
 
     return ManipulatorModel(1, terms, input_gain=p.kappa, _advance=advance)
-
-
-def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
-    """Rail friction and cogging stand-in: Coulomb level plus viscous term."""
-    coulomb, viscous = params.friction_coulomb, params.friction_viscous
-
-    def fe(t: float, q: float, qd: float) -> float:
-        # sign0(qd) inline: this runs every substep
-        return -(coulomb * (1.0 if qd > 0.0 else -1.0 if qd < 0.0 else 0.0) + viscous * qd)
-
-    return fe
-
-
-def double_integrator_model(mass: float = 1.0) -> ManipulatorModel:
-    """Frictionless unit stage used by the inner-loop benchmarks: the linear
-    stage with no friction, viscosity or gravity and unit drive gain."""
-    return linear_motor_model(LinearMotorParams(mass=mass, viscous=0.0, kappa=1.0,
-                                                friction_coulomb=0.0, friction_viscous=0.0,
-                                                g=0.0))
 
 
 def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],
@@ -388,25 +371,6 @@ def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],
     return fx, fy
 
 
-def joint_contact_torque(model: ManipulatorModel, q: np.ndarray,
-                         wrench: tuple[float, float]) -> np.ndarray:
-    """Map a planar end-effector wrench to joint space through J^T."""
-    jac = model.jacobian_fn(q)
-    w = np.asarray(wrench, dtype=float)
-    if w.shape[0] != jac.shape[0]:
-        raise ValueError("wrench dimension does not match the Jacobian rows")
-    return jac.T @ w
-
-
-def forward_dynamics(model: ManipulatorModel, state: PlantState, tau: np.ndarray,
-                     fc: np.ndarray, fe: np.ndarray) -> np.ndarray:
-    """Joint accelerations: M^{-1} (gain*tau + fc + fe - C qd - G)."""
-    M = model.mass_fn(state.q)
-    C = model.coriolis_fn(state.q, state.qd)
-    G = model.gravity_fn(state.q)
-    return np.linalg.solve(M, model.input_gain * tau + fc + fe - C @ state.qd - G)
-
-
 def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.ndarray,
                       env: EnvironmentModel, disturbance: Disturbance | None,
                       t: float, dt_sub: float, n_sub: int) -> PlantState:
@@ -417,19 +381,9 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
     on one-joint plants only.  The substeps are the model's own period loop.
     """
     gain = model.input_gain
-    if model.dof == 1:
-        q1, qd1 = model._advance(state.q.item(), state.qd.item(), gain * tau_held.item(),
-                                 env, disturbance, t, dt_sub, n_sub)
-        if not (math.isfinite(q1) and math.isfinite(qd1)):
-            raise SimulationBlowUp(step=-1, t=t)
-        return _unchecked(PlantState, q=np.array([q1]), qd=np.array([qd1]))
-
-    if disturbance is not None:
-        raise ValueError("disturbance forces act on one-joint plants only")
-    (q1, q2), (qd1, qd2), (tau1, tau2) = state.q.tolist(), state.qd.tolist(), tau_held.tolist()
-    q1, q2, qd1, qd2 = model._advance(q1, q2, qd1, qd2, gain * tau1, gain * tau2,
-                                      env, dt_sub, n_sub)
-    if not (math.isfinite(q1) and math.isfinite(q2) and math.isfinite(qd1)
-            and math.isfinite(qd2)):
+    q, qd = model._advance(state.q.tolist(), state.qd.tolist(),
+                           [gain * x for x in tau_held.tolist()], env, disturbance, t, dt_sub,
+                           n_sub)
+    if not all(map(math.isfinite, q + qd)):
         raise SimulationBlowUp(step=-1, t=t)
-    return _unchecked(PlantState, q=np.array([q1, q2]), qd=np.array([qd1, qd2]))
+    return _unchecked(PlantState, q=np.array(q), qd=np.array(qd))

@@ -191,7 +191,10 @@ def variational_residual(
     y_proj = _vector(y_proj)
     limits = box._floats
     shape = box.limits.shape
-    if limits is None or y_star.shape != shape or y_proj.shape != shape:
+    if y_star.shape != shape or y_proj.shape != shape:
+        raise ValueError(f"dimension mismatch: y_star has shape {y_star.shape} and y_proj "
+                         f"{y_proj.shape}, box has {shape}")
+    if limits is None:
         return _variational_residual_arrays(y_star, y_proj, box, probes)
     worst = None
     if len(limits) == 1:

@@ -45,7 +45,6 @@ from .plant import (
     SimulationBlowUp,
     TwoLinkParams,
     contact_wrench,
-    double_integrator_model,
     integrate_substep,
     linear_motor_model,
     one_dof_model,
@@ -151,7 +150,7 @@ MAX_SUBSTEPS = 10_000
 @dataclass
 class Scenario:
     name: str
-    plant: str                              # one_dof | two_link | linear_motor | double_integrator
+    plant: str                              # one_dof | two_link | linear_motor
     env: EnvironmentModel
     controller: ControllerSpec
     estimate: EstimateSpec
@@ -204,20 +203,22 @@ class Scenario:
                     raise ValueError(f"{section}.{key} must be finite, got {getattr(spec, attr)}")
 
 
-# plant kind -> (model constructor, its parameter type or None)
+# plant kind -> (model constructor, its parameter type)
 _PLANTS = {"one_dof": (one_dof_model, OneDofParams), "two_link": (two_link_model, TwoLinkParams),
-           "linear_motor": (linear_motor_model, LinearMotorParams),
-           "double_integrator": (double_integrator_model, None)}
+           "linear_motor": (linear_motor_model, LinearMotorParams)}
+
+
+def _plant_kind(plant: str) -> tuple:
+    if plant not in _PLANTS:
+        raise ValueError(f"unknown plant kind: {plant!r}")
+    return _PLANTS[plant]
 
 
 def build_model(sc: Scenario) -> ManipulatorModel:
-    if sc.plant not in _PLANTS:
-        raise ValueError(f"unknown plant kind: {sc.plant!r}")
-    make, params = _PLANTS[sc.plant]
-    if sc.plant_params is not None and (params is None or type(sc.plant_params) is not params):
-        takes = "no plant_params" if params is None else params.__name__
+    make, params = _plant_kind(sc.plant)
+    if sc.plant_params is not None and type(sc.plant_params) is not params:
         raise ValueError(f"plant_params is {type(sc.plant_params).__name__}; plant {sc.plant!r} "
-                         f"takes {takes}")
+                         f"takes {params.__name__}")
     model = make() if sc.plant_params is None else make(sc.plant_params)
     n = len(sc.controller.torque_limits)
     if n != model.dof:
@@ -775,7 +776,10 @@ def presets() -> dict[str, Scenario]:
     )
     bench = Scenario(
         name="msta_bench",
-        plant="double_integrator",
+        plant="linear_motor",
+        # the frictionless double integrator: no viscosity or gravity, unit drive gain
+        plant_params=LinearMotorParams(mass=1.0, viscous=0.0, kappa=1.0, friction_coulomb=0.0,
+                                       friction_viscous=0.0, g=0.0),
         env=EnvironmentModel(k_s=0.0, y_s=-1.0, mu_fric=0.0),
         controller=ControllerSpec(kind="proposed", mx=(1.0,), bx=(2.0,), lam=10.0,
                                   k1=30.0, k2=11.6, k3=66.0, k4=0.0,
@@ -915,9 +919,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ValueError("scenario key 'plant' is required")
     kwargs.setdefault("name", "scenario")
     if d.get("plant_params") is not None:
-        cls = _PLANTS.get(d["plant"], (None, None))[1]
-        if cls is None:
-            raise ValueError(f"plant_params: plant {d['plant']!r} takes no parameters")
+        cls = _plant_kind(d["plant"])[1]
         keys = tuple((f.name, f.name) for f in fields(cls))
         attrs = _section_from_dict(d["plant_params"], cls, keys, "plant_params")
         try:

@@ -115,8 +115,8 @@ def test_sliding_variable_zero_and_steady():
 def test_inner_loop_zero_chain():
     g = fig3_gains()
     st = initial_state(np.zeros(1))
-    q1, tau = inner_loop_candidate(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
-                                   st, estimate_1dof(), g)
+    q1, tau = inner_loop_candidate(np.zeros(1), np.zeros(1), np.zeros(1), st,
+                                   estimate_1dof(), g)
     assert np.allclose(tau, 0.0, atol=1e-12)
     assert np.allclose(q1, 0.0, atol=1e-15)
 
@@ -129,9 +129,9 @@ def test_inner_loop_affine_in_proxy_gap(rng):
     q = rng.normal(size=1) * 0.1
     u_s = rng.normal(size=1)
     step = np.array([0.05])
-    q1_0, t0 = inner_loop_candidate(q, q, np.zeros(1), u_s, st, estimate_1dof(), g)
-    q1_1, t1 = inner_loop_candidate(q + step, q, np.zeros(1), u_s, st, estimate_1dof(), g)
-    q1_2, t2 = inner_loop_candidate(q + 2 * step, q, np.zeros(1), u_s, st, estimate_1dof(), g)
+    q1_0, t0 = inner_loop_candidate(q, q, u_s, st, estimate_1dof(), g)
+    q1_1, t1 = inner_loop_candidate(q + step, q, u_s, st, estimate_1dof(), g)
+    q1_2, t2 = inner_loop_candidate(q + 2 * step, q, u_s, st, estimate_1dof(), g)
     assert np.array_equal(q1_0, q1_1) and np.array_equal(q1_1, q1_2)
     assert (t2 - t1)[0] == pytest.approx((t1 - t0)[0], rel=1e-9)
 

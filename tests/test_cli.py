@@ -104,7 +104,8 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     # a plant kind whose parameter type is not that of the preset's plant_params
     ("fig3_one_dof plant=two_link", "plant_params"),
     ("fig5_two_dof plant=linear_motor", "plant_params"),
-    ("fig3_one_dof plant=double_integrator", "plant_params"),
+    # a retired plant kind
+    ("fig3_one_dof plant=double_integrator", "plant double_integrator"),
     ("fig3_one_dof dt_sub_s=1e-300", "dt_sub_s"),
     ("fig3_one_dof dt_sub_s=3e-5", "dt_sub_s"),
     # the dead band h^2*k3 underflows to 0; the period is the scenario's h_s
@@ -181,6 +182,20 @@ def test_scenario_file_with_unknown_key_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "controller.torque_limit_Nm" in capsys.readouterr().err
+
+
+def test_scenario_file_with_the_retired_plant_kind_is_config_error(tmp_path, capsys):
+    """msta_bench's double integrator is now the frictionless linear stage;
+    a file that names the kind ``double_integrator`` is refused while it is
+    read, before its plant_params are built."""
+    doc = scenario_to_dict(presets()["msta_bench"])
+    doc["plant"] = "double_integrator"
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "plant" in err and "'double_integrator'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,bad", [("controller.k2", "11.6"),

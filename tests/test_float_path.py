@@ -31,6 +31,7 @@ measured against |W| ulp(q1_star).
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -454,9 +455,9 @@ def test_inner_loop_candidate_float_path_matches_arrays(h, k1, estimate):
         qx_star, q, u_s = _one(qx_star), _one(q), _one(u_s)
         loop = _evaluate_loop(model, q, state, g)
         expected = _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
-        assert _bits(inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g)) == \
+        assert _bits(inner_loop_candidate(qx_star, q, u_s, state, model, g)) == \
             _bits(expected)
-        assert _bits(inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g,
+        assert _bits(inner_loop_candidate(qx_star, q, u_s, state, model, g,
                                           loop=loop)) == _bits(expected)
 
 
@@ -503,7 +504,7 @@ def test_two_joint_inner_loop_candidate_float_path_matches_arrays(h, k1, estimat
         state = _state2(qx_prev=qx_prev, ux_prev=ux_prev, q_prev=q_prev)
         loop = _evaluate_loop(model, q, state, g)
         assert (loop.W[1] != 0.0) == (estimate == "exact")
-        got = inner_loop_candidate(qx_star, q, u_s, u_s, state, model, g, loop=loop)
+        got = inner_loop_candidate(qx_star, q, u_s, state, model, g, loop=loop)
         expected = _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop)
         if estimate == "exact":
             _assert_candidate_close(got, expected, q, qx_star, loop)
@@ -618,7 +619,7 @@ def test_two_joint_non_finite_entry_reaches_the_other_row_as_numpy():
         ux_ref, qx_ref = _proxy_predict_arrays(state(np.inf), fc, fc, g)
         loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), state(1.0), g)
         u_s = np.array([np.inf, 1.0])
-        q1, tau = inner_loop_candidate(fc, fc, u_s, u_s, state(1.0), None, g, loop=loop)
+        q1, tau = inner_loop_candidate(fc, fc, u_s, state(1.0), None, g, loop=loop)
         q1_ref, tau_ref = _inner_loop_candidate_arrays(fc, fc, u_s, state(1.0), g, loop)
     assert ux[0] == qx[0] == np.inf and np.isnan([ux[1], qx[1]]).all()
     assert q1[0] == -np.inf and tau[0] == np.inf and np.isnan(tau[1])
@@ -733,18 +734,26 @@ def test_two_joint_naive_step_matches_array_code(estimate):
 
 
 def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
-    """The projection and the certificate keep numpy's broadcasting and its
-    errors on either path; a controller stage refuses mixed entry counts."""
+    """The projection and the certificate refuse vectors of another entry
+    count than the box, and keep the array code's probe errors on either
+    path; a controller stage refuses mixed entry counts."""
     box1 = BoxConstraint([LIMIT])
     y1, y2 = _one(0.5), np.array([0.5, 4.0])
     with pytest.raises(ValueError, match="dimension mismatch"):
         project_box(y2, box1)
     with pytest.raises(ValueError, match="dimension mismatch"):
         project_box(y1, BoxConstraint([1.0, 1.0]))
-    # a 2-entry y_proj against a 1-entry y_star and box broadcasts, as before
+    # the certificate refuses a y_star or y_proj of another entry count than
+    # the box, naming both shapes, for any number of entries
     probe2 = [np.array([1.0, -1.0])]
-    assert _bits(variational_residual(y1, y2, box1, probe2)) == \
-        _bits(_variational_residual_arrays(y1, y2, box1, probe2))
+    box3, y3 = BoxConstraint([1.0, 1.0, 1.0]), np.zeros(3)
+    for y_star, y_proj, box, probes in ((y1, y2, box1, probe2), (y2, y1, box1, probe2),
+                                        (y2, y2, box1, probe2), (y3, y2, box3, [y3]),
+                                        (y3, y3, BoxConstraint([1.0, 1.0]), probe2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"y_star has shape {y_star.shape} and y_proj {y_proj.shape}, "
+                f"box has {box.limits.shape}")):
+            variational_residual(y_star, y_proj, box, probes)
     for probes, message in (([np.array([1.0, 0.0])], "probe dimension mismatch"),
                             ([_one(1.5)], "outside the unit box"),
                             ([1.5], "outside the unit box"),
@@ -769,7 +778,6 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
     state, state2 = _state(0.001, -0.002, 0.003, -0.004, 0.005), _state2()
     model = _ESTIMATES["constant"]
     loop = _evaluate_loop(model, y1, state, g)
-    y3 = np.zeros(3)
     for stage in (lambda: proxy_predict(state, y2, y1, g),
                   lambda: proxy_predict(state, y1, y2, g),
                   lambda: proxy_predict(state2, y2, y1, g2),
@@ -779,7 +787,7 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
                   lambda: sliding_variable(y2, y1, state2, g2),
                   lambda: sliding_variable(y2, y3, state2, g2),
                   lambda: sliding_variable(y2, y2, state, g),
-                  lambda: inner_loop_candidate(y1, y2, y1, y1, state, model, g, loop=loop),
-                  lambda: inner_loop_candidate(y2, y2, y2, y2, state, model, g, loop=loop)):
+                  lambda: inner_loop_candidate(y1, y2, y1, state, model, g, loop=loop),
+                  lambda: inner_loop_candidate(y2, y2, y2, state, model, g, loop=loop)):
         with pytest.raises(ValueError):
             stage()

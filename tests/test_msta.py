@@ -326,6 +326,23 @@ def test_steps_reject_a_state_of_another_length_and_an_underflowing_band():
         solve_shat_vector(np.zeros(2), np.eye(2), np.eye(2), g, 1e-200)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_steps_reject_a_non_finite_s(bad):
+    """A non-finite s is refused by name, not read as s = 0 (a NaN fails
+    |s| > 0) or carried into a NaN nominal state."""
+    g = MstaGains(k2=11.6, k3=66.0)
+    A = np.array([[1.0, 0.5], [-0.2, 1.0]])     # a non-symmetric G
+    steps = (lambda s: msta_explicit_step(s, MstaState(np.full(s.size, 0.3)), g, 1e-3),
+             lambda s: msta_implicit_step(s, np.eye(s.size), np.zeros((s.size, s.size)), g,
+                                          1e-3, MstaState.zero(s.size)),
+             lambda s: msta_implicit_decoupled_step(s, g, 1e-3, MstaState.zero(s.size)),
+             lambda s: solve_shat_vector(s, A[:s.size, :s.size], np.eye(s.size), g, 1e-3))
+    for step in steps:
+        for s in (np.array([bad]), np.array([bad, 1.0]), np.array([0.0, bad])):
+            with pytest.raises(ValueError, match="^s must be finite"):
+                step(s)
+
+
 def test_solver_reports_nonconvergence_and_an_ill_posed_step():
     g = MstaGains(k2=5.0, k3=60.0, fp_max_iter=1)
     h = 1e-3

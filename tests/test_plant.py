@@ -13,15 +13,53 @@ from nonsmooth_adm.plant import (
     PlantState,
     TwoLinkParams,
     contact_wrench,
-    forward_dynamics,
-    double_integrator_model,
     integrate_substep,
-    joint_contact_torque,
-    linear_motor_friction,
     linear_motor_model,
     one_dof_model,
     two_link_model,
 )
+
+
+# The array dynamics the period loops replaced, kept as the tests' reference:
+# J^T of the contact wrench, the rail friction of the linear stage and the
+# joint accelerations, each from the array views of the kernel.
+
+def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
+    """Rail friction and cogging stand-in: Coulomb level plus viscous term."""
+    coulomb, viscous = params.friction_coulomb, params.friction_viscous
+
+    def fe(t: float, q: float, qd: float) -> float:
+        # sign0(qd) inline: this runs every substep
+        return -(coulomb * (1.0 if qd > 0.0 else -1.0 if qd < 0.0 else 0.0) + viscous * qd)
+
+    return fe
+
+
+def joint_contact_torque(model: ManipulatorModel, q: np.ndarray,
+                         wrench: tuple[float, float]) -> np.ndarray:
+    """Map a planar end-effector wrench to joint space through J^T."""
+    jac = model.jacobian_fn(q)
+    w = np.asarray(wrench, dtype=float)
+    if w.shape[0] != jac.shape[0]:
+        raise ValueError("wrench dimension does not match the Jacobian rows")
+    return jac.T @ w
+
+
+def forward_dynamics(model: ManipulatorModel, state: PlantState, tau: np.ndarray,
+                     fc: np.ndarray, fe: np.ndarray) -> np.ndarray:
+    """Joint accelerations: M^{-1} (gain*tau + fc + fe - C qd - G)."""
+    M = model.mass_fn(state.q)
+    C = model.coriolis_fn(state.q, state.qd)
+    G = model.gravity_fn(state.q)
+    return np.linalg.solve(M, model.input_gain * tau + fc + fe - C @ state.qd - G)
+
+
+def frictionless_stage(mass: float = 1.0) -> ManipulatorModel:
+    """The double integrator of ``msta_bench``: the linear stage with no
+    friction, viscosity or gravity and unit drive gain."""
+    return linear_motor_model(LinearMotorParams(mass=mass, viscous=0.0, kappa=1.0,
+                                                friction_coulomb=0.0, friction_viscous=0.0,
+                                                g=0.0))
 
 
 def test_contact_wrench_branches():
@@ -54,12 +92,6 @@ def test_joint_contact_torque_one_dof():
     assert fc[0] == pytest.approx(1.0)          # l1 * cos(0) * 2
     fc = joint_contact_torque(model, np.zeros(1), (1.0, 0.0))
     assert fc[0] == pytest.approx(0.0)
-
-
-def test_joint_contact_torque_dimension_check():
-    model = one_dof_model()
-    with pytest.raises(ValueError):
-        joint_contact_torque(model, np.zeros(1), (1.0, 0.0, 0.0))
 
 
 def test_one_dof_rest_dynamics():
@@ -124,12 +156,6 @@ def test_linear_motor_dynamics():
     fric = linear_motor_friction(p)
     assert fric(0.0, 0.0, 0.1) == pytest.approx(-(1.0 + 0.5))
     assert fric(0.0, 0.0, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
-def test_double_integrator_rejects_what_the_linear_stage_rejects(mass):
-    with pytest.raises(ValueError, match="mass"):
-        double_integrator_model(mass)
 
 
 def test_free_fall_substep_value():
@@ -214,14 +240,17 @@ def test_plant_params_reject_non_finite_fields(cls, field, bad):
         cls(**{field: bad})
 
 
-@pytest.mark.parametrize("field,bad,message", [("kappa", 0.0, "kappa must be positive"),
+@pytest.mark.parametrize("field,bad,message", [("mass", 0.0, "mass must be positive"),
+                                               ("mass", -1.0, "mass must be positive"),
+                                               ("mass", math.nan, "mass must be finite"),
+                                               ("kappa", 0.0, "kappa must be positive"),
                                                ("kappa", -1.0, "kappa must be positive"),
                                                ("friction_coulomb", -1.0, "friction_coulomb"),
                                                ("friction_viscous", -50.0, "friction_viscous")])
 def test_linear_motor_params_reject_bad_signs(field, bad, message):
     with pytest.raises(ValueError, match=message):
         LinearMotorParams(**{field: bad})
-    LinearMotorParams(**{field: 0.0 if field != "kappa" else 1e-9})
+    LinearMotorParams(**{field: 1e-9 if field in ("mass", "kappa") else 0.0})
 
 
 def test_pendulum_energy_drift():
@@ -311,7 +340,7 @@ def test_kernels_equal_the_textbook_formulas_bitwise(rng):
 
 
 def test_pose_jacobian_matches_the_array_views_bitwise(rng):
-    models = [one_dof_model(), two_link_model(), linear_motor_model(), double_integrator_model()]
+    models = [one_dof_model(), two_link_model(), linear_motor_model(), frictionless_stage()]
     for model in models:
         for _ in range(50):
             q = rng.normal(scale=1.5, size=model.dof)
@@ -384,7 +413,7 @@ def _ramp(t, q, qd):
 
 def _plant_cases(rng):
     """(model, rail friction or None) for default and random parameters of
-    each of the four plants."""
+    each of the three plants, and the frictionless linear stage."""
     u = rng.uniform
     for _ in range(3):
         # no gravity (as in fig3) leaves the small terms of the sum unabsorbed
@@ -402,7 +431,7 @@ def _plant_cases(rng):
                 friction_coulomb=u(0.0, 3.0), friction_viscous=u(0.0, 10.0), g=g)):
             yield linear_motor_model(p), linear_motor_friction(p)
         for mass in (1.0, u(0.1, 5.0)):
-            yield double_integrator_model(mass), None
+            yield frictionless_stage(mass), None
 
 
 def _oracle_disturbance(base, friction):
