@@ -40,8 +40,8 @@ import numpy as np
 
 from .setvalued import (
     _all_finite,
+    _finite_matrix,
     _finite_vector,
-    _matrix,
     _norm,
     _read_only,
     _require_finite,
@@ -325,11 +325,13 @@ def solve_shat_vector(
 
     The recovered selection m2 satisfies ||m2 - alpha2*shat|| <= 1, with
     equality of direction when shat != 0, to the reported residual.  A G
-    with G + G^T not positive definite raises SolverConvergenceError.
+    with G + G^T not positive definite raises SolverConvergenceError; a
+    non-finite Ak or Mk raises ValueError naming it.
     """
     _check_period(g, h)
     s = _finite_vector(s, "s")
-    G = np.linalg.solve(_matrix(Mk), _matrix(Ak))
+    Ak = _finite_matrix(Ak, "Ak")
+    G = np.linalg.solve(_finite_matrix(Mk, "Mk"), Ak)
     return _solve_inclusion(s, _Iteration(G), np.zeros(s.size), g, h)[2]
 
 
@@ -350,11 +352,12 @@ def msta_implicit_step(
     but leaves beta out of the square root, while this solve satisfies
     beta*w^2 + h*k2*w = |s| - h^2*k3 (w = |shat|^{1/2}).  At s = 0.05,
     h = 1 ms, k2 = 11.6, k3 = 66 the two u_s differ by 0.115 at beta = 1.1
-    and by 0.537 at beta = 2.
+    and by 0.537 at beta = 2.  A non-finite Mk or Ck raises ValueError
+    naming it.
     """
     s = _step_input(s, state, g, h)
-    Mk = _matrix(Mk)
-    Ck = _matrix(Ck)
+    Mk = _finite_matrix(Mk, "Mk")
+    Ck = _finite_matrix(Ck, "Ck")
     k1 = -Ck + g.gamma1 * Mk
     Ak = Mk + h * Ck + h * k1
     return _solve_inclusion(s, _Iteration(np.linalg.solve(Mk, Ak)), state.v, g, h)

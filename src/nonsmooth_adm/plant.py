@@ -379,11 +379,15 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
     The contact wrench is re-evaluated every substep; the commanded torque is a
     zero-order hold over the whole controller period.  A ``disturbance`` acts
     on one-joint plants only.  The substeps are the model's own period loop.
+    A ``tau_held`` of another entry count than the plant's joints raises
+    ValueError.
     """
     gain = model.input_gain
-    q, qd = model._advance(state.q.tolist(), state.qd.tolist(),
-                           [gain * x for x in tau_held.tolist()], env, disturbance, t, dt_sub,
-                           n_sub)
+    tau = tau_held.tolist()
+    if len(tau) != model.dof:
+        raise ValueError(f"tau_held has {len(tau)} entries but the plant has {model.dof} joint(s)")
+    q, qd = model._advance(state.q.tolist(), state.qd.tolist(), [gain * x for x in tau], env,
+                           disturbance, t, dt_sub, n_sub)
     if not all(map(math.isfinite, q + qd)):
         raise SimulationBlowUp(step=-1, t=t)
     return _unchecked(PlantState, q=np.array(q), qd=np.array(qd))

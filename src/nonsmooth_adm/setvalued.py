@@ -35,13 +35,6 @@ def _vector(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def _matrix(x) -> np.ndarray:
-    """``np.atleast_2d(np.asarray(x, dtype=float))``, same shortcut as ``_vector``."""
-    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim >= 2:
-        return x
-    return np.atleast_2d(np.asarray(x, dtype=float))
-
-
 def _all_finite(v: np.ndarray) -> bool:
     """``np.isfinite(v).all()`` for a float array, without the ufunc overhead."""
     return all(map(math.isfinite, v.ravel().tolist()))
@@ -63,6 +56,15 @@ def _finite_vector(x, name: str) -> np.ndarray:
     if not _all_finite(vec):
         raise ValueError(f"{name} must be finite")
     return vec
+
+
+def _finite_matrix(x, name: str) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(x, dtype=float))``, refused with a
+    ValueError naming ``name`` unless it is finite."""
+    mat = np.atleast_2d(np.asarray(x, dtype=float))
+    if not _all_finite(mat):
+        raise ValueError(f"{name} must be finite")
+    return mat
 
 
 def _norm(x: np.ndarray) -> float:

@@ -11,6 +11,7 @@ substeps under zero-order-hold torque.
 from __future__ import annotations
 
 import copy
+import io
 import itertools
 import json
 import math
@@ -378,15 +379,32 @@ def _trace_columns(n: int) -> list[str]:
     return [c for _, cols, _, _ in _trace_layout(n) for c in cols]
 
 
-def trace_to_csv(trace: Trace, path: str | None = None) -> str:
-    """Serialize a trace; floats keep full precision so the round trip is exact."""
+# Rows per formatted block of the trace CSV writer.
+_CSV_BLOCK_ROWS = 256
+
+
+def _csv_blocks(trace: Trace):
+    """The CSV text of a trace in pieces: the header line, then the rows
+    ``_CSV_BLOCK_ROWS`` at a time, each block formatted from one ``tolist()``."""
     layout = list(_trace_layout(trace.dof))
-    table = np.column_stack([getattr(trace, attr) for attr, *_ in layout]).tolist()
+    arrays = [getattr(trace, attr) for attr, *_ in layout]
     row = ",".join("%d" if is_bool else "%.17g" for _, cols, is_bool, _ in layout for _ in cols)
-    lines = [",".join(trace.column_names())] + [row % tuple(r) for r in table]
-    text = "".join(line + "\r\n" for line in lines)
+    yield ",".join(trace.column_names()) + "\r\n"
+    for start in range(0, trace.t.size, _CSV_BLOCK_ROWS):
+        block = np.column_stack([a[start:start + _CSV_BLOCK_ROWS] for a in arrays])
+        yield ((row + "\r\n") * len(block)) % tuple(block.ravel().tolist())
+
+
+def trace_to_csv(trace: Trace, path: str | None = None) -> str:
+    """Serialize a trace; floats keep full precision so the round trip is exact.
+
+    The rows are formatted a block at a time, so the peak memory is about
+    twice the text.  The file holds exactly the returned text, CRLF line
+    ends included, on every platform.
+    """
+    text = "".join(_csv_blocks(trace))
     if path is not None:
-        with open(path, "w") as f:
+        with open(path, "w", newline="") as f:
             f.write(text)
     return text
 
@@ -395,18 +413,23 @@ def trace_from_csv(source: str) -> Trace:
     """Parse a trace written by ``trace_to_csv`` (path or CSV text).
 
     The header must be the channel table's columns for one or two joints;
-    otherwise ValueError names the first column that differs.
+    otherwise ValueError names the first column that differs.  The rows are
+    parsed from the open stream, a line at a time, so neither a file nor
+    the split lines of a text are held in memory.
     """
     if "\n" not in source and os.path.exists(source):
-        with open(source) as f:
-            source = f.read()
-    lines = source.splitlines()
-    header = lines[0].split(",") if lines else []
-    n = 2 if header[2:3] == _trace_columns(2)[2:3] else 1   # the layouts part at column 3
-    for i, (got, want) in enumerate(itertools.zip_longest(header, _trace_columns(n))):
-        if got != want:
-            raise ValueError(f"not a trace header: column {i + 1} is {got!r}, expected {want!r}")
-    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2).reshape(-1, len(header))
+        stream = open(source)
+    else:   # a text stream over the UTF-8 bytes of the text, which BytesIO shares
+        stream = io.TextIOWrapper(io.BytesIO(source.encode("utf-8", "surrogatepass")),
+                                  "utf-8", "surrogatepass", newline=None)
+    with stream as f:
+        line = f.readline()
+        header = line.rstrip("\n").split(",") if line else []
+        n = 2 if header[2:3] == _trace_columns(2)[2:3] else 1   # the layouts part at column 3
+        for i, (got, want) in enumerate(itertools.zip_longest(header, _trace_columns(n))):
+            if got != want:
+                raise ValueError(f"not a trace header: column {i + 1} is {got!r}, expected {want!r}")
+        table = np.loadtxt(f, delimiter=",", ndmin=2).reshape(-1, len(header))
     fields, col = {}, 0
     for attr, cols, is_bool, per_step in _trace_layout(n):
         block = table[:, col] if per_step else table[:, col:col + len(cols)]

@@ -343,6 +343,28 @@ def test_steps_reject_a_non_finite_s(bad):
                 step(s)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["Mk", "Ck", "Ak"])
+def test_steps_reject_a_non_finite_matrix(name, bad):
+    """A non-finite Mk or Ck of ``msta_implicit_step``, or Ak or Mk of
+    ``solve_shat_vector``, is refused by name before any arithmetic: not
+    read as an ill-posed iteration matrix, and without numpy's warnings."""
+    g = MstaGains(k2=11.6, k3=66.0)
+    s = np.array([0.3, -0.1])
+    mats = {"Mk": np.eye(2), "Ck": np.zeros((2, 2)), "Ak": np.array([[1.0, 0.5], [-0.2, 1.0]])}
+    mats[name] = mats[name].copy()
+    mats[name][1, 0] = bad
+    steps = []
+    if name != "Ck":
+        steps.append(lambda: solve_shat_vector(s, mats["Ak"], mats["Mk"], g, 1e-3))
+    if name != "Ak":
+        steps.append(lambda: msta_implicit_step(s, mats["Mk"], mats["Ck"], g, 1e-3,
+                                                MstaState.zero(2)))
+    for step in steps:
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            step()
+
+
 def test_solver_reports_nonconvergence_and_an_ill_posed_step():
     g = MstaGains(k2=5.0, k3=60.0, fp_max_iter=1)
     h = 1e-3

@@ -221,6 +221,18 @@ def test_two_link_rejects_disturbance():
                           EnvironmentModel(), lambda t, q, qd: 1.0, 0.0, 1e-5, 1)
 
 
+@pytest.mark.parametrize("model,entries", [(one_dof_model, 2), (two_link_model, 1)],
+                         ids=["one_dof-2", "two_link-1"])
+def test_torque_of_another_entry_count_is_refused(model, entries):
+    """A torque of another entry count than the plant's joints is named
+    before the period loop, not met as an unpacking error inside it."""
+    m = model()
+    with pytest.raises(ValueError, match=rf"^tau_held has {entries} entries but the plant "
+                                         rf"has {m.dof} joint\(s\)$"):
+        integrate_substep(m, PlantState(np.zeros(m.dof), np.zeros(m.dof)), np.zeros(entries),
+                          EnvironmentModel(), None, 0.0, 1e-5, 1)
+
+
 @pytest.mark.parametrize("field", ["k_s", "y_s", "mu_fric"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_environment_rejects_non_finite(field, bad):

@@ -1,3 +1,4 @@
+import _pyio
 import copy
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import random
 import re
 import string
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -183,6 +185,92 @@ def test_trace_from_csv_rejects_short_rows():
     text = trace_to_csv(run_scenario(short(presets()["fig3_one_dof"], 0.01)))
     with pytest.raises(ValueError):
         trace_from_csv(text + "1,2\r\n")
+
+
+def _one_shot_csv(trace):
+    """The one-shot writer that the block writer replaced, kept as its
+    reference: the whole table as Python floats, one string per row, then
+    those rows with their line ends."""
+    layout = list(sim._trace_layout(trace.dof))
+    table = np.column_stack([getattr(trace, attr) for attr, *_ in layout]).tolist()
+    row = ",".join("%d" if is_bool else "%.17g" for _, cols, is_bool, _ in layout for _ in cols)
+    lines = [",".join(trace.column_names())] + [row % tuple(r) for r in table]
+    return "".join(line + "\r\n" for line in lines)
+
+
+def _synthetic_trace(dof, rows, rng):
+    """A trace of random floats over 600 decades, with -0.0 and +-inf mixed
+    in, and random bool channels."""
+    def floats(*shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        specials = np.array([-0.0, np.inf, -np.inf, 0.0, 1.0])
+        pick = rng.random(shape) < 0.05
+        x[pick] = rng.choice(specials, int(pick.sum()))
+        return x
+
+    return Trace(t=np.arange(rows) * 1e-3, q=floats(rows, dof), qd=floats(rows, dof),
+                 qx=floats(rows, dof), qxd=floats(rows, dof), tau=floats(rows, dof),
+                 tau_star=floats(rows, dof), fc_joint=floats(rows, dof), fc_cart=floats(rows, 2),
+                 s=floats(rows, dof), v=floats(rows, dof), u_s=floats(rows, dof),
+                 saturated=rng.random((rows, dof)) < 0.5, contact=rng.random(rows) < 0.5)
+
+
+_BLOCK = sim._CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("dof", [1, 2])
+def test_block_writer_matches_the_one_shot_writer(dof, rows, rng, tmp_path):
+    tr = _synthetic_trace(dof, rows, rng)
+    path = str(tmp_path / "trace.csv")
+    text = trace_to_csv(tr, path)
+    assert text == _one_shot_csv(tr)
+    with open(path, "rb") as f:
+        assert f.read() == text.encode("ascii")
+    for back in (trace_from_csv(path), trace_from_csv(text)):
+        for f in fields(Trace):
+            a, b = getattr(tr, f.name), getattr(back, f.name)
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+
+
+def test_trace_file_holds_exactly_the_text_where_lines_end_in_crlf(tmp_path, monkeypatch):
+    """Where the platform's line separator is CRLF, a file opened in text mode
+    without newline="" turns each written \\r\\n into \\r\\r\\n.  The pure-Python
+    io module writes os.linesep, so with that set to CRLF it stands in for
+    such a platform."""
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(sim, "open", _pyio.open, raising=False)
+    path = str(tmp_path / "trace.csv")
+    text = trace_to_csv(run_scenario(short(presets()["fig3_one_dof"], 0.01)), path)
+    with open(path, "rb") as f:
+        assert f.read() == text.encode("ascii")
+
+
+def _peak_bytes(fn, *args):
+    """Peak of the memory that tracemalloc sees allocated while fn runs."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_trace_io_memory_is_bounded(rng, tmp_path):
+    """On a two-joint trace of 5000 rows the writer peaks within 3x its text
+    (the one-shot writer took 5.1x) and the reader from a path within 1x the
+    file (3.0x when it read the file as one text)."""
+    tr = _synthetic_trace(2, 5000, rng)
+    path = str(tmp_path / "trace.csv")
+    size = len(trace_to_csv(tr, path))
+    assert _peak_bytes(trace_to_csv, tr, path) <= 3 * size
+    assert _peak_bytes(trace_from_csv, path) <= os.path.getsize(path)
 
 
 def test_scenario_json_round_trip(tmp_path):

@@ -21,6 +21,10 @@ per ``Trace`` channel (dtype, shape and bytes), one of the written CSV, and
 the ``repr`` of every ``Metrics`` field.  The package is imported from the
 ``src`` directory next to this script, so two checkouts compare with ``cmp``
 of their outputs.
+
+Each run's CSV is also written to a file, read back with ``trace_from_csv``
+and written again; if that text differs, the script names the run on
+stderr and exits 1 without printing the digest.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -40,6 +46,7 @@ from nonsmooth_adm.sim import (  # noqa: E402
     naive_variant,
     presets,
     run_scenario,
+    trace_from_csv,
     trace_to_csv,
 )
 
@@ -80,22 +87,27 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(sc) -> dict:
+def digest(name: str, sc, csv_path: str) -> dict:
     trace = run_scenario(sc)
     channels = {}
     for f in dataclasses.fields(trace):
         a = getattr(trace, f.name)
         channels[f.name] = _sha(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
     metrics = compute_metrics(trace, sc)
+    text = trace_to_csv(trace, csv_path)
+    if trace_to_csv(trace_from_csv(csv_path)) != text:
+        sys.exit(f"trace_digest: {name}: the CSV read back with trace_from_csv writes other text")
     return {
         "channels": channels,
-        "csv": _sha(trace_to_csv(trace).encode()),
+        "csv": _sha(text.encode()),
         "metrics": {f.name: repr(getattr(metrics, f.name)) for f in dataclasses.fields(metrics)},
     }
 
 
 def main() -> None:
-    out = {name: digest(sc) for name, sc in standard_runs().items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "trace.csv")
+        out = {name: digest(name, sc, csv_path) for name, sc in standard_runs().items()}
     print(json.dumps(out, sort_keys=True, indent=1))
 
 
