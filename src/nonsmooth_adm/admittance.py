@@ -139,13 +139,12 @@ def _entries(a) -> tuple:
 
 
 def _set_proxy(gains) -> None:
-    """Check the joint count, mx, bx and h of ``gains``, keep mx and bx as
-    read-only copies, and derive for ``proxy_predict`` the pair ``_proxy`` of
-    mx and ``mx + bx*h`` as float tuples.  The checks on mx and bx make
-    ``mx + bx*h`` nonsingular."""
+    """Check mx, bx and h of ``gains``, keep mx and bx as read-only copies,
+    and derive for ``proxy_predict`` the pair ``_proxy`` of mx and
+    ``mx + bx*h`` as float tuples.  The checks on mx and bx make
+    ``mx + bx*h`` nonsingular; the box has already refused more than two
+    joints."""
     n = gains.box.dim
-    if n > 2:
-        raise ValueError(f"the controller takes one or two joints; the torque box has {n}")
     mx = np.atleast_2d(np.array(gains.mx, dtype=float))
     bx = np.atleast_2d(np.array(gains.bx, dtype=float))
     if mx.shape != (n, n) or bx.shape != (n, n):
@@ -178,12 +177,12 @@ class AdmittanceGains:
     to be "direct", has no choice to make: the robust term acts as a
     generalized force.
 
-    The controller takes one or two joints.  mx and bx are kept as read-only
-    copies.  The constants that depend on the gains alone are derived once,
-    in ``__post_init__``, as private attributes (not fields, so
-    ``dataclasses.replace`` derives them afresh): the resolved inner-loop
-    mode, mx and ``mx + bx*h`` as float tuples, and for a scalar k1 the
-    matrix ``k1*I``.  The "scalar-implicit" mode needs one joint.  The gains
+    The controller takes one or two joints: its box refuses more.  mx and
+    bx are kept as read-only copies.  The constants that depend on the gains
+    alone are derived once, in ``__post_init__``, as private attributes (not
+    fields, so ``dataclasses.replace`` derives them afresh): the resolved
+    inner-loop mode, mx and ``mx + bx*h`` as float tuples, and for a scalar
+    k1 the matrix ``k1*I``.  The "scalar-implicit" mode needs one joint.  The gains
     also keep the loop of the last constant estimate they stepped with, as one
     ``(estimate, loop)`` pair that a new estimate replaces whole; it starts
     empty and is not pickled.
@@ -236,8 +235,8 @@ class AdmittanceGains:
 class NaiveGains:
     """Clamped proxy-PD baseline: same proxy, high-gain PD, hard clamp.
 
-    mx, bx and h (and the joint count, one or two) are checked as for
-    ``AdmittanceGains`` and kept the same way, with ``mx + bx*h`` derived once.
+    mx, bx and h are checked as for ``AdmittanceGains`` and kept the same
+    way, with ``mx + bx*h`` derived once.
     """
 
     mx: np.ndarray

@@ -52,22 +52,20 @@ class ManipulatorModel:
     (q1, q2, qd1, qd2) to (m11, m12, m22, c11, c12, c21, c22, g1, g2, ee_x,
     ee_y, j11, j12, j21, j22).  The ``*_fn`` methods are array views of the
     same tuple.  The Jacobian maps joint rates to the planar end-effector
-    velocity (2 x dof).  ``input_gain`` scales the commanded torque before it
-    enters the dynamics (drive gain; 1 for the arms).  The plant integrates
-    whatever torque it is given: the torque box belongs to the controller.
+    velocity (2 x dof).  The plant integrates whatever torque it is given:
+    the torque box belongs to the controller.
 
     ``_advance`` is the plant's controller period: ``n_sub`` semi-implicit
     Euler substeps on floats, the kernel's entries written out in its own
     evaluation order so that every float keeps the bits a loop over
-    ``terms`` gives.  It is called as ``(q, qd, gain * tau, env, disturbance,
-    t, dt, n_sub) -> (q, qd)`` with q, qd and the gained torque as lists of
+    ``terms`` gives.  It is called as ``(q, qd, tau, env, disturbance, t,
+    dt, n_sub) -> (q, qd)`` with q, qd and the commanded torque as lists of
     floats, one entry per joint.  Each model constructor builds its kernel
     and its loop.
     """
 
     dof: int
     terms: Callable[..., tuple]
-    input_gain: float = 1.0
     _advance: Callable[..., tuple] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -230,8 +228,8 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
             raise ValueError(f"inertia lost positivity at q = {q:.4f}")
         return m, damping * c, mgl * c, l1 * c, l1 * s, nl1 * s, l1 * c
 
-    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
-        (q,), (qd,), (gt,) = q, qd, gt
+    def advance(q, qd, tau, env, disturbance, t, dt, n_sub):
+        (q,), (qd,), (tau,) = q, qd, tau
         ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
         for _ in range(n_sub):
             s, c = sin(q), cos(q)
@@ -250,7 +248,7 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
                 fx = f if v > 0.0 else -f if v < 0.0 else f * 0.0
                 fc = jx * fx + l1 * c * fy
             fe = disturbance(t, q, qd) if disturbance is not None else 0.0
-            qd += dt * (gt + fc + fe - damping * c * qd - mgl * c) / m
+            qd += dt * (tau + fc + fe - damping * c * qd - mgl * c) / m
             q += dt * qd
             t += dt
         return [q], [qd]
@@ -286,10 +284,10 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
                 hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
                 ex, l1 * s1 + l2 * s12, nl1 * s1 - l2 * s12, nl2 * s12, ex, l2 * c12)
 
-    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
+    def advance(q, qd, tau, env, disturbance, t, dt, n_sub):
         if disturbance is not None:
             raise ValueError("disturbance forces act on one-joint plants only")
-        (q1, q2), (qd1, qd2), (g1t, g2t) = q, qd, gt
+        (q1, q2), (qd1, qd2), (tau1, tau2) = q, qd, tau
         ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
         for _ in range(n_sub):
             q12 = q1 + q2
@@ -314,8 +312,8 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
             # kernel's terms less its exact no-ops: x - 0.0 is x and x - -y is
             # x + y.  The 0.0 * qd2 term stays, because it is NaN for an
             # infinite qd2 and flips a -0.0 sum for a negative qd2.
-            r1 = g1t + fc1 - hh * qd2 * qd1 - hh * (qd1 + qd2) * qd2
-            r2 = g2t + fc2 + hh * qd1 * qd1 - 0.0 * qd2
+            r1 = tau1 + fc1 - hh * qd2 * qd1 - hh * (qd1 + qd2) * qd2
+            r2 = tau2 + fc2 + hh * qd1 * qd1 - 0.0 * qd2
             m11 = a11 + m2 * (b11 + d11 * c2)
             m12 = m2 * (b12 + d12 * c2) + ic2
             det = m11 * m22 - m12 * m12
@@ -329,17 +327,19 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
 
 
 def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> ManipulatorModel:
-    """Vertical stage; its period loop applies the rail friction, a Coulomb
-    level plus a viscous term, added after any other disturbance."""
+    """Vertical stage; its period loop applies the drive gain kappa to the
+    command and the rail friction, a Coulomb level plus a viscous term, added
+    after any other disturbance."""
     p = params
-    mass, viscous, weight = p.mass, p.viscous, p.mass * p.g
+    mass, viscous, weight, kappa = p.mass, p.viscous, p.mass * p.g, p.kappa
     coulomb, rail_viscous = p.friction_coulomb, p.friction_viscous
 
     def terms(q: float, qd: float) -> tuple:
         return mass, viscous, weight, 0.0, q, 0.0, 1.0
 
-    def advance(q, qd, gt, env, disturbance, t, dt, n_sub):
-        (q,), (qd,), (gt,) = q, qd, gt
+    def advance(q, qd, tau, env, disturbance, t, dt, n_sub):
+        (q,), (qd,), (tau,) = q, qd, tau
+        gt = kappa * tau
         ks, ys = env.k_s, env.y_s
         for _ in range(n_sub):
             # Jacobian (0, 1): the surface's tangential friction acts across
@@ -354,7 +354,7 @@ def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> Manip
             t += dt
         return [q], [qd]
 
-    return ManipulatorModel(1, terms, input_gain=p.kappa, _advance=advance)
+    return ManipulatorModel(1, terms, _advance=advance)
 
 
 def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],
@@ -382,12 +382,11 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
     A ``tau_held`` of another entry count than the plant's joints raises
     ValueError.
     """
-    gain = model.input_gain
     tau = tau_held.tolist()
     if len(tau) != model.dof:
         raise ValueError(f"tau_held has {len(tau)} entries but the plant has {model.dof} joint(s)")
-    q, qd = model._advance(state.q.tolist(), state.qd.tolist(), [gain * x for x in tau], env,
-                           disturbance, t, dt_sub, n_sub)
+    q, qd = model._advance(state.q.tolist(), state.qd.tolist(), tau, env, disturbance, t,
+                           dt_sub, n_sub)
     if not all(map(math.isfinite, q + qd)):
         raise SimulationBlowUp(step=-1, t=t)
     return _unchecked(PlantState, q=np.array(q), qd=np.array(qd))

@@ -24,7 +24,6 @@ __all__ = [
 
 
 _FLOAT = np.dtype(float)
-_FLOAT_JOINTS = (1, 2)     # the joint counts whose stages compute on floats
 
 
 def _vector(x) -> np.ndarray:
@@ -112,9 +111,9 @@ def sign0(z: float) -> float:
 class BoxConstraint:
     """Per-joint symmetric actuation bound: admissible set is [-limits_i, +limits_i].
 
-    ``limits`` is kept as a read-only copy, next to its negation ``_lower``;
-    a box of one or two joints also keeps its limits as the tuple of floats
-    ``_floats`` (else None).
+    The controller takes one or two joints, so the box has one or two
+    entries.  ``limits`` is kept as a read-only copy, next to the tuple of
+    floats ``_floats`` that the projection and the certificate compute with.
     """
 
     limits: np.ndarray
@@ -123,12 +122,13 @@ class BoxConstraint:
         lim = np.atleast_1d(np.array(self.limits, dtype=float))
         if lim.ndim != 1 or lim.size == 0:
             raise ValueError("limits must be a non-empty 1-D vector")
+        if lim.size > 2:
+            raise ValueError("the controller takes one or two joints; the torque box has "
+                             f"{lim.size}")
         if not np.all(lim > 0.0):
             raise ValueError("all box limits must be strictly positive")
         object.__setattr__(self, "limits", _read_only(lim))
-        object.__setattr__(self, "_lower", _read_only(-lim))
-        object.__setattr__(self, "_floats",
-                           tuple(lim.tolist()) if lim.size in _FLOAT_JOINTS else None)
+        object.__setattr__(self, "_floats", tuple(lim.tolist()))
 
     @property
     def dim(self) -> int:
@@ -138,14 +138,14 @@ class BoxConstraint:
 def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
     """Euclidean projection of y onto the box [-F, +F], entrywise clamp.
 
-    One or two entries are clamped on floats, bitwise equal to
-    ``_project_box_arrays``: a NaN passes through, and as F > 0 no tie between
-    signed zeros arises.
+    The entries are clamped on floats, bitwise equal to numpy's
+    ``np.minimum(np.maximum(y, -F), F)``: a NaN passes through, and as F > 0
+    no tie between signed zeros arises.
     """
     y = _vector(y)
     limits = box._floats
-    if limits is None or y.shape != box.limits.shape:
-        return _project_box_arrays(y, box)
+    if y.shape != box.limits.shape:
+        raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
     if len(limits) == 1:
         return np.array([_clamp(y.item(), limits[0])])
     y0, y1 = y.tolist()
@@ -155,13 +155,6 @@ def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
 def _clamp(y: float, limit: float) -> float:
     """One entry of ``project_box`` on floats."""
     return -limit if y < -limit else limit if y > limit else y
-
-
-def _project_box_arrays(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
-    """``project_box`` on a float vector, for any number of entries."""
-    if y.shape != box.limits.shape:
-        raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
-    return np.minimum(np.maximum(y, box._lower), box.limits)
 
 
 def variational_residual(
@@ -180,8 +173,8 @@ def variational_residual(
     roundoff; a positive value witnesses a violated variational inequality.
     A NaN term, as from a NaN candidate, makes the certificate NaN.
 
-    With one or two entries the certificate is computed on floats, bitwise
-    equal to ``_variational_residual_arrays``.  numpy's dot of two entries
+    The certificate is computed on floats, bitwise equal to numpy's
+    ``max_p (y_star - y_proj) @ (p - y_proj / F)``.  numpy's dot of two entries
     fuses its second product into the sum (one rounding, an FMA), which
     Python floats cannot do before ``math.fma``; the float sum
     ``0.0 + d0*x0 + d1*x1`` is that dot whenever the second product is exact,
@@ -196,8 +189,6 @@ def variational_residual(
     if y_star.shape != shape or y_proj.shape != shape:
         raise ValueError(f"dimension mismatch: y_star has shape {y_star.shape} and y_proj "
                          f"{y_proj.shape}, box has {shape}")
-    if limits is None:
-        return _variational_residual_arrays(y_star, y_proj, box, probes)
     worst = None
     if len(limits) == 1:
         ys, yp = y_star.item(), y_proj.item()
@@ -250,20 +241,3 @@ def _larger(worst: float | None, value: float) -> float:
         return value
     return worst
 
-
-def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray, box: BoxConstraint,
-                                 probes: Iterable[Sequence[float]]) -> float:
-    """``variational_residual`` on float vectors, for any number of entries."""
-    d = y_star - y_proj
-    scaled = y_proj / box.limits
-    worst = None
-    for p in probes:
-        p = _vector(p)
-        if p.shape != scaled.shape:
-            raise ValueError("probe dimension mismatch")
-        if (np.abs(p) > 1.0 + 1e-12).any():
-            raise ValueError("probe lies outside the unit box")
-        worst = _larger(worst, float(d @ (p - scaled)))
-    if worst is None:
-        raise ValueError("at least one probe is required")
-    return worst

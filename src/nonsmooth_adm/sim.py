@@ -11,12 +11,10 @@ substeps under zero-order-hold torque.
 from __future__ import annotations
 
 import copy
-import io
 import itertools
 import json
 import math
 import numbers
-import os
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
@@ -409,20 +407,15 @@ def trace_to_csv(trace: Trace, path: str | None = None) -> str:
     return text
 
 
-def trace_from_csv(source: str) -> Trace:
-    """Parse a trace written by ``trace_to_csv`` (path or CSV text).
+def trace_from_csv(path: str) -> Trace:
+    """Parse the trace file that ``trace_to_csv`` wrote at ``path``.
 
     The header must be the channel table's columns for one or two joints;
     otherwise ValueError names the first column that differs.  The rows are
-    parsed from the open stream, a line at a time, so neither a file nor
-    the split lines of a text are held in memory.
+    parsed from the open file, a line at a time, so the file is never held
+    in memory.  A missing file raises FileNotFoundError.
     """
-    if "\n" not in source and os.path.exists(source):
-        stream = open(source)
-    else:   # a text stream over the UTF-8 bytes of the text, which BytesIO shares
-        stream = io.TextIOWrapper(io.BytesIO(source.encode("utf-8", "surrogatepass")),
-                                  "utf-8", "surrogatepass", newline=None)
-    with stream as f:
+    with open(path) as f:
         line = f.readline()
         header = line.rstrip("\n").split(",") if line else []
         n = 2 if header[2:3] == _trace_columns(2)[2:3] else 1   # the layouts part at column 3
@@ -440,13 +433,10 @@ def trace_from_csv(source: str) -> Trace:
 
 # --------------------------------------------------------------------------- runner
 
-def run_scenario(sc: Scenario) -> Trace:
-    """Execute a scenario; deterministic, raises SimulationBlowUp (with the
-    failing step index) if the plant state leaves the finite range.
-
-    Everything the run needs is built before the first step; a scenario that
-    cannot be built raises ScenarioError, naming the field.
-    """
+def _build_run(sc: Scenario) -> tuple:
+    """Build everything a run of ``sc`` needs before its first step: (model,
+    disturbance, estimate, gains, q0, initial plant state).  A scenario that
+    cannot be built raises ScenarioError, naming the field."""
     try:
         sc.validate()
         model = build_model(sc)
@@ -459,7 +449,6 @@ def run_scenario(sc: Scenario) -> Trace:
             if x.size != n or not np.all(np.isfinite(x)):
                 raise ValueError(f"{key} needs {n} finite entries for plant {sc.plant!r}, "
                                  f"got {x.tolist()}")
-        state = PlantState(q0.copy(), qd0.copy())
         proposed = sc.controller.kind == "proposed"
         if sc.controller.kind not in ("proposed", "naive"):
             raise ValueError(f"unknown controller.kind: {sc.controller.kind!r}")
@@ -475,8 +464,20 @@ def run_scenario(sc: Scenario) -> Trace:
                                  f"and controller.k1 as given, the {exc}") from None
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    return model, disturbance, estimate, gains, q0, PlantState(q0.copy(), qd0.copy())
+
+
+def run_scenario(sc: Scenario) -> Trace:
+    """Execute a scenario; deterministic, raises SimulationBlowUp (with the
+    failing step index) if the plant state leaves the finite range.
+
+    Everything the run needs is built before the first step; a scenario that
+    cannot be built raises ScenarioError, naming the field.
+    """
+    model, disturbance, estimate, gains, q0, state = _build_run(sc)
+    n = model.dof
     env = sc.env
-    controller_step = admittance_step if proposed else baseline_naive_step
+    controller_step = admittance_step if sc.controller.kind == "proposed" else baseline_naive_step
 
     steps = int(round(sc.duration / sc.h))
     n_sub = int(round(sc.h / sc.dt_sub))
@@ -724,13 +725,15 @@ def apply_override(sc: Scenario, key: str, value) -> None:
 def sweep(sc_template: Scenario, param_path: str, values: Sequence) -> list[tuple[object, Metrics]]:
     """Run the template once per value of the addressed parameter, in order.
 
-    Every value is set on its own copy of the template before the first run;
-    one that its field rejects (or a path that names no field) raises
+    Every value is set on its own copy of the template, and the copy is built
+    as its run will build it, before the first run; a value that its field or
+    the scenario's build rejects (or a path that names no field) raises
     ScenarioError naming the path and the value."""
     scenarios = [copy.deepcopy(sc_template) for _ in values]
     for s, v in zip(scenarios, values):
         try:
             apply_override(s, param_path, v)
+            _build_run(s)
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"bad sweep value {v!r} for {param_path}: {exc}") from exc
     return [(v, compute_metrics(run_scenario(s), s)) for v, s in zip(values, scenarios)]

@@ -157,7 +157,7 @@ def _group_projection() -> list[CheckResult]:
     out = []
     worst_idem = worst_nonexp = worst_vi = 0.0
     for _ in range(300):
-        n = int(rng.choice([1, 2, 4]))
+        n = int(rng.choice([1, 2]))
         box = BoxConstraint(rng.uniform(0.5, 5.0, size=n))
         y = rng.normal(scale=5.0, size=n)
         p = project_box(y, box)

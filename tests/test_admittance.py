@@ -494,15 +494,17 @@ def test_non_diagonal_matrices_keep_the_solve():
 
 
 def test_gains_of_three_or_more_joints_are_refused():
+    """The box a three-joint gains object would need is refused as it is
+    built."""
     for n in (3, 4):
-        box = BoxConstraint([3.0] * n)
         message = f"one or two joints; the torque box has {n}"
         with pytest.raises(ValueError, match=message):
             AdmittanceGains(mx=0.5 * np.eye(n), bx=np.eye(n), lam=10.0, k1=30.0,
-                            msta=MstaGains(k2=11.6, k3=66.0), box=box, h=1e-3,
-                            us_mode="explicit")
+                            msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0] * n),
+                            h=1e-3, us_mode="explicit")
         with pytest.raises(ValueError, match=message):
-            NaiveGains(mx=0.5 * np.eye(n), bx=np.eye(n), kp=300.0, kd=31.0, box=box, h=1e-3)
+            NaiveGains(mx=0.5 * np.eye(n), bx=np.eye(n), kp=300.0, kd=31.0,
+                       box=BoxConstraint([3.0] * n), h=1e-3)
 
 
 @pytest.mark.parametrize("n,us_mode,k1", [(1, "scalar-implicit", 30.0),

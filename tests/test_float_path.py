@@ -3,7 +3,8 @@
 Every stage of a controller period computes on Python floats, for one or
 two joints (``admittance.py``).  The same stages on numpy arrays are kept
 here as the oracle (``_proxy_predict_arrays``, ``_sliding_variable_arrays``,
-``_inner_loop_candidate_arrays`` and the whole periods ``_step_arrays`` and
+``_inner_loop_candidate_arrays``, the box's ``_project_box_arrays`` and
+``_variational_residual_arrays``, and the whole periods ``_step_arrays`` and
 ``_naive_step_arrays``).  The robust term has one float body for every loop,
 which ``tests/test_msta.py`` checks against its defining inclusion, and both
 sides call it.
@@ -32,11 +33,12 @@ measured against |W| ulp(q1_star).
 
 import itertools
 import re
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
-from nonsmooth_adm import msta, setvalued
+from nonsmooth_adm import msta
 from nonsmooth_adm.admittance import (
     AdmittanceGains,
     AdmittanceState,
@@ -59,9 +61,9 @@ from nonsmooth_adm.msta import MstaGains, MstaState
 from nonsmooth_adm.plant import one_dof_model, two_link_model
 from nonsmooth_adm.setvalued import (
     BoxConstraint,
-    _project_box_arrays,
+    _larger,
     _unchecked,
-    _variational_residual_arrays,
+    _vector,
     project_box,
     variational_residual,
 )
@@ -122,6 +124,31 @@ def _inner_loop_candidate_arrays(qx_star, q, u_s, state, g, loop):
     phi_b = (Mk @ (state.qx_prev + h * state.ux_prev)) / (h * h) + (Bhat @ state.qx_prev) / h
     q1_star = q + _solve(W, phi_b - phi_a)
     return q1_star, W @ (qx_star - q1_star)
+
+
+def _project_box_arrays(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
+    """``project_box`` on a float vector, for any number of entries."""
+    if y.shape != box.limits.shape:
+        raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
+    return np.minimum(np.maximum(y, -box.limits), box.limits)
+
+
+def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray, box: BoxConstraint,
+                                 probes: Iterable[Sequence[float]]) -> float:
+    """``variational_residual`` on float vectors, for any number of entries."""
+    d = y_star - y_proj
+    scaled = y_proj / box.limits
+    worst = None
+    for p in probes:
+        p = _vector(p)
+        if p.shape != scaled.shape:
+            raise ValueError("probe dimension mismatch")
+        if (np.abs(p) > 1.0 + 1e-12).any():
+            raise ValueError("probe lies outside the unit box")
+        worst = _larger(worst, float(d @ (p - scaled)))
+    if worst is None:
+        raise ValueError("at least one probe is required")
+    return worst
 
 
 def _clip_arrays(y_star, box):
@@ -561,11 +588,6 @@ def test_scalar_iteration_matrix_with_k4_takes_the_root(monkeypatch):
     assert len(calls) == len(inputs)
 
 
-# the projection's and the certificate's array code, which a box of one or
-# two entries never reaches
-_HELPERS = ((setvalued, "_project_box_arrays"), (setvalued, "_variational_residual_arrays"))
-
-
 def _counting(monkeypatch, targets) -> list:
     """Wrap each ``(module, name)`` of ``targets`` so that a call appends its
     name to the returned list."""
@@ -581,8 +603,7 @@ def _counting(monkeypatch, targets) -> list:
 def test_two_joint_exact_zero_divides_in_both_paths(monkeypatch):
     """A two-entry b with an exact zero is divided, by ``_solve2`` and by the
     oracle alike, so the zero keeps the sign that np.linalg.solve may flip;
-    no stage of a step on a diagonal loop calls np.linalg.solve or an array
-    helper."""
+    no stage of a step on a diagonal loop calls np.linalg.solve."""
     b = np.array([-0.0, -1.0])
     P = np.diag([0.52, 0.304])
     assert _bits(np.linalg.solve(P, b)) != _bits(b / P.diagonal())
@@ -595,7 +616,7 @@ def test_two_joint_exact_zero_divides_in_both_paths(monkeypatch):
     # an all-zero first period: every solve of the step meets an exact zero
     first = (initial_state(zero), Measurement(zero, zero, zero), _ESTIMATES2["zero-gravity"])
     step = _step_bits(_step_arrays(*first, _gains2()))
-    calls = _counting(monkeypatch, ((np.linalg, "solve"),) + _HELPERS)
+    calls = _counting(monkeypatch, ((np.linalg, "solve"),))
     assert _bits(proxy_predict(state, zero, zero, g)) == proxy
     assert _step_bits(admittance_step(*first, g)) == step
     assert calls == []
@@ -737,19 +758,24 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
     """The projection and the certificate refuse vectors of another entry
     count than the box, and keep the array code's probe errors on either
     path; a controller stage refuses mixed entry counts."""
-    box1 = BoxConstraint([LIMIT])
-    y1, y2 = _one(0.5), np.array([0.5, 4.0])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        project_box(y2, box1)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        project_box(y1, BoxConstraint([1.0, 1.0]))
+    box1, box2 = BoxConstraint([LIMIT]), BoxConstraint([1.0, 1.0])
+    y1, y2, y3 = _one(0.5), np.array([0.5, 4.0]), np.zeros(3)
+    # a box of three entries is refused where it is built
+    with pytest.raises(ValueError, match="^the controller takes one or two joints; "
+                                         "the torque box has 3$"):
+        BoxConstraint([1.0, 1.0, 1.0])
+    # the projection names both shapes, as the array code does
+    for y, box in ((y2, box1), (y1, box2), (y3, box2)):
+        for project in (project_box, _project_box_arrays):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")):
+                project(y, box)
     # the certificate refuses a y_star or y_proj of another entry count than
-    # the box, naming both shapes, for any number of entries
+    # the box, naming both shapes
     probe2 = [np.array([1.0, -1.0])]
-    box3, y3 = BoxConstraint([1.0, 1.0, 1.0]), np.zeros(3)
     for y_star, y_proj, box, probes in ((y1, y2, box1, probe2), (y2, y1, box1, probe2),
-                                        (y2, y2, box1, probe2), (y3, y2, box3, [y3]),
-                                        (y3, y3, BoxConstraint([1.0, 1.0]), probe2)):
+                                        (y2, y2, box1, probe2), (y2, y3, box2, probe2),
+                                        (y3, y3, box2, probe2)):
         with pytest.raises(ValueError, match=re.escape(
                 f"y_star has shape {y_star.shape} and y_proj {y_proj.shape}, "
                 f"box has {box.limits.shape}")):
@@ -761,7 +787,6 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
         for residual in (variational_residual, _variational_residual_arrays):
             with pytest.raises(ValueError, match=message):
                 residual(y1, y1, box1, probes)
-    box2 = BoxConstraint([1.0, 1.0])
     for probes, message in (([0.5], "probe dimension mismatch"),
                             ([[0.5]], "probe dimension mismatch"),
                             ([[0.5, 1.5]], "outside the unit box"),

@@ -22,7 +22,8 @@ from nonsmooth_adm.plant import (
 
 # The array dynamics the period loops replaced, kept as the tests' reference:
 # J^T of the contact wrench, the rail friction of the linear stage and the
-# joint accelerations, each from the array views of the kernel.
+# joint accelerations, each from the array views of the kernel.  The oracles
+# take the drive gain as ``gain``: kappa for a linear stage, 1 for the arms.
 
 def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
     """Rail friction and cogging stand-in: Coulomb level plus viscous term."""
@@ -46,12 +47,12 @@ def joint_contact_torque(model: ManipulatorModel, q: np.ndarray,
 
 
 def forward_dynamics(model: ManipulatorModel, state: PlantState, tau: np.ndarray,
-                     fc: np.ndarray, fe: np.ndarray) -> np.ndarray:
+                     fc: np.ndarray, fe: np.ndarray, gain: float = 1.0) -> np.ndarray:
     """Joint accelerations: M^{-1} (gain*tau + fc + fe - C qd - G)."""
     M = model.mass_fn(state.q)
     C = model.coriolis_fn(state.q, state.qd)
     G = model.gravity_fn(state.q)
-    return np.linalg.solve(M, model.input_gain * tau + fc + fe - C @ state.qd - G)
+    return np.linalg.solve(M, gain * tau + fc + fe - C @ state.qd - G)
 
 
 def frictionless_stage(mass: float = 1.0) -> ManipulatorModel:
@@ -151,7 +152,8 @@ def test_linear_motor_dynamics():
     model = linear_motor_model(p)
     st = PlantState(np.zeros(1), np.zeros(1))
     # holding force equals the weight
-    qdd = forward_dynamics(model, st, np.array([p.mass * p.g]), np.zeros(1), np.zeros(1))
+    qdd = forward_dynamics(model, st, np.array([p.mass * p.g]), np.zeros(1), np.zeros(1),
+                           p.kappa)
     assert abs(qdd[0]) < 1e-12
     fric = linear_motor_friction(p)
     assert fric(0.0, 0.0, 0.1) == pytest.approx(-(1.0 + 0.5))
@@ -176,7 +178,7 @@ def test_zero_dynamics_state_unchanged():
     assert np.allclose(st.qd, 0.0)
 
 
-def reference_substeps(model, st, tau, env, dt, n_sub, disturbance=None):
+def reference_substeps(model, st, tau, env, dt, n_sub, disturbance=None, gain=1.0):
     """Semi-implicit Euler written from the array views of the kernel."""
     q, qd = st.q.copy(), st.qd.copy()
     t = 0.0
@@ -185,7 +187,7 @@ def reference_substeps(model, st, tau, env, dt, n_sub, disturbance=None):
         wrench = contact_wrench(model.ee_pose_fn(q), (ee_vel[0], ee_vel[1]), env)
         fc = joint_contact_torque(model, q, wrench)
         fe = np.zeros(model.dof) if disturbance is None else np.array([disturbance(t, q[0], qd[0])])
-        qd = qd + dt * forward_dynamics(model, PlantState(q, qd), tau, fc, fe)
+        qd = qd + dt * forward_dynamics(model, PlantState(q, qd), tau, fc, fe, gain)
         q = q + dt * qd
         t += dt
     return q, qd
@@ -193,16 +195,17 @@ def reference_substeps(model, st, tau, env, dt, n_sub, disturbance=None):
 
 def test_substep_matches_reference_loop(rng):
     env = EnvironmentModel(k_s=2e3, y_s=0.0, mu_fric=0.1)
-    # the linear stage applies its own rail friction
-    for model, fe in ((one_dof_model(), None),
-                      (linear_motor_model(), linear_motor_friction(LinearMotorParams())),
-                      (two_link_model(), None)):
+    # the linear stage applies its own drive gain and rail friction
+    stage = LinearMotorParams()
+    for model, fe, gain in ((one_dof_model(), None, 1.0),
+                            (linear_motor_model(stage), linear_motor_friction(stage), stage.kappa),
+                            (two_link_model(), None, 1.0)):
         for _ in range(40):
             n = model.dof
             st = PlantState(rng.normal(scale=0.4, size=n), rng.normal(size=n))
             tau = rng.normal(size=n)
             a = integrate_substep(model, st, tau, env, None, 0.0, 1e-5, 25)
-            q, qd = reference_substeps(model, st, tau, env, 1e-5, 25, fe)
+            q, qd = reference_substeps(model, st, tau, env, 1e-5, 25, fe, gain)
             assert np.allclose(a.q, q, atol=1e-13)
             assert np.allclose(a.qd, qd, atol=1e-12)
 
@@ -369,10 +372,10 @@ def test_pose_jacobian_matches_the_array_views_bitwise(rng):
 
 def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float,
                       env: EnvironmentModel, disturbance: Disturbance | None,
-                      t: float, dt: float, n_sub: int) -> tuple[float, float]:
+                      t: float, dt: float, n_sub: int, gain: float = 1.0) -> tuple[float, float]:
     terms = model.terms
     ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-    gt = model.input_gain * tau
+    gt = gain * tau
     q, qd = q0, qd0
     for _ in range(n_sub):
         m, c, g, _, ey, jx, jy = terms(q, qd)
@@ -394,7 +397,7 @@ def _integrate_planar2(model: ManipulatorModel, q1: float, q2: float, qd1: float
                        n_sub: int) -> tuple:
     terms = model.terms
     ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-    g1t, g2t = model.input_gain * tau1, model.input_gain * tau2
+    g1t, g2t = 1.0 * tau1, 1.0 * tau2     # the arm's drive gain is 1
     for _ in range(n_sub):
         (m11, m12, m22, c11, c12, c21, c22, g1, g2,
          ex, ey, j11, j12, j21, j22) = terms(q1, q2, qd1, qd2)
@@ -424,8 +427,9 @@ def _ramp(t, q, qd):
 
 
 def _plant_cases(rng):
-    """(model, rail friction or None) for default and random parameters of
-    each of the three plants, and the frictionless linear stage."""
+    """(model, rail friction or None, drive gain) for default and random
+    parameters of each of the three plants, and the frictionless linear
+    stage."""
     u = rng.uniform
     for _ in range(3):
         # no gravity (as in fig3) leaves the small terms of the sum unabsorbed
@@ -433,17 +437,17 @@ def _plant_cases(rng):
         for p in (OneDofParams(), OneDofParams(m1=u(2.0, 9.0), l1=u(0.5, 1.5),
                                                lc1=u(0.25, 0.75), mass_ripple=u(-0.2, 0.2),
                                                damping=u(0.0, 2.0), g=g)):
-            yield one_dof_model(p), None
+            yield one_dof_model(p), None, 1.0
         for p in (TwoLinkParams(), TwoLinkParams(m1=u(1.0, 9.0), m2=u(1.0, 12.0),
                                                  l1=u(0.2, 0.8), l2=u(0.2, 0.8),
                                                  J1=u(0.5, 2.0), J2=u(1.0, 3.0))):
-            yield two_link_model(p), None
+            yield two_link_model(p), None, 1.0
         for p in (LinearMotorParams(), LinearMotorParams(
                 mass=u(0.05, 2.0), viscous=u(0.0, 3.0), kappa=u(0.5, 2.0),
                 friction_coulomb=u(0.0, 3.0), friction_viscous=u(0.0, 10.0), g=g)):
-            yield linear_motor_model(p), linear_motor_friction(p)
+            yield linear_motor_model(p), linear_motor_friction(p), p.kappa
         for mass in (1.0, u(0.1, 5.0)):
-            yield frictionless_stage(mass), None
+            yield frictionless_stage(mass), None, 1.0
 
 
 def _oracle_disturbance(base, friction):
@@ -454,13 +458,13 @@ def _oracle_disturbance(base, friction):
     return lambda t, q, qd: base(t, q, qd) + friction(t, q, qd)
 
 
-def _loop_and_oracle(model, friction, q, qd, tau, env, base, dt, n_sub):
+def _loop_and_oracle(model, friction, gain, q, qd, tau, env, base, dt, n_sub):
     """(q, qd) bits after ``n_sub`` substeps of the model's loop and of the
     generic loop, from t = 0."""
     st = integrate_substep(model, PlantState(q, qd), tau, env, base, 0.0, dt, n_sub)
     if model.dof == 1:
         ref = _integrate_scalar(model, float(q[0]), float(qd[0]), float(tau[0]), env,
-                                _oracle_disturbance(base, friction), 0.0, dt, n_sub)
+                                _oracle_disturbance(base, friction), 0.0, dt, n_sub, gain)
         return _bits((st.q[0], st.qd[0])), _bits(ref)
     ref = _integrate_planar2(model, *map(float, (*q, *qd, *tau)), env, dt, n_sub)
     return _bits((*st.q, *st.qd)), _bits(ref)
@@ -468,7 +472,7 @@ def _loop_and_oracle(model, friction, q, qd, tau, env, base, dt, n_sub):
 
 def test_period_loops_equal_the_generic_loops_bitwise(rng):
     seen = set()
-    for model, friction in _plant_cases(rng):
+    for model, friction, gain in _plant_cases(rng):
         n = model.dof
         bases = (None, _sine, _ramp) if n == 1 else (None,)
         for _ in range(6):
@@ -486,7 +490,8 @@ def test_period_loops_equal_the_generic_loops_bitwise(rng):
                 for tau, (dt, n_sub), base in itertools.product(
                         (rng.normal(size=n), np.zeros(n)), ((1e-4, 1), (1e-4, 60), (0.5, 2)),
                         bases):
-                    got, ref = _loop_and_oracle(model, friction, q, qd, tau, env, base, dt, n_sub)
+                    got, ref = _loop_and_oracle(model, friction, gain, q, qd, tau, env, base, dt,
+                                                n_sub)
                     assert got == ref, (model, q, qd, tau, env, base, dt, n_sub)
                 if contact:
                     v = (model.jacobian_fn(q) @ qd)[0]

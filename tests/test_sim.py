@@ -175,16 +175,27 @@ def _header(dof, edit):
     (lambda: _header(2, lambda c: c[:5] + ["tau1_Nm"] + c[6:]),
      "column 6 is 'tau1_Nm', expected 'qx0_rad'"),
 ], ids=["other_csv", "json", "renamed", "extra", "missing", "swapped"])
-def test_trace_from_csv_rejects_foreign_header(text, message):
-    text = text() if callable(text) else text
+def test_trace_from_csv_rejects_foreign_header(text, message, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(text() if callable(text) else text, newline="")
     with pytest.raises(ValueError, match=re.escape(message)):
-        trace_from_csv(text)
+        trace_from_csv(str(path))
 
 
-def test_trace_from_csv_rejects_short_rows():
+def test_trace_from_csv_rejects_short_rows(tmp_path):
     text = trace_to_csv(run_scenario(short(presets()["fig3_one_dof"], 0.01)))
+    path = tmp_path / "trace.csv"
+    path.write_text(text + "1,2\r\n", newline="")
     with pytest.raises(ValueError):
-        trace_from_csv(text + "1,2\r\n")
+        trace_from_csv(str(path))
+
+
+def test_trace_from_csv_of_a_missing_path_names_it(tmp_path):
+    """The reader takes a path and only a path: a mistyped one is not read
+    as CSV text."""
+    path = str(tmp_path / "missing_trace.csv")
+    with pytest.raises(FileNotFoundError, match=re.escape(path)):
+        trace_from_csv(path)
 
 
 def _one_shot_csv(trace):
@@ -227,11 +238,11 @@ def test_block_writer_matches_the_one_shot_writer(dof, rows, rng, tmp_path):
     assert text == _one_shot_csv(tr)
     with open(path, "rb") as f:
         assert f.read() == text.encode("ascii")
-    for back in (trace_from_csv(path), trace_from_csv(text)):
-        for f in fields(Trace):
-            a, b = getattr(tr, f.name), getattr(back, f.name)
-            assert a.dtype == b.dtype and a.shape == b.shape, f.name
-            assert a.tobytes() == b.tobytes(), f.name
+    back = trace_from_csv(path)
+    for f in fields(Trace):
+        a, b = getattr(tr, f.name), getattr(back, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert a.tobytes() == b.tobytes(), f.name
 
 
 def test_trace_file_holds_exactly_the_text_where_lines_end_in_crlf(tmp_path, monkeypatch):
@@ -455,6 +466,27 @@ def test_sweep_rows_and_reproducibility():
     assert all(m.torque_violations == 0 for _, m in rows)
     again = sweep(sc, "env.ks_N_per_m", list(LINMOTOR_STIFFNESS_LEVELS))
     assert [metrics_to_dict(m) for _, m in rows] == [metrics_to_dict(m) for _, m in again]
+
+
+@pytest.mark.parametrize("path,values,message", [
+    ("controller.k2", [11.6, 11.7, -1.0], "controller.k2 and controller.k3 must be positive"),
+    ("controller.kind", ["proposed", "bogus"], "unknown controller.kind: 'bogus'"),
+    ("controller.us_mode", ["bogus"], "controller.us_mode must be one of"),
+    ("estimate.kind", ["diag", "bogus"], "unknown estimate.kind: 'bogus'"),
+    ("dt_sub_s", [1e-5, 3e-5], "must be an integer multiple of dt_sub_s = 3e-05 s"),
+    ("q0_rad", [[0.1], [0.1, 0.2]], "q0_rad needs 1 finite entries"),
+])
+def test_sweep_refuses_a_value_the_build_rejects_before_any_run(monkeypatch, path, values,
+                                                               message):
+    """A value that its field accepts but the scenario's build rejects is
+    named, with its field, before the first run."""
+    runs = []
+    monkeypatch.setattr(sim, "run_scenario", lambda sc: runs.append(sc))
+    with pytest.raises(ScenarioError) as got:
+        sweep(presets()["fig3_one_dof"], path, values)
+    assert runs == []
+    assert str(got.value).startswith(f"bad sweep value {values[-1]!r} for {path}: ")
+    assert message in str(got.value)
 
 
 def test_naive_variant_switches_controller():
