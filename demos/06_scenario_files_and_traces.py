@@ -18,7 +18,7 @@ from nonsmooth_adm.sim import (
     save_scenario,
     scenario_to_dict,
     trace_from_csv,
-    trace_to_csv,
+    write_trace_csv,
 )
 
 os.makedirs("out", exist_ok=True)
@@ -36,7 +36,7 @@ apply_override(sc2, "h_s", "0.0005")
 print(f"\noverrides applied: disturbance level {sc2.disturbance.level} N, h {sc2.h} s")
 
 trace = run_scenario(sc2)
-trace_to_csv(trace, "out/bench_trace.csv")
+write_trace_csv(trace, "out/bench_trace.csv")
 back = trace_from_csv("out/bench_trace.csv")
 exact = all(np.array_equal(getattr(trace, f), getattr(back, f))
             for f in ("t", "q", "qd", "tau", "u_s", "s", "v"))

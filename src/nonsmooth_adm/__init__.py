@@ -76,6 +76,7 @@ from .sim import (
     sweep,
     trace_from_csv,
     trace_to_csv,
+    write_trace_csv,
 )
 
 __version__ = "0.1.0"

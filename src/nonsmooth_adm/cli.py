@@ -36,7 +36,8 @@ from .sim import (
     save_scenario,
     sweep,
     trace_from_csv,
-    trace_to_csv,
+    trace_to_csv,  # noqa: F401  (perfbench patches it under this name)
+    write_trace_csv,
 )
 from .verify import GROUPS, run_verification
 
@@ -75,7 +76,7 @@ def _resolve_scenario(name: str, overrides: list[str]) -> Scenario:
 
 def _write_outputs(sc: Scenario, trace, outdir: str, plot: bool, prefix: str = "") -> dict:
     os.makedirs(outdir, exist_ok=True)
-    trace_to_csv(trace, os.path.join(outdir, f"{prefix}trace.csv"))
+    write_trace_csv(trace, os.path.join(outdir, f"{prefix}trace.csv"))
     metrics = compute_metrics(trace, sc)
     with open(os.path.join(outdir, f"{prefix}metrics.json"), "w") as f:
         json.dump(metrics_to_dict(metrics), f, indent=2)

@@ -72,6 +72,7 @@ __all__ = [
     "save_scenario",
     "load_scenario",
     "trace_to_csv",
+    "write_trace_csv",
     "trace_from_csv",
     "metrics_to_dict",
     "double_integrator_bench",
@@ -393,27 +394,30 @@ def _csv_blocks(trace: Trace):
         yield ((row + "\r\n") * len(block)) % tuple(block.ravel().tolist())
 
 
-def trace_to_csv(trace: Trace, path: str | None = None) -> str:
-    """Serialize a trace; floats keep full precision so the round trip is exact.
+def trace_to_csv(trace: Trace) -> str:
+    """The CSV text of a trace; floats keep full precision so the round trip
+    is exact.  ``write_trace_csv`` writes this text to a file."""
+    return "".join(_csv_blocks(trace))
 
-    The rows are formatted a block at a time, so the peak memory is about
-    twice the text.  The file holds exactly the returned text, CRLF line
-    ends included, on every platform.
+
+def write_trace_csv(trace: Trace, path: str) -> None:
+    """Write the CSV text of a trace to ``path``, each block of rows as soon
+    as it is formatted, so the writer holds one block, never the whole text.
+    The file holds exactly the text ``trace_to_csv`` returns, CRLF line ends
+    included, on every platform.
     """
-    text = "".join(_csv_blocks(trace))
-    if path is not None:
-        with open(path, "w", newline="") as f:
-            f.write(text)
-    return text
+    with open(path, "w", newline="") as f:
+        f.writelines(_csv_blocks(trace))
 
 
 def trace_from_csv(path: str) -> Trace:
-    """Parse the trace file that ``trace_to_csv`` wrote at ``path``.
+    """Parse the trace file that ``write_trace_csv`` wrote at ``path``.
 
     The header must be the channel table's columns for one or two joints;
     otherwise ValueError names the first column that differs.  The rows are
     parsed from the open file, a line at a time, so the file is never held
-    in memory.  A missing file raises FileNotFoundError.
+    in memory.  A file with no row after its header raises ValueError,
+    naming the path; a missing file raises FileNotFoundError.
     """
     with open(path) as f:
         line = f.readline()
@@ -422,7 +426,11 @@ def trace_from_csv(path: str) -> Trace:
         for i, (got, want) in enumerate(itertools.zip_longest(header, _trace_columns(n))):
             if got != want:
                 raise ValueError(f"not a trace header: column {i + 1} is {got!r}, expected {want!r}")
-        table = np.loadtxt(f, delimiter=",", ndmin=2).reshape(-1, len(header))
+        first = next((row for row in f if row.strip()), None)
+        if first is None:
+            raise ValueError(f"no row follows the header of trace file {path!r}")
+        table = np.loadtxt(itertools.chain((first,), f), delimiter=",", comments=None,
+                           ndmin=2).reshape(-1, len(header))
     fields, col = {}, 0
     for attr, cols, is_bool, per_step in _trace_layout(n):
         block = table[:, col] if per_step else table[:, col:col + len(cols)]

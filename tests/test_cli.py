@@ -368,6 +368,34 @@ def test_plot_malformed_trace_is_config_error(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+def test_plot_of_a_trace_header_without_rows_is_config_error(tmp_path, capsys, recwarn):
+    path = tmp_path / "h.csv"
+    path.write_text(",".join(sim._trace_columns(1)) + "\r\n", newline="")
+    assert main(["plot", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: could not parse trace file {str(path)!r}")
+    assert "no row follows the header" in err and "Traceback" not in err
+    assert not [w for w in recwarn if "loadtxt" in str(w.message)]
+    assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("command,preset,files", [
+    ("run", "fig3_one_dof", {"trace.csv": False}),
+    ("compare", "fig5_two_dof", {"proposed_trace.csv": False, "naive_trace.csv": True}),
+])
+def test_written_trace_files_hold_the_trace_text(tmp_path, command, preset, files):
+    """Each trace file the CLI writes holds exactly the text of the run's
+    trace, byte for byte."""
+    out = str(tmp_path / command)
+    assert main([command, "--scenario", preset, "--out", out, "--set", "duration_s=0.2"]) == 0
+    sc = presets()[preset]
+    sc.duration = 0.2
+    for name, naive in files.items():
+        text = sim.trace_to_csv(sim.run_scenario(sim.naive_variant(sc) if naive else sc))
+        with open(os.path.join(out, name), "rb") as f:
+            assert f.read() == text.encode("ascii"), name
+
+
 @pytest.mark.parametrize("override,field", [("q0=[NaN]", "q0_rad"),
                                             ("qd0=[Infinity]", "qd0_rad_per_s")])
 def test_non_finite_initial_state_is_config_error(tmp_path, capsys, override, field):

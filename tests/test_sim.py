@@ -34,6 +34,7 @@ from nonsmooth_adm.sim import (
     sweep,
     trace_from_csv,
     trace_to_csv,
+    write_trace_csv,
 )
 
 
@@ -131,7 +132,8 @@ def test_trace_csv_round_trip(tmp_path):
         assert tr.contact.any() and not tr.contact.all(), name
         assert tr.saturated.any() and not tr.saturated.all(), name
         path = os.path.join(tmp_path, f"{name}.csv")
-        text = trace_to_csv(tr, path)
+        write_trace_csv(tr, path)
+        text = trace_to_csv(tr)
         back = trace_from_csv(path)
         for f in fields(Trace):
             a, b = getattr(tr, f.name), getattr(back, f.name)
@@ -190,6 +192,34 @@ def test_trace_from_csv_rejects_short_rows(tmp_path):
         trace_from_csv(str(path))
 
 
+@pytest.mark.parametrize("rows", ["", "\r\n", "\r\n\r\n"], ids=["none", "blank", "blanks"])
+def test_trace_from_csv_refuses_a_header_without_rows(rows, tmp_path):
+    """A header with no data row after it is not a trace: the reader names
+    the file instead of passing numpy's empty table on."""
+    path = tmp_path / "header_only.csv"
+    path.write_text(",".join(sim._trace_columns(1)) + "\r\n" + rows, newline="")
+    with pytest.raises(ValueError, match=re.escape(f"no row follows the header of trace "
+                                                   f"file {str(path)!r}")):
+        trace_from_csv(str(path))
+
+
+def test_trace_from_csv_reads_a_comment_line_as_a_bad_row(tmp_path):
+    """The writer writes no comments, so a '#' line is a row that does not
+    parse, not a line to skip past to an empty table."""
+    path = tmp_path / "commented.csv"
+    path.write_text(",".join(sim._trace_columns(1)) + "\r\n# note\r\n", newline="")
+    with pytest.raises(ValueError, match="could not convert"):
+        trace_from_csv(str(path))
+
+
+def test_trace_to_csv_returns_the_text_and_takes_no_path(tmp_path):
+    """Only ``write_trace_csv`` writes trace files."""
+    tr = run_scenario(short(presets()["fig3_one_dof"], 0.01))
+    with pytest.raises(TypeError):
+        trace_to_csv(tr, str(tmp_path / "trace.csv"))
+    assert not os.listdir(tmp_path)
+
+
 def test_trace_from_csv_of_a_missing_path_names_it(tmp_path):
     """The reader takes a path and only a path: a mistyped one is not read
     as CSV text."""
@@ -234,7 +264,8 @@ _BLOCK = sim._CSV_BLOCK_ROWS
 def test_block_writer_matches_the_one_shot_writer(dof, rows, rng, tmp_path):
     tr = _synthetic_trace(dof, rows, rng)
     path = str(tmp_path / "trace.csv")
-    text = trace_to_csv(tr, path)
+    write_trace_csv(tr, path)
+    text = trace_to_csv(tr)
     assert text == _one_shot_csv(tr)
     with open(path, "rb") as f:
         assert f.read() == text.encode("ascii")
@@ -253,7 +284,9 @@ def test_trace_file_holds_exactly_the_text_where_lines_end_in_crlf(tmp_path, mon
     monkeypatch.setattr(os, "linesep", "\r\n")
     monkeypatch.setattr(sim, "open", _pyio.open, raising=False)
     path = str(tmp_path / "trace.csv")
-    text = trace_to_csv(run_scenario(short(presets()["fig3_one_dof"], 0.01)), path)
+    tr = run_scenario(short(presets()["fig3_one_dof"], 0.01))
+    write_trace_csv(tr, path)
+    text = trace_to_csv(tr)
     with open(path, "rb") as f:
         assert f.read() == text.encode("ascii")
 
@@ -274,14 +307,16 @@ def _peak_bytes(fn, *args):
 
 
 def test_trace_io_memory_is_bounded(rng, tmp_path):
-    """On a two-joint trace of 5000 rows the writer peaks within 3x its text
-    (the one-shot writer took 5.1x) and the reader from a path within 1x the
-    file (3.0x when it read the file as one text)."""
-    tr = _synthetic_trace(2, 5000, rng)
-    path = str(tmp_path / "trace.csv")
-    size = len(trace_to_csv(tr, path))
-    assert _peak_bytes(trace_to_csv, tr, path) <= 3 * size
-    assert _peak_bytes(trace_from_csv, path) <= os.path.getsize(path)
+    """On a two-joint trace the writer peaks under 1 MB, about one block of
+    rows, at 5000 rows (a 2.6 MB file) as at 20000 (10.5 MB); when it returned
+    the joined text it took twice the file, and the one-shot writer 5.1x.
+    The reader from a path stays within 1x the file (3.0x when it read the
+    file as one text)."""
+    for rows in (5000, 20000):
+        tr = _synthetic_trace(2, rows, rng)
+        path = str(tmp_path / f"trace{rows}.csv")
+        assert _peak_bytes(write_trace_csv, tr, path) < 1_000_000, rows
+        assert _peak_bytes(trace_from_csv, path) <= os.path.getsize(path), rows
 
 
 def test_scenario_json_round_trip(tmp_path):

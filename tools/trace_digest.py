@@ -22,9 +22,11 @@ the ``repr`` of every ``Metrics`` field.  The package is imported from the
 ``src`` directory next to this script, so two checkouts compare with ``cmp``
 of their outputs.
 
-Each run's CSV is also written to a file, read back with ``trace_from_csv``
-and written again; if that text differs, the script names the run on
-stderr and exits 1 without printing the digest.
+Each run's CSV is also written to a file with ``write_trace_csv``, whose
+bytes must be the text ``trace_to_csv`` returns, then read back with
+``trace_from_csv`` and formatted again, which must give the same text; if
+either differs, the script names the run on stderr and exits 1 without
+printing the digest.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from nonsmooth_adm.sim import (  # noqa: E402
     run_scenario,
     trace_from_csv,
     trace_to_csv,
+    write_trace_csv,
 )
 
 
@@ -94,7 +97,10 @@ def digest(name: str, sc, csv_path: str) -> dict:
         a = getattr(trace, f.name)
         channels[f.name] = _sha(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
     metrics = compute_metrics(trace, sc)
-    text = trace_to_csv(trace, csv_path)
+    text = trace_to_csv(trace)
+    write_trace_csv(trace, csv_path)
+    if Path(csv_path).read_bytes() != text.encode():
+        sys.exit(f"trace_digest: {name}: write_trace_csv wrote other bytes than trace_to_csv's text")
     if trace_to_csv(trace_from_csv(csv_path)) != text:
         sys.exit(f"trace_digest: {name}: the CSV read back with trace_from_csv writes other text")
     return {
