@@ -103,12 +103,13 @@ class ManipulatorModel:
         j = _LAYOUT[self.dof][3]
         return np.array(self._at(q)[j:]).reshape(2, self.dof)
 
-    def pose_jacobian(self, q: list[float]) -> tuple[tuple[float, float], np.ndarray]:
-        """``(ee_pose_fn(q), jacobian_fn(q))`` from one kernel call, for joint
-        angles given as a list of floats."""
-        e, j = _LAYOUT[self.dof][2:]
-        t = self.terms(*q, *(0.0,) * self.dof)
-        return (t[e], t[e + 1]), np.array(t[j:]).reshape(2, self.dof)
+    @property
+    def pose_at(self) -> int:
+        """Index of ee_x in the kernel tuple: ee_y follows it, then the
+        Jacobian's entries row by row (the x row, then the y row) to the end
+        of the tuple, so one ``terms`` call gives the runner its kinematics
+        as floats."""
+        return _LAYOUT[self.dof][2]
 
 
 def _require_finite_fields(params) -> None:

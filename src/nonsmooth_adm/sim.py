@@ -314,7 +314,9 @@ def _fd_lookup(schedule, t: float) -> tuple[float, float]:
 
 @dataclass
 class Trace:
-    """Per-controller-step log; vector fields have shape (steps, dof)."""
+    """Per-controller-step log; vector fields have shape (steps, dof).  The
+    float channels of a trace that ``run_scenario`` or ``trace_from_csv``
+    returns are views of one (steps, columns) table."""
 
     t: np.ndarray
     q: np.ndarray
@@ -431,6 +433,13 @@ def trace_from_csv(path: str) -> Trace:
             raise ValueError(f"no row follows the header of trace file {path!r}")
         table = np.loadtxt(itertools.chain((first,), f), delimiter=",", comments=None,
                            ndmin=2).reshape(-1, len(header))
+    return _trace_from_table(table, n)
+
+
+def _trace_from_table(table: np.ndarray, n: int) -> Trace:
+    """The trace of n joints whose rows are the rows of the float ``table``,
+    its columns in ``_trace_columns(n)`` order: each float channel is a view
+    of the table, each bool channel a copy."""
     fields, col = {}, 0
     for attr, cols, is_bool, per_step in _trace_layout(n):
         block = table[:, col] if per_step else table[:, col:col + len(cols)]
@@ -475,37 +484,73 @@ def _build_run(sc: Scenario) -> tuple:
     return model, disturbance, estimate, gains, q0, PlantState(q0.copy(), qd0.copy())
 
 
+def _ee_velocity(jac: tuple, qd: list) -> tuple[float, float]:
+    """J qd on floats, for the Jacobian's entries row by row (x row, then y
+    row) and one or two joint rates; each row is 0.0 + j_0 qd_0 (+ j_1 qd_1),
+    the package's row convention."""
+    if len(qd) == 1:
+        jx, jy = jac
+        (w,) = qd
+        return 0.0 + jx * w, 0.0 + jy * w
+    jx0, jx1, jy0, jy1 = jac
+    w0, w1 = qd
+    return 0.0 + jx0 * w0 + jx1 * w1, 0.0 + jy0 * w0 + jy1 * w1
+
+
+def _joint_forces(jac: tuple, fx: float, fy: float) -> list[float]:
+    """J^T [fx, fy] on floats, for the Jacobian's entries row by row (x row,
+    then y row) of one or two joints; joint i's force is 0.0 + jx_i fx +
+    jy_i fy, so a zero force maps to +0.0 whatever the zeros' signs."""
+    if len(jac) == 2:
+        jx, jy = jac
+        return [0.0 + jx * fx + jy * fy]
+    jx0, jx1, jy0, jy1 = jac
+    return [0.0 + jx0 * fx + jy0 * fy, 0.0 + jx1 * fx + jy1 * fy]
+
+
 def run_scenario(sc: Scenario) -> Trace:
     """Execute a scenario; deterministic, raises SimulationBlowUp (with the
     failing step index) if the plant state leaves the finite range.
 
     Everything the run needs is built before the first step; a scenario that
-    cannot be built raises ScenarioError, naming the field.
+    cannot be built raises ScenarioError, naming the field.  Each step's
+    bookkeeping (kinematics, the joint-space forces, the trace row) is done
+    on floats, and its trace values go to one preallocated table as one row.
     """
     model, disturbance, estimate, gains, q0, state = _build_run(sc)
     n = model.dof
     env = sc.env
+    terms, e = model.terms, model.pose_at
     controller_step = admittance_step if sc.controller.kind == "proposed" else baseline_naive_step
 
     steps = int(round(sc.duration / sc.h))
     n_sub = int(round(sc.h / sc.dt_sub))
-    in_force_phase = sc.approach.mode == "none"
+    ap = sc.approach
+    in_force_phase = ap.mode == "none"
     ctrl_state: AdmittanceState | None = initial_state(q0) if in_force_phase else None
-    tr = Trace(**{attr: np.zeros(steps if per_step else (steps, len(cols)),
-                                 dtype=bool if is_bool else float)
-                  for attr, cols, is_bool, per_step in _trace_layout(n)})
+    # the approach servo drives the last joint within its torque limit
+    limit = float(gains.box.limits[-1])
+    zeros, unsaturated = [0.0] * n, [False] * n
+    # the force schedule (sorted by validate) and a sentinel; the level is
+    # the last breakpoint reached, read once when the run reaches it
+    schedule = (*sc.fd_schedule, (math.inf, 0.0, 0.0))
+    fdx = fdy = 0.0
+    nxt = 0
+    t_next = schedule[0][0]
+    # one row per step, in _TRACE_CHANNELS order
+    table = np.zeros((steps, len(_trace_columns(n))))
 
     for k in range(steps):
         t = k * sc.h
-        ee, jac = model.pose_jacobian(state.q.tolist())
-        fx, fy = contact_wrench(ee, jac.dot(state.qd).tolist(), env)
-        fdx, fdy = _fd_lookup(sc.fd_schedule, t)
-        # both joint-space forces from one matrix-matrix product.  It equals
-        # jac.T @ [fx, fy] and jac.T @ [fdx, fdy] bit for bit only if the BLAS
-        # build rounds its two-term sums alike in both kernels (FMA or not):
-        # tests/test_float_path.py checks this on the build it runs on
-        forces = jac.T.dot(np.array([[fx, fdx], [fy, fdy]])).T
-        fc_joint, fd_joint = forces[0], forces[1]
+        while t >= t_next:
+            _, fdx, fdy = schedule[nxt]
+            nxt += 1
+            t_next = schedule[nxt][0]
+        q, qd = state.q.tolist(), state.qd.tolist()
+        kinematics = terms(*q, *qd)     # its pose and Jacobian do not depend on qd
+        ee, jac = kinematics[e:e + 2], kinematics[e + 2:]
+        fx, fy = contact_wrench(ee, _ee_velocity(jac, qd), env)
+        fc = _joint_forces(jac, fx, fy)
 
         if not in_force_phase and fy != 0.0:
             in_force_phase = True
@@ -515,38 +560,26 @@ def run_scenario(sc: Scenario) -> Trace:
             # float vectors of the plant state, finite-checked every period
             # and new every period (so not copied), and of the validated force
             # schedule: not checked again
-            meas = _unchecked(Measurement, q=state.q, fc=fc_joint, fd=fd_joint)
+            meas = _unchecked(Measurement, q=state.q, fc=np.array(fc),
+                              fd=np.array(_joint_forces(jac, fdx, fdy)))
             tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
-            tr.qx[k] = ctrl_state.qx_prev
-            tr.qxd[k] = ctrl_state.qxd_prev
-            tr.tau_star[k] = diag.tau_star
-            tr.s[k] = diag.s
-            tr.v[k] = ctrl_state.msta_state.v
-            tr.u_s[k] = diag.u_s
-            tr.saturated[k] = diag.saturated
+            table[k] = [t, *q, *qd, *ctrl_state.qx_prev.tolist(), *ctrl_state.qxd_prev.tolist(),
+                        *tau.tolist(), *diag.tau_star.tolist(), *fc, *diag.s.tolist(),
+                        *ctrl_state.msta_state.v.tolist(), *diag.u_s.tolist(), fx, fy,
+                        *diag.saturated.tolist(), fy > 0.0]
         else:
-            ap = sc.approach
-            cmd = ap.kv * (ap.v_ref - state.qd[-1]) + ap.hold_force
-            tau = np.zeros(n)
-            tau[-1] = max(-gains.box.limits[-1], min(gains.box.limits[-1], cmd))
-            tr.qx[k] = state.q
-            tr.tau_star[k] = tau
-
-        tr.t[k] = t
-        tr.q[k] = state.q
-        tr.qd[k] = state.qd
-        tr.tau[k] = tau
-        tr.fc_joint[k] = fc_joint
-        tr.fc_cart[k, 0] = fx
-        tr.fc_cart[k, 1] = fy
-        tr.contact[k] = fy > 0.0
+            cmd = ap.kv * (ap.v_ref - qd[-1]) + ap.hold_force
+            held = [*zeros[1:], max(-limit, min(limit, cmd))]
+            tau = np.array(held)
+            table[k] = [t, *q, *qd, *q, *zeros, *held, *held, *fc, *zeros, *zeros, *zeros,
+                        fx, fy, *unsaturated, fy > 0.0]
 
         try:
             state = integrate_substep(model, state, tau, env, disturbance, t, sc.dt_sub, n_sub)
         except SimulationBlowUp:
             raise SimulationBlowUp(step=k, t=t) from None
 
-    return tr
+    return _trace_from_table(table, n)
 
 
 # --------------------------------------------------------------------------- metrics
@@ -578,24 +611,26 @@ def compute_metrics(trace: Trace, sc: Scenario) -> Metrics:
         steady_err = math.nan
     steady_mean = float(np.mean(fcy[window]))
 
+    # the step loops index Python lists: a numpy scalar per element costs more
+    t = trace.t.tolist()
+    contact = trace.contact.tolist()
     settle = math.nan
-    contact_idx = np.flatnonzero(trace.contact)
-    if fd_mag > 0.0 and contact_idx.size:
-        ok = np.abs(fcy - fd_mag) <= 0.05 * fd_mag
+    if fd_mag > 0.0 and True in contact:
+        ok = (np.abs(fcy - fd_mag) <= 0.05 * fd_mag).tolist()
         need = max(1, int(round(0.5 / sc.h)))
-        start = contact_idx[0]
+        start = contact.index(True)
         run = 0
-        for k in range(start, trace.t.size):
+        for k in range(start, len(t)):
             run = run + 1 if ok[k] else 0
             if run >= need:
-                settle = float(trace.t[k - need + 1] - trace.t[start])
+                settle = t[k - need + 1] - t[start]
                 break
 
     rebounds = 0
     run = 0
     sustain = int(round(0.2 / sc.h))
-    for k in range(trace.t.size):
-        if trace.contact[k]:
+    for c in contact:
+        if c:
             run += 1
         else:
             if run >= sustain:
@@ -606,7 +641,8 @@ def compute_metrics(trace: Trace, sc: Scenario) -> Metrics:
     chatter = float(np.max(np.std(trace.u_s[window], axis=0))) if np.any(window) else math.nan
 
     model = build_model(sc)
-    pen = max([0.0, *(sc.env.y_s - model.ee_pose_fn(q)[1] for q in trace.q)])
+    terms, y, rates, y_s = model.terms, model.pose_at + 1, (0.0,) * model.dof, sc.env.y_s
+    pen = max([0.0, *(y_s - terms(*q, *rates)[y] for q in trace.q.tolist())])
     return Metrics(steady_err, steady_mean, settle, rebounds, violations, chatter, pen)
 
 

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import pytest
 
-from nonsmooth_adm import msta
+from nonsmooth_adm import msta, sim
 from nonsmooth_adm.admittance import (
     AdmittanceGains,
     AdmittanceState,
@@ -386,13 +386,16 @@ def test_diagonal_product_is_entrywise_until_an_entry_is_not_finite():
     assert np.isnan(row) and np.isnan(0.0 + 0.0 * np.inf + 3.0 * 1.0)
 
 
-def test_runner_products_equal_numpy_matrix_vector_products():
-    """The runner maps both planar forces to joint space with one product,
-    ``jac.T.dot([[fx, fdx], [fy, fdy]])`` (``@`` alike), whose columns are
-    bitwise ``jac.T @ [fx, fy]`` and ``jac.T @ [fdx, fdy]`` on the numpy and
-    BLAS build under test, and the end-effector velocity from ``jac.dot(qd)``,
-    bitwise ``jac @ qd``.  One- and two-joint Jacobians, scales 1e-8 to 1e6,
-    signed zeros."""
+def test_runner_force_map_is_the_float_row_convention():
+    """The runner maps a planar force to joint space on floats,
+    ``sim._joint_forces``: joint i's force is bitwise 0.0 + jx_i*fx +
+    jy_i*fy, so a zero force maps to +0.0 as the numpy product gives, and it
+    agrees with ``jac.T @ [fx, fy]`` to one rounding of the products'
+    magnitudes (numpy's product may round once for a product and a sum, an
+    FMA).  ``sim._ee_velocity`` likewise maps the joint rates: row r is
+    bitwise 0.0 + j_r0*qd_0 (+ j_r1*qd_1) and agrees with ``jac @ qd`` to one
+    rounding.  One- and two-joint Jacobians, scales 1e-8 to 1e6, signed
+    zeros."""
     gen = np.random.default_rng(14)
 
     def entries(size):
@@ -402,15 +405,25 @@ def test_runner_products_equal_numpy_matrix_vector_products():
         x[(pick >= 0.15) & (pick < 0.3)] = -0.0
         return x
 
+    def one_rounding(got, want, terms):
+        return np.all(np.abs(np.array(got) - want) <= 2.0 ** -52 * np.abs(terms).sum(axis=-1))
+
     for n in (1, 2):
         for _ in range(5000):
             jac, qd = entries((2, n)), entries(n)
-            fx, fy, fdx, fdy = entries(4).tolist()
-            w = np.array([[fx, fdx], [fy, fdy]])
-            fc, fd = jac.T @ np.array([fx, fy]), jac.T @ np.array([fdx, fdy])
-            for forces in (jac.T @ w, jac.T.dot(w)):
-                assert _bits(forces.T[0]) == _bits(fc) and _bits(forces.T[1]) == _bits(fd)
-            assert _bits(jac.dot(qd)) == _bits(jac @ qd)
+            f = entries(2)
+            flat, (fx, fy), rates = tuple(jac.ravel().tolist()), f.tolist(), qd.tolist()
+            forces = sim._joint_forces(flat, fx, fy)
+            rows = jac.tolist()
+            assert _bits(tuple(forces)) == _bits(tuple(
+                0.0 + jx * fx + jy * fy for jx, jy in zip(*rows)))
+            assert one_rounding(forces, jac.T @ f, jac.T * f)
+            assert _bits(tuple(sim._ee_velocity(flat, rates))) == _bits(tuple(
+                0.0 + r[0] * rates[0] if n == 1 else 0.0 + r[0] * rates[0] + r[1] * rates[1]
+                for r in rows))
+            assert one_rounding(sim._ee_velocity(flat, rates), jac @ qd, jac * qd)
+    assert _bits(tuple(sim._joint_forces((-0.0, -1.0, 2.0, -0.0), 0.0, -0.0))) == \
+        _bits((0.0, 0.0)) == _bits(tuple(np.array([[-0.0, -1.0], [2.0, -0.0]]).T @ [0.0, -0.0]))
 
 
 @pytest.mark.parametrize("naive", [False, True])

@@ -354,16 +354,22 @@ def test_kernels_equal_the_textbook_formulas_bitwise(rng):
             assert _bits(model.terms(*x)) == _bits(textbook(p, *x)), (p, x)
 
 
-def test_pose_jacobian_matches_the_array_views_bitwise(rng):
+def test_kernel_ends_with_the_pose_and_the_jacobian_rows(rng):
+    """From ``pose_at`` on, the kernel tuple is the end-effector pose and the
+    Jacobian's entries row by row, as floats, bitwise the array views; they
+    do not depend on the joint rates."""
     models = [one_dof_model(), two_link_model(), linear_motor_model(), frictionless_stage()]
     for model in models:
+        e = model.pose_at
         for _ in range(50):
-            q = rng.normal(scale=1.5, size=model.dof)
-            ee, jac = model.pose_jacobian(q.tolist())
-            assert _bits(ee) == _bits(model.ee_pose_fn(q))
+            q, qd = rng.normal(scale=1.5, size=model.dof), rng.normal(scale=4.0, size=model.dof)
+            t = model.terms(*q.tolist(), *qd.tolist())
+            assert _bits(t[e:]) == _bits(model.terms(*q.tolist(), *(0.0,) * model.dof)[e:])
+            assert all(type(x) is float for x in t[e:]) and len(t) == e + 2 + 2 * model.dof
+            assert _bits(t[e:e + 2]) == _bits(model.ee_pose_fn(q))
             ref = model.jacobian_fn(q)
-            assert jac.dtype == ref.dtype and jac.shape == ref.shape == (2, model.dof)
-            assert jac.tobytes() == ref.tobytes()
+            assert ref.shape == (2, model.dof)
+            assert np.array(t[e + 2:]).reshape(2, model.dof).tobytes() == ref.tobytes()
 
 
 # The generic substep loops that ran every plant through its kernel, kept

@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from nonsmooth_adm import admittance, sim
+from nonsmooth_adm import admittance, plant, sim
 from nonsmooth_adm.plant import EnvironmentModel, SimulationBlowUp, two_link_model
 from nonsmooth_adm.sim import (
     LINMOTOR_STIFFNESS_LEVELS,
@@ -703,3 +703,143 @@ def test_layer_boundaries_are_called_once_per_step(monkeypatch, kind):
     skipped = {"proposed": ("baseline_naive_step",),
                "naive": ("admittance_step", "inner_loop_candidate")}[kind]
     assert calls == {name: 0 if name in skipped else steps for _, name in _LAYER_BOUNDARIES}
+
+
+# --------------------------------------------------------------------------- runner oracle
+
+def _run_scenario_rows(sc):
+    """The runner as it was before its per-step bookkeeping moved to floats,
+    kept as the oracle of ``run_scenario``: kinematics as arrays
+    (``ee_pose_fn``, ``jacobian_fn``), both joint-space forces from one numpy
+    product, the force schedule looked up every step, and each channel's
+    row stored on its own."""
+    model, disturbance, estimate, gains, q0, state = sim._build_run(sc)
+    n = model.dof
+    env = sc.env
+    controller_step = (admittance.admittance_step if sc.controller.kind == "proposed"
+                       else admittance.baseline_naive_step)
+    steps = int(round(sc.duration / sc.h))
+    n_sub = int(round(sc.h / sc.dt_sub))
+    in_force_phase = sc.approach.mode == "none"
+    ctrl_state = admittance.initial_state(q0) if in_force_phase else None
+    tr = Trace(**{attr: np.zeros(steps if per_step else (steps, len(cols)),
+                                 dtype=bool if is_bool else float)
+                  for attr, cols, is_bool, per_step in sim._trace_layout(n)})
+    for k in range(steps):
+        t = k * sc.h
+        ee, jac = model.ee_pose_fn(state.q), model.jacobian_fn(state.q)
+        fx, fy = plant.contact_wrench(ee, jac.dot(state.qd).tolist(), env)
+        fdx, fdy = sim._fd_lookup(sc.fd_schedule, t)
+        forces = jac.T.dot(np.array([[fx, fdx], [fy, fdy]])).T
+        fc_joint, fd_joint = forces[0], forces[1]
+        if not in_force_phase and fy != 0.0:
+            in_force_phase = True
+            ctrl_state = admittance.initial_state(state.q)
+        if in_force_phase:
+            meas = admittance.Measurement(q=state.q, fc=fc_joint, fd=fd_joint)
+            tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
+            tr.qx[k] = ctrl_state.qx_prev
+            tr.qxd[k] = ctrl_state.qxd_prev
+            tr.tau_star[k] = diag.tau_star
+            tr.s[k] = diag.s
+            tr.v[k] = ctrl_state.msta_state.v
+            tr.u_s[k] = diag.u_s
+            tr.saturated[k] = diag.saturated
+        else:
+            ap = sc.approach
+            cmd = ap.kv * (ap.v_ref - state.qd[-1]) + ap.hold_force
+            tau = np.zeros(n)
+            tau[-1] = max(-gains.box.limits[-1], min(gains.box.limits[-1], cmd))
+            tr.qx[k] = state.q
+            tr.tau_star[k] = tau
+        tr.t[k] = t
+        tr.q[k] = state.q
+        tr.qd[k] = state.qd
+        tr.tau[k] = tau
+        tr.fc_joint[k] = fc_joint
+        tr.fc_cart[k, 0] = fx
+        tr.fc_cart[k, 1] = fy
+        tr.contact[k] = fy > 0.0
+        state = plant.integrate_substep(model, state, tau, env, disturbance, t, sc.dt_sub, n_sub)
+    return tr
+
+
+def _metrics_rows(trace, sc) -> tuple:
+    """(settle_time, rebound_count, max_penetration) as ``compute_metrics``
+    computed them before its loops read lists: numpy scalars in the loops
+    and the pose of each row from ``ee_pose_fn``."""
+    fd_mag = abs(sim._fd_lookup(sc.fd_schedule, trace.t[-1])[1])
+    fcy = trace.fc_cart[:, 1]
+    settle = math.nan
+    contact_idx = np.flatnonzero(trace.contact)
+    if fd_mag > 0.0 and contact_idx.size:
+        ok = np.abs(fcy - fd_mag) <= 0.05 * fd_mag
+        need = max(1, int(round(0.5 / sc.h)))
+        start = contact_idx[0]
+        run = 0
+        for k in range(start, trace.t.size):
+            run = run + 1 if ok[k] else 0
+            if run >= need:
+                settle = float(trace.t[k - need + 1] - trace.t[start])
+                break
+    rebounds = 0
+    run = 0
+    sustain = int(round(0.2 / sc.h))
+    for k in range(trace.t.size):
+        if trace.contact[k]:
+            run += 1
+        else:
+            if run >= sustain:
+                rebounds += 1
+            run = 0
+    model = build_model(sc)
+    pen = max([0.0, *(sc.env.y_s - model.ee_pose_fn(q)[1] for q in trace.q)])
+    return settle, rebounds, pen
+
+
+def _oracle_cases():
+    """(name, scenario) of the 1 s runs checked against the oracle runner:
+    every preset, proposed and naive, plus the linear stage under a sine
+    disturbance and under a schedule of several breakpoints (two at one
+    instant), and the two-link arm with the approach servo."""
+    cases = []
+    for name, sc in presets().items():
+        cases += [(name, short(sc, 1.0)), (name + "_naive", short(naive_variant(sc), 1.0))]
+    sc = short(presets()["linmotor_steps"], 1.0)
+    sc.disturbance = DisturbanceSpec(kind="sine", amplitude=0.5, freq_hz=2.0)
+    cases.append(("linmotor_steps:sine", sc))
+    sc = short(presets()["linmotor_steps"], 1.0)
+    sc.fd_schedule = ((0.0, 0.0, -1.5), (0.8, 0.5, -2.0), (0.9, 0.0, -1.0),
+                      (0.9, 0.0, -2.5), (0.96, 0.0, -1.0))
+    cases.append(("linmotor_steps:schedule", sc))
+    sc = short(presets()["fig5_two_dof"], 1.0)
+    sc.approach = sim.ApproachSpec(mode="velocity", v_ref=-0.3, kv=5.0, hold_force=0.5)
+    cases.append(("fig5_two_dof:approach", sc))
+    return cases
+
+
+@pytest.mark.parametrize("sc", [pytest.param(sc, id=name) for name, sc in _oracle_cases()])
+def test_runner_matches_the_per_row_numpy_runner(sc):
+    """Every channel of ``run_scenario`` is the oracle's bit for bit, except
+    where the oracle's BLAS product and the float force map round apart:
+    fig3/fig5 ``fc_joint`` (proposed) within one rounding, 2^-52 of
+    |jx_i fx| + |jy_i fy|, and every channel of the naive fig3/fig5 runs,
+    whose controller carries such a rounding into the state, within 1e-10.
+    The metrics of the run are those of the pre-list metric loops, by repr."""
+    new, old = run_scenario(sc), _run_scenario_rows(sc)
+    naive_arm = sc.plant != "linear_motor" and sc.controller.kind == "naive"
+    for f in fields(Trace):
+        a, b = getattr(new, f.name), getattr(old, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        if naive_arm:
+            assert np.max(np.abs(a.astype(float) - b.astype(float))) <= 1e-10, f.name
+        elif f.name == "fc_joint" and sc.plant != "linear_motor":
+            jac = np.array([build_model(sc).jacobian_fn(q) for q in old.q])
+            fx, fy = old.fc_cart[:, :1], old.fc_cart[:, 1:]
+            magnitude = np.abs(jac[:, 0] * fx) + np.abs(jac[:, 1] * fy)
+            assert np.all(np.abs(a - b) <= 2.0 ** -52 * magnitude), f.name
+        else:
+            assert a.tobytes() == b.tobytes(), f.name
+    m = compute_metrics(new, sc)
+    assert repr((m.settle_time, m.rebound_count, m.max_penetration)) == \
+        repr(_metrics_rows(new, sc))

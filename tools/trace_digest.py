@@ -22,6 +22,12 @@ the ``repr`` of every ``Metrics`` field.  The package is imported from the
 ``src`` directory next to this script, so two checkouts compare with ``cmp``
 of their outputs.
 
+    python3 tools/trace_digest.py --diff old.json new.json
+
+compares two such digests instead of running anything: per run it prints
+the channels whose digest changed and each changed metric as old -> new
+(and a run present in one file only), then exits 0.
+
 Each run's CSV is also written to a file with ``write_trace_csv``, whose
 bytes must be the text ``trace_to_csv`` returns, then read back with
 ``trace_from_csv`` and formatted again, which must give the same text; if
@@ -110,7 +116,35 @@ def digest(name: str, sc, csv_path: str) -> dict:
     }
 
 
+def diff(old: dict, new: dict) -> list[str]:
+    """Lines naming, per run, the changed channels (and the CSV) and each
+    changed metric as old -> new; runs in one digest only are named too."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new or name not in old:
+            lines.append(f"{name}: only in the {'old' if name in old else 'new'} digest")
+            continue
+        a, b = old[name], new[name]
+        channels = sorted(c for c in a["channels"].keys() | b["channels"].keys()
+                          if a["channels"].get(c) != b["channels"].get(c))
+        if a["csv"] != b["csv"]:
+            channels.append("csv")
+        metrics = [f"  {m}: {a['metrics'].get(m)} -> {b['metrics'].get(m)}"
+                   for m in sorted(a["metrics"].keys() | b["metrics"].keys())
+                   if a["metrics"].get(m) != b["metrics"].get(m)]
+        if channels or metrics:
+            lines.append(f"{name}: channels changed: {', '.join(channels) or 'none'}")
+            lines.extend(metrics)
+    return lines or ["no run changed"]
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--diff"]:
+        if len(sys.argv) != 4:
+            sys.exit("usage: trace_digest.py [--diff old.json new.json]")
+        old, new = (json.loads(Path(p).read_text()) for p in sys.argv[2:])
+        print("\n".join(diff(old, new)))
+        return
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "trace.csv")
         out = {name: digest(name, sc, csv_path) for name, sc in standard_runs().items()}
