@@ -38,6 +38,7 @@ from .msta import (
     _check_period,
     _explicit,
     _Iteration,
+    _msta_state,
     _solve_inclusion,
     msta_explicit_step,  # noqa: F401  (perfbench traces it under this name)
     msta_implicit_decoupled_step,  # noqa: F401  (perfbench traces it under this name)
@@ -50,7 +51,6 @@ from .setvalued import (
     _finite_vector,
     _read_only,
     _require_finite,
-    _unchecked,
     _vector,
     project_box,
     variational_residual,
@@ -275,6 +275,24 @@ class AdmittanceState:
                              f"numbers of entries: {sorted(sizes)}")
 
 
+def _admittance_state(qx_prev: np.ndarray, qxd_prev: np.ndarray, ux_prev: np.ndarray,
+                      q_prev: np.ndarray, qe_prev: np.ndarray,
+                      msta_state: MstaState) -> AdmittanceState:
+    """``AdmittanceState(...)`` without ``__post_init__``, for the float
+    vectors a step computes from checked inputs: the public constructor
+    would convert and check them again.  The class is frozen, so the fields
+    go into the instance dict, in field order."""
+    obj = object.__new__(AdmittanceState)
+    d = obj.__dict__
+    d["qx_prev"] = qx_prev
+    d["qxd_prev"] = qxd_prev
+    d["ux_prev"] = ux_prev
+    d["q_prev"] = q_prev
+    d["qe_prev"] = qe_prev
+    d["msta_state"] = msta_state
+    return obj
+
+
 @dataclass(frozen=True)
 class Measurement:
     """Sampled inputs: position, joint-space contact force, desired force."""
@@ -287,6 +305,17 @@ class Measurement:
         for name in ("q", "fc", "fd"):
             object.__setattr__(self, name, _finite_vector(getattr(self, name),
                                                           f"measurement {name}"))
+
+
+def _measurement(q: np.ndarray, fc: np.ndarray, fd: np.ndarray) -> Measurement:
+    """``Measurement(q, fc, fd)`` without ``__post_init__``, for float
+    vectors the caller has already checked; as ``_admittance_state``."""
+    obj = object.__new__(Measurement)
+    d = obj.__dict__
+    d["q"] = q
+    d["fc"] = fc
+    d["fd"] = fd
+    return obj
 
 
 @dataclass(frozen=True)
@@ -303,6 +332,27 @@ class StepDiagnostics:
     saturated: np.ndarray
     lambda_vi_residual: float
     solver: SolverDiagnostics | None = None
+
+
+def _step_diagnostics(tau_star: np.ndarray, tau: np.ndarray, qx_star: np.ndarray,
+                      q1_star: np.ndarray, s: np.ndarray, qe: np.ndarray, u_s: np.ndarray,
+                      saturated: np.ndarray, lambda_vi_residual: float,
+                      solver: SolverDiagnostics | None) -> StepDiagnostics:
+    """``StepDiagnostics(...)`` for a step's own outputs, written into the
+    frozen instance's dict in field order, as ``_admittance_state``."""
+    obj = object.__new__(StepDiagnostics)
+    d = obj.__dict__
+    d["tau_star"] = tau_star
+    d["tau"] = tau
+    d["qx_star"] = qx_star
+    d["q1_star"] = q1_star
+    d["s"] = s
+    d["qe"] = qe
+    d["u_s"] = u_s
+    d["saturated"] = saturated
+    d["lambda_vi_residual"] = lambda_vi_residual
+    d["solver"] = solver
+    return obj
 
 
 def initial_state(q0: np.ndarray) -> AdmittanceState:
@@ -484,7 +534,7 @@ def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: Admittan
     v = state.msta_state.v
     if mode == "scalar-implicit":
         u, v_next, _, _ = sta_scalar_implicit_step(s.item(), g.msta, loop.beta, g.h, v.item())
-        return np.array([u]), _unchecked(MstaState, v=np.array([v_next])), None
+        return np.array([u]), _msta_state(np.array([v_next])), None
     if mode == "explicit":
         return (*_explicit(s, v, g.msta, g.h), None)
     return _solve_inclusion(s, loop.iteration, v, g.msta, g.h)
@@ -541,6 +591,11 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     The applied torque is exactly the box projection of the candidate, and the
     corrected proxy satisfies qx = W^{-1} tau + q1_star, so tau == tau_star
     implies qx == qx_star.
+
+    The returned arrays are shared where their values are equal: on a step
+    that saturates no joint, ``tau is diag.tau_star`` (``project_box``
+    returns its candidate), and ``diag.qe is next_state.qe_prev``.  A caller
+    that mutates one of them must copy it first.
     """
     _check_entry_counts(state, meas, g.box)
     h = g.h
@@ -562,11 +617,9 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
         qx0, qx1 = d0 + q0, d1 + q1
         qx, qxd = np.array([qx0, qx1]), np.array([(qx0 - x0) / h, (qx1 - x1) / h])
 
-    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
-                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
-    diag = _unchecked(StepDiagnostics, tau_star=tau_star, tau=tau, qx_star=qx_star,
-                      q1_star=q1_star, s=s, qe=qe, u_s=u_s, saturated=saturated,
-                      lambda_vi_residual=vi_residual, solver=solver_diag)
+    next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, msta_next)
+    diag = _step_diagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated, vi_residual,
+                             solver_diag)
     return tau, next_state, diag
 
 
@@ -583,7 +636,9 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
 
     The proxy integrates the measured and desired forces with no feedback from
     the applied torque, and the position loop is a gravity-compensated PD whose
-    output is hard-clamped to the torque box.
+    output is hard-clamped to the torque box.  As in ``admittance_step``,
+    ``tau is diag.tau_star`` on a step that saturates no joint, and
+    ``diag.q1_star is next_state.q_prev``.
     """
     _check_entry_counts(state, meas, ng.box)
     h = ng.h
@@ -603,10 +658,8 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
         e1, raw1 = _naive_joint(kp, kd, h, x1, y1, p1, c1)
         qe, tau_raw = np.array([e0, e1]), np.array([raw0, raw1])
     tau, saturated, vi_residual = _clip(tau_raw, ng.box)
-    zero = np.zeros_like(qe)
-    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,
-                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=state.msta_state)
-    diag = _unchecked(StepDiagnostics, tau_star=tau_raw, tau=tau, qx_star=qx,
-                      q1_star=meas.q.copy(), s=zero, qe=qe, u_s=zero, saturated=saturated,
-                      lambda_vi_residual=vi_residual, solver=None)
+    zero = np.zeros(len(qe))
+    q = meas.q.copy()
+    next_state = _admittance_state(qx, ux, ux, q, qe, state.msta_state)
+    diag = _step_diagnostics(tau_raw, tau, qx, q, zero, qe, zero, saturated, vi_residual, None)
     return tau, next_state, diag

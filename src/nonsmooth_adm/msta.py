@@ -45,7 +45,6 @@ from .setvalued import (
     _norm,
     _read_only,
     _require_finite,
-    _unchecked,
 )
 
 __all__ = [
@@ -114,6 +113,15 @@ class MstaState:
         return MstaState(np.zeros(dof))
 
 
+def _msta_state(v: np.ndarray) -> MstaState:
+    """``MstaState(v)`` without ``__post_init__``, for a float vector a step
+    computes from checked inputs; the class is frozen, so v goes into the
+    instance dict."""
+    obj = object.__new__(MstaState)
+    obj.__dict__["v"] = v
+    return obj
+
+
 @dataclass(frozen=True)
 class SolverDiagnostics:
     """Result of the implicit nominal-state solve.  ``residual`` is the
@@ -126,6 +134,20 @@ class SolverDiagnostics:
     converged: bool
     shat: np.ndarray
     m2: np.ndarray
+
+
+def _solver_diagnostics(iterations: int, residual: float, converged: bool, shat: np.ndarray,
+                        m2: np.ndarray) -> SolverDiagnostics:
+    """``SolverDiagnostics(...)`` for a solve's own outputs, written into the
+    frozen instance's dict in field order, as ``_msta_state``."""
+    obj = object.__new__(SolverDiagnostics)
+    d = obj.__dict__
+    d["iterations"] = iterations
+    d["residual"] = residual
+    d["converged"] = converged
+    d["shat"] = shat
+    d["m2"] = m2
+    return obj
 
 
 class SolverConvergenceError(RuntimeError):
@@ -165,7 +187,7 @@ def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
     ||s|| is numpy's (``_norm``)."""
     ns = _norm(s)
     if not ns > 0.0:
-        return v.copy(), _unchecked(MstaState, v=v.copy())
+        return v.copy(), _msta_state(v.copy())
     v = v.tolist()
     k2, hk3, k4 = g.k2, h * g.k3, g.k4
     root = math.sqrt(ns)
@@ -173,7 +195,7 @@ def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
     for j, y in enumerate(s.tolist()):
         u_s.append(v[j] + k2 * y / root)
         v_next.append(v[j] + hk3 * y / ns + k4 * y)
-    return np.array(u_s), _unchecked(MstaState, v=np.array(v_next))
+    return np.array(u_s), _msta_state(np.array(v_next))
 
 
 def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
@@ -313,9 +335,8 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
     for j, y in enumerate(m2):
         v_next.append(v[j] + hk3 * y)
         u_s.append(gam * y + v_next[j])
-    diag = _unchecked(SolverDiagnostics, iterations=iterations, residual=res,
-                      converged=res <= g.fp_tol * (1.0 + ns), shat=shat, m2=np.array(m2))
-    return np.array(u_s), _unchecked(MstaState, v=np.array(v_next)), diag
+    diag = _solver_diagnostics(iterations, res, res <= g.fp_tol * (1.0 + ns), shat, np.array(m2))
+    return np.array(u_s), _msta_state(np.array(v_next)), diag
 
 
 def solve_shat_vector(

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .setvalued import _require_finite, _unchecked, sign0
+from .setvalued import _require_finite, sign0
 
 __all__ = [
     "ManipulatorModel",
@@ -38,9 +38,9 @@ __all__ = [
 # unmeasured bounded generalized force fe(t, q, qd) on a one-joint plant, floats
 Disturbance = Callable[[float, float, float], float]
 
-# offsets of the Coriolis, gravity, end-effector pose and Jacobian entries in
-# the kernel tuple, by dof (the mass entries come first)
-_LAYOUT = {1: (1, 2, 3, 5), 2: (3, 7, 9, 11)}
+# offsets of the Coriolis, gravity and end-effector pose entries in the kernel
+# tuple, by dof (the mass entries come first, the Jacobian's follow the pose)
+_LAYOUT = {1: (1, 2, 3), 2: (3, 7, 9)}
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,12 @@ class ManipulatorModel:
     ``terms`` is the dynamics kernel.  For one joint it maps floats (q, qd)
     to (m, c, g, ee_x, ee_y, jac_x, jac_y); for two joints it maps
     (q1, q2, qd1, qd2) to (m11, m12, m22, c11, c12, c21, c22, g1, g2, ee_x,
-    ee_y, j11, j12, j21, j22).  The ``*_fn`` methods are array views of the
-    same tuple.  The Jacobian maps joint rates to the planar end-effector
-    velocity (2 x dof).  The plant integrates whatever torque it is given:
-    the torque box belongs to the controller.
+    ee_y, j11, j12, j21, j22).  ``mass_fn``, ``coriolis_fn`` and
+    ``gravity_fn`` are array views of the same tuple (the exact estimate
+    takes them); the runner reads the pose and the Jacobian from the tuple
+    itself, from ``pose_at`` on.  The Jacobian maps joint rates to the
+    planar end-effector velocity (2 x dof).  The plant integrates whatever
+    torque it is given: the torque box belongs to the controller.
 
     ``_advance`` is the plant's controller period: ``n_sub`` semi-implicit
     Euler substeps on floats, the kernel's entries written out in its own
@@ -93,15 +95,6 @@ class ManipulatorModel:
     def gravity_fn(self, q: np.ndarray) -> np.ndarray:
         g = _LAYOUT[self.dof][1]
         return np.array(self._at(q)[g:g + self.dof])
-
-    def ee_pose_fn(self, q: np.ndarray) -> tuple[float, float]:
-        e = _LAYOUT[self.dof][2]
-        t = self._at(q)
-        return t[e], t[e + 1]
-
-    def jacobian_fn(self, q: np.ndarray) -> np.ndarray:
-        j = _LAYOUT[self.dof][3]
-        return np.array(self._at(q)[j:]).reshape(2, self.dof)
 
     @property
     def pose_at(self) -> int:
@@ -201,6 +194,15 @@ class PlantState:
     def __post_init__(self) -> None:
         self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
         self.qd = np.atleast_1d(np.asarray(self.qd, dtype=float))
+
+
+def _plant_state(q: np.ndarray, qd: np.ndarray) -> PlantState:
+    """``PlantState(q, qd)`` without ``__post_init__``, for the float vectors
+    a period loop returns: the public constructor would convert them again."""
+    obj = object.__new__(PlantState)
+    obj.q = q
+    obj.qd = qd
+    return obj
 
 
 class SimulationBlowUp(RuntimeError):
@@ -390,4 +392,4 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
                            dt_sub, n_sub)
     if not all(map(math.isfinite, q + qd)):
         raise SimulationBlowUp(step=-1, t=t)
-    return _unchecked(PlantState, q=np.array(q), qd=np.array(qd))
+    return _plant_state(np.array(q), np.array(qd))

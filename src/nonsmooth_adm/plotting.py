@@ -49,6 +49,10 @@ def line_chart(series, title: str, xlabel: str, ylabel: str, path: str | None = 
     ys = ys[np.isfinite(ys)]
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
+    if x_hi - x_lo < 1e-12:
+        # one sample (a one-row trace) spans no x range to scale by
+        x_lo -= 1.0
+        x_hi += 1.0
     if y_hi - y_lo < 1e-12:
         y_lo -= 1.0
         y_hi += 1.0

@@ -72,18 +72,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _unchecked(cls, **values):
-    """``cls(**values)`` for a dataclass, without ``__post_init__``.
-
-    For the states and measurements a step builds from float vectors it has
-    computed from checked inputs: the public constructor would convert and
-    finite-check them again.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
-
-
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.setflags(write=False)
     return x
@@ -140,16 +128,24 @@ def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
 
     The entries are clamped on floats, bitwise equal to numpy's
     ``np.minimum(np.maximum(y, -F), F)``: a NaN passes through, and as F > 0
-    no tie between signed zeros arises.
+    no tie between signed zeros arises.  When no entry is clamped the
+    projection is y itself: the float vector it was given (after conversion)
+    is returned, not a copy, and a new array only when an entry is clamped.
+    A caller that mutates either the result or y must copy first.
     """
     y = _vector(y)
     limits = box._floats
     if y.shape != box.limits.shape:
         raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
     if len(limits) == 1:
-        return np.array([_clamp(y.item(), limits[0])])
-    y0, y1 = y.tolist()
-    return np.array([_clamp(y0, limits[0]), _clamp(y1, limits[1])])
+        y0, f0 = y.item(), limits[0]
+        if y0 < -f0 or y0 > f0:
+            return np.array([_clamp(y0, f0)])
+        return y
+    (y0, y1), (f0, f1) = y.tolist(), limits
+    if y0 < -f0 or y0 > f0 or y1 < -f1 or y1 > f1:
+        return np.array([_clamp(y0, f0), _clamp(y1, f1)])
+    return y
 
 
 def _clamp(y: float, limit: float) -> float:

@@ -24,10 +24,10 @@ import numpy as np
 from .admittance import (
     AdmittanceGains,
     AdmittanceState,
-    Measurement,
     ModelEstimate,
     NaiveGains,
     _loop_for,
+    _measurement,
     admittance_step,
     baseline_naive_step,
     initial_state,
@@ -49,7 +49,7 @@ from .plant import (
     one_dof_model,
     two_link_model,
 )
-from .setvalued import BoxConstraint, _require_finite, _unchecked
+from .setvalued import BoxConstraint, _require_finite
 
 __all__ = [
     "ScenarioError",
@@ -560,8 +560,7 @@ def run_scenario(sc: Scenario) -> Trace:
             # float vectors of the plant state, finite-checked every period
             # and new every period (so not copied), and of the validated force
             # schedule: not checked again
-            meas = _unchecked(Measurement, q=state.q, fc=np.array(fc),
-                              fd=np.array(_joint_forces(jac, fdx, fdy)))
+            meas = _measurement(state.q, np.array(fc), np.array(_joint_forces(jac, fdx, fdy)))
             tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
             table[k] = [t, *q, *qd, *ctrl_state.qx_prev.tolist(), *ctrl_state.qxd_prev.tolist(),
                         *tau.tolist(), *diag.tau_star.tolist(), *fc, *diag.s.tolist(),

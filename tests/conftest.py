@@ -1,10 +1,12 @@
 import hashlib
+import math
 import time
 
 import numpy as np
 import pytest
 
 from nonsmooth_adm.admittance import _evaluate_loop, admittance_step
+from nonsmooth_adm.plant import OneDofParams, TwoLinkParams
 from nonsmooth_adm.sim import compute_metrics, naive_variant, presets, run_scenario
 from nonsmooth_adm.verify import admittance_reference
 
@@ -74,3 +76,27 @@ def straight_line_deviation():
     """``_straight_line_deviation``, for the tests that compare a step with
     the straight-line reference."""
     return _straight_line_deviation
+
+
+def _ee_kinematics(params, q: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
+    """The end-effector pose and the 2 x dof Jacobian, at q, of the plant
+    with parameters ``params`` (a linear stage for any other type), in
+    closed form."""
+    if isinstance(params, OneDofParams):
+        s, c = math.sin(q[0]), math.cos(q[0])
+        return (params.l1 * c, params.l1 * s), np.array([[-params.l1 * s], [params.l1 * c]])
+    if isinstance(params, TwoLinkParams):
+        l1, l2 = params.l1, params.l2
+        s1, c1 = math.sin(q[0]), math.cos(q[0])
+        s12, c12 = math.sin(q[0] + q[1]), math.cos(q[0] + q[1])
+        ex = l1 * c1 + l2 * c12
+        return (ex, l1 * s1 + l2 * s12), np.array([[-l1 * s1 - l2 * s12, -l2 * s12],
+                                                   [ex, l2 * c12]])
+    return (0.0, float(q[0])), np.array([[0.0], [1.0]])
+
+
+@pytest.fixture
+def ee_kinematics():
+    """``_ee_kinematics``, the closed-form kinematics the plant and runner
+    oracles take the pose and the Jacobian from."""
+    return _ee_kinematics

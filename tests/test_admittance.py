@@ -14,7 +14,11 @@ from nonsmooth_adm.admittance import (
     Measurement,
     ModelEstimate,
     NaiveGains,
+    StepDiagnostics,
+    _admittance_state,
+    _measurement,
     _solve2,
+    _step_diagnostics,
     admittance_step,
     baseline_naive_step,
     initial_state,
@@ -22,8 +26,15 @@ from nonsmooth_adm.admittance import (
     proxy_predict,
     sliding_variable,
 )
-from nonsmooth_adm.msta import MstaGains, MstaState, SolverConvergenceError
-from nonsmooth_adm.plant import two_link_model
+from nonsmooth_adm.msta import (
+    MstaGains,
+    MstaState,
+    SolverConvergenceError,
+    SolverDiagnostics,
+    _msta_state,
+    _solver_diagnostics,
+)
+from nonsmooth_adm.plant import PlantState, _plant_state, two_link_model
 from nonsmooth_adm.setvalued import BoxConstraint, project_box
 from nonsmooth_adm.verify import admittance_reference
 
@@ -764,3 +775,52 @@ def test_step_states_are_float_vectors_that_feed_back_bitwise(n, mode, k1):
         assert _is_float_vector(nxt.msta_state.v, n)
         assert _step_bits(step(st, meas, est, g)) == _step_bits(step(_rebuilt(st), meas, est, g))
         st = nxt
+
+
+def _per_period_cases():
+    """(positional constructor, class, field values) for each per-period
+    type the steps build without its public constructor's checks."""
+    def vec(*x):
+        return np.array(x)
+
+    msta_state = MstaState(vec(0.5, -0.25))
+    solver = SolverDiagnostics(3, 1e-13, True, vec(0.0, 1e-4), vec(-0.5, 1.0))
+    cases = [
+        (_admittance_state, AdmittanceState,
+         (vec(1.0, 2.0), vec(0.0, -0.0), vec(3.0, 4.0), vec(5.0, 6.0), vec(7.0, 8.0),
+          msta_state)),
+        (_measurement, Measurement, (vec(0.1), vec(-2.0), vec(0.0))),
+        (_step_diagnostics, StepDiagnostics,
+         (vec(4.0, -9.0), vec(3.0, -4.0), vec(0.1, 0.2), vec(0.3, 0.4), vec(1e-3, 0.0),
+          vec(0.0, -1e-3), vec(2.0, 3.0), np.array([True, False]), -0.5, solver)),
+        (_step_diagnostics, StepDiagnostics,
+         (vec(1.0), vec(1.0), vec(0.1), vec(0.3), vec(0.0), vec(0.0), vec(0.0),
+          np.array([False]), 0.0, None)),
+        (_msta_state, MstaState, (vec(0.5, -0.25),)),
+        (_solver_diagnostics, SolverDiagnostics, (3, 1e-13, True, vec(0.0, 1e-4),
+                                                  vec(-0.5, 1.0))),
+        (_plant_state, PlantState, (vec(0.2, -0.4), vec(1.0, 0.0))),
+    ]
+    ids = ["AdmittanceState", "Measurement", "StepDiagnostics", "StepDiagnostics-no-solver",
+           "MstaState", "SolverDiagnostics", "PlantState"]
+    return [pytest.param(*case, id=name) for case, name in zip(cases, ids)]
+
+
+@pytest.mark.parametrize("make,cls,values", _per_period_cases())
+def test_positional_constructors_build_what_the_public_ones_build(make, cls, values):
+    """Each positional constructor gives an instance of its class whose
+    fields, in field order, are the given objects themselves; its repr, its
+    ``dataclasses.replace`` and its pickle round trip are those of the same
+    instance built by the public constructor."""
+    obj, public = make(*values), cls(*values)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert type(obj) is cls and list(vars(obj)) == names
+    assert all(getattr(obj, n) is v for n, v in zip(names, values))
+    assert repr(obj) == repr(public)
+    first = names[0]
+    replacement = np.array(getattr(obj, first)) + 1.0
+    assert repr(dataclasses.replace(obj, **{first: replacement})) == \
+        repr(dataclasses.replace(public, **{first: replacement}))
+    back = pickle.loads(pickle.dumps(obj))
+    assert type(back) is cls and repr(back) == repr(public)
+    assert list(vars(back)) == names

@@ -344,6 +344,25 @@ def test_plot_from_trace(tmp_path):
     assert os.path.exists(os.path.join(out2, "position.svg"))
 
 
+def test_a_one_row_trace_plots(tmp_path):
+    """A run of one period writes a one-row trace, whose panels span no
+    time: ``run --plot``, ``plot`` of its trace and ``compare --plot`` all
+    draw them."""
+    out = str(tmp_path / "one")
+    assert main(["run", "--scenario", "fig3_one_dof", "--out", out,
+                 "--set", "duration_s=0.001", "--plot"]) == 0
+    assert trace_from_csv(os.path.join(out, "trace.csv")).t.size == 1
+    panels = ("position.svg", "force.svg", "torque.svg")
+    assert sorted(n for n in os.listdir(out) if n.endswith(".svg")) == sorted(panels)
+    out2 = str(tmp_path / "panels")
+    assert main(["plot", "--scenario", os.path.join(out, "trace.csv"), "--out", out2]) == 0
+    assert all(os.path.exists(os.path.join(out2, n)) for n in panels)
+    out3 = str(tmp_path / "cmp")
+    assert main(["compare", "--scenario", "fig3_one_dof", "--out", out3,
+                 "--set", "duration_s=0.001", "--plot"]) == 0
+    assert os.path.exists(os.path.join(out3, "compare_force.svg"))
+
+
 @pytest.mark.parametrize("limits", ["3,x", "3,4", "nan", "-3"])
 def test_plot_limits_need_one_finite_positive_value_per_joint(tmp_path, capsys, limits):
     out = str(tmp_path / "p")

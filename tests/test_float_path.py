@@ -45,11 +45,12 @@ from nonsmooth_adm.admittance import (
     Measurement,
     ModelEstimate,
     NaiveGains,
-    StepDiagnostics,
+    _admittance_state,
     _clip_flags,
     _evaluate_loop,
     _robust_term,
     _solve2,
+    _step_diagnostics,
     admittance_step,
     baseline_naive_step,
     initial_state,
@@ -62,7 +63,6 @@ from nonsmooth_adm.plant import one_dof_model, two_link_model
 from nonsmooth_adm.setvalued import (
     BoxConstraint,
     _larger,
-    _unchecked,
     _vector,
     project_box,
     variational_residual,
@@ -171,11 +171,9 @@ def _step_arrays(state, meas, model, g):
     tau, saturated, vi_residual = _clip_arrays(tau_star, g.box)
     qx = _solve(_loop_arrays(loop)[4], tau) + q1_star
     qxd = (qx - state.qx_prev) / g.h
-    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=qxd, ux_prev=ux_star,
-                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=msta_next)
-    diag = _unchecked(StepDiagnostics, tau_star=tau_star, tau=tau, qx_star=qx_star,
-                      q1_star=q1_star, s=s, qe=qe, u_s=u_s, saturated=saturated,
-                      lambda_vi_residual=vi_residual, solver=solver)
+    next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, msta_next)
+    diag = _step_diagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated, vi_residual,
+                             solver)
     return tau, next_state, diag
 
 
@@ -186,11 +184,9 @@ def _naive_step_arrays(state, meas, model, ng):
     tau_raw = ng.kp * qe + ng.kd * ((qe - state.qe_prev) / ng.h) + model.gravity_fn(meas.q)
     tau, saturated, vi_residual = _clip_arrays(tau_raw, ng.box)
     zero = np.zeros_like(qe)
-    next_state = _unchecked(AdmittanceState, qx_prev=qx, qxd_prev=ux, ux_prev=ux,
-                            q_prev=meas.q.copy(), qe_prev=qe, msta_state=state.msta_state)
-    diag = _unchecked(StepDiagnostics, tau_star=tau_raw, tau=tau, qx_star=qx,
-                      q1_star=meas.q.copy(), s=zero, qe=qe, u_s=zero, saturated=saturated,
-                      lambda_vi_residual=vi_residual, solver=None)
+    next_state = _admittance_state(qx, ux, ux, meas.q.copy(), qe, state.msta_state)
+    diag = _step_diagnostics(tau_raw, tau, qx, meas.q.copy(), zero, qe, zero, saturated,
+                             vi_residual, None)
     return tau, next_state, diag
 
 
@@ -644,9 +640,8 @@ def test_two_joint_non_finite_entry_reaches_the_other_row_as_numpy():
     fc = np.array([1.0, 2.0])
 
     def state(qxd0):
-        return _unchecked(AdmittanceState, qx_prev=np.zeros(2), qxd_prev=np.array([qxd0, 0.1]),
-                          ux_prev=np.zeros(2), q_prev=np.zeros(2), qe_prev=np.zeros(2),
-                          msta_state=MstaState.zero(2))
+        return _admittance_state(np.zeros(2), np.array([qxd0, 0.1]), np.zeros(2), np.zeros(2),
+                                 np.zeros(2), MstaState.zero(2))
 
     with np.errstate(invalid="ignore"):
         ux, qx = proxy_predict(state(np.inf), fc, fc, g)

@@ -36,10 +36,19 @@ def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
     return fe
 
 
+def kernel_kinematics(model: ManipulatorModel, q: np.ndarray
+                      ) -> tuple[tuple[float, float], np.ndarray]:
+    """The end-effector pose and the 2 x dof Jacobian at q, read from the
+    kernel tuple (from ``pose_at`` on) as an array view."""
+    t = model.terms(*q.tolist(), *(0.0,) * model.dof)
+    e = model.pose_at
+    return t[e:e + 2], np.array(t[e + 2:]).reshape(2, model.dof)
+
+
 def joint_contact_torque(model: ManipulatorModel, q: np.ndarray,
                          wrench: tuple[float, float]) -> np.ndarray:
     """Map a planar end-effector wrench to joint space through J^T."""
-    jac = model.jacobian_fn(q)
+    jac = kernel_kinematics(model, q)[1]
     w = np.asarray(wrench, dtype=float)
     if w.shape[0] != jac.shape[0]:
         raise ValueError("wrench dimension does not match the Jacobian rows")
@@ -183,8 +192,9 @@ def reference_substeps(model, st, tau, env, dt, n_sub, disturbance=None, gain=1.
     q, qd = st.q.copy(), st.qd.copy()
     t = 0.0
     for _ in range(n_sub):
-        ee_vel = model.jacobian_fn(q) @ qd
-        wrench = contact_wrench(model.ee_pose_fn(q), (ee_vel[0], ee_vel[1]), env)
+        pose, jac = kernel_kinematics(model, q)
+        ee_vel = jac @ qd
+        wrench = contact_wrench(pose, (ee_vel[0], ee_vel[1]), env)
         fc = joint_contact_torque(model, q, wrench)
         fe = np.zeros(model.dof) if disturbance is None else np.array([disturbance(t, q[0], qd[0])])
         qd = qd + dt * forward_dynamics(model, PlantState(q, qd), tau, fc, fe, gain)
@@ -354,22 +364,21 @@ def test_kernels_equal_the_textbook_formulas_bitwise(rng):
             assert _bits(model.terms(*x)) == _bits(textbook(p, *x)), (p, x)
 
 
-def test_kernel_ends_with_the_pose_and_the_jacobian_rows(rng):
+def test_kernel_ends_with_the_pose_and_the_jacobian_rows(rng, ee_kinematics):
     """From ``pose_at`` on, the kernel tuple is the end-effector pose and the
-    Jacobian's entries row by row, as floats, bitwise the array views; they
-    do not depend on the joint rates."""
-    models = [one_dof_model(), two_link_model(), linear_motor_model(), frictionless_stage()]
-    for model in models:
+    Jacobian's entries row by row, as floats, bitwise the closed-form
+    kinematics; they do not depend on the joint rates."""
+    for model, _, p, n in _kernel_cases(rng):
         e = model.pose_at
-        for _ in range(50):
-            q, qd = rng.normal(scale=1.5, size=model.dof), rng.normal(scale=4.0, size=model.dof)
+        for _ in range(12):
+            q, qd = rng.normal(scale=1.5, size=n), rng.normal(scale=4.0, size=n)
             t = model.terms(*q.tolist(), *qd.tolist())
-            assert _bits(t[e:]) == _bits(model.terms(*q.tolist(), *(0.0,) * model.dof)[e:])
-            assert all(type(x) is float for x in t[e:]) and len(t) == e + 2 + 2 * model.dof
-            assert _bits(t[e:e + 2]) == _bits(model.ee_pose_fn(q))
-            ref = model.jacobian_fn(q)
-            assert ref.shape == (2, model.dof)
-            assert np.array(t[e + 2:]).reshape(2, model.dof).tobytes() == ref.tobytes()
+            assert _bits(t[e:]) == _bits(model.terms(*q.tolist(), *(0.0,) * n)[e:])
+            assert all(type(x) is float for x in t[e:]) and len(t) == e + 2 + 2 * n
+            pose, jac = ee_kinematics(p, q)
+            assert _bits(t[e:e + 2]) == _bits(pose)
+            assert jac.shape == (2, n)
+            assert np.array(t[e + 2:]).reshape(2, n).tobytes() == jac.tobytes()
 
 
 # The generic substep loops that ran every plant through its kernel, kept
@@ -483,7 +492,7 @@ def test_period_loops_equal_the_generic_loops_bitwise(rng):
         bases = (None, _sine, _ramp) if n == 1 else (None,)
         for _ in range(6):
             q = rng.normal(scale=1.0, size=n)
-            ey = model.ee_pose_fn(q)[1]
+            ey = kernel_kinematics(model, q)[0][1]
             for contact, qd in itertools.product(
                     (True, False),
                     (np.abs(rng.normal(size=n)), -np.abs(rng.normal(size=n)), np.zeros(n))):
@@ -500,7 +509,7 @@ def test_period_loops_equal_the_generic_loops_bitwise(rng):
                                                 n_sub)
                     assert got == ref, (model, q, qd, tau, env, base, dt, n_sub)
                 if contact:
-                    v = (model.jacobian_fn(q) @ qd)[0]
+                    v = (kernel_kinematics(model, q)[1] @ qd)[0]
                     seen.add((n, "v>0" if v > 0.0 else "v<0" if v < 0.0 else "v=0"))
     # the Coulomb branch saw all three signs of the tangential velocity
     assert seen >= {(n, s) for n in (1, 2) for s in ("v>0", "v<0", "v=0")}

@@ -58,6 +58,40 @@ def test_project_box_identity_inside():
     assert np.array_equal(project_box(y, box), y)
 
 
+@pytest.mark.parametrize("entries", [
+    (0.0,), (-0.0,), (3.0,), (-3.0,), (1.25,), (math.nan,),
+    (0.0, -0.0), (-0.0, 0.0), (3.0, -4.0), (-3.0, 4.0), (2.5, -0.0), (math.nan, 4.0),
+])
+def test_project_box_returns_its_candidate_when_nothing_is_clipped(entries):
+    """Inside the box, signed zeros, the faces +-F and a NaN included, the
+    projection is the float vector it was given, not a copy."""
+    box = BoxConstraint([3.0, 4.0][:len(entries)])
+    y = np.array(entries)
+    before = y.tobytes()
+    assert project_box(y, box) is y
+    assert y.tobytes() == before
+
+
+@pytest.mark.parametrize("entries", [
+    (3.5,), (-math.inf,), (5.0, 0.0), (-0.0, -4.5), (-3.0, math.inf), (9.0, -9.0),
+])
+def test_project_box_returns_a_new_array_when_an_entry_is_clipped(entries):
+    box = BoxConstraint([3.0, 4.0][:len(entries)])
+    y = np.array(entries)
+    before = y.tobytes()
+    got = project_box(y, box)
+    assert got is not y and y.tobytes() == before
+    assert got.tobytes() == np.minimum(np.maximum(y, -box.limits), box.limits).tobytes()
+
+
+def test_project_box_converts_a_candidate_that_is_not_a_float_vector():
+    box = BoxConstraint([3.0, 4.0])
+    for y in ([1.0, 2.0], np.array([1, 2]), (0.5, -0.5)):
+        got = project_box(y, box)
+        assert got is not y and got.dtype == float
+        assert np.array_equal(got, np.asarray(y, dtype=float))
+
+
 def test_projection_idempotent_and_nonexpansive(rng):
     for _ in range(300):
         n = int(rng.choice([1, 2]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nonsmooth_adm import admittance, plant, sim
-from nonsmooth_adm.plant import EnvironmentModel, SimulationBlowUp, two_link_model
+from nonsmooth_adm.plant import EnvironmentModel, SimulationBlowUp
 from nonsmooth_adm.sim import (
     LINMOTOR_STIFFNESS_LEVELS,
     DisturbanceSpec,
@@ -570,10 +570,9 @@ def test_fig3_substep_refinement():
     assert abs(tr.q[-1, 0] - tr2.q[-1, 0]) < 1e-3
 
 
-def test_two_link_ee_above_surface_initially():
+def test_two_link_ee_above_surface_initially(ee_kinematics):
     sc = presets()["fig5_two_dof"]
-    model = two_link_model()
-    y0 = model.ee_pose_fn(np.array(sc.q0))[1]
+    y0 = ee_kinematics(_plant_params(sc), np.array(sc.q0))[0][1]
     assert y0 > sc.env.y_s
 
 
@@ -705,17 +704,44 @@ def test_layer_boundaries_are_called_once_per_step(monkeypatch, kind):
     assert calls == {name: 0 if name in skipped else steps for _, name in _LAYER_BOUNDARIES}
 
 
+@pytest.mark.parametrize("kind", ["proposed", "naive"])
+def test_applied_torque_is_the_candidate_itself_exactly_when_unsaturated(monkeypatch, kind):
+    """On every controller step of 1 s of each preset, the step hands back
+    its candidate as the applied torque (``tau is diag.tau_star``) exactly
+    when no joint saturated, and a new array when one did; both occur."""
+    step_name = "admittance_step" if kind == "proposed" else "baseline_naive_step"
+    original = getattr(sim, step_name)
+    seen = []
+
+    def recording(*args):
+        tau, state, diag = original(*args)
+        seen.append((tau is diag.tau_star, bool(diag.saturated.any())))
+        return tau, state, diag
+
+    monkeypatch.setattr(sim, step_name, recording)
+    for sc in presets().values():
+        run_scenario(short(sc if kind == "proposed" else naive_variant(sc), 1.0))
+    assert all(same is not saturated for same, saturated in seen)
+    assert {saturated for _, saturated in seen} == {True, False}
+
+
 # --------------------------------------------------------------------------- runner oracle
 
-def _run_scenario_rows(sc):
+def _plant_params(sc):
+    """The parameters of the scenario's plant: its own, or its kind's defaults."""
+    return sc.plant_params if sc.plant_params is not None else sim._plant_kind(sc.plant)[1]()
+
+
+def _run_scenario_rows(sc, ee_kinematics):
     """The runner as it was before its per-step bookkeeping moved to floats,
-    kept as the oracle of ``run_scenario``: kinematics as arrays
-    (``ee_pose_fn``, ``jacobian_fn``), both joint-space forces from one numpy
+    kept as the oracle of ``run_scenario``: kinematics as arrays (closed
+    form, ``ee_kinematics``), both joint-space forces from one numpy
     product, the force schedule looked up every step, and each channel's
     row stored on its own."""
     model, disturbance, estimate, gains, q0, state = sim._build_run(sc)
     n = model.dof
     env = sc.env
+    params = _plant_params(sc)
     controller_step = (admittance.admittance_step if sc.controller.kind == "proposed"
                        else admittance.baseline_naive_step)
     steps = int(round(sc.duration / sc.h))
@@ -727,7 +753,7 @@ def _run_scenario_rows(sc):
                   for attr, cols, is_bool, per_step in sim._trace_layout(n)})
     for k in range(steps):
         t = k * sc.h
-        ee, jac = model.ee_pose_fn(state.q), model.jacobian_fn(state.q)
+        ee, jac = ee_kinematics(params, state.q)
         fx, fy = plant.contact_wrench(ee, jac.dot(state.qd).tolist(), env)
         fdx, fdy = sim._fd_lookup(sc.fd_schedule, t)
         forces = jac.T.dot(np.array([[fx, fdx], [fy, fdy]])).T
@@ -764,10 +790,10 @@ def _run_scenario_rows(sc):
     return tr
 
 
-def _metrics_rows(trace, sc) -> tuple:
+def _metrics_rows(trace, sc, ee_kinematics) -> tuple:
     """(settle_time, rebound_count, max_penetration) as ``compute_metrics``
     computed them before its loops read lists: numpy scalars in the loops
-    and the pose of each row from ``ee_pose_fn``."""
+    and the pose of each row in closed form (``ee_kinematics``)."""
     fd_mag = abs(sim._fd_lookup(sc.fd_schedule, trace.t[-1])[1])
     fcy = trace.fc_cart[:, 1]
     settle = math.nan
@@ -792,8 +818,8 @@ def _metrics_rows(trace, sc) -> tuple:
             if run >= sustain:
                 rebounds += 1
             run = 0
-    model = build_model(sc)
-    pen = max([0.0, *(sc.env.y_s - model.ee_pose_fn(q)[1] for q in trace.q)])
+    params = _plant_params(sc)
+    pen = max([0.0, *(sc.env.y_s - ee_kinematics(params, q)[0][1] for q in trace.q)])
     return settle, rebounds, pen
 
 
@@ -819,14 +845,14 @@ def _oracle_cases():
 
 
 @pytest.mark.parametrize("sc", [pytest.param(sc, id=name) for name, sc in _oracle_cases()])
-def test_runner_matches_the_per_row_numpy_runner(sc):
+def test_runner_matches_the_per_row_numpy_runner(sc, ee_kinematics):
     """Every channel of ``run_scenario`` is the oracle's bit for bit, except
     where the oracle's BLAS product and the float force map round apart:
     fig3/fig5 ``fc_joint`` (proposed) within one rounding, 2^-52 of
     |jx_i fx| + |jy_i fy|, and every channel of the naive fig3/fig5 runs,
     whose controller carries such a rounding into the state, within 1e-10.
     The metrics of the run are those of the pre-list metric loops, by repr."""
-    new, old = run_scenario(sc), _run_scenario_rows(sc)
+    new, old = run_scenario(sc), _run_scenario_rows(sc, ee_kinematics)
     naive_arm = sc.plant != "linear_motor" and sc.controller.kind == "naive"
     for f in fields(Trace):
         a, b = getattr(new, f.name), getattr(old, f.name)
@@ -834,7 +860,7 @@ def test_runner_matches_the_per_row_numpy_runner(sc):
         if naive_arm:
             assert np.max(np.abs(a.astype(float) - b.astype(float))) <= 1e-10, f.name
         elif f.name == "fc_joint" and sc.plant != "linear_motor":
-            jac = np.array([build_model(sc).jacobian_fn(q) for q in old.q])
+            jac = np.array([ee_kinematics(_plant_params(sc), q)[1] for q in old.q])
             fx, fy = old.fc_cart[:, :1], old.fc_cart[:, 1:]
             magnitude = np.abs(jac[:, 0] * fx) + np.abs(jac[:, 1] * fy)
             assert np.all(np.abs(a - b) <= 2.0 ** -52 * magnitude), f.name
@@ -842,4 +868,4 @@ def test_runner_matches_the_per_row_numpy_runner(sc):
             assert a.tobytes() == b.tobytes(), f.name
     m = compute_metrics(new, sc)
     assert repr((m.settle_time, m.rebound_count, m.max_penetration)) == \
-        repr(_metrics_rows(new, sc))
+        repr(_metrics_rows(new, sc, ee_kinematics))
