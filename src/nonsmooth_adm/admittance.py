@@ -16,11 +16,11 @@ Both controllers take one or two joints and compute each period on Python
 floats.  A matrix is a row-major tuple of floats.  Row i of a two-joint
 product A x is written ``0.0 + A_i0*x_0 + A_i1*x_1``; with a zero
 off-diagonal entry and a finite other entry of x that is the one-joint
-``0.0 + A_ii*x_i`` bit for bit.  A solve is ``_solve2``, which divides row by
-row when the matrix is diagonal.  So a diagonal loop, as with every preset,
-computes each joint as a one-joint loop would.  The same stages on numpy
-arrays are kept in the tests, as the oracle that this code is checked
-against.
+``0.0 + A_ii*x_i`` bit for bit.  A solve is ``setvalued._solve2``, which
+divides row by row when the matrix is diagonal.  So a diagonal loop, as with
+every preset, computes each joint as a one-joint loop would.  The same
+stages on numpy arrays are kept in the tests, as the oracle that this code
+is checked against.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .msta import (
     _check_period,
     _explicit,
     _Iteration,
+    _iteration_matrix,
     _msta_state,
     _solve_inclusion,
     msta_explicit_step,  # noqa: F401  (perfbench traces it under this name)
@@ -48,9 +49,11 @@ from .msta import (
 from .setvalued import (
     BoxConstraint,
     _all_finite,
+    _entries,
     _finite_vector,
     _read_only,
     _require_finite,
+    _solve2,
     _vector,
     project_box,
     variational_residual,
@@ -111,31 +114,6 @@ class ModelEstimate:
         est = ModelEstimate(lambda q: M, lambda q, qd: C, lambda q: zero)
         object.__setattr__(est, "_constant", True)
         return est
-
-
-def _solve2(A: tuple, b0: float, b1: float) -> tuple[float, float]:
-    """The solution of A x = b for a 2 x 2 matrix A, given as the row-major
-    tuple (A00, A01, A10, A11), on floats.
-
-    With both off-diagonal entries zero it divides row by row, as a one-joint
-    loop divides, exact zeros included.  Otherwise it eliminates with partial
-    pivoting, swapping the rows when |A10| > |A00|, as LAPACK's LU does; it
-    agrees with ``np.linalg.solve`` to roundoff.  A singular A raises
-    ZeroDivisionError, so a loop checks its W when it is built.
-    """
-    a00, a01, a10, a11 = A
-    if a01 == 0.0 and a10 == 0.0:
-        return b0 / a00, b1 / a11
-    if abs(a10) > abs(a00):
-        a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
-    m = a10 / a00
-    x1 = (b1 - m * b0) / (a11 - m * a01)
-    return (b0 - a01 * x1) / a00, x1
-
-
-def _entries(a) -> tuple:
-    """The entries of a vector or a matrix (row-major) as a tuple of floats."""
-    return tuple(np.ravel(a).tolist())
 
 
 def _set_proxy(gains) -> None:
@@ -425,8 +403,8 @@ class _Loop(NamedTuple):
 
 def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
                    g: AdmittanceGains) -> _Loop:
-    """Build the period's loop with numpy; a singular W raises
-    ``np.linalg.LinAlgError``."""
+    """Build the period's loop; a singular W, or under "implicit-vector" a
+    singular Mk, raises ``np.linalg.LinAlgError``."""
     h = g.h
     Mk = model.mass_fn(q)
     Ck = model.coriolis_fn(q, (q - state.q_prev) / h)
@@ -443,9 +421,8 @@ def _evaluate_loop(model: ModelEstimate, q: np.ndarray, state: AdmittanceState,
     W = Mk / (h * h) + Khat
     MhC = Mk + Ck * h
     beta = _scalar_beta(g, Mk, Ck) if g._us_mode == "scalar-implicit" else None
-    iteration = None
-    if g._us_mode == "implicit-vector":
-        iteration = _Iteration(np.linalg.solve(Mk, MhC + h * k1m))
+    iteration = _Iteration(_iteration_matrix(Mk, MhC + h * k1m)) \
+        if g._us_mode == "implicit-vector" else None
     loop = _Loop(*map(_entries, (Mk, Gk, B, Bhat, W, MhC)), beta, iteration)
     try:
         _solve2(loop.W, 1.0, 1.0) if n == 2 else 1.0 / loop.W[0]

@@ -22,29 +22,29 @@ The implicit variants compute the discontinuous selection from the implicit
 inclusion instead of a sign evaluation, which is what removes numerical
 chattering.
 
-Each branch of the robust term has one body, on Python floats, for any
-number of joints: ``_explicit`` for the forward-Euler step and
-``_solve_inclusion`` for the implicit one, which the controller calls
-directly and the public steps call after checking their inputs.  Its one
-iterative solve is the scalar root ``_root``; only the root's linear solves
-(and its m2) use arrays, and every norm is numpy's.
+The robust term takes one or two entries, as the torque box does.  Each
+branch has one body, on Python floats: ``_explicit`` for the forward-Euler
+step and ``_solve_inclusion`` for the implicit one, which the controller
+calls directly and the public steps call after checking their inputs.  G is
+a row-major float tuple, every solve is ``_solve2`` and every norm
+``_norm``, so no step calls numpy's BLAS or LAPACK.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .setvalued import (
-    _all_finite,
+    _dot,
+    _entries,
     _finite_matrix,
     _finite_vector,
     _norm,
-    _read_only,
     _require_finite,
+    _solve2,
 )
 
 __all__ = [
@@ -91,6 +91,8 @@ class MstaGains:
             raise ValueError("gamma1 must be nonnegative")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
+        if type(self.fp_max_iter) is bool or not isinstance(self.fp_max_iter, (int, np.integer)):
+            raise ValueError(f"fp_max_iter must be an integer, got {self.fp_max_iter!r}")
         if self.fp_tol <= 0.0 or self.fp_max_iter < 1:
             raise ValueError("fp_tol must be positive and fp_max_iter >= 1")
 
@@ -164,12 +166,14 @@ def _check_period(g: MstaGains, h: float) -> None:
         raise ValueError(f"the dead band h^2*k3 underflows to 0 at h = {h}, k3 = {g.k3}")
 
 
-def _step_input(s, state: MstaState, g: MstaGains, h: float) -> np.ndarray:
-    """s as a finite float vector, checked against the period and the state:
-    the steps index v entry by entry, so s and v need as many entries."""
+def _step_input(s, state: MstaState | None, g: MstaGains, h: float) -> np.ndarray:
+    """s as a finite float vector of one or two entries, checked against the
+    period and against any state: the steps index v entry by entry."""
     _check_period(g, h)
     s = _finite_vector(s, "s")
-    if s.shape != state.v.shape:
+    if not 0 < s.size < 3:
+        raise ValueError(f"the robust term takes one or two entries; s has {s.size}")
+    if state is not None and s.shape != state.v.shape:
         raise ValueError(f"s has {s.size} entries but the integrator state v has {state.v.size}")
     return s
 
@@ -183,8 +187,8 @@ def msta_explicit_step(
 
 def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
               ) -> tuple[np.ndarray, MstaState]:
-    """``msta_explicit_step`` on checked inputs, on floats entry by entry;
-    ||s|| is numpy's (``_norm``)."""
+    """``msta_explicit_step`` on checked inputs, on floats entry by entry."""
+    s = s.tolist()
     ns = _norm(s)
     if not ns > 0.0:
         return v.copy(), _msta_state(v.copy())
@@ -192,7 +196,7 @@ def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
     k2, hk3, k4 = g.k2, h * g.k3, g.k4
     root = math.sqrt(ns)
     u_s, v_next = [], []
-    for j, y in enumerate(s.tolist()):
+    for j, y in enumerate(s):
         u_s.append(v[j] + k2 * y / root)
         v_next.append(v[j] + hk3 * y / ns + k4 * y)
     return np.array(u_s), _msta_state(np.array(v_next))
@@ -207,37 +211,55 @@ def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
     return 2.0 * rhs / (h * g.k2 + math.sqrt(disc))
 
 
-@lru_cache(maxsize=None)
-def _eye(n: int) -> np.ndarray:
-    return _read_only(np.eye(n))
+def _iteration_matrix(Mk, Ak) -> tuple:
+    """G = Mk^{-1} Ak as a row-major float tuple, a column at a time by
+    ``_solve2`` (a division for one joint).  A singular Mk raises
+    np.linalg.LinAlgError("Singular matrix"), as np.linalg.solve does."""
+    M, A = _entries(Mk), _entries(Ak)
+    try:
+        if len(M) == 1:
+            return (A[0] / M[0],)
+        (g00, g10), (g01, g11) = _solve2(M, A[0], A[2]), _solve2(M, A[1], A[3])
+    except ZeroDivisionError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+    return g00, g01, g10, g11
 
 
 class _Iteration:
-    """The iteration matrix G of the inclusion and its radial ``scale``:
-    tr(G)/n when G is a positive multiple of I (the inclusion is then radial,
-    in closed form at alpha2 = 0), else None.  Any other G must have G + G^T
-    positive definite, so that G + c*I is invertible for every c > 0 and the
-    root of ``_root`` is bracketed; building the object checks it."""
+    """The iteration matrix G of the inclusion, a row-major tuple of 1 or 4
+    floats, and its radial ``scale``: tr(G)/n when G is a positive multiple
+    of I (the inclusion is then radial, in closed form at alpha2 = 0), else
+    None.  Any other G must have S = G + G^T positive definite, so that
+    G + c*I is invertible for every c > 0 and the root of ``_root`` is
+    bracketed; building the object checks S finite, S00 > 0 and det S > 0."""
 
-    def __init__(self, G: np.ndarray):
-        n = G.shape[0]
-        tr = float(np.trace(G)) / n
-        radial = float(np.abs(G - tr * _eye(n)).max()) <= 1e-12 * max(1.0, abs(tr)) and tr > 0.0
+    def __init__(self, G: tuple):
         self.G = G
+        g00, g01, g10, g11 = G if len(G) == 4 else (G[0], 0.0, 0.0, G[0])
+        tr = (g00 + g11) / 2
+        tol = 1e-12 * max(1.0, abs(tr))
+        radial = 0.0 < tr < math.inf and all(abs(d) <= tol for d in (g00 - tr, g01, g10, g11 - tr))
         self.scale = tr if radial else None
-        if not radial:
-            try:
-                well_posed = _all_finite(np.linalg.cholesky(G + G.T))
-            except np.linalg.LinAlgError:
-                well_posed = False
-            if not well_posed:
-                raise SolverConvergenceError(
-                    f"implicit-vector step is not well posed: its iteration matrix "
-                    f"G = M^-1 A = {G.tolist()} has G + G^T not positive definite")
+        s00, s01, s11 = g00 + g00, g01 + g10, g11 + g11
+        if not (radial or s00 > 0.0 and s00 * s11 - s01 * s01 > 0.0 and max(s00, s11) < math.inf):
+            raise SolverConvergenceError(
+                f"implicit-vector step is not well posed: its iteration matrix "
+                f"G = M^-1 A = {list(G)} (row-major) has G + G^T not positive definite")
 
 
-def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
-          ) -> tuple[int, np.ndarray]:
+def _product(G: tuple, x) -> list:
+    """G x in the package's float rows, for G of 1 or 4 entries."""
+    return [_dot(G, x)] if len(G) == 1 else [_dot(G[:2], x), _dot(G[2:], x)]
+
+
+def _shifted_solve(G: tuple, c: float, b) -> tuple:
+    """(G + c I)^{-1} b on floats: a division for one entry, else ``_solve2``."""
+    if len(G) == 1:
+        return (b[0] / (G[0] + c),)
+    return _solve2((G[0] + c, G[1], G[2], G[3] + c), *b)
+
+
+def _root(s: list, ns: float, G: tuple, g: MstaGains, h: float) -> tuple[int, tuple]:
     """(iterations, shat) outside the dead band, unless G = beta*I and alpha2
     = 0.  With shat != 0 the inclusion is (G + c I) shat = s, c(w) =
     h*gamma*(1/w^2 + alpha2) at w = ||shat||^{1/2}: w is the root of f(w) =
@@ -248,18 +270,17 @@ def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
     F'(w) = -c'(w) x^T (G + cI)^{-1} x / (2 ||x||^{3/2}) - 1.  It starts from
     the alpha2 = 0 radial root of the Rayleigh quotient s^T G s / ||s||^2
     (positive, as G + G^T is positive definite), an upper bound on w for
-    G = beta*I.  Over 20 000 draws of the general-matrix solver test's G and
-    s it takes at most 7 iterations, 2 on average.  It stops on
+    G = beta*I.  Over 300 000 draws of the general-matrix solver test's G and
+    s it takes at most 8 iterations (4 draws), 2.14 on average.  It stops on
     |f| <= fp_tol*w^2 or a collapsed bracket, never on the step, which is
-    tiny near w -> 0 while f is still large."""
-    n = s.size
+    tiny near w -> 0 while f is still large.  Everything is on floats."""
     hk2, band, a2 = h * g.k2, h * h * g.k3, g.alpha2
     lo, hi = 0.0, (ns - band) / hk2
-    w = _radial_magnitude(ns, float(s @ (G @ s)) / (ns * ns), g, h)
+    w = _radial_magnitude(ns, _dot(s, _product(G, s)) / (ns * ns), g, h)
     for it in range(1, g.fp_max_iter + 1):
         ww = w * w
-        A = G + ((hk2 * w + band) * (1.0 / ww + a2)) * _eye(n)
-        x = np.linalg.solve(A, s)
+        c = (hk2 * w + band) * (1.0 / ww + a2)
+        x = _shifted_solve(G, c, s)
         nx = _norm(x)
         f = nx - ww
         if abs(f) <= g.fp_tol * ww:
@@ -270,7 +291,7 @@ def _root(s: np.ndarray, ns: float, G: np.ndarray, g: MstaGains, h: float
             hi = w
         dc = hk2 * a2 - hk2 / ww - 2.0 * band / (ww * w)
         rx = math.sqrt(nx)
-        dF = -0.5 * dc * float(x @ np.linalg.solve(A, x)) / (nx * rx) - 1.0
+        dF = -0.5 * dc * _dot(x, _shifted_solve(G, c, x)) / (nx * rx) - 1.0
         w_new = w - (rx - w) / dF if dF != 0.0 else lo     # a flat F bisects
         if not lo < w_new < hi:
             w_new = 0.5 * (lo + hi)
@@ -293,18 +314,18 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
     Psi2 = ||.|| + (alpha2/2)||.||^2, then v+ = v + h*k3*m2 and
     u_s = gamma(shat)*m2 + v+.  shat = 0 in the dead band, else the radial
     closed form for G = beta*I and alpha2 = 0, else ``_root``, whose
-    m2 = (s - G shat)/(h*gamma) is formed on arrays; the rest is on floats,
-    entry by entry.  Each norm is numpy's (``_norm``) of an array, since a
-    two-entry dot sums with one rounding.  Returns (u_s, the next state, the solve's diagnostics).
+    m2 = (s - G shat)/(h*gamma) is formed in float rows.  Returns (u_s, the
+    next state, the solve's diagnostics).
     """
+    s = s.tolist()
     ns = _norm(s)
     band = h * h * g.k3
     hk3 = h * g.k3
     if ns <= band:
         # discrete sliding: shat = 0 exactly, selection taken inside the unit ball
-        shat = np.zeros(s.size)
-        m2 = [y / band for y in s.tolist()]
-        res = max(0.0, _norm(np.array(m2)) - 1.0)
+        x = [0.0] * len(s)
+        m2 = [y / band for y in s]
+        res = max(0.0, _norm(m2) - 1.0)
         gam = hk3       # gamma(0) = k2*0 + h*k3, k2 > 0
         iterations = 1
     else:
@@ -315,27 +336,26 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
             c = w * w / ns
             hgam = h * (g.k2 * w + hk3)
             x, m2 = [], []
-            for y in s.tolist():
+            for y in s:
                 x.append(c * y)
                 m2.append((y - tr * x[-1]) / hgam)
-            shat = np.array(x)
             iterations = 1
         else:
-            iterations, shat = _root(s, ns, iteration.G, g, h)
-            x = shat.tolist()
-        nx = _norm(shat)
+            iterations, x = _root(s, ns, iteration.G, g, h)
+        nx = _norm(x)
         gam = g.k2 * math.sqrt(nx) + hk3
         if tr is None:
-            m2 = ((s - iteration.G @ shat) / (h * gam)).tolist()
+            m2 = [(y - z) / (h * gam) for y, z in zip(s, _product(iteration.G, x))]
         a2 = g.alpha2
         # distance from subdiff Psi2
-        res = _norm(np.array([m2[j] - y / nx - a2 * y for j, y in enumerate(x)]))
+        res = _norm([m2[j] - y / nx - a2 * y for j, y in enumerate(x)])
     v = v.tolist()
     u_s, v_next = [], []
     for j, y in enumerate(m2):
         v_next.append(v[j] + hk3 * y)
         u_s.append(gam * y + v_next[j])
-    diag = _solver_diagnostics(iterations, res, res <= g.fp_tol * (1.0 + ns), shat, np.array(m2))
+    diag = _solver_diagnostics(iterations, res, res <= g.fp_tol * (1.0 + ns), np.array(x),
+                               np.array(m2))
     return np.array(u_s), _msta_state(np.array(v_next)), diag
 
 
@@ -346,13 +366,13 @@ def solve_shat_vector(
 
     The recovered selection m2 satisfies ||m2 - alpha2*shat|| <= 1, with
     equality of direction when shat != 0, to the reported residual.  A G
-    with G + G^T not positive definite raises SolverConvergenceError; a
-    non-finite Ak or Mk raises ValueError naming it.
+    with G + G^T not positive definite raises SolverConvergenceError; an s
+    of three or more entries, or a non-finite Ak or Mk, raises ValueError
+    naming it.
     """
-    _check_period(g, h)
-    s = _finite_vector(s, "s")
-    Ak = _finite_matrix(Ak, "Ak")
-    G = np.linalg.solve(_finite_matrix(Mk, "Mk"), Ak)
+    s = _step_input(s, None, g, h)
+    Ak = _finite_matrix(Ak, "Ak", s.size)
+    G = _iteration_matrix(_finite_matrix(Mk, "Mk", s.size), Ak)
     return _solve_inclusion(s, _Iteration(G), np.zeros(s.size), g, h)[2]
 
 
@@ -377,11 +397,11 @@ def msta_implicit_step(
     naming it.
     """
     s = _step_input(s, state, g, h)
-    Mk = _finite_matrix(Mk, "Mk")
-    Ck = _finite_matrix(Ck, "Ck")
+    Mk = _finite_matrix(Mk, "Mk", s.size)
+    Ck = _finite_matrix(Ck, "Ck", s.size)
     k1 = -Ck + g.gamma1 * Mk
     Ak = Mk + h * Ck + h * k1
-    return _solve_inclusion(s, _Iteration(np.linalg.solve(Mk, Ak)), state.v, g, h)
+    return _solve_inclusion(s, _Iteration(_iteration_matrix(Mk, Ak)), state.v, g, h)
 
 
 def msta_implicit_decoupled_step(
@@ -394,7 +414,8 @@ def msta_implicit_decoupled_step(
     """
     s = _step_input(s, state, g, h)
     beta = 1.0 + h * g.gamma1
-    return _solve_inclusion(s, _Iteration(beta * _eye(s.size)), state.v, g, h)
+    return _solve_inclusion(s, _Iteration((beta,) if s.size == 1 else (beta, 0.0, 0.0, beta)),
+                            state.v, g, h)
 
 
 def sta_scalar_implicit_step(

@@ -1,9 +1,9 @@
 """Elementary nonsmooth primitives.
 
-Saturation, single-valued signum, projection onto a symmetric box, and the
-variational-inequality certificate of that projection.  Everything here is
-closed form and pure; the box's normal-cone selection is always computed
-through the projection rather than by evaluating a multivalued sign.
+Saturation, signum, projection onto a symmetric box and its certificate,
+and the float dot, norm and 2 x 2 solve the controller period computes with.
+Everything here is closed form and pure; the box's normal-cone selection is
+computed through the projection rather than by evaluating a multivalued sign.
 """
 
 from __future__ import annotations
@@ -57,19 +57,51 @@ def _finite_vector(x, name: str) -> np.ndarray:
     return vec
 
 
-def _finite_matrix(x, name: str) -> np.ndarray:
+def _finite_matrix(x, name: str, n: int) -> np.ndarray:
     """``np.atleast_2d(np.asarray(x, dtype=float))``, refused with a
-    ValueError naming ``name`` unless it is finite."""
+    ValueError naming ``name`` unless it is n x n and finite."""
     mat = np.atleast_2d(np.asarray(x, dtype=float))
+    if mat.shape != (n, n):
+        raise ValueError(f"{name} has shape {mat.shape}; s has {n} entries, so it needs ({n}, {n})")
     if not _all_finite(mat):
         raise ValueError(f"{name} must be finite")
     return mat
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a contiguous float vector, bitwise equal to
-    ``np.linalg.norm`` (which also takes the square root of ``x.dot(x)``)."""
-    return math.sqrt(x.dot(x))
+def _dot(x, y) -> float:
+    """The dot product of one or two floats each as the float row
+    ``0.0 + x0*y0 [+ x1*y1]``: its bits do not depend on the BLAS build."""
+    return 0.0 + x[0] * y[0] if len(x) == 1 else 0.0 + x[0] * y[0] + x[1] * y[1]
+
+
+def _norm(x) -> float:
+    """Euclidean norm of one or two floats, ``sqrt(_dot(x, x))``."""
+    return math.sqrt(_dot(x, x))
+
+
+def _solve2(A: tuple, b0: float, b1: float) -> tuple[float, float]:
+    """The solution of A x = b for a 2 x 2 matrix A, given as the row-major
+    tuple (A00, A01, A10, A11), on floats.
+
+    With both off-diagonal entries zero it divides row by row, as a one-joint
+    loop divides, exact zeros included.  Otherwise it eliminates with partial
+    pivoting, swapping the rows when |A10| > |A00|, as LAPACK's LU does; it
+    agrees with ``np.linalg.solve`` to roundoff.  A singular A raises
+    ZeroDivisionError.
+    """
+    a00, a01, a10, a11 = A
+    if a01 == 0.0 and a10 == 0.0:
+        return b0 / a00, b1 / a11
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
+    m = a10 / a00
+    x1 = (b1 - m * b0) / (a11 - m * a01)
+    return (b0 - a01 * x1) / a00, x1
+
+
+def _entries(a) -> tuple:
+    """The entries of a vector or a matrix (row-major) as a tuple of floats."""
+    return tuple(np.ravel(a).tolist())
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -169,14 +201,8 @@ def variational_residual(
     roundoff; a positive value witnesses a violated variational inequality.
     A NaN term, as from a NaN candidate, makes the certificate NaN.
 
-    The certificate is computed on floats, bitwise equal to numpy's
-    ``max_p (y_star - y_proj) @ (p - y_proj / F)``.  numpy's dot of two entries
-    fuses its second product into the sum (one rounding, an FMA), which
-    Python floats cannot do before ``math.fma``; the float sum
-    ``0.0 + d0*x0 + d1*x1`` is that dot whenever the second product is exact,
-    as with a zero factor, and numpy's dot is called otherwise.  The step's
-    worst probe always has a zero factor in each product: an unclipped entry
-    has d = 0, a clipped one p - F^{-1} y_proj = 0.
+    The certificate is computed on floats: each term is the float row
+    ``0.0 + d0*x0 [+ d1*x1]`` of d = y_star - y_proj and x = p - y_proj/F.
     """
     y_star = _vector(y_star)
     y_proj = _vector(y_proj)
@@ -199,11 +225,7 @@ def variational_residual(
             p0, p1 = _probe_floats(p, shape)
             d0, x0 = _certificate_terms(ys0, yp0, limits[0], p0)
             d1, x1 = _certificate_terms(ys1, yp1, limits[1], p1)
-            if d1 == 0.0 or x1 == 0.0:
-                value = 0.0 + d0 * x0 + d1 * x1
-            else:
-                value = float((y_star - y_proj) @ (np.array([p0, p1]) - y_proj / box.limits))
-            worst = _larger(worst, value)
+            worst = _larger(worst, 0.0 + d0 * x0 + d1 * x1)
     if worst is None:
         raise ValueError("at least one probe is required")
     return worst

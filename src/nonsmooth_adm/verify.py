@@ -228,7 +228,7 @@ def _group_msta_vector() -> list[CheckResult]:
     worst = 0.0
     for k in range(400):
         radial = k % 2 == 1
-        n = 1 + k % 3 if radial else 2 + k % 4 // 2
+        n = 1 + k // 2 % 2 if radial else 2      # the robust term takes one or two entries
         g = MstaGains(k2=rng.uniform(1, 20), k3=rng.uniform(5, 200),
                       k4=rng.uniform(0.1 if radial else 0.0, 5), gamma1=rng.uniform(0, 50))
         h = 10.0 ** rng.uniform(-3.5, -2)

@@ -17,7 +17,6 @@ from nonsmooth_adm.admittance import (
     StepDiagnostics,
     _admittance_state,
     _measurement,
-    _solve2,
     _step_diagnostics,
     admittance_step,
     baseline_naive_step,
@@ -35,7 +34,8 @@ from nonsmooth_adm.msta import (
     _solver_diagnostics,
 )
 from nonsmooth_adm.plant import PlantState, _plant_state, two_link_model
-from nonsmooth_adm.setvalued import BoxConstraint, project_box
+from nonsmooth_adm import admittance
+from nonsmooth_adm.setvalued import BoxConstraint, _solve2, project_box
 from nonsmooth_adm.verify import admittance_reference
 
 
@@ -473,7 +473,9 @@ def test_non_diagonal_matrices_keep_the_solve():
     condition number: random matrices over many scales, about half of which
     swap their rows (|A10| > |A00|), and matrices with one zero off-diagonal
     entry.  A step on a loop whose W is singular raises
-    np.linalg.LinAlgError, as np.linalg.solve does."""
+    np.linalg.LinAlgError, as np.linalg.solve does, and so does one under
+    "implicit-vector" whose estimated inertia is singular, for one joint and
+    for two."""
     gen = np.random.default_rng(23)
     eps = np.finfo(float).eps
     pivoted = 0
@@ -500,8 +502,10 @@ def test_non_diagonal_matrices_keep_the_solve():
         est = ModelEstimate(lambda q, M=mass: M, lambda q, qd, n=n: np.zeros((n, n)),
                             lambda q, n=n: np.zeros(n))
         st = initial_state(np.zeros(n))
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            admittance_step(st, Measurement(np.zeros(n), np.ones(n), np.zeros(n)), est, g)
+        for mode in ("explicit", "implicit-vector"):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                admittance_step(st, Measurement(np.zeros(n), np.ones(n), np.zeros(n)), est,
+                                dataclasses.replace(g, us_mode=mode))
 
 
 def test_gains_of_three_or_more_joints_are_refused():
@@ -618,9 +622,10 @@ def test_other_estimates_are_evaluated_every_period():
 
 
 def test_constant_loop_checks_its_iteration_matrix_once(monkeypatch):
-    """The implicit-vector loop of a constant estimate checks that G + G^T is
-    positive definite once, when it is built; an estimate evaluated every
-    period checks it on every period, inside the sliding band too."""
+    """The implicit-vector loop of a constant estimate builds its iteration
+    matrix, and checks that G + G^T is positive definite, once, when the
+    loop is built; an estimate evaluated every period builds and checks it
+    on every period, inside the sliding band too."""
     g = AdmittanceGains(mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
                         msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
                         h=1e-3, us_mode="implicit-vector")
@@ -630,8 +635,8 @@ def test_constant_loop_checks_its_iteration_matrix_once(monkeypatch):
     at_rest = Measurement(np.zeros(2), np.zeros(2), np.zeros(2))
     moved = Measurement(np.array([0.01, -0.02]), np.array([1.0, -2.0]), np.array([0.5, 0.5]))
     checks = []
-    real_cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: checks.append(1) or real_cholesky(a))
+    real_iteration = admittance._Iteration
+    monkeypatch.setattr(admittance, "_Iteration", lambda G: checks.append(G) or real_iteration(G))
     for _ in range(3):
         _, _, diag = admittance_step(st, at_rest, est, g)
         assert np.array_equal(diag.solver.shat, np.zeros(2))

@@ -17,16 +17,16 @@ every such comparison is of bytes: ``float.hex`` for a float, ``tobytes``
 numpy and Python floats disagree most easily: ``np.sign(-0.0)`` is +0.0, row
 i of a product with a diagonal matrix is ``0.0 + A_ii*x_i`` whatever the
 other entry's sign, and ``np.maximum``/``np.minimum`` break +-0 ties unlike
-``max``/``min``.  Two sums are left to numpy: a norm is numpy's dot of an
-array, and the certificate's dot of two entries is numpy's unless its second
-product has a zero factor, because numpy's two-entry dot may round once for
-a product and a sum (an FMA).  A diagonal solve is a division on both sides
-(``_solve``, ``admittance._solve2``), exact zeros included.
+``max``/``min``.  A dot product, the certificate's included, is the float
+row ``0.0 + d0*x0 [+ d1*x1]`` on both sides, not numpy's dot, which the BLAS
+build may round once for a product and a sum (an FMA).  A diagonal solve is
+a division on both sides (``_solve``, ``setvalued._solve2``), exact zeros
+included.
 
 On a full loop matrix (``estimate.kind = exact`` on the two-link arm) the
 float body agrees with the oracle to roundoff: numpy's 2 x 2 product and
 LAPACK's solve do not round like the float rows and the elimination of
-``admittance._solve2``.  There tau_star = W (qx_star - q1_star) multiplies
+``setvalued._solve2``.  There tau_star = W (qx_star - q1_star) multiplies
 the roundoff of q1_star by W (about 5e5 at h = 1 ms), so its error is
 measured against |W| ulp(q1_star).
 """
@@ -49,7 +49,6 @@ from nonsmooth_adm.admittance import (
     _clip_flags,
     _evaluate_loop,
     _robust_term,
-    _solve2,
     _step_diagnostics,
     admittance_step,
     baseline_naive_step,
@@ -63,6 +62,7 @@ from nonsmooth_adm.plant import one_dof_model, two_link_model
 from nonsmooth_adm.setvalued import (
     BoxConstraint,
     _larger,
+    _solve2,
     _vector,
     project_box,
     variational_residual,
@@ -135,7 +135,8 @@ def _project_box_arrays(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
 
 def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray, box: BoxConstraint,
                                  probes: Iterable[Sequence[float]]) -> float:
-    """``variational_residual`` on float vectors, for any number of entries."""
+    """``variational_residual`` on float vectors, for any number of entries;
+    each term is summed from 0.0 left to right, as the float row."""
     d = y_star - y_proj
     scaled = y_proj / box.limits
     worst = None
@@ -145,7 +146,10 @@ def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray, box: Bo
             raise ValueError("probe dimension mismatch")
         if (np.abs(p) > 1.0 + 1e-12).any():
             raise ValueError("probe lies outside the unit box")
-        worst = _larger(worst, float(d @ (p - scaled)))
+        value = 0.0
+        for a, b in zip(d.tolist(), (p - scaled).tolist()):
+            value = value + a * b
+        worst = _larger(worst, value)
     if worst is None:
         raise ValueError("at least one probe is required")
     return worst
@@ -341,7 +345,7 @@ def test_variational_residual_float_path_matches_arrays():
 def test_variational_residual_two_entry_float_path_matches_arrays():
     """Projected and unprojected pairs over many scales, with the worst
     probe (a zero factor in every product), probes whose second product has
-    a zero factor, and random probes that leave the sum to numpy's dot."""
+    a zero factor, and random probes whose products are both inexact."""
     gen = np.random.default_rng(12)
     box = BoxConstraint(list(LIMITS2))
     values = _values(gen, 12, LIMITS2[0])
@@ -564,7 +568,8 @@ def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
     s = np.array([0.02, -0.01])
     loop = _evaluate_loop(_ESTIMATES2["unequal"], np.zeros(2), _state2(), g)
     assert loop.iteration.scale is None
-    assert np.allclose(loop.iteration.G, np.diag([1.25, 1.2]), rtol=0.0, atol=1e-15)
+    assert np.allclose(np.reshape(loop.iteration.G, (2, 2)), np.diag([1.25, 1.2]), rtol=0.0,
+                       atol=1e-15)
     # s = (2.79e-6, -7.69e-5) sits just above the band h^2 k3 = 6.6e-5
     for s_in in (s, np.array([2.79e-6, -7.69e-5])):
         u_s, _, diag = _robust_term(s_in, loop, _state2(), g)

@@ -8,6 +8,7 @@ from nonsmooth_adm.msta import (
     MstaState,
     SolverConvergenceError,
     _Iteration,
+    _iteration_matrix,
     _solve_inclusion,
     msta_error_recursion_step,
     msta_explicit_step,
@@ -29,6 +30,16 @@ def test_gains_validation():
         MstaGains(k2=1.0, k3=1.0, k4=-0.1)
     g = MstaGains(k2=1.0, k3=2.0, k4=1.0)
     assert g.alpha2 == 0.5
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", None, np.float64(4.0)])
+def test_gains_refuse_a_non_integer_iteration_cap(bad):
+    """fp_max_iter bounds a ``range``, so a float or a bool is refused where
+    the gains are built, not on the first solve by the root; a numpy integer
+    is an integer."""
+    with pytest.raises(ValueError, match="^fp_max_iter must be an integer"):
+        MstaGains(k2=1.0, k3=1.0, fp_max_iter=bad)
+    assert MstaGains(k2=1.0, k3=1.0, fp_max_iter=np.int64(7)).fp_max_iter == 7
 
 
 def test_explicit_step_zero_input():
@@ -127,16 +138,16 @@ def test_solver_sliding_band_exact_zero(rng):
     g = MstaGains(k2=5.0, k3=40.0)
     h = 1e-3
     for _ in range(100):
-        s = rng.normal(size=3)
+        s = rng.normal(size=2)
         s *= rng.uniform(0.0, 0.999) * h * h * g.k3 / np.linalg.norm(s)
-        diag = solve_shat_vector(s, np.eye(3), np.eye(3), g, h)
-        assert np.array_equal(diag.shat, np.zeros(3))
+        diag = solve_shat_vector(s, np.eye(2), np.eye(2), g, h)
+        assert np.array_equal(diag.shat, np.zeros(2))
         assert np.linalg.norm(diag.m2) <= 1.0 + 1e-12
 
 
 def test_solver_selection_in_subdifferential(rng):
     for _ in range(200):
-        n = int(rng.choice([1, 2, 3]))
+        n = int(rng.choice([1, 2]))
         g = MstaGains(k2=rng.uniform(1, 20), k3=rng.uniform(5, 200),
                       k4=rng.uniform(0, 5), gamma1=rng.uniform(0, 50))
         h = 10.0 ** rng.uniform(-3.5, -2)
@@ -167,7 +178,7 @@ def test_vector_n1_matches_scalar_closed_form(rng):
 def test_decoupled_matches_vector_solver(rng):
     worst = 0.0
     for _ in range(200):
-        n = int(rng.choice([1, 2, 3]))
+        n = int(rng.choice([1, 2]))
         g = MstaGains(k2=rng.uniform(1, 20), k3=rng.uniform(5, 200),
                       k4=rng.uniform(0, 5), gamma1=rng.uniform(0, 50))
         h = 10.0 ** rng.uniform(-3.5, -2)
@@ -197,7 +208,7 @@ def test_solver_general_matrix_residual(rng):
     dead band to far outside it."""
     h = 1e-3
     for _ in range(200):
-        n = int(rng.choice([2, 3]))
+        n = 2
         g = MstaGains(k2=rng.uniform(1, 20), k3=rng.uniform(5, 200), k4=rng.uniform(0, 3))
         if rng.uniform() < 0.5:
             M = np.diag(rng.uniform(0.5, 2.0, size=n))
@@ -240,6 +251,15 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _row_norm(x: np.ndarray) -> float:
+    """||x|| as the square root of the float row 0.0 + x0*x0 [+ x1*x1],
+    summed left to right: the norm the steps take, on any build."""
+    total = 0.0
+    for y in x.tolist():
+        total = total + y * y
+    return math.sqrt(total)
+
+
 def _step_inputs(rng, n):
     """(s, v) pairs: s = 0, then ||s|| from inside the dead band h^2 k3 to
     10^3 times it in random directions, some with a +-0.0 entry."""
@@ -265,29 +285,44 @@ def test_step_meets_its_definition(mode, n, kind, k4):
     """The robust term's step against its definition, at h = 1 ms and the
     preset gains (dead band h^2 k3 = 6.6e-5).  The implicit step, for G =
     beta*I (radial closed form at k4 = 0, scalar root at k4 = 5),
-    diag(1.25, 1.2[, 1.3]) and a non-symmetric G with G + G^T positive
-    definite (scalar root): shat and m2 solve
-    G shat + h*gamma(shat)*m2 = s with m2 - alpha2*shat in the subdifferential
-    of ||.|| at shat, and v+ = v + h*k3*m2, u = gamma(shat)*m2 + v+ bit for
-    bit, evaluated here with numpy.  The explicit step: u = v + k2*s/||s||^(1/2)
-    and v+ = v + h*k3*s/||s|| + k4*s bit for bit, and u = v+ = v at s = 0."""
+    diag(1.25, 1.2) and a non-symmetric G with G + G^T positive definite
+    (scalar root): shat and m2 solve G shat + h*gamma(shat)*m2 = s with
+    m2 - alpha2*shat in the subdifferential of ||.|| at shat, evaluated here
+    with numpy, and v+ = v + h*k3*m2, u = gamma(shat)*m2 + v+ bit for bit,
+    with ||shat|| as the float row (``_row_norm``).  The explicit step:
+    u = v + k2*s/||s||^(1/2) and v+ = v + h*k3*s/||s|| + k4*s bit for bit, and
+    u = v+ = v at s = 0.  The robust term takes one or two entries, as the
+    torque box does: for three, its definition is a ValueError that gives
+    the count, from every public step."""
     rng = np.random.default_rng([n, int(k4), _STEP_CASES.index((mode, n, kind))])
     g = MstaGains(k2=11.6, k3=66.0, k4=k4)
     h = 1e-3
     hk3 = h * g.k3
+    if n == 3:
+        s, v = _step_inputs(rng, n)[-1]
+        with pytest.raises(ValueError, match="^the robust term takes one or two entries; s has 3$"):
+            if mode == "explicit":
+                msta_explicit_step(s, MstaState(v), g, h)
+            elif kind == "scalar":
+                msta_implicit_decoupled_step(s, g, h, MstaState(v))
+            elif kind == "diagonal":
+                msta_implicit_step(s, np.eye(n), np.diag([0.25, 0.2, 0.3]), g, h, MstaState(v))
+            else:
+                solve_shat_vector(s, _general_iteration_matrix(rng, n), np.eye(n), g, h)
+        return
     if kind == "scalar":
         G = rng.uniform(1.0, 3.0) * np.eye(n)
     elif kind == "diagonal":
-        G = np.diag([1.25, 1.2, 1.3][:n])
+        G = np.diag([1.25, 1.2][:n])
     elif kind == "general":
         G = _general_iteration_matrix(rng, n)
     if kind is not None:
-        iteration = _Iteration(G)
+        iteration = _Iteration(tuple(G.ravel().tolist()))
         assert (iteration.scale is None) == (kind != "scalar")
     for s, v in _step_inputs(rng, n):
         if mode == "explicit":
             u, st = msta_explicit_step(s, MstaState(v), g, h)
-            ns = np.linalg.norm(s)
+            ns = _row_norm(s)
             u_def, v_def = v, v
             if ns > 0.0:
                 u_def = v + g.k2 * s / math.sqrt(ns)
@@ -295,7 +330,7 @@ def test_step_meets_its_definition(mode, n, kind, k4):
             assert _same_bits(u, u_def) and _same_bits(st.v, v_def)
             continue
         u, st, d = _solve_inclusion(s, iteration, v, g, h)
-        nshat = np.linalg.norm(d.shat)
+        nshat = _row_norm(d.shat)
         gam = g.k2 * math.sqrt(nshat) + hk3
         inclusion = np.linalg.norm(G @ d.shat + h * gam * d.m2 - s) / (1.0 + np.linalg.norm(s))
         ball = d.m2 - g.alpha2 * d.shat
@@ -363,6 +398,108 @@ def test_steps_reject_a_non_finite_matrix(name, bad):
     for step in steps:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             step()
+
+
+def test_steps_refuse_an_s_of_another_entry_count_and_a_matrix_of_another_shape():
+    """An s of no entry or of three or more is refused with its count by
+    every public step of the robust term, and a matrix that is not n x n for
+    the n entries of s by its name."""
+    g = MstaGains(k2=11.6, k3=66.0)
+    for n in (0, 3, 4):
+        s = np.full(n, 0.1)
+        steps = (lambda: msta_explicit_step(s, MstaState.zero(n), g, 1e-3),
+                 lambda: msta_implicit_step(s, np.eye(n), np.zeros((n, n)), g, 1e-3,
+                                            MstaState.zero(n)),
+                 lambda: msta_implicit_decoupled_step(s, g, 1e-3, MstaState.zero(n)),
+                 lambda: solve_shat_vector(s, np.eye(n), np.eye(n), g, 1e-3))
+        for step in steps:
+            with pytest.raises(ValueError, match=f"^the robust term takes one or two entries; "
+                                                 f"s has {n}$"):
+                step()
+    s, st = np.array([0.3, -0.1]), MstaState.zero(2)
+    for name, step in (
+            ("Mk", lambda: msta_implicit_step(s, np.eye(1), np.zeros((2, 2)), g, 1e-3, st)),
+            ("Ck", lambda: msta_implicit_step(s, np.eye(2), np.zeros((3, 3)), g, 1e-3, st)),
+            ("Ak", lambda: solve_shat_vector(s, np.eye(3), np.eye(2), g, 1e-3)),
+            ("Mk", lambda: solve_shat_vector(s, np.eye(2), np.ones(2), g, 1e-3))):
+        with pytest.raises(ValueError, match=rf"^{name} has shape \(\d, \d\); s has 2 entries"):
+            step()
+
+
+def _closed_form_accepts(G: np.ndarray) -> bool:
+    try:
+        _Iteration(tuple(G.ravel().tolist()))
+    except SolverConvergenceError:
+        return False
+    return True
+
+
+def _cholesky_accepts(G: np.ndarray) -> bool:
+    with np.errstate(all="ignore"):
+        try:
+            return bool(np.isfinite(np.linalg.cholesky(G + G.T)).all())
+        except np.linalg.LinAlgError:
+            return False
+
+
+def test_well_posedness_check_agrees_with_cholesky(rng):
+    """``_Iteration`` decides that G + G^T is positive definite in closed
+    form (S = G + G^T finite, S00 > 0 and det S > 0), as numpy's Cholesky of
+    S does: on random 1 x 1 and 2 x 2 G over many scales, on multiples of I,
+    on near-singular S whose det is 1e-8 to 1e-4 of S00*S11 on either side
+    of 0 (with a skew part), and on G with a non-finite entry.  On an exactly
+    singular S the closed form says no, where the Cholesky may accept by
+    rounding: S = [[2, 2], [2, 2]] gets a last pivot of 2.1e-8."""
+    cases = [np.array([[x]]) for x in (2.0, 1e-300, 1e308, 0.0, -0.0, -1.0, math.inf, math.nan)]
+    cases += [x * np.eye(2) for x in (2.0, 1e-300, 1e307, 1e308, 0.0, -1.0)]
+    for _ in range(3000):
+        cases.append(rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-6, 7))
+        a, c = rng.uniform(0.1, 10.0, 2) * 10.0 ** rng.integers(-3, 4, 2)
+        gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, -4)
+        b = rng.choice([-1.0, 1.0]) * math.sqrt(a * c * (1.0 - gap))
+        skew = rng.normal() * math.sqrt(a * c)
+        cases.append(np.array([[a, b + skew], [b - skew, c]]) / 2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            G = np.eye(2)
+            G.flat[i] = bad
+            cases.append(G)
+    accepted = 0
+    for G in cases:
+        assert _closed_form_accepts(G) == _cholesky_accepts(G), G
+        accepted += _closed_form_accepts(G)
+    assert 1000 < accepted < len(cases) - 1000
+    singular = np.ones((2, 2))
+    assert _cholesky_accepts(singular) and not _closed_form_accepts(singular)
+
+
+def test_iteration_matrix_matches_numpy_solve():
+    """``_iteration_matrix`` builds G = M^-1 A a column at a time with
+    ``_solve2``: within the condition-scaled bound of the controller's
+    2 x 2 solves of np.linalg.solve (4 eps cond(M) max|column|), over many
+    scales, with and without row swaps; a diagonal M divides, bit for bit,
+    as one joint does; a singular M raises LinAlgError("Singular matrix")."""
+    gen = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    for k in range(4000):
+        M = gen.normal(size=(2, 2)) * 10.0 ** gen.integers(-3, 4)
+        if k % 4 == 1:
+            M[0, 1] = 0.0
+        elif k % 4 == 2:
+            M[1, 0] = 0.0
+        A = gen.normal(size=(2, 2)) * 10.0 ** gen.integers(-3, 4, (2, 2))
+        G = np.reshape(_iteration_matrix(M, A), (2, 2))
+        ref = np.linalg.solve(M, A)
+        bound = 4.0 * eps * np.linalg.cond(M) * np.abs(ref).max(axis=0)
+        assert (np.abs(G - ref) <= bound).all()
+        if k % 4 == 3:
+            d = M.diagonal().tolist()
+            assert _iteration_matrix(np.diag(d), A) == \
+                tuple(x / d[i // 2] for i, x in enumerate(A.ravel().tolist()))
+            assert _iteration_matrix(M[:1, :1], A[:1, :1]) == (A[0, 0] / M[0, 0],)
+    for M in (np.zeros((1, 1)), np.ones((2, 2)), np.array([[0.0, 1.0], [0.0, 2.0]])):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _iteration_matrix(M, np.eye(len(M)))
 
 
 def test_solver_reports_nonconvergence_and_an_ill_posed_step():

@@ -142,13 +142,20 @@ def test_variational_residual_rejects_bad_probe():
 
 
 def test_fast_primitives_match_numpy_bitwise():
+    """The projection and the finiteness check equal numpy's bit for bit.
+    The norm is the square root of the float row 0.0 + y0*y0 [+ y1*y1],
+    whatever BLAS numpy loads: numpy's for one entry, and within an ulp of
+    numpy's for two, whose dot the build may round once (an FMA)."""
     gen = np.random.default_rng(5)
     box = BoxConstraint([1.5, 0.5])
     for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
         for _ in range(50):
             y = gen.normal(size=3) * scale
-            assert _norm(y) == float(np.linalg.norm(y))
             y = y[:2]
+            (y0, y1), one = y.tolist(), y[:1]
+            assert _norm(one) == _norm(one.tolist()) == float(np.linalg.norm(one))
+            assert _norm(y) == _norm(tuple(y.tolist())) == math.sqrt(0.0 + y0 * y0 + y1 * y1)
+            assert _norm(y) == pytest.approx(float(np.linalg.norm(y)), rel=4e-16)
             assert np.array_equal(project_box(y, box), np.clip(y, -box.limits, box.limits))
     for v in ([1.0, 2.0], [np.nan, 0.0], [0.0, np.inf], [-np.inf], [[1.0, np.nan]]):
         v = np.array(v)

@@ -14,13 +14,15 @@ under ``implicit-vector`` (whose iteration matrix diag(1.25, 1.2) sends the
 solve to its scalar root); fig5 with ``implicit-vector`` and the arm's own
 model as the estimate (``estimate.kind = exact``: full loop matrices,
 evaluated every period, whose solves against W take the elimination of
-``admittance._solve2``, and a non-symmetric iteration matrix, also solved
+``setvalued._solve2``, and a non-symmetric iteration matrix, also solved
 by the root); and ``linmotor_steps`` under a sine disturbance (on top of the
 stage's own rail friction).  It prints sorted JSON: per run, one SHA-256
 per ``Trace`` channel (dtype, shape and bytes), one of the written CSV, and
 the ``repr`` of every ``Metrics`` field.  The package is imported from the
 ``src`` directory next to this script, so two checkouts compare with ``cmp``
-of their outputs.
+of their outputs.  No controller period calls numpy's BLAS or LAPACK, so
+the digests do not depend on the build numpy loads either; libm's ``sin``
+and ``cos`` in the plant kernels are all that may differ between platforms.
 
     python3 tools/trace_digest.py --diff old.json new.json
 
