@@ -18,7 +18,6 @@ from .setvalued import (
 )
 from .msta import (
     MstaGains,
-    MstaState,
     SolverConvergenceError,
     SolverDiagnostics,
     msta_error_recursion_step,

@@ -33,13 +33,11 @@ import numpy as np
 
 from .msta import (
     MstaGains,
-    MstaState,
     SolverDiagnostics,
     _check_period,
     _explicit,
     _Iteration,
     _iteration_matrix,
-    _msta_state,
     _solve_inclusion,
     msta_explicit_step,  # noqa: F401  (perfbench traces it under this name)
     msta_implicit_decoupled_step,  # noqa: F401  (perfbench traces it under this name)
@@ -229,7 +227,7 @@ class NaiveGains:
         _require_finite(self, "kp", "kd")
 
 
-_STATE_VECTORS = ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev")
+_STATE_VECTORS = ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev", "v_prev")
 
 
 @dataclass(frozen=True)
@@ -241,21 +239,21 @@ class AdmittanceState:
     ux_prev: np.ndarray      # unconstrained proxy velocity candidate at k-1
     q_prev: np.ndarray       # measured position at k-1
     qe_prev: np.ndarray      # predicted tracking error at k-1
-    msta_state: MstaState
+    v_prev: np.ndarray       # integrator state v of the robust term at k-1
 
     def __post_init__(self) -> None:
         for name in _STATE_VECTORS:
             object.__setattr__(self, name, _finite_vector(getattr(self, name), name))
         # the robust term indexes v entry by entry
-        sizes = {getattr(self, name).size for name in _STATE_VECTORS} | {self.msta_state.v.size}
+        sizes = {getattr(self, name).size for name in _STATE_VECTORS}
         if len(sizes) > 1:
-            raise ValueError(f"the state vectors and the integrator state v have different "
-                             f"numbers of entries: {sorted(sizes)}")
+            raise ValueError(f"the state vectors have different numbers of entries: "
+                             f"{sorted(sizes)}")
 
 
 def _admittance_state(qx_prev: np.ndarray, qxd_prev: np.ndarray, ux_prev: np.ndarray,
                       q_prev: np.ndarray, qe_prev: np.ndarray,
-                      msta_state: MstaState) -> AdmittanceState:
+                      v_prev: np.ndarray) -> AdmittanceState:
     """``AdmittanceState(...)`` without ``__post_init__``, for the float
     vectors a step computes from checked inputs: the public constructor
     would convert and check them again.  The class is frozen, so the fields
@@ -267,7 +265,7 @@ def _admittance_state(qx_prev: np.ndarray, qxd_prev: np.ndarray, ux_prev: np.nda
     d["ux_prev"] = ux_prev
     d["q_prev"] = q_prev
     d["qe_prev"] = qe_prev
-    d["msta_state"] = msta_state
+    d["v_prev"] = v_prev
     return obj
 
 
@@ -338,7 +336,7 @@ def initial_state(q0: np.ndarray) -> AdmittanceState:
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     zero = np.zeros(q0.size)
     return AdmittanceState(q0.copy(), zero.copy(), zero.copy(), q0.copy(), zero.copy(),
-                           MstaState.zero(q0.size))
+                           zero.copy())
 
 
 def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
@@ -508,10 +506,10 @@ def _scalar_beta(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> float:
 def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: AdmittanceGains):
     """Dispatch u_s through the configured discretization."""
     mode = g._us_mode
-    v = state.msta_state.v
+    v = state.v_prev
     if mode == "scalar-implicit":
         u, v_next, _, _ = sta_scalar_implicit_step(s.item(), g.msta, loop.beta, g.h, v.item())
-        return np.array([u]), _msta_state(np.array([v_next])), None
+        return np.array([u]), np.array([v_next]), None
     if mode == "explicit":
         return (*_explicit(s, v, g.msta, g.h), None)
     return _solve_inclusion(s, loop.iteration, v, g.msta, g.h)
@@ -580,7 +578,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
 
     ux_star, qx_star = proxy_predict(state, meas.fc, meas.fd, g)
     qe, s = sliding_variable(qx_star, meas.q, state, g)
-    u_s, msta_next, solver_diag = _robust_term(s, loop, state, g)
+    u_s, v_next, solver_diag = _robust_term(s, loop, state, g)
     q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, u_s, state, model, g, loop=loop)
     tau, saturated, vi_residual = _clip(tau_star, g.box)
 
@@ -594,7 +592,7 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
         qx0, qx1 = d0 + q0, d1 + q1
         qx, qxd = np.array([qx0, qx1]), np.array([(qx0 - x0) / h, (qx1 - x1) / h])
 
-    next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, msta_next)
+    next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, v_next)
     diag = _step_diagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated, vi_residual,
                              solver_diag)
     return tau, next_state, diag
@@ -637,6 +635,6 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     tau, saturated, vi_residual = _clip(tau_raw, ng.box)
     zero = np.zeros(len(qe))
     q = meas.q.copy()
-    next_state = _admittance_state(qx, ux, ux, q, qe, state.msta_state)
+    next_state = _admittance_state(qx, ux, ux, q, qe, state.v_prev)
     diag = _step_diagnostics(tau_raw, tau, qx, q, zero, qe, zero, saturated, vi_residual, None)
     return tau, next_state, diag

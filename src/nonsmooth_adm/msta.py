@@ -49,7 +49,6 @@ from .setvalued import (
 
 __all__ = [
     "MstaGains",
-    "MstaState",
     "SolverDiagnostics",
     "SolverConvergenceError",
     "msta_explicit_step",
@@ -102,29 +101,6 @@ class MstaGains:
 
 
 @dataclass(frozen=True)
-class MstaState:
-    """Integrator memory of the twisting term."""
-
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v", _finite_vector(self.v, "integrator state v"))
-
-    @staticmethod
-    def zero(dof: int) -> "MstaState":
-        return MstaState(np.zeros(dof))
-
-
-def _msta_state(v: np.ndarray) -> MstaState:
-    """``MstaState(v)`` without ``__post_init__``, for a float vector a step
-    computes from checked inputs; the class is frozen, so v goes into the
-    instance dict."""
-    obj = object.__new__(MstaState)
-    obj.__dict__["v"] = v
-    return obj
-
-
-@dataclass(frozen=True)
 class SolverDiagnostics:
     """Result of the implicit nominal-state solve.  ``residual`` is the
     inclusion residual, the distance of m2 from subdiff Psi2(shat): that is
@@ -141,7 +117,7 @@ class SolverDiagnostics:
 def _solver_diagnostics(iterations: int, residual: float, converged: bool, shat: np.ndarray,
                         m2: np.ndarray) -> SolverDiagnostics:
     """``SolverDiagnostics(...)`` for a solve's own outputs, written into the
-    frozen instance's dict in field order, as ``_msta_state``."""
+    frozen instance's dict in field order."""
     obj = object.__new__(SolverDiagnostics)
     d = obj.__dict__
     d["iterations"] = iterations
@@ -166,32 +142,43 @@ def _check_period(g: MstaGains, h: float) -> None:
         raise ValueError(f"the dead band h^2*k3 underflows to 0 at h = {h}, k3 = {g.k3}")
 
 
-def _step_input(s, state: MstaState | None, g: MstaGains, h: float) -> np.ndarray:
-    """s as a finite float vector of one or two entries, checked against the
-    period and against any state: the steps index v entry by entry."""
+def _one_or_two(x: np.ndarray, name: str) -> np.ndarray:
+    """x, refused with a ValueError giving its entry count unless it has one
+    or two entries, as the torque box takes."""
+    if not 0 < x.size < 3:
+        raise ValueError(f"the robust term takes one or two entries; {name} has {x.size}")
+    return x
+
+
+def _step_input(s, v, g: MstaGains, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, v) as finite float vectors of one or two entries each, s checked
+    against the period and v, zero when None, against s: the steps index v
+    entry by entry."""
     _check_period(g, h)
-    s = _finite_vector(s, "s")
-    if not 0 < s.size < 3:
-        raise ValueError(f"the robust term takes one or two entries; s has {s.size}")
-    if state is not None and s.shape != state.v.shape:
-        raise ValueError(f"s has {s.size} entries but the integrator state v has {state.v.size}")
-    return s
+    s = _one_or_two(_finite_vector(s, "s"), "s")
+    if v is None:
+        return s, np.zeros(s.size)
+    v = _finite_vector(v, "integrator state v")
+    if s.shape != v.shape:
+        raise ValueError(f"s has {s.size} entries but the integrator state v has {v.size}")
+    return s, v
 
 
 def msta_explicit_step(
-    s: np.ndarray, state: MstaState, g: MstaGains, h: float
-) -> tuple[np.ndarray, MstaState]:
-    """Forward-Euler step of the twisting law; normalized terms vanish at s = 0."""
-    return _explicit(_step_input(s, state, g, h), state.v, g, h)
+    s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-Euler step of the twisting law; normalized terms vanish at s = 0.
+    Returns (u_s, v_next)."""
+    return _explicit(*_step_input(s, v, g, h), g, h)
 
 
 def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
-              ) -> tuple[np.ndarray, MstaState]:
+              ) -> tuple[np.ndarray, np.ndarray]:
     """``msta_explicit_step`` on checked inputs, on floats entry by entry."""
     s = s.tolist()
     ns = _norm(s)
     if not ns > 0.0:
-        return v.copy(), _msta_state(v.copy())
+        return v.copy(), v.copy()
     v = v.tolist()
     k2, hk3, k4 = g.k2, h * g.k3, g.k4
     root = math.sqrt(ns)
@@ -199,7 +186,7 @@ def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
     for j, y in enumerate(s):
         u_s.append(v[j] + k2 * y / root)
         v_next.append(v[j] + hk3 * y / ns + k4 * y)
-    return np.array(u_s), _msta_state(np.array(v_next))
+    return np.array(u_s), np.array(v_next)
 
 
 def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
@@ -305,7 +292,7 @@ def _root(s: list, ns: float, G: tuple, g: MstaGains, h: float) -> tuple[int, tu
 
 
 def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: MstaGains,
-                     h: float) -> tuple[np.ndarray, MstaState, SolverDiagnostics]:
+                     h: float) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
     """The implicit step on checked inputs: find shat with
 
         G @ shat + h * gamma(shat) * m2 = s,   m2 in subdiff Psi2(shat),
@@ -314,8 +301,8 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
     Psi2 = ||.|| + (alpha2/2)||.||^2, then v+ = v + h*k3*m2 and
     u_s = gamma(shat)*m2 + v+.  shat = 0 in the dead band, else the radial
     closed form for G = beta*I and alpha2 = 0, else ``_root``, whose
-    m2 = (s - G shat)/(h*gamma) is formed in float rows.  Returns (u_s, the
-    next state, the solve's diagnostics).
+    m2 = (s - G shat)/(h*gamma) is formed in float rows.  Returns (u_s, v+,
+    the solve's diagnostics).
     """
     s = s.tolist()
     ns = _norm(s)
@@ -356,7 +343,7 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
         u_s.append(gam * y + v_next[j])
     diag = _solver_diagnostics(iterations, res, res <= g.fp_tol * (1.0 + ns), np.array(x),
                                np.array(m2))
-    return np.array(u_s), _msta_state(np.array(v_next)), diag
+    return np.array(u_s), np.array(v_next), diag
 
 
 def solve_shat_vector(
@@ -370,10 +357,10 @@ def solve_shat_vector(
     of three or more entries, or a non-finite Ak or Mk, raises ValueError
     naming it.
     """
-    s = _step_input(s, None, g, h)
+    s, v = _step_input(s, None, g, h)
     Ak = _finite_matrix(Ak, "Ak", s.size)
     G = _iteration_matrix(_finite_matrix(Mk, "Mk", s.size), Ak)
-    return _solve_inclusion(s, _Iteration(G), np.zeros(s.size), g, h)[2]
+    return _solve_inclusion(s, _Iteration(G), v, g, h)[2]
 
 
 def msta_implicit_step(
@@ -382,8 +369,8 @@ def msta_implicit_step(
     Ck: np.ndarray,
     g: MstaGains,
     h: float,
-    state: MstaState,
-) -> tuple[np.ndarray, MstaState, SolverDiagnostics]:
+    v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
     """Implicit step with the structured linear gain -C + gamma1*M.
 
     The twisting term is evaluated at the nominal state delivered by the
@@ -394,28 +381,28 @@ def msta_implicit_step(
     beta*w^2 + h*k2*w = |s| - h^2*k3 (w = |shat|^{1/2}).  At s = 0.05,
     h = 1 ms, k2 = 11.6, k3 = 66 the two u_s differ by 0.115 at beta = 1.1
     and by 0.537 at beta = 2.  A non-finite Mk or Ck raises ValueError
-    naming it.
+    naming it.  Returns (u_s, v_next, the solve's diagnostics).
     """
-    s = _step_input(s, state, g, h)
+    s, v = _step_input(s, v, g, h)
     Mk = _finite_matrix(Mk, "Mk", s.size)
     Ck = _finite_matrix(Ck, "Ck", s.size)
     k1 = -Ck + g.gamma1 * Mk
     Ak = Mk + h * Ck + h * k1
-    return _solve_inclusion(s, _Iteration(_iteration_matrix(Mk, Ak)), state.v, g, h)
+    return _solve_inclusion(s, _Iteration(_iteration_matrix(Mk, Ak)), v, g, h)
 
 
 def msta_implicit_decoupled_step(
-    s: np.ndarray, g: MstaGains, h: float, state: MstaState
-) -> tuple[np.ndarray, MstaState, SolverDiagnostics]:
+    s: np.ndarray, g: MstaGains, h: float, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
     """Implicit step with the scalar iteration factor beta = 1 + h*gamma1.
 
     Avoids any matrix solve at k4 = 0, where the nominal state is the radial
     closed form of the inclusion.
     """
-    s = _step_input(s, state, g, h)
+    s, v = _step_input(s, v, g, h)
     beta = 1.0 + h * g.gamma1
     return _solve_inclusion(s, _Iteration((beta,) if s.size == 1 else (beta, 0.0, 0.0, beta)),
-                            state.v, g, h)
+                            v, g, h)
 
 
 def sta_scalar_implicit_step(
@@ -425,13 +412,18 @@ def sta_scalar_implicit_step(
 
     Returns (u_s, v_next, phi1, phi2) with phi2 = sat(s / (h^2 k3)) and phi1
     the saturated square-root term; the max() guard keeps the root real during
-    discrete sliding, where both selections vary continuously with s.  The
-    calls of ``sat``, ``sign0`` and ``max`` are written out inline: this runs
-    every one-joint period.
+    discrete sliding, where both selections vary continuously with s.  A
+    non-finite s or v, an h not positive or a beta not >= 1 raises ValueError.
+    The checks and ``sat``, ``sign0`` and ``max`` are written out inline:
+    this runs every one-joint period.
     """
-    if h <= 0.0:
+    if not -math.inf < s < math.inf:
+        raise ValueError(f"s must be finite, got {s}")
+    if not -math.inf < v < math.inf:
+        raise ValueError(f"the integrator state v must be finite, got {v}")
+    if not h > 0.0:
         raise ValueError("h must be positive")
-    if beta < 1.0:
+    if not beta >= 1.0:
         raise ValueError("beta must be >= 1")
     band = h * h * g.k3
     z = s / band
@@ -450,8 +442,8 @@ def sta_scalar_implicit_step(
 
 
 def norm_quad_value(x: np.ndarray, alpha2: float) -> float:
-    """Value of Psi2(x) = ||x|| + (alpha2/2)*||x||^2."""
-    nx = float(np.linalg.norm(x))
+    """Value of Psi2(x) = ||x|| + (alpha2/2)*||x||^2, for one or two entries."""
+    nx = _norm(_one_or_two(np.ravel(np.asarray(x, dtype=float)), "x").tolist())
     return nx + 0.5 * alpha2 * nx * nx
 
 
@@ -470,8 +462,9 @@ def msta_error_recursion_step(
 
     with the selections m1, m2 taken exactly in the subdifferentials of
     Psi1 = (2/3)||.||^{3/2} + (alpha1/2)||.||^2 and Psi2 at shat
-    (alpha1 = gamma1/k2, alpha2 = k4/k3).  Used by the Lyapunov-decrease and
-    disturbance-band tests; returns (s1_next, s2_next, shat, m1, m2).
+    (alpha1 = gamma1/k2, alpha2 = k4/k3).  s1 has one or two entries, as
+    in every step here.  Used by the Lyapunov-decrease and disturbance-band
+    tests; returns (s1_next, s2_next, shat, m1, m2).
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
@@ -480,7 +473,7 @@ def msta_error_recursion_step(
     delta_vec = np.broadcast_to(np.asarray(delta, dtype=float), s1.shape)
     alpha1 = g.gamma1 / g.k2
     alpha2 = g.alpha2
-    ns = float(np.linalg.norm(s1))
+    ns = _norm(_one_or_two(s1, "s1").tolist())
     band = h * h * g.k3
     if ns <= band:
         shat = np.zeros_like(s1)

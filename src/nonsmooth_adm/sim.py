@@ -32,8 +32,7 @@ from .admittance import (
     baseline_naive_step,
     initial_state,
 )
-from .msta import (MstaGains, MstaState, SolverConvergenceError, msta_explicit_step,
-                   sta_scalar_implicit_step)
+from .msta import MstaGains, SolverConvergenceError, msta_explicit_step, sta_scalar_implicit_step
 from .plant import (
     Disturbance,
     EnvironmentModel,
@@ -174,10 +173,11 @@ class Scenario:
         if not all(0.0 < x < math.inf for x in (self.duration, self.h, self.dt_sub)):
             raise ValueError("duration_s, h_s and dt_sub_s must be positive and finite")
         ratio = self.h / self.dt_sub
-        if not ratio < MAX_SUBSTEPS + 0.5:
+        if not 0.5 < ratio < MAX_SUBSTEPS + 0.5:
+            # run_scenario makes round(h / dt_sub) substeps per period
             raise ValueError(f"dt_sub_s = {self.dt_sub} s makes {ratio:.6g} plant substeps per "
-                             f"controller period h_s = {self.h} s; at most {MAX_SUBSTEPS} are "
-                             f"allowed")
+                             f"controller period h_s = {self.h} s; at least 1 and at most "
+                             f"{MAX_SUBSTEPS} are allowed")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"h_s = {self.h} s must be an integer multiple of dt_sub_s = "
                              f"{self.dt_sub} s")
@@ -564,7 +564,7 @@ def run_scenario(sc: Scenario) -> Trace:
             tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
             table[k] = [t, *q, *qd, *ctrl_state.qx_prev.tolist(), *ctrl_state.qxd_prev.tolist(),
                         *tau.tolist(), *diag.tau_star.tolist(), *fc, *diag.s.tolist(),
-                        *ctrl_state.msta_state.v.tolist(), *diag.u_s.tolist(), fx, fy,
+                        *ctrl_state.v_prev.tolist(), *diag.u_s.tolist(), fx, fy,
                         *diag.saturated.tolist(), fy > 0.0]
         else:
             cmd = ap.kv * (ap.v_ref - qd[-1]) + ap.hold_force
@@ -896,10 +896,10 @@ def double_integrator_bench(us_mode: str, g: MstaGains, h: float, duration: floa
             u[k] = uk
             sk = sk + h * (-uk + phi[k])
     elif us_mode == "explicit":
-        state = MstaState.zero(1)
+        v = np.zeros(1)
         for k in range(steps):
             s[k] = sk
-            u_vec, state = msta_explicit_step(np.array([sk]), state, g, h)
+            u_vec, v = msta_explicit_step(np.array([sk]), v, g, h)
             u[k] = u_vec[0]
             sk = sk + h * (-u[k] + phi[k])
     else:

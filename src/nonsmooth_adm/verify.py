@@ -26,7 +26,6 @@ from .admittance import (
 )
 from .msta import (
     MstaGains,
-    MstaState,
     msta_error_recursion_step,
     msta_implicit_step,
     norm_quad_value,
@@ -213,10 +212,9 @@ def _group_msta_vector() -> list[CheckResult]:
         m = rng.uniform(0.1, 5.0)
         s = np.array([rng.uniform(-2, 2) * 10.0 ** rng.uniform(-6, 0.5)])
         v = np.array([rng.uniform(-3, 3)])
-        u_vec, st_vec, diag = msta_implicit_step(s, np.array([[m]]), np.array([[0.0]]),
-                                                 g, h, MstaState(v))
+        u_vec, v_vec, diag = msta_implicit_step(s, np.array([[m]]), np.array([[0.0]]), g, h, v)
         u_sc, v_sc, _, _ = sta_scalar_implicit_step(float(s[0]), g, 1.0, h, float(v[0]))
-        worst = max(worst, abs(float(u_vec[0]) - u_sc), abs(float(st_vec.v[0]) - v_sc))
+        worst = max(worst, abs(float(u_vec[0]) - u_sc), abs(float(v_vec[0]) - v_sc))
     out.append(_check("msta-vector", "n1-matches-scalar", worst, 1e-8))
 
     # s inside and outside the band: G x + h*gamma(x)*m2 = s, relative to
@@ -238,8 +236,8 @@ def _group_msta_vector() -> list[CheckResult]:
         if radial:
             v = rng.normal(size=n)
             R = rng.normal(size=(n, n))
-            u, st, d = msta_implicit_step(s, R @ R.T + np.eye(n), rng.normal(size=(n, n)), g, h,
-                                          MstaState(v))
+            u, v_plus, d = msta_implicit_step(s, R @ R.T + np.eye(n), rng.normal(size=(n, n)),
+                                              g, h, v)
             G = (1.0 + h * g.gamma1) * np.eye(n)
         else:
             R, K = rng.normal(size=(n, n)), rng.normal(scale=rng.uniform(0.0, 3.0), size=(n, n))
@@ -250,7 +248,7 @@ def _group_msta_vector() -> list[CheckResult]:
         worst = max(worst, float(inclusion), _subdifferential_gap(d.shat, d.m2, g.alpha2))
         if radial:
             v_next = v + h * g.k3 * d.m2
-            worst = max(worst, float(np.linalg.norm(st.v - v_next)),
+            worst = max(worst, float(np.linalg.norm(v_plus - v_next)),
                         float(np.linalg.norm(u - (gamma * d.m2 + v_next))))
     out.append(_check("msta-vector", "general-G-inclusion", worst, 1e-9))
     return out
@@ -335,12 +333,12 @@ def _group_admittance() -> list[CheckResult]:
                               lambda q: np.zeros(1))
         st = AdmittanceState(rng.normal(size=1) * 0.3, rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1) * 0.3, rng.normal(size=1) * 0.01,
-                             MstaState(rng.normal(size=1)))
+                             rng.normal(size=1))
         meas = Measurement(rng.normal(size=1) * 0.3, rng.normal(size=1) * 4.0,
                            rng.normal(size=1) * 2.0)
         tau, st2, diag = admittance_step(st, meas, est_i, gg)
         ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev,
-                                   st.msta_state.v, meas.q, meas.fc, meas.fd, gg.mx, gg.bx,
+                                   st.v_prev, meas.q, meas.fc, meas.fd, gg.mx, gg.bx,
                                    gg.lam, gg.k1, mhat, chat, np.zeros(1),
                                    gg.box.limits, h, "scalar-implicit",
                                    gg.msta.k2, gg.msta.k3)
@@ -370,12 +368,12 @@ def _group_admittance() -> list[CheckResult]:
                               lambda q: np.zeros(2))
         st = AdmittanceState(rng.normal(size=2) * 0.3, rng.normal(size=2), rng.normal(size=2),
                              rng.normal(size=2) * 0.3, rng.normal(size=2) * 0.01,
-                             MstaState(rng.normal(size=2)))
+                             rng.normal(size=2))
         meas = Measurement(rng.normal(size=2) * 0.3, rng.normal(size=2) * 4.0,
                            rng.normal(size=2) * 2.0)
         tau, st2, diag = admittance_step(st, meas, est_i, gg)
         ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev,
-                                   st.msta_state.v, meas.q, meas.fc, meas.fd, gg.mx, gg.bx,
+                                   st.v_prev, meas.q, meas.fc, meas.fd, gg.mx, gg.bx,
                                    gg.lam, gg.k1, mhat, chat, np.zeros(2),
                                    gg.box.limits, gg.h, "explicit", gg.msta.k2, gg.msta.k3)
         scale = 1.0 + float(np.abs(ref["tau_star"]).max())

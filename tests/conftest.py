@@ -54,7 +54,7 @@ def _straight_line_deviation(g, est, mhat, chat, st, meas, us_mode) -> float:
     entry: the unit and the bound of ``tests/test_float_path.py``."""
     tau, st2, diag = admittance_step(st, meas, est, g)
     ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev,
-                               st.qe_prev, st.msta_state.v, meas.q, meas.fc, meas.fd,
+                               st.qe_prev, st.v_prev, meas.q, meas.fc, meas.fd,
                                g.mx, g.bx, g.lam, g.k1, mhat, chat, np.zeros(len(meas.q)),
                                g.box.limits, g.h, us_mode, g.msta.k2, g.msta.k3,
                                gamma1=g.msta.gamma1)

@@ -15,7 +15,6 @@ from nonsmooth_adm.admittance import (
 )
 from nonsmooth_adm.msta import (
     MstaGains,
-    MstaState,
     msta_error_recursion_step,
     msta_implicit_step,
     norm_quad_value,
@@ -117,10 +116,9 @@ def test_criterion_5c_vector_vs_scalar(rng):
         m = rng.uniform(0.1, 5.0)
         s = np.array([rng.uniform(-2, 2) * 10.0 ** rng.uniform(-6, 0.5)])
         v = np.array([rng.uniform(-3, 3)])
-        u_vec, st, _ = msta_implicit_step(s, np.array([[m]]), np.array([[0.0]]),
-                                          g, h, MstaState(v))
+        u_vec, v_vec, _ = msta_implicit_step(s, np.array([[m]]), np.array([[0.0]]), g, h, v)
         u_sc, v_sc, _, _ = sta_scalar_implicit_step(float(s[0]), g, 1.0, h, float(v[0]))
-        worst = max(worst, abs(float(u_vec[0]) - u_sc), abs(float(st.v[0]) - v_sc))
+        worst = max(worst, abs(float(u_vec[0]) - u_sc), abs(float(v_vec[0]) - v_sc))
     ok = worst <= 1e-8
     report("criterion-5c vector implicit solver at n=1 vs scalar path", ok,
            f"worst deviation {worst:.2e} <= 1e-8 over 1000 instances")
@@ -142,7 +140,7 @@ def test_criterion_5d_controller_oracle(rng, straight_line_deviation):
                             lambda q: np.zeros(1))
         st = AdmittanceState(rng.normal(size=1) * 0.3, rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1) * 0.3,
-                             rng.normal(size=1) * 0.01, MstaState(rng.normal(size=1)))
+                             rng.normal(size=1) * 0.01, rng.normal(size=1))
         meas = Measurement(rng.normal(size=1) * 0.3, rng.normal(size=1) * 4,
                            rng.normal(size=1) * 2)
         worst = max(worst, straight_line_deviation(g, est, mhat, chat, st, meas,
@@ -234,7 +232,7 @@ def test_criterion_8_structural_invariants(rng, fig3_run, fig5_run):
     for _ in range(100):
         st = AdmittanceState(rng.normal(size=1) * 0.2, rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1) * 0.2,
-                             rng.normal(size=1) * 0.01, MstaState(rng.normal(size=1)))
+                             rng.normal(size=1) * 0.01, rng.normal(size=1))
         meas = Measurement(rng.normal(size=1) * 0.2, rng.normal(size=1) * 3,
                            rng.normal(size=1) * 2)
         tau, st2, diag = admittance_step(st, meas, est, g)

@@ -27,10 +27,8 @@ from nonsmooth_adm.admittance import (
 )
 from nonsmooth_adm.msta import (
     MstaGains,
-    MstaState,
     SolverConvergenceError,
     SolverDiagnostics,
-    _msta_state,
     _solver_diagnostics,
 )
 from nonsmooth_adm.plant import PlantState, _plant_state, two_link_model
@@ -52,7 +50,7 @@ def estimate_1dof(m=0.1, c=0.0):
 def _step_bits(out) -> bytes:
     """Every number one step returns, as bytes, for a bitwise comparison."""
     tau, st, d = out
-    arrays = [tau, st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev, st.msta_state.v,
+    arrays = [tau, st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev, st.v_prev,
               d.tau_star, d.tau, d.qx_star, d.q1_star, d.s, d.qe, d.u_s, d.saturated,
               d.lambda_vi_residual]
     if d.solver is not None:
@@ -97,7 +95,7 @@ def test_proxy_steady_state_fixed_point():
     g = fig3_gains()
     f = np.array([-1.3])
     ux = np.linalg.solve(g.bx, f)
-    st = AdmittanceState(np.zeros(1), ux, ux, np.zeros(1), np.zeros(1), MstaState.zero(1))
+    st = AdmittanceState(np.zeros(1), ux, ux, np.zeros(1), np.zeros(1), np.zeros(1))
     ux2, _ = proxy_predict(st, f, np.zeros(1), g)
     assert np.allclose(ux2, ux, atol=1e-14)
 
@@ -117,7 +115,7 @@ def test_sliding_variable_zero_and_steady():
     qe, s = sliding_variable(np.array([0.2]), np.array([0.2]), st, g)
     assert qe[0] == 0.0 and s[0] == 0.0
     st2 = AdmittanceState(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
-                          np.array([0.03]), MstaState.zero(1))
+                          np.array([0.03]), np.zeros(1))
     qe, s = sliding_variable(np.array([0.03]), np.zeros(1), st2, g)
     assert s[0] == g.lam * qe[0]        # qed = 0 exactly
     assert s[0] == pytest.approx(g.lam * 0.03)
@@ -136,7 +134,7 @@ def test_inner_loop_affine_in_proxy_gap(rng):
     g = fig3_gains()
     st = AdmittanceState(rng.normal(size=1) * 0.1, rng.normal(size=1), rng.normal(size=1),
                          rng.normal(size=1) * 0.1, rng.normal(size=1) * 0.01,
-                         MstaState.zero(1))
+                         np.zeros(1))
     q = rng.normal(size=1) * 0.1
     u_s = rng.normal(size=1)
     step = np.array([0.05])
@@ -170,7 +168,7 @@ def test_step_unsaturated_transparency(rng):
     for _ in range(50):
         st = AdmittanceState(rng.normal(size=1) * 0.1, rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1) * 0.1, rng.normal(size=1) * 0.01,
-                             MstaState(rng.normal(size=1)))
+                             rng.normal(size=1))
         meas = Measurement(rng.normal(size=1) * 0.1, rng.normal(size=1), rng.normal(size=1))
         tau, st2, diag = admittance_step(st, meas, estimate_1dof(), g)
         assert not diag.saturated.any()
@@ -182,7 +180,7 @@ def test_step_saturated_pullback():
     g = fig3_gains()
     est = estimate_1dof()
     st = AdmittanceState(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
-                         np.zeros(1), MstaState.zero(1))
+                         np.zeros(1), np.zeros(1))
     # large contact force drives tau_star beyond the box
     meas = Measurement(np.zeros(1), np.array([40.0]), np.zeros(1))
     tau, st2, diag = admittance_step(st, meas, est, g)
@@ -200,7 +198,7 @@ def test_step_hard_bound_and_vi(rng):
     for _ in range(200):
         st = AdmittanceState(rng.normal(size=1) * 0.3, rng.normal(size=1) * 2,
                              rng.normal(size=1), rng.normal(size=1) * 0.3,
-                             rng.normal(size=1) * 0.02, MstaState(rng.normal(size=1) * 3))
+                             rng.normal(size=1) * 0.02, rng.normal(size=1) * 3)
         meas = Measurement(rng.normal(size=1) * 0.3, rng.normal(size=1) * 8,
                            rng.normal(size=1) * 3)
         tau, _, diag = admittance_step(st, meas, est, g)
@@ -212,7 +210,7 @@ def test_step_hard_bound_and_vi(rng):
 def _random_state(gen, n):
     return AdmittanceState(gen.normal(size=n) * 0.3, gen.normal(size=n), gen.normal(size=n),
                            gen.normal(size=n) * 0.3, gen.normal(size=n) * 0.01,
-                           MstaState(gen.normal(size=n)))
+                           gen.normal(size=n))
 
 
 def test_step_matches_straight_line_reference(rng, straight_line_deviation):
@@ -231,7 +229,7 @@ def test_step_matches_straight_line_reference(rng, straight_line_deviation):
                             lambda q: np.zeros(1))
         st = AdmittanceState(rng.normal(size=1) * 0.3, rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1) * 0.3, rng.normal(size=1) * 0.01,
-                             MstaState(rng.normal(size=1)))
+                             rng.normal(size=1))
         meas = Measurement(rng.normal(size=1) * 0.3, rng.normal(size=1) * 4,
                            rng.normal(size=1) * 2)
         worst = max(worst, straight_line_deviation(g, est, mhat, chat, st, meas,
@@ -265,12 +263,12 @@ def test_step_explicit_mode_two_dof(rng, straight_line_deviation):
     for _ in range(50):
         st = AdmittanceState(rng.normal(size=2) * 0.2, rng.normal(size=2), rng.normal(size=2),
                              rng.normal(size=2) * 0.2, rng.normal(size=2) * 0.01,
-                             MstaState(rng.normal(size=2)))
+                             rng.normal(size=2))
         meas = Measurement(rng.normal(size=2) * 0.2, rng.normal(size=2) * 5,
                            rng.normal(size=2) * 2)
         tau, st2, diag = admittance_step(st, meas, est, g)
         ref = admittance_reference(st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev,
-                                   st.qe_prev, st.msta_state.v, meas.q, meas.fc, meas.fd,
+                                   st.qe_prev, st.v_prev, meas.q, meas.fc, meas.fd,
                                    g.mx, g.bx, g.lam, g.k1, np.diag([0.2, 0.2]),
                                    np.diag([20.0, 20.0]), np.zeros(2), g.box.limits,
                                    1e-3, "explicit", 11.6, 66.0)
@@ -311,7 +309,7 @@ def test_gains_constants_are_private_read_only_copies():
             arr[0] = 1.0
     # derived constants follow dataclasses.replace
     st = AdmittanceState(np.zeros(2), np.array([0.3, -0.2]), np.zeros(2), np.zeros(2),
-                         np.zeros(2), MstaState.zero(2))
+                         np.zeros(2), np.zeros(2))
     fc, fd = np.array([1.0, -2.0]), np.array([0.5, 0.5])
     for h in (2e-3, 5e-4):
         g2 = dataclasses.replace(g, h=h)
@@ -405,13 +403,13 @@ def test_naive_baseline_step():
     assert tau[0] == 0.0
     # linear region: tau = kp*qe + kd*qed when the clamp is inactive
     st3 = AdmittanceState(np.array([0.002]), np.zeros(1), np.zeros(1), np.zeros(1),
-                          np.array([0.002]), MstaState.zero(1))
+                          np.array([0.002]), np.zeros(1))
     tau, _, diag = baseline_naive_step(st3, Measurement([0.0], [0.0], [0.0]), est, ng)
     qe = 0.002  # proxy coasts: qx stays, qe unchanged, qed = 0
     assert tau[0] == pytest.approx(300.0 * qe, rel=1e-12)
     # clamp engages for large errors
     st4 = AdmittanceState(np.array([0.5]), np.zeros(1), np.zeros(1), np.zeros(1),
-                          np.array([0.5]), MstaState.zero(1))
+                          np.array([0.5]), np.zeros(1))
     tau, _, diag = baseline_naive_step(st4, Measurement([0.0], [0.0], [0.0]), est, ng)
     assert tau[0] == 3.0 and diag.saturated.all()
 
@@ -432,7 +430,7 @@ def test_certificate_equals_corner_enumeration(rng):
         for _ in range(200):
             st = AdmittanceState(rng.normal(size=n) * 0.3, rng.normal(size=n) * 2,
                                  rng.normal(size=n), rng.normal(size=n) * 0.3,
-                                 rng.normal(size=n) * 0.02, MstaState(rng.normal(size=n) * 3))
+                                 rng.normal(size=n) * 0.02, rng.normal(size=n) * 3)
             meas = Measurement(rng.normal(size=n) * 0.3, rng.normal(size=n) * 8,
                                rng.normal(size=n) * 3)
             tau, _, diag = step(st, meas, est, g)
@@ -688,7 +686,7 @@ def test_constant_estimate_is_read_only_and_checks_entry_counts():
             ModelEstimate.constant(*args, **kwargs)
 
 
-_STATE_VECTORS = ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev")
+_STATE_VECTORS = ("qx_prev", "qxd_prev", "ux_prev", "q_prev", "qe_prev", "v_prev")
 
 
 def _is_float_vector(x, n) -> bool:
@@ -705,20 +703,17 @@ def test_caller_built_states_are_converted_and_checked(bad):
         values = {"q": [0.0], "fc": [0.0], "fd": [0.0], name: [0.0, bad]}
         with pytest.raises(ValueError, match=f"measurement {name} must be finite"):
             Measurement(**values)
-    st = AdmittanceState([0], [0.0], (0.0,), [1], [0.0], MstaState([0]))
+    st = AdmittanceState([0], [0.0], (0.0,), [1], [0.0], [0])
     assert all(_is_float_vector(getattr(st, f), 1) for f in _STATE_VECTORS)
-    assert _is_float_vector(st.msta_state.v, 1)
     for name in _STATE_VECTORS:
         values = {f: [0.0] for f in _STATE_VECTORS}
         values[name] = [bad]
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            AdmittanceState(**values, msta_state=MstaState.zero(1))
-    with pytest.raises(ValueError, match="integrator state v must be finite"):
-        MstaState([0.0, bad])
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            AdmittanceState(**values)
     # the robust term indexes v entry by entry, so every vector has n entries
     for v, qe_prev in (([0.0, 0.0], [0.0]), ([0.0], [0.0, 0.0])):
         with pytest.raises(ValueError, match="different numbers of entries"):
-            AdmittanceState([0.0], [0.0], [0.0], [0.0], qe_prev, MstaState(v))
+            AdmittanceState([0.0], [0.0], [0.0], [0.0], qe_prev, v)
 
 
 def test_step_vectors_must_be_one_dimensional():
@@ -735,16 +730,12 @@ def test_step_vectors_must_be_one_dimensional():
         values = {f: [0.0] for f in _STATE_VECTORS}
         values[name] = column
         with pytest.raises(ValueError, match=rf"{name} must be a 1-D vector, got shape \(1, 1\)"):
-            AdmittanceState(**values, msta_state=MstaState.zero(1))
-    with pytest.raises(ValueError,
-                       match=r"integrator state v must be a 1-D vector, got shape \(2, 1\)"):
-        MstaState(np.zeros((2, 1)))
+            AdmittanceState(**values)
 
 
 def _rebuilt(st: AdmittanceState) -> AdmittanceState:
     """The same state through the public constructors, from plain lists."""
-    return AdmittanceState(*(getattr(st, f).tolist() for f in _STATE_VECTORS),
-                           MstaState(st.msta_state.v.tolist()))
+    return AdmittanceState(*(getattr(st, f).tolist() for f in _STATE_VECTORS))
 
 
 @pytest.mark.parametrize("n,mode,k1", [(1, "auto", 30.0),
@@ -775,9 +766,8 @@ def test_step_states_are_float_vectors_that_feed_back_bitwise(n, mode, k1):
         meas = Measurement(gen.normal(size=n) * 0.02, gen.normal(size=n) * 5,
                            gen.normal(size=n) * 2)
         nxt = step(st, meas, est, g)[1]
-        assert type(nxt) is AdmittanceState and type(nxt.msta_state) is MstaState
+        assert type(nxt) is AdmittanceState
         assert all(_is_float_vector(getattr(nxt, f), n) for f in _STATE_VECTORS)
-        assert _is_float_vector(nxt.msta_state.v, n)
         assert _step_bits(step(st, meas, est, g)) == _step_bits(step(_rebuilt(st), meas, est, g))
         st = nxt
 
@@ -788,12 +778,11 @@ def _per_period_cases():
     def vec(*x):
         return np.array(x)
 
-    msta_state = MstaState(vec(0.5, -0.25))
     solver = SolverDiagnostics(3, 1e-13, True, vec(0.0, 1e-4), vec(-0.5, 1.0))
     cases = [
         (_admittance_state, AdmittanceState,
          (vec(1.0, 2.0), vec(0.0, -0.0), vec(3.0, 4.0), vec(5.0, 6.0), vec(7.0, 8.0),
-          msta_state)),
+          vec(0.5, -0.25))),
         (_measurement, Measurement, (vec(0.1), vec(-2.0), vec(0.0))),
         (_step_diagnostics, StepDiagnostics,
          (vec(4.0, -9.0), vec(3.0, -4.0), vec(0.1, 0.2), vec(0.3, 0.4), vec(1e-3, 0.0),
@@ -801,13 +790,12 @@ def _per_period_cases():
         (_step_diagnostics, StepDiagnostics,
          (vec(1.0), vec(1.0), vec(0.1), vec(0.3), vec(0.0), vec(0.0), vec(0.0),
           np.array([False]), 0.0, None)),
-        (_msta_state, MstaState, (vec(0.5, -0.25),)),
         (_solver_diagnostics, SolverDiagnostics, (3, 1e-13, True, vec(0.0, 1e-4),
                                                   vec(-0.5, 1.0))),
         (_plant_state, PlantState, (vec(0.2, -0.4), vec(1.0, 0.0))),
     ]
     ids = ["AdmittanceState", "Measurement", "StepDiagnostics", "StepDiagnostics-no-solver",
-           "MstaState", "SolverDiagnostics", "PlantState"]
+           "SolverDiagnostics", "PlantState"]
     return [pytest.param(*case, id=name) for case, name in zip(cases, ids)]
 
 

@@ -108,6 +108,9 @@ def test_simulation_failure_exit_code(tmp_path, capsys):
     ("fig3_one_dof plant=double_integrator", "plant double_integrator"),
     ("fig3_one_dof dt_sub_s=1e-300", "dt_sub_s"),
     ("fig3_one_dof dt_sub_s=3e-5", "dt_sub_s"),
+    # fewer than one plant substep per period
+    ("fig3_one_dof dt_sub_s=1e6", "dt_sub_s"),
+    ("fig3_one_dof dt_sub_s=2e-3", "dt_sub_s"),
     # the dead band h^2*k3 underflows to 0; the period is the scenario's h_s
     ("fig3_one_dof h_s=1e-200 dt_sub_s=1e-200 duration_s=1e-200", "controller.k3 h_s"),
 ])
@@ -159,12 +162,24 @@ def test_ill_posed_implicit_step_is_config_error_before_the_run(tmp_path, capsys
 
 
 def test_substep_bound_admits_its_own_count():
+    """Both ends of the bound admit their own count, one substep and
+    MAX_SUBSTEPS, and refuse a count beyond it.  A ratio h_s / dt_sub_s below
+    one rounds to 0 substeps, a plant that never moves; at dt_sub_s = 1e6 s
+    the ratio 1e-9 would pass the integer-multiple check."""
     sc = presets()["fig3_one_dof"]
     sc.dt_sub = sc.h / sim.MAX_SUBSTEPS
     sc.validate()
     sc.dt_sub = sc.h / (sim.MAX_SUBSTEPS + 1)
     with pytest.raises(ValueError, match="dt_sub_s"):
         sc.validate()
+    sc.dt_sub = sc.h
+    sc.validate()
+    for dt_sub in (2.0 * sc.h, 1e6):
+        sc.dt_sub = dt_sub
+        with pytest.raises(ValueError, match=rf"^dt_sub_s = {dt_sub} s makes .* plant substeps "
+                                             rf"per controller period h_s = 0.001 s; at least 1 "
+                                             rf"and at most {sim.MAX_SUBSTEPS} are allowed$"):
+            sc.validate()
 
 
 def test_compare_too_short_duration_is_config_error(tmp_path, capsys):

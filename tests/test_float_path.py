@@ -57,7 +57,7 @@ from nonsmooth_adm.admittance import (
     proxy_predict,
     sliding_variable,
 )
-from nonsmooth_adm.msta import MstaGains, MstaState
+from nonsmooth_adm.msta import MstaGains
 from nonsmooth_adm.plant import one_dof_model, two_link_model
 from nonsmooth_adm.setvalued import (
     BoxConstraint,
@@ -170,12 +170,12 @@ def _step_arrays(state, meas, model, g):
     loop = _evaluate_loop(model, meas.q, state, g)
     ux_star, qx_star = _proxy_predict_arrays(state, meas.fc, meas.fd, g)
     qe, s = _sliding_variable_arrays(qx_star, meas.q, state, g)
-    u_s, msta_next, solver = _robust_term(s, loop, state, g)
+    u_s, v_next, solver = _robust_term(s, loop, state, g)
     q1_star, tau_star = _inner_loop_candidate_arrays(qx_star, meas.q, u_s, state, g, loop)
     tau, saturated, vi_residual = _clip_arrays(tau_star, g.box)
     qx = _solve(_loop_arrays(loop)[4], tau) + q1_star
     qxd = (qx - state.qx_prev) / g.h
-    next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, msta_next)
+    next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, v_next)
     diag = _step_diagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated, vi_residual,
                              solver)
     return tau, next_state, diag
@@ -188,7 +188,7 @@ def _naive_step_arrays(state, meas, model, ng):
     tau_raw = ng.kp * qe + ng.kd * ((qe - state.qe_prev) / ng.h) + model.gravity_fn(meas.q)
     tau, saturated, vi_residual = _clip_arrays(tau_raw, ng.box)
     zero = np.zeros_like(qe)
-    next_state = _admittance_state(qx, ux, ux, meas.q.copy(), qe, state.msta_state)
+    next_state = _admittance_state(qx, ux, ux, meas.q.copy(), qe, state.v_prev)
     diag = _step_diagnostics(tau_raw, tau, qx, meas.q.copy(), zero, qe, zero, saturated,
                              vi_residual, None)
     return tau, next_state, diag
@@ -211,8 +211,6 @@ def _bits(x) -> bytes:
         return b"None"
     if isinstance(x, msta.SolverDiagnostics):
         return _bits((float(x.iterations), float(x.residual), float(x.converged), x.shat, x.m2))
-    if isinstance(x, MstaState):
-        return _bits(x.v)
     if isinstance(x, float):
         return float.hex(x).encode()
     return f"{x.dtype.str}{x.shape}".encode() + x.tobytes()
@@ -258,13 +256,12 @@ def _pairs(gen, scales, n=300):
 
 def _state(qx_prev=0.0, qxd_prev=0.0, ux_prev=0.0, q_prev=0.0, qe_prev=0.0):
     return AdmittanceState(*map(_one, (qx_prev, qxd_prev, ux_prev, q_prev, qe_prev)),
-                           MstaState.zero(1))
+                           np.zeros(1))
 
 
 def _state2(qx_prev=(0.0, 0.0), qxd_prev=(0.0, 0.0), ux_prev=(0.0, 0.0), q_prev=(0.0, 0.0),
             qe_prev=(0.0, 0.0), v=(0.0, 0.0)):
-    return AdmittanceState(*map(np.array, (qx_prev, qxd_prev, ux_prev, q_prev, qe_prev)),
-                           MstaState(np.array(v)))
+    return AdmittanceState(*map(np.array, (qx_prev, qxd_prev, ux_prev, q_prev, qe_prev, v)))
 
 
 def _gains(k1=30.0, us_mode="auto", limit=LIMIT, h=1e-3):
@@ -646,7 +643,7 @@ def test_two_joint_non_finite_entry_reaches_the_other_row_as_numpy():
 
     def state(qxd0):
         return _admittance_state(np.zeros(2), np.array([qxd0, 0.1]), np.zeros(2), np.zeros(2),
-                                 np.zeros(2), MstaState.zero(2))
+                                 np.zeros(2), np.zeros(2))
 
     with np.errstate(invalid="ignore"):
         ux, qx = proxy_predict(state(np.inf), fc, fc, g)
@@ -663,7 +660,7 @@ def test_two_joint_non_finite_entry_reaches_the_other_row_as_numpy():
 
 def _step_bits(out) -> bytes:
     tau, st, d = out
-    parts = [tau, st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev, st.msta_state.v,
+    parts = [tau, st.qx_prev, st.qxd_prev, st.ux_prev, st.q_prev, st.qe_prev, st.v_prev,
              d.tau_star, d.tau, d.qx_star, d.q1_star, d.s, d.qe, d.u_s, d.saturated,
              float(d.lambda_vi_residual), d.solver]
     return _bits(tuple(parts))
@@ -732,8 +729,8 @@ def test_two_joint_step_on_the_arm_model_matches_arrays_to_roundoff(h, k1, us_mo
             exact = ("qx_star", "s", "qe", "u_s", "saturated", "solver")
             assert _bits(tuple(getattr(d, f) for f in exact)) == \
                 _bits(tuple(getattr(d_ref, f) for f in exact))
-            assert _bits((nxt.ux_prev, nxt.qe_prev, nxt.msta_state.v)) == \
-                _bits((nxt_ref.ux_prev, nxt_ref.qe_prev, nxt_ref.msta_state.v))
+            assert _bits((nxt.ux_prev, nxt.qe_prev, nxt.v_prev)) == \
+                _bits((nxt_ref.ux_prev, nxt_ref.qe_prev, nxt_ref.v_prev))
             loop = _evaluate_loop(model, meas.q, state, g)
             _assert_candidate_close((d.q1_star, d.tau_star), (d_ref.q1_star, d_ref.tau_star),
                                     meas.q, d.qx_star, loop)

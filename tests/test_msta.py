@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from nonsmooth_adm.msta import (
     MstaGains,
-    MstaState,
     SolverConvergenceError,
     _Iteration,
     _iteration_matrix,
@@ -44,22 +44,22 @@ def test_gains_refuse_a_non_integer_iteration_cap(bad):
 
 def test_explicit_step_zero_input():
     g = MstaGains(k2=2.0, k3=1.0)
-    u, st = msta_explicit_step(np.zeros(2), MstaState.zero(2), g, 0.1)
+    u, v = msta_explicit_step(np.zeros(2), np.zeros(2), g, 0.1)
     assert np.array_equal(u, np.zeros(2))
-    assert np.array_equal(st.v, np.zeros(2))
+    assert np.array_equal(v, np.zeros(2))
 
 
 def test_explicit_step_values():
     g = MstaGains(k2=2.0, k3=1.0, k4=0.0)
-    u, st = msta_explicit_step(np.array([1.0, 0.0]), MstaState.zero(2), g, 0.1)
+    u, v = msta_explicit_step(np.array([1.0, 0.0]), np.zeros(2), g, 0.1)
     assert np.allclose(u, [2.0, 0.0])
-    assert np.allclose(st.v, [0.1, 0.0])
+    assert np.allclose(v, [0.1, 0.0])
 
 
 def test_explicit_step_sqrt_gain():
     g = MstaGains(k2=11.6, k3=66.0)
     v0 = np.array([0.5])
-    u, _ = msta_explicit_step(np.array([0.04]), MstaState(v0), g, 1e-3)
+    u, _ = msta_explicit_step(np.array([0.04]), v0, g, 1e-3)
     assert u[0] == pytest.approx(11.6 * 0.2 + 0.5, abs=1e-12)   # k2*|s|^(1/2) + v
 
 
@@ -89,6 +89,22 @@ def test_scalar_step_validates_beta_and_h():
         sta_scalar_implicit_step(1.0, g, 0.9, 0.01, 0.0)
     with pytest.raises(ValueError):
         sta_scalar_implicit_step(1.0, g, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_step_refuses_non_finite_input(bad):
+    """A non-finite s or v is refused by name, not carried into a NaN
+    (u_s, v_next, phi1, phi2) or an infinite v_next; a NaN h or beta fails
+    its guard instead of slipping past a negated comparison."""
+    g = MstaGains(k2=11.6, k3=66.0)
+    with pytest.raises(ValueError, match="^s must be finite"):
+        sta_scalar_implicit_step(bad, g, 1.0, 1e-3, 0.0)
+    with pytest.raises(ValueError, match="^the integrator state v must be finite"):
+        sta_scalar_implicit_step(0.01, g, 1.0, 1e-3, bad)
+    with pytest.raises(ValueError, match="^h must be positive$"):
+        sta_scalar_implicit_step(0.01, g, 1.0, math.nan, 0.0)
+    with pytest.raises(ValueError, match="^beta must be >= 1$"):
+        sta_scalar_implicit_step(0.01, g, math.nan, 1e-3, 0.0)
 
 
 def test_scalar_step_matches_bisection_oracle(rng):
@@ -152,7 +168,7 @@ def test_solver_selection_in_subdifferential(rng):
                       k4=rng.uniform(0, 5), gamma1=rng.uniform(0, 50))
         h = 10.0 ** rng.uniform(-3.5, -2)
         s = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 0.5)
-        diag = msta_implicit_decoupled_step(s, g, h, MstaState.zero(n))[2]
+        diag = msta_implicit_decoupled_step(s, g, h, np.zeros(n))[2]
         ball_part = diag.m2 - g.alpha2 * diag.shat
         assert np.linalg.norm(ball_part) <= 1.0 + 1e-9
         nshat = np.linalg.norm(diag.shat)
@@ -168,10 +184,9 @@ def test_vector_n1_matches_scalar_closed_form(rng):
         m = rng.uniform(0.1, 5.0)
         s = np.array([rng.uniform(-2, 2) * 10.0 ** rng.uniform(-6, 0.5)])
         v = np.array([rng.uniform(-3, 3)])
-        u_vec, st, _ = msta_implicit_step(s, np.array([[m]]), np.array([[0.0]]),
-                                          g, h, MstaState(v))
+        u_vec, v_vec, _ = msta_implicit_step(s, np.array([[m]]), np.array([[0.0]]), g, h, v)
         u_sc, v_sc, _, _ = sta_scalar_implicit_step(float(s[0]), g, 1.0, h, float(v[0]))
-        worst = max(worst, abs(float(u_vec[0]) - u_sc), abs(float(st.v[0]) - v_sc))
+        worst = max(worst, abs(float(u_vec[0]) - u_sc), abs(float(v_vec[0]) - v_sc))
     assert worst <= 1e-8
 
 
@@ -184,8 +199,8 @@ def test_decoupled_matches_vector_solver(rng):
         h = 10.0 ** rng.uniform(-3.5, -2)
         s = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 0.5)
         v = rng.normal(size=n)
-        u_a, _, d_a = msta_implicit_step(s, np.eye(n), np.zeros((n, n)), g, h, MstaState(v))
-        u_b, _, d_b = msta_implicit_decoupled_step(s, g, h, MstaState(v))
+        u_a, _, d_a = msta_implicit_step(s, np.eye(n), np.zeros((n, n)), g, h, v)
+        u_b, _, d_b = msta_implicit_decoupled_step(s, g, h, v)
         worst = max(worst, float(np.linalg.norm(u_a - u_b)),
                     float(np.linalg.norm(d_a.shat - d_b.shat)))
     assert worst <= 1e-8
@@ -302,11 +317,11 @@ def test_step_meets_its_definition(mode, n, kind, k4):
         s, v = _step_inputs(rng, n)[-1]
         with pytest.raises(ValueError, match="^the robust term takes one or two entries; s has 3$"):
             if mode == "explicit":
-                msta_explicit_step(s, MstaState(v), g, h)
+                msta_explicit_step(s, v, g, h)
             elif kind == "scalar":
-                msta_implicit_decoupled_step(s, g, h, MstaState(v))
+                msta_implicit_decoupled_step(s, g, h, v)
             elif kind == "diagonal":
-                msta_implicit_step(s, np.eye(n), np.diag([0.25, 0.2, 0.3]), g, h, MstaState(v))
+                msta_implicit_step(s, np.eye(n), np.diag([0.25, 0.2, 0.3]), g, h, v)
             else:
                 solve_shat_vector(s, _general_iteration_matrix(rng, n), np.eye(n), g, h)
         return
@@ -321,15 +336,15 @@ def test_step_meets_its_definition(mode, n, kind, k4):
         assert (iteration.scale is None) == (kind != "scalar")
     for s, v in _step_inputs(rng, n):
         if mode == "explicit":
-            u, st = msta_explicit_step(s, MstaState(v), g, h)
+            u, v_next = msta_explicit_step(s, v, g, h)
             ns = _row_norm(s)
             u_def, v_def = v, v
             if ns > 0.0:
                 u_def = v + g.k2 * s / math.sqrt(ns)
                 v_def = v + hk3 * s / ns + g.k4 * s
-            assert _same_bits(u, u_def) and _same_bits(st.v, v_def)
+            assert _same_bits(u, u_def) and _same_bits(v_next, v_def)
             continue
-        u, st, d = _solve_inclusion(s, iteration, v, g, h)
+        u, v_plus, d = _solve_inclusion(s, iteration, v, g, h)
         nshat = _row_norm(d.shat)
         gam = g.k2 * math.sqrt(nshat) + hk3
         inclusion = np.linalg.norm(G @ d.shat + h * gam * d.m2 - s) / (1.0 + np.linalg.norm(s))
@@ -338,7 +353,7 @@ def test_step_meets_its_definition(mode, n, kind, k4):
             max(0.0, np.linalg.norm(ball) - 1.0)
         assert inclusion <= 1e-9 and gap <= 1e-9 and d.converged
         v_next = v + hk3 * d.m2
-        assert _same_bits(st.v, v_next) and _same_bits(u, gam * d.m2 + v_next)
+        assert _same_bits(v_plus, v_next) and _same_bits(u, gam * d.m2 + v_next)
 
 
 def test_steps_reject_a_state_of_another_length_and_an_underflowing_band():
@@ -347,18 +362,39 @@ def test_steps_reject_a_state_of_another_length_and_an_underflowing_band():
     underflow to 0 (it does at h = 1e-200)."""
     g = MstaGains(k2=11.6, k3=66.0)
     s = np.array([0.02, -0.01])
-    steps = (lambda s, st, h: msta_explicit_step(s, st, g, h),
-             lambda s, st, h: msta_implicit_step(s, np.eye(2), np.zeros((2, 2)), g, h, st),
-             lambda s, st, h: msta_implicit_decoupled_step(s, g, h, st))
+    steps = (lambda s, v, h: msta_explicit_step(s, v, g, h),
+             lambda s, v, h: msta_implicit_step(s, np.eye(2), np.zeros((2, 2)), g, h, v),
+             lambda s, v, h: msta_implicit_decoupled_step(s, g, h, v))
     for step in steps:
         for v in (np.zeros(1), np.zeros(3)):
             with pytest.raises(ValueError, match="s has 2 entries but the integrator state v"):
-                step(s, MstaState(v), 1e-3)
+                step(s, v, 1e-3)
         for s_in in (s, np.zeros(2)):
             with pytest.raises(ValueError, match="h\\^2\\*k3 underflows to 0"):
-                step(s_in, MstaState.zero(2), 1e-200)
+                step(s_in, np.zeros(2), 1e-200)
     with pytest.raises(ValueError, match="underflows to 0"):
         solve_shat_vector(np.zeros(2), np.eye(2), np.eye(2), g, 1e-200)
+
+
+@pytest.mark.parametrize("v,message", [
+    (np.array([0.0, math.nan]), "must be finite$"),
+    (np.array([math.inf, 0.0]), "must be finite$"),
+    (np.array([0.0, -math.inf]), "must be finite$"),
+    (np.zeros((2, 1)), r"must be a 1-D vector, got shape \(2, 1\)$"),
+    (np.zeros((1, 2)), r"must be a 1-D vector, got shape \(1, 2\)$"),
+])
+def test_steps_reject_a_non_finite_or_two_dimensional_v(v, message):
+    """The integrator state v is an input of every step, checked as s is:
+    a non-finite or 2-D v is refused by name, not stepped into a non-finite
+    or broadcast v_next."""
+    g = MstaGains(k2=11.6, k3=66.0)
+    s = np.array([0.02, -0.01])
+    steps = (lambda: msta_explicit_step(s, v, g, 1e-3),
+             lambda: msta_implicit_step(s, np.eye(2), np.zeros((2, 2)), g, 1e-3, v),
+             lambda: msta_implicit_decoupled_step(s, g, 1e-3, v))
+    for step in steps:
+        with pytest.raises(ValueError, match="^integrator state v " + message):
+            step()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -367,10 +403,10 @@ def test_steps_reject_a_non_finite_s(bad):
     |s| > 0) or carried into a NaN nominal state."""
     g = MstaGains(k2=11.6, k3=66.0)
     A = np.array([[1.0, 0.5], [-0.2, 1.0]])     # a non-symmetric G
-    steps = (lambda s: msta_explicit_step(s, MstaState(np.full(s.size, 0.3)), g, 1e-3),
+    steps = (lambda s: msta_explicit_step(s, np.full(s.size, 0.3), g, 1e-3),
              lambda s: msta_implicit_step(s, np.eye(s.size), np.zeros((s.size, s.size)), g,
-                                          1e-3, MstaState.zero(s.size)),
-             lambda s: msta_implicit_decoupled_step(s, g, 1e-3, MstaState.zero(s.size)),
+                                          1e-3, np.zeros(s.size)),
+             lambda s: msta_implicit_decoupled_step(s, g, 1e-3, np.zeros(s.size)),
              lambda s: solve_shat_vector(s, A[:s.size, :s.size], np.eye(s.size), g, 1e-3))
     for step in steps:
         for s in (np.array([bad]), np.array([bad, 1.0]), np.array([0.0, bad])):
@@ -393,8 +429,7 @@ def test_steps_reject_a_non_finite_matrix(name, bad):
     if name != "Ck":
         steps.append(lambda: solve_shat_vector(s, mats["Ak"], mats["Mk"], g, 1e-3))
     if name != "Ak":
-        steps.append(lambda: msta_implicit_step(s, mats["Mk"], mats["Ck"], g, 1e-3,
-                                                MstaState.zero(2)))
+        steps.append(lambda: msta_implicit_step(s, mats["Mk"], mats["Ck"], g, 1e-3, np.zeros(2)))
     for step in steps:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             step()
@@ -407,19 +442,18 @@ def test_steps_refuse_an_s_of_another_entry_count_and_a_matrix_of_another_shape(
     g = MstaGains(k2=11.6, k3=66.0)
     for n in (0, 3, 4):
         s = np.full(n, 0.1)
-        steps = (lambda: msta_explicit_step(s, MstaState.zero(n), g, 1e-3),
-                 lambda: msta_implicit_step(s, np.eye(n), np.zeros((n, n)), g, 1e-3,
-                                            MstaState.zero(n)),
-                 lambda: msta_implicit_decoupled_step(s, g, 1e-3, MstaState.zero(n)),
+        steps = (lambda: msta_explicit_step(s, np.zeros(n), g, 1e-3),
+                 lambda: msta_implicit_step(s, np.eye(n), np.zeros((n, n)), g, 1e-3, np.zeros(n)),
+                 lambda: msta_implicit_decoupled_step(s, g, 1e-3, np.zeros(n)),
                  lambda: solve_shat_vector(s, np.eye(n), np.eye(n), g, 1e-3))
         for step in steps:
             with pytest.raises(ValueError, match=f"^the robust term takes one or two entries; "
                                                  f"s has {n}$"):
                 step()
-    s, st = np.array([0.3, -0.1]), MstaState.zero(2)
+    s, v = np.array([0.3, -0.1]), np.zeros(2)
     for name, step in (
-            ("Mk", lambda: msta_implicit_step(s, np.eye(1), np.zeros((2, 2)), g, 1e-3, st)),
-            ("Ck", lambda: msta_implicit_step(s, np.eye(2), np.zeros((3, 3)), g, 1e-3, st)),
+            ("Mk", lambda: msta_implicit_step(s, np.eye(1), np.zeros((2, 2)), g, 1e-3, v)),
+            ("Ck", lambda: msta_implicit_step(s, np.eye(2), np.zeros((3, 3)), g, 1e-3, v)),
             ("Ak", lambda: solve_shat_vector(s, np.eye(3), np.eye(2), g, 1e-3)),
             ("Mk", lambda: solve_shat_vector(s, np.eye(2), np.ones(2), g, 1e-3))):
         with pytest.raises(ValueError, match=rf"^{name} has shape \(\d, \d\); s has 2 entries"):
@@ -519,9 +553,8 @@ def test_solver_reports_nonconvergence_and_an_ill_posed_step():
 def test_implicit_step_preserves_state_at_zero():
     g = MstaGains(k2=2.0, k3=10.0, gamma1=3.0)
     v = np.array([0.3, -0.2])
-    u, st, diag = msta_implicit_step(np.zeros(2), np.eye(2), np.zeros((2, 2)), g, 1e-3,
-                                     MstaState(v))
-    assert np.array_equal(st.v, v)
+    u, v_next, diag = msta_implicit_step(np.zeros(2), np.eye(2), np.zeros((2, 2)), g, 1e-3, v)
+    assert np.array_equal(v_next, v)
     assert np.array_equal(u, v)
 
 
@@ -553,6 +586,36 @@ def test_error_recursion_disturbance_band():
         if k * h > 1.0:
             worst = max(worst, float(np.abs(s1).max()))
     assert worst <= 2 * h * h * delta3
+
+
+def test_error_recursion_and_its_norm_take_one_or_two_entries_without_linalg(monkeypatch):
+    """``msta_error_recursion_step`` and ``norm_quad_value`` take ||.|| as the
+    package's float row, as every step does, and call no np.linalg function;
+    an s1 or x of no entry or of three or more is refused with its count."""
+    calls = []
+
+    def counting(*args, _fn, _name, **kwargs):
+        calls.append(_name)
+        return _fn(*args, **kwargs)
+
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, functools.partial(counting, _fn=fn, _name=name))
+    g = MstaGains(k2=4.0, k3=30.0, k4=1.0, gamma1=8.0)
+    for s1 in (np.array([0.7]), np.array([0.7, -0.2]), np.array([1e-6, 0.0]), 0.3):
+        _, _, shat, _, _ = msta_error_recursion_step(s1, np.zeros(np.size(s1)), g, 1e-3)
+        norm_quad_value(shat, g.alpha2)
+    assert calls == []
+    assert norm_quad_value(np.array([3.0, -4.0]), 0.5) == 5.0 + 0.25 * 25.0
+    for n in (0, 3, 4):
+        with pytest.raises(ValueError, match=f"^the robust term takes one or two entries; "
+                                             f"s1 has {n}$"):
+            msta_error_recursion_step(np.full(n, 0.1), np.zeros(n), g, 1e-3)
+        with pytest.raises(ValueError, match=f"^the robust term takes one or two entries; "
+                                             f"x has {n}$"):
+            norm_quad_value(np.full(n, 0.1), g.alpha2)
+    assert calls == []
 
 
 def test_error_recursion_consistency():

@@ -768,7 +768,7 @@ def _run_scenario_rows(sc, ee_kinematics):
             tr.qxd[k] = ctrl_state.qxd_prev
             tr.tau_star[k] = diag.tau_star
             tr.s[k] = diag.s
-            tr.v[k] = ctrl_state.msta_state.v
+            tr.v[k] = ctrl_state.v_prev
             tr.u_s[k] = diag.u_s
             tr.saturated[k] = diag.saturated
         else:
