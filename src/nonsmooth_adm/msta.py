@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .setvalued import (
+    _all_finite,
     _dot,
     _entries,
     _finite_matrix,
@@ -134,10 +135,10 @@ class SolverConvergenceError(RuntimeError):
 
 
 def _check_period(g: MstaGains, h: float) -> None:
-    """Reject an h that is not positive or whose dead band h^2*k3 underflows
-    to 0 (the implicit step divides by the band)."""
-    if not h > 0.0:
-        raise ValueError("h must be positive")
+    """Reject an h that is not positive and finite or whose dead band h^2*k3
+    underflows to 0 (the implicit step divides by the band)."""
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     if h * h * g.k3 == 0.0:
         raise ValueError(f"the dead band h^2*k3 underflows to 0 at h = {h}, k3 = {g.k3}")
 
@@ -413,7 +414,8 @@ def sta_scalar_implicit_step(
     Returns (u_s, v_next, phi1, phi2) with phi2 = sat(s / (h^2 k3)) and phi1
     the saturated square-root term; the max() guard keeps the root real during
     discrete sliding, where both selections vary continuously with s.  A
-    non-finite s or v, an h not positive or a beta not >= 1 raises ValueError.
+    non-finite s or v, an h not positive and finite or a beta not finite and
+    >= 1 raises ValueError.
     The checks and ``sat``, ``sign0`` and ``max`` are written out inline:
     this runs every one-joint period.
     """
@@ -421,10 +423,10 @@ def sta_scalar_implicit_step(
         raise ValueError(f"s must be finite, got {s}")
     if not -math.inf < v < math.inf:
         raise ValueError(f"the integrator state v must be finite, got {v}")
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    if not beta >= 1.0:
-        raise ValueError("beta must be >= 1")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
+    if not 1.0 <= beta < math.inf:
+        raise ValueError("beta must be finite and >= 1")
     band = h * h * g.k3
     z = s / band
     phi2 = 1.0 if z > 1.0 else -1.0 if z < -1.0 else float(z)           # sat(s / band)
@@ -463,17 +465,24 @@ def msta_error_recursion_step(
     with the selections m1, m2 taken exactly in the subdifferentials of
     Psi1 = (2/3)||.||^{3/2} + (alpha1/2)||.||^2 and Psi2 at shat
     (alpha1 = gamma1/k2, alpha2 = k4/k3).  s1 has one or two entries, as
-    in every step here.  Used by the Lyapunov-decrease and disturbance-band
-    tests; returns (s1_next, s2_next, shat, m1, m2).
+    in every step here, and s2 and an array delta have s1's shape; a
+    non-finite input, or h as ``_check_period`` refuses it, raises
+    ValueError naming it.  Used by the Lyapunov-decrease and
+    disturbance-band tests; returns (s1_next, s2_next, shat, m1, m2).
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    s1 = np.atleast_1d(np.asarray(s1, dtype=float))
-    s2 = np.atleast_1d(np.asarray(s2, dtype=float))
-    delta_vec = np.broadcast_to(np.asarray(delta, dtype=float), s1.shape)
+    _check_period(g, h)
+    s1 = _one_or_two(_finite_vector(s1, "s1"), "s1")
+    s2 = _finite_vector(s2, "s2")
+    delta = np.asarray(delta, dtype=float)
+    for name, x in (("s2", s2), ("delta", delta)):
+        if x.ndim and x.shape != s1.shape:
+            raise ValueError(f"{name} has shape {x.shape} but s1 has {s1.shape}")
+    if not _all_finite(delta):
+        raise ValueError("delta must be finite")
+    delta_vec = np.broadcast_to(delta, s1.shape)
     alpha1 = g.gamma1 / g.k2
     alpha2 = g.alpha2
-    ns = _norm(_one_or_two(s1, "s1").tolist())
+    ns = _norm(s1.tolist())
     band = h * h * g.k3
     if ns <= band:
         shat = np.zeros_like(s1)

@@ -327,6 +327,7 @@ class Trace:
     tau_star: np.ndarray
     fc_joint: np.ndarray
     fc_cart: np.ndarray          # (steps, 2)
+    penetration: np.ndarray      # (steps,), y_s - ee_y, m; positive inside the surface
     s: np.ndarray
     v: np.ndarray
     u_s: np.ndarray
@@ -360,6 +361,7 @@ _TRACE_CHANNELS = (
     ("v", "v{}", False),
     ("u_s", "u_s{}", False),
     ("fc_cart", ("fcx_N", "fcy_N"), False),
+    ("penetration", "penetration_m", False),
     ("saturated", "saturated{}", True),
     ("contact", "contact", True),
 )
@@ -562,16 +564,17 @@ def run_scenario(sc: Scenario) -> Trace:
             # schedule: not checked again
             meas = _measurement(state.q, np.array(fc), np.array(_joint_forces(jac, fdx, fdy)))
             tau, ctrl_state, diag = controller_step(ctrl_state, meas, estimate, gains)
-            table[k] = [t, *q, *qd, *ctrl_state.qx_prev.tolist(), *ctrl_state.qxd_prev.tolist(),
-                        *tau.tolist(), *diag.tau_star.tolist(), *fc, *diag.s.tolist(),
-                        *ctrl_state.v_prev.tolist(), *diag.u_s.tolist(), fx, fy,
-                        *diag.saturated.tolist(), fy > 0.0]
+            qx, qxd, v = (ctrl_state.qx_prev.tolist(), ctrl_state.qxd_prev.tolist(),
+                          ctrl_state.v_prev.tolist())
+            applied, tau_star = tau.tolist(), diag.tau_star.tolist()
+            s, u_s, sat = diag.s.tolist(), diag.u_s.tolist(), diag.saturated.tolist()
         else:
             cmd = ap.kv * (ap.v_ref - qd[-1]) + ap.hold_force
-            held = [*zeros[1:], max(-limit, min(limit, cmd))]
-            tau = np.array(held)
-            table[k] = [t, *q, *qd, *q, *zeros, *held, *held, *fc, *zeros, *zeros, *zeros,
-                        fx, fy, *unsaturated, fy > 0.0]
+            applied = tau_star = [*zeros[1:], max(-limit, min(limit, cmd))]
+            tau = np.array(applied)
+            qx, qxd, s, v, u_s, sat = q, zeros, zeros, zeros, zeros, unsaturated
+        table[k] = [t, *q, *qd, *qx, *qxd, *applied, *tau_star, *fc, *s, *v, *u_s, fx, fy,
+                    env.y_s - ee[1], *sat, fy > 0.0]
 
         try:
             state = integrate_substep(model, state, tau, env, disturbance, t, sc.dt_sub, n_sub)
@@ -593,13 +596,15 @@ class Metrics:
     rebound_count: int          # contact losses after 0.2 s of sustained contact
     torque_violations: int      # steps with any |tau_i| > F_i
     chattering_index: float     # max over joints of std(u_s) over the last second
-    max_penetration: float      # m
+    max_penetration: float      # largest penetration channel value, or 0 m
 
 
 def compute_metrics(trace: Trace, sc: Scenario) -> Metrics:
     if trace.t.size == 0:
         raise ValueError("empty trace")
     limits = np.asarray(sc.controller.torque_limits, dtype=float)
+    if limits.size != trace.dof:
+        raise ValueError(f"the trace has {trace.dof} joint(s); torque_limits has {limits.size}")
     fd_mag = abs(_fd_lookup(sc.fd_schedule, trace.t[-1])[1])
     window = trace.last_window(1.0)
     fcy = trace.fc_cart[:, 1]
@@ -638,10 +643,7 @@ def compute_metrics(trace: Trace, sc: Scenario) -> Metrics:
 
     violations = int(np.sum(np.any(np.abs(trace.tau) > limits[None, :], axis=1)))
     chatter = float(np.max(np.std(trace.u_s[window], axis=0))) if np.any(window) else math.nan
-
-    model = build_model(sc)
-    terms, y, rates, y_s = model.terms, model.pose_at + 1, (0.0,) * model.dof, sc.env.y_s
-    pen = max([0.0, *(y_s - terms(*q, *rates)[y] for q in trace.q.tolist())])
+    pen = max([0.0, *trace.penetration.tolist()])
     return Metrics(steady_err, steady_mean, settle, rebounds, violations, chatter, pen)
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,10 +102,28 @@ def test_scalar_step_refuses_non_finite_input(bad):
         sta_scalar_implicit_step(bad, g, 1.0, 1e-3, 0.0)
     with pytest.raises(ValueError, match="^the integrator state v must be finite"):
         sta_scalar_implicit_step(0.01, g, 1.0, 1e-3, bad)
-    with pytest.raises(ValueError, match="^h must be positive$"):
-        sta_scalar_implicit_step(0.01, g, 1.0, math.nan, 0.0)
-    with pytest.raises(ValueError, match="^beta must be >= 1$"):
-        sta_scalar_implicit_step(0.01, g, math.nan, 1e-3, 0.0)
+    with pytest.raises(ValueError, match="^h must be positive and finite$"):
+        sta_scalar_implicit_step(0.01, g, 1.0, abs(bad), 0.0)
+    with pytest.raises(ValueError, match="^beta must be finite and >= 1$"):
+        sta_scalar_implicit_step(0.01, g, abs(bad), 1e-3, 0.0)
+
+
+_ONE = np.array([0.05])
+
+
+@pytest.mark.parametrize("step", [
+    lambda g, h: msta_explicit_step(_ONE, np.zeros(1), g, h),
+    lambda g, h: solve_shat_vector(_ONE, np.eye(1), np.eye(1), g, h),
+    lambda g, h: msta_implicit_step(_ONE, np.eye(1), np.zeros((1, 1)), g, h, np.zeros(1)),
+    lambda g, h: msta_implicit_decoupled_step(_ONE, g, h, np.zeros(1)),
+    lambda g, h: sta_scalar_implicit_step(0.05, g, 1.0, h, 0.0),
+], ids=["explicit", "shat_vector", "implicit", "implicit_decoupled", "scalar_implicit"])
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-3])
+def test_every_robust_term_step_refuses_an_h_not_positive_and_finite(step, h):
+    """An infinite period is refused by name, not carried into an infinite
+    v_next, a zero shat, a NaN solve or NaN selections."""
+    with pytest.raises(ValueError, match="^h must be positive and finite$"):
+        step(MstaGains(k2=11.6, k3=66.0), h)
 
 
 def test_scalar_step_matches_bisection_oracle(rng):
@@ -616,6 +635,31 @@ def test_error_recursion_and_its_norm_take_one_or_two_entries_without_linalg(mon
                                              f"x has {n}$"):
             norm_quad_value(np.full(n, 0.1), g.alpha2)
     assert calls == []
+
+
+def test_error_recursion_refuses_what_it_cannot_step():
+    """A non-finite s1, s2 or delta, an h not positive and finite, and an s2
+    or array delta of another shape than s1 are refused by name, not carried
+    into NaN outputs or broadcast into two-entry ones."""
+    g = MstaGains(k2=11.6, k3=66.0)
+    one, two = np.array([0.1]), np.zeros(2)
+    for args, message in [
+        ((np.array([math.nan]), one, g, 1e-3), "s1 must be finite"),
+        ((one, np.array([math.inf]), g, 1e-3), "s2 must be finite"),
+        ((one, one, g, 1e-3, math.nan), "delta must be finite"),
+        ((one, one, g, 1e-3, np.array([0.0, math.inf])), "delta has shape (2,) but s1 has (1,)"),
+        ((one, one, g, math.nan), "h must be positive and finite"),
+        ((one, one, g, math.inf), "h must be positive and finite"),
+        ((one, two, g, 1e-3), "s2 has shape (2,) but s1 has (1,)"),
+        ((one, one, g, 1e-3, two), "delta has shape (2,) but s1 has (1,)"),
+        ((two, one, g, 1e-3), "s2 has shape (1,) but s1 has (2,)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            msta_error_recursion_step(*args)
+    # a scalar delta, or one of s1's shape, acts on every entry
+    a = msta_error_recursion_step(two + 0.3, two, g, 1e-3, 2.0)
+    b = msta_error_recursion_step(two + 0.3, two, g, 1e-3, np.full(2, 2.0))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def test_error_recursion_consistency():

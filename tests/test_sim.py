@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nonsmooth_adm import admittance, plant, sim
+from nonsmooth_adm.cli import main
 from nonsmooth_adm.plant import EnvironmentModel, SimulationBlowUp
 from nonsmooth_adm.sim import (
     LINMOTOR_STIFFNESS_LEVELS,
@@ -115,6 +116,24 @@ def test_metrics_on_synthetic_traces():
     assert m3.rebound_count == 1
 
 
+def test_metrics_read_the_trace_and_build_no_plant(fig3_run, fig5_run, monkeypatch,
+                                                   ee_kinematics):
+    """With the plant builder refusing every call, the metrics of the fig3
+    and fig5 traces are the ones computed before, by repr; max_penetration
+    is the largest penetration of the closed-form pose, or 0."""
+    def refuse(sc):
+        raise AssertionError("compute_metrics built the plant")
+
+    monkeypatch.setattr(sim, "build_model", refuse)
+    for sc, tr, m, *_ in (fig3_run, fig5_run):
+        assert repr(compute_metrics(tr, sc)) == repr(m), sc.name
+        pose = [sc.env.y_s - ee_kinematics(_plant_params(sc), q)[0][1] for q in tr.q]
+        assert m.max_penetration == max([0.0, *pose]) > 0.0, sc.name
+    # a trace is refused by a scenario of another joint count
+    with pytest.raises(ValueError, match=r"^the trace has 2 joint\(s\); torque_limits has 1$"):
+        compute_metrics(fig5_run[1], fig3_run[0])
+
+
 def test_metrics_undefined_without_command():
     sc = short(presets()["msta_bench"], 1.5)
     tr = run_scenario(sc)
@@ -148,17 +167,19 @@ def test_trace_csv_text_layout():
     row = np.array([[0.1]])
     tr = Trace(t=np.array([0.001]), q=row, qd=-row, qx=row * 3, qxd=np.array([[-0.0]]),
                tau=np.array([[1e-300]]), tau_star=np.array([[2.5]]), fc_joint=np.array([[7.0]]),
-               fc_cart=np.array([[1.5, -2.0]]), s=np.array([[np.inf]]), v=np.array([[0.0]]),
-               u_s=np.array([[-1e17]]), saturated=np.array([[True]]), contact=np.array([False]))
+               fc_cart=np.array([[1.5, -2.0]]), penetration=np.array([1e-3]),
+               s=np.array([[np.inf]]), v=np.array([[0.0]]), u_s=np.array([[-1e17]]),
+               saturated=np.array([[True]]), contact=np.array([False]))
     assert trace_to_csv(tr) == (
         "t_s,q0_rad,qd0_rad_per_s,qx0_rad,qxd0_rad_per_s,tau0_Nm,tau_star0_Nm,fc_joint0_Nm,"
-        "s0,v0,u_s0,fcx_N,fcy_N,saturated0,contact\r\n"
+        "s0,v0,u_s0,fcx_N,fcy_N,penetration_m,saturated0,contact\r\n"
         "0.001,0.10000000000000001,-0.10000000000000001,0.30000000000000004,-0,1e-300,2.5,7,"
-        "inf,0,-1e+17,1.5,-2,1,0\r\n")
+        "inf,0,-1e+17,1.5,-2,0.001,1,0\r\n")
     two = run_scenario(short(presets()["fig5_two_dof"], 0.01))
     assert two.column_names()[:3] == ["t_s", "q0_rad", "q1_rad"]
-    assert two.column_names()[-4:] == ["fcy_N", "saturated0", "saturated1", "contact"]
-    assert len(two.column_names()) == 26
+    assert two.column_names()[-5:] == ["fcy_N", "penetration_m", "saturated0", "saturated1",
+                                       "contact"]
+    assert len(two.column_names()) == 27
 
 
 def _header(dof, edit):
@@ -172,16 +193,26 @@ def _header(dof, edit):
     ("{}", "column 1 is '{}', expected 't_s'"),
     (lambda: _header(1, lambda c: ["q0" if x == "q0_rad" else x for x in c]),
      "column 2 is 'q0', expected 'q0_rad'"),
-    (lambda: _header(1, lambda c: c + ["extra"]), "column 16 is 'extra', expected None"),
-    (lambda: _header(2, lambda c: c[:-1]), "column 26 is None, expected 'contact'"),
+    (lambda: _header(1, lambda c: c + ["extra"]), "column 17 is 'extra', expected None"),
+    (lambda: _header(2, lambda c: c[:-1]), "column 27 is None, expected 'contact'"),
     (lambda: _header(2, lambda c: c[:5] + ["tau1_Nm"] + c[6:]),
      "column 6 is 'tau1_Nm', expected 'qx0_rad'"),
-], ids=["other_csv", "json", "renamed", "extra", "missing", "swapped"])
-def test_trace_from_csv_rejects_foreign_header(text, message, tmp_path):
+    # a one-joint file written before the penetration channel
+    ("t_s,q0_rad,qd0_rad_per_s,qx0_rad,qxd0_rad_per_s,tau0_Nm,tau_star0_Nm,fc_joint0_Nm,"
+     "s0,v0,u_s0,fcx_N,fcy_N,saturated0,contact\r\n"
+     "0.001,0.1,-0.1,0.3,-0,1e-300,2.5,7,inf,0,-1e+17,1.5,-2,1,0\r\n",
+     "column 14 is 'saturated0', expected 'penetration_m'"),
+], ids=["other_csv", "json", "renamed", "extra", "missing", "swapped", "no_penetration"])
+def test_trace_from_csv_rejects_foreign_header(text, message, tmp_path, capsys):
+    """The reader refuses the header, naming the first column that differs,
+    and ``plot`` of the file is a configuration error."""
     path = tmp_path / "trace.csv"
     path.write_text(text() if callable(text) else text, newline="")
     with pytest.raises(ValueError, match=re.escape(message)):
         trace_from_csv(str(path))
+    assert main(["plot", "--scenario", str(path), "--out", str(tmp_path / "panels")]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "panels")
 
 
 def test_trace_from_csv_rejects_short_rows(tmp_path):
@@ -252,7 +283,7 @@ def _synthetic_trace(dof, rows, rng):
     return Trace(t=np.arange(rows) * 1e-3, q=floats(rows, dof), qd=floats(rows, dof),
                  qx=floats(rows, dof), qxd=floats(rows, dof), tau=floats(rows, dof),
                  tau_star=floats(rows, dof), fc_joint=floats(rows, dof), fc_cart=floats(rows, 2),
-                 s=floats(rows, dof), v=floats(rows, dof), u_s=floats(rows, dof),
+                 penetration=floats(rows), s=floats(rows, dof), v=floats(rows, dof), u_s=floats(rows, dof),
                  saturated=rng.random((rows, dof)) < 0.5, contact=rng.random(rows) < 0.5)
 
 
@@ -785,6 +816,7 @@ def _run_scenario_rows(sc, ee_kinematics):
         tr.fc_joint[k] = fc_joint
         tr.fc_cart[k, 0] = fx
         tr.fc_cart[k, 1] = fy
+        tr.penetration[k] = env.y_s - ee[1]
         tr.contact[k] = fy > 0.0
         state = plant.integrate_substep(model, state, tau, env, disturbance, t, sc.dt_sub, n_sub)
     return tr
