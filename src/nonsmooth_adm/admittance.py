@@ -13,7 +13,14 @@ A deliberately naive clamped proxy-PD controller is included as a contrast
 baseline; it integrates the same proxy but feeds nothing back into it.
 
 Both controllers take one or two joints and compute each period on Python
-floats.  A matrix is a row-major tuple of floats.  Row i of a two-joint
+floats.  A period reads each input vector once, as a list of floats, hands
+lists of floats from stage to stage, and builds an array only for a value it
+returns.  Each stage has one body on lists (``_proxy``, ``_sliding``,
+``_robust``, ``_candidate``, ``_naive_pd`` and the box's ``_clip``); the
+public stage functions ``proxy_predict``, ``sliding_variable`` and
+``inner_loop_candidate`` are array wrappers that check the entry counts,
+call the same body and build arrays of its results.  A matrix is a
+row-major tuple of floats.  Row i of a two-joint
 product A x is written ``0.0 + A_i0*x_0 + A_i1*x_1``; with a zero
 off-diagonal entry and a finite other entry of x that is the one-joint
 ``0.0 + A_ii*x_i`` bit for bit.  A solve is ``setvalued._solve2``, which
@@ -39,22 +46,25 @@ from .msta import (
     _Iteration,
     _iteration_matrix,
     _solve_inclusion,
+    _sta_scalar,
     msta_explicit_step,  # noqa: F401  (perfbench traces it under this name)
     msta_implicit_decoupled_step,  # noqa: F401  (perfbench traces it under this name)
     solve_shat_vector,  # noqa: F401  (perfbench traces it under this name)
-    sta_scalar_implicit_step,
+    sta_scalar_implicit_step,  # noqa: F401  (perfbench traces it under this name)
 )
 from .setvalued import (
     BoxConstraint,
     _all_finite,
+    _certificate,
     _entries,
     _finite_vector,
+    _project,
     _read_only,
     _require_finite,
     _solve2,
     _vector,
-    project_box,
-    variational_residual,
+    project_box,  # noqa: F401  (perfbench traces it under this name)
+    variational_residual,  # noqa: F401  (perfbench traces it under this name)
 )
 
 __all__ = [
@@ -339,25 +349,44 @@ def initial_state(q0: np.ndarray) -> AdmittanceState:
                            zero.copy())
 
 
+def _floats(x, name: str, n: int) -> list:
+    """x as a list of floats, refused with a ValueError naming ``name`` and
+    the gains' joint count n unless it is a vector of n entries."""
+    x = _vector(x)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
+    if x.size != n:
+        raise ValueError(f"{name} has {x.size} entries; the gains' joint count is {n}")
+    return x.tolist()
+
+
 def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
                   g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
     """Implicit proxy update ignoring the torque constraint.
 
     ux_star = (mx + bx*h)^{-1} (mx*qxd_prev + h*(fc + fd)),
     qx_star = qx_prev + h*ux_star.  ``g`` may also be ``NaiveGains``.
+    Returns (ux_star, qx_star) as arrays; an input of another entry count
+    than the gains' joints raises ValueError naming it.
     """
-    fc = _vector(fc)
-    fd = _vector(fd)
+    n = g.box.dim
+    fc, fd = _floats(fc, "fc", n), _floats(fd, "fd", n)
+    ux, qx = _proxy(g, _floats(state.qxd_prev, "state qxd_prev", n),
+                    _floats(state.qx_prev, "state qx_prev", n), fc, fd)
+    return np.array(ux), np.array(qx)
+
+
+def _proxy(g, qxd_prev: list, qx_prev: list, fc: list, fd: list) -> tuple[list, list]:
+    """``proxy_predict`` on lists of floats: (ux_star, qx_star)."""
     h = g.h
     mx, P = g._proxy
     if len(P) == 1:
-        ux = (0.0 + mx[0] * state.qxd_prev.item() + h * (fc.item() + fd.item())) / P[0]
-        return np.array([ux]), np.array([state.qx_prev.item() + h * ux])
-    (v0, v1), (f0, f1), (d0, d1) = state.qxd_prev.tolist(), fc.tolist(), fd.tolist()
-    x0, x1 = state.qx_prev.tolist()
+        ux = (0.0 + mx[0] * qxd_prev[0] + h * (fc[0] + fd[0])) / P[0]
+        return [ux], [qx_prev[0] + h * ux]
+    (v0, v1), (f0, f1), (d0, d1), (x0, x1) = qxd_prev, fc, fd, qx_prev
     u0, u1 = _solve2(P, 0.0 + mx[0] * v0 + mx[1] * v1 + h * (f0 + d0),
                      0.0 + mx[2] * v0 + mx[3] * v1 + h * (f1 + d1))
-    return np.array([u0, u1]), np.array([x0 + h * u0, x1 + h * u1])
+    return [u0, u1], [x0 + h * u0, x1 + h * u1]
 
 
 def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
@@ -367,15 +396,24 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
 
     qe uses the predicted proxy position (the corrected one is not known yet);
     its rate is the backward difference against the stored previous error.
+    Returns (qe, s) as arrays; an input of another entry count than the
+    gains' joints raises ValueError naming it.
     """
+    n = g.box.dim
+    qe, s = _sliding(g, _floats(qx_star, "qx_star", n), _floats(q, "q", n),
+                     _floats(state.qe_prev, "state qe_prev", n))
+    return np.array(qe), np.array(s)
+
+
+def _sliding(g: AdmittanceGains, qx_star: list, q: list, qe_prev: list) -> tuple[list, list]:
+    """``sliding_variable`` on lists of floats: (qe, s)."""
     h, lam = g.h, g.lam
-    if qx_star.size == 1:
-        qe = qx_star.item() - q.item()
-        return np.array([qe]), np.array([(qe - state.qe_prev.item()) / h + lam * qe])
-    (x0, x1), (y0, y1), (p0, p1) = qx_star.tolist(), q.tolist(), state.qe_prev.tolist()
+    if len(q) == 1:
+        qe = qx_star[0] - q[0]
+        return [qe], [(qe - qe_prev[0]) / h + lam * qe]
+    (x0, x1), (y0, y1), (p0, p1) = qx_star, q, qe_prev
     qe0, qe1 = x0 - y0, x1 - y1
-    return (np.array([qe0, qe1]),
-            np.array([(qe0 - p0) / h + lam * qe0, (qe1 - p1) / h + lam * qe1]))
+    return [qe0, qe1], [(qe0 - p0) / h + lam * qe0, (qe1 - p1) / h + lam * qe1]
 
 
 class _Loop(NamedTuple):
@@ -459,7 +497,7 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray,
 
     The sliding variable enters through the gain matrices; u_s is the robust
     term evaluated beforehand, added as a generalized force.  Returns
-    (q1_star, tau_star) with
+    (q1_star, tau_star) as arrays, with
 
         q1_star  = q + W^{-1} (phi_b - phi_a),
         phi_a    = (MhC q + h B q_prev) / h^2 + Gk + u_s,
@@ -467,22 +505,33 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray,
         tau_star = W (qx_star - q1_star).
 
     ``loop`` is the period's evaluated estimate and matrices; it is built
-    here when omitted.
+    here when omitted.  An input of another entry count than the gains'
+    joints raises ValueError naming it.
     """
+    n = g.box.dim
+    qx_star, y, u_s = _floats(qx_star, "qx_star", n), _floats(q, "q", n), _floats(u_s, "u_s", n)
+    qx_prev = _floats(state.qx_prev, "state qx_prev", n)
+    ux_prev = _floats(state.ux_prev, "state ux_prev", n)
+    q_prev = _floats(state.q_prev, "state q_prev", n)
     if loop is None:
-        loop = _evaluate_loop(model, q, state, g)
-    h = g.h
+        loop = _evaluate_loop(model, _vector(q), state, g)
+    q1_star, tau_star = _candidate(loop, g.h, qx_star, y, u_s, qx_prev, ux_prev, q_prev)
+    return np.array(q1_star), np.array(tau_star)
+
+
+def _candidate(loop: _Loop, h: float, qx_star: list, q: list, u_s: list, qx_prev: list,
+               ux_prev: list, q_prev: list) -> tuple[list, list]:
+    """``inner_loop_candidate`` on lists of floats: (q1_star, tau_star)."""
     hh = h * h
     Mk, Gk, B, Bhat, W, MhC = loop.Mk, loop.Gk, loop.B, loop.Bhat, loop.W, loop.MhC
     if len(W) == 1:
-        y, x = q.item(), state.qx_prev.item()
-        phi_a = (0.0 + MhC[0] * y + h * (0.0 + B[0] * state.q_prev.item())) / hh + Gk[0] \
-            + u_s.item()
-        phi_b = (0.0 + Mk[0] * (x + h * state.ux_prev.item())) / hh + (0.0 + Bhat[0] * x) / h
+        y, x = q[0], qx_prev[0]
+        phi_a = (0.0 + MhC[0] * y + h * (0.0 + B[0] * q_prev[0])) / hh + Gk[0] + u_s[0]
+        phi_b = (0.0 + Mk[0] * (x + h * ux_prev[0])) / hh + (0.0 + Bhat[0] * x) / h
         q1 = y + (phi_b - phi_a) / W[0]
-        return np.array([q1]), np.array([0.0 + W[0] * (qx_star.item() - q1)])
-    (y0, y1), (p0, p1), (x0, x1) = q.tolist(), state.q_prev.tolist(), state.qx_prev.tolist()
-    (v0, v1), (u0, u1), (s0, s1) = state.ux_prev.tolist(), u_s.tolist(), qx_star.tolist()
+        return [q1], [0.0 + W[0] * (qx_star[0] - q1)]
+    (y0, y1), (p0, p1), (x0, x1) = q, q_prev, qx_prev
+    (v0, v1), (u0, u1), (s0, s1) = ux_prev, u_s, qx_star
     z0, z1 = x0 + h * v0, x1 + h * v1
     a0 = (0.0 + MhC[0] * y0 + MhC[1] * y1 + h * (0.0 + B[0] * p0 + B[1] * p1)) / hh + Gk[0] + u0
     a1 = (0.0 + MhC[2] * y0 + MhC[3] * y1 + h * (0.0 + B[2] * p0 + B[3] * p1)) / hh + Gk[1] + u1
@@ -491,8 +540,7 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray,
     d0, d1 = _solve2(W, b0 - a0, b1 - a1)
     q10, q11 = y0 + d0, y1 + d1
     e0, e1 = s0 - q10, s1 - q11
-    return (np.array([q10, q11]),
-            np.array([0.0 + W[0] * e0 + W[1] * e1, 0.0 + W[2] * e0 + W[3] * e1]))
+    return [q10, q11], [0.0 + W[0] * e0 + W[1] * e1, 0.0 + W[2] * e0 + W[3] * e1]
 
 
 def _scalar_beta(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> float:
@@ -503,38 +551,44 @@ def _scalar_beta(g: AdmittanceGains, Mk: np.ndarray, Ck: np.ndarray) -> float:
     return max(1.0, 1.0 + g.h * gamma1)
 
 
-def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: AdmittanceGains):
-    """Dispatch u_s through the configured discretization."""
+def _robust(s: list, loop: _Loop, v: list, g: AdmittanceGains
+            ) -> tuple[list, list, SolverDiagnostics | None]:
+    """The robust term on lists of floats, through the configured
+    discretization's body: (u_s, v_next, the solve's diagnostics or None)."""
     mode = g._us_mode
-    v = state.v_prev
     if mode == "scalar-implicit":
-        u, v_next, _, _ = sta_scalar_implicit_step(s.item(), g.msta, loop.beta, g.h, v.item())
-        return np.array([u]), np.array([v_next]), None
+        u, v_next, _, _ = _sta_scalar(s[0], g.msta, loop.beta, g.h, v[0])
+        return [u], [v_next], None
     if mode == "explicit":
-        return (*_explicit(s, v, g.msta, g.h), None)
+        u, v_next = _explicit(s, v, g.msta, g.h)
+        return u, v_next, None
     return _solve_inclusion(s, loop.iteration, v, g.msta, g.h)
 
 
-def _clip(y_star: np.ndarray, box: BoxConstraint) -> tuple[np.ndarray, np.ndarray, float]:
-    """Project a step's candidate onto the box: (y, the saturation flags
-    ``|y_star| > F``, the projection certificate).
+def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: AdmittanceGains
+                 ) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics | None]:
+    """``_robust`` on the float vector s and the state's v, with u_s and
+    v_next as arrays."""
+    u_s, v_next, solver = _robust(s.tolist(), loop, state.v_prev.tolist(), g)
+    return np.array(u_s), np.array(v_next), solver
+
+
+def _clip(y_star: list, limits: tuple) -> tuple[list, np.ndarray, float]:
+    """Project a step's candidate, a list of floats, onto the box of
+    ``limits``: (y, the saturation flags ``|y_star| > F`` as an array, the
+    projection certificate).  y is y_star itself when no entry is clamped.
 
     The certificate's one probe is the corner p = sign(y_star - y) of the
     unit box: the certificate d.(p - F^{-1} y) is linear in p, so this probe
-    attains its maximum over the whole box.  The flags and the probe are
-    formed on floats (``_clip_flags``).
+    attains its maximum over the whole box.
     """
-    y = project_box(y_star, box)
-    limits = box._floats
+    y = _project(y_star, limits)
     if len(limits) == 1:
-        flag, probe = _clip_flags(limits[0], y_star.item(), y.item())
-        saturated = np.array([flag])
-    else:
-        (s0, s1), (t0, t1) = y_star.tolist(), y.tolist()
-        flag0, sign0 = _clip_flags(limits[0], s0, t0)
-        flag1, sign1 = _clip_flags(limits[1], s1, t1)
-        saturated, probe = np.array([flag0, flag1]), [sign0, sign1]
-    return y, saturated, variational_residual(y_star, y, box, [probe])
+        flag, probe = _clip_flags(limits[0], y_star[0], y[0])
+        return y, np.array([flag]), _certificate(y_star, y, limits, [probe])
+    flag0, sign0 = _clip_flags(limits[0], y_star[0], y[0])
+    flag1, sign1 = _clip_flags(limits[1], y_star[1], y[1])
+    return y, np.array([flag0, flag1]), _certificate(y_star, y, limits, [sign0, sign1])
 
 
 def _clip_flags(limit: float, y_star: float, y: float) -> tuple[bool, float]:
@@ -568,41 +622,56 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     implies qx == qx_star.
 
     The returned arrays are shared where their values are equal: on a step
-    that saturates no joint, ``tau is diag.tau_star`` (``project_box``
-    returns its candidate), and ``diag.qe is next_state.qe_prev``.  A caller
-    that mutates one of them must copy it first.
+    that saturates no joint, ``tau is diag.tau_star`` (the projection returns
+    its candidate), and ``diag.qe is next_state.qe_prev``.  A caller that
+    mutates one of them must copy it first.  Every other returned array is
+    new, and no other array is built.
     """
     _check_entry_counts(state, meas, g.box)
     h = g.h
     loop = _loop_for(model, meas.q, state, g)
+    q, fc, fd = meas.q.tolist(), meas.fc.tolist(), meas.fd.tolist()
+    qx_prev, qxd_prev, ux_prev = state.qx_prev.tolist(), state.qxd_prev.tolist(), \
+        state.ux_prev.tolist()
+    q_prev, qe_prev, v_prev = state.q_prev.tolist(), state.qe_prev.tolist(), state.v_prev.tolist()
 
-    ux_star, qx_star = proxy_predict(state, meas.fc, meas.fd, g)
-    qe, s = sliding_variable(qx_star, meas.q, state, g)
-    u_s, v_next, solver_diag = _robust_term(s, loop, state, g)
-    q1_star, tau_star = inner_loop_candidate(qx_star, meas.q, u_s, state, model, g, loop=loop)
-    tau, saturated, vi_residual = _clip(tau_star, g.box)
+    ux_star, qx_star = _proxy(g, qxd_prev, qx_prev, fc, fd)
+    qe, s = _sliding(g, qx_star, q, qe_prev)
+    u_s, v_next, solver_diag = _robust(s, loop, v_prev, g)
+    q1_star, tau_star = _candidate(loop, h, qx_star, q, u_s, qx_prev, ux_prev, q_prev)
+    tau, saturated, vi_residual = _clip(tau_star, g.box._floats)
 
     W = loop.W
     if len(W) == 1:
-        qx = tau.item() / W[0] + q1_star.item()
-        qx, qxd = np.array([qx]), np.array([(qx - state.qx_prev.item()) / h])
+        x = tau[0] / W[0] + q1_star[0]
+        qx, qxd = [x], [(x - qx_prev[0]) / h]
     else:
-        (t0, t1), (q0, q1), (x0, x1) = tau.tolist(), q1_star.tolist(), state.qx_prev.tolist()
-        d0, d1 = _solve2(W, t0, t1)
-        qx0, qx1 = d0 + q0, d1 + q1
-        qx, qxd = np.array([qx0, qx1]), np.array([(qx0 - x0) / h, (qx1 - x1) / h])
+        d0, d1 = _solve2(W, tau[0], tau[1])
+        x0, x1 = d0 + q1_star[0], d1 + q1_star[1]
+        qx, qxd = [x0, x1], [(x0 - qx_prev[0]) / h, (x1 - qx_prev[1]) / h]
 
-    next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, v_next)
-    diag = _step_diagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated, vi_residual,
-                             solver_diag)
-    return tau, next_state, diag
+    ux_a, qx_star_a, qe_a, s_a = np.array(ux_star), np.array(qx_star), np.array(qe), np.array(s)
+    u_s_a, v_next_a, q1_star_a, tau_star_a = np.array(u_s), np.array(v_next), np.array(q1_star), \
+        np.array(tau_star)
+    tau_a = tau_star_a if tau is tau_star else np.array(tau)
+    next_state = _admittance_state(np.array(qx), np.array(qxd), ux_a, np.array(meas.q), qe_a,
+                                   v_next_a)
+    diag = _step_diagnostics(tau_star_a, tau_a, qx_star_a, q1_star_a, s_a, qe_a, u_s_a, saturated,
+                             vi_residual, solver_diag)
+    return tau_a, next_state, diag
 
 
-def _naive_joint(kp: float, kd: float, h: float, qx: float, q: float, qe_prev: float,
-                 gravity: float) -> tuple[float, float]:
-    """One joint of the naive baseline's PD on floats: (qe, the raw torque)."""
-    qe = qx - q
-    return qe, kp * qe + kd * ((qe - qe_prev) / h) + gravity
+def _naive_pd(ng: NaiveGains, qx: list, q: list, qe_prev: list, gravity: list
+              ) -> tuple[list, list]:
+    """The naive baseline's gravity-compensated PD on lists of floats:
+    (qe, the raw torque)."""
+    kp, kd, h = ng.kp, ng.kd, ng.h
+    if len(q) == 1:
+        e = qx[0] - q[0]
+        return [e], [kp * e + kd * ((e - qe_prev[0]) / h) + gravity[0]]
+    (x0, x1), (y0, y1), (p0, p1), (c0, c1) = qx, q, qe_prev, gravity
+    e0, e1 = x0 - y0, x1 - y1
+    return [e0, e1], [kp * e0 + kd * ((e0 - p0) / h) + c0, kp * e1 + kd * ((e1 - p1) / h) + c1]
 
 
 def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelEstimate,
@@ -613,28 +682,20 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     the applied torque, and the position loop is a gravity-compensated PD whose
     output is hard-clamped to the torque box.  As in ``admittance_step``,
     ``tau is diag.tau_star`` on a step that saturates no joint, and
-    ``diag.q1_star is next_state.q_prev``.
+    ``diag.q1_star is next_state.q_prev``; the state's v is the given one.
     """
     _check_entry_counts(state, meas, ng.box)
-    h = ng.h
-    ux, qx = proxy_predict(state, meas.fc, meas.fd, ng)
+    ux, qx = _proxy(ng, state.qxd_prev.tolist(), state.qx_prev.tolist(), meas.fc.tolist(),
+                    meas.fd.tolist())
     gravity = model.gravity_fn(meas.q)
-    _check_estimate_shape("gravity_fn", gravity, qx.shape)
-    gravity = _vector(gravity)
-    kp, kd = ng.kp, ng.kd
-    if qx.size == 1:
-        e, raw = _naive_joint(kp, kd, h, qx.item(), meas.q.item(), state.qe_prev.item(),
-                              gravity.item())
-        qe, tau_raw = np.array([e]), np.array([raw])
-    else:
-        (x0, x1), (y0, y1) = qx.tolist(), meas.q.tolist()
-        (p0, p1), (c0, c1) = state.qe_prev.tolist(), gravity.tolist()
-        e0, raw0 = _naive_joint(kp, kd, h, x0, y0, p0, c0)
-        e1, raw1 = _naive_joint(kp, kd, h, x1, y1, p1, c1)
-        qe, tau_raw = np.array([e0, e1]), np.array([raw0, raw1])
-    tau, saturated, vi_residual = _clip(tau_raw, ng.box)
-    zero = np.zeros(len(qe))
-    q = meas.q.copy()
-    next_state = _admittance_state(qx, ux, ux, q, qe, state.v_prev)
-    diag = _step_diagnostics(tau_raw, tau, qx, q, zero, qe, zero, saturated, vi_residual, None)
-    return tau, next_state, diag
+    _check_estimate_shape("gravity_fn", gravity, (len(qx),))
+    qe, tau_raw = _naive_pd(ng, qx, meas.q.tolist(), state.qe_prev.tolist(),
+                            _vector(gravity).tolist())
+    tau, saturated, vi_residual = _clip(tau_raw, ng.box._floats)
+    tau_raw_a, qx_a, ux_a, qe_a = np.array(tau_raw), np.array(qx), np.array(ux), np.array(qe)
+    tau_a = tau_raw_a if tau is tau_raw else np.array(tau)
+    zero, q = np.zeros(len(qe)), np.array(meas.q)
+    next_state = _admittance_state(qx_a, ux_a, ux_a, q, qe_a, state.v_prev)
+    diag = _step_diagnostics(tau_raw_a, tau_a, qx_a, q, zero, qe_a, zero, saturated, vi_residual,
+                             None)
+    return tau_a, next_state, diag

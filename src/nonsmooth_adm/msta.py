@@ -23,11 +23,13 @@ inclusion instead of a sign evaluation, which is what removes numerical
 chattering.
 
 The robust term takes one or two entries, as the torque box does.  Each
-branch has one body, on Python floats: ``_explicit`` for the forward-Euler
-step and ``_solve_inclusion`` for the implicit one, which the controller
-calls directly and the public steps call after checking their inputs.  G is
-a row-major float tuple, every solve is ``_solve2`` and every norm
-``_norm``, so no step calls numpy's BLAS or LAPACK.
+branch has one body, on lists of Python floats: ``_explicit`` for the
+forward-Euler step, ``_solve_inclusion`` for the implicit one and
+``_sta_scalar`` for the closed-form scalar step.  The controller period
+calls the bodies directly, on the floats it carries; the public steps are
+array wrappers that check their inputs, call the same body and build arrays
+of its results.  G is a row-major float tuple, every solve is ``_solve2``
+and every norm ``_norm``, so no step calls numpy's BLAS or LAPACK.
 """
 
 from __future__ import annotations
@@ -170,24 +172,24 @@ def msta_explicit_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward-Euler step of the twisting law; normalized terms vanish at s = 0.
     Returns (u_s, v_next)."""
-    return _explicit(*_step_input(s, v, g, h), g, h)
+    s, v = _step_input(s, v, g, h)
+    u_s, v_next = _explicit(s.tolist(), v.tolist(), g, h)
+    return np.array(u_s), np.array(v_next)
 
 
-def _explicit(s: np.ndarray, v: np.ndarray, g: MstaGains, h: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """``msta_explicit_step`` on checked inputs, on floats entry by entry."""
-    s = s.tolist()
+def _explicit(s: list, v: list, g: MstaGains, h: float) -> tuple[list, list]:
+    """``msta_explicit_step`` on checked lists of floats: (u_s, v_next),
+    both v itself at s = 0."""
     ns = _norm(s)
     if not ns > 0.0:
-        return v.copy(), v.copy()
-    v = v.tolist()
+        return v, v
     k2, hk3, k4 = g.k2, h * g.k3, g.k4
     root = math.sqrt(ns)
     u_s, v_next = [], []
     for j, y in enumerate(s):
         u_s.append(v[j] + k2 * y / root)
         v_next.append(v[j] + hk3 * y / ns + k4 * y)
-    return np.array(u_s), np.array(v_next)
+    return u_s, v_next
 
 
 def _radial_magnitude(norm_s: float, c: float, g: MstaGains, h: float) -> float:
@@ -292,9 +294,9 @@ def _root(s: list, ns: float, G: tuple, g: MstaGains, h: float) -> tuple[int, tu
         "iteration matrix")
 
 
-def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: MstaGains,
-                     h: float) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
-    """The implicit step on checked inputs: find shat with
+def _solve_inclusion(s: list, iteration: _Iteration, v: list, g: MstaGains,
+                     h: float) -> tuple[list, list, SolverDiagnostics]:
+    """The implicit step on checked lists of floats: find shat with
 
         G @ shat + h * gamma(shat) * m2 = s,   m2 in subdiff Psi2(shat),
 
@@ -303,9 +305,8 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
     u_s = gamma(shat)*m2 + v+.  shat = 0 in the dead band, else the radial
     closed form for G = beta*I and alpha2 = 0, else ``_root``, whose
     m2 = (s - G shat)/(h*gamma) is formed in float rows.  Returns (u_s, v+,
-    the solve's diagnostics).
+    the solve's diagnostics), whose shat and m2 are arrays.
     """
-    s = s.tolist()
     ns = _norm(s)
     band = h * h * g.k3
     hk3 = h * g.k3
@@ -337,13 +338,20 @@ def _solve_inclusion(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: Mst
         a2 = g.alpha2
         # distance from subdiff Psi2
         res = _norm([m2[j] - y / nx - a2 * y for j, y in enumerate(x)])
-    v = v.tolist()
     u_s, v_next = [], []
     for j, y in enumerate(m2):
         v_next.append(v[j] + hk3 * y)
         u_s.append(gam * y + v_next[j])
     diag = _solver_diagnostics(iterations, res, res <= g.fp_tol * (1.0 + ns), np.array(x),
                                np.array(m2))
+    return u_s, v_next, diag
+
+
+def _implicit(s: np.ndarray, iteration: _Iteration, v: np.ndarray, g: MstaGains, h: float
+              ) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
+    """``_solve_inclusion`` on checked float vectors, with u_s and v+ as
+    arrays: the public implicit steps' wrapper."""
+    u_s, v_next, diag = _solve_inclusion(s.tolist(), iteration, v.tolist(), g, h)
     return np.array(u_s), np.array(v_next), diag
 
 
@@ -361,7 +369,7 @@ def solve_shat_vector(
     s, v = _step_input(s, None, g, h)
     Ak = _finite_matrix(Ak, "Ak", s.size)
     G = _iteration_matrix(_finite_matrix(Mk, "Mk", s.size), Ak)
-    return _solve_inclusion(s, _Iteration(G), v, g, h)[2]
+    return _solve_inclusion(s.tolist(), _Iteration(G), v.tolist(), g, h)[2]
 
 
 def msta_implicit_step(
@@ -389,7 +397,7 @@ def msta_implicit_step(
     Ck = _finite_matrix(Ck, "Ck", s.size)
     k1 = -Ck + g.gamma1 * Mk
     Ak = Mk + h * Ck + h * k1
-    return _solve_inclusion(s, _Iteration(_iteration_matrix(Mk, Ak)), v, g, h)
+    return _implicit(s, _Iteration(_iteration_matrix(Mk, Ak)), v, g, h)
 
 
 def msta_implicit_decoupled_step(
@@ -402,8 +410,7 @@ def msta_implicit_decoupled_step(
     """
     s, v = _step_input(s, v, g, h)
     beta = 1.0 + h * g.gamma1
-    return _solve_inclusion(s, _Iteration((beta,) if s.size == 1 else (beta, 0.0, 0.0, beta)),
-                            v, g, h)
+    return _implicit(s, _Iteration((beta,) if s.size == 1 else (beta, 0.0, 0.0, beta)), v, g, h)
 
 
 def sta_scalar_implicit_step(
@@ -415,9 +422,7 @@ def sta_scalar_implicit_step(
     the saturated square-root term; the max() guard keeps the root real during
     discrete sliding, where both selections vary continuously with s.  A
     non-finite s or v, an h not positive and finite or a beta not finite and
-    >= 1 raises ValueError.
-    The checks and ``sat``, ``sign0`` and ``max`` are written out inline:
-    this runs every one-joint period.
+    >= 1 raises ValueError.  The step itself is ``_sta_scalar``.
     """
     if not -math.inf < s < math.inf:
         raise ValueError(f"s must be finite, got {s}")
@@ -427,6 +432,14 @@ def sta_scalar_implicit_step(
         raise ValueError("h must be positive and finite")
     if not 1.0 <= beta < math.inf:
         raise ValueError("beta must be finite and >= 1")
+    return _sta_scalar(s, g, beta, h, v)
+
+
+def _sta_scalar(s: float, g: MstaGains, beta: float, h: float, v: float
+                ) -> tuple[float, float, float, float]:
+    """``sta_scalar_implicit_step`` on checked floats.  ``sat``, ``sign0``
+    and ``max`` are written out inline: this runs every one-joint period of
+    the scalar-implicit inner loop."""
     band = h * h * g.k3
     z = s / band
     phi2 = 1.0 if z > 1.0 else -1.0 if z < -1.0 else float(z)           # sat(s / band)

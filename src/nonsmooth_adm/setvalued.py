@@ -2,6 +2,9 @@
 
 Saturation, signum, projection onto a symmetric box and its certificate,
 and the float dot, norm and 2 x 2 solve the controller period computes with.
+The projection and the certificate each have one body on lists of floats
+(``_project``, ``_certificate``), which the controller period calls and
+``project_box`` and ``variational_residual`` wrap for arrays.
 Everything here is closed form and pure; the box's normal-cone selection is
 computed through the projection rather than by evaluating a multivalued sign.
 """
@@ -158,30 +161,37 @@ class BoxConstraint:
 def project_box(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
     """Euclidean projection of y onto the box [-F, +F], entrywise clamp.
 
-    The entries are clamped on floats, bitwise equal to numpy's
-    ``np.minimum(np.maximum(y, -F), F)``: a NaN passes through, and as F > 0
-    no tie between signed zeros arises.  When no entry is clamped the
-    projection is y itself: the float vector it was given (after conversion)
-    is returned, not a copy, and a new array only when an entry is clamped.
-    A caller that mutates either the result or y must copy first.
+    The entries are clamped on floats (``_project``), bitwise equal to
+    numpy's ``np.minimum(np.maximum(y, -F), F)``: a NaN passes through, and
+    as F > 0 no tie between signed zeros arises.  When no entry is clamped
+    the projection is y itself: the float vector it was given (after
+    conversion) is returned, not a copy, and a new array only when an entry
+    is clamped.  A caller that mutates either the result or y must copy first.
     """
     y = _vector(y)
-    limits = box._floats
     if y.shape != box.limits.shape:
         raise ValueError(f"dimension mismatch: y has shape {y.shape}, box has {box.limits.shape}")
+    entries = y.tolist()
+    projected = _project(entries, box._floats)
+    return y if projected is entries else np.array(projected)
+
+
+def _project(y: list, limits: tuple) -> list:
+    """``project_box`` on a list of one or two floats: y itself when no
+    entry is clamped, else a new list."""
     if len(limits) == 1:
-        y0, f0 = y.item(), limits[0]
+        y0, f0 = y[0], limits[0]
         if y0 < -f0 or y0 > f0:
-            return np.array([_clamp(y0, f0)])
+            return [_clamp(y0, f0)]
         return y
-    (y0, y1), (f0, f1) = y.tolist(), limits
+    (y0, y1), (f0, f1) = y, limits
     if y0 < -f0 or y0 > f0 or y1 < -f1 or y1 > f1:
-        return np.array([_clamp(y0, f0), _clamp(y1, f1)])
+        return [_clamp(y0, f0), _clamp(y1, f1)]
     return y
 
 
 def _clamp(y: float, limit: float) -> float:
-    """One entry of ``project_box`` on floats."""
+    """One entry of ``_project``."""
     return -limit if y < -limit else limit if y > limit else y
 
 
@@ -201,8 +211,7 @@ def variational_residual(
     roundoff; a positive value witnesses a violated variational inequality.
     A NaN term, as from a NaN candidate, makes the certificate NaN.
 
-    The certificate is computed on floats: each term is the float row
-    ``0.0 + d0*x0 [+ d1*x1]`` of d = y_star - y_proj and x = p - y_proj/F.
+    Each term is computed on floats by ``_certificate``.
     """
     y_star = _vector(y_star)
     y_proj = _vector(y_proj)
@@ -211,39 +220,34 @@ def variational_residual(
     if y_star.shape != shape or y_proj.shape != shape:
         raise ValueError(f"dimension mismatch: y_star has shape {y_star.shape} and y_proj "
                          f"{y_proj.shape}, box has {shape}")
+    ys, yp = y_star.tolist(), y_proj.tolist()
     worst = None
-    if len(limits) == 1:
-        ys, yp = y_star.item(), y_proj.item()
-        for p in probes:
-            if type(p) is not float:
-                p = _probe_floats(p, shape)[0]
-            d, x = _certificate_terms(ys, yp, limits[0], p)
-            worst = _larger(worst, 0.0 + d * x)
-    else:
-        (ys0, ys1), (yp0, yp1) = y_star.tolist(), y_proj.tolist()
-        for p in probes:
-            p0, p1 = _probe_floats(p, shape)
-            d0, x0 = _certificate_terms(ys0, yp0, limits[0], p0)
-            d1, x1 = _certificate_terms(ys1, yp1, limits[1], p1)
-            worst = _larger(worst, 0.0 + d0 * x0 + d1 * x1)
+    for p in probes:
+        p = [p] if type(p) is float and len(limits) == 1 else _probe_floats(p, shape)
+        for x in p:
+            if abs(x) > 1.0 + 1e-12:
+                raise ValueError("probe lies outside the unit box")
+        worst = _larger(worst, _certificate(ys, yp, limits, p))
     if worst is None:
         raise ValueError("at least one probe is required")
     return worst
 
 
-def _certificate_terms(y_star: float, y_proj: float, limit: float, p: float
-                       ) -> tuple[float, float]:
-    """One entry of the certificate's dot on floats: (y_star - y_proj,
-    p - y_proj/F), after checking the probe's entry."""
-    if abs(p) > 1.0 + 1e-12:
-        raise ValueError("probe lies outside the unit box")
-    return y_star - y_proj, p - y_proj / limit
+def _certificate(y_star: list, y_proj: list, limits: tuple, p: list) -> float:
+    """One term of ``variational_residual`` on lists of one or two floats,
+    for a probe p already checked: the float row ``0.0 + d0*x0 [+ d1*x1]``
+    of d = y_star - y_proj and x = p - y_proj/F."""
+    if len(limits) == 1:
+        yp = y_proj[0]
+        return 0.0 + (y_star[0] - yp) * (p[0] - yp / limits[0])
+    (ys0, ys1), (yp0, yp1) = y_star, y_proj
+    return 0.0 + (ys0 - yp0) * (p[0] - yp0 / limits[0]) + (ys1 - yp1) * (p[1] - yp1 / limits[1])
 
 
-def _probe_floats(p, shape: tuple):
-    """A probe of ``variational_residual``'s float branch as floats: a list of
-    floats (as the two-joint steps build them) is taken as it is, anything
-    else goes through ``_vector`` and must have ``shape``."""
+def _probe_floats(p, shape: tuple) -> list:
+    """A probe of ``variational_residual`` as a list of floats: a list of
+    ``shape[0]`` floats is taken as it is, anything else goes through
+    ``_vector`` and must have ``shape``."""
     if type(p) is list and len(p) == shape[0] and type(p[0]) is float and type(p[-1]) is float:
         return p        # with at most two entries, p[0] and p[-1] are all of them
     p = _vector(p)
@@ -258,4 +262,3 @@ def _larger(worst: float | None, value: float) -> float:
     if worst is None or value > worst or value != value:
         return value
     return worst
-

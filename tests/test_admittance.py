@@ -394,6 +394,48 @@ def test_step_rejects_an_estimate_of_another_joint_count(controller):
             step(st, meas, est, g)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("stage", ["proxy_predict", "sliding_variable", "inner_loop_candidate"])
+def test_stage_functions_name_a_wrong_entry_count(stage, n):
+    """Each public stage function refuses a vector, or a state, of another
+    entry count than the gains' joints with a ValueError that names it and
+    the joint count, not with an unpacking or ``item`` error."""
+    g = fig3_gains() if n == 1 else AdmittanceGains(
+        mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
+        msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]), h=1e-3)
+    est = ModelEstimate.constant((0.2,) * n, (20.0,) * n)
+    good = np.zeros(n)
+    state = initial_state(good)
+    calls = {
+        "proxy_predict": (("fc", lambda x, st: proxy_predict(st, x, good, g)),
+                          ("fd", lambda x, st: proxy_predict(st, good, x, g)),
+                          ("state qxd_prev", lambda x, st: proxy_predict(st, good, good, g))),
+        "sliding_variable": (("qx_star", lambda x, st: sliding_variable(x, good, st, g)),
+                             ("q", lambda x, st: sliding_variable(good, x, st, g)),
+                             ("state qe_prev", lambda x, st: sliding_variable(good, good, st, g))),
+        "inner_loop_candidate": (
+            ("qx_star", lambda x, st: inner_loop_candidate(x, good, good, st, est, g)),
+            ("q", lambda x, st: inner_loop_candidate(good, x, good, st, est, g)),
+            ("u_s", lambda x, st: inner_loop_candidate(good, good, x, st, est, g)),
+            ("state qx_prev", lambda x, st: inner_loop_candidate(good, good, good, st, est, g))),
+    }[stage]
+    for name, call in calls:
+        for k in sorted({1, 2, 3} - {n}):
+            x = [0.5] * k
+            args = (good, initial_state(np.zeros(k))) if name.startswith("state") else (x, state)
+            with pytest.raises(ValueError, match=f"^{name} has {k} entries; "
+                                                 f"the gains' joint count is {n}$"):
+                call(*args)
+        if not name.startswith("state"):
+            with pytest.raises(ValueError, match=rf"^{name} must be a 1-D vector, got shape "
+                                                 rf"\({n}, 1\)$"):
+                call(np.zeros((n, 1)), state)
+            call(good.tolist(), state)      # a list of the right length is taken
+    if stage == "proxy_predict" and n == 2:
+        with pytest.raises(ValueError, match="^fc has 3 entries; the gains' joint count is 2$"):
+            proxy_predict(state, [1.0, 2.0, 3.0], [0.0, 0.0], g)
+
+
 def test_naive_baseline_step():
     ng = NaiveGains(mx=np.array([[0.3]]), bx=np.array([[2.0]]), kp=300.0, kd=31.0,
                     box=BoxConstraint([3.0]), h=1e-3)

@@ -323,7 +323,8 @@ def test_step_meets_its_definition(mode, n, kind, k4):
     (scalar root): shat and m2 solve G shat + h*gamma(shat)*m2 = s with
     m2 - alpha2*shat in the subdifferential of ||.|| at shat, evaluated here
     with numpy, and v+ = v + h*k3*m2, u = gamma(shat)*m2 + v+ bit for bit,
-    with ||shat|| as the float row (``_row_norm``).  The explicit step:
+    with ||shat|| as the float row (``_row_norm``); the solve is its float
+    body, called on lists.  The explicit step:
     u = v + k2*s/||s||^(1/2) and v+ = v + h*k3*s/||s|| + k4*s bit for bit, and
     u = v+ = v at s = 0.  The robust term takes one or two entries, as the
     torque box does: for three, its definition is a ValueError that gives
@@ -363,7 +364,8 @@ def test_step_meets_its_definition(mode, n, kind, k4):
                 v_def = v + hk3 * s / ns + g.k4 * s
             assert _same_bits(u, u_def) and _same_bits(v_next, v_def)
             continue
-        u, v_plus, d = _solve_inclusion(s, iteration, v, g, h)
+        u, v_plus, d = _solve_inclusion(s.tolist(), iteration, v.tolist(), g, h)
+        u, v_plus = np.array(u), np.array(v_plus)
         nshat = _row_norm(d.shat)
         gam = g.k2 * math.sqrt(nshat) + hk3
         inclusion = np.linalg.norm(G @ d.shat + h * gam * d.m2 - s) / (1.0 + np.linalg.norm(s))
