@@ -12,6 +12,5 @@ print("== box projection ==")
 box = BoxConstraint([3.0, 4.0])
 for y in ([-5.0, 2.0], [10.0, -10.0], [1.0, 1.0]):
     p = project_box(np.array(y), box)
-    probes = [np.array(c, dtype=float) for c in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    cert = variational_residual(np.array(y), p, box, probes)
+    cert = variational_residual(np.array(y), p, box)
     print(f"  project {y} -> {p}   optimality certificate {cert:+.2e} (<= 0)")

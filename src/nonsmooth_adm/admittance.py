@@ -56,6 +56,7 @@ from .setvalued import (
     BoxConstraint,
     _all_finite,
     _certificate,
+    _clip_flags,
     _entries,
     _finite_vector,
     _project,
@@ -350,14 +351,17 @@ def initial_state(q0: np.ndarray) -> AdmittanceState:
 
 
 def _floats(x, name: str, n: int) -> list:
-    """x as a list of floats, refused with a ValueError naming ``name`` and
-    the gains' joint count n unless it is a vector of n entries."""
+    """x as a list of floats, refused with a ValueError naming ``name`` (and
+    the gains' joint count n) unless it is a finite vector of n entries."""
     x = _vector(x)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
     if x.size != n:
         raise ValueError(f"{name} has {x.size} entries; the gains' joint count is {n}")
-    return x.tolist()
+    values = x.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
@@ -367,7 +371,8 @@ def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
     ux_star = (mx + bx*h)^{-1} (mx*qxd_prev + h*(fc + fd)),
     qx_star = qx_prev + h*ux_star.  ``g`` may also be ``NaiveGains``.
     Returns (ux_star, qx_star) as arrays; an input of another entry count
-    than the gains' joints raises ValueError naming it.
+    than the gains' joints, or with a non-finite entry, raises ValueError
+    naming it.
     """
     n = g.box.dim
     fc, fd = _floats(fc, "fc", n), _floats(fd, "fd", n)
@@ -397,7 +402,7 @@ def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
     qe uses the predicted proxy position (the corrected one is not known yet);
     its rate is the backward difference against the stored previous error.
     Returns (qe, s) as arrays; an input of another entry count than the
-    gains' joints raises ValueError naming it.
+    gains' joints, or with a non-finite entry, raises ValueError naming it.
     """
     n = g.box.dim
     qe, s = _sliding(g, _floats(qx_star, "qx_star", n), _floats(q, "q", n),
@@ -506,7 +511,7 @@ def inner_loop_candidate(qx_star: np.ndarray, q: np.ndarray,
 
     ``loop`` is the period's evaluated estimate and matrices; it is built
     here when omitted.  An input of another entry count than the gains'
-    joints raises ValueError naming it.
+    joints, or with a non-finite entry, raises ValueError naming it.
     """
     n = g.box.dim
     qx_star, y, u_s = _floats(qx_star, "qx_star", n), _floats(q, "q", n), _floats(u_s, "u_s", n)
@@ -577,10 +582,8 @@ def _clip(y_star: list, limits: tuple) -> tuple[list, np.ndarray, float]:
     """Project a step's candidate, a list of floats, onto the box of
     ``limits``: (y, the saturation flags ``|y_star| > F`` as an array, the
     projection certificate).  y is y_star itself when no entry is clamped.
-
-    The certificate's one probe is the corner p = sign(y_star - y) of the
-    unit box: the certificate d.(p - F^{-1} y) is linear in p, so this probe
-    attains its maximum over the whole box.
+    The certificate is ``variational_residual``'s, evaluated by the same
+    ``_clip_flags`` corner and ``_certificate`` row.
     """
     y = _project(y_star, limits)
     if len(limits) == 1:
@@ -589,14 +592,6 @@ def _clip(y_star: list, limits: tuple) -> tuple[list, np.ndarray, float]:
     flag0, sign0 = _clip_flags(limits[0], y_star[0], y[0])
     flag1, sign1 = _clip_flags(limits[1], y_star[1], y[1])
     return y, np.array([flag0, flag1]), _certificate(y_star, y, limits, [sign0, sign1])
-
-
-def _clip_flags(limit: float, y_star: float, y: float) -> tuple[bool, float]:
-    """One entry of ``_clip``'s saturation flags and worst probe on floats:
-    ``|y_star| > F`` and ``np.sign(y_star - y)``, which is +0.0 for either
-    zero and keeps a NaN."""
-    d = y_star - y
-    return abs(y_star) > limit, 1.0 if d > 0.0 else -1.0 if d < 0.0 else 0.0 if d == 0.0 else d
 
 
 def _check_entry_counts(state: AdmittanceState, meas: Measurement, box: BoxConstraint) -> None:

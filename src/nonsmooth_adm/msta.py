@@ -421,15 +421,15 @@ def sta_scalar_implicit_step(
     Returns (u_s, v_next, phi1, phi2) with phi2 = sat(s / (h^2 k3)) and phi1
     the saturated square-root term; the max() guard keeps the root real during
     discrete sliding, where both selections vary continuously with s.  A
-    non-finite s or v, an h not positive and finite or a beta not finite and
-    >= 1 raises ValueError.  The step itself is ``_sta_scalar``.
+    non-finite s or v, an h not positive and finite or whose dead band h^2 k3
+    underflows to 0, or a beta not finite and >= 1 raises ValueError.  The
+    step itself is ``_sta_scalar``.
     """
     if not -math.inf < s < math.inf:
         raise ValueError(f"s must be finite, got {s}")
     if not -math.inf < v < math.inf:
         raise ValueError(f"the integrator state v must be finite, got {v}")
-    if not 0.0 < h < math.inf:
-        raise ValueError("h must be positive and finite")
+    _check_period(g, h)
     if not 1.0 <= beta < math.inf:
         raise ValueError("beta must be finite and >= 1")
     return _sta_scalar(s, g, beta, h, v)

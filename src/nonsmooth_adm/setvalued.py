@@ -3,8 +3,9 @@
 Saturation, signum, projection onto a symmetric box and its certificate,
 and the float dot, norm and 2 x 2 solve the controller period computes with.
 The projection and the certificate each have one body on lists of floats
-(``_project``, ``_certificate``), which the controller period calls and
-``project_box`` and ``variational_residual`` wrap for arrays.
+(``_project``; ``_clip_flags`` and ``_certificate``, evaluated at the unit-box
+corner that maximizes the certificate), which the controller period calls
+and ``project_box`` and ``variational_residual`` wrap for arrays.
 Everything here is closed form and pure; the box's normal-cone selection is
 computed through the projection rather than by evaluating a multivalued sign.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -195,23 +195,23 @@ def _clamp(y: float, limit: float) -> float:
     return -limit if y < -limit else limit if y > limit else y
 
 
-def variational_residual(
-    y_star: np.ndarray,
-    y_proj: np.ndarray,
-    box: BoxConstraint,
-    probes: Iterable[Sequence[float]],
-) -> float:
-    """Optimality certificate for a claimed projection.
+def variational_residual(y_star: np.ndarray, y_proj: np.ndarray, box: BoxConstraint) -> float:
+    """Optimality certificate for a claimed projection y_proj of y_star:
 
-    For probes p inside the unit box, returns
+        max over p in the unit box of <y_star - y_proj, p - F^{-1} y_proj>.
 
-        max_p <y_star - y_proj, p - F^{-1} y_proj>.
+    The term is linear in p, entry by entry: entry i contributes
+    d_i (p_i - y_proj_i / F_i) with d = y_star - y_proj, largest at
+    p_i = sign(d_i), and a d_i of zero contributes zero whatever p_i.  So
+    the corner p = sign(d) attains the maximum over the whole box, and the
+    certificate is computed there, on floats (``_clip_flags``,
+    ``_certificate``), exactly: it is the controller period's own
+    ``lambda_vi_residual`` bit for bit.
 
-    If y_proj really is the box projection of y_star, every term is <= 0 up to
-    roundoff; a positive value witnesses a violated variational inequality.
-    A NaN term, as from a NaN candidate, makes the certificate NaN.
-
-    Each term is computed on floats by ``_certificate``.
+    If y_proj really is the box projection of y_star, the certificate is 0
+    (a clamped entry has sign(d_i) = y_proj_i / F_i, a free one d_i = 0); a
+    positive value witnesses a violated variational inequality.  A NaN
+    candidate makes the certificate NaN.
     """
     y_star = _vector(y_star)
     y_proj = _vector(y_proj)
@@ -221,44 +221,24 @@ def variational_residual(
         raise ValueError(f"dimension mismatch: y_star has shape {y_star.shape} and y_proj "
                          f"{y_proj.shape}, box has {shape}")
     ys, yp = y_star.tolist(), y_proj.tolist()
-    worst = None
-    for p in probes:
-        p = [p] if type(p) is float and len(limits) == 1 else _probe_floats(p, shape)
-        for x in p:
-            if abs(x) > 1.0 + 1e-12:
-                raise ValueError("probe lies outside the unit box")
-        worst = _larger(worst, _certificate(ys, yp, limits, p))
-    if worst is None:
-        raise ValueError("at least one probe is required")
-    return worst
+    corner = [_clip_flags(f, a, b)[1] for f, a, b in zip(limits, ys, yp)]
+    return _certificate(ys, yp, limits, corner)
+
+
+def _clip_flags(limit: float, y_star: float, y: float) -> tuple[bool, float]:
+    """One entry's saturation flag and certificate corner on floats:
+    ``|y_star| > F`` and ``np.sign(y_star - y)``, which is +0.0 for either
+    zero and keeps a NaN."""
+    d = y_star - y
+    return abs(y_star) > limit, 1.0 if d > 0.0 else -1.0 if d < 0.0 else 0.0 if d == 0.0 else d
 
 
 def _certificate(y_star: list, y_proj: list, limits: tuple, p: list) -> float:
-    """One term of ``variational_residual`` on lists of one or two floats,
-    for a probe p already checked: the float row ``0.0 + d0*x0 [+ d1*x1]``
-    of d = y_star - y_proj and x = p - y_proj/F."""
+    """``variational_residual`` on lists of one or two floats at the unit-box
+    point p: the float row ``0.0 + d0*x0 [+ d1*x1]`` of d = y_star - y_proj
+    and x = p - y_proj/F."""
     if len(limits) == 1:
         yp = y_proj[0]
         return 0.0 + (y_star[0] - yp) * (p[0] - yp / limits[0])
     (ys0, ys1), (yp0, yp1) = y_star, y_proj
     return 0.0 + (ys0 - yp0) * (p[0] - yp0 / limits[0]) + (ys1 - yp1) * (p[1] - yp1 / limits[1])
-
-
-def _probe_floats(p, shape: tuple) -> list:
-    """A probe of ``variational_residual`` as a list of floats: a list of
-    ``shape[0]`` floats is taken as it is, anything else goes through
-    ``_vector`` and must have ``shape``."""
-    if type(p) is list and len(p) == shape[0] and type(p[0]) is float and type(p[-1]) is float:
-        return p        # with at most two entries, p[0] and p[-1] are all of them
-    p = _vector(p)
-    if p.shape != shape:
-        raise ValueError("probe dimension mismatch")
-    return p.tolist()
-
-
-def _larger(worst: float | None, value: float) -> float:
-    """``max(worst, value)``, with None for no value yet, that keeps a NaN
-    from either side: a NaN candidate gives a NaN certificate."""
-    if worst is None or value > worst or value != value:
-        return value
-    return worst

@@ -33,7 +33,13 @@ from nonsmooth_adm.msta import (
 )
 from nonsmooth_adm.plant import PlantState, _plant_state, two_link_model
 from nonsmooth_adm import admittance
-from nonsmooth_adm.setvalued import BoxConstraint, _solve2, project_box
+from nonsmooth_adm.setvalued import (
+    BoxConstraint,
+    _dot,
+    _solve2,
+    project_box,
+    variational_residual,
+)
 from nonsmooth_adm.verify import admittance_reference
 
 
@@ -399,7 +405,9 @@ def test_step_rejects_an_estimate_of_another_joint_count(controller):
 def test_stage_functions_name_a_wrong_entry_count(stage, n):
     """Each public stage function refuses a vector, or a state, of another
     entry count than the gains' joints with a ValueError that names it and
-    the joint count, not with an unpacking or ``item`` error."""
+    the joint count, not with an unpacking or ``item`` error; and one with
+    a NaN or infinite entry with a ValueError that names it, not by
+    returning a non-finite result."""
     g = fig3_gains() if n == 1 else AdmittanceGains(
         mx=np.diag([0.5, 0.4]), bx=np.diag([1.0, 2.0]), lam=10.0, k1=30.0,
         msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]), h=1e-3)
@@ -431,6 +439,16 @@ def test_stage_functions_name_a_wrong_entry_count(stage, n):
                                                  rf"\({n}, 1\)$"):
                 call(np.zeros((n, 1)), state)
             call(good.tolist(), state)      # a list of the right length is taken
+        for bad in (math.nan, math.inf, -math.inf):
+            x = np.array([0.5] * (n - 1) + [bad])
+            if name.startswith("state"):
+                field = name.split()[1]
+                args = (good, _admittance_state(*(x if f.name == field else getattr(state, f.name)
+                                                  for f in dataclasses.fields(AdmittanceState))))
+            else:
+                args = (x, state)
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                call(*args)
     if stage == "proxy_predict" and n == 2:
         with pytest.raises(ValueError, match="^fc has 3 entries; the gains' joint count is 2$"):
             proxy_predict(state, [1.0, 2.0, 3.0], [0.0, 0.0], g)
@@ -456,8 +474,20 @@ def test_naive_baseline_step():
     assert tau[0] == 3.0 and diag.saturated.all()
 
 
+def _corner_max(y_star: np.ndarray, y: np.ndarray, box: BoxConstraint) -> float:
+    """The certificate's maximum over every corner p of the unit box, each
+    term the float row of d = y_star - y and p - y/F."""
+    d, scaled = (y_star - y).tolist(), (y / box.limits).tolist()
+    return max(_dot(d, [c - x for c, x in zip(p, scaled)])
+               for p in itertools.product((-1.0, 1.0), repeat=len(d)))
+
+
 def test_certificate_equals_corner_enumeration(rng):
-    """The single sign(d) probe gives the maximum over every corner of the box."""
+    """The certificate at the one corner sign(d) is its maximum over every
+    corner of the box, bit for bit: the period's and ``variational_residual``,
+    for one and two entries.  It is zero on a true projection, positive on a
+    wrong one (a point short of the clamp, a projection onto a smaller box)
+    and NaN for a NaN candidate."""
     two_dof = AdmittanceGains(mx=np.diag([0.5, 0.5]), bx=np.diag([1.0, 1.0]), lam=10.0, k1=30.0,
                               msta=MstaGains(k2=11.6, k3=66.0), box=BoxConstraint([3.0, 4.0]),
                               h=1e-3, us_mode="explicit")
@@ -467,7 +497,6 @@ def test_certificate_equals_corner_enumeration(rng):
              (2, baseline_naive_step, naive)]
     for n, step, g in cases:
         est = ModelEstimate.constant((0.2,) * n, (20.0,) * n)
-        corners = [np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n)]
         saturated = 0
         for _ in range(200):
             st = AdmittanceState(rng.normal(size=n) * 0.3, rng.normal(size=n) * 2,
@@ -479,10 +508,33 @@ def test_certificate_equals_corner_enumeration(rng):
             if not diag.saturated.any():
                 continue
             saturated += 1
-            d = diag.tau_star - tau
-            best = max(float(d @ (p - tau / g.box.limits)) for p in corners)
-            assert abs(diag.lambda_vi_residual - best) <= 1e-12 * (1.0 + np.abs(d).sum())
+            best = _corner_max(diag.tau_star, tau, g.box)
+            assert diag.lambda_vi_residual == variational_residual(diag.tau_star, tau, g.box) \
+                == best == 0.0
         assert saturated >= 20
+    for n in (1, 2):
+        box, smaller = BoxConstraint([3.0, 4.0][:n]), BoxConstraint([2.0, 3.0][:n])
+        beyond_smaller = 0
+        for _ in range(200):
+            y_star = rng.normal(size=n) * 6.0
+            y = project_box(y_star, box)
+            assert variational_residual(y_star, y, box) == _corner_max(y_star, y, box) == 0.0
+            # a point inside the box, halfway to the projection
+            short = 0.5 * y
+            res = variational_residual(y_star, short, box)
+            assert res == _corner_max(y_star, short, box) and res > 0.0
+            # the projection onto a smaller box, wrong where it clamps
+            y_small = project_box(y_star, smaller)
+            res = variational_residual(y_star, y_small, box)
+            assert res == _corner_max(y_star, y_small, box)
+            if (np.abs(y_star) > smaller.limits).any():
+                beyond_smaller += 1
+                assert res > 0.0
+        assert beyond_smaller >= 50
+        for k in range(n):
+            y_star = np.full(n, 5.0)
+            y_star[k] = np.nan
+            assert math.isnan(variational_residual(y_star, project_box(y_star, box), box))
 
 
 def _hex(x: tuple) -> tuple:

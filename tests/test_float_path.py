@@ -33,7 +33,6 @@ measured against |W| ulp(q1_star).
 
 import itertools
 import re
-from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -46,8 +45,9 @@ from nonsmooth_adm.admittance import (
     ModelEstimate,
     NaiveGains,
     _admittance_state,
-    _clip_flags,
+    _candidate,
     _evaluate_loop,
+    _proxy,
     _robust_term,
     _step_diagnostics,
     admittance_step,
@@ -61,9 +61,8 @@ from nonsmooth_adm.msta import MstaGains
 from nonsmooth_adm.plant import one_dof_model, two_link_model
 from nonsmooth_adm.setvalued import (
     BoxConstraint,
-    _larger,
+    _clip_flags,
     _solve2,
-    _vector,
     project_box,
     variational_residual,
 )
@@ -133,35 +132,22 @@ def _project_box_arrays(y: np.ndarray, box: BoxConstraint) -> np.ndarray:
     return np.minimum(np.maximum(y, -box.limits), box.limits)
 
 
-def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray, box: BoxConstraint,
-                                 probes: Iterable[Sequence[float]]) -> float:
-    """``variational_residual`` on float vectors, for any number of entries;
-    each term is summed from 0.0 left to right, as the float row."""
+def _variational_residual_arrays(y_star: np.ndarray, y_proj: np.ndarray,
+                                 box: BoxConstraint) -> float:
+    """``variational_residual`` on float vectors, for any number of entries:
+    the term at the corner p = np.sign(y_star - y_proj), summed from 0.0
+    left to right, as the float row."""
     d = y_star - y_proj
-    scaled = y_proj / box.limits
-    worst = None
-    for p in probes:
-        p = _vector(p)
-        if p.shape != scaled.shape:
-            raise ValueError("probe dimension mismatch")
-        if (np.abs(p) > 1.0 + 1e-12).any():
-            raise ValueError("probe lies outside the unit box")
-        value = 0.0
-        for a, b in zip(d.tolist(), (p - scaled).tolist()):
-            value = value + a * b
-        worst = _larger(worst, value)
-    if worst is None:
-        raise ValueError("at least one probe is required")
-    return worst
+    value = 0.0
+    for a, b in zip(d.tolist(), (np.sign(d) - y_proj / box.limits).tolist()):
+        value = value + a * b
+    return value
 
 
 def _clip_arrays(y_star, box):
-    """The step's projection tail on arrays: (y, the flags, the certificate
-    of the worst probe)."""
+    """The step's projection tail on arrays: (y, the flags, the certificate)."""
     y = _project_box_arrays(y_star, box)
-    probe = np.sign(y_star - y)
-    return (y, np.abs(y_star) > box.limits,
-            _variational_residual_arrays(y_star, y, box, [probe]))
+    return y, np.abs(y_star) > box.limits, _variational_residual_arrays(y_star, y, box)
 
 
 def _step_arrays(state, meas, model, g):
@@ -331,31 +317,21 @@ def test_variational_residual_float_path_matches_arrays():
     values = _values(gen, 30)
     for ys, yp in itertools.product(values, values):
         y_star, y_proj = _one(ys), _one(yp)
-        probes = [np.sign(y_star - y_proj), _one(0.5), _one(-0.0), [0.0], _one(-1.0)]
-        expected = _variational_residual_arrays(y_star, y_proj, box, probes)
-        assert _bits(variational_residual(y_star, y_proj, box, probes)) == _bits(expected)
-        # a probe passed as a bare float is the same probe as a 1-entry array
-        floats = [p.item() if isinstance(p, np.ndarray) else p[0] for p in probes]
-        assert _bits(variational_residual(y_star, y_proj, box, floats)) == _bits(expected)
+        expected = _variational_residual_arrays(y_star, y_proj, box)
+        assert _bits(variational_residual(y_star, y_proj, box)) == _bits(expected)
 
 
 def test_variational_residual_two_entry_float_path_matches_arrays():
-    """Projected and unprojected pairs over many scales, with the worst
-    probe (a zero factor in every product), probes whose second product has
-    a zero factor, and random probes whose products are both inexact."""
+    """Projected pairs over many scales (a zero factor in every product) and
+    unprojected ones (products that are inexact)."""
     gen = np.random.default_rng(12)
     box = BoxConstraint(list(LIMITS2))
     values = _values(gen, 12, LIMITS2[0])
     pairs = [np.array(v) for v in itertools.product(values, values)]
     for y_star in pairs[::3]:
         for y_proj in (project_box(y_star, box), pairs[gen.integers(len(pairs))]):
-            probes = [np.sign(y_star - y_proj), np.array([0.5, -0.0]), np.array([-0.0, 0.0]),
-                      gen.uniform(-1.0, 1.0, 2), [float(gen.uniform(-1, 1)), 0.0]]
-            expected = _variational_residual_arrays(y_star, y_proj, box, probes)
-            assert _bits(variational_residual(y_star, y_proj, box, probes)) == _bits(expected)
-            # probes as lists of floats, as the steps build them
-            lists = [[float(x) for x in p] for p in probes]
-            assert _bits(variational_residual(y_star, y_proj, box, lists)) == _bits(expected)
+            expected = _variational_residual_arrays(y_star, y_proj, box)
+            assert _bits(variational_residual(y_star, y_proj, box)) == _bits(expected)
 
 
 def test_worst_probe_sign_matches_numpy():
@@ -634,10 +610,11 @@ def test_two_joint_exact_zero_divides_in_both_paths(monkeypatch):
 
 
 def test_two_joint_non_finite_entry_reaches_the_other_row_as_numpy():
-    """A non-finite input entry of a two-joint stage reaches the other
+    """A non-finite input entry of a two-joint stage body reaches the other
     joint's row through the zero off-diagonal product (0 * inf is NaN), as in
     numpy's product, so the float body and the oracle still agree.  A step
-    never meets one: the measurement and the state refuse non-finite entries."""
+    never meets one: the measurement and the state refuse non-finite
+    entries, and so do the public stage functions."""
     g = _gains2()
     fc = np.array([1.0, 2.0])
 
@@ -646,12 +623,17 @@ def test_two_joint_non_finite_entry_reaches_the_other_row_as_numpy():
                                  np.zeros(2), np.zeros(2))
 
     with np.errstate(invalid="ignore"):
-        ux, qx = proxy_predict(state(np.inf), fc, fc, g)
-        ux_ref, qx_ref = _proxy_predict_arrays(state(np.inf), fc, fc, g)
-        loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), state(1.0), g)
+        st = state(np.inf)
+        ux, qx = map(np.array, _proxy(g, st.qxd_prev.tolist(), st.qx_prev.tolist(),
+                                      fc.tolist(), fc.tolist()))
+        ux_ref, qx_ref = _proxy_predict_arrays(st, fc, fc, g)
+        st = state(1.0)
+        loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), st, g)
         u_s = np.array([np.inf, 1.0])
-        q1, tau = inner_loop_candidate(fc, fc, u_s, state(1.0), None, g, loop=loop)
-        q1_ref, tau_ref = _inner_loop_candidate_arrays(fc, fc, u_s, state(1.0), g, loop)
+        q1, tau = map(np.array, _candidate(loop, g.h, fc.tolist(), fc.tolist(), u_s.tolist(),
+                                           st.qx_prev.tolist(), st.ux_prev.tolist(),
+                                           st.q_prev.tolist()))
+        q1_ref, tau_ref = _inner_loop_candidate_arrays(fc, fc, u_s, st, g, loop)
     assert ux[0] == qx[0] == np.inf and np.isnan([ux[1], qx[1]]).all()
     assert q1[0] == -np.inf and tau[0] == np.inf and np.isnan(tau[1])
     for got, expected in ((ux, ux_ref), (qx, qx_ref), (q1, q1_ref), (tau, tau_ref)):
@@ -766,8 +748,7 @@ def test_two_joint_naive_step_matches_array_code(estimate):
 
 def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
     """The projection and the certificate refuse vectors of another entry
-    count than the box, and keep the array code's probe errors on either
-    path; a controller stage refuses mixed entry counts."""
+    count than the box; a controller stage refuses mixed entry counts."""
     box1, box2 = BoxConstraint([LIMIT]), BoxConstraint([1.0, 1.0])
     y1, y2, y3 = _one(0.5), np.array([0.5, 4.0]), np.zeros(3)
     # a box of three entries is refused where it is built
@@ -782,32 +763,12 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
                 project(y, box)
     # the certificate refuses a y_star or y_proj of another entry count than
     # the box, naming both shapes
-    probe2 = [np.array([1.0, -1.0])]
-    for y_star, y_proj, box, probes in ((y1, y2, box1, probe2), (y2, y1, box1, probe2),
-                                        (y2, y2, box1, probe2), (y2, y3, box2, probe2),
-                                        (y3, y3, box2, probe2)):
+    for y_star, y_proj, box in ((y1, y2, box1), (y2, y1, box1), (y2, y2, box1),
+                                (y2, y3, box2), (y3, y3, box2)):
         with pytest.raises(ValueError, match=re.escape(
                 f"y_star has shape {y_star.shape} and y_proj {y_proj.shape}, "
                 f"box has {box.limits.shape}")):
-            variational_residual(y_star, y_proj, box, probes)
-    for probes, message in (([np.array([1.0, 0.0])], "probe dimension mismatch"),
-                            ([_one(1.5)], "outside the unit box"),
-                            ([1.5], "outside the unit box"),
-                            ([], "at least one probe")):
-        for residual in (variational_residual, _variational_residual_arrays):
-            with pytest.raises(ValueError, match=message):
-                residual(y1, y1, box1, probes)
-    for probes, message in (([0.5], "probe dimension mismatch"),
-                            ([[0.5]], "probe dimension mismatch"),
-                            ([[0.5, 1.5]], "outside the unit box"),
-                            ([[1, 0]], None)):
-        for residual in (variational_residual, _variational_residual_arrays):
-            if message is None:
-                assert _bits(residual(y2, y2, box2, probes)) == \
-                    _bits(_variational_residual_arrays(y2, y2, box2, probes))
-                continue
-            with pytest.raises(ValueError, match=message):
-                residual(y2, y2, box2, probes)
+            variational_residual(y_star, y_proj, box)
     # a controller stage refuses vectors of mixed entry counts
     g, g2 = _gains(), _gains2()
     state, state2 = _state(0.001, -0.002, 0.003, -0.004, 0.005), _state2()

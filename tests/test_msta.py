@@ -395,6 +395,9 @@ def test_steps_reject_a_state_of_another_length_and_an_underflowing_band():
                 step(s_in, np.zeros(2), 1e-200)
     with pytest.raises(ValueError, match="underflows to 0"):
         solve_shat_vector(np.zeros(2), np.eye(2), np.eye(2), g, 1e-200)
+    for s_scalar in (0.02, 0.0):
+        with pytest.raises(ValueError, match="h\\^2\\*k3 underflows to 0"):
+            sta_scalar_implicit_step(s_scalar, g, 1.0, 1e-200, 0.0)
 
 
 @pytest.mark.parametrize("v,message", [

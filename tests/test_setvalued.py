@@ -104,41 +104,37 @@ def test_projection_idempotent_and_nonexpansive(rng):
 
 def test_variational_residual_certificates():
     box = BoxConstraint([3.0])
-    probes = [np.array([-1.0]), np.array([0.0]), np.array([1.0])]
-    assert variational_residual(np.array([10.0]), np.array([3.0]), box, probes) <= 0.0
-    # interior point: the probe at the projection itself attains exactly zero
-    res = variational_residual(np.array([1.0]), np.array([1.0]), box,
-                               probes + [np.array([1.0 / 3.0])])
-    assert res == 0.0
+    assert variational_residual(np.array([10.0]), np.array([3.0]), box) == 0.0
+    # interior point: the projection is the point itself, d = 0
+    assert variational_residual(np.array([1.0]), np.array([1.0]), box) == 0.0
+    # a claimed projection short of the clamp: -2 at p = 0, +1 at the corner p = 1
+    assert variational_residual(np.array([5.0]), np.array([2.0]), box) == 1.0
 
 
 def test_variational_residual_random_grid(rng):
-    grid = [np.array([x]) for x in np.linspace(-1, 1, 21)]
+    """On a true projection the certificate is no larger than on any point
+    of a grid over the unit box, and is zero."""
+    grid = np.linspace(-1, 1, 21).tolist()
     for _ in range(200):
         box = BoxConstraint(rng.uniform(0.5, 4.0, size=1))
         y = rng.normal(scale=6, size=1)
         p = project_box(y, box)
-        assert variational_residual(y, p, box, grid) <= 1e-12
+        res = variational_residual(y, p, box)
+        d, x = float(y[0] - p[0]), float(p[0] / box.limits[0])
+        assert res >= max(d * (c - x) for c in grid)
+        assert res == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_variational_residual_of_a_nan_candidate_is_nan(n):
-    """A NaN term wins over any other probe's term, and only a call without
-    probes is told that it needs one."""
+    """A NaN entry of the candidate makes the corner, and so the
+    certificate, NaN."""
     box = BoxConstraint([1.0] * n)
-    y_star, y_proj = np.array([np.nan, 0.0][:n]), np.array([0.5, 0.0][:n])
-    for probes in ([np.ones(n)], [-np.ones(n), np.zeros(n)], [np.array([np.nan] * n)]):
-        assert math.isnan(variational_residual(y_star, y_proj, box, probes))
-    assert math.isnan(variational_residual(np.full(n, 0.5), y_proj, box,
-                                           [np.ones(n), np.array([np.nan] * n)]))
-    with pytest.raises(ValueError, match="at least one probe"):
-        variational_residual(y_star, y_proj, box, [])
-
-
-def test_variational_residual_rejects_bad_probe():
-    box = BoxConstraint([2.0])
-    with pytest.raises(ValueError):
-        variational_residual(np.array([1.0]), np.array([1.0]), box, [np.array([1.5])])
+    y_proj = np.array([0.5, 0.0][:n])
+    for k in range(n):
+        y_star = y_proj.copy()
+        y_star[k] = np.nan
+        assert math.isnan(variational_residual(y_star, y_proj, box))
 
 
 def test_fast_primitives_match_numpy_bitwise():
