@@ -111,6 +111,28 @@ def test_variational_residual_certificates():
     assert variational_residual(np.array([5.0]), np.array([2.0]), box) == 1.0
 
 
+def test_variational_residual_dimension_mismatch():
+    """A y_star or y_proj of another entry count than the box is refused,
+    not broadcast against it."""
+    box = BoxConstraint([3.0, 4.0])
+    for y_star, y_proj in (([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0, 2.0], [1.0]), ([1.0], [1.0])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            variational_residual(np.array(y_star), np.array(y_proj), box)
+
+
+def test_variational_residual_converts_inputs_that_are_not_float_vectors():
+    """Lists, tuples, integer arrays and a scalar give the bits of the float
+    vectors they convert to."""
+    box, box1 = BoxConstraint([3.0, 4.0]), BoxConstraint([3.0])
+    for y_star, y_proj in (([5, -1], [2, -1]), ((7.0, 0.5), (3.0, 0.5)), ([-9, 9], [-3, 4])):
+        expected = variational_residual(np.array(y_star, dtype=float),
+                                        np.array(y_proj, dtype=float), box)
+        for a, b in ((y_star, y_proj), (np.array(y_star), np.array(y_proj))):
+            assert variational_residual(a, b, box).hex() == expected.hex()
+    assert variational_residual(5, 2, box1) == variational_residual(
+        np.array([5.0]), np.array([2.0]), box1) == 1.0
+
+
 def test_variational_residual_random_grid(rng):
     """On a true projection the certificate is no larger than on any point
     of a grid over the unit box, and is zero."""
