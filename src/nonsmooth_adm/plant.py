@@ -57,13 +57,16 @@ class ManipulatorModel:
     planar end-effector velocity (2 x dof).  The plant integrates whatever
     torque it is given: the torque box belongs to the controller.
 
-    ``_advance`` is the plant's controller period: ``n_sub`` semi-implicit
-    Euler substeps on floats, the kernel's entries written out in its own
-    evaluation order so that every float keeps the bits a loop over
-    ``terms`` gives.  It is called as ``(q, qd, tau, env, disturbance, t,
-    dt, n_sub) -> (q, qd)`` with q, qd and the commanded torque as lists of
-    floats, one entry per joint.  Each model constructor builds its kernel
-    and its loop.
+    ``_advance`` is the plant's controller period: ``n_sub`` substeps on
+    floats, each a Heun (explicit trapezoid) step of the smooth forces with
+    the Coulomb terms (the arms' surface friction, the stage's rail level)
+    folded into each velocity update as their implicit Euler step, a clamp
+    of the friction force onto [-F, F]; a substep whose ends straddle the
+    surface is split at the onset.  The kernel's entries are written out in
+    the loop, not read from ``terms``.  It is called as ``(q, qd, tau, env,
+    disturbance, t, dt, n_sub) -> (q, qd)`` with q, qd and the commanded
+    torque as lists of floats, one entry per joint.  Each model constructor
+    builds its kernel and its loop.
     """
 
     dof: int
@@ -214,6 +217,51 @@ class SimulationBlowUp(RuntimeError):
         self.t = t
 
 
+def _scalar_period(accel, q: float, qd: float, t: float, dt: float, n_sub: int) -> tuple:
+    """``n_sub`` substeps of a one-joint plant from (q, qd) at t.
+
+    ``accel(q, qd, t)`` gives (a, fy, g): the acceleration of every force but
+    the Coulomb term, the normal contact force, and the rate g = F |j| / m at
+    which the Coulomb level F, acting through the tangential Jacobian entry
+    j on the inertia m, can change the joint rate (0 where no Coulomb term
+    acts).  Each substep is a Heun step with the Coulomb term folded into
+    both velocity updates as its implicit Euler step: the impulse dt * fx
+    with fx = clamp(-j qd / (dt w), -F, F) and w = j^2 / m, which on one
+    joint is qd - clamp(qd, -dt g, dt g), so w = 0 (j = 0) divides nothing.
+    Positions advance by the trapezoid of the clamped rates.  A substep
+    whose two ends straddle the surface (fy > 0 at one end only) is split at
+    the onset the secant of fy locates, and each part is stepped alone.
+    """
+    def heun(q, qd, t, dt, a0, g0):
+        v = qd + dt * a0
+        lim = dt * g0
+        if lim > 0.0:
+            v = v - lim if v > lim else v + lim if v < -lim else 0.0 * v
+        half = 0.5 * dt
+        a1, _, g1 = accel(q + half * (qd + v), v, t + dt)
+        v = qd + half * (a0 + a1)
+        lim = dt * g1
+        if lim > 0.0:
+            v = v - lim if v > lim else v + lim if v < -lim else 0.0 * v
+        return q + half * (qd + v), v
+
+    a, fy, g = accel(q, qd, t)
+    for _ in range(n_sub):
+        qn, vn = heun(q, qd, t, dt, a, g)
+        an, fyn, gn = accel(qn, vn, t + dt)
+        if (fy > 0.0) != (fyn > 0.0):
+            theta = fy / (fy - fyn)
+            if 0.0 < theta < 1.0:
+                d = theta * dt
+                qa, va = heun(q, qd, t, d, a, g)
+                aa, _, ga = accel(qa, va, t + d)
+                qn, vn = heun(qa, va, t + d, dt - d, aa, ga)
+                an, fyn, gn = accel(qn, vn, t + dt)
+        q, qd, a, fy, g = qn, vn, an, fyn, gn
+        t += dt
+    return [q], [qd]
+
+
 def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
     p = params
     lc = p.com
@@ -233,30 +281,39 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
 
     def advance(q, qd, tau, env, disturbance, t, dt, n_sub):
         (q,), (qd,), (tau,) = q, qd, tau
-        ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-        for _ in range(n_sub):
+        ks, ys, mu = env.k_s, env.y_s, env.mu_fric
+
+        def accel(q, qd, t):
             s, c = sin(q), cos(q)
             m = m0 + ripple * s
             if m <= 0.0:
                 raise ValueError(f"inertia lost positivity at q = {q:.4f}")
-            fc = 0.0
+            r = tau - damping * c * qd - mgl * c
+            if disturbance is not None:
+                r += disturbance(t, q, qd)
             p1 = l1 * s
             fy = ks * (ys - p1)
             if fy > 0.0:
-                jx = -p1    # nl1 * s
-                v = jx * qd
-                # Coulomb friction -mu * fy * sign0(v); f * 1.0 is f and
-                # f * -1.0 is -f, but f * 0.0 keeps the sign of f
-                f = nmu * fy
-                fx = f if v > 0.0 else -f if v < 0.0 else f * 0.0
-                fc = jx * fx + l1 * c * fy
-            fe = disturbance(t, q, qd) if disturbance is not None else 0.0
-            qd += dt * (tau + fc + fe - damping * c * qd - mgl * c) / m
-            q += dt * qd
-            t += dt
-        return [q], [qd]
+                # J = (-l1 sin q, l1 cos q): the normal force's torque, and
+                # the surface friction mu fy through |jx| = |l1 sin q|
+                return (r + l1 * c * fy) / m, fy, mu * fy * abs(p1) / m
+            return r / m, fy, 0.0
+
+        return _scalar_period(accel, q, qd, t, dt, n_sub)
 
     return ManipulatorModel(1, terms, _advance=advance)
+
+
+def _coulomb_impulse(v1: float, v2: float, coulomb: tuple, dt: float) -> tuple:
+    """Two joint rates after the implicit Euler step of a Coulomb term: the
+    impulse dt * fx along b = M^-1 j^T, fx = clamp(-j v / (dt w), -F, F) with
+    w = j b > 0, so the tangential rate j v ends at 0 where |j v| <= dt F w
+    (stick) and the force is +-F otherwise (slip)."""
+    j1, j2, b1, b2, w, f = coulomb
+    lim = dt * f
+    imp = -(j1 * v1 + j2 * v2) / w
+    imp = lim if imp > lim else -lim if imp < -lim else imp
+    return v1 + b1 * imp, v2 + b2 * imp
 
 
 def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
@@ -291,39 +348,67 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
         if disturbance is not None:
             raise ValueError("disturbance forces act on one-joint plants only")
         (q1, q2), (qd1, qd2), (tau1, tau2) = q, qd, tau
-        ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-        for _ in range(n_sub):
+        ks, ys, mu = env.k_s, env.y_s, env.mu_fric
+
+        def accel(q1, q2, qd1, qd2):
+            """(a1, a2, fy, Coulomb term or None) at the state: the joint
+            accelerations of every force but the surface friction, the
+            normal contact force and, in contact with mu > 0, (j11, j12, b1,
+            b2, w, mu fy) for the tangential row j, b = M^-1 j^T and w = j b."""
             q12 = q1 + q2
             s1, s12, c2 = sin(q1), sin(q12), cos(q2)
             hh = hk * sin(q2)
             p2 = l2 * s12
-            fc1 = fc2 = 0.0
-            fy = ks * (ys - (l1 * s1 + p2))
-            if fy > 0.0:
-                # the Jacobian, needed only in contact (nl2 * s12 is -p2, and
-                # j22 is the l2 * c12 of ee_x)
-                c12 = cos(q12)
-                j11, j12, j22 = nl1 * s1 - p2, -p2, l2 * c12
-                v = j11 * qd1 + j12 * qd2
-                # Coulomb friction -mu * fy * sign0(v); f * 1.0 is f and
-                # f * -1.0 is -f, but f * 0.0 keeps the sign of f
-                f = nmu * fy
-                fx = f if v > 0.0 else -f if v < 0.0 else f * 0.0
-                fc1 = j11 * fx + (l1 * cos(q1) + j22) * fy
-                fc2 = j12 * fx + j22 * fy
-            # C qd with C = [[hh qd2, hh (qd1 + qd2)], [-hh qd1, 0]]; G = 0.  The
-            # kernel's terms less its exact no-ops: x - 0.0 is x and x - -y is
-            # x + y.  The 0.0 * qd2 term stays, because it is NaN for an
-            # infinite qd2 and flips a -0.0 sum for a negative qd2.
-            r1 = tau1 + fc1 - hh * qd2 * qd1 - hh * (qd1 + qd2) * qd2
-            r2 = tau2 + fc2 + hh * qd1 * qd1 - 0.0 * qd2
+            # C qd with C = [[hh qd2, hh (qd1 + qd2)], [-hh qd1, 0]]; G = 0
+            r1 = tau1 - hh * qd2 * qd1 - hh * (qd1 + qd2) * qd2
+            r2 = tau2 + hh * qd1 * qd1
             m11 = a11 + m2 * (b11 + d11 * c2)
             m12 = m2 * (b12 + d12 * c2) + ic2
             det = m11 * m22 - m12 * m12
-            qd1 += dt * (m22 * r1 - m12 * r2) / det
-            qd2 += dt * (m11 * r2 - m12 * r1) / det
-            q1 += dt * qd1
-            q2 += dt * qd2
+            fy = ks * (ys - (l1 * s1 + p2))
+            coulomb = None
+            if fy > 0.0:
+                # the Jacobian, needed only in contact (j21 is ee_x and j22
+                # its l2 cos(q1 + q2))
+                j22 = l2 * cos(q12)
+                r1 += (l1 * cos(q1) + j22) * fy
+                r2 += j22 * fy
+                if mu > 0.0:
+                    j11, j12 = nl1 * s1 - p2, -p2
+                    b1 = (m22 * j11 - m12 * j12) / det
+                    b2 = (m11 * j12 - m12 * j11) / det
+                    w = j11 * b1 + j12 * b2
+                    if w > 0.0:     # w = 0: the friction cannot act
+                        coulomb = (j11, j12, b1, b2, w, mu * fy)
+            return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det, fy, coulomb
+
+        def heun(q1, q2, qd1, qd2, dt, st):
+            # one Heun substep from the state whose accel() is st, the
+            # surface friction folded into each velocity update
+            a1, a2, _, co = st
+            v1, v2 = qd1 + dt * a1, qd2 + dt * a2
+            if co is not None:
+                v1, v2 = _coulomb_impulse(v1, v2, co, dt)
+            half = 0.5 * dt
+            e1, e2, _, co = accel(q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2)
+            v1, v2 = qd1 + half * (a1 + e1), qd2 + half * (a2 + e2)
+            if co is not None:
+                v1, v2 = _coulomb_impulse(v1, v2, co, dt)
+            return q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2
+
+        st = accel(q1, q2, qd1, qd2)
+        for _ in range(n_sub):
+            n1, n2, w1, w2 = heun(q1, q2, qd1, qd2, dt, st)
+            sn = accel(n1, n2, w1, w2)
+            fy, fyn = st[2], sn[2]
+            if (fy > 0.0) != (fyn > 0.0):
+                theta = fy / (fy - fyn)
+                if 0.0 < theta < 1.0:
+                    d = theta * dt
+                    n1, n2, w1, w2 = heun(q1, q2, qd1, qd2, d, st)
+                    n1, n2, w1, w2 = heun(n1, n2, w1, w2, dt - d, accel(n1, n2, w1, w2))
+                    sn = accel(n1, n2, w1, w2)
+            q1, q2, qd1, qd2, st = n1, n2, w1, w2, sn
         return [q1, q2], [qd1, qd2]
 
     return ManipulatorModel(2, terms, _advance=advance)
@@ -331,11 +416,12 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
 
 def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> ManipulatorModel:
     """Vertical stage; its period loop applies the drive gain kappa to the
-    command and the rail friction, a Coulomb level plus a viscous term, added
-    after any other disturbance."""
+    command and the rail friction, a Coulomb level plus a viscous term."""
     p = params
     mass, viscous, weight, kappa = p.mass, p.viscous, p.mass * p.g, p.kappa
-    coulomb, rail_viscous = p.friction_coulomb, p.friction_viscous
+    rail_viscous = p.friction_viscous
+    # the rate at which the rail's Coulomb level can change the stage's speed
+    rail_rate = p.friction_coulomb / p.mass
 
     def terms(q: float, qd: float) -> tuple:
         return mass, viscous, weight, 0.0, q, 0.0, 1.0
@@ -344,18 +430,19 @@ def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> Manip
         (q,), (qd,), (tau,) = q, qd, tau
         gt = kappa * tau
         ks, ys = env.k_s, env.y_s
-        for _ in range(n_sub):
+
+        def accel(q, qd, t):
             # Jacobian (0, 1): the surface's tangential friction acts across
             # the rail, so the contact force is the normal spring alone
-            fy = ks * (ys - q)
-            fc = fy if fy > 0.0 else 0.0
-            fe = -(coulomb * (1.0 if qd > 0.0 else -1.0 if qd < 0.0 else 0.0) + rail_viscous * qd)
+            r = gt - rail_viscous * qd - viscous * qd - weight
             if disturbance is not None:
-                fe = disturbance(t, q, qd) + fe
-            qd += dt * (gt + fc + fe - viscous * qd - weight) / mass
-            q += dt * qd
-            t += dt
-        return [q], [qd]
+                r += disturbance(t, q, qd)
+            fy = ks * (ys - q)
+            if fy > 0.0:
+                r += fy
+            return r / mass, fy, rail_rate
+
+        return _scalar_period(accel, q, qd, t, dt, n_sub)
 
     return ManipulatorModel(1, terms, _advance=advance)
 
@@ -377,13 +464,15 @@ def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],
 def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.ndarray,
                       env: EnvironmentModel, disturbance: Disturbance | None,
                       t: float, dt_sub: float, n_sub: int) -> PlantState:
-    """Advance the plant by n_sub semi-implicit Euler substeps under held torque.
+    """Advance the plant by n_sub substeps of dt_sub under held torque.
 
-    The contact wrench is re-evaluated every substep; the commanded torque is a
-    zero-order hold over the whole controller period.  A ``disturbance`` acts
-    on one-joint plants only.  The substeps are the model's own period loop.
-    A ``tau_held`` of another entry count than the plant's joints raises
-    ValueError.
+    Each substep is a Heun step with the Coulomb terms stepped implicitly,
+    split where it crosses the surface (see ``ManipulatorModel``); the
+    contact forces are re-evaluated at each stage.  The commanded torque is
+    a zero-order hold over the whole controller period.  A ``disturbance``
+    acts on one-joint plants only.  The substeps are the model's own period
+    loop.  A ``tau_held`` of another entry count than the plant's joints
+    raises ValueError.
     """
     tau = tau_held.tolist()
     if len(tau) != model.dof:

@@ -4,8 +4,9 @@ A ``Scenario`` is a fully declarative description (JSON-serializable) of one
 closed-loop experiment: plant, environment, disturbance, controller, rough
 model estimate, desired-force schedule, optional velocity-servo approach
 phase, and timing.  ``run_scenario`` executes it deterministically: the
-controller runs at period h and the plant integrates with semi-implicit Euler
-substeps under zero-order-hold torque.
+controller runs at period h and the plant integrates under zero-order-hold
+torque with Heun substeps that step the Coulomb friction implicitly and split
+at contact onset.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class ApproachSpec:
 
 
 # the most plant substeps per controller period (h_s / dt_sub_s); the presets
-# take 100
+# take 10
 MAX_SUBSTEPS = 10_000
 
 
@@ -161,7 +162,7 @@ class Scenario:
     qd0: tuple | None = None
     duration: float = 5.0
     h: float = 1e-3
-    dt_sub: float = 1e-5
+    dt_sub: float = 1e-4
 
     def __post_init__(self) -> None:
         self.validate()
@@ -808,7 +809,7 @@ def presets() -> dict[str, Scenario]:
         estimate=EstimateSpec(kind="diag", mass_diag=(0.1,), coriolis_diag=(0.0,)),
         fd_schedule=((0.0, 0.0, -2.0),),
         q0=(0.0,),
-        duration=5.0, h=1e-3, dt_sub=1e-5,
+        duration=5.0, h=1e-3, dt_sub=1e-4,
     )
     # start with the end-effector almost above the base so the contact normal
     # loads the distal joint; the proximal joint (5.9 kg m^2 against a 3 Nm
@@ -824,7 +825,7 @@ def presets() -> dict[str, Scenario]:
         estimate=EstimateSpec(kind="diag", mass_diag=(0.2, 0.2), coriolis_diag=(20.0, 20.0)),
         fd_schedule=((0.0, 0.0, -2.0),),
         q0=(2.5, -1.5),
-        duration=5.0, h=1e-3, dt_sub=1e-5,
+        duration=5.0, h=1e-3, dt_sub=1e-4,
     )
     # soft-pad stiffness stand-ins for the three test materials, stiffest first;
     # at h = 4 ms an undamped spring beyond ~500 N/m rings the discrete sliding
@@ -843,7 +844,7 @@ def presets() -> dict[str, Scenario]:
         approach=ApproachSpec(mode="velocity", v_ref=-0.04, kv=60.0,
                               hold_force=0.22 * 9.81),
         q0=(0.02,),
-        duration=6.0, h=4e-3, dt_sub=4e-5,
+        duration=6.0, h=4e-3, dt_sub=4e-4,
     )
     bench = Scenario(
         name="msta_bench",
@@ -859,7 +860,7 @@ def presets() -> dict[str, Scenario]:
         fd_schedule=((0.0, 0.0, 0.0),),
         disturbance=DisturbanceSpec(kind="ramp_hold", rate=10.0, level=10.0, t_start=0.5),
         q0=(0.0,),
-        duration=5.0, h=1e-3, dt_sub=1e-5,
+        duration=5.0, h=1e-3, dt_sub=1e-4,
     )
     return {s.name: s for s in (fig3, fig5, linmotor, bench)}
 

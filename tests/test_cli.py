@@ -29,7 +29,7 @@ def test_run_preset_writes_outputs(tmp_path, capsys):
 def test_run_override_changes_row_count(tmp_path):
     out = str(tmp_path / "run2")
     code = main(["run", "--scenario", "fig3_one_dof", "--out", out,
-                 "--set", "duration_s=0.5", "--set", "h_s=0.00025"])
+                 "--set", "duration_s=0.5", "--set", "h_s=0.00025", "--set", "dt_sub_s=2.5e-5"])
     assert code == 0
     trace = trace_from_csv(os.path.join(out, "trace.csv"))
     assert trace.t.size == 2000

@@ -25,15 +25,15 @@ from nonsmooth_adm.plant import (
 # joint accelerations, each from the array views of the kernel.  The oracles
 # take the drive gain as ``gain``: kappa for a linear stage, 1 for the arms.
 
-def linear_motor_friction(params: LinearMotorParams) -> Disturbance:
-    """Rail friction and cogging stand-in: Coulomb level plus viscous term."""
-    coulomb, viscous = params.friction_coulomb, params.friction_viscous
+def linear_motor_friction(params: LinearMotorParams) -> tuple[Disturbance, float]:
+    """The rail friction: its viscous term as a disturbance, and its Coulomb
+    level, which the reference stepper takes as a Coulomb term of row (1,)."""
+    viscous = params.friction_viscous
 
     def fe(t: float, q: float, qd: float) -> float:
-        # sign0(qd) inline: this runs every substep
-        return -(coulomb * (1.0 if qd > 0.0 else -1.0 if qd < 0.0 else 0.0) + viscous * qd)
+        return -viscous * qd
 
-    return fe
+    return fe, params.friction_coulomb
 
 
 def kernel_kinematics(model: ManipulatorModel, q: np.ndarray
@@ -164,17 +164,29 @@ def test_linear_motor_dynamics():
     qdd = forward_dynamics(model, st, np.array([p.mass * p.g]), np.zeros(1), np.zeros(1),
                            p.kappa)
     assert abs(qdd[0]) < 1e-12
-    fric = linear_motor_friction(p)
-    assert fric(0.0, 0.0, 0.1) == pytest.approx(-(1.0 + 0.5))
+    fric, coulomb = linear_motor_friction(p)
+    assert fric(0.0, 0.0, 0.1) == pytest.approx(-0.5) and coulomb == 1.0
     assert fric(0.0, 0.0, 0.0) == 0.0
 
 
 def test_free_fall_substep_value():
-    model = one_dof_model(OneDofParams())
-    env = EnvironmentModel()
+    """One substep from rest is Heun's step, worked by hand: the rate after
+    dt is the mean of the slopes at the start and at the predicted state."""
+    p = OneDofParams()
+    model = one_dof_model(p)
+    dt = 1e-5
     st = integrate_substep(model, PlantState(np.zeros(1), np.zeros(1)), np.zeros(1),
-                           env, None, 0.0, 1e-5, 1)
-    assert st.qd[0] == pytest.approx(-1.68171428571e-4, rel=1e-9)
+                           EnvironmentModel(), None, 0.0, dt, 1)
+    m0 = p.m1 * p.l1 ** 2 / 3.0 + p.m1 * p.com ** 2
+    a0 = -p.m1 * p.g * p.com / m0
+    v1 = dt * a0
+    q1 = 0.5 * dt * v1
+    a1 = (-p.damping * math.cos(q1) * v1 - p.m1 * p.g * p.com * math.cos(q1)) / (
+        m0 + p.mass_ripple * math.sin(q1))
+    qd = 0.5 * dt * (a0 + a1)
+    assert st.qd[0] == pytest.approx(qd, rel=1e-12)
+    assert st.q[0] == pytest.approx(0.5 * dt * qd, rel=1e-12)
+    assert st.qd[0] == pytest.approx(-1.68171428571e-4, rel=1e-6)
 
 
 def test_zero_dynamics_state_unchanged():
@@ -187,18 +199,67 @@ def test_zero_dynamics_state_unchanged():
     assert np.allclose(st.qd, 0.0)
 
 
-def reference_substeps(model, st, tau, env, dt, n_sub, disturbance=None, gain=1.0):
-    """Semi-implicit Euler written from the array views of the kernel."""
-    q, qd = st.q.copy(), st.qd.copy()
-    t = 0.0
-    for _ in range(n_sub):
+def _reference_forces(model, tau, env, disturbance=None, gain=1.0, rail=0.0):
+    """forces(q, qd, t) -> (a, fy, Coulomb terms) from the array views: the
+    joint accelerations of every force but the Coulomb terms, the spring
+    force k_s (y_s - y) (the normal force where it is positive), and each
+    Coulomb term as (M, tangential row j, level F): the surface friction
+    mu fy along the Jacobian's x row and, on a linear stage, its rail's
+    Coulomb level ``rail`` along (1,)."""
+    def forces(q, qd, t):
         pose, jac = kernel_kinematics(model, q)
-        ee_vel = jac @ qd
-        wrench = contact_wrench(pose, (ee_vel[0], ee_vel[1]), env)
-        fc = joint_contact_torque(model, q, wrench)
+        fy = env.k_s * (env.y_s - pose[1])      # < 0 off the surface
+        normal = max(0.0, fy)
+        fc = joint_contact_torque(model, q, (0.0, normal))
         fe = np.zeros(model.dof) if disturbance is None else np.array([disturbance(t, q[0], qd[0])])
-        qd = qd + dt * forward_dynamics(model, PlantState(q, qd), tau, fc, fe, gain)
-        q = q + dt * qd
+        a = forward_dynamics(model, PlantState(q, qd), tau, fc, fe, gain)
+        M = model.mass_fn(q)
+        terms = [(M, jac[0], env.mu_fric * normal)]
+        if rail > 0.0:
+            terms.append((M, np.ones(1), rail))
+        return a, fy, terms
+    return forces
+
+
+def _coulomb_step(v, terms, dt):
+    """The rates after each Coulomb term's implicit Euler impulse dt * fx,
+    fx = clamp(-j v / (dt w), -F, F) along M^-1 j^T, w = j M^-1 j^T; a term
+    with F = 0 or w = 0 leaves the rates as they are."""
+    for M, j, level in terms:
+        if level > 0.0:
+            b = np.linalg.solve(M, j)
+            w = j @ b
+            if w > 0.0:
+                v = v + dt * b * np.clip(-(j @ v) / (dt * w), -level, level)
+    return v
+
+
+def reference_heun(forces, q, qd, t, dt):
+    """One substep of the period loops' scheme, not split: Heun's step of
+    the smooth forces, each velocity update followed by the Coulomb terms'
+    implicit step at its end state, positions by the trapezoid of the rates."""
+    a0, _, terms = forces(q, qd, t)
+    v = _coulomb_step(qd + dt * a0, terms, dt)
+    q1 = q + dt / 2 * (qd + v)
+    a1, _, terms = forces(q1, v, t + dt)
+    v = _coulomb_step(qd + dt / 2 * (a0 + a1), terms, dt)
+    return q + dt / 2 * (qd + v), v
+
+
+def reference_substeps(forces, q, qd, dt, n_sub, t=0.0):
+    """``n_sub`` substeps of ``reference_heun``, a substep whose ends straddle
+    the surface (fy > 0 at one end only) split at the secant's onset."""
+    q, qd = np.asarray(q, dtype=float), np.asarray(qd, dtype=float)
+    fy0 = forces(q, qd, t)[1]
+    for _ in range(n_sub):
+        qn, vn = reference_heun(forces, q, qd, t, dt)
+        fy1 = forces(qn, vn, t + dt)[1]
+        if (fy0 > 0.0) != (fy1 > 0.0) and 0.0 < fy0 / (fy0 - fy1) < 1.0:
+            d = fy0 / (fy0 - fy1) * dt
+            qn, vn = reference_heun(forces, q, qd, t, d)
+            qn, vn = reference_heun(forces, qn, vn, t + d, dt - d)
+            fy1 = forces(qn, vn, t + dt)[1]
+        q, qd, fy0 = qn, vn, fy1
         t += dt
     return q, qd
 
@@ -207,17 +268,19 @@ def test_substep_matches_reference_loop(rng):
     env = EnvironmentModel(k_s=2e3, y_s=0.0, mu_fric=0.1)
     # the linear stage applies its own drive gain and rail friction
     stage = LinearMotorParams()
-    for model, fe, gain in ((one_dof_model(), None, 1.0),
-                            (linear_motor_model(stage), linear_motor_friction(stage), stage.kappa),
-                            (two_link_model(), None, 1.0)):
+    viscous, coulomb = linear_motor_friction(stage)
+    for model, fe, gain, rail in ((one_dof_model(), None, 1.0, 0.0),
+                                  (linear_motor_model(stage), viscous, stage.kappa, coulomb),
+                                  (two_link_model(), None, 1.0, 0.0)):
         for _ in range(40):
             n = model.dof
             st = PlantState(rng.normal(scale=0.4, size=n), rng.normal(size=n))
             tau = rng.normal(size=n)
-            a = integrate_substep(model, st, tau, env, None, 0.0, 1e-5, 25)
-            q, qd = reference_substeps(model, st, tau, env, 1e-5, 25, fe, gain)
-            assert np.allclose(a.q, q, atol=1e-13)
-            assert np.allclose(a.qd, qd, atol=1e-12)
+            a = integrate_substep(model, st, tau, env, None, 0.0, 1e-4, 25)
+            q, qd = reference_substeps(_reference_forces(model, tau, env, fe, gain, rail),
+                                       st.q, st.qd, 1e-4, 25)
+            assert np.allclose(a.q, q, rtol=1e-12, atol=1e-13)
+            assert np.allclose(a.qd, qd, rtol=1e-12, atol=1e-12)
 
 
 def test_model_rejects_unsupported_shapes():
@@ -381,57 +444,9 @@ def test_kernel_ends_with_the_pose_and_the_jacobian_rows(rng, ee_kinematics):
             assert np.array(t[e + 2:]).reshape(2, n).tobytes() == jac.tobytes()
 
 
-# The generic substep loops that ran every plant through its kernel, kept
-# verbatim as the oracle of the models' own period loops: a loop over
-# ``terms`` is what each model's loop must reproduce bit for bit.
-
-def _integrate_scalar(model: ManipulatorModel, q0: float, qd0: float, tau: float,
-                      env: EnvironmentModel, disturbance: Disturbance | None,
-                      t: float, dt: float, n_sub: int, gain: float = 1.0) -> tuple[float, float]:
-    terms = model.terms
-    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-    gt = gain * tau
-    q, qd = q0, qd0
-    for _ in range(n_sub):
-        m, c, g, _, ey, jx, jy = terms(q, qd)
-        fc = 0.0
-        fy = ks * (ys - ey)
-        if fy > 0.0:
-            v = jx * qd   # Coulomb friction: -mu * fy * sign0(v)
-            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
-            fc = jx * fx + jy * fy
-        fe = disturbance(t, q, qd) if disturbance is not None else 0.0
-        qd += dt * (gt + fc + fe - c * qd - g) / m
-        q += dt * qd
-        t += dt
-    return q, qd
-
-
-def _integrate_planar2(model: ManipulatorModel, q1: float, q2: float, qd1: float, qd2: float,
-                       tau1: float, tau2: float, env: EnvironmentModel, dt: float,
-                       n_sub: int) -> tuple:
-    terms = model.terms
-    ks, ys, nmu = env.k_s, env.y_s, -env.mu_fric
-    g1t, g2t = 1.0 * tau1, 1.0 * tau2     # the arm's drive gain is 1
-    for _ in range(n_sub):
-        (m11, m12, m22, c11, c12, c21, c22, g1, g2,
-         ex, ey, j11, j12, j21, j22) = terms(q1, q2, qd1, qd2)
-        fc1 = fc2 = 0.0
-        fy = ks * (ys - ey)
-        if fy > 0.0:
-            v = j11 * qd1 + j12 * qd2   # Coulomb friction: -mu * fy * sign0(v)
-            fx = nmu * fy * (1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0)
-            fc1 = j11 * fx + j21 * fy
-            fc2 = j12 * fx + j22 * fy
-        r1 = g1t + fc1 - c11 * qd1 - c12 * qd2 - g1
-        r2 = g2t + fc2 - c21 * qd1 - c22 * qd2 - g2
-        det = m11 * m22 - m12 * m12
-        qd1 += dt * (m22 * r1 - m12 * r2) / det
-        qd2 += dt * (m11 * r2 - m12 * r1) / det
-        q1 += dt * qd1
-        q2 += dt * qd2
-    return q1, q2, qd1, qd2
-
+# The period loops against the reference stepper over every plant, default
+# and random parameters, the disturbance bases, in and out of contact, and
+# all three signs of the tangential rate.
 
 def _sine(t, q, qd):
     return 0.7 * math.sin(2.0 * math.pi * 3.0 * (t - 0.01)) if t >= 0.01 else 0.0
@@ -474,18 +489,15 @@ def _oracle_disturbance(base, friction):
 
 
 def _loop_and_oracle(model, friction, gain, q, qd, tau, env, base, dt, n_sub):
-    """(q, qd) bits after ``n_sub`` substeps of the model's loop and of the
-    generic loop, from t = 0."""
+    """(q, qd) after ``n_sub`` substeps of the model's loop and of the
+    reference stepper, from t = 0."""
     st = integrate_substep(model, PlantState(q, qd), tau, env, base, 0.0, dt, n_sub)
-    if model.dof == 1:
-        ref = _integrate_scalar(model, float(q[0]), float(qd[0]), float(tau[0]), env,
-                                _oracle_disturbance(base, friction), 0.0, dt, n_sub, gain)
-        return _bits((st.q[0], st.qd[0])), _bits(ref)
-    ref = _integrate_planar2(model, *map(float, (*q, *qd, *tau)), env, dt, n_sub)
-    return _bits((*st.q, *st.qd)), _bits(ref)
+    viscous, coulomb = friction if friction is not None else (None, 0.0)
+    forces = _reference_forces(model, tau, env, _oracle_disturbance(base, viscous), gain, coulomb)
+    return np.array([*st.q, *st.qd]), np.concatenate(reference_substeps(forces, q, qd, dt, n_sub))
 
 
-def test_period_loops_equal_the_generic_loops_bitwise(rng):
+def test_period_loops_equal_the_reference_stepper(rng):
     seen = set()
     for model, friction, gain in _plant_cases(rng):
         n = model.dof
@@ -500,14 +512,14 @@ def test_period_loops_equal_the_generic_loops_bitwise(rng):
                 env = EnvironmentModel(k_s=float(rng.uniform(1e2, 5e3)),
                                        y_s=ey + (1e-3 if contact else -1.0),
                                        mu_fric=float(rng.choice([0.0, 0.1, 0.5])))
-                # a coarse step keeps the rounding of each force term from
-                # being absorbed into the much larger state
+                # a coarse step makes each force term count in the state
                 for tau, (dt, n_sub), base in itertools.product(
-                        (rng.normal(size=n), np.zeros(n)), ((1e-4, 1), (1e-4, 60), (0.5, 2)),
+                        (rng.normal(size=n), np.zeros(n)), ((1e-4, 1), (1e-4, 10), (0.05, 2)),
                         bases):
                     got, ref = _loop_and_oracle(model, friction, gain, q, qd, tau, env, base, dt,
                                                 n_sub)
-                    assert got == ref, (model, q, qd, tau, env, base, dt, n_sub)
+                    assert np.allclose(got, ref, rtol=1e-11, atol=1e-12), (
+                        model, q, qd, tau, env, base, dt, n_sub, got - ref)
                 if contact:
                     v = (kernel_kinematics(model, q)[1] @ qd)[0]
                     seen.add((n, "v>0" if v > 0.0 else "v<0" if v < 0.0 else "v=0"))
@@ -521,5 +533,159 @@ def test_inertia_positivity_error_through_integrate_substep():
     with pytest.raises(ValueError, match="inertia lost positivity") as got:
         integrate_substep(model, st, np.zeros(1), EnvironmentModel(), None, 0.0, 1e-5, 10)
     with pytest.raises(ValueError) as ref:
-        _integrate_scalar(model, -math.pi / 2, 0.0, 0.0, EnvironmentModel(), None, 0.0, 1e-5, 10)
+        reference_substeps(_reference_forces(model, np.zeros(1), EnvironmentModel()),
+                           st.q, st.qd, 1e-5, 10)
     assert str(got.value) == str(ref.value)
+
+
+# The step itself: its order out of contact, the split at the surface, the
+# implicit Coulomb step in stick, a vanishing tangential row, and mu = 0.
+
+def _stage_cases():
+    """(model, q, qd, tau, rail friction or None, drive gain) off the surface."""
+    stage = LinearMotorParams()
+    yield one_dof_model(), np.array([0.3]), np.array([2.0]), np.array([0.5]), None, 1.0
+    yield two_link_model(), np.array([0.4, -0.9]), np.array([1.5, -2.0]), np.array([0.3, -0.2]), \
+        None, 1.0
+    # sliding up the rail all period long
+    yield linear_motor_model(stage), np.zeros(1), np.array([2.0]), np.array([0.1]), \
+        linear_motor_friction(stage), stage.kappa
+
+
+def test_step_is_second_order_out_of_contact():
+    """Off the surface with mu = 0, halving the substep cuts the error of one
+    period against a 4096-substep run by at least 3.5 (Heun's step is second
+    order; the rail's Coulomb level in slip is a constant force)."""
+    env = EnvironmentModel(k_s=2e3, y_s=-10.0, mu_fric=0.0)
+    h = 0.02
+    for model, q, qd, tau, _, _ in _stage_cases():
+        def period(n_sub):
+            st = integrate_substep(model, PlantState(q, qd), tau, env, None, 0.0, h / n_sub, n_sub)
+            return np.array([*st.q, *st.qd])
+
+        fine = period(4096)
+        coarse, half = (np.abs(period(n) - fine).max() for n in (8, 16))
+        assert coarse > 1e3 * np.abs(fine).max() * 2.0 ** -52, model   # well above roundoff
+        assert coarse / half >= 3.5, (model, coarse, half)
+
+
+def _straddle_state(model, q, qd, env_kw):
+    """The surface a little below the end-effector (above it for qd < 0 on
+    a rate that lifts it): one substep of 1e-4 s crosses it."""
+    ey = kernel_kinematics(model, q)[0][1]
+    vy = (kernel_kinematics(model, q)[1] @ qd)[1]
+    return EnvironmentModel(y_s=ey + 0.4e-4 * vy, **env_kw)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["onset", "release"])
+def test_straddling_substep_is_two_substeps_split_at_the_onset(sign):
+    """A substep whose ends lie on both sides of the surface equals, to
+    1e-12, two substeps split where the secant of the spring force over the
+    unsplit substep locates the crossing; the split moves the state by much
+    more than that."""
+    dt = 1e-4
+    for model, q, qd, tau, friction, gain in _stage_cases():
+        qd = sign * -np.abs(qd) if model.dof == 1 else sign * np.array([-1.5, -2.0])
+        env = _straddle_state(model, q, qd, dict(k_s=2e3, mu_fric=0.3))
+        viscous, coulomb = friction if friction is not None else (None, 0.0)
+        forces = _reference_forces(model, tau, env, viscous, gain, coulomb)
+        qn, vn = reference_heun(forces, q, qd, 0.0, dt)
+        fy0, fy1 = forces(q, qd, 0.0)[1], forces(qn, vn, dt)[1]
+        assert (fy0 > 0.0) != (fy1 > 0.0)
+        d = fy0 / (fy0 - fy1) * dt
+        assert 0.05 * dt < d < 0.95 * dt
+        whole = integrate_substep(model, PlantState(q, qd), tau, env, None, 0.0, dt, 1)
+        # the two parts are not split again, though the first, from one
+        # secant step, ends near the surface but not on it
+        split = reference_heun(forces, *reference_heun(forces, q, qd, 0.0, d), d, dt - d)
+        got = np.array([*whole.q, *whole.qd])
+        assert np.abs(got - np.concatenate(split)).max() <= 1e-12, model
+        assert np.abs(got - np.array([*qn, *vn])).max() > 1e-9, model
+
+
+def _normal_torque(model, q, k_s, y_s):
+    """J^T (0, fy) of the spring force k_s (y_s - y) at q."""
+    pose, _ = kernel_kinematics(model, q)
+    return joint_contact_torque(model, q, (0.0, k_s * (y_s - pose[1])))
+
+
+def test_stick_ends_the_substep_at_zero_tangential_rate():
+    """Where the rate Heun's step gives has |j v| <= dt F w, the implicit
+    Coulomb step leaves the tangential rate j v at 0 to roundoff (exactly 0
+    on one joint); j, F and w are those of the predicted state."""
+    dt = 1e-4
+    stage = LinearMotorParams()
+    cases = (  # (model, q, qd, tau, env, rail friction or None, drive gain)
+        # the normal force's torque l1 cos q fy is below mu fy l1 |sin q|
+        (one_dof_model(OneDofParams(g=0.0)), np.array([-1.2]), np.array([1e-6]), np.zeros(1),
+         EnvironmentModel(k_s=2e3, y_s=0.5 * math.sin(-1.2) + 1e-3, mu_fric=0.5), None, 1.0),
+        # the drive balances the normal force's torques J_y^T fy
+        (two_link_model(), np.array([2.5, -1.5]), np.array([1e-6, -2e-6]),
+         -_normal_torque(two_link_model(), np.array([2.5, -1.5]), 2e3, 0.745),
+         EnvironmentModel(k_s=2e3, y_s=0.745, mu_fric=0.5), None, 1.0),
+        # held on the rail: the drive less the weight is below the Coulomb level
+        (linear_motor_model(stage), np.zeros(1), np.array([1e-5]), np.array([2.0]),
+         EnvironmentModel(), linear_motor_friction(stage), stage.kappa),
+    )
+    for model, q, qd, tau, env, friction, gain in cases:
+        viscous, coulomb = friction if friction is not None else (None, 0.0)
+        forces = _reference_forces(model, tau, env, viscous, gain, coulomb)
+        a0, fy, terms = forces(q, qd, 0.0)
+        v = _coulomb_step(qd + dt * a0, terms, dt)
+        a1, fy1, terms = forces(q + dt / 2 * (qd + v), v, dt)
+        free = qd + dt / 2 * (a0 + a1)
+        M, j, level = terms[-1]
+        assert level > 0.0 and (fy > 0.0) == (fy1 > 0.0)
+        assert abs(j @ free) <= dt * level * (j @ np.linalg.solve(M, j)), model
+        st = integrate_substep(model, PlantState(q, qd), tau, env, None, 0.0, dt, 1)
+        if model.dof == 1:
+            assert st.qd[0] == 0.0
+        else:
+            assert abs(j @ st.qd) <= 1e-15 * np.abs(j) @ np.abs(st.qd)
+            assert abs(j @ free) > 1e-3 * np.abs(j) @ np.abs(free)   # it was not 0 before
+
+
+@pytest.mark.parametrize("qd_scale", [0.0, 1.0])
+def test_a_vanishing_tangential_row_divides_nothing(qd_scale):
+    """At q = 0 the one-joint arm's tangential row -l1 sin q is 0, and the
+    two-link arm's is (0, 0): in contact, w = j M^-1 j^T = 0 and the step
+    raises no ZeroDivisionError; it equals the reference stepper."""
+    for model in (one_dof_model(), two_link_model()):
+        n = model.dof
+        q, qd, tau = np.zeros(n), qd_scale * np.full(n, 0.3), np.zeros(n)
+        env = EnvironmentModel(k_s=2e3, y_s=1e-3, mu_fric=0.5)
+        assert not kernel_kinematics(model, q)[1][0].any()
+        st = integrate_substep(model, PlantState(q, qd), tau, env, None, 0.0, 1e-4, 10)
+        ref = reference_substeps(_reference_forces(model, tau, env), q, qd, 1e-4, 10)
+        assert np.allclose(np.concatenate([st.q, st.qd]), np.concatenate(ref),
+                           rtol=1e-12, atol=1e-15)
+
+
+def test_without_friction_the_rates_are_heuns():
+    """With mu = 0 (and no rail Coulomb level) the velocity is left as Heun's
+    step gives it, in contact and for either sign of the tangential rate;
+    with mu > 0 the same substep ends elsewhere on the arms (on the stage the
+    surface friction acts across the rail)."""
+    dt = 1e-4
+    stage = LinearMotorParams(friction_coulomb=0.0)
+    cases = ((one_dof_model(), np.array([0.3]), np.array([2.0]), np.array([0.5]), None, 1.0),
+             (two_link_model(), np.array([0.4, -0.9]), np.array([1.5, -2.0]),
+              np.array([0.3, -0.2]), None, 1.0),
+             (linear_motor_model(stage), np.zeros(1), np.array([2.0]), np.array([0.1]),
+              linear_motor_friction(stage)[0], stage.kappa))
+    for model, q, qd, tau, viscous, gain in cases:
+        ey = kernel_kinematics(model, q)[0][1]
+        for v0 in (qd, -qd):
+            got = {}
+            for mu in (0.0, 0.5):
+                env = EnvironmentModel(k_s=2e3, y_s=ey + 1e-3, mu_fric=mu)
+                st = integrate_substep(model, PlantState(q, v0), tau, env, None, 0.0, dt, 1)
+                got[mu] = np.array([*st.q, *st.qd])
+            forces = _reference_forces(model, tau, env, viscous, gain)
+            a0 = forces(q, v0, 0.0)[0]
+            v = v0 + dt * a0
+            a1 = forces(q + dt / 2 * (v0 + v), v, dt)[0]
+            v = v0 + dt / 2 * (a0 + a1)
+            heun = np.array([*(q + dt / 2 * (v0 + v)), *v])
+            assert np.allclose(got[0.0], heun, rtol=1e-13, atol=1e-15), model
+            assert (np.abs(got[0.5] - heun).max() > 1e-9) == (viscous is None), model
