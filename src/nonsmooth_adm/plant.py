@@ -59,14 +59,16 @@ class ManipulatorModel:
 
     ``_advance`` is the plant's controller period: ``n_sub`` substeps on
     floats, each a Heun (explicit trapezoid) step of the smooth forces with
-    the Coulomb terms (the arms' surface friction, the stage's rail level)
-    folded into each velocity update as their implicit Euler step, a clamp
-    of the friction force onto [-F, F]; a substep whose ends straddle the
-    surface is split at the onset.  The kernel's entries are written out in
-    the loop, not read from ``terms``.  It is called as ``(q, qd, tau, env,
-    disturbance, t, dt, n_sub) -> (q, qd)`` with q, qd and the commanded
-    torque as lists of floats, one entry per joint.  Each model constructor
-    builds its kernel and its loop.
+    the trapezoid of the Coulomb terms (the arms' surface friction, the
+    stage's rail level) folded into the velocity updates: the predictor
+    takes their implicit Euler step at the start state, a clamp of the
+    friction force onto [-F, F], and the corrector half of that impulse and
+    the implicit step of the other half at the predicted end state; a
+    substep whose ends straddle the surface is split at the onset.  The
+    kernel's entries are written out in the loop, not read from ``terms``.
+    It is called as ``(q, qd, tau, env, disturbance, t, dt, n_sub) -> (q,
+    qd)`` with q, qd and the commanded torque as lists of floats, one entry
+    per joint.  Each model constructor builds its kernel and its loop.
     """
 
     dof: int
@@ -224,23 +226,30 @@ def _scalar_period(accel, q: float, qd: float, t: float, dt: float, n_sub: int) 
     the Coulomb term, the normal contact force, and the rate g = F |j| / m at
     which the Coulomb level F, acting through the tangential Jacobian entry
     j on the inertia m, can change the joint rate (0 where no Coulomb term
-    acts).  Each substep is a Heun step with the Coulomb term folded into
-    both velocity updates as its implicit Euler step: the impulse dt * fx
-    with fx = clamp(-j qd / (dt w), -F, F) and w = j^2 / m, which on one
-    joint is qd - clamp(qd, -dt g, dt g), so w = 0 (j = 0) divides nothing.
-    Positions advance by the trapezoid of the clamped rates.  A substep
-    whose two ends straddle the surface (fy > 0 at one end only) is split at
-    the onset the secant of fy locates, and each part is stepped alone.
+    acts).  Each substep is a Heun step with the trapezoid of the Coulomb
+    term folded into its velocity updates.  The predictor takes its implicit
+    Euler step at the start state, the impulse dt * fx with fx = clamp(-j qd
+    / (dt w), -F, F) and w = j^2 / m, which on one joint is qd - clamp(qd,
+    -dt g, dt g), so w = 0 (j = 0) divides nothing.  The corrector adds half
+    of that impulse as it is, then clamps the other half implicitly at the
+    predicted end state, with level dt g / 2: in slip the impulse is the
+    trapezoid of the start and end levels (second order), and a sticking
+    contact still ends the substep at rest.  Positions advance by the
+    trapezoid of the clamped rates.  A substep whose two ends straddle the
+    surface (fy > 0 at one end only) is split at the onset the secant of fy
+    locates, and each part is stepped alone.
     """
     def heun(q, qd, t, dt, a0, g0):
-        v = qd + dt * a0
+        u = v = qd + dt * a0
         lim = dt * g0
         if lim > 0.0:
-            v = v - lim if v > lim else v + lim if v < -lim else 0.0 * v
+            v = u - lim if u > lim else u + lim if u < -lim else 0.0 * u
         half = 0.5 * dt
         a1, _, g1 = accel(q + half * (qd + v), v, t + dt)
-        v = qd + half * (a0 + a1)
-        lim = dt * g1
+        # half the predictor's Coulomb impulse v - u, the other half clamped
+        # at the predicted end state
+        v = qd + half * (a0 + a1) + 0.5 * (v - u)
+        lim = half * g1
         if lim > 0.0:
             v = v - lim if v > lim else v + lim if v < -lim else 0.0 * v
         return q + half * (qd + v), v
@@ -305,10 +314,12 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
 
 
 def _coulomb_impulse(v1: float, v2: float, coulomb: tuple, dt: float) -> tuple:
-    """Two joint rates after the implicit Euler step of a Coulomb term: the
-    impulse dt * fx along b = M^-1 j^T, fx = clamp(-j v / (dt w), -F, F) with
-    w = j b > 0, so the tangential rate j v ends at 0 where |j v| <= dt F w
-    (stick) and the force is +-F otherwise (slip)."""
+    """Two joint rates after the implicit Euler step of a Coulomb term over
+    dt: the impulse dt * fx along b = M^-1 j^T, fx = clamp(-j v / (dt w), -F,
+    F) with w = j b > 0, so the tangential rate j v ends at 0 where |j v| <=
+    dt F w (stick) and the force is +-F otherwise (slip).  The two-link
+    substep takes it over its whole step at the start state and over half
+    of it at the predicted end state, the trapezoid of the friction."""
     j1, j2, b1, b2, w, f = coulomb
     lim = dt * f
     imp = -(j1 * v1 + j2 * v2) / w
@@ -384,16 +395,20 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
 
         def heun(q1, q2, qd1, qd2, dt, st):
             # one Heun substep from the state whose accel() is st, the
-            # surface friction folded into each velocity update
+            # trapezoid of the surface friction folded into its velocity
+            # updates
             a1, a2, _, co = st
-            v1, v2 = qd1 + dt * a1, qd2 + dt * a2
+            u1, u2 = v1, v2 = qd1 + dt * a1, qd2 + dt * a2
             if co is not None:
-                v1, v2 = _coulomb_impulse(v1, v2, co, dt)
+                v1, v2 = _coulomb_impulse(u1, u2, co, dt)
             half = 0.5 * dt
             e1, e2, _, co = accel(q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2)
-            v1, v2 = qd1 + half * (a1 + e1), qd2 + half * (a2 + e2)
+            # half the predictor's friction impulse v - u as it was, the other
+            # half clamped along the predicted end state's row
+            v1 = qd1 + half * (a1 + e1) + 0.5 * (v1 - u1)
+            v2 = qd2 + half * (a2 + e2) + 0.5 * (v2 - u2)
             if co is not None:
-                v1, v2 = _coulomb_impulse(v1, v2, co, dt)
+                v1, v2 = _coulomb_impulse(v1, v2, co, half)
             return q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2
 
         st = accel(q1, q2, qd1, qd2)
@@ -466,13 +481,13 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
                       t: float, dt_sub: float, n_sub: int) -> PlantState:
     """Advance the plant by n_sub substeps of dt_sub under held torque.
 
-    Each substep is a Heun step with the Coulomb terms stepped implicitly,
-    split where it crosses the surface (see ``ManipulatorModel``); the
-    contact forces are re-evaluated at each stage.  The commanded torque is
-    a zero-order hold over the whole controller period.  A ``disturbance``
-    acts on one-joint plants only.  The substeps are the model's own period
-    loop.  A ``tau_held`` of another entry count than the plant's joints
-    raises ValueError.
+    Each substep is a Heun step with the trapezoid of the Coulomb terms,
+    each end clamped implicitly, split where it crosses the surface (see
+    ``ManipulatorModel``); the contact forces are re-evaluated at each
+    stage.  The commanded torque is a zero-order hold over the whole
+    controller period.  A ``disturbance`` acts on one-joint plants only.
+    The substeps are the model's own period loop.  A ``tau_held`` of another
+    entry count than the plant's joints raises ValueError.
     """
     tau = tau_held.tolist()
     if len(tau) != model.dof:

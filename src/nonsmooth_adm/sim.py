@@ -5,8 +5,8 @@ closed-loop experiment: plant, environment, disturbance, controller, rough
 model estimate, desired-force schedule, optional velocity-servo approach
 phase, and timing.  ``run_scenario`` executes it deterministically: the
 controller runs at period h and the plant integrates under zero-order-hold
-torque with Heun substeps that step the Coulomb friction implicitly and split
-at contact onset.
+torque with Heun substeps that step the Coulomb friction as a trapezoid of
+implicit clamps and split at contact onset.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class ApproachSpec:
     hold_force: float = 0.0     # N feedforward (e.g. estimated weight)
 
 
-# the most plant substeps per controller period (h_s / dt_sub_s); the presets
-# take 10
+# the most plant substeps per controller period (h_s / dt_sub_s); the arms'
+# presets take 5, linmotor_steps and msta_bench 10
 MAX_SUBSTEPS = 10_000
 
 
@@ -809,7 +809,7 @@ def presets() -> dict[str, Scenario]:
         estimate=EstimateSpec(kind="diag", mass_diag=(0.1,), coriolis_diag=(0.0,)),
         fd_schedule=((0.0, 0.0, -2.0),),
         q0=(0.0,),
-        duration=5.0, h=1e-3, dt_sub=1e-4,
+        duration=5.0, h=1e-3, dt_sub=2e-4,
     )
     # start with the end-effector almost above the base so the contact normal
     # loads the distal joint; the proximal joint (5.9 kg m^2 against a 3 Nm
@@ -825,7 +825,7 @@ def presets() -> dict[str, Scenario]:
         estimate=EstimateSpec(kind="diag", mass_diag=(0.2, 0.2), coriolis_diag=(20.0, 20.0)),
         fd_schedule=((0.0, 0.0, -2.0),),
         q0=(2.5, -1.5),
-        duration=5.0, h=1e-3, dt_sub=1e-4,
+        duration=5.0, h=1e-3, dt_sub=2e-4,
     )
     # soft-pad stiffness stand-ins for the three test materials, stiffest first;
     # at h = 4 ms an undamped spring beyond ~500 N/m rings the discrete sliding

@@ -236,13 +236,17 @@ def _coulomb_step(v, terms, dt):
 
 def reference_heun(forces, q, qd, t, dt):
     """One substep of the period loops' scheme, not split: Heun's step of
-    the smooth forces, each velocity update followed by the Coulomb terms'
-    implicit step at its end state, positions by the trapezoid of the rates."""
+    the smooth forces with the trapezoid of the Coulomb terms.  The
+    predicted rate takes their implicit step at the start state; the
+    corrected rate takes half of that impulse as it is, then their implicit
+    step of half the level dt / 2 at the predicted end state.  Positions
+    advance by the trapezoid of the rates."""
     a0, _, terms = forces(q, qd, t)
-    v = _coulomb_step(qd + dt * a0, terms, dt)
+    free = qd + dt * a0
+    v = _coulomb_step(free, terms, dt)
     q1 = q + dt / 2 * (qd + v)
     a1, _, terms = forces(q1, v, t + dt)
-    v = _coulomb_step(qd + dt / 2 * (a0 + a1), terms, dt)
+    v = _coulomb_step(qd + dt / 2 * (a0 + a1) + (v - free) / 2, terms, dt / 2)
     return q + dt / 2 * (qd + v), v
 
 
@@ -565,6 +569,34 @@ def test_step_is_second_order_out_of_contact():
 
         fine = period(4096)
         coarse, half = (np.abs(period(n) - fine).max() for n in (8, 16))
+        assert coarse > 1e3 * np.abs(fine).max() * 2.0 ** -52, model   # well above roundoff
+        assert coarse / half >= 3.5, (model, coarse, half)
+
+
+def test_step_is_second_order_in_sliding_contact():
+    """Sliding along the surface with mu = 0.3 all period long, going from
+    16 to 32 substeps cuts the error of one 10 ms period against a
+    4096-substep run by at least 3.5: the Coulomb term's trapezoid is second
+    order in slip, on one joint and on two."""
+    h = 0.01
+    for model, q in ((one_dof_model(OneDofParams(g=0.0)), np.array([-math.pi / 2])),
+                     (two_link_model(), np.array([2.5, -1.5]))):
+        pose, jac = kernel_kinematics(model, q)
+        # a rate with no normal component and 0.5 m/s along the surface
+        along = np.ones(1) if model.dof == 1 else np.array([jac[1, 1], -jac[1, 0]])
+        qd = 0.5 * along / (jac[0] @ along)
+        env = EnvironmentModel(k_s=2e3, y_s=pose[1] + 1e-3, mu_fric=0.3)
+
+        def period(n_sub):
+            return integrate_substep(model, PlantState(q, qd), np.zeros(model.dof), env, None,
+                                     0.0, h / n_sub, n_sub)
+
+        fine = period(4096)
+        pose, jac = kernel_kinematics(model, fine.q)
+        assert pose[1] < env.y_s and jac[0] @ fine.qd > 0.4, model   # still in contact, sliding
+        fine = np.array([*fine.q, *fine.qd])
+        coarse, half = (np.abs(np.array([*st.q, *st.qd]) - fine).max()
+                        for st in (period(16), period(32)))
         assert coarse > 1e3 * np.abs(fine).max() * 2.0 ** -52, model   # well above roundoff
         assert coarse / half >= 3.5, (model, coarse, half)
 

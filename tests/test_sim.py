@@ -586,7 +586,9 @@ def test_fig3_gravity_term_balance():
 def test_fig3_halved_step_consistency(fig3_run):
     sc, tr, m, _ = fig3_run
     half = copy.deepcopy(sc)
+    # both halved, so the period keeps its substep count
     apply_override(half, "h_s", sc.h / 2)
+    apply_override(half, "dt_sub_s", sc.dt_sub / 2)
     tr2 = run_scenario(half)
     m2 = compute_metrics(tr2, half)
     assert abs(m2.steady_force_mean - m.steady_force_mean) / 2.0 < 0.01

@@ -13,6 +13,19 @@ and the run's ``steady_force_err``, settle time and contact losses (contact
 -> no-contact transitions after first contact) with the reference's in
 brackets.
 
+It then prints the order table: the impact transient's gap of fig3 and fig5
+(proposed controller) at 5, 10, 20 and 40 substeps per period, at the
+preset's surface friction and at mu = 0, each against its own 2000-substep
+run, with the ratio of each gap to the next (about 4 per halving of the step
+for a second-order step, 2 for a first-order one).
+
+``tests/test_plant_convergence.py`` holds the impact transient of the
+proposed fig3, fig5, fig5 ``implicit-vector`` and ``linmotor_steps`` runs at
+each preset's own plant step to the values of the semi-implicit Euler loop
+at 100 substeps, and the three arm runs, at 5 substeps, also to the values
+of the event-located step at 10 substeps when its Coulomb term was an
+implicit Euler step at each velocity update's end state.
+
 With ``--seeds``, it also prints, for the fig5 ``implicit-vector`` run with
 the surface stiffness and force command perturbed as ``perfbench`` perturbs
 them for each seed (its ``replay_2dof`` recording), the median over the seeds
@@ -48,6 +61,8 @@ TRANSIENT_S = 0.05
 REF_SUBSTEPS = 2000
 CONTACT_PRESETS = ("fig3_one_dof", "fig5_two_dof", "linmotor_steps")
 STIFF_K_S = 1e4
+ORDER_PRESETS = ("fig3_one_dof", "fig5_two_dof")
+ORDER_SUBSTEPS = (5, 10, 20, 40)
 
 
 def convergence_runs() -> dict:
@@ -123,6 +138,23 @@ def row(name: str, sc) -> str:
             f"| {contact_losses(run)} ({contact_losses(ref)}) |")
 
 
+def order_rows() -> list[str]:
+    """The order table's rows: per arm preset and surface friction, the
+    impact transient's gap at each of ORDER_SUBSTEPS and the ratios of
+    consecutive gaps."""
+    rows = []
+    for name in ORDER_PRESETS:
+        preset = presets()[name]
+        for mu in (preset.env.mu_fric, 0.0):
+            sc = copy.deepcopy(preset)
+            apply_override(sc, "env.mu_fric", mu)
+            gaps = [transient_gap(refined(sc, n)) for n in ORDER_SUBSTEPS]
+            ratios = " ".join(f"{a / b:.2g}" for a, b in zip(gaps, gaps[1:]))
+            rows.append(f"| {name} | {mu:g} | " + " | ".join(f"{g:.2g}" for g in gaps)
+                        + f" | {ratios} |")
+    return rows
+
+
 def seed_medians(seeds: list[int]) -> str:
     from workloads import factors
 
@@ -152,6 +184,13 @@ def main(argv: list[str] | None = None) -> None:
     print("|---|---|---|---|---|---|---|")
     for name, sc in convergence_runs().items():
         print(row(name, sc), flush=True)
+    print()
+    print("order: max abs dfcy over contact + 50 ms, each run against its own reference")
+    print("| run | mu | " + " | ".join(f"{n} substeps" for n in ORDER_SUBSTEPS)
+          + " | ratios |")
+    print("|---|---|" + "---|" * len(ORDER_SUBSTEPS) + "---|")
+    for line in order_rows():
+        print(line, flush=True)
     if args.seeds:
         print(seed_medians(args.seeds))
 
