@@ -45,7 +45,7 @@ _LAYOUT = {1: (1, 2, 3), 2: (3, 7, 9)}
 
 @dataclass(frozen=True)
 class ManipulatorModel:
-    """Plant interface: one float dynamics kernel and its period loop.
+    """Plant interface: one float dynamics kernel and its substep.
 
     ``terms`` is the dynamics kernel.  For one joint it maps floats (q, qd)
     to (m, c, g, ee_x, ee_y, jac_x, jac_y); for two joints it maps
@@ -57,29 +57,22 @@ class ManipulatorModel:
     planar end-effector velocity (2 x dof).  The plant integrates whatever
     torque it is given: the torque box belongs to the controller.
 
-    ``_advance`` is the plant's controller period: ``n_sub`` substeps on
-    floats, each a Heun (explicit trapezoid) step of the smooth forces with
-    the trapezoid of the Coulomb terms (the arms' surface friction, the
-    stage's rail level) folded into the velocity updates: the predictor
-    takes their implicit Euler step at the start state, a clamp of the
-    friction force onto [-F, F], and the corrector half of that impulse and
-    the implicit step of the other half at the predicted end state; a
-    substep whose ends straddle the surface is split at the onset.  The
-    kernel's entries are written out in the loop, not read from ``terms``.
-    It is called as ``(q, qd, tau, env, disturbance, t, dt, n_sub) -> (q,
-    qd)`` with q, qd and the commanded torque as lists of floats, one entry
-    per joint.  Each model constructor builds its kernel and its loop.
+    ``_substep(tau, env, disturbance)`` binds the plant's substep to one
+    period's torque (a list of floats): it returns ``(forces, heun)``, the
+    force evaluation ``forces(q..., qd..., t)`` with the kernel written out
+    inline, and the plant's Heun body.  ``_event_located`` runs the two and
+    describes the scheme.
     """
 
     dof: int
     terms: Callable[..., tuple]
-    _advance: Callable[..., tuple] | None = field(default=None, repr=False)
+    _substep: Callable[..., tuple] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.dof not in _LAYOUT:
             raise ValueError(f"dof must be 1 or 2, got {self.dof}")
-        if not callable(self._advance):
-            raise TypeError("a plant model needs its period loop, _advance")
+        if not callable(self._substep):
+            raise TypeError("a plant model needs its substep, _substep")
 
     def _at(self, q: np.ndarray, qd: np.ndarray = (0.0, 0.0)) -> tuple:
         if self.dof == 1:
@@ -203,7 +196,8 @@ class PlantState:
 
 def _plant_state(q: np.ndarray, qd: np.ndarray) -> PlantState:
     """``PlantState(q, qd)`` without ``__post_init__``, for the float vectors
-    a period loop returns: the public constructor would convert them again."""
+    ``integrate_substep`` builds: the public constructor would convert them
+    again."""
     obj = object.__new__(PlantState)
     obj.q = q
     obj.qd = qd
@@ -219,56 +213,68 @@ class SimulationBlowUp(RuntimeError):
         self.t = t
 
 
-def _scalar_period(accel, q: float, qd: float, t: float, dt: float, n_sub: int) -> tuple:
-    """``n_sub`` substeps of a one-joint plant from (q, qd) at t.
+def _event_located(forces, heun, p: tuple, t: float, dt: float, n_sub: int) -> tuple:
+    """``n_sub`` substeps of dt from the plant's evaluation ``p`` at time t,
+    the one loop of every plant; returns the last end state's evaluation.
 
-    ``accel(q, qd, t)`` gives (a, fy, g): the acceleration of every force but
-    the Coulomb term, the normal contact force, and the rate g = F |j| / m at
-    which the Coulomb level F, acting through the tangential Jacobian entry
-    j on the inertia m, can change the joint rate (0 where no Coulomb term
-    acts).  Each substep is a Heun step with the trapezoid of the Coulomb
-    term folded into its velocity updates.  The predictor takes its implicit
-    Euler step at the start state, the impulse dt * fx with fx = clamp(-j qd
-    / (dt w), -F, F) and w = j^2 / m, which on one joint is qd - clamp(qd,
-    -dt g, dt g), so w = 0 (j = 0) divides nothing.  The corrector adds half
-    of that impulse as it is, then clamps the other half implicitly at the
-    predicted end state, with level dt g / 2: in slip the impulse is the
+    An evaluation ``forces(q..., qd..., t)`` is a tuple: the normal contact
+    force fy, what the plant's ``heun`` reads (the accelerations of every
+    force but the Coulomb terms, and those terms), then q and qd.  The call
+    ``heun(forces, p, dt, tp, te)`` steps dt from p's state, evaluates the
+    predicted end state at time tp and returns the corrected one's
+    evaluation at te, which the next substep starts from.
+
+    Each substep is a Heun (explicit trapezoid) step of the smooth forces,
+    with the trapezoid of the Coulomb terms (the arms' surface friction, the
+    stage's rail level) folded into its velocity updates.  The predictor
+    takes their implicit Euler step at the start state: the impulse dt * fx
+    along b = M^-1 j^T of the tangential row j, fx = clamp(-j qd / (dt w),
+    -F, F) with w = j b, so the tangential rate ends at 0 where |j qd| <= dt
+    F w (stick) and the force is +-F otherwise (slip).  The corrector adds
+    half of that impulse as it is, then clamps the other half implicitly at
+    the predicted end state, with level dt F / 2: in slip the impulse is the
     trapezoid of the start and end levels (second order), and a sticking
     contact still ends the substep at rest.  Positions advance by the
     trapezoid of the clamped rates.  A substep whose two ends straddle the
-    surface (fy > 0 at one end only) is split at the onset the secant of fy
-    locates, and each part is stepped alone.
+    surface (fy > 0 at one end only) is split at the onset d the secant of
+    fy locates, and each part is stepped alone, the second ending at t + dt.
     """
-    def heun(q, qd, t, dt, a0, g0):
-        u = v = qd + dt * a0
-        lim = dt * g0
-        if lim > 0.0:
-            v = u - lim if u > lim else u + lim if u < -lim else 0.0 * u
-        half = 0.5 * dt
-        a1, _, g1 = accel(q + half * (qd + v), v, t + dt)
-        # half the predictor's Coulomb impulse v - u, the other half clamped
-        # at the predicted end state
-        v = qd + half * (a0 + a1) + 0.5 * (v - u)
-        lim = half * g1
-        if lim > 0.0:
-            v = v - lim if v > lim else v + lim if v < -lim else 0.0 * v
-        return q + half * (qd + v), v
-
-    a, fy, g = accel(q, qd, t)
+    fy = p[0]
     for _ in range(n_sub):
-        qn, vn = heun(q, qd, t, dt, a, g)
-        an, fyn, gn = accel(qn, vn, t + dt)
+        te = t + dt
+        pn = heun(forces, p, dt, te, te)
+        fyn = pn[0]
         if (fy > 0.0) != (fyn > 0.0):
             theta = fy / (fy - fyn)
             if 0.0 < theta < 1.0:
                 d = theta * dt
-                qa, va = heun(q, qd, t, d, a, g)
-                aa, _, ga = accel(qa, va, t + d)
-                qn, vn = heun(qa, va, t + d, dt - d, aa, ga)
-                an, fyn, gn = accel(qn, vn, t + dt)
-        q, qd, a, fy, g = qn, vn, an, fyn, gn
-        t += dt
-    return [q], [qd]
+                td = t + d
+                pn = heun(forces, heun(forces, p, d, td, td), dt - d, td + (dt - d), te)
+                fyn = pn[0]
+        p, fy, t = pn, fyn, te
+    return p
+
+
+def _scalar_heun(forces, p: tuple, dt: float, tp: float, te: float) -> tuple:
+    """The one-joint substep of ``_event_located`` over ``forces(q, qd, t) ->
+    (fy, a, g, q, qd)``, with g = F |j| / m the rate at which the Coulomb
+    level F through the tangential Jacobian entry j can change the joint
+    rate (0 where no Coulomb term acts).  On one joint the clamped impulse
+    is qd - clamp(qd, -dt g, dt g), so j = 0 divides nothing."""
+    _, a0, g0, q, qd = p
+    u = v = qd + dt * a0
+    lim = dt * g0
+    if lim > 0.0:
+        v = u - lim if u > lim else u + lim if u < -lim else 0.0 * u
+    half = 0.5 * dt
+    _, a1, g1, _, _ = forces(q + half * (qd + v), v, tp)
+    # half the predictor's Coulomb impulse v - u, the other half clamped at
+    # the predicted end state
+    v = qd + half * (a0 + a1) + 0.5 * (v - u)
+    lim = half * g1
+    if lim > 0.0:
+        v = v - lim if v > lim else v + lim if v < -lim else 0.0 * v
+    return forces(q + half * (qd + v), v, te)
 
 
 def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
@@ -288,11 +294,10 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
             raise ValueError(f"inertia lost positivity at q = {q:.4f}")
         return m, damping * c, mgl * c, l1 * c, l1 * s, nl1 * s, l1 * c
 
-    def advance(q, qd, tau, env, disturbance, t, dt, n_sub):
-        (q,), (qd,), (tau,) = q, qd, tau
-        ks, ys, mu = env.k_s, env.y_s, env.mu_fric
+    def substep(tau, env, disturbance):
+        tau, ks, ys, mu = tau[0], env.k_s, env.y_s, env.mu_fric
 
-        def accel(q, qd, t):
+        def forces(q, qd, t):
             s, c = sin(q), cos(q)
             m = m0 + ripple * s
             if m <= 0.0:
@@ -305,26 +310,41 @@ def one_dof_model(params: OneDofParams = OneDofParams()) -> ManipulatorModel:
             if fy > 0.0:
                 # J = (-l1 sin q, l1 cos q): the normal force's torque, and
                 # the surface friction mu fy through |jx| = |l1 sin q|
-                return (r + l1 * c * fy) / m, fy, mu * fy * abs(p1) / m
-            return r / m, fy, 0.0
+                return fy, (r + l1 * c * fy) / m, mu * fy * abs(p1) / m, q, qd
+            return fy, r / m, 0.0, q, qd
 
-        return _scalar_period(accel, q, qd, t, dt, n_sub)
+        return forces, _scalar_heun
 
-    return ManipulatorModel(1, terms, _advance=advance)
+    return ManipulatorModel(1, terms, _substep=substep)
 
 
 def _coulomb_impulse(v1: float, v2: float, coulomb: tuple, dt: float) -> tuple:
     """Two joint rates after the implicit Euler step of a Coulomb term over
-    dt: the impulse dt * fx along b = M^-1 j^T, fx = clamp(-j v / (dt w), -F,
-    F) with w = j b > 0, so the tangential rate j v ends at 0 where |j v| <=
-    dt F w (stick) and the force is +-F otherwise (slip).  The two-link
-    substep takes it over its whole step at the start state and over half
-    of it at the predicted end state, the trapezoid of the friction."""
+    dt, ``coulomb = (j1, j2, b1, b2, w, F)``: the impulse clamp(-j v / w, -dt
+    F, dt F) along b = M^-1 j^T, w = j b > 0 (see ``_event_located``)."""
     j1, j2, b1, b2, w, f = coulomb
     lim = dt * f
     imp = -(j1 * v1 + j2 * v2) / w
     imp = lim if imp > lim else -lim if imp < -lim else imp
     return v1 + b1 * imp, v2 + b2 * imp
+
+
+def _two_link_heun(forces, p: tuple, dt: float, tp: float, te: float) -> tuple:
+    """The two-link substep of ``_event_located`` over ``forces(q1, q2, qd1,
+    qd2, t) -> (fy, a1, a2, Coulomb term or None, q1, q2, qd1, qd2)``."""
+    _, a1, a2, co, q1, q2, qd1, qd2 = p
+    u1, u2 = v1, v2 = qd1 + dt * a1, qd2 + dt * a2
+    if co is not None:
+        v1, v2 = _coulomb_impulse(u1, u2, co, dt)
+    half = 0.5 * dt
+    _, e1, e2, co, _, _, _, _ = forces(q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2, tp)
+    # half the predictor's friction impulse v - u as it was, the other half
+    # clamped along the predicted end state's row
+    v1 = qd1 + half * (a1 + e1) + 0.5 * (v1 - u1)
+    v2 = qd2 + half * (a2 + e2) + 0.5 * (v2 - u2)
+    if co is not None:
+        v1, v2 = _coulomb_impulse(v1, v2, co, half)
+    return forces(q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2, te)
 
 
 def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
@@ -355,17 +375,15 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
                 hh * qd2, hh * (qd1 + qd2), -hh * qd1, 0.0, 0.0, 0.0,
                 ex, l1 * s1 + l2 * s12, nl1 * s1 - l2 * s12, nl2 * s12, ex, l2 * c12)
 
-    def advance(q, qd, tau, env, disturbance, t, dt, n_sub):
+    def substep(tau, env, disturbance):
         if disturbance is not None:
             raise ValueError("disturbance forces act on one-joint plants only")
-        (q1, q2), (qd1, qd2), (tau1, tau2) = q, qd, tau
-        ks, ys, mu = env.k_s, env.y_s, env.mu_fric
+        (tau1, tau2), ks, ys, mu = tau, env.k_s, env.y_s, env.mu_fric
 
-        def accel(q1, q2, qd1, qd2):
-            """(a1, a2, fy, Coulomb term or None) at the state: the joint
-            accelerations of every force but the surface friction, the
-            normal contact force and, in contact with mu > 0, (j11, j12, b1,
-            b2, w, mu fy) for the tangential row j, b = M^-1 j^T and w = j b."""
+        def forces(q1, q2, qd1, qd2, t):
+            """(fy, a1, a2, Coulomb term or None, q1, q2, qd1, qd2); the
+            term, in contact with mu > 0, is (j11, j12, b1, b2, w, mu fy) for
+            the tangential row j; t is unused (no disturbance acts)."""
             q12 = q1 + q2
             s1, s12, c2 = sin(q1), sin(q12), cos(q2)
             hh = hk * sin(q2)
@@ -391,46 +409,16 @@ def two_link_model(params: TwoLinkParams = TwoLinkParams()) -> ManipulatorModel:
                     w = j11 * b1 + j12 * b2
                     if w > 0.0:     # w = 0: the friction cannot act
                         coulomb = (j11, j12, b1, b2, w, mu * fy)
-            return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det, fy, coulomb
+            return (fy, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det, coulomb,
+                    q1, q2, qd1, qd2)
 
-        def heun(q1, q2, qd1, qd2, dt, st):
-            # one Heun substep from the state whose accel() is st, the
-            # trapezoid of the surface friction folded into its velocity
-            # updates
-            a1, a2, _, co = st
-            u1, u2 = v1, v2 = qd1 + dt * a1, qd2 + dt * a2
-            if co is not None:
-                v1, v2 = _coulomb_impulse(u1, u2, co, dt)
-            half = 0.5 * dt
-            e1, e2, _, co = accel(q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2)
-            # half the predictor's friction impulse v - u as it was, the other
-            # half clamped along the predicted end state's row
-            v1 = qd1 + half * (a1 + e1) + 0.5 * (v1 - u1)
-            v2 = qd2 + half * (a2 + e2) + 0.5 * (v2 - u2)
-            if co is not None:
-                v1, v2 = _coulomb_impulse(v1, v2, co, half)
-            return q1 + half * (qd1 + v1), q2 + half * (qd2 + v2), v1, v2
+        return forces, _two_link_heun
 
-        st = accel(q1, q2, qd1, qd2)
-        for _ in range(n_sub):
-            n1, n2, w1, w2 = heun(q1, q2, qd1, qd2, dt, st)
-            sn = accel(n1, n2, w1, w2)
-            fy, fyn = st[2], sn[2]
-            if (fy > 0.0) != (fyn > 0.0):
-                theta = fy / (fy - fyn)
-                if 0.0 < theta < 1.0:
-                    d = theta * dt
-                    n1, n2, w1, w2 = heun(q1, q2, qd1, qd2, d, st)
-                    n1, n2, w1, w2 = heun(n1, n2, w1, w2, dt - d, accel(n1, n2, w1, w2))
-                    sn = accel(n1, n2, w1, w2)
-            q1, q2, qd1, qd2, st = n1, n2, w1, w2, sn
-        return [q1, q2], [qd1, qd2]
-
-    return ManipulatorModel(2, terms, _advance=advance)
+    return ManipulatorModel(2, terms, _substep=substep)
 
 
 def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> ManipulatorModel:
-    """Vertical stage; its period loop applies the drive gain kappa to the
+    """Vertical stage; its force evaluation applies the drive gain kappa to the
     command and the rail friction, a Coulomb level plus a viscous term."""
     p = params
     mass, viscous, weight, kappa = p.mass, p.viscous, p.mass * p.g, p.kappa
@@ -441,12 +429,10 @@ def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> Manip
     def terms(q: float, qd: float) -> tuple:
         return mass, viscous, weight, 0.0, q, 0.0, 1.0
 
-    def advance(q, qd, tau, env, disturbance, t, dt, n_sub):
-        (q,), (qd,), (tau,) = q, qd, tau
-        gt = kappa * tau
-        ks, ys = env.k_s, env.y_s
+    def substep(tau, env, disturbance):
+        gt, ks, ys = kappa * tau[0], env.k_s, env.y_s
 
-        def accel(q, qd, t):
+        def forces(q, qd, t):
             # Jacobian (0, 1): the surface's tangential friction acts across
             # the rail, so the contact force is the normal spring alone
             r = gt - rail_viscous * qd - viscous * qd - weight
@@ -455,19 +441,23 @@ def linear_motor_model(params: LinearMotorParams = LinearMotorParams()) -> Manip
             fy = ks * (ys - q)
             if fy > 0.0:
                 r += fy
-            return r / mass, fy, rail_rate
+            return fy, r / mass, rail_rate, q, qd
 
-        return _scalar_period(accel, q, qd, t, dt, n_sub)
+        return forces, _scalar_heun
 
-    return ManipulatorModel(1, terms, _advance=advance)
+    return ManipulatorModel(1, terms, _substep=substep)
 
 
 def contact_wrench(ee_pos: tuple[float, float], ee_vel: tuple[float, float],
                    env: EnvironmentModel) -> tuple[float, float]:
-    """Planar contact force at the end-effector.
+    """Planar contact force at the end-effector, as the runner measures it.
 
     Normal component fy = max(0, k_s*(y_s - y)) is the unilateral spring;
-    tangential fx = -mu*fy*sign(xdot) is Coulomb friction, zero out of contact.
+    tangential fx = -mu*fy*sign(xdot) is the slip law of Coulomb friction,
+    zero out of contact.  It is the friction the plant applies only in slip:
+    in stick the plant applies the implicit clamp of ``_event_located``,
+    anywhere in [-mu*fy, mu*fy], and fx differs from it (on fig5, 1420 of
+    the 4409 in-contact steps follow a period whose last clamp sticks).
     """
     fy = max(0.0, env.k_s * (env.y_s - ee_pos[1]))
     if fy == 0.0:
@@ -481,19 +471,27 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
                       t: float, dt_sub: float, n_sub: int) -> PlantState:
     """Advance the plant by n_sub substeps of dt_sub under held torque.
 
-    Each substep is a Heun step with the trapezoid of the Coulomb terms,
-    each end clamped implicitly, split where it crosses the surface (see
-    ``ManipulatorModel``); the contact forces are re-evaluated at each
-    stage.  The commanded torque is a zero-order hold over the whole
-    controller period.  A ``disturbance`` acts on one-joint plants only.
-    The substeps are the model's own period loop.  A ``tau_held`` of another
-    entry count than the plant's joints raises ValueError.
+    Runs ``_event_located`` with the model's force evaluation and substep;
+    the commanded torque is a zero-order hold over the whole controller period.
+    A ``disturbance`` acts on one-joint plants only.  A ``tau_held``,
+    ``state.q`` or ``state.qd`` of another entry count than the plant's
+    joints, a ``dt_sub`` that is not positive and finite, and an ``n_sub``
+    that is not an integer >= 1 raise ValueError naming the argument.
     """
-    tau = tau_held.tolist()
-    if len(tau) != model.dof:
-        raise ValueError(f"tau_held has {len(tau)} entries but the plant has {model.dof} joint(s)")
-    q, qd = model._advance(state.q.tolist(), state.qd.tolist(), tau, env, disturbance, t,
-                           dt_sub, n_sub)
-    if not all(map(math.isfinite, q + qd)):
+    n = model.dof
+    tau, q, qd = tau_held.tolist(), state.q.tolist(), state.qd.tolist()
+    if len(tau) != n or len(q) != n or len(qd) != n:
+        for name, v in (("tau_held", tau), ("state.q", q), ("state.qd", qd)):
+            if len(v) != n:
+                raise ValueError(f"{name} has {len(v)} entries but the plant has {n} joint(s)")
+    if not 0.0 < dt_sub < math.inf:
+        raise ValueError(f"dt_sub must be positive and finite, got {dt_sub!r}")
+    if not (type(n_sub) is int or isinstance(n_sub, np.integer)) or n_sub < 1:
+        raise ValueError(f"n_sub must be an integer >= 1, got {n_sub!r}")
+    forces, heun = model._substep(tau, env, disturbance)
+    # the start state's evaluation (a star call would build its arguments)
+    p = forces(q[0], qd[0], t) if n == 1 else forces(q[0], q[1], qd[0], qd[1], t)
+    x = _event_located(forces, heun, p, t, dt_sub, n_sub)[-2 * n:]
+    if not all(map(math.isfinite, x)):
         raise SimulationBlowUp(step=-1, t=t)
-    return _plant_state(np.array(q), np.array(qd))
+    return _plant_state(np.array(x[:n]), np.array(x[n:]))

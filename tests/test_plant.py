@@ -20,7 +20,7 @@ from nonsmooth_adm.plant import (
 )
 
 
-# The array dynamics the period loops replaced, kept as the tests' reference:
+# The array dynamics the float substep loop replaced, kept as the tests' reference:
 # J^T of the contact wrench, the rail friction of the linear stage and the
 # joint accelerations, each from the array views of the kernel.  The oracles
 # take the drive gain as ``gain``: kappa for a linear stage, 1 for the arms.
@@ -235,7 +235,7 @@ def _coulomb_step(v, terms, dt):
 
 
 def reference_heun(forces, q, qd, t, dt):
-    """One substep of the period loops' scheme, not split: Heun's step of
+    """One substep of the plant loop's scheme, not split: Heun's step of
     the smooth forces with the trapezoid of the Coulomb terms.  The
     predicted rate takes their implicit step at the start state; the
     corrected rate takes half of that impulse as it is, then their implicit
@@ -291,7 +291,7 @@ def test_model_rejects_unsupported_shapes():
     terms = one_dof_model().terms
     with pytest.raises(ValueError, match="dof"):
         ManipulatorModel(3, terms)
-    with pytest.raises(TypeError, match="_advance"):
+    with pytest.raises(TypeError, match="_substep"):
         ManipulatorModel(1, terms)
 
 
@@ -305,12 +305,53 @@ def test_two_link_rejects_disturbance():
                          ids=["one_dof-2", "two_link-1"])
 def test_torque_of_another_entry_count_is_refused(model, entries):
     """A torque of another entry count than the plant's joints is named
-    before the period loop, not met as an unpacking error inside it."""
+    before the substep loop, not met as an unpacking error inside it."""
     m = model()
     with pytest.raises(ValueError, match=rf"^tau_held has {entries} entries but the plant "
                                          rf"has {m.dof} joint\(s\)$"):
         integrate_substep(m, PlantState(np.zeros(m.dof), np.zeros(m.dof)), np.zeros(entries),
                           EnvironmentModel(), None, 0.0, 1e-5, 1)
+
+
+@pytest.mark.parametrize("model,nq,nqd,name", [(one_dof_model, 2, 1, "q"),
+                                               (one_dof_model, 1, 2, "qd"),
+                                               (two_link_model, 1, 3, "q"),
+                                               (two_link_model, 2, 1, "qd")],
+                         ids=["one_dof-q2", "one_dof-qd2", "two_link-q1-qd3", "two_link-qd1"])
+def test_state_of_another_entry_count_is_refused(model, nq, nqd, name):
+    """A state whose q or qd has another entry count than the plant's joints
+    is named by its field, also where q and qd together have the entries of
+    two joints' state (a q of 1 entry with a qd of 3)."""
+    m = model()
+    bad = nq if name == "q" else nqd
+    with pytest.raises(ValueError, match=rf"^state\.{name} has {bad} entries but the plant "
+                                         rf"has {m.dof} joint\(s\)$"):
+        integrate_substep(m, PlantState(np.zeros(nq), np.zeros(nqd)), np.zeros(m.dof),
+                          EnvironmentModel(), None, 0.0, 1e-5, 1)
+
+
+@pytest.mark.parametrize("dt_sub", [-1e-4, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_bad_substep_length_is_refused(dt_sub):
+    """A backwards, zero or non-finite substep is named, not integrated (a
+    negative one ran the plant backwards, a NaN one blamed the state)."""
+    with pytest.raises(ValueError, match=r"^dt_sub must be positive and finite, got "):
+        integrate_substep(one_dof_model(), PlantState([0.3], [0.0]), np.zeros(1),
+                          EnvironmentModel(), None, 0.0, dt_sub, 5)
+
+
+@pytest.mark.parametrize("n_sub", [0, -3, 2.0, 1.5, "5", None])
+def test_bad_substep_count_is_refused(n_sub):
+    with pytest.raises(ValueError, match=r"^n_sub must be an integer >= 1, got "):
+        integrate_substep(one_dof_model(), PlantState([0.3], [0.0]), np.zeros(1),
+                          EnvironmentModel(), None, 0.0, 1e-4, n_sub)
+
+
+def test_numpy_integer_substep_count_is_an_integer():
+    model, st = two_link_model(), PlantState([0.2, -0.4], [1.0, 0.5])
+    env = EnvironmentModel(k_s=2e3, y_s=0.3, mu_fric=0.1)
+    a = integrate_substep(model, st, np.array([0.5, -0.2]), env, None, 0.0, 1e-4, np.int64(7))
+    b = integrate_substep(model, st, np.array([0.5, -0.2]), env, None, 0.0, 1e-4, 7)
+    assert a.q.tobytes() == b.q.tobytes() and a.qd.tobytes() == b.qd.tobytes()
 
 
 @pytest.mark.parametrize("field", ["k_s", "y_s", "mu_fric"])
@@ -448,7 +489,7 @@ def test_kernel_ends_with_the_pose_and_the_jacobian_rows(rng, ee_kinematics):
             assert np.array(t[e + 2:]).reshape(2, n).tobytes() == jac.tobytes()
 
 
-# The period loops against the reference stepper over every plant, default
+# The plant loop against the reference stepper over every plant, default
 # and random parameters, the disturbance bases, in and out of contact, and
 # all three signs of the tangential rate.
 
