@@ -40,7 +40,6 @@ from .admittance import (
     initial_state,
     inner_loop_candidate,
     proxy_predict,
-    sliding_variable,
 )
 from .plant import (
     EnvironmentModel,

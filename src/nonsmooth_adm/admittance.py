@@ -17,12 +17,13 @@ floats.  A period reads each input vector once, as a list of floats, hands
 lists of floats from stage to stage, and builds an array only for a value it
 returns.  Each stage has one body on lists (``_proxy``, ``_sliding``,
 ``_robust``, ``_candidate``, ``_naive_pd`` and the box's ``_clip``); the
-public stage functions ``proxy_predict``, ``sliding_variable`` and
-``inner_loop_candidate`` are array wrappers that check the entry counts,
-call the same body and build arrays of its results.  A matrix is a
-row-major tuple of floats.  Row i of a two-joint
-product A x is written ``0.0 + A_i0*x_0 + A_i1*x_1``; with a zero
-off-diagonal entry and a finite other entry of x that is the one-joint
+public stage functions ``proxy_predict`` and ``inner_loop_candidate`` are
+array wrappers that check the entry counts, call the same body and build
+arrays of its results.  A step builds its state with ``_admittance_state``,
+which skips the public constructor's checks, and its diagnostics with their
+own plain constructors.  A matrix is a row-major tuple of floats.  Row i of
+a two-joint product A x is written ``0.0 + A_i0*x_0 + A_i1*x_1``; with a
+zero off-diagonal entry and a finite other entry of x that is the one-joint
 ``0.0 + A_ii*x_i`` bit for bit.  A solve is ``setvalued._solve2``, which
 divides row by row when the matrix is diagonal.  So a diagonal loop, as with
 every preset, computes each joint as a one-joint loop would.  The same
@@ -78,7 +79,6 @@ __all__ = [
     "US_MODES",
     "initial_state",
     "proxy_predict",
-    "sliding_variable",
     "inner_loop_candidate",
     "admittance_step",
     "baseline_naive_step",
@@ -305,9 +305,11 @@ def _measurement(q: np.ndarray, fc: np.ndarray, fd: np.ndarray) -> Measurement:
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepDiagnostics:
-    """Per-step internals for logging and verification."""
+    """Per-step internals for logging and verification.  Not frozen: a step
+    builds one every period, and a frozen constructor costs about five times
+    as much."""
 
     tau_star: np.ndarray
     tau: np.ndarray
@@ -321,27 +323,6 @@ class StepDiagnostics:
     solver: SolverDiagnostics | None = None
 
 
-def _step_diagnostics(tau_star: np.ndarray, tau: np.ndarray, qx_star: np.ndarray,
-                      q1_star: np.ndarray, s: np.ndarray, qe: np.ndarray, u_s: np.ndarray,
-                      saturated: np.ndarray, lambda_vi_residual: float,
-                      solver: SolverDiagnostics | None) -> StepDiagnostics:
-    """``StepDiagnostics(...)`` for a step's own outputs, written into the
-    frozen instance's dict in field order, as ``_admittance_state``."""
-    obj = object.__new__(StepDiagnostics)
-    d = obj.__dict__
-    d["tau_star"] = tau_star
-    d["tau"] = tau
-    d["qx_star"] = qx_star
-    d["q1_star"] = q1_star
-    d["s"] = s
-    d["qe"] = qe
-    d["u_s"] = u_s
-    d["saturated"] = saturated
-    d["lambda_vi_residual"] = lambda_vi_residual
-    d["solver"] = solver
-    return obj
-
-
 def initial_state(q0: np.ndarray) -> AdmittanceState:
     """Rest initialization: proxy on the robot, zero velocities and integrators."""
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
@@ -353,15 +334,10 @@ def initial_state(q0: np.ndarray) -> AdmittanceState:
 def _floats(x, name: str, n: int) -> list:
     """x as a list of floats, refused with a ValueError naming ``name`` (and
     the gains' joint count n) unless it is a finite vector of n entries."""
-    x = _vector(x)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
+    x = _finite_vector(x, name)
     if x.size != n:
         raise ValueError(f"{name} has {x.size} entries; the gains' joint count is {n}")
-    values = x.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} must be finite")
-    return values
+    return x.tolist()
 
 
 def proxy_predict(state: AdmittanceState, fc: np.ndarray, fd: np.ndarray,
@@ -394,24 +370,11 @@ def _proxy(g, qxd_prev: list, qx_prev: list, fc: list, fd: list) -> tuple[list, 
     return [u0, u1], [x0 + h * u0, x1 + h * u1]
 
 
-def sliding_variable(qx_star: np.ndarray, q: np.ndarray, state: AdmittanceState,
-                     g: AdmittanceGains) -> tuple[np.ndarray, np.ndarray]:
-    """Tracking error qe against the predicted proxy and the sliding variable
-    s = qed + lam*qe, with qed its rate.
-
-    qe uses the predicted proxy position (the corrected one is not known yet);
-    its rate is the backward difference against the stored previous error.
-    Returns (qe, s) as arrays; an input of another entry count than the
-    gains' joints, or with a non-finite entry, raises ValueError naming it.
-    """
-    n = g.box.dim
-    qe, s = _sliding(g, _floats(qx_star, "qx_star", n), _floats(q, "q", n),
-                     _floats(state.qe_prev, "state qe_prev", n))
-    return np.array(qe), np.array(s)
-
-
 def _sliding(g: AdmittanceGains, qx_star: list, q: list, qe_prev: list) -> tuple[list, list]:
-    """``sliding_variable`` on lists of floats: (qe, s)."""
+    """Tracking error qe against the predicted proxy and the sliding
+    variable s = qed + lam*qe on lists of floats: (qe, s).  qe uses the
+    predicted proxy position (the corrected one is not known yet); its rate
+    qed is the backward difference against the stored previous error."""
     h, lam = g.h, g.lam
     if len(q) == 1:
         qe = qx_star[0] - q[0]
@@ -570,14 +533,6 @@ def _robust(s: list, loop: _Loop, v: list, g: AdmittanceGains
     return _solve_inclusion(s, loop.iteration, v, g.msta, g.h)
 
 
-def _robust_term(s: np.ndarray, loop: _Loop, state: AdmittanceState, g: AdmittanceGains
-                 ) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics | None]:
-    """``_robust`` on the float vector s and the state's v, with u_s and
-    v_next as arrays."""
-    u_s, v_next, solver = _robust(s.tolist(), loop, state.v_prev.tolist(), g)
-    return np.array(u_s), np.array(v_next), solver
-
-
 def _clip(y_star: list, limits: tuple) -> tuple[list, np.ndarray, float]:
     """Project a step's candidate, a list of floats, onto the box of
     ``limits``: (y, the saturation flags ``|y_star| > F`` as an array, the
@@ -651,8 +606,8 @@ def admittance_step(state: AdmittanceState, meas: Measurement, model: ModelEstim
     tau_a = tau_star_a if tau is tau_star else np.array(tau)
     next_state = _admittance_state(np.array(qx), np.array(qxd), ux_a, np.array(meas.q), qe_a,
                                    v_next_a)
-    diag = _step_diagnostics(tau_star_a, tau_a, qx_star_a, q1_star_a, s_a, qe_a, u_s_a, saturated,
-                             vi_residual, solver_diag)
+    diag = StepDiagnostics(tau_star_a, tau_a, qx_star_a, q1_star_a, s_a, qe_a, u_s_a, saturated,
+                           vi_residual, solver_diag)
     return tau_a, next_state, diag
 
 
@@ -691,6 +646,5 @@ def baseline_naive_step(state: AdmittanceState, meas: Measurement, model: ModelE
     tau_a = tau_raw_a if tau is tau_raw else np.array(tau)
     zero, q = np.zeros(len(qe)), np.array(meas.q)
     next_state = _admittance_state(qx_a, ux_a, ux_a, q, qe_a, state.v_prev)
-    diag = _step_diagnostics(tau_raw_a, tau_a, qx_a, q, zero, qe_a, zero, saturated, vi_residual,
-                             None)
+    diag = StepDiagnostics(tau_raw_a, tau_a, qx_a, q, zero, qe_a, zero, saturated, vi_residual)
     return tau_a, next_state, diag

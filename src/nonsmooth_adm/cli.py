@@ -70,7 +70,9 @@ def _resolve_scenario(name: str, overrides: list[str]) -> Scenario:
         try:
             apply_override(sc, key.strip(), value.strip())
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad override {item!r}: {exc}") from exc
+            # the message itself: str() of a KeyError quotes it
+            reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            raise ConfigError(f"bad override {item!r}: {reason}") from exc
     return sc
 
 

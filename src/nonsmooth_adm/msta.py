@@ -103,32 +103,19 @@ class MstaGains:
         return self.k4 / self.k3
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverDiagnostics:
     """Result of the implicit nominal-state solve.  ``residual`` is the
     inclusion residual, the distance of m2 from subdiff Psi2(shat): that is
     ||m2 - shat/||shat|| - alpha2*shat||, or max(0, ||m2|| - 1) at shat = 0;
-    ``converged`` says it is at most fp_tol*(1 + ||s||)."""
+    ``converged`` says it is at most fp_tol*(1 + ||s||).  Not frozen, as
+    ``StepDiagnostics``: an implicit step builds one every period."""
 
     iterations: int
     residual: float
     converged: bool
     shat: np.ndarray
     m2: np.ndarray
-
-
-def _solver_diagnostics(iterations: int, residual: float, converged: bool, shat: np.ndarray,
-                        m2: np.ndarray) -> SolverDiagnostics:
-    """``SolverDiagnostics(...)`` for a solve's own outputs, written into the
-    frozen instance's dict in field order."""
-    obj = object.__new__(SolverDiagnostics)
-    d = obj.__dict__
-    d["iterations"] = iterations
-    d["residual"] = residual
-    d["converged"] = converged
-    d["shat"] = shat
-    d["m2"] = m2
-    return obj
 
 
 class SolverConvergenceError(RuntimeError):
@@ -342,8 +329,8 @@ def _solve_inclusion(s: list, iteration: _Iteration, v: list, g: MstaGains,
     for j, y in enumerate(m2):
         v_next.append(v[j] + hk3 * y)
         u_s.append(gam * y + v_next[j])
-    diag = _solver_diagnostics(iterations, res, res <= g.fp_tol * (1.0 + ns), np.array(x),
-                               np.array(m2))
+    diag = SolverDiagnostics(iterations, res, res <= g.fp_tol * (1.0 + ns), np.array(x),
+                             np.array(m2))
     return u_s, v_next, diag
 
 

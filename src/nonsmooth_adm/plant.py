@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -475,8 +476,9 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
     the commanded torque is a zero-order hold over the whole controller period.
     A ``disturbance`` acts on one-joint plants only.  A ``tau_held``,
     ``state.q`` or ``state.qd`` of another entry count than the plant's
-    joints, a ``dt_sub`` that is not positive and finite, and an ``n_sub``
-    that is not an integer >= 1 raise ValueError naming the argument.
+    joints, a ``dt_sub`` that is not a positive and finite real number (a
+    bool is not one), and an ``n_sub`` that is not an integer >= 1 raise
+    ValueError naming the argument.
     """
     n = model.dof
     tau, q, qd = tau_held.tolist(), state.q.tolist(), state.qd.tolist()
@@ -484,7 +486,9 @@ def integrate_substep(model: ManipulatorModel, state: PlantState, tau_held: np.n
         for name, v in (("tau_held", tau), ("state.q", q), ("state.qd", qd)):
             if len(v) != n:
                 raise ValueError(f"{name} has {len(v)} entries but the plant has {n} joint(s)")
-    if not 0.0 < dt_sub < math.inf:
+    # a float skips the isinstance check against the numbers ABC, which is slow
+    if (type(dt_sub) is not float and (type(dt_sub) is bool or not isinstance(dt_sub, Real))
+            or not 0.0 < dt_sub < math.inf):
         raise ValueError(f"dt_sub must be positive and finite, got {dt_sub!r}")
     if not (type(n_sub) is int or isinstance(n_sub, np.integer)) or n_sub < 1:
         raise ValueError(f"n_sub must be an integer >= 1, got {n_sub!r}")

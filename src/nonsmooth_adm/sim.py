@@ -781,7 +781,9 @@ def sweep(sc_template: Scenario, param_path: str, values: Sequence) -> list[tupl
             apply_override(s, param_path, v)
             _build_run(s)
         except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"bad sweep value {v!r} for {param_path}: {exc}") from exc
+            # the message itself: str() of a KeyError quotes it
+            reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            raise ScenarioError(f"bad sweep value {v!r} for {param_path}: {reason}") from exc
     return [(v, compute_metrics(run_scenario(s), s)) for v, s in zip(values, scenarios)]
 
 

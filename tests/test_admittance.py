@@ -14,22 +14,18 @@ from nonsmooth_adm.admittance import (
     Measurement,
     ModelEstimate,
     NaiveGains,
-    StepDiagnostics,
     _admittance_state,
     _measurement,
-    _step_diagnostics,
+    _sliding,
     admittance_step,
     baseline_naive_step,
     initial_state,
     inner_loop_candidate,
     proxy_predict,
-    sliding_variable,
 )
 from nonsmooth_adm.msta import (
     MstaGains,
     SolverConvergenceError,
-    SolverDiagnostics,
-    _solver_diagnostics,
 )
 from nonsmooth_adm.plant import PlantState, _plant_state, two_link_model
 from nonsmooth_adm import admittance
@@ -108,8 +104,7 @@ def test_proxy_steady_state_fixed_point():
 
 def test_sliding_variable_values():
     g = fig3_gains()
-    st = initial_state(np.zeros(1))
-    qe, s = sliding_variable(np.array([0.01]), np.zeros(1), st, g)
+    qe, s = _sliding(g, [0.01], [0.0], [0.0])
     assert qe[0] == pytest.approx(0.01)
     assert s[0] - g.lam * qe[0] == pytest.approx(10.0)     # the rate qed
     assert s[0] == pytest.approx(10.1)
@@ -117,12 +112,9 @@ def test_sliding_variable_values():
 
 def test_sliding_variable_zero_and_steady():
     g = fig3_gains()
-    st = initial_state(np.array([0.2]))
-    qe, s = sliding_variable(np.array([0.2]), np.array([0.2]), st, g)
+    qe, s = _sliding(g, [0.2], [0.2], initial_state(np.array([0.2])).qe_prev.tolist())
     assert qe[0] == 0.0 and s[0] == 0.0
-    st2 = AdmittanceState(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
-                          np.array([0.03]), np.zeros(1))
-    qe, s = sliding_variable(np.array([0.03]), np.zeros(1), st2, g)
+    qe, s = _sliding(g, [0.03], [0.0], [0.03])
     assert s[0] == g.lam * qe[0]        # qed = 0 exactly
     assert s[0] == pytest.approx(g.lam * 0.03)
 
@@ -401,7 +393,7 @@ def test_step_rejects_an_estimate_of_another_joint_count(controller):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("stage", ["proxy_predict", "sliding_variable", "inner_loop_candidate"])
+@pytest.mark.parametrize("stage", ["proxy_predict", "inner_loop_candidate"])
 def test_stage_functions_name_a_wrong_entry_count(stage, n):
     """Each public stage function refuses a vector, or a state, of another
     entry count than the gains' joints with a ValueError that names it and
@@ -418,9 +410,6 @@ def test_stage_functions_name_a_wrong_entry_count(stage, n):
         "proxy_predict": (("fc", lambda x, st: proxy_predict(st, x, good, g)),
                           ("fd", lambda x, st: proxy_predict(st, good, x, g)),
                           ("state qxd_prev", lambda x, st: proxy_predict(st, good, good, g))),
-        "sliding_variable": (("qx_star", lambda x, st: sliding_variable(x, good, st, g)),
-                             ("q", lambda x, st: sliding_variable(good, x, st, g)),
-                             ("state qe_prev", lambda x, st: sliding_variable(good, good, st, g))),
         "inner_loop_candidate": (
             ("qx_star", lambda x, st: inner_loop_candidate(x, good, good, st, est, g)),
             ("q", lambda x, st: inner_loop_candidate(good, x, good, st, est, g)),
@@ -872,24 +861,14 @@ def _per_period_cases():
     def vec(*x):
         return np.array(x)
 
-    solver = SolverDiagnostics(3, 1e-13, True, vec(0.0, 1e-4), vec(-0.5, 1.0))
     cases = [
         (_admittance_state, AdmittanceState,
          (vec(1.0, 2.0), vec(0.0, -0.0), vec(3.0, 4.0), vec(5.0, 6.0), vec(7.0, 8.0),
           vec(0.5, -0.25))),
         (_measurement, Measurement, (vec(0.1), vec(-2.0), vec(0.0))),
-        (_step_diagnostics, StepDiagnostics,
-         (vec(4.0, -9.0), vec(3.0, -4.0), vec(0.1, 0.2), vec(0.3, 0.4), vec(1e-3, 0.0),
-          vec(0.0, -1e-3), vec(2.0, 3.0), np.array([True, False]), -0.5, solver)),
-        (_step_diagnostics, StepDiagnostics,
-         (vec(1.0), vec(1.0), vec(0.1), vec(0.3), vec(0.0), vec(0.0), vec(0.0),
-          np.array([False]), 0.0, None)),
-        (_solver_diagnostics, SolverDiagnostics, (3, 1e-13, True, vec(0.0, 1e-4),
-                                                  vec(-0.5, 1.0))),
         (_plant_state, PlantState, (vec(0.2, -0.4), vec(1.0, 0.0))),
     ]
-    ids = ["AdmittanceState", "Measurement", "StepDiagnostics", "StepDiagnostics-no-solver",
-           "SolverDiagnostics", "PlantState"]
+    ids = ["AdmittanceState", "Measurement", "PlantState"]
     return [pytest.param(*case, id=name) for case, name in zip(cases, ids)]
 
 

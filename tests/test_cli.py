@@ -48,6 +48,20 @@ def test_run_bad_override_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,args,context", [
+    ("run", ["--set", "no.such=1"], "bad override 'no.such=1'"),
+    ("sweep", ["--param", "no.such", "--values", "1"], "bad sweep value 1 for no.such"),
+], ids=["run", "sweep"])
+def test_unresolved_override_path_is_shown_without_quotes(tmp_path, capsys, command, args,
+                                                         context):
+    """The message of a path that names no field is shown as it is, not in
+    the quotes ``str()`` of a KeyError adds."""
+    code = main([command, "--scenario", "fig3_one_dof", "--out", str(tmp_path / "x"), *args])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: {context}: override path 'no.such' does not resolve\n"
+
+
 def test_run_scenario_file(tmp_path):
     sc = presets()["msta_bench"]
     sc.duration = 0.5

@@ -44,18 +44,18 @@ from nonsmooth_adm.admittance import (
     Measurement,
     ModelEstimate,
     NaiveGains,
+    StepDiagnostics,
     _admittance_state,
     _candidate,
     _evaluate_loop,
     _proxy,
-    _robust_term,
-    _step_diagnostics,
+    _robust,
+    _sliding,
     admittance_step,
     baseline_naive_step,
     initial_state,
     inner_loop_candidate,
     proxy_predict,
-    sliding_variable,
 )
 from nonsmooth_adm.msta import MstaGains
 from nonsmooth_adm.plant import one_dof_model, two_link_model
@@ -110,7 +110,7 @@ def _proxy_predict_arrays(state, fc, fd, g):
 
 
 def _sliding_variable_arrays(qx_star, q, state, g):
-    """``sliding_variable`` on arrays."""
+    """``_sliding`` on arrays."""
     qe = qx_star - q
     return qe, (qe - state.qe_prev) / g.h + g.lam * qe
 
@@ -156,14 +156,15 @@ def _step_arrays(state, meas, model, g):
     loop = _evaluate_loop(model, meas.q, state, g)
     ux_star, qx_star = _proxy_predict_arrays(state, meas.fc, meas.fd, g)
     qe, s = _sliding_variable_arrays(qx_star, meas.q, state, g)
-    u_s, v_next, solver = _robust_term(s, loop, state, g)
+    u_s, v_next, solver = _robust(s.tolist(), loop, state.v_prev.tolist(), g)
+    u_s, v_next = np.array(u_s), np.array(v_next)
     q1_star, tau_star = _inner_loop_candidate_arrays(qx_star, meas.q, u_s, state, g, loop)
     tau, saturated, vi_residual = _clip_arrays(tau_star, g.box)
     qx = _solve(_loop_arrays(loop)[4], tau) + q1_star
     qxd = (qx - state.qx_prev) / g.h
     next_state = _admittance_state(qx, qxd, ux_star, meas.q.copy(), qe, v_next)
-    diag = _step_diagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated, vi_residual,
-                             solver)
+    diag = StepDiagnostics(tau_star, tau, qx_star, q1_star, s, qe, u_s, saturated, vi_residual,
+                           solver)
     return tau, next_state, diag
 
 
@@ -175,8 +176,8 @@ def _naive_step_arrays(state, meas, model, ng):
     tau, saturated, vi_residual = _clip_arrays(tau_raw, ng.box)
     zero = np.zeros_like(qe)
     next_state = _admittance_state(qx, ux, ux, meas.q.copy(), qe, state.v_prev)
-    diag = _step_diagnostics(tau_raw, tau, qx, meas.q.copy(), zero, qe, zero, saturated,
-                             vi_residual, None)
+    diag = StepDiagnostics(tau_raw, tau, qx, meas.q.copy(), zero, qe, zero, saturated,
+                           vi_residual)
     return tau, next_state, diag
 
 
@@ -441,11 +442,17 @@ def test_two_joint_proxy_with_full_matrices_matches_arrays_to_roundoff():
         _assert_within(qx, qx_ref, h * unit + np.spacing(np.abs(qx_ref)))
 
 
+def _sliding_bits(qx_star, q, state, g) -> bytes:
+    """The bytes of ``_sliding``'s (qe, s) as arrays."""
+    qe, s = _sliding(g, qx_star.tolist(), q.tolist(), state.qe_prev.tolist())
+    return _bits((np.array(qe), np.array(s)))
+
+
 def test_sliding_variable_float_path_matches_arrays():
     g = _gains()
     for qx_star, q, qe_prev in _inputs(np.random.default_rng(4), [0.01, 0.01, 0.01]):
         state, qx_star, q = _state(qe_prev=qe_prev), _one(qx_star), _one(q)
-        assert (_bits(sliding_variable(qx_star, q, state, g))
+        assert (_sliding_bits(qx_star, q, state, g)
                 == _bits(_sliding_variable_arrays(qx_star, q, state, g)))
 
 
@@ -453,7 +460,7 @@ def test_two_joint_sliding_variable_float_path_matches_arrays():
     g = _gains2()
     for qx_star, q, qe_prev in _pairs(np.random.default_rng(14), [0.01, 0.01, 0.01]):
         state = _state2(qe_prev=qe_prev)
-        assert (_bits(sliding_variable(qx_star, q, state, g))
+        assert (_sliding_bits(qx_star, q, state, g)
                 == _bits(_sliding_variable_arrays(qx_star, q, state, g)))
 
 
@@ -538,19 +545,19 @@ def test_non_scalar_diagonal_iteration_matrix_takes_the_root(monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr(msta, "_root", counting)
-    s = np.array([0.02, -0.01])
+    s = [0.02, -0.01]
     loop = _evaluate_loop(_ESTIMATES2["unequal"], np.zeros(2), _state2(), g)
     assert loop.iteration.scale is None
     assert np.allclose(np.reshape(loop.iteration.G, (2, 2)), np.diag([1.25, 1.2]), rtol=0.0,
                        atol=1e-15)
     # s = (2.79e-6, -7.69e-5) sits just above the band h^2 k3 = 6.6e-5
-    for s_in in (s, np.array([2.79e-6, -7.69e-5])):
-        u_s, _, diag = _robust_term(s_in, loop, _state2(), g)
+    for s_in in (s, [2.79e-6, -7.69e-5]):
+        _, _, diag = _robust(s_in, loop, [0.0, 0.0], g)
         assert diag.converged and 1 < diag.iterations <= 8
     assert len(calls) == 2
     calls.clear()
     loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), _state2(), g)
-    _, _, diag = _robust_term(s, loop, _state2(), g)
+    _, _, diag = _robust(s, loop, [0.0, 0.0], g)
     assert calls == [] and diag.iterations == 1
 
 
@@ -568,9 +575,9 @@ def test_scalar_iteration_matrix_with_k4_takes_the_root(monkeypatch):
     monkeypatch.setattr(msta, "_root", counting)
     loop = _evaluate_loop(_ESTIMATES2["equal"], np.zeros(2), _state2(), g)
     assert loop.iteration.scale is not None
-    inputs = (np.array([0.02, -0.01]), np.array([2.79e-6, -7.69e-5]), np.array([-3.0, 0.5]))
+    inputs = ([0.02, -0.01], [2.79e-6, -7.69e-5], [-3.0, 0.5])
     for s in inputs:
-        _, _, diag = _robust_term(s, loop, _state2(), g)
+        _, _, diag = _robust(s, loop, [0.0, 0.0], g)
         assert diag.converged and 1 < diag.iterations <= 8
     assert len(calls) == len(inputs)
 
@@ -779,10 +786,6 @@ def test_mixed_entry_counts_raise_or_broadcast_as_the_array_code():
                   lambda: proxy_predict(state2, y2, y1, g2),
                   lambda: proxy_predict(state2, y2, y3, g2),
                   lambda: proxy_predict(state, y2, y2, g2),
-                  lambda: sliding_variable(y1, y2, state, g),
-                  lambda: sliding_variable(y2, y1, state2, g2),
-                  lambda: sliding_variable(y2, y3, state2, g2),
-                  lambda: sliding_variable(y2, y2, state, g),
                   lambda: inner_loop_candidate(y1, y2, y1, state, model, g, loop=loop),
                   lambda: inner_loop_candidate(y2, y2, y2, state, model, g, loop=loop)):
         with pytest.raises(ValueError):

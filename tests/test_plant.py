@@ -330,10 +330,13 @@ def test_state_of_another_entry_count_is_refused(model, nq, nqd, name):
                           EnvironmentModel(), None, 0.0, 1e-5, 1)
 
 
-@pytest.mark.parametrize("dt_sub", [-1e-4, 0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dt_sub", [-1e-4, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                                    "1e-4", None, True])
 def test_bad_substep_length_is_refused(dt_sub):
     """A backwards, zero or non-finite substep is named, not integrated (a
-    negative one ran the plant backwards, a NaN one blamed the state)."""
+    negative one ran the plant backwards, a NaN one blamed the state), and
+    so is one that is not a number (a string or None failed the range check
+    with an unnamed TypeError, and True was taken as a 1 s substep)."""
     with pytest.raises(ValueError, match=r"^dt_sub must be positive and finite, got "):
         integrate_substep(one_dof_model(), PlantState([0.3], [0.0]), np.zeros(1),
                           EnvironmentModel(), None, 0.0, dt_sub, 5)
@@ -347,11 +350,14 @@ def test_bad_substep_count_is_refused(n_sub):
 
 
 def test_numpy_integer_substep_count_is_an_integer():
+    """A numpy integer substep count, and a numpy float substep length, are
+    taken as the Python numbers they equal."""
     model, st = two_link_model(), PlantState([0.2, -0.4], [1.0, 0.5])
     env = EnvironmentModel(k_s=2e3, y_s=0.3, mu_fric=0.1)
-    a = integrate_substep(model, st, np.array([0.5, -0.2]), env, None, 0.0, 1e-4, np.int64(7))
     b = integrate_substep(model, st, np.array([0.5, -0.2]), env, None, 0.0, 1e-4, 7)
-    assert a.q.tobytes() == b.q.tobytes() and a.qd.tobytes() == b.qd.tobytes()
+    for dt_sub, n_sub in ((1e-4, np.int64(7)), (np.float64(1e-4), 7)):
+        a = integrate_substep(model, st, np.array([0.5, -0.2]), env, None, 0.0, dt_sub, n_sub)
+        assert a.q.tobytes() == b.q.tobytes() and a.qd.tobytes() == b.qd.tobytes()
 
 
 @pytest.mark.parametrize("field", ["k_s", "y_s", "mu_fric"])

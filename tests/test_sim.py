@@ -717,8 +717,7 @@ _LAYER_BOUNDARIES = (
     (admittance, "_project"), (admittance, "_certificate"),
 )
 _WRAPPERS = (
-    (admittance, "proxy_predict"), (admittance, "sliding_variable"),
-    (admittance, "inner_loop_candidate"), (admittance, "project_box"),
+    (admittance, "proxy_predict"), (admittance, "inner_loop_candidate"), (admittance, "project_box"),
     (admittance, "variational_residual"), (admittance, "sta_scalar_implicit_step"),
 )
 

@@ -20,10 +20,10 @@ from nonsmooth_adm import sim
 from nonsmooth_adm.admittance import (
     _STATE_VECTORS,
     _evaluate_loop,
-    _robust_term,
+    _robust,
+    _sliding,
     inner_loop_candidate,
     proxy_predict,
-    sliding_variable,
 )
 from nonsmooth_adm.msta import (
     msta_explicit_step,
@@ -172,12 +172,12 @@ def _iteration_inputs(model, q, state, g):
 def test_public_stage_functions_give_the_periods_own_bits(monkeypatch, standard_runs, run):
     """Each public stage function, on a period's own inputs, returns bit for
     bit what the period computed: ``proxy_predict`` the state's ux_prev and
-    diag.qx_star, ``sliding_variable`` diag.qe and diag.s, the robust
-    term's public step diag.u_s and the state's v_prev (and, for the
-    implicit solve, the solver's diagnostics), ``inner_loop_candidate``
-    diag.q1_star and diag.tau_star, ``project_box`` tau and
-    ``variational_residual`` diag.lambda_vi_residual.  The naive step has the
-    proxy, the projection and the certificate."""
+    diag.qx_star, the sliding variable's body ``_sliding`` diag.qe and
+    diag.s, the robust term's public step diag.u_s and the state's v_prev
+    (and, for the implicit solve, the solver's diagnostics),
+    ``inner_loop_candidate`` diag.q1_star and diag.tau_star, ``project_box``
+    tau and ``variational_residual`` diag.lambda_vi_residual.  The naive
+    step has the proxy, the projection and the certificate."""
     sc = standard_runs[run]
     naive = sc.controller.kind == "naive"
     saturated = 0
@@ -189,8 +189,8 @@ def test_public_stage_functions_give_the_periods_own_bits(monkeypatch, standard_
         saturated += bool(d.saturated.any())
         if naive:
             continue
-        qe, s = sliding_variable(d.qx_star, meas.q, state, g)
-        assert _bits(qe) == _bits(d.qe) and _bits(s) == _bits(d.s)
+        qe, s = _sliding(g, d.qx_star.tolist(), meas.q.tolist(), state.qe_prev.tolist())
+        assert _bits(np.array(qe)) == _bits(d.qe) and _bits(np.array(s)) == _bits(d.s)
         q1, tau_star = inner_loop_candidate(d.qx_star, meas.q, d.u_s, state, model, g)
         assert _bits(q1) == _bits(d.q1_star) and _bits(tau_star) == _bits(d.tau_star)
         h, mode = g.h, g.resolved_us_mode()
@@ -204,7 +204,8 @@ def test_public_stage_functions_give_the_periods_own_bits(monkeypatch, standard_
         else:
             Ak, Mk = _iteration_inputs(model, meas.q, state, g)
             solver = solve_shat_vector(d.s, Ak, Mk, g.msta, h)
-            u_s, v_next, _ = _robust_term(d.s, loop, state, g)
+            u_s, v_next, _ = _robust(d.s.tolist(), loop, state.v_prev.tolist(), g)
+            u_s, v_next = np.array(u_s), np.array(v_next)
             if g.k1 == "structured":
                 u_s, v_next, solver = msta_implicit_step(d.s, Mk, model.coriolis_fn(
                     meas.q, (meas.q - state.q_prev) / h), g.msta, h, state.v_prev)
